@@ -549,9 +549,7 @@ def line_embedding(host: ProductHost, line: Line,
         raise ConstructionCheckError("word spaces are not distinct")
 
     # (c) members inside the copy correspond to cover k-spaces
-    host_keys = {m.key(): i for i, m in enumerate(host.members)}
-    inside = [s for s in enumerate_subspaces(copy, base.spec.colored_rank, cap)
-              if s.key() in host_keys]
+    inside = [m for m in host.members if copy.contains_subspace(m)]
     flat_keys = {apply(flatten, s).key() for s in inside}
     g_keys = {g.key() for g in base.cover_k_spaces}
     if flat_keys != g_keys or len(inside) != len(g_keys):
@@ -665,9 +663,8 @@ def extract_monochromatic_copy(host: ProductHost, coloring,
             raise ConstructionCheckError("copy member is not in the host family")
         if entries[m.key()] != color:
             raise ConstructionCheckError("copy member has the wrong color")
-    inside = {s.key() for s in enumerate_subspaces(copy_space,
-                                                   spec.colored_rank, cap)
-              if s.key() in entries}
+    inside = {m.key() for m in host.members
+              if copy_space.contains_subspace(m)}
     if inside != member_keys:
         raise ConstructionCheckError("copy is not induced: its space meets "
                                      "the family elsewhere")
@@ -745,51 +742,14 @@ def host_to_json(host: ProductHost) -> dict:
 
 
 def host_from_json(data: dict) -> ProductHost:
-    """Rehydrate a host bundle without rebuilding or re-verifying it."""
+    """Rebuild the host from the bundle's spec; ValueError if the file differs.
+
+    Every field of a loaded host is thus re-derived and re-verified by the
+    construction instead of trusted from disk."""
     spec = HostSpec.from_json(data["spec"])
-    f = spec.field
-    sub = lambda d: Subspace.from_json(d, f)
-    lmap = lambda d: LinearMap.from_json(d, f)
-    blocks = []
-    for bd in data["blocks"]["targets"]:
-        covers = tuple(CoverBlock(
-            member=sub(cd["member"]),
-            complement=sub(cd["complement"]) if cd["complement"] else None,
-            comp_slots=tuple(tuple(int(x) for x in p) for p in cd["comp_slots"]),
-            comp_span=sub(cd["comp_span"]) if cd["comp_span"] else None,
-            lifted=sub(cd["lifted"]),
-            cover=sub(cd["cover"]),
-        ) for cd in bd["covers"])
-        blocks.append(SubspaceBlock(
-            target=sub(bd["target"]),
-            embed=lmap(bd["embed"]),
-            slots=tuple(tuple(int(x) for x in p) for p in bd["slots"]),
-            span=sub(bd["span"]),
-            lift=lmap(bd["lift"]),
-            covers=covers,
-        ))
-    base_space = sub(data["E"])
-    base = BaseHost(
-        spec=spec,
-        base_space=base_space,
-        base_k_spaces=tuple(enumerate_subspaces(base_space, spec.colored_rank)),
-        space=sub(data["V"]),
-        blocks=tuple(blocks),
-        covers=tuple(sub(d) for d in data["Y"]),
-        cover_k_spaces=tuple(sub(d) for d in data["G"]),
-        projection=lmap(data["pi"]),
-    )
-    word_len = spec.word_len
-    if word_len is None:
+    if spec.word_len is None:
         raise ValueError("bundle spec must carry a resolved word length")
-    return ProductHost(
-        base=base,
-        word_len=word_len,
-        space=sub(data["X"]),
-        projection=lmap(data["pi_tilde"]),
-        members=tuple(sub(d) for d in data["H"]),
-        member_parts=tuple(tuple(int(x) for x in p)
-                           for p in data["member_parts"]),
-        fibers=tuple(tuple(int(x) for x in fb) for fb in data["fibers"]),
-        cover_slot=_cover_slot_table(base),
-    )
+    host = build_product_host(build_base_host(spec), spec.word_len)
+    if host_to_json(host) != data:
+        raise ValueError("bundle differs from the host rebuilt from its spec")
+    return host

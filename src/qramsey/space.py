@@ -459,12 +459,17 @@ def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list
 
     Internally walks RREF matrices (and coset representatives in affine
     mode) over the ambient's internal coordinates, then rewrites them in
-    ambient coordinates.
+    ambient coordinates.  Raises SizeCapError, before listing, when the
+    point count or the closed-form count of rank-k subspaces exceeds `cap`.
     """
     f = ambient.field
     mode = ambient.mode
     if ambient.num_points > cap:
         raise SizeCapError(f"ambient has {ambient.num_points} points, cap {cap}")
+    if 0 <= k <= ambient.rank:
+        count = count_subspaces(ambient.rank, k, f.order, mode)
+        if count > cap:
+            raise SizeCapError(f"{count} rank-{k} subspaces, cap {cap}")
     out: list[Subspace] = []
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len

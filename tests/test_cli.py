@@ -72,6 +72,11 @@ def test_enumerate_size_cap(capsys):
                              "vector", "--N", "17", "--k", "1")
     assert code == 2
     assert lines[0]["error"] == "size_cap"
+    # few enough points, but about 2.3e11 subspaces: refused before listing
+    code, lines, _ = run_cli(capsys, "count", "--q", "2", "--mode",
+                             "vector", "--N", "12", "--k", "6")
+    assert code == 2
+    assert lines[0]["error"] == "size_cap"
 
 
 # -- arrow --------------------------------------------------------------------
@@ -249,6 +254,28 @@ def test_verify_witness_file_on_failure(tmp_path, capsys):
     assert lines[0]["verdict"] == "fails"
     assert json.loads(out.read_text()) == lines[0]["witness"]
     assert set(lines[0]["witness"]["entries"].values()) == {0, 1}
+
+
+@pytest.mark.parametrize("path", [
+    ("H", 0, "direction", 0, -1),
+    ("X", "direction", 0, -1),
+    ("pi", "matrix", 0, 0),
+    ("blocks", "targets", 0, "covers", 0, "lifted", "direction", 0, -1),
+], ids=["H", "X", "pi", "blocks"])
+def test_tampered_bundle_exits_4(bundle_path, tmp_path, capsys, path):
+    data = json.loads(bundle_path.read_text())
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] ^= 1
+    bundle_path.write_text(json.dumps(data))
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"constant": 0}))
+    for argv in (["verify", "--bundle", str(bundle_path)],
+                 ["extract", "--bundle", str(bundle_path),
+                  "--coloring", str(col)]):
+        code, _, out = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
 
 
 # -- usage errors ------------------------------------------------------------------

@@ -9,6 +9,7 @@ split of the extraction walk.
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -32,12 +33,12 @@ def vector_spec(nf, word_len=1, num_colors=1, base_rank=2):
     return HostSpec(2, VECTOR, 1, 2, num_colors, fam, base_rank, word_len)
 
 
-def affine_spec(nf, word_len=1):
+def affine_spec(nf, word_len=1, num_colors=1, base_rank=2):
     f = make_field(2)
     amb = full_space(f, AFFINE, 2)
     members = enumerate_subspaces(amb, 1)[:nf]
     fam = ConfigFamily(amb, tuple(members))
-    return HostSpec(2, AFFINE, 1, 2, 1, fam, 2, word_len)
+    return HostSpec(2, AFFINE, 1, 2, num_colors, fam, base_rank, word_len)
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +472,33 @@ def test_extract_matches_verify_on_grid():
                 assert res.holds
 
 
+@pytest.mark.parametrize("spec", [
+    vector_spec(3, num_colors=2, base_rank=3),
+    affine_spec(2, num_colors=2, base_rank=3),
+], ids=["vector", "affine"])
+def test_extract_base_rank_above_target_rank(spec):
+    # the line embedding's copy has block rank (56 in vector mode), far
+    # beyond any enumeration; extraction must still finish and verify
+    host = build_product_host(build_base_host(spec), 1)
+    host_keys = {m.key() for m in host.members}
+    rng = random.Random(7)
+    for coloring in ({m.key(): 0 for m in host.members},
+                     {m.key(): rng.randrange(2) for m in host.members}):
+        out = extract_monochromatic_copy(host, coloring)
+        if isinstance(out, ExtractionFailure):
+            assert len(set(coloring.values())) == 2
+            assert out.step in ("line_search", "subspace_search")
+            continue
+        assert isinstance(out, MonochromaticCopy)
+        assert {m.key() for m in out.members} <= host_keys
+        assert {coloring[m.key()] for m in out.members} == {out.color}
+        inside = {s.key() for s in enumerate_subspaces(out.space, 1)
+                  if s.key() in host_keys}
+        assert inside == {m.key() for m in out.members}
+        assert family_isomorphic(spec.family,
+                                 ConfigFamily(out.space, out.members))
+
+
 # -- automatic word length --------------------------------------------------------
 
 
@@ -510,6 +538,23 @@ def test_bundle_keys(tiny_host):
                 "pi_tilde"):
         assert key in data
     assert data["spec"]["N1"] == 1
+
+
+@pytest.mark.parametrize("path", [
+    ("H", 0, "direction", 0, -1),
+    ("X", "direction", 0, -1),
+    ("pi", "matrix", 0, 0),
+    ("blocks", "targets", 0, "covers", 0, "lifted", "direction", 0, -1),
+], ids=["H", "X", "pi", "blocks"])
+def test_bundle_rejects_tampered_entry(tiny_host, path):
+    data = json.loads(json.dumps(host_to_json(tiny_host)))
+    host_from_json(data)
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] ^= 1
+    with pytest.raises(ValueError):
+        host_from_json(data)
 
 
 def test_bundle_requires_resolved_word_len(tiny_host):

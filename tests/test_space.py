@@ -254,6 +254,8 @@ def test_point_cap_enforced():
         s.sorted_points(cap=10)
     with pytest.raises(SizeCapError):
         enumerate_subspaces(full_space(f, VECTOR, 4), 2, cap=10)
+    with pytest.raises(SizeCapError):
+        enumerate_subspaces(full_space(f, VECTOR, 12), 6)  # 4096 points
 
 
 # -- independence, bases, complements ------------------------------------
