@@ -47,9 +47,36 @@ def _emit(obj: dict, path: str | None = None) -> None:
 
 
 def _write_json(path: str, obj) -> None:
+    """Write the same bytes as json.dump(obj) plus a newline.
+
+    json.dump runs the pure-Python encoder; json.dumps runs the C one.
+    But json.dumps gathers one string object per number before joining
+    them, so encoding a whole bundle, or even one of its blocks, at once
+    costs far more memory than the text.  Objects and lists of containers
+    are therefore written piece by piece, and each row of numbers (or
+    other scalar) with one json.dumps call.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        _stream_json(fh, obj)
         fh.write("\n")
+
+
+def _stream_json(fh, obj) -> None:
+    if isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+        fh.write("[")
+        for i, value in enumerate(obj):
+            fh.write(", " if i else "")
+            _stream_json(fh, value)
+        fh.write("]")
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(key) + ": ")
+            _stream_json(fh, value)
+        fh.write("}")
+    else:
+        fh.write(json.dumps(obj))
 
 
 def _budget(args) -> Budget:
@@ -184,10 +211,14 @@ def cmd_verify(args) -> int:
 def _load_coloring(path: str, host) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a coloring file must be a JSON object")
     if "constant" in data:
         color = int(data["constant"])
         return {m.key(): color for m in host.members}
     if "entries" in data:
+        if not isinstance(data["entries"], dict):
+            raise ValueError("a coloring's 'entries' must be a JSON object")
         return {str(k): int(v) for k, v in data["entries"].items()}
     raise ValueError("coloring file needs an 'entries' map or a 'constant'")
 

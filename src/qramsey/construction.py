@@ -92,6 +92,8 @@ class HostSpec:
 
     @staticmethod
     def from_json(data: dict) -> "HostSpec":
+        if not isinstance(data, dict):
+            raise ValueError("a host spec must be a JSON object")
         n1 = data.get("N1", "auto")
         return HostSpec(
             q=int(data["q"]),
@@ -623,13 +625,17 @@ def extract_monochromatic_copy(host: ProductHost, coloring,
         if not 0 <= entries[key] < spec.num_colors:
             raise ValueError("coloring uses a color outside the spec range")
     if not spec.family.members:
-        # an empty family makes every target subspace a vacuous copy
-        if spec.target_rank > host.space.rank:
+        # an empty family makes every rank-n subspace of X a vacuous copy;
+        # take the span of X's first n canonical basis points, which costs
+        # nothing even where listing X's rank-n subspaces would not fit
+        space = host.space
+        if spec.target_rank > space.rank:
             return ExtractionFailure(
                 "subspace_search",
                 "the equalizer has lower rank than the target")
-        first = enumerate_subspaces(host.space, spec.target_rank, cap)[0]
-        return MonochromaticCopy(None, first, (), 0, None, None)
+        copy_space = span(space.field, space.mode,
+                          space.basis_points()[:spec.target_rank], space.ambient_len)
+        return MonochromaticCopy(None, copy_space, (), 0, None, None)
 
     t = len(base.covers)
     parts_index = {p: i for i, p in enumerate(host.member_parts)}
@@ -746,6 +752,8 @@ def host_from_json(data: dict) -> ProductHost:
 
     Every field of a loaded host is thus re-derived and re-verified by the
     construction instead of trusted from disk."""
+    if not isinstance(data, dict):
+        raise ValueError("a host bundle must be a JSON object")
     spec = HostSpec.from_json(data["spec"])
     if spec.word_len is None:
         raise ValueError("bundle spec must carry a resolved word length")

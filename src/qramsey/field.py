@@ -177,6 +177,26 @@ class Field:
     def elements(self) -> list[int]:
         return list(range(self.order))
 
+    # -- tables (read-only; rows are tuples) ---------------------------
+    #
+    # Kernels index a per-scalar row once, e.g. m = mul_table[c], and
+    # then look up m[x] per entry instead of calling mul(c, x).
+
+    @property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        """add_table[a][b] == add(a, b)."""
+        return self._add
+
+    @property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        """mul_table[a][b] == mul(a, b)."""
+        return self._mul
+
+    @property
+    def neg_table(self) -> tuple[int, ...]:
+        """neg_table[a] == neg(a)."""
+        return self._neg
+
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -17,6 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 from .field import Field, make_field
 
@@ -37,50 +40,71 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {VECTOR!r} or {AFFINE!r}, got {mode!r}")
 
 
+@lru_cache(maxsize=None)
+def _elements(q: int) -> frozenset[int]:
+    """The elements of GF(q), for validating entries at C speed."""
+    return frozenset(range(q))
+
+
 # ---------------------------------------------------------------------------
 # vector / matrix primitives
+#
+# One code path serves every q.  The kernels index the field's add/mul/neg
+# tables, fetching a per-scalar row such as mul_table[c] once per row
+# operation, and visit only the nonzero entries of the rows they add in:
+# compress(range(len(v)), v) yields the indices of v's nonzero entries,
+# skipping the zeros at C speed.  The points and direction rows of the
+# construction are mostly zero.
+
+def _axpy(add, m: Vec, acc: list[int], row: Vec) -> None:
+    """acc += c * row in place, where m = mul_table[c]."""
+    for j in compress(range(len(row)), row):
+        acc[j] = add[acc[j]][m[row[j]]]
+
 
 def vec_add(f: Field, a: Vec, b: Vec) -> Vec:
-    add = f.add
-    return tuple(add(x, y) for x, y in zip(a, b))
+    add = f.add_table
+    out = list(a)
+    for j in compress(range(len(b)), b):
+        out[j] = add[out[j]][b[j]]
+    return tuple(out)
 
 
 def vec_sub(f: Field, a: Vec, b: Vec) -> Vec:
-    add, neg = f.add, f.neg
-    return tuple(add(x, neg(y)) for x, y in zip(a, b))
+    add, neg = f.add_table, f.neg_table
+    out = list(a)
+    for j in compress(range(len(b)), b):
+        out[j] = add[out[j]][neg[b[j]]]
+    return tuple(out)
 
 
 def vec_scale(f: Field, c: int, v: Vec) -> Vec:
-    mul = f.mul
-    return tuple(mul(c, x) for x in v)
+    return tuple(map(f.mul_table[c].__getitem__, v))
 
 
 def mat_vec(f: Field, rows: tuple[Vec, ...], v: Vec) -> Vec:
-    add, mul = f.add, f.mul
+    """rows . v; each output entry costs O(nonzeros of v), not O(len(v))."""
+    add, mul = f.add_table, f.mul_table
+    terms = [(j, mul[v[j]]) for j in compress(range(len(v)), v)]
     out = []
     for row in rows:
         acc = 0
-        for c, x in zip(row, v):
-            if c and x:
-                acc = add(acc, mul(c, x))
+        for j, m in terms:
+            c = row[j]
+            if c:
+                acc = add[acc][m[c]]
         out.append(acc)
     return tuple(out)
 
 
 def mat_mul(f: Field, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    add, mul = f.add, f.mul
-    inner = len(b)
+    add, mul = f.add_table, f.mul_table
     width = len(b[0]) if b else 0
     out = []
     for arow in a:
         row = [0] * width
-        for i in range(inner):
-            c = arow[i]
-            if c:
-                brow = b[i]
-                for j in range(width):
-                    if brow[j]:
-                        row[j] = add(row[j], mul(c, brow[j]))
+        for i in compress(range(len(b)), arow):
+            _axpy(add, mul[arow[i]], row, b[i])
         out.append(tuple(row))
     return tuple(out)
 
@@ -94,45 +118,59 @@ def transpose(rows: tuple[Vec, ...], width: int | None = None) -> tuple[Vec, ...
 
 
 def identity_rows(n: int) -> tuple[Vec, ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
 
 
 def rref(f: Field, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Each elimination walks only the nonzero columns of the pivot row, and
+    the next pivot column is found from each row's leading column instead
+    of by scanning the matrix column by column.
+    """
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    add, neg, mul, inv = f.add, f.neg, f.mul, f.inv
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    cols = range(ncols)
+    lead = [next(compress(cols, row), ncols) for row in mat]  # ncols: zero row
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for r in range(nrows):
+        c = min(lead[r:])
+        if c == ncols:
             break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
+        pr = lead.index(c, r)
         mat[r], mat[pr] = mat[pr], mat[r]
-        s = inv(mat[r][c])
+        lead[r], lead[pr] = c, lead[r]
+        s = f.inv(mat[r][c])
         if s != 1:
-            mat[r] = [mul(s, x) for x in mat[r]]
+            mat[r] = list(map(mul[s].__getitem__, mat[r]))
         prow = mat[r]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                fac = mat[i][c]
-                mat[i] = [add(x, neg(mul(fac, y))) for x, y in zip(mat[i], prow)]
+        entries = [(j, prow[j]) for j in compress(cols, prow)]
+        for i in compress(range(nrows), map(itemgetter(c), mat)):
+            if i != r:
+                row = mat[i]
+                m = mul[neg[row[c]]]
+                for j, y in entries:
+                    row[j] = add[row[j]][m[y]]
+                if i > r:
+                    lead[i] = next(compress(cols, row), ncols)
         pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    return tuple(tuple(row) for row in mat[:len(pivots)]), tuple(pivots)
 
 
 def _reduce_by(f: Field, rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> Vec:
-    """Subtract multiples of RREF rows from v to zero its pivot columns."""
-    add, neg, mul = f.add, f.neg, f.mul
+    """Subtract multiples of RREF rows from v to zero its pivot columns.
+
+    An RREF row is zero on every other row's pivot, so the multiple of
+    each row is v's own entry at that row's pivot.
+    """
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     out = list(v)
-    for row, p in zip(rows, pivots):
-        c = out[p]
-        if c:
-            out = [add(x, neg(mul(c, y))) for x, y in zip(out, row)]
+    coeffs = list(map(v.__getitem__, pivots))
+    for row, c in compress(zip(rows, coeffs), coeffs):
+        _axpy(add, mul[neg[c]], out, row)
     return tuple(out)
 
 
@@ -182,9 +220,12 @@ def mat_inv(f: Field, rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
 # ---------------------------------------------------------------------------
 # subspaces
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
-    """A canonical vector subspace or affine flat of GF(q)^ambient_len."""
+    """A canonical vector subspace or affine flat of GF(q)^ambient_len.
+
+    Slotted, because hosts and enumerations hold many thousands of them.
+    """
 
     mode: str
     field: Field
@@ -192,10 +233,12 @@ class Subspace:
     direction: tuple[Vec, ...]
     basepoint: Vec | None = None
     _key: str | None = dc_field(default=None, init=False, compare=False, repr=False)
+    _pivots: tuple[int, ...] | None = dc_field(default=None, init=False, compare=False,
+                                               repr=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
-        q = self.field.order
+        elements = _elements(self.field.order)
         if self.ambient_len < 0:
             raise ValueError("ambient_len must be nonnegative")
         piv_prev = -1
@@ -203,9 +246,9 @@ class Subspace:
         for row in self.direction:
             if len(row) != self.ambient_len:
                 raise ValueError("direction row length differs from ambient_len")
-            if any(not 0 <= x < q for x in row):
+            if not elements.issuperset(row):
                 raise ValueError("direction entries out of field range")
-            p = next((i for i, x in enumerate(row) if x), None)
+            p = next(compress(range(len(row)), row), None)
             if p is None:
                 raise ValueError("zero row in direction")
             if p <= piv_prev:
@@ -214,10 +257,11 @@ class Subspace:
                 raise ValueError("pivot entries must be 1")
             pivots.append(p)
             piv_prev = p
-        for i, row in enumerate(self.direction):
-            for j, p in enumerate(pivots):
-                if j != i and row[p] != 0:
-                    raise ValueError("non-reduced entry above/below a pivot")
+        pivset = set(pivots)
+        for row in self.direction:
+            # the row's own pivot is its only nonzero pivot column
+            if len(pivset.intersection(compress(range(len(row)), row))) != 1:
+                raise ValueError("non-reduced entry above/below a pivot")
         if self.mode == VECTOR:
             if self.basepoint is not None:
                 raise ValueError("vector-mode subspaces carry no basepoint")
@@ -226,7 +270,7 @@ class Subspace:
                 raise ValueError("affine-mode subspaces need a basepoint")
             if len(self.basepoint) != self.ambient_len:
                 raise ValueError("basepoint length differs from ambient_len")
-            if any(not 0 <= x < q for x in self.basepoint):
+            if not elements.issuperset(self.basepoint):
                 raise ValueError("basepoint entries out of field range")
             if any(self.basepoint[p] != 0 for p in pivots):
                 raise ValueError("basepoint must be zero on pivot columns")
@@ -248,7 +292,11 @@ class Subspace:
         return self.field.order ** len(self.direction)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.direction)
+        """Pivot column of each direction row; computed on first use."""
+        if self._pivots is None:
+            object.__setattr__(self, "_pivots", tuple(
+                next(compress(range(len(row)), row)) for row in self.direction))
+        return self._pivots
 
     # -- point set -----------------------------------------------------
 
@@ -447,11 +495,12 @@ def _rref_matrices(f: Field, k: int, d: int):
 
 
 def _combine_rows(f: Field, coeffs, rows: tuple[Vec, ...], width: int) -> Vec:
-    out = tuple([0] * width)
+    add, mul = f.add_table, f.mul_table
+    out = [0] * width
     for c, row in zip(coeffs, rows):
         if c:
-            out = vec_add(f, out, vec_scale(f, c, row))
-    return out
+            _axpy(add, mul[c], out, row)
+    return tuple(out)
 
 
 def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list[Subspace]:
@@ -524,12 +573,12 @@ class _RankTracker:
         self.pivs: list[int] = []
 
     def _residual(self, v: Vec) -> Vec:
-        f = self.f
-        out = v
+        add, mul, neg = self.f.add_table, self.f.mul_table, self.f.neg_table
+        out = list(v)
         for row, p in zip(self.rows, self.pivs):
             if out[p]:
-                out = vec_sub(f, out, vec_scale(f, out[p], row))
-        return out
+                _axpy(add, mul[neg[out[p]]], out, row)
+        return tuple(out)
 
     def try_add(self, point: Vec) -> bool:
         """Add the point if it keeps the set independent; report success."""
@@ -541,7 +590,7 @@ class _RankTracker:
         else:
             v = point
         res = self._residual(v)
-        p = next((i for i, x in enumerate(res) if x), None)
+        p = next(compress(range(len(res)), res), None)
         if p is None:
             return False
         res = vec_scale(self.f, self.f.inv(res[p]), res)
@@ -673,8 +722,8 @@ class LinearMap:
             raise ValueError("matrix row count differs from codomain_len")
         if any(len(r) != self.domain_len for r in self.matrix):
             raise ValueError("matrix row length differs from domain_len")
-        q = self.field.order
-        if any(not 0 <= x < q for r in self.matrix for x in r):
+        elements = _elements(self.field.order)
+        if not all(elements.issuperset(r) for r in self.matrix):
             raise ValueError("matrix entries out of field range")
         if self.mode == VECTOR:
             if self.translation is not None:
@@ -682,7 +731,7 @@ class LinearMap:
         else:
             if self.translation is None or len(self.translation) != self.codomain_len:
                 raise ValueError("affine-mode maps need a codomain-length translation")
-            if any(not 0 <= x < q for x in self.translation):
+            if not elements.issuperset(self.translation):
                 raise ValueError("translation entries out of field range")
 
     def to_json(self) -> dict:

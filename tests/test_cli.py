@@ -13,7 +13,7 @@ import pytest
 
 from qramsey import (VECTOR, ConfigFamily, enumerate_subspaces, full_space,
                      host_from_json, induced_host_verify, make_field)
-from qramsey.cli import main
+from qramsey.cli import _write_json, main
 
 DEGENERATE_SPEC = {
     "q": 2, "mode": "vector", "k": 1, "n": 2, "r": 1,
@@ -276,6 +276,45 @@ def test_tampered_bundle_exits_4(bundle_path, tmp_path, capsys, path):
                   "--coloring", str(col)]):
         code, _, out = run_cli(capsys, *argv)
         assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("flag", ["--bundle", "--spec", "--coloring"])
+def test_non_object_json_input_exits_4(bundle_path, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]\n")
+    argv = {
+        "--bundle": ["verify", "--bundle", str(bad)],
+        "--spec": ["construct", "--spec", str(bad),
+                   "--out", str(tmp_path / "b.json")],
+        "--coloring": ["extract", "--bundle", str(bundle_path),
+                       "--coloring", str(bad)],
+    }[flag]
+    code, _, out = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+
+
+def test_coloring_entries_must_be_an_object(bundle_path, tmp_path, capsys):
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"entries": [0, 1]}))
+    code, _, out = run_cli(capsys, "extract", "--bundle", str(bundle_path),
+                           "--coloring", str(col))
+    assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [{}], {"a": []}, [1, [2, {"b": [3, 4]}]], [[1, 2], 3],
+    {"x": {"y": [[0, 1], [1, 0]], "z": None}, "\u00e9": "\u2603", "n": 1.5},
+    {1: "int key", "s": [True, False]},
+], ids=lambda obj: json.dumps(obj, ensure_ascii=True))
+def test_streamed_json_writer_matches_json_dump(tmp_path, obj):
+    path = tmp_path / "out.json"
+    _write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj) + "\n"
+
+
+def test_streamed_bundle_matches_json_dump(bundle_path):
+    data = json.loads(bundle_path.read_text())
+    assert bundle_path.read_text() == json.dumps(data) + "\n"
 
 
 # -- usage errors ------------------------------------------------------------------

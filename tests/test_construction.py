@@ -455,6 +455,20 @@ def test_extract_empty_family():
     assert out.members == () and out.space.rank == 2
 
 
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
+                         ids=["vector", "affine"])
+def test_extract_empty_family_base_rank_above_target_rank(make_spec):
+    # N0 = 3 > n = 2: X has far more rank-2 subspaces than the size cap
+    # allows listing, but any one of them is a vacuous copy
+    spec = make_spec(0, base_rank=3, num_colors=2)
+    host = build_product_host(build_base_host(spec), 1)
+    assert host.members == () and host.space.rank > 2
+    out = extract_monochromatic_copy(host, {})
+    assert isinstance(out, MonochromaticCopy) and out.members == ()
+    assert out.space.rank == spec.target_rank
+    assert host.space.contains_subspace(out.space)
+
+
 def test_extract_matches_verify_on_grid():
     # every r=1 grid host: extraction succeeds and the copy re-verifies
     for nf in (1, 2, 3):

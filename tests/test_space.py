@@ -21,7 +21,8 @@ from qramsey import (AFFINE, VECTOR, BasisSet, LinearMap, SizeCapError,
                      identity_map, image_space, is_independent, kernel_space,
                      linear_extension, make_field, preimage, single_point,
                      span, zero_space)
-from qramsey.space import nullspace_rows, rref, solve
+from qramsey.space import (mat_mul, mat_vec, nullspace_rows, rref, solve,
+                           vec_add, vec_scale, vec_sub)
 
 
 def all_points(f, length):
@@ -553,3 +554,136 @@ def test_solve_shapes():
     assert got == (0, 0)
     assert solve(f, [(1, 1)], (1,)) == (1, 0)
     assert solve(f, [(0, 0)], (1,)) is None
+
+
+# -- table-driven kernels against method-call references -------------------
+#
+# The kernels index the field tables and skip zero entries.  These
+# references are the plain eliminations they replaced, written with one
+# Field method call per entry and no zero skipping.
+
+KERNEL_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+DENSITIES = (0.1, 0.7)
+
+
+def ref_rref(f, rows):
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        s = f.inv(mat[r][c])
+        mat[r] = [f.mul(s, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                fac = mat[i][c]
+                mat[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def ref_mat_vec(f, rows, v):
+    out = []
+    for row in rows:
+        acc = 0
+        for c, x in zip(row, v):
+            acc = f.add(acc, f.mul(c, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def random_vec(rng, q, length, density):
+    return tuple(rng.randrange(1, q) if rng.random() < density else 0
+                 for _ in range(length))
+
+
+def first_nonzero_scan(direction):
+    return tuple(next(i for i, x in enumerate(row) if x) for row in direction)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("density", DENSITIES)
+def test_rref_matches_method_call_reference(q, density):
+    f = make_field(q)
+    rng = random.Random(f"rref:{q}:{density}")
+    for _ in range(60):
+        ncols = rng.randint(1, 24)
+        rows = [random_vec(rng, q, ncols, density)
+                for _ in range(rng.randint(1, 10))]
+        if rng.random() < 0.3:  # dependent rows
+            rows.append(vec_add(f, rows[0], vec_scale(f, rng.randrange(q), rows[-1])))
+        assert rref(f, rows) == ref_rref(f, rows)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("density", DENSITIES)
+def test_mat_vec_matches_method_call_reference(q, density):
+    f = make_field(q)
+    rng = random.Random(f"mat_vec:{q}:{density}")
+    for _ in range(60):
+        width = rng.randint(0, 30)
+        rows = tuple(random_vec(rng, q, width, density)
+                     for _ in range(rng.randint(0, 8)))
+        v = random_vec(rng, q, width, density)
+        assert mat_vec(f, rows, v) == ref_mat_vec(f, rows, v)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("density", DENSITIES)
+def test_vector_ops_match_method_calls(q, density):
+    f = make_field(q)
+    rng = random.Random(f"vec:{q}:{density}")
+    for _ in range(60):
+        n = rng.randint(0, 20)
+        a, b = random_vec(rng, q, n, density), random_vec(rng, q, n, density)
+        c = rng.randrange(q)
+        assert vec_add(f, a, b) == tuple(f.add(x, y) for x, y in zip(a, b))
+        assert vec_sub(f, a, b) == tuple(f.sub(x, y) for x, y in zip(a, b))
+        assert vec_scale(f, c, a) == tuple(f.mul(c, x) for x in a)
+        left = tuple(random_vec(rng, q, 4, density) for _ in range(3))
+        right = tuple(random_vec(rng, q, n, density) for _ in range(4))
+        assert mat_mul(f, left, right) == tuple(
+            ref_mat_vec(f, tuple(zip(*right)), row) if n else ()
+            for row in left)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_is_member_matches_point_set(q, density, mode):
+    f = make_field(q)
+    rng = random.Random(f"is_member:{q}:{density}:{mode}")
+    length = 3 if q > 5 else 4
+    for _ in range(6):
+        gens = [random_vec(rng, q, length, density)
+                for _ in range(rng.randint(1, 3))]
+        s = span(f, mode, gens, length)
+        pts = set(s.points())
+        probes = list(pts) + [random_vec(rng, q, length, density)
+                              for _ in range(40)]
+        for v in probes:
+            assert s.is_member(v) == (v in pts)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("density", DENSITIES)
+def test_pivots_cache_matches_first_nonzero_scan(q, density):
+    f = make_field(q)
+    rng = random.Random(f"pivots:{q}:{density}")
+    for _ in range(20):
+        length = rng.randint(1, 12)
+        mode = rng.choice([VECTOR, AFFINE])
+        gens = [random_vec(rng, q, length, density)
+                for _ in range(rng.randint(1, 5))]
+        s = span(f, mode, gens, length)
+        expect = first_nonzero_scan(s.direction)
+        assert s._pivots is None  # computed lazily, not at construction
+        s.key()
+        assert s.pivots() == expect
+        t = Subspace.from_json(s.to_json(), f)
+        t.is_member(random_vec(rng, q, length, density))
+        assert t.pivots() == expect and t == s
