@@ -16,7 +16,7 @@ from .coloring_search import find_proper_coloring
 from .field import make_field
 from .space import (AFFINE, VECTOR, BasisSet, LinearMap, Subspace, apply,
                     enumerate_subspaces, full_space, is_independent,
-                    linear_extension)
+                    json_expect, linear_extension)
 
 ISO_RANK_CAP = 4
 
@@ -198,9 +198,11 @@ class ConfigFamily:
 
     @staticmethod
     def from_json(data: dict) -> "ConfigFamily":
+        json_expect(data, dict, "a configuration family")
         amb = Subspace.from_json(data["ambient"])
+        members = json_expect(data["members"], list, "members")
         return ConfigFamily(amb, tuple(Subspace.from_json(m, amb.field)
-                                       for m in data["members"]))
+                                       for m in members))
 
 
 def family_isomorphic(fam1: ConfigFamily, fam2: ConfigFamily,

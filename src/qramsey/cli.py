@@ -21,8 +21,9 @@ from .construction import (ExtractionFailure, HostSpec, auto_n1,
                            extract_monochromatic_copy, host_from_json,
                            host_to_json)
 from .field import make_field
-from .hales_jewett import line_free_coloring
-from .space import SizeCapError, count_subspaces, enumerate_subspaces, full_space
+from .hales_jewett import hj_number
+from .space import (SizeCapError, count_subspaces, enumerate_subspaces,
+                    full_space, json_expect, json_int)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -149,13 +150,10 @@ def cmd_arrow(args) -> int:
 
 def cmd_hj(args) -> int:
     bud = _budget(args)
-    value = None
+    value, coloring = hj_number(args.t, args.l, args.nmax, budget=bud)
     witness = None
-    for length in range(1, args.nmax + 1):
-        coloring = line_free_coloring(length, args.t, args.l, budget=bud)
-        if coloring is None:
-            value = length
-            break
+    if coloring is not None:
+        length = value - 1 if value is not None else args.nmax
         witness = {"N": length, "t": args.t, "colors": coloring}
     obj = {"command": "hj", "t": args.t, "l": args.l, "nmax": args.nmax,
            "value": value, "witness": witness, "nodes_explored": bud.nodes}
@@ -211,15 +209,14 @@ def cmd_verify(args) -> int:
 def _load_coloring(path: str, host) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a coloring file must be a JSON object")
+    json_expect(data, dict, "a coloring file")
     if "constant" in data:
-        color = int(data["constant"])
+        color = json_int(data["constant"], "constant")
         return {m.key(): color for m in host.members}
     if "entries" in data:
-        if not isinstance(data["entries"], dict):
-            raise ValueError("a coloring's 'entries' must be a JSON object")
-        return {str(k): int(v) for k, v in data["entries"].items()}
+        entries = json_expect(data["entries"], dict, "a coloring's 'entries'")
+        return {str(k): json_int(v, "a coloring entry")
+                for k, v in entries.items()}
     raise ValueError("coloring file needs an 'entries' map or a 'constant'")
 
 

@@ -7,13 +7,36 @@ colors under which no family is monochromatic, or prove none exists.
 
 The search assigns colors to items 0, 1, 2, ... in order and tries
 colors in increasing order, so the first witness found is the
-lexicographically least proper coloring.  A family is checked as soon
-as its highest item is colored, which prunes dead branches early.
+lexicographically least proper coloring.  It forward-checks (Haralick &
+Elliott 1980): each item keeps a bitmask of forbidden colors, and each
+family is indexed by its second-highest member.  When that member gets
+color c and every lower member already has c, c is forbidden at the
+family's highest member, so a family can never be completed
+monochromatically.  A color choice that leaves some later item with
+every color forbidden is rejected at once; forbids are undone from a
+trail on backtrack.  Pruning only removes subtrees without a proper
+coloring, so the witness is the same as plain backtracking would find.
+
+A node is one color tried at an item where it was not already
+forbidden.  Nodes are counted locally and settled through
+`Budget.spend` in chunks that end on multiples of 4096 and never pass
+the node cap, so the cap trips at exactly `max_nodes + 1` and
+`Budget.nodes` is exact when the search returns.
 """
 
 from __future__ import annotations
 
 from .budget import Budget, ensure_budget
+
+_CHUNK = 4096
+
+
+def _chunk(bud: Budget) -> int:
+    """Nodes to count locally before the next settlement with `bud`."""
+    room = _CHUNK - bud.nodes % _CHUNK
+    if bud.max_nodes is not None:
+        room = min(room, bud.max_nodes - bud.nodes)
+    return max(room, 1)
 
 
 def find_proper_coloring(item_count: int,
@@ -33,52 +56,87 @@ def find_proper_coloring(item_count: int,
     if num_colors < 1:
         raise ValueError("need at least one color")
     bud = ensure_budget(budget)
-    fams: list[tuple[int, ...]] = []
+    full = (1 << num_colors) - 1
+    forbidden = [0] * item_count  # bitmask of the colors ruled out per item
+    # triggers[s]: (bitmask of the members below s, highest member) of each
+    # family whose second-highest member is s
+    triggers: list[list[tuple[int, int]]] = [[] for _ in range(item_count)]
     for fam in families:
-        members = tuple(sorted(set(fam)))
+        members = sorted(set(fam))
         if not members:
             return None  # an empty family is monochromatic under any coloring
         if members[-1] >= item_count or members[0] < 0:
             raise ValueError("family member out of range")
-        fams.append(members)
+        if len(members) == 1:
+            forbidden[members[0]] = full
+            continue
+        below = 0
+        for i in members[:-2]:
+            below |= 1 << i
+        triggers[members[-2]].append((below, members[-1]))
     if item_count == 0:
         return []
-    # families indexed by the item whose coloring completes them
-    finish_at: list[list[tuple[int, ...]]] = [[] for _ in range(item_count)]
-    for members in fams:
-        finish_at[members[-1]].append(members)
+    if full in forbidden:
+        return None
+
     colors = [-1] * item_count
+    colored = [0] * num_colors        # bitmask of the items holding each color
+    trail: list[tuple[int, int]] = []  # (item, its mask before a forbid)
+    marks = [0] * item_count          # trail length on entering each item
+    limits = [0] * item_count         # color cap in force at each item
+    chunk = left = _chunk(bud)
     idx = 0
-    max_used = -1
-    max_stack = [0] * (item_count + 1)  # max_used before each depth
-    while idx >= 0:
-        if idx == item_count:
-            return colors[:]
-        start = colors[idx] + 1
-        if colors[idx] == -1:
-            max_stack[idx] = max_used
-        else:
-            max_used = max_stack[idx]
-        limit = num_colors
-        if symmetry:
-            limit = min(num_colors, max_stack[idx] + 2)
-        placed = False
+    start = 0
+    limit = 1 if symmetry else num_colors
+    while True:
+        banned = forbidden[idx]
+        here = triggers[idx]
+        mark = len(trail)
         for c in range(start, limit):
-            bud.spend()
-            colors[idx] = c
-            ok = True
-            for members in finish_at[idx]:
-                first = colors[members[0]]
-                if first == c and all(colors[i] == first for i in members[1:-1]):
-                    ok = False
-                    break
-            if ok:
-                max_used = max(max_stack[idx], c)
-                idx += 1
-                placed = True
-                break
-        if not placed:
-            colors[idx] = -1
-            max_used = max_stack[idx]
+            if banned >> c & 1:
+                continue
+            left -= 1
+            if not left:
+                bud.spend(chunk)
+                chunk = left = _chunk(bud)
+            have = colored[c]
+            bit = 1 << c
+            for below, high in here:
+                if below & have == below:
+                    old = forbidden[high]
+                    if not old & bit:
+                        trail.append((high, old))
+                        forbidden[high] = old | bit
+                        if old | bit == full:
+                            break
+            else:
+                break  # no item was wiped out: c stands
+            while len(trail) > mark:
+                high, old = trail.pop()
+                forbidden[high] = old
+        else:
+            # every color at idx failed: undo the previous item's choice
             idx -= 1
-    return None
+            if idx < 0:
+                bud.spend(chunk - left)
+                return None
+            c = colors[idx]
+            colored[c] ^= 1 << idx
+            mark = marks[idx]
+            while len(trail) > mark:
+                high, old = trail.pop()
+                forbidden[high] = old
+            start = c + 1
+            limit = limits[idx]
+            continue
+        colors[idx] = c
+        colored[c] |= 1 << idx
+        marks[idx] = mark
+        limits[idx] = limit
+        if c + 1 == limit and limit < num_colors:
+            limit += 1
+        idx += 1
+        if idx == item_count:
+            bud.spend(chunk - left)
+            return colors
+        start = 0

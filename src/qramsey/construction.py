@@ -27,8 +27,8 @@ from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, w
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap, Subspace,
                     Vec, apply, complement, compose, direct_sum,
                     enumerate_subspaces, full_space, identity_map,
-                    identity_rows, image_space, linear_extension,
-                    nullspace_rows, span, zero_space)
+                    identity_rows, image_space, json_expect, json_int,
+                    linear_extension, nullspace_rows, span, zero_space)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -92,18 +92,17 @@ class HostSpec:
 
     @staticmethod
     def from_json(data: dict) -> "HostSpec":
-        if not isinstance(data, dict):
-            raise ValueError("a host spec must be a JSON object")
+        json_expect(data, dict, "a host spec")
         n1 = data.get("N1", "auto")
         return HostSpec(
-            q=int(data["q"]),
+            q=json_int(data["q"], "q"),
             mode=data["mode"],
-            colored_rank=int(data["k"]),
-            target_rank=int(data["n"]),
-            num_colors=int(data["r"]),
+            colored_rank=json_int(data["k"], "k"),
+            target_rank=json_int(data["n"], "n"),
+            num_colors=json_int(data["r"], "r"),
             family=ConfigFamily.from_json(data["F"]),
-            base_rank=int(data["N0"]),
-            word_len=None if n1 == "auto" else int(n1),
+            base_rank=json_int(data["N0"], "N0"),
+            word_len=None if n1 == "auto" else json_int(n1, "N1"),
         )
 
 
@@ -694,7 +693,7 @@ def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
         return 1
     try:
         return hj_number(cover_count, num_colors ** pattern_slots, n_max,
-                         budget=budget)
+                         budget=budget)[0]
     except BudgetExceededError:
         return None
 
@@ -752,8 +751,7 @@ def host_from_json(data: dict) -> ProductHost:
 
     Every field of a loaded host is thus re-derived and re-verified by the
     construction instead of trusted from disk."""
-    if not isinstance(data, dict):
-        raise ValueError("a host bundle must be a JSON object")
+    json_expect(data, dict, "a host bundle")
     spec = HostSpec.from_json(data["spec"])
     if spec.word_len is None:
         raise ValueError("bundle spec must carry a resolved word length")

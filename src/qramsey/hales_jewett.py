@@ -108,15 +108,22 @@ def line_free_coloring(length: int, t: int, num_colors: int,
 
 
 def hj_number(t: int, num_colors: int, n_max: int,
-              budget: Budget | None = None) -> int | None:
-    """Least N <= n_max forcing a monochromatic line, or None if none does.
+              budget: Budget | None = None
+              ) -> tuple[int | None, list[int] | None]:
+    """Least N <= n_max forcing a monochromatic line, and the last witness.
 
     At the returned N every num_colors-coloring of {0..t-1}^N contains a
     monochromatic combinatorial line; at N - 1 some coloring avoids one.
+    The witness is the lex-least line-free coloring at the largest length
+    tried that has one: N - 1, or n_max when the value is None.  It is
+    None when length 1 already forces a line.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    witness = None
     for length in range(1, n_max + 1):
-        if line_free_coloring(length, t, num_colors, budget=budget) is None:
-            return length
-    return None
+        coloring = line_free_coloring(length, t, num_colors, budget=budget)
+        if coloring is None:
+            return length, witness
+        witness = coloring
+    return None, witness

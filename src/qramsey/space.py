@@ -356,23 +356,49 @@ class Subspace:
     @staticmethod
     def from_json(data: dict, f: Field | None = None) -> "Subspace":
         """Load a subspace, accepting any generating set (re-canonicalized)."""
+        json_expect(data, dict, "a serialized subspace")
+        q = json_int(data["q"], "q")
         if f is None:
-            f = make_field(int(data["q"]))
-        elif f.order != int(data["q"]):
+            f = make_field(q)
+        elif f.order != q:
             raise ValueError("field order mismatch in serialized subspace")
         mode = data["mode"]
-        amb = int(data["ambient_len"])
-        rows = [tuple(int(x) for x in r) for r in data["direction"]]
+        _check_mode(mode)
+        amb = json_int(data["ambient_len"], "ambient_len")
+        rows = [_json_point(f, r, "a direction row")
+                for r in json_expect(data["direction"], list, "direction")]
         bp = data.get("basepoint")
         if mode == AFFINE:
             if bp is None:
                 raise ValueError("affine subspace needs a basepoint")
-            base = tuple(int(x) for x in bp)
+            base = _json_point(f, bp, "the basepoint")
             pts = [base] + [vec_add(f, base, r) for r in rows]
             return span(f, AFFINE, pts, amb)
         if bp is not None:
             raise ValueError("vector subspace cannot carry a basepoint")
         return span(f, VECTOR, rows, amb)
+
+
+def json_expect(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind` (dict or list), else ValueError."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ValueError(f"{what} must be a JSON {name}")
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer, else ValueError (1.5, "2", true too)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer")
+    return value
+
+
+def _json_point(f: Field, value, what: str) -> Vec:
+    point = tuple(json_int(x, what) for x in json_expect(value, list, what))
+    if not _elements(f.order).issuperset(point):
+        raise ValueError(f"{what} has an entry outside GF({f.order})")
+    return point
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:

@@ -13,13 +13,14 @@ import time
 
 import pytest
 
-from qramsey import (AFFINE, VECTOR, ArrowInstance, ConfigFamily, HostSpec,
-                     LinearMap, MonochromaticCopy, apply, arrow_holds,
-                     arrow_structure, build_base_host, build_product_host,
-                     compose, count_subspaces, enumerate_lines,
-                     enumerate_subspaces, equalizer_subspace,
+from qramsey import (AFFINE, VECTOR, ArrowInstance, Budget, ConfigFamily,
+                     HostSpec, LinearMap, MonochromaticCopy, apply,
+                     arrow_holds, arrow_structure, build_base_host,
+                     build_product_host, compose, count_subspaces,
+                     enumerate_lines, enumerate_subspaces, equalizer_subspace,
                      extract_monochromatic_copy, family_isomorphic,
-                     full_space, hj_number, identity_map, induced_host_verify,
+                     find_monochromatic_line, full_space, hj_number,
+                     identity_map, induced_host_verify,
                      line_embedding, line_free_coloring, make_field,
                      min_arrow_N, span)
 from qramsey.cli import main
@@ -96,13 +97,18 @@ def test_acceptance_02_canonicalization():
 def test_acceptance_03_hales_jewett():
     with Timer(10):
         for t in range(1, 6):
-            assert hj_number(t, 1, 3) == 1
+            assert hj_number(t, 1, 3) == (1, None)
         for l in range(1, 6):
-            assert hj_number(1, l, 3) == 1
-        assert hj_number(2, 2, 4) == 2
+            assert hj_number(1, l, 3) == (1, None)
+        assert hj_number(2, 2, 4) == (2, [0, 1])
         witness = line_free_coloring(1, 2, 2)
         assert witness == [0, 1]  # stored N=1 bad coloring
         assert line_free_coloring(2, 2, 2) is None
+    with Timer(20):
+        # HJ(3, 2) = 4 within a fixed 1.5M-node budget
+        value, witness = hj_number(3, 2, 4, budget=Budget(max_nodes=1_500_000))
+        assert value == 4
+        assert find_monochromatic_line(witness, 3, 3) is None
     report(3, "Hales-Jewett numbers")
 
 

@@ -6,11 +6,13 @@ script end to end.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qramsey
 from qramsey import (VECTOR, ConfigFamily, enumerate_subspaces, full_space,
                      host_from_json, induced_host_verify, make_field)
 from qramsey.cli import _write_json, main
@@ -145,6 +147,7 @@ def test_hj_none_in_range(capsys):
     code, lines, _ = run_cli(capsys, "hj", "--t", "2", "--l", "3", "--nmax",
                              "2")
     assert code == 2 and lines[0]["value"] is None
+    assert lines[0]["witness"] == {"N": 2, "t": 2, "colors": [0, 1, 1, 2]}
 
 
 # -- construct / verify / extract -------------------------------------------------
@@ -301,6 +304,58 @@ def test_coloring_entries_must_be_an_object(bundle_path, tmp_path, capsys):
     assert code == 4 and out == ""
 
 
+# (path into DEGENERATE_SPEC, value put there)
+MALFORMED_NESTED = [
+    (("F",), []),
+    (("F", "ambient"), 5),
+    (("F", "ambient", "q"), [2]),
+    (("F", "ambient", "ambient_len"), None),
+    (("F", "ambient", "direction"), 5),
+    (("F", "ambient", "direction", 0), 1),
+    (("F", "ambient", "direction", 0, 0), [1]),
+    (("F", "ambient", "direction", 0, 0), 5),   # outside GF(2)
+    (("F", "ambient", "mode"), "projective"),
+    (("F", "members"), {"a": 1}),
+    (("F", "members", 0), "x"),
+    (("F", "members", 0, "direction", 0), None),
+    (("q",), [2]),
+    (("k",), {}),
+    (("N1",), [1]),
+    (("k",), 1.5),                              # not silently truncated
+    (("N0",), "2"),
+    (("r",), True),
+    (("F", "members", 0, "direction", 0, 1), 1.0),
+]
+
+
+@pytest.mark.parametrize("path,value", MALFORMED_NESTED,
+                         ids=lambda x: json.dumps(x))
+def test_malformed_nested_spec_exits_4(tmp_path, capsys, path, value):
+    spec = json.loads(json.dumps(DEGENERATE_SPEC))
+    node = spec
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    code, _, out = run_cli(capsys, "construct", "--spec", str(p),
+                           "--out", str(tmp_path / "b.json"))
+    assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("coloring", [
+    {"constant": [0]}, {"constant": None}, {"constant": 0.5},
+    {"entries": {"k": [0]}}, {"entries": {"k": {}}}, {"entries": {"k": "0"}},
+], ids=lambda x: json.dumps(x))
+def test_malformed_coloring_value_exits_4(bundle_path, tmp_path, capsys,
+                                          coloring):
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps(coloring))
+    code, _, out = run_cli(capsys, "extract", "--bundle", str(bundle_path),
+                           "--coloring", str(col))
+    assert code == 4 and out == ""
+
+
 @pytest.mark.parametrize("obj", [
     [], {}, [[]], [{}], {"a": []}, [1, [2, {"b": [3, 4]}]], [[1, 2], 3],
     {"x": {"y": [[0, 1], [1, 0]], "z": None}, "\u00e9": "\u2603", "n": 1.5},
@@ -394,10 +449,14 @@ def test_repeat_run_byte_identical(capsys):
 
 
 def test_console_script_installed():
+    # the child process imports the same qramsey as this test, whether it
+    # comes from an install or from pytest's `pythonpath` setting
+    src = os.path.dirname(os.path.dirname(qramsey.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qramsey.cli", "count", "--q", "2", "--mode",
          "vector", "--N", "2", "--k", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count_formula"] == 3
     assert "exit 0" in proc.stderr

@@ -131,18 +131,20 @@ def test_line_free_coloring_none_when_forced():
 
 def test_hj_trivial_values():
     for t in range(1, 6):
-        assert hj_number(t, 1, 3) == 1
+        assert hj_number(t, 1, 3) == (1, None)  # length 1 has no witness
     for l in range(1, 6):
-        assert hj_number(1, l, 3) == 1
+        assert hj_number(1, l, 3) == (1, None)
 
 
 def test_hj_2_2_golden():
-    assert hj_number(2, 2, 4) == 2
+    assert hj_number(2, 2, 4) == (2, [0, 1])  # witness at N = 1
 
 
 def test_hj_none_within_range():
     # 2 symbols, 3 colors: N = 1, 2 are dodgeable, so a cap of 2 gives None
-    assert hj_number(2, 3, 2) is None
+    value, witness = hj_number(2, 3, 2)
+    assert value is None
+    assert witness == line_free_coloring(2, 2, 3) == [0, 1, 1, 2]  # at N = 2
 
 
 def test_hj_monotone_via_slice_embedding():
