@@ -6,7 +6,7 @@ block/equalizer host construction with monochromatic-copy extraction.
 """
 
 from .budget import Budget, BudgetExceededError
-from .field import FIELD_ORDER_CAP, Field, field_from_json, make_field
+from .field import FIELD_ORDER_CAP, Field, make_field
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, apply, combine, complement,
                     compose, count_subspaces, direct_sum,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
 from .field import make_field
-from .space import (AFFINE, VECTOR, BasisSet, LinearMap, Subspace, apply,
+from .space import (AFFINE, BasisSet, LinearMap, Subspace, apply,
                     enumerate_subspaces, full_space, is_independent,
                     json_expect, linear_extension)
 
@@ -34,11 +34,6 @@ class ColoringTable:
 
     def to_json(self) -> dict:
         return {"host": self.host, "entries": dict(self.entries)}
-
-    @staticmethod
-    def from_json(data: dict) -> "ColoringTable":
-        return ColoringTable(data["host"],
-                             {str(k): int(v) for k, v in data["entries"].items()})
 
     @staticmethod
     def constant(host_key: str, members, color: int) -> "ColoringTable":
@@ -75,11 +70,6 @@ class ArrowInstance:
         return {"q": self.q, "mode": self.mode, "N": self.host_rank,
                 "n": self.target_rank, "k": self.colored_rank,
                 "r": self.num_colors}
-
-    @staticmethod
-    def from_json(data: dict) -> "ArrowInstance":
-        return ArrowInstance(int(data["q"]), data["mode"], int(data["N"]),
-                             int(data["n"]), int(data["k"]), int(data["r"]))
 
 
 @dataclass(frozen=True)

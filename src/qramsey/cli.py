@@ -13,8 +13,8 @@ import json
 import sys
 import time
 
-from .arrow import (ArrowInstance, ColoringTable, arrow_holds,
-                    induced_host_verify, min_arrow_N)
+from .arrow import (ArrowInstance, arrow_holds, induced_host_verify,
+                    min_arrow_N)
 from .budget import Budget, BudgetExceededError
 from .construction import (ExtractionFailure, HostSpec, auto_n1,
                            build_base_host, build_product_host,
@@ -52,7 +52,7 @@ def _write_json(path: str, obj) -> None:
 
     json.dump runs the pure-Python encoder; json.dumps runs the C one.
     But json.dumps gathers one string object per number before joining
-    them, so encoding a whole bundle, or even one of its blocks, at once
+    them, so encoding a whole bundle, or even its member list, at once
     costs far more memory than the text.  Objects and lists of containers
     are therefore written piece by piece, and each row of numbers (or
     other scalar) with one json.dumps call.

@@ -111,9 +111,7 @@ class CoverBlock:
     """Per family member inside one target: its cover and bookkeeping."""
 
     member: Subspace              # family member pushed into the target
-    complement: Subspace | None   # complement of member in the base space
-    comp_slots: tuple[Vec, ...]   # basis points allotted to the complement copy
-    comp_span: Subspace | None    # span of comp_slots
+    comp_span: Subspace | None    # span of the slots holding the complement copy
     lifted: Subspace              # member pulled up beside the target's slots
     cover: Subspace               # lifted (+) comp_span, full base rank
 
@@ -124,8 +122,7 @@ class SubspaceBlock:
 
     target: Subspace              # the subspace of the base space
     embed: LinearMap              # config ambient -> target
-    slots: tuple[Vec, ...]        # basis points allotted to the target copy
-    span: Subspace                # span of slots
+    span: Subspace                # span of the slots holding the target copy
     lift: LinearMap               # base-space coords -> block coords, inverse of the projection on target
     covers: tuple[CoverBlock, ...]
 
@@ -140,6 +137,7 @@ class BaseHost:
     covers: tuple[Subspace, ...]            # all covers, (target, member) order
     cover_k_spaces: tuple[Subspace, ...]    # union of the covers' rank-k subspaces
     projection: LinearMap                   # block space -> base space
+    cover_slot: tuple[tuple[int, ...], ...]  # [cover][base k-space] -> cover_k index
 
     @property
     def field(self) -> Field:
@@ -189,8 +187,6 @@ def build_base_host(spec: HostSpec, cap: int = POINT_CAP) -> BaseHost:
                 raise ConstructionCheckError("pushed member lost rank")
             lifted = apply(lift, member)
             if comp_size == 0:
-                comp = zero_space(f, e_amb) if mode == VECTOR else None
-                comp_slots: tuple[Vec, ...] = ()
                 comp_span = zero_space(f, v_amb) if mode == VECTOR else None
                 cover = lifted
             else:
@@ -204,10 +200,9 @@ def build_base_host(spec: HostSpec, cap: int = POINT_CAP) -> BaseHost:
                 cover = direct_sum([lifted, comp_span])
             if cover.rank != big_n:
                 raise ConstructionCheckError("cover has wrong rank")
-            cblocks.append(CoverBlock(member, comp, comp_slots, comp_span,
-                                      lifted, cover))
+            cblocks.append(CoverBlock(member, comp_span, lifted, cover))
             covers.append(cover)
-        blocks.append(SubspaceBlock(target, embed, slots, t_span, lift,
+        blocks.append(SubspaceBlock(target, embed, t_span, lift,
                                     tuple(cblocks)))
     if cursor != len(v_basis):
         raise ConstructionCheckError("block slots do not exhaust the basis")
@@ -231,14 +226,34 @@ def build_base_host(spec: HostSpec, cap: int = POINT_CAP) -> BaseHost:
                 raise ConstructionCheckError("projection is not onto the base "
                                              "space on a cover")
 
-    seen: dict[str, Subspace] = {}
-    for cover in covers:
-        for s in enumerate_subspaces(cover, k, cap):
-            seen.setdefault(s.key(), s)
-    cover_k = tuple(seen[key] for key in sorted(seen))
+    # one pass over each cover's k-spaces: collect them, and record which
+    # one lies over each base k-space
     base_k = tuple(enumerate_subspaces(base, k, cap))
+    slot_index = {s.key(): j for j, s in enumerate(base_k)}
+    seen: dict[str, Subspace] = {}
+    slot_keys: list[list[str | None]] = []
+    for cover in covers:
+        row: list[str | None] = [None] * len(base_k)
+        for s in enumerate_subspaces(cover, k, cap):
+            img = apply(projection, s)
+            if img.rank != s.rank:
+                raise ConstructionCheckError("projection not injective on a "
+                                             "cover k-space")
+            j = slot_index.get(img.key())
+            if j is None:
+                raise ConstructionCheckError("fibers do not align with the base "
+                                             "k-spaces")
+            row[j] = s.key()
+            seen.setdefault(s.key(), s)
+        if None in row:
+            raise ConstructionCheckError("a cover misses a base k-space")
+        slot_keys.append(row)
+    order = sorted(seen)
+    cover_k = tuple(seen[key] for key in order)
+    g_index = {key: i for i, key in enumerate(order)}
+    cover_slot = tuple(tuple(g_index[key] for key in row) for row in slot_keys)
     return BaseHost(spec, base, base_k, room, tuple(blocks), tuple(covers),
-                    cover_k, projection)
+                    cover_k, projection, cover_slot)
 
 
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
@@ -331,27 +346,10 @@ class ProductHost:
     members: tuple[Subspace, ...]            # the colored family, part-index order
     member_parts: tuple[tuple[int, ...], ...]  # cover_k_spaces indices per member
     fibers: tuple[tuple[int, ...], ...]      # cover_k_spaces indices per base k-space
-    cover_slot: tuple[tuple[int, ...], ...]  # [cover][base k-space] -> cover_k index
 
     @property
     def spec(self) -> HostSpec:
         return self.base.spec
-
-
-def _cover_slot_table(base: BaseHost, cap: int = POINT_CAP) -> tuple[tuple[int, ...], ...]:
-    slot_index = {s.key(): j for j, s in enumerate(base.base_k_spaces)}
-    g_index = {g.key(): i for i, g in enumerate(base.cover_k_spaces)}
-    k = base.spec.colored_rank
-    table = []
-    for cover in base.covers:
-        row = [-1] * len(base.base_k_spaces)
-        for s in enumerate_subspaces(cover, k, cap):
-            j = slot_index[apply(base.projection, s).key()]
-            row[j] = g_index[s.key()]
-        if any(x < 0 for x in row):
-            raise ConstructionCheckError("a cover misses a base k-space")
-        table.append(tuple(row))
-    return tuple(table)
 
 
 def build_product_host(base: BaseHost, word_len: int,
@@ -375,26 +373,13 @@ def build_product_host(base: BaseHost, word_len: int,
         tuple(tuple(row) + (0,) * (total - pi.domain_len) for row in pi.matrix),
         pi.translation if mode == AFFINE else None)
 
-    groups: dict[str, list[int]] = {}
-    images: dict[str, Subspace] = {}
-    inv_maps: list[dict[Vec, Vec]] = []
-    for gi, g in enumerate(base.cover_k_spaces):
-        img = apply(pi, g)
-        if img.rank != g.rank:
-            raise ConstructionCheckError("projection not injective on a "
-                                         "cover k-space")
-        groups.setdefault(img.key(), []).append(gi)
-        images.setdefault(img.key(), img)
-        inv_maps.append(_inverse_point_map(pi, g, cap))
-    fiber_keys = sorted(groups)
-    if base.covers:
-        if fiber_keys != [s.key() for s in base.base_k_spaces]:
-            raise ConstructionCheckError("fibers do not align with the base "
-                                         "k-spaces")
+    inv_maps = [_inverse_point_map(pi, g, cap) for g in base.cover_k_spaces]
+    # fiber j: the distinct cover k-spaces over base k-space j
+    fibers = tuple(tuple(sorted({row[j] for row in base.cover_slot}))
+                   for j in range(len(base.base_k_spaces)))
     entries: list[tuple[tuple[int, ...], Subspace]] = []
-    for key in fiber_keys:
-        image = images[key]
-        for parts in itertools.product(groups[key], repeat=word_len):
+    for image, fiber in zip(base.base_k_spaces, fibers):
+        for parts in itertools.product(fiber, repeat=word_len):
             member = _tuple_space_from_maps(f, mode, image,
                                             [inv_maps[i] for i in parts], total)
             entries.append((parts, member))
@@ -406,9 +391,8 @@ def build_product_host(base: BaseHost, word_len: int,
     for m in members:
         if any(not big_x.is_member(p) for p in m.basis_points()):
             raise ConstructionCheckError("a member leaves the equalizer")
-    fibers = tuple(tuple(groups[key]) for key in fiber_keys)
     return ProductHost(base, word_len, big_x, pi_tilde, members, member_parts,
-                       fibers, _cover_slot_table(base, cap))
+                       fibers)
 
 
 def color_pattern(host: ProductHost, word, coloring) -> tuple[int, ...]:
@@ -430,7 +414,7 @@ def color_pattern(host: ProductHost, word, coloring) -> tuple[int, ...]:
 def _pattern(host: ProductHost, word, entries, parts_index) -> tuple[int, ...]:
     out = []
     for j in range(len(host.base.base_k_spaces)):
-        parts = tuple(host.cover_slot[ci][j] for ci in word)
+        parts = tuple(host.base.cover_slot[ci][j] for ci in word)
         member = host.members[parts_index[parts]]
         key = member.key()
         if key not in entries:
@@ -708,41 +692,16 @@ def auto_n1(spec: HostSpec, base: BaseHost, n_max: int = 3,
 # bundle serialization
 
 def host_to_json(host: ProductHost) -> dict:
-    base = host.base
-    spec = base.spec
+    """The bundle: the spec with its word length resolved, then X, H, fibers."""
+    spec = host.spec
     resolved = HostSpec(spec.q, spec.mode, spec.colored_rank, spec.target_rank,
                         spec.num_colors, spec.family, spec.base_rank,
                         host.word_len)
     return {
         "spec": resolved.to_json(),
-        "E": base.base_space.to_json(),
-        "V": base.space.to_json(),
-        "blocks": {
-            "targets": [{
-                "target": b.target.to_json(),
-                "embed": b.embed.to_json(),
-                "slots": [list(p) for p in b.slots],
-                "span": b.span.to_json(),
-                "lift": b.lift.to_json(),
-                "covers": [{
-                    "member": c.member.to_json(),
-                    "complement": c.complement.to_json() if c.complement else None,
-                    "comp_slots": [list(p) for p in c.comp_slots],
-                    "comp_span": c.comp_span.to_json() if c.comp_span else None,
-                    "lifted": c.lifted.to_json(),
-                    "cover": c.cover.to_json(),
-                } for c in b.covers],
-            } for b in base.blocks],
-        },
-        "G": [g.to_json() for g in base.cover_k_spaces],
-        "pi": base.projection.to_json(),
-        "Y": [c.to_json() for c in base.covers],
         "X": host.space.to_json(),
         "H": [m.to_json() for m in host.members],
-        "pi_tilde": host.projection.to_json(),
-        "pi_image": image_space(base.projection).to_json(),
         "fibers": [list(fb) for fb in host.fibers],
-        "member_parts": [list(p) for p in host.member_parts],
     }
 
 
@@ -756,6 +715,11 @@ def host_from_json(data: dict) -> ProductHost:
     if spec.word_len is None:
         raise ValueError("bundle spec must carry a resolved word length")
     host = build_product_host(build_base_host(spec), spec.word_len)
-    if host_to_json(host) != data:
-        raise ValueError("bundle differs from the host rebuilt from its spec")
+    rebuilt = host_to_json(host)
+    if rebuilt != data:
+        diffs = [f"{key} ({'missing' if key not in data else 'differs'})"
+                 for key in rebuilt if data.get(key) != rebuilt[key]]
+        diffs += [f"{key} (unexpected)" for key in sorted(set(data) - set(rebuilt))]
+        raise ValueError("bundle differs from the host rebuilt from its spec: "
+                         + ", ".join(diffs))
     return host

@@ -209,12 +209,6 @@ class Field:
     def __repr__(self) -> str:
         return f"Field(q={self.order})"
 
-    def to_json(self) -> dict:
-        out: dict = {"q": self.order}
-        if self.degree > 1:
-            out["modulus"] = list(self.modulus)
-        return out
-
 
 @lru_cache(maxsize=None)
 def make_field(q: int) -> Field:
@@ -229,10 +223,3 @@ def make_field(q: int) -> Field:
         raise ValueError(f"{q} is not a prime power")
     p, d = pp
     return Field(p, d, _MODULI.get(q))
-
-
-def field_from_json(data: dict) -> Field:
-    f = make_field(int(data["q"]))
-    if "modulus" in data and tuple(data["modulus"]) != f.modulus:
-        raise ValueError("modulus in serialized field differs from the built-in one")
-    return f

@@ -760,29 +760,6 @@ class LinearMap:
             if not elements.issuperset(self.translation):
                 raise ValueError("translation entries out of field range")
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "mode": self.mode,
-            "q": self.field.order,
-            "domain_len": self.domain_len,
-            "codomain_len": self.codomain_len,
-            "matrix": [list(r) for r in self.matrix],
-        }
-        if self.mode == AFFINE:
-            out["translation"] = list(self.translation)
-        return out
-
-    @staticmethod
-    def from_json(data: dict, f: Field | None = None) -> "LinearMap":
-        if f is None:
-            f = make_field(int(data["q"]))
-        t = data.get("translation")
-        return LinearMap(
-            data["mode"], f, int(data["domain_len"]), int(data["codomain_len"]),
-            tuple(tuple(int(x) for x in r) for r in data["matrix"]),
-            tuple(int(x) for x in t) if t is not None else None,
-        )
-
 
 def identity_map(f: Field, mode: str, n: int) -> LinearMap:
     t = tuple([0] * n) if mode == AFFINE else None

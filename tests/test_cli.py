@@ -262,9 +262,8 @@ def test_verify_witness_file_on_failure(tmp_path, capsys):
 @pytest.mark.parametrize("path", [
     ("H", 0, "direction", 0, -1),
     ("X", "direction", 0, -1),
-    ("pi", "matrix", 0, 0),
-    ("blocks", "targets", 0, "covers", 0, "lifted", "direction", 0, -1),
-], ids=["H", "X", "pi", "blocks"])
+    ("fibers", 0, 0),
+], ids=["H", "X", "fibers"])
 def test_tampered_bundle_exits_4(bundle_path, tmp_path, capsys, path):
     data = json.loads(bundle_path.read_text())
     node = data
@@ -279,6 +278,17 @@ def test_tampered_bundle_exits_4(bundle_path, tmp_path, capsys, path):
                   "--coloring", str(col)]):
         code, _, out = run_cli(capsys, *argv)
         assert code == 4 and out == ""
+
+
+def test_stale_bundle_section_exits_4(bundle_path, capsys):
+    # a bundle written by an earlier version carried intermediate sections
+    data = json.loads(bundle_path.read_text())
+    data["pi"] = {"matrix": [[1, 0], [0, 1]]}
+    bundle_path.write_text(json.dumps(data))
+    code = main(["verify", "--bundle", str(bundle_path)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "pi (unexpected)" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--bundle", "--spec", "--coloring"])

@@ -292,11 +292,33 @@ def test_product_host_projection(tiny_host):
 def test_cover_slot_table(tiny_host):
     host = tiny_host
     base = host.base
-    for ci, row in enumerate(host.cover_slot):
+    for ci, row in enumerate(base.cover_slot):
         for j, gi in enumerate(row):
             g = base.cover_k_spaces[gi]
             assert base.covers[ci].contains_subspace(g)
             assert apply(base.projection, g) == base.base_k_spaces[j]
+
+
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
+                         ids=["vector", "affine"])
+def test_fibers_and_cover_slot_oracle(make_spec):
+    # N0 = 3 > n: several targets, and covers with complement slots
+    host = build_product_host(build_base_host(make_spec(2, base_rank=3)), 1)
+    base = host.base
+    pi = base.projection
+    g = base.cover_k_spaces
+    images = [apply(pi, s) for s in g]
+    assert len(host.fibers) == len(base.base_k_spaces)
+    for j, b in enumerate(base.base_k_spaces):
+        assert set(host.fibers[j]) == {i for i, img in enumerate(images)
+                                       if img == b}
+        assert list(host.fibers[j]) == sorted(host.fibers[j])
+    assert len(base.cover_slot) == len(base.covers)
+    for ci, cover in enumerate(base.covers):
+        for j, b in enumerate(base.base_k_spaces):
+            over = {i for i, img in enumerate(images)
+                    if img == b and cover.contains_subspace(g[i])}
+            assert over == {base.cover_slot[ci][j]}
 
 
 # -- color patterns ---------------------------------------------------------------
@@ -423,7 +445,7 @@ def test_extract_adversarial_line_diagnostic():
     host = build_product_host(base, 1)
     coloring = {}
     for m, parts in zip(host.members, host.member_parts):
-        cover_of = next(ci for ci, row in enumerate(host.cover_slot)
+        cover_of = next(ci for ci, row in enumerate(base.cover_slot)
                         if parts[0] in row)
         coloring[m.key()] = 0 if cover_of == 0 else 1
     out = extract_monochromatic_copy(host, coloring)
@@ -542,24 +564,21 @@ def test_bundle_roundtrip(tiny_host):
     assert [m.key() for m in rt.members] == [m.key() for m in host.members]
     assert rt.projection == host.projection
     assert rt.member_parts == host.member_parts
-    assert rt.cover_slot == host.cover_slot
+    assert rt.base.cover_slot == host.base.cover_slot
     assert json.dumps(host_to_json(rt)) == json.dumps(data)
 
 
 def test_bundle_keys(tiny_host):
     data = host_to_json(tiny_host)
-    for key in ("spec", "E", "V", "blocks", "G", "pi", "Y", "X", "H",
-                "pi_tilde"):
-        assert key in data
+    assert list(data) == ["spec", "X", "H", "fibers"]
     assert data["spec"]["N1"] == 1
 
 
 @pytest.mark.parametrize("path", [
     ("H", 0, "direction", 0, -1),
     ("X", "direction", 0, -1),
-    ("pi", "matrix", 0, 0),
-    ("blocks", "targets", 0, "covers", 0, "lifted", "direction", 0, -1),
-], ids=["H", "X", "pi", "blocks"])
+    ("fibers", 0, 0),
+], ids=["H", "X", "fibers"])
 def test_bundle_rejects_tampered_entry(tiny_host, path):
     data = json.loads(json.dumps(host_to_json(tiny_host)))
     host_from_json(data)

@@ -8,7 +8,7 @@ with the library.
 
 import pytest
 
-from qramsey import FIELD_ORDER_CAP, Field, field_from_json, make_field
+from qramsey import FIELD_ORDER_CAP, Field, make_field
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -162,16 +162,6 @@ def test_modulus_validation():
         Field(4)  # not prime
     with pytest.raises(ValueError):
         Field(2, 5)  # 32 > cap
-
-
-def test_serialization_roundtrip():
-    for q in SUPPORTED:
-        f = make_field(q)
-        assert field_from_json(f.to_json()) == f
-    assert make_field(3).to_json() == {"q": 3}
-    assert make_field(4).to_json() == {"q": 4, "modulus": [1, 1, 1]}
-    with pytest.raises(ValueError):
-        field_from_json({"q": 4, "modulus": [1, 0, 1]})
 
 
 def test_cap_constant():

@@ -513,13 +513,6 @@ def test_kernel_space_requires_vector_mode():
         kernel_space(ma)
 
 
-def test_map_serialization_roundtrip():
-    f = make_field(3)
-    m = LinearMap(AFFINE, f, 2, 3, ((1, 2), (0, 1), (2, 2)), (1, 0, 2))
-    rt = LinearMap.from_json(m.to_json(), f)
-    assert rt == m
-
-
 # -- row reduction internals ---------------------------------------------
 
 
