@@ -8,12 +8,11 @@ block/equalizer host construction with monochromatic-copy extraction.
 from .budget import Budget, BudgetExceededError
 from .field import FIELD_ORDER_CAP, Field, make_field
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
-                    SizeCapError, Subspace, apply, combine, complement,
-                    compose, count_subspaces, direct_sum,
-                    enumerate_subspaces, extend_to_basis, full_space,
-                    gaussian_binomial, identity_map, image_space,
-                    is_independent, kernel_space, linear_extension, preimage,
-                    single_point, span, zero_space)
+                    SizeCapError, Subspace, apply, complement, compose,
+                    count_subspaces, direct_sum, enumerate_subspaces,
+                    extend_to_basis, full_space, gaussian_binomial,
+                    identity_map, image_space, is_independent,
+                    linear_extension, span, zero_space)
 from .coloring_search import find_proper_coloring
 from .hales_jewett import (Line, all_words, enumerate_lines,
                            find_monochromatic_line, hj_number,

@@ -28,22 +28,8 @@ class ColoringTable:
     host: str
     entries: dict[str, int]
 
-    def color_of(self, member) -> int:
-        key = member.key() if isinstance(member, Subspace) else member
-        return self.entries[key]
-
     def to_json(self) -> dict:
         return {"host": self.host, "entries": dict(self.entries)}
-
-    @staticmethod
-    def constant(host_key: str, members, color: int) -> "ColoringTable":
-        return ColoringTable(host_key, {m.key(): color for m in members})
-
-
-def _entries_of(coloring) -> dict:
-    if isinstance(coloring, ColoringTable):
-        return coloring.entries
-    return dict(coloring)
 
 
 @dataclass(frozen=True)
@@ -142,15 +128,14 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
                                 coloring) -> tuple[Subspace, int] | None:
     """First rank-n subspace (canonical order) with monochromatic [.;k].
 
-    `coloring` is a ColoringTable or mapping, total on the rank-k
-    subspaces of `ambient` (missing entries raise KeyError).
+    `coloring` maps canonical keys to colors and must be total on the
+    rank-k subspaces of `ambient` (missing entries raise KeyError).
     """
-    entries = _entries_of(coloring)
     for s in enumerate_subspaces(ambient, k):
-        if s.key() not in entries:
+        if s.key() not in coloring:
             raise KeyError(f"coloring not total: missing {s.key()}")
     for u in enumerate_subspaces(ambient, n):
-        colors = {entries[s.key()] for s in enumerate_subspaces(u, k)}
+        colors = {coloring[s.key()] for s in enumerate_subspaces(u, k)}
         if len(colors) == 1:
             return u, colors.pop()
     return None

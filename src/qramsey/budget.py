@@ -53,9 +53,6 @@ class Budget:
                     f"wall budget exhausted ({self.max_ms} ms)", self.nodes
                 )
 
-    def elapsed_ms(self) -> int:
-        return int((time.monotonic() - self._start) * 1000.0)
-
 
 def ensure_budget(budget: Budget | None) -> Budget:
     return budget if budget is not None else Budget()

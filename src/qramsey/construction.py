@@ -19,12 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arrow import (ConfigFamily, _entries_of, family_isomorphic,
-                    find_monochromatic_subspace)
+from .arrow import ConfigFamily, family_isomorphic, find_monochromatic_subspace
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
-from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap, Subspace,
+from .space import (AFFINE, VECTOR, BasisSet, LinearMap, Subspace,
                     Vec, apply, complement, compose, direct_sum,
                     enumerate_subspaces, full_space, identity_map,
                     identity_rows, image_space, json_expect, json_int,
@@ -148,14 +147,14 @@ class BaseHost:
         return self.spec.mode
 
 
-def build_base_host(spec: HostSpec, cap: int = POINT_CAP) -> BaseHost:
+def build_base_host(spec: HostSpec) -> BaseHost:
     """Build the block space, covers, and projection for the spec."""
     f = spec.field
     mode = spec.mode
     k, n, big_n = spec.colored_rank, spec.target_rank, spec.base_rank
     base = full_space(f, mode, big_n)
     e_amb = base.ambient_len
-    targets = enumerate_subspaces(base, n, cap)
+    targets = enumerate_subspaces(base, n)
     nfam = len(spec.family.members)
     comp_size = big_n - k
     block_rank = n + comp_size * nfam
@@ -228,13 +227,13 @@ def build_base_host(spec: HostSpec, cap: int = POINT_CAP) -> BaseHost:
 
     # one pass over each cover's k-spaces: collect them, and record which
     # one lies over each base k-space
-    base_k = tuple(enumerate_subspaces(base, k, cap))
+    base_k = tuple(enumerate_subspaces(base, k))
     slot_index = {s.key(): j for j, s in enumerate(base_k)}
     seen: dict[str, Subspace] = {}
     slot_keys: list[list[str | None]] = []
     for cover in covers:
         row: list[str | None] = [None] * len(base_k)
-        for s in enumerate_subspaces(cover, k, cap):
+        for s in enumerate_subspaces(cover, k):
             img = apply(projection, s)
             if img.rank != s.rank:
                 raise ConstructionCheckError("projection not injective on a "
@@ -283,11 +282,10 @@ def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
     return span(f, AFFINE, [origin, *directions], total)
 
 
-def _inverse_point_map(projection: LinearMap, part: Subspace,
-                       cap: int = POINT_CAP) -> dict[Vec, Vec]:
+def _inverse_point_map(projection: LinearMap, part: Subspace) -> dict[Vec, Vec]:
     """Point dictionary image -> preimage; requires injectivity on the part."""
     out: dict[Vec, Vec] = {}
-    for p in part.points(cap):
+    for p in part.points():
         img = apply(projection, p)
         if img in out and out[img] != p:
             raise ValueError("projection is not injective on a part")
@@ -309,7 +307,7 @@ def _tuple_space_from_maps(f: Field, mode: str, image: Subspace,
     return out
 
 
-def tuple_space(projection: LinearMap, parts, cap: int = POINT_CAP) -> Subspace:
+def tuple_space(projection: LinearMap, parts) -> Subspace:
     """The subspace of projection-compatible tuples through the given parts.
 
     All parts must share one projection image and the projection must be
@@ -330,7 +328,7 @@ def tuple_space(projection: LinearMap, parts, cap: int = POINT_CAP) -> Subspace:
             raise ValueError("parts have different projection images")
         if img.rank != p.rank:
             raise ValueError("projection is not injective on a part")
-    inv = [_inverse_point_map(projection, p, cap) for p in parts]
+    inv = [_inverse_point_map(projection, p) for p in parts]
     return _tuple_space_from_maps(f, mode, image, inv,
                                   len(parts) * projection.domain_len)
 
@@ -352,8 +350,7 @@ class ProductHost:
         return self.base.spec
 
 
-def build_product_host(base: BaseHost, word_len: int,
-                       cap: int = POINT_CAP) -> ProductHost:
+def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     """Equalize word_len copies of the base host and collect member tuples."""
     if word_len < 1:
         raise ValueError("word_len must be at least 1")
@@ -373,7 +370,7 @@ def build_product_host(base: BaseHost, word_len: int,
         tuple(tuple(row) + (0,) * (total - pi.domain_len) for row in pi.matrix),
         pi.translation if mode == AFFINE else None)
 
-    inv_maps = [_inverse_point_map(pi, g, cap) for g in base.cover_k_spaces]
+    inv_maps = [_inverse_point_map(pi, g) for g in base.cover_k_spaces]
     # fiber j: the distinct cover k-spaces over base k-space j
     fibers = tuple(tuple(sorted({row[j] for row in base.cover_slot}))
                    for j in range(len(base.base_k_spaces)))
@@ -399,16 +396,16 @@ def color_pattern(host: ProductHost, word, coloring) -> tuple[int, ...]:
     """Colors induced on the base k-spaces by one word of cover indices.
 
     Entry j is the color of the unique family member that runs through
-    the word's covers above base k-space j.
+    the word's covers above base k-space j.  `coloring` maps member keys
+    to colors.
     """
-    entries = _entries_of(coloring)
     parts_index = {p: i for i, p in enumerate(host.member_parts)}
     word = tuple(word)
     if len(word) != host.word_len:
         raise ValueError("word length differs from the host's")
     if any(not 0 <= s < len(host.base.covers) for s in word):
         raise ValueError("word symbol out of range")
-    return _pattern(host, word, entries, parts_index)
+    return _pattern(host, word, coloring, parts_index)
 
 
 def _pattern(host: ProductHost, word, entries, parts_index) -> tuple[int, ...]:
@@ -440,8 +437,7 @@ class LineEmbedding:
     host_members: tuple[Subspace, ...]    # family members inside the copy
 
 
-def line_embedding(host: ProductHost, line: Line,
-                   cap: int = POINT_CAP) -> LineEmbedding:
+def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
     """Embed the block space along a combinatorial line over the covers.
 
     All three structural postconditions are re-verified extensionally:
@@ -468,7 +464,7 @@ def line_embedding(host: ProductHost, line: Line,
     block_maps: dict[int, LinearMap] = {}
     for pos, sym in line.fixed:
         cover = base.covers[sym]
-        inv = _inverse_point_map(pi, cover, cap)
+        inv = _inverse_point_map(pi, cover)
         try:
             imgs = [inv[e] for e in e_basis]
         except KeyError:
@@ -521,7 +517,7 @@ def line_embedding(host: ProductHost, line: Line,
     seen_words = set()
     for s in range(t):
         word = line.word(s)
-        ws = tuple_space(pi, [base.covers[c] for c in word], cap)
+        ws = tuple_space(pi, [base.covers[c] for c in word])
         if any(not copy.is_member(p) for p in ws.basis_points()):
             raise ConstructionCheckError("a word space leaves the copy")
         if apply(flatten, ws).key() != base.covers[s].key():
@@ -589,9 +585,10 @@ class ExtractionFailure:
         }
 
 
-def extract_monochromatic_copy(host: ProductHost, coloring,
-                               cap: int = POINT_CAP):
+def extract_monochromatic_copy(host: ProductHost, coloring):
     """Walk a coloring of the host family down to a monochromatic copy.
+
+    `coloring` maps member keys to colors and must be total on the family.
 
     Returns a MonochromaticCopy on success, an ExtractionFailure when the
     line search or the pattern-monochromatic subspace search finds
@@ -600,12 +597,11 @@ def extract_monochromatic_copy(host: ProductHost, coloring,
     """
     base = host.base
     spec = base.spec
-    entries = _entries_of(coloring)
     for m in host.members:
         key = m.key()
-        if key not in entries:
+        if key not in coloring:
             raise KeyError(f"coloring not total: missing {key}")
-        if not 0 <= entries[key] < spec.num_colors:
+        if not 0 <= coloring[key] < spec.num_colors:
             raise ValueError("coloring uses a color outside the spec range")
     if not spec.family.members:
         # an empty family makes every rank-n subspace of X a vacuous copy;
@@ -622,7 +618,7 @@ def extract_monochromatic_copy(host: ProductHost, coloring,
 
     t = len(base.covers)
     parts_index = {p: i for i, p in enumerate(host.member_parts)}
-    patterns = [_pattern(host, word, entries, parts_index)
+    patterns = [_pattern(host, word, coloring, parts_index)
                 for word in all_words(host.word_len, t)]
     line = find_monochromatic_line(patterns, host.word_len, t)
     if line is None:
@@ -630,7 +626,7 @@ def extract_monochromatic_copy(host: ProductHost, coloring,
             "line_search",
             "no monochromatic line of covers: the word length is too small "
             "for this coloring")
-    emb = line_embedding(host, line, cap)
+    emb = line_embedding(host, line)
     pattern = patterns[word_index(line.word(0), t)]
     table = {s.key(): c for s, c in zip(base.base_k_spaces, pattern)}
     found = find_monochromatic_subspace(base.base_space, spec.colored_rank,
@@ -648,9 +644,9 @@ def extract_monochromatic_copy(host: ProductHost, coloring,
 
     member_keys = {m.key() for m in members}
     for m in members:
-        if m.key() not in entries:
+        if m.key() not in coloring:
             raise ConstructionCheckError("copy member is not in the host family")
-        if entries[m.key()] != color:
+        if coloring[m.key()] != color:
             raise ConstructionCheckError("copy member has the wrong color")
     inside = {m.key() for m in host.members
               if copy_space.contains_subspace(m)}
@@ -682,10 +678,10 @@ def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
         return None
 
 
-def auto_n1(spec: HostSpec, base: BaseHost, n_max: int = 3,
+def auto_n1(spec: HostSpec, base: BaseHost,
             budget: Budget | None = None) -> int | None:
     return auto_word_length(len(base.covers), spec.num_colors,
-                            len(base.base_k_spaces), n_max=n_max, budget=budget)
+                            len(base.base_k_spaces), budget=budget)
 
 
 # ---------------------------------------------------------------------------

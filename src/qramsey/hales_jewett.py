@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .coloring_search import find_proper_coloring
+from .space import POINT_CAP, SizeCapError
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,21 @@ def find_monochromatic_line(colors_by_word, length: int, t: int) -> Line | None:
 
 
 def line_free_coloring(length: int, t: int, num_colors: int,
-                       budget: Budget | None = None,
-                       symmetry: bool = True) -> list[int] | None:
-    """Lex-least coloring of all words with no monochromatic line, or None."""
+                       budget: Budget | None = None) -> list[int] | None:
+    """Lex-least coloring of all words with no monochromatic line, or None.
+
+    Raises SizeCapError, before building anything, when there are more
+    than POINT_CAP words.  The lex-least coloring brings in at most one
+    new color per word, so more colors than words change nothing and the
+    search gets at most one color per word.
+    """
+    words = t ** length
+    if words > POINT_CAP:
+        raise SizeCapError(f"{words} words of length {length}, cap {POINT_CAP}")
     families = [frozenset(word_index(w, t) for w in line.words(t))
                 for line in enumerate_lines(length, t)]
-    return find_proper_coloring(t ** length, num_colors, families,
-                                budget=budget, symmetry=symmetry)
+    return find_proper_coloring(words, min(num_colors, words), families,
+                                budget=budget)
 
 
 def hj_number(t: int, num_colors: int, n_max: int,

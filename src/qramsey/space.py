@@ -190,24 +190,6 @@ def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ..
     return tuple(out)
 
 
-def solve(f: Field, rows: tuple[Vec, ...], rhs: Vec, ncols: int | None = None) -> Vec | None:
-    """One solution x of rows . x = rhs (free variables zero), or None."""
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols needed to solve an empty system")
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length differs from the number of equations")
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    red, piv = rref(f, aug)
-    x = [0] * ncols
-    for row, p in zip(red, piv):
-        if p == ncols:
-            return None  # pivot in the augmented column: inconsistent
-        x[p] = row[ncols]
-    return tuple(x)
-
-
 def mat_inv(f: Field, rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
     n = len(rows)
     aug = [tuple(r) + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(rows)]
@@ -276,11 +258,6 @@ class Subspace:
                 raise ValueError("basepoint must be zero on pivot columns")
 
     # -- conventions ---------------------------------------------------
-
-    @property
-    def dimension(self) -> int:
-        """Geometric dimension: number of direction rows."""
-        return len(self.direction)
 
     @property
     def rank(self) -> int:
@@ -442,34 +419,6 @@ def full_space(f: Field, mode: str, rank: int) -> Subspace:
 
 def zero_space(f: Field, ambient_len: int) -> Subspace:
     return Subspace(VECTOR, f, ambient_len, (), None)
-
-
-def single_point(f: Field, point: Vec) -> Subspace:
-    return span(f, AFFINE, [tuple(point)])
-
-
-def combine(f: Field, mode: str, coeffs, points) -> Vec:
-    """The combination sum(c_i * p_i); affine mode requires sum(c_i) = 1."""
-    _check_mode(mode)
-    coeffs = list(coeffs)
-    pts = [tuple(p) for p in points]
-    if len(coeffs) != len(pts):
-        raise ValueError("coefficient/point count mismatch")
-    if not pts:
-        raise ValueError("empty combination")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise ValueError("points of differing length")
-    if mode == AFFINE:
-        total = 0
-        for c in coeffs:
-            total = f.add(total, c)
-        if total != 1:
-            raise ValueError("affine combination coefficients must sum to 1")
-    out = tuple([0] * len(pts[0]))
-    for c, p in zip(coeffs, pts):
-        if c:
-            out = vec_add(f, out, vec_scale(f, c, p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +604,7 @@ class BasisSet:
         return len(self.points)
 
 
-def extend_to_basis(basis: BasisSet, target: Subspace, cap: int = POINT_CAP) -> BasisSet:
+def extend_to_basis(basis: BasisSet, target: Subspace) -> BasisSet:
     """Grow an independent subset of `target` into a basis of it.
 
     Candidates are scanned in lexicographic point order, so the result is
@@ -673,7 +622,7 @@ def extend_to_basis(basis: BasisSet, target: Subspace, cap: int = POINT_CAP) -> 
         if not tracker.try_add(p):
             raise ValueError("basis points are not independent")
     chosen = list(basis.points)
-    for cand in target.sorted_points(cap):
+    for cand in target.sorted_points():
         if tracker.rank == target.rank:
             break
         if tracker.try_add(cand):
@@ -860,34 +809,7 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
     return m
 
 
-def kernel_space(m: LinearMap) -> Subspace:
-    """Null space of a vector-mode map, as a canonical subspace."""
-    if m.mode != VECTOR:
-        raise ValueError("kernel_space is defined for vector-mode maps")
-    rows = nullspace_rows(m.field, m.matrix, m.domain_len)
-    return span(m.field, VECTOR, rows, m.domain_len)
-
-
 def image_space(m: LinearMap) -> Subspace:
     """Image of the whole domain ambient under the map."""
     return apply(m, full_space(m.field, m.mode,
                                m.domain_len + (1 if m.mode == AFFINE else 0)))
-
-
-def preimage(m: LinearMap, y: Vec) -> Subspace:
-    """The solution flat {x : m(x) = y}, always returned in affine mode.
-
-    A preimage under a vector-mode map is a coset of the kernel, which is
-    not a vector subspace unless y = 0, so the flat representation is the
-    honest one for both modes.  Raises when y is not in the image.
-    """
-    y = tuple(y)
-    if len(y) != m.codomain_len:
-        raise ValueError("point length differs from map codomain")
-    rhs = y if m.mode == VECTOR else vec_sub(m.field, y, m.translation)
-    part = solve(m.field, m.matrix, rhs, ncols=m.domain_len)
-    if part is None:
-        raise ValueError("point is not in the image of the map")
-    rows = nullspace_rows(m.field, m.matrix, m.domain_len)
-    red, piv = rref(m.field, rows)
-    return Subspace(AFFINE, m.field, m.domain_len, red, _reduce_by(m.field, red, piv, part))

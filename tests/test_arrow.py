@@ -12,11 +12,11 @@ import random
 import pytest
 
 from qramsey import (AFFINE, VECTOR, ArrowInstance, Budget,
-                     BudgetExceededError, ColoringTable, ConfigFamily,
-                     LinearMap, apply, arrow_holds, arrow_structure,
-                     enumerate_subspaces, family_isomorphic,
-                     find_monochromatic_subspace, full_space,
-                     induced_host_verify, make_field, min_arrow_N, span)
+                     BudgetExceededError, ConfigFamily, LinearMap, apply,
+                     arrow_holds, arrow_structure, enumerate_subspaces,
+                     family_isomorphic, find_monochromatic_subspace,
+                     full_space, induced_host_verify, make_field, min_arrow_N,
+                     span)
 from qramsey.arrow import ISO_RANK_CAP
 
 
@@ -139,20 +139,6 @@ def test_instance_validation():
         ArrowInstance(6, VECTOR, 2, 2, 1, 2)  # bad field order
     with pytest.raises(ValueError):
         ArrowInstance(2, VECTOR, 2, 2, 1, 0)
-
-
-# -- coloring tables --------------------------------------------------------
-
-
-def test_coloring_table_lookup():
-    f = make_field(2)
-    host = full_space(f, VECTOR, 2)
-    subs = enumerate_subspaces(host, 1)
-    tab = ColoringTable.constant(host.key(), subs, 4)
-    assert tab.color_of(subs[0]) == 4
-    assert tab.color_of(subs[1].key()) == 4
-    with pytest.raises(KeyError):
-        tab.color_of(host)  # rank-2 key not colored
 
 
 # -- monochromatic subspace scan --------------------------------------------

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -148,6 +149,17 @@ def test_hj_none_in_range(capsys):
                              "2")
     assert code == 2 and lines[0]["value"] is None
     assert lines[0]["witness"] == {"N": 2, "t": 2, "colors": [0, 1, 1, 2]}
+
+
+def test_hj_size_cap(capsys):
+    # length 2 would list 10^6 words: refused before anything is built
+    start = time.perf_counter()
+    code, lines, _ = run_cli(capsys, "hj", "--t", "1000", "--l", "2",
+                             "--nmax", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert lines == [{"command": "hj", "error": "size_cap",
+                      "message": "1000000 words of length 2, cap 65536"}]
 
 
 # -- construct / verify / extract -------------------------------------------------

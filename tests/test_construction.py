@@ -10,18 +10,21 @@ split of the extraction walk.
 import itertools
 import json
 import random
+import time
 
 import pytest
 
 from qramsey import (AFFINE, VECTOR, Budget, ConfigFamily, ExtractionFailure,
-                     HostSpec, Line, LinearMap, MonochromaticCopy, apply,
-                     auto_n1, auto_word_length, build_base_host,
-                     build_product_host, color_pattern, compose,
-                     enumerate_subspaces, equalizer_subspace,
+                     HostSpec, Line, LinearMap, MonochromaticCopy,
+                     SizeCapError, apply, auto_n1, auto_word_length,
+                     build_base_host, build_product_host, color_pattern,
+                     compose, enumerate_subspaces, equalizer_subspace,
                      extract_monochromatic_copy, family_isomorphic,
-                     full_space, host_from_json, host_to_json, identity_map,
-                     image_space, induced_host_verify, line_embedding,
-                     make_field, span, tuple_space, zero_space)
+                     full_space, hales_jewett, host_from_json, host_to_json,
+                     identity_map, image_space, induced_host_verify,
+                     line_embedding, make_field, span, tuple_space,
+                     zero_space)
+from qramsey.space import nullspace_rows
 
 
 def vector_spec(nf, word_len=1, num_colors=1, base_rank=2):
@@ -241,10 +244,10 @@ def test_tuple_space_rejects_mismatched_images(two_cover_base):
 
 def test_tuple_space_rejects_rank_collapse(two_cover_base):
     base = two_cover_base
-    from qramsey import kernel_space
-    ker = kernel_space(base.projection)
-    assert ker.rank >= 1
-    kline = span(base.field, VECTOR, [ker.basis_points()[0]], 4)
+    pi = base.projection
+    ker = nullspace_rows(base.field, pi.matrix, pi.domain_len)
+    assert ker
+    kline = span(base.field, VECTOR, [ker[0]], 4)
     with pytest.raises(ValueError):
         tuple_space(base.projection, (kline, kline))
 
@@ -544,6 +547,27 @@ def test_auto_word_length_values():
     assert auto_word_length(2, 2, 1) == 2  # hj(2, 2) = 2
     assert auto_word_length(2, 2, 3, n_max=1) is None  # out of range
     assert auto_word_length(2, 2, 1, budget=Budget(max_nodes=1)) is None
+
+
+def test_auto_word_length_size_cap():
+    # 1000 covers: the length-2 word list would hold 10^6 words
+    with pytest.raises(SizeCapError):
+        auto_word_length(1000, 2, 1)
+
+
+def test_auto_word_length_huge_pattern_alphabet(monkeypatch):
+    # 2 colors on 40 base k-spaces make 2^40 pattern colors; the search
+    # must get at most one color per word instead of a 2^40-bit mask
+    real = hales_jewett.find_proper_coloring
+
+    def guarded(item_count, num_colors, families, **kwargs):
+        assert num_colors <= item_count
+        return real(item_count, num_colors, families, **kwargs)
+
+    monkeypatch.setattr(hales_jewett, "find_proper_coloring", guarded)
+    start = time.perf_counter()
+    assert auto_word_length(2, 2, 40) is None  # no line forced up to n_max
+    assert time.perf_counter() - start < 1.0
 
 
 def test_auto_n1_degenerate():

@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from qramsey import (Budget, BudgetExceededError, Line, all_words,
-                     enumerate_lines, find_monochromatic_line, hj_number,
-                     line_free_coloring, word_index)
+from qramsey import (POINT_CAP, Budget, BudgetExceededError, Line,
+                     SizeCapError, all_words, enumerate_lines,
+                     find_monochromatic_line, find_proper_coloring,
+                     hales_jewett, hj_number, line_free_coloring, word_index)
 
 
 def oracle_lines(length, t):
@@ -161,6 +162,50 @@ def test_hj_monotone_via_slice_embedding():
         assert ln2 is not None  # length 2 is at the 2-color threshold
         lifted = Line(3, ln2.moving, ln2.fixed + ((2, 0),))
         assert len({col3[word_index(w, 2)] for w in lifted.words(2)}) == 1
+
+
+def unclamped_hj(t, num_colors, n_max, budget):
+    """hj_number's loop, searching with every one of the num_colors colors."""
+    witness = None
+    for length in range(1, n_max + 1):
+        families = [frozenset(word_index(w, t) for w in line.words(t))
+                    for line in enumerate_lines(length, t)]
+        coloring = find_proper_coloring(t ** length, num_colors, families,
+                                        budget=budget)
+        if coloring is None:
+            return length, witness
+        witness = coloring
+    return None, witness
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_color_clamp_matches_unclamped_search(t):
+    # more colors than words: the search gets one color per word, which
+    # must leave the value, the witness and the node count unchanged
+    for num_colors in (1, 2, 3, 5, 9, 30):
+        for n_max in (1, 2, 3):
+            bud, ref_bud = Budget(), Budget()
+            got = hj_number(t, num_colors, n_max, budget=bud)
+            assert got == unclamped_hj(t, num_colors, n_max, ref_bud)
+            assert bud.nodes == ref_bud.nodes
+
+
+def test_line_free_coloring_size_cap(monkeypatch):
+    def no_lines(length, t):
+        raise AssertionError("lines built before the size check")
+
+    monkeypatch.setattr(hales_jewett, "enumerate_lines", no_lines)
+    with pytest.raises(SizeCapError):
+        line_free_coloring(3, 1000, 2)  # 10^9 words
+    with pytest.raises(SizeCapError):
+        # the least power of 2 above the cap
+        line_free_coloring(POINT_CAP.bit_length(), 2, 2)
+
+
+def test_hj_number_size_cap():
+    # length 1 (1000 words) is searched; length 2 (10^6 words) is refused
+    with pytest.raises(SizeCapError):
+        hj_number(1000, 2, 3)
 
 
 def test_hj_budget_exhaustion():

@@ -1,8 +1,11 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene: no unused imports and no unreferenced definitions.
 
-No linter ships with the project, so this walks each module's syntax tree
-with the standard library.  `__init__.py` is skipped: its imports are the
-package's public re-exports.
+Every name a library module imports is used in it, and every function,
+class and method it defines is referenced somewhere in the library or
+the benchmark; code that only the tests call is dead weight.  No linter
+ships with the project, so this walks each module's syntax tree with the
+standard library.  `__init__.py` is skipped: its imports are the
+package's public re-exports, and a re-export alone is not a use.
 """
 
 import ast
@@ -65,3 +68,75 @@ def test_detects_unused_import():
                      "def f(x: 'sep') -> None:\n"
                      "    return json.dumps(x)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"path"}
+
+
+# -- unreferenced definitions ---------------------------------------------
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+REFERENCE_FILES = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+
+
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level functions and classes, and their non-dunder methods."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    out[f"{node.name}.{item.name}"] = item.lineno
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name read or bound, attribute accessed, or string constant.
+
+    String constants count because the benchmark tracer names the
+    functions it wraps by string.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unreferenced(defined: dict[str, int], used: set[str]) -> list[str]:
+    return sorted(name for name in defined
+                  if name.rpartition(".")[2] not in used)
+
+
+def test_no_unreferenced_definitions():
+    used = set()
+    for path in REFERENCE_FILES:
+        used |= referenced_names(ast.parse(path.read_text(encoding="utf-8"),
+                                           filename=str(path)))
+    dead = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = definitions(tree)
+        dead += [f"{path.name}:{defined[name]} {name}"
+                 for name in unreferenced(defined, used)]
+    assert not dead, ("defined but referenced nowhere in src/qramsey or "
+                      f"perfbench: {', '.join(dead)}")
+
+
+def test_detects_unreferenced_definition():
+    tree = ast.parse("class A:\n"
+                     "    def __init__(self): pass\n"
+                     "    def used(self): pass\n"
+                     "    def unused(self): pass\n"
+                     "def f(): return A().used()\n"
+                     "def g(): pass\n"
+                     "def h(): pass\n"
+                     "TARGETS = ['h']\n")
+    assert unreferenced(definitions(tree), referenced_names(tree)) == \
+        ["A.unused", "f", "g"]
