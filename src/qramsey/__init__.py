@@ -16,11 +16,11 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
 from .coloring_search import find_proper_coloring
 from .hales_jewett import (Line, all_words, enumerate_lines,
                            find_monochromatic_line, hj_number,
-                           line_free_coloring, word_index)
+                           line_free_coloring, word_generators, word_index)
 from .arrow import (ArrowInstance, ArrowResult, ArrowStructure, ColoringTable,
                     ConfigFamily, VerifyResult, arrow_holds, arrow_structure,
                     family_isomorphic, find_monochromatic_subspace,
-                    induced_host_verify, min_arrow_N)
+                    induced_host_verify, min_arrow_N, structure_generators)
 from .construction import (BaseHost, ConstructionCheckError, CoverBlock,
                            ExtractionFailure, HostSpec, LineEmbedding,
                            MonochromaticCopy, ProductHost, SubspaceBlock,

@@ -81,6 +81,41 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     return ArrowStructure(host, k_spaces, n_spaces, families)
 
 
+def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
+    """Permutations of the k-spaces induced by elementary maps of the host.
+
+    The maps are the adjacent coordinate swaps, the adjacent
+    transvections x_i += x_{i+1} and, in affine mode, the unit
+    translation x_0 += 1.  Each is invertible, so it carries k-spaces
+    onto k-spaces and n-spaces onto n-spaces.  It is applied to the
+    host's points, and each k-space goes to the k-space covering the
+    image of its point set.  Identity permutations are left out.
+    """
+    host = struct.host
+    add = host.field.add_table
+    d = host.ambient_len
+    points = list(host.points())
+    where = {p: i for i, p in enumerate(points)}
+    covers = [[where[p] for p in s.points()] for s in struct.k_spaces]
+    item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
+    images = []
+    for i in range(d - 1):
+        images.append([p[:i] + (p[i + 1], p[i]) + p[i + 2:] for p in points])
+        images.append([p[:i] + (add[p[i]][p[i + 1]],) + p[i + 1:]
+                       for p in points])
+    if host.mode == AFFINE and d:
+        images.append([(add[p[0]][1],) + p[1:] for p in points])
+    out = []
+    identity = tuple(range(len(covers)))
+    for image in images:
+        to = [where[p] for p in image]
+        perm = tuple(item_of[frozenset([to[j] for j in cov])]
+                     for cov in covers)
+        if perm != identity:
+            out.append(perm)
+    return out
+
+
 @dataclass
 class ArrowResult:
     instance: ArrowInstance
@@ -99,13 +134,18 @@ class ArrowResult:
 
 def arrow_holds(instance: ArrowInstance, budget: Budget | None = None,
                 symmetry: bool = True) -> ArrowResult:
-    """Decide the arrow relation; on failure return the lex-least bad coloring."""
+    """Decide the arrow relation; on failure return the lex-least bad coloring.
+
+    `symmetry` turns on both color-symmetry pruning and the lex-leader
+    constraints of `structure_generators`; neither changes the answer.
+    """
     bud = ensure_budget(budget)
     before = bud.nodes
     struct = arrow_structure(instance)
+    generators = structure_generators(struct) if symmetry else ()
     coloring = find_proper_coloring(len(struct.k_spaces), instance.num_colors,
                                     struct.families, budget=bud,
-                                    symmetry=symmetry)
+                                    symmetry=symmetry, generators=generators)
     witness = None
     if coloring is not None:
         witness = ColoringTable(struct.host.key(),

@@ -263,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nmax", type=int, default=6,
                    help="largest host rank for --min-n (default 6)")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable color-symmetry pruning")
+                   help="disable color and structural symmetry pruning")
     _add_common(p, "write the witness coloring here on failure")
     p.set_defaults(func=cmd_arrow)
 

@@ -17,6 +17,21 @@ every color forbidden is rejected at once; forbids are undone from a
 trail on backtrack.  Pruning only removes subtrees without a proper
 coloring, so the witness is the same as plain backtracking would find.
 
+Two kinds of symmetry are broken without changing the witness.  Colors:
+the lex-least proper coloring c* brings in new colors in order, so each
+item may use at most one more than the largest color used before it.
+Items: for each given generator g, a permutation of the items that maps
+the families onto themselves, c* o g is proper too, so c* <=lex c* o g
+and the search may demand c <=lex c o g (the lex-leader constraints of
+Crawford, Ginsberg, Luks & Roy 1996).  Each generator keeps a pointer
+to its first position p whose pair (p, g(p)) is not settled equal, and
+waits on the item whose coloring next changes that pair.  Once p is
+colored, the colors below c[p] are forbidden at g(p), in the same masks
+and trail as the forward check; once both are colored, a smaller c[p]
+satisfies the constraint for good and an equal one moves the pointer
+on, where a settled pair with c[p] > c[g(p)] rejects the color.
+Pointers are restored from their own trail.
+
 A node is one color tried at an item where it was not already
 forbidden.  Nodes are counted locally and settled through
 `Budget.spend` in chunks that end on multiples of 4096 and never pass
@@ -39,11 +54,82 @@ def _chunk(bud: Budget) -> int:
     return max(room, 1)
 
 
+def _lex_leader_generators(item_count: int, family_set, generators
+                           ) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(permutation, positions it moves) of each non-identity generator.
+
+    ValueError unless every generator permutes the items and maps the
+    family set onto itself: that is what makes its constraint sound.
+    """
+    out = []
+    items = list(range(item_count))
+    for gen in generators:
+        perm = tuple(gen)
+        if sorted(perm) != items:
+            raise ValueError("generator is not a permutation of the items")
+        image = perm.__getitem__
+        if not family_set.issuperset(frozenset(map(image, fam))
+                                     for fam in family_set):
+            raise ValueError("generator maps a family outside the families")
+        moved = [p for p in items if perm[p] != p]
+        if moved:
+            out.append((perm, moved))
+    return out
+
+
+def _settle(idx, watching, colors, gens, ptr, watch, gtrail, forbidden,
+            trail, full) -> bool:
+    """Update the generators waiting on item idx, just colored.
+
+    Returns False when some constraint c <=lex c o g is broken or a
+    forbid leaves an item no color; the caller then undoes both trails.
+    While a generator's position p is uncolored, g(p) > p: following
+    p's cycle from g(p) < p through settled pairs would reach a colored
+    item above p.  So a generator waits on p, then on g(p).
+    """
+    for gi in watching:
+        perm, moved = gens[gi]
+        k = ptr[gi]
+        while True:
+            p = moved[k]
+            if p > idx:
+                nxt = p
+                break
+            gp = perm[p]
+            if gp > idx:
+                # forbid at g(p) the colors that would break c[p] <= c[g(p)]
+                ban = (1 << colors[p]) - 1
+                old = forbidden[gp]
+                if ban & ~old:
+                    trail.append((gp, old))
+                    forbidden[gp] = old | ban
+                    if old | ban == full:
+                        return False
+                nxt = gp
+                break
+            a = colors[p]
+            b = colors[gp]
+            if a == b:
+                k += 1
+                if k < len(moved):
+                    continue
+            elif a > b:
+                return False
+            nxt = -1  # satisfied for good
+            break
+        gtrail.append((gi, ptr[gi], nxt))
+        ptr[gi] = k
+        if nxt >= 0:
+            watch[nxt].append(gi)
+    return True
+
+
 def find_proper_coloring(item_count: int,
                          num_colors: int,
                          families,
                          budget: Budget | None = None,
-                         symmetry: bool = True) -> list[int] | None:
+                         symmetry: bool = True,
+                         generators=()) -> list[int] | None:
     """Lexicographically least coloring avoiding monochromatic families.
 
     Returns a list of colors (ints in range(num_colors)) indexed by item,
@@ -51,22 +137,32 @@ def find_proper_coloring(item_count: int,
     `symmetry` on, candidate colors at each item are capped at one more
     than the largest color used so far; the lex-least proper coloring
     always has that first-use form, so the answer is unchanged and the
-    flag only trades search order for pruning.
+    flag only trades search order for pruning.  `generators` are item
+    permutations that map the families onto themselves (ValueError
+    otherwise); for each one g the search keeps only colorings with
+    c <=lex c o g, which again never excludes the answer.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
     bud = ensure_budget(budget)
     full = (1 << num_colors) - 1
+    fams = []
+    for fam in families:
+        members = sorted(set(fam))
+        if members and (members[-1] >= item_count or members[0] < 0):
+            raise ValueError("family member out of range")
+        fams.append(members)
+    gens = []
+    if generators:
+        gens = _lex_leader_generators(item_count, set(map(frozenset, fams)),
+                                      generators)
     forbidden = [0] * item_count  # bitmask of the colors ruled out per item
     # triggers[s]: (bitmask of the members below s, highest member) of each
     # family whose second-highest member is s
     triggers: list[list[tuple[int, int]]] = [[] for _ in range(item_count)]
-    for fam in families:
-        members = sorted(set(fam))
+    for members in fams:
         if not members:
             return None  # an empty family is monochromatic under any coloring
-        if members[-1] >= item_count or members[0] < 0:
-            raise ValueError("family member out of range")
         if len(members) == 1:
             forbidden[members[0]] = full
             continue
@@ -84,6 +180,14 @@ def find_proper_coloring(item_count: int,
     trail: list[tuple[int, int]] = []  # (item, its mask before a forbid)
     marks = [0] * item_count          # trail length on entering each item
     limits = [0] * item_count         # color cap in force at each item
+    # lex-leader state: ptr[g] indexes the positions generator g moves;
+    # watch[i] lists the generators waiting on item i
+    ptr = [0] * len(gens)
+    watch: list[list[int]] = [[] for _ in range(item_count)]
+    for gi, (_, moved) in enumerate(gens):
+        watch[moved[0]].append(gi)
+    gtrail: list[tuple[int, int, int]] = []  # (generator, old ptr, new watch)
+    gmarks = [0] * item_count         # gtrail length on entering each item
     chunk = left = _chunk(bud)
     idx = 0
     start = 0
@@ -91,7 +195,9 @@ def find_proper_coloring(item_count: int,
     while True:
         banned = forbidden[idx]
         here = triggers[idx]
+        watching = watch[idx]
         mark = len(trail)
+        gmark = len(gtrail)
         for c in range(start, limit):
             if banned >> c & 1:
                 continue
@@ -110,10 +216,20 @@ def find_proper_coloring(item_count: int,
                         if old | bit == full:
                             break
             else:
-                break  # no item was wiped out: c stands
+                if not watching:
+                    break  # no item was wiped out: c stands
+                colors[idx] = c
+                if _settle(idx, watching, colors, gens, ptr, watch, gtrail,
+                           forbidden, trail, full):
+                    break
             while len(trail) > mark:
                 high, old = trail.pop()
                 forbidden[high] = old
+            while len(gtrail) > gmark:
+                gi, k, nxt = gtrail.pop()
+                ptr[gi] = k
+                if nxt >= 0:
+                    watch[nxt].pop()
         else:
             # every color at idx failed: undo the previous item's choice
             idx -= 1
@@ -126,12 +242,19 @@ def find_proper_coloring(item_count: int,
             while len(trail) > mark:
                 high, old = trail.pop()
                 forbidden[high] = old
+            gmark = gmarks[idx]
+            while len(gtrail) > gmark:
+                gi, k, nxt = gtrail.pop()
+                ptr[gi] = k
+                if nxt >= 0:
+                    watch[nxt].pop()
             start = c + 1
             limit = limits[idx]
             continue
         colors[idx] = c
         colored[c] |= 1 << idx
         marks[idx] = mark
+        gmarks[idx] = gmark
         limits[idx] = limit
         if c + 1 == limit and limit < num_colors:
             limit += 1

@@ -98,22 +98,50 @@ def find_monochromatic_line(colors_by_word, length: int, t: int) -> Line | None:
     return None
 
 
+def word_generators(length: int, t: int) -> list[list[int]]:
+    """Word permutations that carry combinatorial lines onto lines.
+
+    The adjacent coordinate swaps, then the adjacent symbol swaps (one
+    swap of two symbols applied at every position), each as the list of
+    image word indices.  Only the first POINT_CAP // t^length of them are
+    built, so a large alphabet costs at most about POINT_CAP word images;
+    any subset of these symmetries may be broken.
+    """
+    words = list(all_words(length, t))
+
+    def images():
+        for i in range(length - 1):
+            yield [w[:i] + (w[i + 1], w[i]) + w[i + 2:] for w in words]
+        for s in range(t - 1):
+            swap = list(range(t))
+            swap[s], swap[s + 1] = s + 1, s
+            yield [tuple([swap[x] for x in w]) for w in words]
+
+    return [[word_index(w, t) for w in image]
+            for image in itertools.islice(images(), POINT_CAP // len(words))]
+
+
 def line_free_coloring(length: int, t: int, num_colors: int,
                        budget: Budget | None = None) -> list[int] | None:
     """Lex-least coloring of all words with no monochromatic line, or None.
 
     Raises SizeCapError, before building anything, when there are more
-    than POINT_CAP words.  The lex-least coloring brings in at most one
-    new color per word, so more colors than words change nothing and the
-    search gets at most one color per word.
+    than POINT_CAP words or more than POINT_CAP lines.  The lex-least
+    coloring brings in at most one new color per word, so more colors
+    than words change nothing and the search gets at most one color per
+    word.  The search breaks the symmetry of `word_generators`.
     """
     words = t ** length
     if words > POINT_CAP:
         raise SizeCapError(f"{words} words of length {length}, cap {POINT_CAP}")
+    lines = (t + 1) ** length - words
+    if lines > POINT_CAP:
+        raise SizeCapError(f"{lines} lines of length {length}, cap {POINT_CAP}")
     families = [frozenset(word_index(w, t) for w in line.words(t))
                 for line in enumerate_lines(length, t)]
     return find_proper_coloring(words, min(num_colors, words), families,
-                                budget=budget)
+                                budget=budget,
+                                generators=word_generators(length, t))
 
 
 def hj_number(t: int, num_colors: int, n_max: int,

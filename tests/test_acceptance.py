@@ -105,8 +105,8 @@ def test_acceptance_03_hales_jewett():
         assert witness == [0, 1]  # stored N=1 bad coloring
         assert line_free_coloring(2, 2, 2) is None
     with Timer(20):
-        # HJ(3, 2) = 4 within a fixed 1.5M-node budget
-        value, witness = hj_number(3, 2, 4, budget=Budget(max_nodes=1_500_000))
+        # HJ(3, 2) = 4 within a fixed 100,000-node budget
+        value, witness = hj_number(3, 2, 4, budget=Budget(max_nodes=100_000))
         assert value == 4
         assert find_monochromatic_line(witness, 3, 3) is None
     report(3, "Hales-Jewett numbers")

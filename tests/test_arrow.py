@@ -15,8 +15,8 @@ from qramsey import (AFFINE, VECTOR, ArrowInstance, Budget,
                      BudgetExceededError, ConfigFamily, LinearMap, apply,
                      arrow_holds, arrow_structure, enumerate_subspaces,
                      family_isomorphic, find_monochromatic_subspace,
-                     full_space, induced_host_verify, make_field, min_arrow_N,
-                     span)
+                     find_proper_coloring, full_space, induced_host_verify,
+                     make_field, min_arrow_N, span, structure_generators)
 from qramsey.arrow import ISO_RANK_CAP
 
 
@@ -139,6 +139,104 @@ def test_instance_validation():
         ArrowInstance(6, VECTOR, 2, 2, 1, 2)  # bad field order
     with pytest.raises(ValueError):
         ArrowInstance(2, VECTOR, 2, 2, 1, 0)
+
+
+# -- structural symmetry ------------------------------------------------------
+
+
+def elementary_maps(f, mode, d):
+    """The maps structure_generators uses, as LinearMaps, in its order."""
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    zero = tuple([0] * d) if mode == AFFINE else None
+    maps = []
+    for i in range(d - 1):
+        swap = [row[:] for row in identity]
+        swap[i], swap[i + 1] = swap[i + 1], swap[i]
+        shear = [row[:] for row in identity]
+        shear[i][i + 1] = 1  # x_i += x_{i+1}
+        for m in (swap, shear):
+            maps.append(LinearMap(mode, f, d, d, tuple(map(tuple, m)), zero))
+    if mode == AFFINE and d:
+        maps.append(LinearMap(mode, f, d, d, tuple(map(tuple, identity)),
+                              (1,) + zero[1:]))
+    return maps
+
+
+def generator_sweep():
+    for q, max_n in ((2, 4), (3, 3), (4, 3)):
+        for mode in (VECTOR, AFFINE):
+            for big_n in range(0 if mode == VECTOR else 1, max_n + 1):
+                for n in range(big_n + 1):
+                    for k in range(0 if mode == VECTOR else 1, n + 1):
+                        yield q, mode, big_n, n, k
+
+
+@pytest.mark.parametrize("q,mode,N,n,k", list(generator_sweep()))
+def test_structure_generators_are_family_automorphisms(q, mode, N, n, k):
+    struct = arrow_structure(ArrowInstance(q, mode, N, n, k, 2))
+    gens = structure_generators(struct)
+    families = set(struct.families)
+    items = list(range(len(struct.k_spaces)))
+    for perm in gens:
+        assert sorted(perm) == items and list(perm) != items
+        assert {frozenset(perm[i] for i in fam) for fam in families} == families
+    # the same permutations through apply() and canonical keys
+    index = {s.key(): i for i, s in enumerate(struct.k_spaces)}
+    want = []
+    for m in elementary_maps(struct.host.field, mode, struct.host.ambient_len):
+        perm = tuple(index[apply(m, s).key()] for s in struct.k_spaces)
+        if list(perm) != items:
+            want.append(perm)
+    assert gens == want
+
+
+def test_structure_generators_edge_cases():
+    # affine rank 1 (ambient length 0), vector rank 0, and k = 0: nothing
+    # moves, and the searches still answer
+    for q, mode, big_n, n, k in [(2, AFFINE, 1, 1, 1), (3, AFFINE, 1, 1, 1),
+                                 (2, VECTOR, 0, 0, 0), (2, VECTOR, 3, 2, 0),
+                                 (3, VECTOR, 2, 0, 0)]:
+        inst = ArrowInstance(q, mode, big_n, n, k, 2)
+        assert structure_generators(arrow_structure(inst)) == []
+        assert arrow_holds(inst).holds == arrow_holds(inst, symmetry=False).holds
+    # affine rank 2 (the line GF(q)^1): only the translation remains
+    struct = arrow_structure(ArrowInstance(3, AFFINE, 2, 2, 1, 2))
+    assert structure_generators(struct) == [(1, 2, 0)]
+
+
+def arrow_sweep():
+    for mode in (VECTOR, AFFINE):
+        for big_n in range(1, 6):
+            for n in range(1, big_n + 1):
+                for k in range(0 if mode == VECTOR else 1, n + 1):
+                    for r in (2, 3):
+                        yield mode, big_n, n, k, r
+
+
+def test_symmetry_keeps_the_witness_on_the_q2_sweep():
+    checked = 0
+    for mode, big_n, n, k, r in arrow_sweep():
+        struct = arrow_structure(ArrowInstance(2, mode, big_n, n, k, r))
+        args = (len(struct.k_spaces), r, struct.families)
+        plain = Budget(max_nodes=100_000)
+        try:
+            want = find_proper_coloring(*args, budget=plain)
+        except BudgetExceededError:
+            continue
+        pruned = Budget()
+        got = find_proper_coloring(*args, budget=pruned,
+                                   generators=structure_generators(struct))
+        assert got == want, (mode, big_n, n, k, r)
+        assert pruned.nodes <= plain.nodes
+        checked += 1
+    assert checked >= 160
+
+
+def test_arrow_holds_breaks_structural_symmetry():
+    inst = ArrowInstance(2, VECTOR, 5, 2, 1, 3)
+    assert arrow_holds(inst).nodes == 2440  # 68784 with colors alone
+    struct = arrow_structure(inst)
+    assert find_proper_coloring(31, 3, struct.families) is None
 
 
 # -- monochromatic subspace scan --------------------------------------------

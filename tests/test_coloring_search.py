@@ -5,11 +5,13 @@ replaced: same item order, same color order, same first-use cap, but a
 family is only checked once its highest item is colored.  On seeded
 random hypergraphs the engine must return the same witness and never
 explore more nodes.  `forward_checking` is a slow recursive statement of
-the engine's own rules, so it pins the exact node count.  Small cases are
-also checked against the first proper coloring in `itertools.product`
-order.  The budget tests pin the
-node accounting: where the cap trips, and that counts stay exact when
-one budget is shared by several searches.
+the engine's own rules, lex-leader constraints included, so it pins the
+exact node count.  Small cases are also checked against the first proper
+coloring in `itertools.product` order.  On hypergraphs closed under a
+random permutation group, the group's generators must leave the witness
+unchanged and never add nodes.  The budget tests pin the node
+accounting: where the cap trips, and that counts stay exact when one
+budget is shared by several searches.
 """
 
 import itertools
@@ -78,18 +80,32 @@ def chronological(item_count, num_colors, families, budget=None,
     return None
 
 
-def forward_checking(item_count, num_colors, families, symmetry=True):
+def forward_checking(item_count, num_colors, families, symmetry=True,
+                     generators=()):
     """Reference for the engine's node count: recursive forward checking.
 
-    Domains are recomputed from the families at every step instead of
-    kept in bitmasks and a trail.  Returns (witness, nodes)."""
+    Domains and lex-leader states are recomputed from the families and
+    generators at every step instead of kept in bitmasks, pointers and
+    trails.  Returns (witness, nodes)."""
     fams = [sorted(set(f)) for f in families]
     if any(not f for f in fams):
         return None, 0
     colors = [None] * item_count
 
+    def first_open(g):
+        """(p, g[p]) of the first pair not settled equal, or a verdict."""
+        for p in range(item_count):
+            if g[p] == p:
+                continue
+            a, b = colors[p], colors[g[p]]
+            if a is None or b is None:
+                return p, g[p]
+            if a != b:
+                return a < b
+        return True
+
     def forbidden(h):
-        """Colors that would complete a family at its highest item h."""
+        """Colors that would complete a family or break a constraint at h."""
         out = set()
         for f in fams:
             if f[-1] == h:
@@ -98,6 +114,14 @@ def forward_checking(item_count, num_colors, families, symmetry=True):
                     out.update(range(num_colors))
                 elif len(below) == 1 and None not in below:
                     out |= below
+        for g in generators:
+            state = first_open(g)
+            if isinstance(state, tuple):
+                p, gp = state
+                if gp == h and colors[p] is not None:
+                    out.update(range(colors[p]))          # need c[p] <= c[h]
+                if p == h and colors[gp] is not None:
+                    out.update(range(colors[gp] + 1, num_colors))
         return out
 
     if any(len(forbidden(h)) == num_colors for h in range(item_count)):
@@ -115,8 +139,9 @@ def forward_checking(item_count, num_colors, families, symmetry=True):
                 continue
             nodes += 1
             colors[idx] = c
-            if all(len(forbidden(h)) < num_colors
-                   for h in range(idx + 1, item_count)):
+            if (all(first_open(g) is not False for g in generators)
+                    and all(len(forbidden(h)) < num_colors
+                            for h in range(idx + 1, item_count))):
                 if extend(idx + 1, max(top, c)):
                     return True
         colors[idx] = None
@@ -153,9 +178,36 @@ def random_hypergraph(rng, max_items, max_families=14, max_size=4):
     return n, fams
 
 
-def run(engine, n, r, fams, symmetry):
+def random_symmetric_hypergraph(rng, max_items):
+    """(items, families, generators): families closed under the generators.
+
+    Each generator is a random transposition or a random permutation."""
+    n = rng.randint(2, max_items)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        perm = list(range(n))
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            perm[i], perm[j] = j, i
+        else:
+            rng.shuffle(perm)
+        gens.append(perm)
+    fams = {frozenset(rng.sample(range(n), rng.randint(2, min(3, n))))
+            for _ in range(rng.randint(1, 12))}
+    todo = list(fams)
+    while todo:
+        fam = todo.pop()
+        for g in gens:
+            image = frozenset(g[i] for i in fam)
+            if image not in fams:
+                fams.add(image)
+                todo.append(image)
+    return n, sorted(sorted(f) for f in fams), gens
+
+
+def run(engine, n, r, fams, symmetry, **kwargs):
     bud = Budget()
-    return engine(n, r, fams, budget=bud, symmetry=symmetry), bud.nodes
+    return engine(n, r, fams, budget=bud, symmetry=symmetry, **kwargs), bud.nodes
 
 
 @pytest.mark.parametrize("symmetry", [True, False])
@@ -195,6 +247,50 @@ def test_matches_chronological_on_line_families(symmetry):
         assert got == want
         assert nodes <= ref_nodes
         assert (got, nodes) == forward_checking(t ** length, r, fams, symmetry)
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("num_colors", [2, 3, 4])
+def test_generators_keep_the_witness_on_symmetric_hypergraphs(num_colors,
+                                                              symmetry):
+    rng = random.Random(500 + 10 * num_colors + symmetry)
+    for _ in range(150):
+        n, fams, gens = random_symmetric_hypergraph(
+            rng, max_items=(12, 11, 10)[num_colors - 2])
+        got, nodes = run(find_proper_coloring, n, num_colors, fams, symmetry,
+                         generators=gens)
+        want, plain_nodes = run(find_proper_coloring, n, num_colors, fams,
+                                symmetry)
+        assert got == want, (n, fams, gens)
+        assert nodes <= plain_nodes, (n, fams, gens)
+        assert (got, nodes) == forward_checking(n, num_colors, fams, symmetry,
+                                                gens)
+
+
+def test_generators_prune_a_symmetric_clique():
+    # K_6 is invariant under every permutation of its vertices, and has
+    # no proper coloring in fewer than six colors
+    fams = list(itertools.combinations(range(6), 2))
+    gens = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
+    for r in (4, 5):
+        got, nodes = run(find_proper_coloring, 6, r, fams, False,
+                         generators=gens)
+        want, plain_nodes = run(find_proper_coloring, 6, r, fams, False)
+        assert got is want is None and nodes < plain_nodes
+        assert (got, nodes) == forward_checking(6, r, fams, False, gens)
+
+
+def test_generators_are_validated():
+    fams = [[0, 1], [1, 2]]  # a path, whose only symmetry reverses it
+    assert find_proper_coloring(3, 2, fams, generators=[[2, 1, 0]]) == [0, 1, 0]
+    assert find_proper_coloring(3, 2, fams, generators=[[0, 1, 2]]) == [0, 1, 0]
+    for not_a_permutation in ([0, 1], [0, 1, 2, 3], [0, 0, 2], [1, 2, 3]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            find_proper_coloring(3, 2, fams, generators=[not_a_permutation])
+    with pytest.raises(ValueError, match="outside the families"):
+        find_proper_coloring(3, 2, fams, generators=[[1, 0, 2]])
+    with pytest.raises(ValueError, match="outside the families"):
+        find_proper_coloring(3, 2, fams, generators=[[2, 1, 0], [0, 2, 1]])
 
 
 def test_edge_cases():
@@ -256,6 +352,26 @@ def test_node_cap_trips_at_one_past_max_nodes():
         bud = Budget(max_nodes=k)
         assert clique_search(bud) is None
         assert bud.nodes == total
+
+
+def test_node_cap_trips_at_one_past_max_nodes_with_generators():
+    gens = [[1, 0] + list(range(2, 8)), [*range(1, 8), 0]]
+
+    def search(bud):
+        return find_proper_coloring(8, 7, CLIQUE, budget=bud, symmetry=False,
+                                    generators=gens)
+
+    bud = Budget()
+    assert search(bud) is None
+    total = bud.nodes
+    assert 4096 < total < clique_nodes()
+    for k in [0, 1, 4095, 4096, 4097, total - 1]:
+        with pytest.raises(BudgetExceededError) as info:
+            search(Budget(max_nodes=k))
+        assert info.value.nodes == k + 1
+    bud = Budget(max_nodes=total)
+    assert search(bud) is None
+    assert bud.nodes == total
 
 
 def test_returning_search_flushes_its_partial_chunk():

@@ -14,7 +14,8 @@ import pytest
 from qramsey import (POINT_CAP, Budget, BudgetExceededError, Line,
                      SizeCapError, all_words, enumerate_lines,
                      find_monochromatic_line, find_proper_coloring,
-                     hales_jewett, hj_number, line_free_coloring, word_index)
+                     hales_jewett, hj_number, line_free_coloring, word_generators,
+                     word_index)
 
 
 def oracle_lines(length, t):
@@ -170,8 +171,9 @@ def unclamped_hj(t, num_colors, n_max, budget):
     for length in range(1, n_max + 1):
         families = [frozenset(word_index(w, t) for w in line.words(t))
                     for line in enumerate_lines(length, t)]
-        coloring = find_proper_coloring(t ** length, num_colors, families,
-                                        budget=budget)
+        coloring = find_proper_coloring(
+            t ** length, num_colors, families, budget=budget,
+            generators=word_generators(length, t))
         if coloring is None:
             return length, witness
         witness = coloring
@@ -200,6 +202,58 @@ def test_line_free_coloring_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         # the least power of 2 above the cap
         line_free_coloring(POINT_CAP.bit_length(), 2, 2)
+
+
+def test_line_free_coloring_line_cap(monkeypatch):
+    def fail(*args):
+        raise AssertionError("built before the size check")
+
+    for name in ("enumerate_lines", "all_words", "word_generators"):
+        monkeypatch.setattr(hales_jewett, name, fail)
+    # 2,048 words pass the word cap, but 3^11 - 2^11 lines do not
+    with pytest.raises(SizeCapError, match="175099 lines of length 11"):
+        line_free_coloring(11, 2, 2)
+
+
+# -- structural symmetry ---------------------------------------------------------
+
+
+def oracle_line_indices(length, t):
+    return {frozenset(word_index(w, t) for w in ws)
+            for ws in oracle_lines(length, t)}
+
+
+@pytest.mark.parametrize("t,max_length", [(1, 4), (2, 6), (3, 4), (4, 3)])
+def test_word_generators_map_lines_onto_lines(t, max_length):
+    for length in range(1, max_length + 1):
+        lines = {frozenset(word_index(w, t) for w in line.words(t))
+                 for line in enumerate_lines(length, t)}
+        assert lines == oracle_line_indices(length, t)
+        gens = word_generators(length, t)
+        assert len(gens) == length - 1 + t - 1
+        for perm in gens:
+            assert sorted(perm) == list(range(t ** length))
+            assert {frozenset(perm[i] for i in ln) for ln in lines} == lines
+
+
+def test_word_generators_are_capped_for_large_alphabets():
+    gens = word_generators(1, 1000)
+    assert len(gens) == POINT_CAP // 1000
+    assert gens[0][:3] == [1, 0, 2]  # symbols 0 and 1 swapped
+    assert gens[-1][63:67] == [63, 65, 64, 66]
+    assert len(word_generators(2, 256)) == 1  # the coordinate swap alone
+
+
+@pytest.mark.parametrize("t,length,num_colors", [
+    (2, 6, 2), (2, 6, 3), (3, 3, 2), (3, 3, 3), (3, 4, 3), (4, 3, 2),
+    (4, 3, 3), (4, 4, 2)])
+def test_word_generators_keep_the_witness(t, length, num_colors):
+    families = [frozenset(word_index(w, t) for w in line.words(t))
+                for line in enumerate_lines(length, t)]
+    plain, pruned = Budget(), Budget()
+    want = find_proper_coloring(t ** length, num_colors, families, budget=plain)
+    assert line_free_coloring(length, t, num_colors, budget=pruned) == want
+    assert pruned.nodes <= plain.nodes
 
 
 def test_hj_number_size_cap():
