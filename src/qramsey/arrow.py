@@ -15,8 +15,8 @@ from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
 from .field import make_field
 from .space import (AFFINE, BasisSet, LinearMap, Subspace, apply,
-                    enumerate_subspaces, full_space, is_independent,
-                    json_expect, linear_extension)
+                    enumerate_subspaces, full_space, guard_subspace_count,
+                    is_independent, json_expect, linear_extension, span)
 
 ISO_RANK_CAP = 4
 
@@ -284,6 +284,36 @@ class VerifyResult:
         }
 
 
+def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
+    """The rank-n spans of chains of `members`, sorted by canonical key.
+
+    A chain takes members in index order and adds one only when it
+    raises the span's rank.  Every subspace spanned by the members it
+    contains is found: those members, taken in index order, form such a
+    chain.  A member already inside the current span is skipped by
+    point membership before any span is built.
+    """
+    found: dict[str, Subspace] = {}
+
+    def grow(cur: Subspace | None, start: int) -> None:
+        for j in range(start, len(members)):
+            m = members[j]
+            if cur is None:
+                s = m
+            elif cur.contains_subspace(m):
+                continue
+            else:
+                s = span(m.field, m.mode, cur.basis_points() + m.basis_points(),
+                         m.ambient_len)
+            if s.rank == n:
+                found.setdefault(s.key(), s)
+            elif s.rank < n:
+                grow(s, j + 1)
+
+    grow(None, 0)
+    return [found[k] for k in sorted(found)]
+
+
 def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
                         num_colors: int, budget: Budget | None = None,
                         symmetry: bool = True) -> VerifyResult:
@@ -295,9 +325,19 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     config.ambient -> U.  The per-U intersections are independent of the
     coloring, so candidate copies are found once and the coloring search
     runs over them.
+
+    When config's members span config.ambient, a copy U is spanned by
+    the members it contains, so the candidates are the rank-n spans of
+    members (`_member_spans`); otherwise they are every rank-n subspace
+    of host_space.  Either way they are scanned in key order and the
+    reported candidate count is the closed-form number of rank-n
+    subspaces, checked against the size cap before anything is built.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
+    amb = config.ambient
+    n = amb.rank
+    num_candidates = guard_subspace_count(host_space, n)
     bud = ensure_budget(budget)
     before = bud.nodes
     fam = {}
@@ -310,8 +350,13 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     keys = sorted(fam)
     index = {k: i for i, k in enumerate(keys)}
     host_members = [fam[k] for k in keys]
-    n = config.ambient.rank
-    candidates = enumerate_subspaces(host_space, n)
+    if config.members and span(
+            amb.field, amb.mode,
+            [p for m in config.members for p in m.basis_points()],
+            amb.ambient_len).rank == n:
+        candidates = _member_spans(host_members, n)
+    else:
+        candidates = enumerate_subspaces(host_space, n)
     good: list[frozenset[int]] = []
     for u in candidates:
         inter = tuple(m for m in host_members if u.contains_subspace(m))
@@ -323,5 +368,5 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     if coloring is not None:
         witness = ColoringTable(host_space.key(),
                                 {k: c for k, c in zip(keys, coloring)})
-    return VerifyResult(coloring is None, witness, len(candidates), len(good),
+    return VerifyResult(coloring is None, witness, num_candidates, len(good),
                         bud.nodes - before)

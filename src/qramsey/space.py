@@ -478,28 +478,38 @@ def _combine_rows(f: Field, coeffs, rows: tuple[Vec, ...], width: int) -> Vec:
     return tuple(out)
 
 
+def guard_subspace_count(ambient: Subspace, k: int, cap: int = POINT_CAP) -> int:
+    """The closed-form number of rank-k subspaces of `ambient`, within `cap`.
+
+    Builds nothing.  Raises SizeCapError when the ambient has more than
+    `cap` points or the count exceeds `cap`, and ValueError when k is not
+    in 0..rank; callers run it before listing or scanning subspaces.
+    """
+    if ambient.num_points > cap:
+        raise SizeCapError(f"ambient has {ambient.num_points} points, cap {cap}")
+    if not 0 <= k <= ambient.rank:
+        raise ValueError(f"k={k} out of range for rank {ambient.rank}")
+    count = count_subspaces(ambient.rank, k, ambient.field.order, ambient.mode)
+    if count > cap:
+        raise SizeCapError(f"{count} rank-{k} subspaces, cap {cap}")
+    return count
+
+
 def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list[Subspace]:
     """All rank-k subspaces of `ambient`, sorted by canonical key.
 
     Internally walks RREF matrices (and coset representatives in affine
     mode) over the ambient's internal coordinates, then rewrites them in
-    ambient coordinates.  Raises SizeCapError, before listing, when the
-    point count or the closed-form count of rank-k subspaces exceeds `cap`.
+    ambient coordinates.  `guard_subspace_count` runs first, so the size
+    cap is checked before anything is listed.
     """
+    guard_subspace_count(ambient, k, cap)
     f = ambient.field
     mode = ambient.mode
-    if ambient.num_points > cap:
-        raise SizeCapError(f"ambient has {ambient.num_points} points, cap {cap}")
-    if 0 <= k <= ambient.rank:
-        count = count_subspaces(ambient.rank, k, f.order, mode)
-        if count > cap:
-            raise SizeCapError(f"{count} rank-{k} subspaces, cap {cap}")
     out: list[Subspace] = []
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len
     if mode == VECTOR:
-        if not 0 <= k <= ambient.rank:
-            raise ValueError(f"k={k} out of range for rank {ambient.rank}")
         for rows, _ in _rref_matrices(f, k, d):
             if is_full:
                 out.append(Subspace(VECTOR, f, d, rows, None))
@@ -510,8 +520,6 @@ def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list
     else:
         if k == 0:
             return []  # no empty flats; mirrors count_subspaces
-        if not 1 <= k <= ambient.rank:
-            raise ValueError(f"k={k} out of range for affine rank {ambient.rank}")
         elems = f.elements()
         for rows, piv in _rref_matrices(f, k - 1, d):
             pivset = set(piv)

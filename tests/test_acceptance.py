@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from qramsey import (AFFINE, VECTOR, ArrowInstance, Budget, ConfigFamily,
-                     HostSpec, LinearMap, MonochromaticCopy, apply,
-                     arrow_holds, arrow_structure, build_base_host,
+from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, Budget,
+                     ConfigFamily, HostSpec, LinearMap, MonochromaticCopy,
+                     apply, arrow_holds, arrow_structure, build_base_host,
                      build_product_host, compose, count_subspaces,
                      enumerate_lines, enumerate_subspaces, equalizer_subspace,
                      extract_monochromatic_copy, family_isomorphic,
@@ -252,7 +252,8 @@ def test_acceptance_07_end_to_end_extraction():
                 assert family_isomorphic(spec.family, copy_fam) is not None
                 assert all(coloring[m.key()] == out.color
                            for m in out.members)
-                if len(host.members) <= 20:
+                if count_subspaces(host.space.rank, spec.target_rank, 2,
+                                   spec.mode) <= POINT_CAP:
                     res = induced_host_verify(host.space, host.members,
                                               spec.family, 1)
                     assert res.holds, (spec, n1)

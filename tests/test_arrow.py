@@ -11,9 +11,11 @@ import random
 
 import pytest
 
-from qramsey import (AFFINE, VECTOR, ArrowInstance, Budget,
-                     BudgetExceededError, ConfigFamily, LinearMap, apply,
-                     arrow_holds, arrow_structure, enumerate_subspaces,
+from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, Budget,
+                     BudgetExceededError, ColoringTable, ConfigFamily,
+                     HostSpec, LinearMap, VerifyResult, apply, arrow,
+                     arrow_holds, arrow_structure, build_base_host,
+                     build_product_host, count_subspaces, enumerate_subspaces,
                      family_isomorphic, find_monochromatic_subspace,
                      find_proper_coloring, full_space, induced_host_verify,
                      make_field, min_arrow_N, span, structure_generators)
@@ -435,3 +437,168 @@ def test_induced_host_verify_respects_symmetry_flag():
     assert a.holds == b.holds
     if a.witness is not None:
         assert a.witness.entries == b.witness.entries
+
+
+# -- candidates from member spans ----------------------------------------------
+
+
+def reference_verify(host_space, members, config, num_colors):
+    """induced_host_verify by listing every rank-n subspace of the host.
+
+    The scan `induced_host_verify` ran on every family before candidates
+    were built from member spans; it stays here as the oracle.
+    """
+    bud = Budget()
+    fam = {m.key(): m for m in members}
+    keys = sorted(fam)
+    index = {k: i for i, k in enumerate(keys)}
+    host_members = [fam[k] for k in keys]
+    candidates = enumerate_subspaces(host_space, config.ambient.rank)
+    good = []
+    for u in candidates:
+        inter = tuple(m for m in host_members if u.contains_subspace(m))
+        if family_isomorphic(config, ConfigFamily(u, inter),
+                             budget=bud) is not None:
+            good.append(frozenset(index[m.key()] for m in inter))
+    coloring = find_proper_coloring(len(host_members), num_colors, good,
+                                    budget=bud)
+    witness = None
+    if coloring is not None:
+        witness = ColoringTable(host_space.key(), dict(zip(keys, coloring)))
+    return VerifyResult(coloring is None, witness, len(candidates),
+                        len(good), bud.nodes)
+
+
+def spans_ambient(config):
+    amb = config.ambient
+    return bool(config.members) and span(
+        amb.field, amb.mode, [p for m in config.members
+                              for p in m.basis_points()],
+        amb.ambient_len) == amb
+
+
+def assert_same_answers(got, want):
+    assert (got.holds, got.witness, got.num_candidates, got.num_induced) == \
+        (want.holds, want.witness, want.num_candidates, want.num_induced)
+    assert got.nodes <= want.nodes
+
+
+def grid_hosts(q, n1_values, cap=POINT_CAP):
+    """(spec, host) for the construction grid at N0 = n, k = 1, with at
+    most `cap` rank-n subspaces in the host."""
+    f = make_field(q)
+    out = []
+    for mode in (VECTOR, AFFINE):
+        for n in (1, 2):
+            amb = full_space(f, mode, n)
+            members = enumerate_subspaces(amb, 1)
+            for nf in range(1, len(members) + 1):
+                fam = ConfigFamily(amb, tuple(members[:nf]))
+                base = build_base_host(HostSpec(q, mode, 1, n, 2, fam, n, 1))
+                for n1 in n1_values:
+                    host = build_product_host(base, n1)
+                    if count_subspaces(host.space.rank, n, q, mode) <= cap:
+                        out.append((base.spec, host))
+    return out
+
+
+@pytest.fixture(scope="module")
+def q2_grid():
+    """Every q = 2 grid host below the cap, with the reference's answer."""
+    return [(spec, host, reference_verify(host.space, host.members,
+                                          spec.family, 2))
+            for spec, host in grid_hosts(2, (1, 2, 3))]
+
+
+def test_member_spans_match_enumeration_on_the_grid(q2_grid):
+    assert len(q2_grid) == 20  # the 21 grid hosts less vector |F| = 3, N1 = 3
+    for spec, host, want in q2_grid:
+        got = induced_host_verify(host.space, host.members, spec.family, 2)
+        assert_same_answers(got, want)
+        # |F| = 1 at n = 2 enumerates either way; elsewhere at n <= 2 any U
+        # holding |F| members is spanned by them, so the enumeration runs
+        # no isomorphism search that the spans skip
+        assert got.nodes == want.nodes
+
+
+def test_member_spans_never_enumerate_the_host(q2_grid, monkeypatch):
+    # regression gate without a timer: on a spanning family, listing the
+    # host's rank-n subspaces is the slow path this replaces
+    hosts = {id(host.space) for _, host, _ in q2_grid}
+    plain = arrow.enumerate_subspaces
+
+    def guarded(ambient, k, *args):
+        if id(ambient) in hosts:
+            raise AssertionError("rank-n subspaces of the host enumerated")
+        return plain(ambient, k, *args)
+
+    monkeypatch.setattr(arrow, "enumerate_subspaces", guarded)
+    spanning = [case for case in q2_grid if spans_ambient(case[0].family)]
+    assert len(spanning) == 14  # all but |F| = 1 at n = 2, both modes
+    for spec, host, want in spanning:
+        got = induced_host_verify(host.space, host.members, spec.family, 2)
+        assert_same_answers(got, want)
+
+
+def test_member_spans_match_enumeration_at_q3():
+    hosts = grid_hosts(3, (1,), cap=2000)
+    assert len(hosts) == 8  # every N1 = 1 host but vector |F| = 4
+    for spec, host in hosts:
+        got = induced_host_verify(host.space, host.members, spec.family, 2)
+        want = reference_verify(host.space, host.members, spec.family, 2)
+        assert_same_answers(got, want)
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_member_spans_match_enumeration_on_random_families(mode):
+    # random spanning F in a rank-3 ambient, random H in a rank-3 or rank-4
+    # host that sits inside a larger coordinate space
+    rng = random.Random(2024)
+    f = make_field(2)
+    outcomes = set()
+    for _ in range(24):
+        k = rng.randint(1, 2)
+        amb = full_space(f, mode, 3)
+        pool = enumerate_subspaces(amb, k)
+        while True:
+            fam = ConfigFamily(amb, tuple(rng.sample(
+                pool, rng.randint(2, min(4, len(pool))))))
+            if spans_ambient(fam):
+                break
+        width = rng.randint(4, 5)
+        rank = rng.randint(3, 4)
+        while True:
+            pts = [tuple(rng.randrange(2) for _ in range(width))
+                   for _ in range(rank)]
+            host = span(f, mode, pts, width)
+            if host.rank == rank:
+                break
+        h_pool = enumerate_subspaces(host, k)
+        members = rng.sample(h_pool, rng.randint(3, min(10, len(h_pool))))
+        r = rng.randint(1, 2)
+        got = induced_host_verify(host, members, fam, r)
+        want = reference_verify(host, members, fam, r)
+        assert_same_answers(got, want)
+        outcomes.add((got.holds, got.num_induced > 0))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_member_spans_skip_coplanar_members():
+    # F = three independent lines of GF(2)^3.  In the host GF(2)^4 the
+    # rank-3 U = <e1, e2, e4> holds three members e1, e2, e1+e2, the
+    # count F asks for, but they are coplanar and do not span U.  The
+    # enumeration tests U with the isomorphism search; member spans never
+    # build it.  The answers agree and fewer nodes are spent.
+    f = make_field(2)
+    amb = full_space(f, VECTOR, 3)
+    config = ConfigFamily(amb, tuple(span(f, VECTOR, [e], 3) for e in
+                                     ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    host = full_space(f, VECTOR, 4)
+    members = [span(f, VECTOR, [v], 4) for v in
+               ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0),
+                (0, 0, 0, 1))]
+    for r in (1, 2):
+        got = induced_host_verify(host, members, config, r)
+        want = reference_verify(host, members, config, r)
+        assert_same_answers(got, want)
+        assert got.nodes < want.nodes

@@ -14,8 +14,9 @@ import time
 import pytest
 
 import qramsey
-from qramsey import (VECTOR, ConfigFamily, enumerate_subspaces, full_space,
-                     host_from_json, induced_host_verify, make_field)
+from qramsey import (VECTOR, ConfigFamily, arrow, enumerate_subspaces,
+                     full_space, host_from_json, induced_host_verify,
+                     make_field)
 from qramsey.cli import _write_json, main
 
 DEGENERATE_SPEC = {
@@ -269,6 +270,42 @@ def test_verify_witness_file_on_failure(tmp_path, capsys):
     assert lines[0]["verdict"] == "fails"
     assert json.loads(out.read_text()) == lines[0]["witness"]
     assert set(lines[0]["witness"]["entries"].values()) == {0, 1}
+
+
+@pytest.mark.parametrize("base_rank,word_len,message", [
+    (3, 1, "ambient has 72057594037927936 points, cap 65536"),
+    (2, 3, "698027 rank-2 subspaces, cap 65536"),
+], ids=["N0=3", "N1=3"])
+def test_verify_size_cap_before_building_candidates(tmp_path, capsys,
+                                                    monkeypatch, base_rank,
+                                                    word_len, message):
+    # vector |F| = 3: at N0 > n the equalizer has too many points, at
+    # N0 = n, N1 = 3 too many rank-2 subspaces; both are refused from the
+    # closed form before either candidate path runs
+    f = make_field(2)
+    amb = full_space(f, VECTOR, 2)
+    spec = {"q": 2, "mode": "vector", "k": 1, "n": 2, "r": 2,
+            "F": {"ambient": amb.to_json(),
+                  "members": [m.to_json()
+                              for m in enumerate_subspaces(amb, 1)]},
+            "N0": base_rank, "N1": word_len}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    bundle = tmp_path / "bundle.json"
+    assert main(["construct", "--spec", str(spec_path), "--out",
+                 str(bundle)]) == 0
+    capsys.readouterr()
+
+    def built(*args):
+        raise AssertionError("candidates built before the size check")
+
+    monkeypatch.setattr(arrow, "_member_spans", built)
+    monkeypatch.setattr(arrow, "enumerate_subspaces", built)
+    code, _, out = run_cli(capsys, "verify", "--bundle", str(bundle),
+                           "--r", "2")
+    assert code == 2
+    assert out == ('{"command": "verify", "error": "size_cap", '
+                   f'"message": "{message}"}}\n')
 
 
 @pytest.mark.parametrize("path", [
