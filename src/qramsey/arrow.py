@@ -9,7 +9,7 @@ orderings so witnesses are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
@@ -66,19 +66,51 @@ class ArrowStructure:
     k_spaces: tuple[Subspace, ...]
     n_spaces: tuple[Subspace, ...]
     families: tuple[frozenset[int], ...]  # k-space indices, per n-space
+    # the host's points -> their index, in points() order
+    where: dict = dc_field(compare=False, repr=False)
+    # each k-space's set of point indices -> its index, in k-space order
+    item_of: dict = dc_field(compare=False, repr=False)
+
+
+def _point_index(host: Subspace, k_spaces) -> tuple[dict, dict]:
+    """`where` and `item_of` of `ArrowStructure` for these k-spaces."""
+    where = {p: i for i, p in enumerate(host.points())}
+    item_of = {frozenset([where[p] for p in s.points()]): i
+               for i, s in enumerate(k_spaces)}
+    return where, item_of
+
+
+def _families(where: dict, item_of: dict, n_spaces, k: int):
+    """For each n-space U in turn, the indices of U's rank-k subspaces.
+
+    The templates are the rank-k subspaces of the coordinate space of
+    U's rank, each as positions in that space's points() order.
+    U.points() walks coefficient vectors in the same order, so its
+    position j is the image of coordinate point j under U's basis map,
+    a linear (vector mode) or affine (affine mode) bijection onto U; it
+    carries the templates exactly onto U's rank-k subspaces.
+    """
+    if not n_spaces:
+        return
+    u = n_spaces[0]
+    coord = full_space(u.field, u.mode, u.rank)
+    pos = {p: j for j, p in enumerate(coord.points())}
+    templates = [[pos[p] for p in t.points()]
+                 for t in enumerate_subspaces(coord, k)]
+    for u in n_spaces:
+        at = [where[p] for p in u.points()]
+        yield frozenset([item_of[frozenset([at[j] for j in t])]
+                         for t in templates])
 
 
 def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     f = make_field(instance.q)
     host = full_space(f, instance.mode, instance.host_rank)
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
-    index = {s.key(): i for i, s in enumerate(k_spaces)}
     n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
-    families = tuple(
-        frozenset(index[s.key()]
-                  for s in enumerate_subspaces(u, instance.colored_rank))
-        for u in n_spaces)
-    return ArrowStructure(host, k_spaces, n_spaces, families)
+    where, item_of = _point_index(host, k_spaces)
+    families = tuple(_families(where, item_of, n_spaces, instance.colored_rank))
+    return ArrowStructure(host, k_spaces, n_spaces, families, where, item_of)
 
 
 def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
@@ -94,10 +126,9 @@ def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
     host = struct.host
     add = host.field.add_table
     d = host.ambient_len
-    points = list(host.points())
-    where = {p: i for i, p in enumerate(points)}
-    covers = [[where[p] for p in s.points()] for s in struct.k_spaces]
-    item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
+    where, item_of = struct.where, struct.item_of
+    points = list(where)
+    covers = list(item_of)
     images = []
     for i in range(d - 1):
         images.append([p[:i] + (p[i + 1], p[i]) + p[i + 2:] for p in points])
@@ -171,13 +202,17 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
     `coloring` maps canonical keys to colors and must be total on the
     rank-k subspaces of `ambient` (missing entries raise KeyError).
     """
-    for s in enumerate_subspaces(ambient, k):
+    k_spaces = enumerate_subspaces(ambient, k)
+    for s in k_spaces:
         if s.key() not in coloring:
             raise KeyError(f"coloring not total: missing {s.key()}")
-    for u in enumerate_subspaces(ambient, n):
-        colors = {coloring[s.key()] for s in enumerate_subspaces(u, k)}
-        if len(colors) == 1:
-            return u, colors.pop()
+    colors = [coloring[s.key()] for s in k_spaces]
+    n_spaces = enumerate_subspaces(ambient, n)
+    where, item_of = _point_index(ambient, k_spaces)
+    for u, fam in zip(n_spaces, _families(where, item_of, n_spaces, k)):
+        found = {colors[i] for i in fam}
+        if len(found) == 1:
+            return u, found.pop()
     return None
 
 

@@ -23,7 +23,8 @@ from .construction import (ExtractionFailure, HostSpec, auto_n1,
 from .field import make_field
 from .hales_jewett import hj_number
 from .space import (SizeCapError, count_subspaces, enumerate_subspaces,
-                    full_space, json_expect, json_int)
+                    full_space, guard_subspace_count, iter_subspaces,
+                    json_expect, json_int)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -105,7 +106,8 @@ def _space_args(p: argparse.ArgumentParser) -> None:
 def cmd_count(args) -> int:
     formula = count_subspaces(args.N, args.k, args.q, args.mode)
     ambient = full_space(make_field(args.q), args.mode, args.N)
-    enumerated = len(enumerate_subspaces(ambient, args.k))
+    guard_subspace_count(ambient, args.k)
+    enumerated = sum(1 for _ in iter_subspaces(ambient, args.k))
     obj = {
         "command": "count", "q": args.q, "mode": args.mode,
         "N": args.N, "k": args.k,

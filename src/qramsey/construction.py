@@ -23,9 +23,9 @@ from .arrow import ConfigFamily, family_isomorphic, find_monochromatic_subspace
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
-from .space import (AFFINE, VECTOR, BasisSet, LinearMap, Subspace,
-                    Vec, apply, complement, compose, direct_sum,
-                    enumerate_subspaces, full_space, identity_map,
+from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
+                    SizeCapError, Subspace, Vec, apply, complement, compose,
+                    direct_sum, enumerate_subspaces, full_space, identity_map,
                     identity_rows, image_space, json_expect, json_int,
                     linear_extension, nullspace_rows, span, zero_space)
 
@@ -354,6 +354,12 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     """Equalize word_len copies of the base host and collect member tuples."""
     if word_len < 1:
         raise ValueError("word_len must be at least 1")
+    # fiber j: the distinct cover k-spaces over base k-space j
+    fibers = tuple(tuple(sorted({row[j] for row in base.cover_slot}))
+                   for j in range(len(base.base_k_spaces)))
+    count = sum(len(fiber) ** word_len for fiber in fibers)
+    if count > POINT_CAP:
+        raise SizeCapError(f"{count} members at word_len {word_len}, cap {POINT_CAP}")
     f = base.field
     mode = base.mode
     pi = base.projection
@@ -371,9 +377,6 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
         pi.translation if mode == AFFINE else None)
 
     inv_maps = [_inverse_point_map(pi, g) for g in base.cover_k_spaces]
-    # fiber j: the distinct cover k-spaces over base k-space j
-    fibers = tuple(tuple(sorted({row[j] for row in base.cover_slot}))
-                   for j in range(len(base.base_k_spaces)))
     entries: list[tuple[tuple[int, ...], Subspace]] = []
     for image, fiber in zip(base.base_k_spaces, fibers):
         for parts in itertools.product(fiber, repeat=word_len):

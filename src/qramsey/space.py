@@ -15,7 +15,6 @@ the same point set.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import compress
@@ -278,17 +277,28 @@ class Subspace:
     # -- point set -----------------------------------------------------
 
     def points(self, cap: int = POINT_CAP):
-        """All points, in a deterministic (not lexicographic) order."""
+        """All points, in a deterministic (not lexicographic) order.
+
+        The order is that of the coefficient vectors over the direction
+        rows in itertools.product order: base + sum of c_i * row_i, with
+        the last coefficient running fastest.  Each row multiplies the
+        list built so far: each point is followed by its sums with the
+        row's nonzero multiples.
+        """
         if self.num_points > cap:
             raise SizeCapError(f"{self.num_points} points exceeds cap {cap}")
-        f = self.field
-        base = self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)
-        for coeffs in itertools.product(f.elements(), repeat=len(self.direction)):
-            p = base
-            for c, row in zip(coeffs, self.direction):
-                if c:
-                    p = vec_add(f, p, vec_scale(f, c, row))
-            yield p
+        add, mul = self.field.add_table, self.field.mul_table
+        pts = [self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)]
+        for row in self.direction:
+            grown = []
+            for p in pts:
+                grown.append(p)
+                for c in range(1, self.field.order):
+                    acc = list(p)
+                    _axpy(add, mul[c], acc, row)
+                    grown.append(tuple(acc))
+            pts = grown
+        yield from pts
 
     def sorted_points(self, cap: int = POINT_CAP) -> list[Vec]:
         return sorted(self.points(cap))
@@ -325,9 +335,18 @@ class Subspace:
         return out
 
     def key(self) -> str:
-        """Canonical serialization; doubles as the bytewise sort key."""
+        """Canonical serialization; doubles as the bytewise sort key.
+
+        The compact JSON of `to_json()`, formatted directly: str() of a
+        list of ints differs from compact JSON only by its spaces.
+        """
         if self._key is None:
-            object.__setattr__(self, "_key", json.dumps(self.to_json(), separators=(",", ":")))
+            key = '{"mode":"%s","q":%d,"ambient_len":%d,"direction":%s' % (
+                self.mode, self.field.order, self.ambient_len,
+                str([list(r) for r in self.direction]).replace(" ", ""))
+            if self.mode == AFFINE:
+                key += ',"basepoint":%s' % str(list(self.basepoint)).replace(" ", "")
+            object.__setattr__(self, "_key", key + "}")
         return self._key
 
     @staticmethod
@@ -495,31 +514,25 @@ def guard_subspace_count(ambient: Subspace, k: int, cap: int = POINT_CAP) -> int
     return count
 
 
-def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list[Subspace]:
-    """All rank-k subspaces of `ambient`, sorted by canonical key.
+def iter_subspaces(ambient: Subspace, k: int):
+    """The rank-k subspaces of `ambient`, unsorted and unkeyed.
 
-    Internally walks RREF matrices (and coset representatives in affine
-    mode) over the ambient's internal coordinates, then rewrites them in
-    ambient coordinates.  `guard_subspace_count` runs first, so the size
-    cap is checked before anything is listed.
+    Walks RREF matrices (and coset representatives in affine mode) over
+    the ambient's internal coordinates, then rewrites them in ambient
+    coordinates.  Checks no cap: callers run `guard_subspace_count` first.
     """
-    guard_subspace_count(ambient, k, cap)
     f = ambient.field
-    mode = ambient.mode
-    out: list[Subspace] = []
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len
-    if mode == VECTOR:
+    if ambient.mode == VECTOR:
         for rows, _ in _rref_matrices(f, k, d):
             if is_full:
-                out.append(Subspace(VECTOR, f, d, rows, None))
+                yield Subspace(VECTOR, f, d, rows, None)
             else:
                 mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
                           for r in rows]
-                out.append(span(f, VECTOR, mapped, ambient.ambient_len))
-    else:
-        if k == 0:
-            return []  # no empty flats; mirrors count_subspaces
+                yield span(f, VECTOR, mapped, ambient.ambient_len)
+    elif k > 0:  # no empty flats; mirrors count_subspaces
         elems = f.elements()
         for rows, piv in _rref_matrices(f, k - 1, d):
             pivset = set(piv)
@@ -529,17 +542,25 @@ def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list
                 for c, v in zip(free_cols, vals):
                     b_int[c] = v
                 if is_full:
-                    out.append(Subspace(AFFINE, f, d, rows, tuple(b_int)))
+                    yield Subspace(AFFINE, f, d, rows, tuple(b_int))
                 else:
                     mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
                               for r in rows]
                     pt = vec_add(f, ambient.basepoint,
                                  _combine_rows(f, b_int, ambient.direction, ambient.ambient_len))
                     red, rpiv = rref(f, mapped)
-                    out.append(Subspace(AFFINE, f, ambient.ambient_len, red,
-                                        _reduce_by(f, red, rpiv, pt)))
-    out.sort(key=lambda s: s.key())
-    return out
+                    yield Subspace(AFFINE, f, ambient.ambient_len, red,
+                                   _reduce_by(f, red, rpiv, pt))
+
+
+def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list[Subspace]:
+    """All rank-k subspaces of `ambient`, sorted by canonical key.
+
+    `guard_subspace_count` runs first, so the size cap is checked before
+    anything is listed.
+    """
+    guard_subspace_count(ambient, k, cap)
+    return sorted(iter_subspaces(ambient, k), key=Subspace.key)
 
 
 # ---------------------------------------------------------------------------

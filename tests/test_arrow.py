@@ -88,6 +88,53 @@ def test_arrow_structure_families():
     assert all(len(fam) == 3 for fam in struct.families)
 
 
+def family_grid():
+    for q, max_n in ((2, 5), (3, 4), (4, 4)):
+        for mode in (VECTOR, AFFINE):
+            lo = 0 if mode == VECTOR else 1
+            for big_n in range(lo, max_n + 1):
+                yield q, mode, big_n
+
+
+@pytest.mark.parametrize("q,mode,N", list(family_grid()))
+def test_arrow_structure_families_grid(q, mode, N):
+    # every k <= n <= N, k = n and vector k = 0 included, against brute
+    # containment; the generators against their images through apply()
+    host = full_space(make_field(q), mode, N)
+    for n in range(0 if mode == VECTOR else 1, N + 1):
+        for k in range(0 if mode == VECTOR else 1, n + 1):
+            struct = arrow_structure(ArrowInstance(q, mode, N, n, k, 2))
+            k_spaces, fams = oracle_families(host, n, k)
+            assert struct.host == host
+            assert list(struct.k_spaces) == k_spaces
+            assert list(struct.n_spaces) == enumerate_subspaces(host, n)
+            assert list(struct.families) == fams, (n, k)
+            assert structure_generators(struct) == oracle_generators(struct)
+
+
+def coordinate_only(monkeypatch, *allowed):
+    """Make arrow.enumerate_subspaces refuse every ambient not allowed."""
+    real = arrow.enumerate_subspaces
+
+    def guarded(ambient, k, *args):
+        assert ambient in allowed, f"enumerated inside {ambient}"
+        return real(ambient, k, *args)
+
+    monkeypatch.setattr(arrow, "enumerate_subspaces", guarded)
+
+
+@pytest.mark.parametrize("q,mode,N,n,k", [
+    (2, VECTOR, 5, 3, 1), (3, VECTOR, 3, 2, 1), (2, AFFINE, 5, 3, 2),
+    (3, AFFINE, 3, 2, 1), (2, VECTOR, 3, 2, 0)])
+def test_arrow_structure_enumerates_only_host_and_coordinates(
+        monkeypatch, q, mode, N, n, k):
+    want = arrow_structure(ArrowInstance(q, mode, N, n, k, 2))
+    f = make_field(q)
+    coordinate_only(monkeypatch, full_space(f, mode, N), full_space(f, mode, n))
+    got = arrow_structure(ArrowInstance(q, mode, N, n, k, 2))
+    assert got == want
+
+
 def test_min_arrow_value_golden():
     assert min_arrow_N(2, VECTOR, 2, 1, 2, 6) == 3
     assert min_arrow_N(2, AFFINE, 2, 1, 2, 6) == 3
@@ -182,14 +229,20 @@ def test_structure_generators_are_family_automorphisms(q, mode, N, n, k):
     for perm in gens:
         assert sorted(perm) == items and list(perm) != items
         assert {frozenset(perm[i] for i in fam) for fam in families} == families
-    # the same permutations through apply() and canonical keys
+    assert gens == oracle_generators(struct)
+
+
+def oracle_generators(struct):
+    """structure_generators' permutations, through apply() and keys."""
+    host = struct.host
     index = {s.key(): i for i, s in enumerate(struct.k_spaces)}
+    items = list(range(len(struct.k_spaces)))
     want = []
-    for m in elementary_maps(struct.host.field, mode, struct.host.ambient_len):
+    for m in elementary_maps(host.field, host.mode, host.ambient_len):
         perm = tuple(index[apply(m, s).key()] for s in struct.k_spaces)
         if list(perm) != items:
             want.append(perm)
-    assert gens == want
+    return want
 
 
 def test_structure_generators_edge_cases():
@@ -265,6 +318,32 @@ def test_find_mono_subspace_against_double_loop(host_rank):
         else:
             assert got is not None
             assert (got[0].key(), got[1]) == expect
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_find_mono_subspace_inside_a_proper_ambient(monkeypatch, mode):
+    # the ambient is a rank-3 subspace of GF(3)^4, not a coordinate space;
+    # only it and the rank-2 coordinate space are enumerated
+    f = make_field(3)
+    amb = span(f, mode, [(1, 2, 0, 1), (0, 1, 1, 2), (2, 2, 1, 0)], 4)
+    assert amb.rank == 3
+    k_spaces = enumerate_subspaces(amb, 1)
+    scan = [(u, [s.key() for s in enumerate_subspaces(u, 1)])
+            for u in enumerate_subspaces(amb, 2)]
+    coordinate_only(monkeypatch, amb, full_space(f, mode, 2))
+    rng = random.Random(5)
+    for trial in range(40):
+        coloring = {s.key(): rng.randrange(2) for s in k_spaces}
+        if trial % 2:  # make one copy monochromatic, mostly a late one
+            for key in scan[-1 - trial // 2 % len(scan)][1]:
+                coloring[key] = 1
+        expect = None
+        for u, keys in scan:
+            cs = {coloring[key] for key in keys}
+            if len(cs) == 1:
+                expect = (u, cs.pop())
+                break
+        assert find_monochromatic_subspace(amb, 1, 2, coloring) == expect
 
 
 def test_find_mono_subspace_requires_total_coloring():

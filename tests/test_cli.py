@@ -83,6 +83,21 @@ def test_enumerate_size_cap(capsys):
     assert lines[0]["error"] == "size_cap"
 
 
+def test_count_builds_no_keys(capsys, monkeypatch):
+    def keyed(self):
+        raise AssertionError("count keyed a subspace")
+
+    monkeypatch.setattr(qramsey.Subspace, "key", keyed)
+    for argv, count in [(("vector", "4", "2"), 130), (("affine", "4", "2"), 117)]:
+        mode, big_n, k = argv
+        code, _, out = run_cli(capsys, "count", "--q", "3", "--mode", mode,
+                               "--N", big_n, "--k", k)
+        assert code == 0
+        assert out == ('{"command": "count", "q": 3, "mode": "%s", "N": %s, '
+                       '"k": %s, "count_formula": %d, "count_enumerated": %d, '
+                       '"match": true}\n' % (mode, big_n, k, count, count))
+
+
 # -- arrow --------------------------------------------------------------------
 
 
@@ -306,6 +321,28 @@ def test_verify_size_cap_before_building_candidates(tmp_path, capsys,
     assert code == 2
     assert out == ('{"command": "verify", "error": "size_cap", '
                    f'"message": "{message}"}}\n')
+
+
+def test_construct_member_count_cap(tmp_path, capsys):
+    # vector |F| = 3, N0 = 3, N1 = 4: about 1.36M members, refused from
+    # the closed form; N1 = 3 (64,827 members) stays within the cap
+    f = make_field(2)
+    amb = full_space(f, VECTOR, 2)
+    spec = {"q": 2, "mode": "vector", "k": 1, "n": 2, "r": 2,
+            "F": {"ambient": amb.to_json(),
+                  "members": [m.to_json()
+                              for m in enumerate_subspaces(amb, 1)]},
+            "N0": 3, "N1": 4}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, _, out = run_cli(capsys, "construct", "--spec", str(spec_path),
+                           "--out", str(tmp_path / "bundle.json"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ('{"command": "construct", "error": "size_cap", "message": '
+                   '"1361367 members at word_len 4, cap 65536"}\n')
+    assert not (tmp_path / "bundle.json").exists()
 
 
 @pytest.mark.parametrize("path", [

@@ -24,6 +24,7 @@ from qramsey import (AFFINE, VECTOR, Budget, ConfigFamily, ExtractionFailure,
                      identity_map, image_space, induced_host_verify,
                      line_embedding, make_field, span, tuple_space,
                      zero_space)
+from qramsey import construction
 from qramsey.space import nullspace_rows
 
 
@@ -280,6 +281,27 @@ def test_product_host_member_structure():
     # fibers partition the cover k-spaces
     flat = sorted(i for fib in host.fibers for i in fib)
     assert flat == list(range(len(base.cover_k_spaces)))
+
+
+def test_product_host_member_count_cap(monkeypatch):
+    # vector |F| = 3, N0 = 3: 7 fibers of 21 covers, so N1 = 4 would build
+    # 7 * 21^4 members; the closed form is refused before any is built
+    base = build_base_host(vector_spec(3, base_rank=3))
+    assert [len(fib) for fib in base_fibers(base)] == [21] * 7
+
+    def built(*args):
+        raise AssertionError("a member was built before the size check")
+
+    monkeypatch.setattr(construction, "_tuple_space_from_maps", built)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="1361367 members"):
+        build_product_host(base, 4)
+    assert time.perf_counter() - start < 1.0
+
+
+def base_fibers(base):
+    return [sorted({row[j] for row in base.cover_slot})
+            for j in range(len(base.base_k_spaces))]
 
 
 def test_product_host_projection(tiny_host):

@@ -10,6 +10,7 @@ Two oracles drive the bulk of the checks:
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -214,6 +215,81 @@ def test_enumeration_matches_count(q, mode):
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             for s in subs:
                 assert s.rank == k and amb.contains_subspace(s)
+
+
+SUPPORTED_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+def json_key(s):
+    return json.dumps(s.to_json(), separators=(",", ":"))
+
+
+def key_cases(f, rng):
+    """Random subspaces of both modes, plus the edge shapes of the key."""
+    top = f.order - 1
+    cases = [
+        zero_space(f, 0),                       # vector rank 0, ambient_len 0
+        zero_space(f, 3),                       # vector rank 0: direction []
+        full_space(f, AFFINE, 1),               # affine rank 1, ambient_len 0
+        span(f, AFFINE, [(top, 1, 0)]),         # affine rank 1: a point
+        full_space(f, VECTOR, 1),               # one-entry row
+        span(f, AFFINE, [(top,), (0,)]),        # one-entry row and basepoint
+        span(f, VECTOR, [(1, top, top, 0)]),    # largest entries
+        span(f, AFFINE, [(0, top, top), (1, top, 0)]),
+    ]
+    for mode in (VECTOR, AFFINE):
+        for length in range(0 if mode == VECTOR else 1, 5):
+            for _ in range(6):
+                pts = [tuple(rng.randrange(f.order) for _ in range(length))
+                       for _ in range(rng.randrange(1, 4))]
+                cases.append(span(f, mode, pts, length))
+    return cases
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_key_is_compact_json(q):
+    f = make_field(q)
+    for s in key_cases(f, random.Random(q)):
+        assert s.key() == json_key(s), s
+    if q > 10:  # two-digit entries, 10 to q - 1
+        for s in (Subspace(VECTOR, f, 3, ((1, 0, 10), (0, 1, q - 1))),
+                  Subspace(AFFINE, f, 3, ((1, q - 1, 0),), (0, 10, q - 1))):
+            assert "10" in s.key() and s.key() == json_key(s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 11])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_enumeration_order_is_json_order(q, mode):
+    f = make_field(q)
+    rng = random.Random(7 * q)
+    ambients = [full_space(f, mode, n)
+                for n in range(0 if mode == VECTOR else 1, 4 if q < 11 else 3)]
+    for _ in range(4):  # proper subspaces of GF(q)^3
+        ambients.append(span(f, mode, [tuple(rng.randrange(q) for _ in range(3))
+                                       for _ in range(3)], 3))
+    for amb in ambients:
+        for k in range(amb.rank + 1):
+            subs = enumerate_subspaces(amb, k)
+            assert [json_key(s) for s in subs] == sorted(map(json_key, subs))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_points_run_in_coefficient_product_order(q, mode):
+    # the arrow families rely on this order: point j of every rank-n
+    # space is the image of point j of the coordinate space
+    f = make_field(q)
+    for n in range(0 if mode == VECTOR else 1, 4):
+        amb = full_space(f, mode, n + 1)
+        for s in enumerate_subspaces(amb, n):
+            base = s.basepoint if mode == AFFINE else (0,) * s.ambient_len
+            want = []
+            for coeffs in itertools.product(range(q), repeat=len(s.direction)):
+                p = base
+                for c, row in zip(coeffs, s.direction):
+                    p = tuple(f.add(x, f.mul(c, y)) for x, y in zip(p, row))
+                want.append(p)
+            assert list(s.points()) == want
 
 
 def test_enumeration_inside_proper_ambient():
