@@ -16,7 +16,8 @@ from .coloring_search import find_proper_coloring
 from .field import make_field
 from .space import (AFFINE, BasisSet, LinearMap, Subspace, apply,
                     enumerate_subspaces, full_space, guard_subspace_count,
-                    is_independent, json_expect, linear_extension, span)
+                    is_independent, json_expect, linear_extension, span,
+                    subspace_templates)
 
 ISO_RANK_CAP = 4
 
@@ -72,7 +73,7 @@ class ArrowStructure:
     item_of: dict = dc_field(compare=False, repr=False)
 
 
-def _point_index(host: Subspace, k_spaces) -> tuple[dict, dict]:
+def point_index(host: Subspace, k_spaces) -> tuple[dict, dict]:
     """`where` and `item_of` of `ArrowStructure` for these k-spaces."""
     where = {p: i for i, p in enumerate(host.points())}
     item_of = {frozenset([where[p] for p in s.points()]): i
@@ -81,26 +82,15 @@ def _point_index(host: Subspace, k_spaces) -> tuple[dict, dict]:
 
 
 def _families(where: dict, item_of: dict, n_spaces, k: int):
-    """For each n-space U in turn, the indices of U's rank-k subspaces.
-
-    The templates are the rank-k subspaces of the coordinate space of
-    U's rank, each as positions in that space's points() order.
-    U.points() walks coefficient vectors in the same order, so its
-    position j is the image of coordinate point j under U's basis map,
-    a linear (vector mode) or affine (affine mode) bijection onto U; it
-    carries the templates exactly onto U's rank-k subspaces.
-    """
+    """For each n-space U in turn, the indices of U's rank-k subspaces."""
     if not n_spaces:
         return
     u = n_spaces[0]
-    coord = full_space(u.field, u.mode, u.rank)
-    pos = {p: j for j, p in enumerate(coord.points())}
-    templates = [[pos[p] for p in t.points()]
-                 for t in enumerate_subspaces(coord, k)]
+    templates = subspace_templates(u.field, u.mode, u.rank, k)
     for u in n_spaces:
         at = [where[p] for p in u.points()]
         yield frozenset([item_of[frozenset([at[j] for j in t])]
-                         for t in templates])
+                         for t, _ in templates])
 
 
 def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
@@ -108,7 +98,7 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     host = full_space(f, instance.mode, instance.host_rank)
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
     n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
-    where, item_of = _point_index(host, k_spaces)
+    where, item_of = point_index(host, k_spaces)
     families = tuple(_families(where, item_of, n_spaces, instance.colored_rank))
     return ArrowStructure(host, k_spaces, n_spaces, families, where, item_of)
 
@@ -208,7 +198,7 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
             raise KeyError(f"coloring not total: missing {s.key()}")
     colors = [coloring[s.key()] for s in k_spaces]
     n_spaces = enumerate_subspaces(ambient, n)
-    where, item_of = _point_index(ambient, k_spaces)
+    where, item_of = point_index(ambient, k_spaces)
     for u, fam in zip(n_spaces, _families(where, item_of, n_spaces, k)):
         found = {colors[i] for i in fam}
         if len(found) == 1:

@@ -54,9 +54,10 @@ def _write_json(path: str, obj) -> None:
     json.dump runs the pure-Python encoder; json.dumps runs the C one.
     But json.dumps gathers one string object per number before joining
     them, so encoding a whole bundle, or even its member list, at once
-    costs far more memory than the text.  Objects and lists of containers
-    are therefore written piece by piece, and each row of numbers (or
-    other scalar) with one json.dumps call.
+    costs far more memory than the text.  Objects are therefore written
+    piece by piece, and each element of a list of containers (a member,
+    a row of numbers) with one json.dumps call: an element is a few KB
+    of text at most.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _stream_json(fh, obj)
@@ -67,8 +68,7 @@ def _stream_json(fh, obj) -> None:
     if isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
         fh.write("[")
         for i, value in enumerate(obj):
-            fh.write(", " if i else "")
-            _stream_json(fh, value)
+            fh.write(", " + json.dumps(value) if i else json.dumps(value))
         fh.write("]")
     elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         fh.write("{")

@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arrow import ConfigFamily, family_isomorphic, find_monochromatic_subspace
+from .arrow import (ConfigFamily, family_isomorphic, find_monochromatic_subspace,
+                    point_index)
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
@@ -27,7 +28,8 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, Vec, apply, complement, compose,
                     direct_sum, enumerate_subspaces, full_space, identity_map,
                     identity_rows, image_space, json_expect, json_int,
-                    linear_extension, nullspace_rows, span, zero_space)
+                    linear_extension, nullspace_rows, span, subspace_templates,
+                    zero_space)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -208,49 +210,54 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     projection = linear_extension(BasisSet(mode, f, v_basis), pi_images,
                                   codomain_len=e_amb)
 
-    # re-verify the structural claims the rest of the pipeline leans on
+    # re-verify the structural claims the rest of the pipeline leans on;
+    # canonical subspaces are equal exactly when their keys are
     parts = []
     for b in blocks:
         parts.append(b.span)
         parts.extend(c.comp_span for c in b.covers if c.comp_span is not None
                      and c.comp_span.rank > 0)
-    if parts and direct_sum(parts).key() != room.key():
+    if parts and direct_sum(parts) != room:
         raise ConstructionCheckError("blocks do not sum to the whole space")
     for b in blocks:
-        if apply(projection, b.span).key() != b.target.key():
+        if apply(projection, b.span) != b.target:
             raise ConstructionCheckError("projection misses a target block")
         for c in b.covers:
             back = apply(projection, c.cover)
-            if back.key() != base.key() or c.cover.rank != back.rank:
+            if back != base or c.cover.rank != back.rank:
                 raise ConstructionCheckError("projection is not onto the base "
                                              "space on a cover")
 
-    # one pass over each cover's k-spaces: collect them, and record which
-    # one lies over each base k-space
+    # one pass over each cover's k-spaces, through the templates of the
+    # rank-N0 coordinate space (a cover has rank N0): list the cover's
+    # points once, project each once, and find the base k-space that is
+    # each template's image; record it, and collect the k-spaces
     base_k = tuple(enumerate_subspaces(base, k))
-    slot_index = {s.key(): j for j, s in enumerate(base_k)}
-    seen: dict[str, Subspace] = {}
-    slot_keys: list[list[str | None]] = []
+    where, slot_of = point_index(base, base_k)
+    templates = subspace_templates(f, mode, big_n, k)
+    seen: dict[Subspace, Subspace] = {}
+    slot_rows: list[list[Subspace | None]] = []
     for cover in covers:
-        row: list[str | None] = [None] * len(base_k)
-        for s in enumerate_subspaces(cover, k):
-            img = apply(projection, s)
-            if img.rank != s.rank:
+        pts = list(cover.points())
+        at = [where[apply(projection, p)] for p in pts]
+        row: list[Subspace | None] = [None] * len(base_k)
+        for point_pos, basis_pos in templates:
+            image = frozenset([at[i] for i in point_pos])
+            if len(image) != len(point_pos):
                 raise ConstructionCheckError("projection not injective on a "
                                              "cover k-space")
-            j = slot_index.get(img.key())
+            j = slot_of.get(image)
             if j is None:
                 raise ConstructionCheckError("fibers do not align with the base "
                                              "k-spaces")
-            row[j] = s.key()
-            seen.setdefault(s.key(), s)
+            s = span(f, mode, [pts[i] for i in basis_pos], v_amb)
+            row[j] = seen.setdefault(s, s)
         if None in row:
             raise ConstructionCheckError("a cover misses a base k-space")
-        slot_keys.append(row)
-    order = sorted(seen)
-    cover_k = tuple(seen[key] for key in order)
-    g_index = {key: i for i, key in enumerate(order)}
-    cover_slot = tuple(tuple(g_index[key] for key in row) for row in slot_keys)
+        slot_rows.append(row)
+    cover_k = tuple(sorted(seen, key=Subspace.key))
+    g_index = {s: i for i, s in enumerate(cover_k)}
+    cover_slot = tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows)
     return BaseHost(spec, base, base_k, room, tuple(blocks), tuple(covers),
                     cover_k, projection, cover_slot)
 
@@ -386,7 +393,7 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     entries.sort(key=lambda e: e[0])
     members = tuple(m for _, m in entries)
     member_parts = tuple(p for p, _ in entries)
-    if len({m.key() for m in members}) != len(members):
+    if len(set(members)) != len(members):
         raise ConstructionCheckError("member tuples collided")
     for m in members:
         if any(not big_x.is_member(p) for p in m.basis_points()):

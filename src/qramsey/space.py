@@ -110,10 +110,10 @@ def mat_mul(f: Field, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]
 
 def transpose(rows: tuple[Vec, ...], width: int | None = None) -> tuple[Vec, ...]:
     if rows:
-        width = len(rows[0])
-    elif width is None:
+        return tuple(zip(*rows))
+    if width is None:
         raise ValueError("width needed to transpose an empty matrix")
-    return tuple(tuple(row[j] for row in rows) for j in range(width))
+    return ((),) * width
 
 
 def identity_rows(n: int) -> tuple[Vec, ...]:
@@ -189,15 +189,6 @@ def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ..
     return tuple(out)
 
 
-def mat_inv(f: Field, rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    n = len(rows)
-    aug = [tuple(r) + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(rows)]
-    red, piv = rref(f, aug)
-    if tuple(piv) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in red)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -214,8 +205,8 @@ class Subspace:
     direction: tuple[Vec, ...]
     basepoint: Vec | None = None
     _key: str | None = dc_field(default=None, init=False, compare=False, repr=False)
-    _pivots: tuple[int, ...] | None = dc_field(default=None, init=False, compare=False,
-                                               repr=False)
+    _pivot_rows: dict[int, Vec] | None = dc_field(default=None, init=False,
+                                                 compare=False, repr=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -267,12 +258,12 @@ class Subspace:
     def num_points(self) -> int:
         return self.field.order ** len(self.direction)
 
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot column of each direction row; computed on first use."""
-        if self._pivots is None:
-            object.__setattr__(self, "_pivots", tuple(
-                next(compress(range(len(row)), row)) for row in self.direction))
-        return self._pivots
+    def pivots(self) -> dict[int, Vec]:
+        """Pivot column -> its direction row, in row order; built on first use."""
+        if self._pivot_rows is None:
+            object.__setattr__(self, "_pivot_rows", {
+                next(compress(range(len(row)), row)): row for row in self.direction})
+        return self._pivot_rows
 
     # -- point set -----------------------------------------------------
 
@@ -304,11 +295,27 @@ class Subspace:
         return sorted(self.points(cap))
 
     def is_member(self, v: Vec) -> bool:
+        """Reduce v along its own nonzero entries that sit on pivots.
+
+        An RREF row is zero on every other row's pivot column, so the
+        multiple of each row is v's own entry at its pivot, and reducing
+        by one row leaves the other pivot entries alone.  The remainder
+        is kept on the columns it can reach: v's and the used rows'.
+        """
         if len(v) != self.ambient_len:
             raise ValueError("point length differs from ambient_len")
-        w = v if self.mode == VECTOR else vec_sub(self.field, v, self.basepoint)
-        rem = _reduce_by(self.field, self.direction, self.pivots(), w)
-        return not any(rem)
+        f = self.field
+        w = v if self.mode == VECTOR else vec_sub(f, v, self.basepoint)
+        add, mul, neg = f.add_table, f.mul_table, f.neg_table
+        rows = self.pivots()
+        rem = dict(zip(compress(range(len(w)), w), filter(None, w)))
+        for j, c in list(rem.items()):
+            row = rows.get(j)
+            if row is not None:
+                m = mul[neg[c]]
+                for col in compress(range(len(row)), row):
+                    rem[col] = add[rem.get(col, 0)][m[row[col]]]
+        return not any(rem.values())
 
     def basis_points(self) -> tuple[Vec, ...]:
         """The canonical basis: direction rows, or basepoint plus offsets."""
@@ -478,14 +485,20 @@ def _rref_matrices(f: Field, k: int, d: int):
     elems = f.elements()
     for piv in itertools.combinations(range(d), k):
         pivset = set(piv)
-        free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d) if j not in pivset]
-        for vals in itertools.product(elems, repeat=len(free)):
-            rows = [[0] * d for _ in range(k)]
-            for i in range(k):
-                rows[i][piv[i]] = 1
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows), piv
+        choices = []
+        for p in piv:
+            free = [j for j in range(p + 1, d) if j not in pivset]
+            row = [0] * d
+            row[p] = 1
+            options = []
+            for vals in itertools.product(elems, repeat=len(free)):
+                for j, v in zip(free, vals):
+                    row[j] = v
+                options.append(tuple(row))
+            choices.append(options)
+        # rows vary independently, the last fastest, as the free entries did
+        for rows in itertools.product(*choices):
+            yield rows, piv
 
 
 def _combine_rows(f: Field, coeffs, rows: tuple[Vec, ...], width: int) -> Vec:
@@ -563,6 +576,22 @@ def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list
     return sorted(iter_subspaces(ambient, k), key=Subspace.key)
 
 
+def subspace_templates(f: Field, mode: str, rank: int, k: int):
+    """The rank-k subspaces of the rank-`rank` coordinate space, in key order.
+
+    Each is given as (positions of its points, positions of its basis
+    points) in that space's points() order.  Any rank-`rank` space U
+    walks its points() over coefficient vectors in the same order, so
+    U's position j is the image of coordinate point j under U's basis
+    map, a linear (vector mode) or affine (affine mode) bijection onto
+    U; it carries the templates exactly onto U's rank-k subspaces.
+    """
+    coord = full_space(f, mode, rank)
+    pos = {p: j for j, p in enumerate(coord.points())}
+    return [([pos[p] for p in t.points()], [pos[p] for p in t.basis_points()])
+            for t in enumerate_subspaces(coord, k)]
+
+
 # ---------------------------------------------------------------------------
 # independence, bases, sums
 
@@ -573,16 +602,22 @@ class _RankTracker:
         self.f = f
         self.mode = mode
         self.origin: Vec | None = None  # affine mode: first point seen
-        self.rows: list[Vec] = []       # row echelon (not reduced), by pivot
-        self.pivs: list[int] = []
+        self.rows: dict[int, Vec] = {}  # pivot -> row echelon row, led by 1
 
-    def _residual(self, v: Vec) -> Vec:
+    def _residual(self, v: Vec) -> list[int]:
+        """v reduced by the rows at its nonzero pivot columns, in order.
+
+        A row is zero before its pivot, so reducing at column p changes
+        only later columns, which the live walk over `out` still reads.
+        """
         add, mul, neg = self.f.add_table, self.f.mul_table, self.f.neg_table
+        rows = self.rows
         out = list(v)
-        for row, p in zip(self.rows, self.pivs):
-            if out[p]:
+        for p in compress(range(len(out)), out):
+            row = rows.get(p)
+            if row is not None:
                 _axpy(add, mul[neg[out[p]]], out, row)
-        return tuple(out)
+        return out
 
     def try_add(self, point: Vec) -> bool:
         """Add the point if it keeps the set independent; report success."""
@@ -597,10 +632,8 @@ class _RankTracker:
         p = next(compress(range(len(res)), res), None)
         if p is None:
             return False
-        res = vec_scale(self.f, self.f.inv(res[p]), res)
-        i = next((j for j, pv in enumerate(self.pivs) if pv > p), len(self.pivs))
-        self.rows.insert(i, res)
-        self.pivs.insert(i, p)
+        self.rows[p] = (tuple(res) if res[p] == 1
+                        else vec_scale(self.f, self.f.inv(res[p]), res))
         return True
 
     @property
@@ -805,31 +838,23 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
             raise ValueError("affine extension needs at least one basis point")
         domain_len = 0
     ambient = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
-    ext = extend_to_basis(basis, ambient)
-    extras = ext.points[len(basis.points):]
+    pts_all = extend_to_basis(basis, ambient).points
+    extras = len(pts_all) - len(imgs)
     if mode == VECTOR:
-        pts_all = list(basis.points) + list(extras)
-        imgs_all = imgs + [tuple([0] * codomain_len)] * len(extras)
-        if not pts_all:
-            m = LinearMap(VECTOR, f, domain_len, codomain_len,
-                          tuple(tuple([0] * domain_len) for _ in range(codomain_len)))
-            return m
-        b_cols = transpose(tuple(pts_all))
-        y_cols = transpose(tuple(imgs_all), width=codomain_len) if imgs_all else ()
-        mtx = mat_mul(f, tuple(tuple(r) for r in y_cols), mat_inv(f, b_cols)) \
-            if domain_len else tuple(() for _ in range(codomain_len))
+        pairs = zip(pts_all, imgs + [tuple([0] * codomain_len)] * extras)
+    else:
+        p0, y0 = pts_all[0], imgs[0]
+        pairs = [(vec_sub(f, p, p0), vec_sub(f, y, y0))
+                 for p, y in zip(pts_all[1:], imgs[1:] + [y0] * extras)]
+    # M b = y for each pair.  Row-reducing the rows [b | y] turns the b
+    # block into the identity, so the row with pivot j reads [e_j | M e_j]
+    red, piv = rref(f, [b + y for b, y in pairs])
+    if piv != tuple(range(domain_len)):
+        raise RuntimeError("extended basis does not span the domain")
+    mtx = transpose(tuple(row[domain_len:] for row in red), width=codomain_len)
+    if mode == VECTOR:
         m = LinearMap(VECTOR, f, domain_len, codomain_len, mtx)
     else:
-        pts_all = list(basis.points) + list(extras)
-        imgs_all = imgs + [imgs[0]] * len(extras)
-        p0, y0 = pts_all[0], imgs_all[0]
-        if domain_len:
-            d_cols = transpose(tuple(vec_sub(f, p, p0) for p in pts_all[1:]))
-            e_cols = transpose(tuple(vec_sub(f, y, y0) for y in imgs_all[1:]),
-                               width=codomain_len)
-            mtx = mat_mul(f, tuple(tuple(r) for r in e_cols), mat_inv(f, d_cols))
-        else:
-            mtx = tuple(() for _ in range(codomain_len))
         t = vec_sub(f, y0, mat_vec(f, mtx, p0))
         m = LinearMap(AFFINE, f, domain_len, codomain_len, mtx, t)
     for p, y in zip(basis.points, imgs):

@@ -324,14 +324,53 @@ def test_cover_slot_table(tiny_host):
             assert apply(base.projection, g) == base.base_k_spaces[j]
 
 
-@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
-                         ids=["vector", "affine"])
+def q3_vector_spec(nf, base_rank):
+    """q=3 vector spec: n=2, k=1, first nf of the four rank-1 members."""
+    f = make_field(3)
+    amb = full_space(f, VECTOR, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:nf]))
+    return HostSpec(3, VECTOR, 1, 2, 1, fam, base_rank, 1)
+
+
+def reference_cover_pass(base):
+    """cover_k_spaces and cover_slot by enumerating each cover's k-spaces
+    and projecting and keying each one: the pass the templates replaced."""
+    k = base.spec.colored_rank
+    slot_index = {s.key(): j for j, s in enumerate(base.base_k_spaces)}
+    seen, slot_keys = {}, []
+    for cover in base.covers:
+        row = [None] * len(base.base_k_spaces)
+        for s in enumerate_subspaces(cover, k):
+            img = apply(base.projection, s)
+            assert img.rank == s.rank
+            row[slot_index[img.key()]] = s.key()
+            seen.setdefault(s.key(), s)
+        assert None not in row
+        slot_keys.append(row)
+    order = sorted(seen)
+    g_index = {key: i for i, key in enumerate(order)}
+    return (tuple(seen[key] for key in order),
+            tuple(tuple(g_index[key] for key in row) for row in slot_keys))
+
+
+# N0 > n throughout: several targets, and covers with complement slots
+ORACLE_SPECS = {
+    "vector": lambda: vector_spec(2, base_rank=3),
+    "affine": lambda: affine_spec(2, base_rank=3),
+    "vector_N0_4": lambda: vector_spec(2, base_rank=4),
+    "affine_N0_4": lambda: affine_spec(1, base_rank=4),
+    "q3_vector": lambda: q3_vector_spec(1, base_rank=3),
+}
+
+
+@pytest.mark.parametrize("make_spec", list(ORACLE_SPECS.values()),
+                         ids=list(ORACLE_SPECS))
 def test_fibers_and_cover_slot_oracle(make_spec):
-    # N0 = 3 > n: several targets, and covers with complement slots
-    host = build_product_host(build_base_host(make_spec(2, base_rank=3)), 1)
+    host = build_product_host(build_base_host(make_spec()), 1)
     base = host.base
     pi = base.projection
     g = base.cover_k_spaces
+    assert (g, base.cover_slot) == reference_cover_pass(base)
     images = [apply(pi, s) for s in g]
     assert len(host.fibers) == len(base.base_k_spaces)
     for j, b in enumerate(base.base_k_spaces):
@@ -340,10 +379,49 @@ def test_fibers_and_cover_slot_oracle(make_spec):
         assert list(host.fibers[j]) == sorted(host.fibers[j])
     assert len(base.cover_slot) == len(base.covers)
     for ci, cover in enumerate(base.covers):
+        inside = [i for i, s in enumerate(g) if cover.contains_subspace(s)]
         for j, b in enumerate(base.base_k_spaces):
-            over = {i for i, img in enumerate(images)
-                    if img == b and cover.contains_subspace(g[i])}
+            over = {i for i in inside if images[i] == b}
             assert over == {base.cover_slot[ci][j]}
+
+
+@pytest.mark.parametrize("make_spec", list(ORACLE_SPECS.values()),
+                         ids=list(ORACLE_SPECS))
+def test_cover_pass_enumerates_no_cover(make_spec, monkeypatch):
+    # the covers' k-spaces come from templates of the base space's, so
+    # only the base space is ever enumerated
+    spec = make_spec()
+    base_len = full_space(spec.field, spec.mode, spec.base_rank).ambient_len
+    real = construction.enumerate_subspaces
+    calls = []
+
+    def base_only(ambient, k, *args, **kwargs):
+        if ambient.ambient_len != base_len:
+            raise AssertionError("enumerated the k-spaces of a cover")
+        calls.append(k)
+        return real(ambient, k, *args, **kwargs)
+
+    monkeypatch.setattr(construction, "enumerate_subspaces", base_only)
+    base = build_base_host(spec)
+    assert sorted(calls) == sorted([spec.colored_rank, spec.target_rank])
+    assert len(base.cover_k_spaces) == len(set(base.cover_k_spaces))
+
+
+def test_duplicate_member_is_caught(monkeypatch):
+    base = build_base_host(vector_spec(2))
+    real = construction._tuple_space_from_maps
+    built = []
+
+    def second_repeats_first(*args):
+        built.append(real(*args))
+        return built[0]
+
+    monkeypatch.setattr(construction, "_tuple_space_from_maps",
+                        second_repeats_first)
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="member tuples collided"):
+        build_product_host(base, 1)
+    assert len(built) == 6
 
 
 # -- color patterns ---------------------------------------------------------------

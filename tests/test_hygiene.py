@@ -140,3 +140,62 @@ def test_detects_unreferenced_definition():
                      "TARGETS = ['h']\n")
     assert unreferenced(definitions(tree), referenced_names(tree)) == \
         ["A.unused", "f", "g"]
+
+
+# -- benchmark trace names ------------------------------------------------
+#
+# The benchmark tracer (perfbench/spans.py) wraps library functions and
+# methods that it names as (layer, module, "attribute") tuples in its
+# FUNCTIONS and METHODS lists.  A rename in the library would only show
+# when a traced benchmark runs; here it fails the tests instead.
+
+SPANS = PERFBENCH / "spans.py"
+
+
+def traced_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(dotted owner, attribute) of every entry of FUNCTIONS and METHODS."""
+    out = []
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("FUNCTIONS", "METHODS")):
+            continue
+        assert isinstance(node.value, ast.List)
+        for entry in node.value.elts:
+            _, owner, attr = entry.elts
+            out.append((ast.unparse(owner), attr.value))
+    return out
+
+
+def resolve(owner: str, attr: str) -> bool:
+    """Whether src/qramsey defines `attr` on the module or class `owner`."""
+    module, _, cls = owner.partition(".")
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    body = tree.body
+    if cls:
+        found = [n for n in body if isinstance(n, ast.ClassDef) and n.name == cls]
+        if not found:
+            return False
+        body = found[0].body
+    return any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and n.name == attr for n in body)
+
+
+def test_traced_names_resolve():
+    names = traced_names(ast.parse(SPANS.read_text(encoding="utf-8")))
+    assert len(names) >= 20  # the lists were found and read
+    missing = [f"{owner}.{attr}" for owner, attr in names
+               if not resolve(owner, attr)]
+    assert not missing, ("perfbench/spans.py wraps names that src/qramsey "
+                         f"no longer defines: {', '.join(missing)}")
+
+
+def test_detects_unresolved_trace_name():
+    tree = ast.parse("FUNCTIONS = [('space.span', space, 'span'),\n"
+                     "             ('space.gone', space, 'mat_inv')]\n"
+                     "METHODS = [('space.key', space.Subspace, 'key'),\n"
+                     "           ('space.old', space.Subspace, '_reduce')]\n")
+    names = traced_names(tree)
+    assert names == [("space", "span"), ("space", "mat_inv"),
+                     ("space.Subspace", "key"), ("space.Subspace", "_reduce")]
+    assert [resolve(o, a) for o, a in names] == [True, False, True, False]

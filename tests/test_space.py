@@ -21,6 +21,7 @@ from qramsey import (AFFINE, VECTOR, BasisSet, LinearMap, SizeCapError,
                      full_space, gaussian_binomial, identity_map, image_space,
                      is_independent, linear_extension, make_field, span,
                      zero_space)
+from qramsey import space
 from qramsey.space import (mat_mul, mat_vec, nullspace_rows, rref, vec_add,
                            vec_scale, vec_sub)
 
@@ -694,6 +695,7 @@ def test_is_member_matches_point_set(q, density, mode):
 @pytest.mark.parametrize("q", KERNEL_QS)
 @pytest.mark.parametrize("density", DENSITIES)
 def test_pivots_cache_matches_first_nonzero_scan(q, density):
+    """The pivot map: built lazily, equal to a scan of the direction rows."""
     f = make_field(q)
     rng = random.Random(f"pivots:{q}:{density}")
     for _ in range(20):
@@ -702,10 +704,228 @@ def test_pivots_cache_matches_first_nonzero_scan(q, density):
         gens = [random_vec(rng, q, length, density)
                 for _ in range(rng.randint(1, 5))]
         s = span(f, mode, gens, length)
-        expect = first_nonzero_scan(s.direction)
-        assert s._pivots is None  # computed lazily, not at construction
+        expect = dict(zip(first_nonzero_scan(s.direction), s.direction))
+        assert s._pivot_rows is None  # computed lazily, not at construction
         s.key()
+        assert s._pivot_rows is None  # keying does not build it
         assert s.pivots() == expect
+        assert tuple(s.pivots()) == first_nonzero_scan(s.direction)
+        assert s.pivots() is s.pivots()  # cached
         t = Subspace.from_json(s.to_json(), f)
+        assert t._pivot_rows is None
         t.is_member(random_vec(rng, q, length, density))
-        assert t.pivots() == expect and t == s
+        assert t._pivot_rows == expect and t.pivots() == expect and t == s
+
+
+# -- sparse membership against the point set and the full pivot walk -------
+#
+# `Subspace.is_member` reduces only along the point's own nonzero entries
+# that sit on pivot columns.  The reference is the walk it replaced: one
+# row operation per direction row, with the row's pivot entry of the
+# point as its multiple, then a test of the whole remainder.
+
+def ref_is_member(s, v):
+    f = s.field
+    w = list(v if s.mode == VECTOR else vec_sub(f, v, s.basepoint))
+    for row, p in zip(s.direction, first_nonzero_scan(s.direction)):
+        c = w[p]
+        w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
+    return not any(w)
+
+
+WIDE_DENSITIES = (0.005, 0.03, 0.1)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_sparse_is_member_wide_ambients(q, mode):
+    f = make_field(q)
+    rng = random.Random(f"wide_member:{q}:{mode}")
+    for density in WIDE_DENSITIES:
+        for _ in range(3):
+            length = rng.randint(1, 400)
+            # small ranks: the point set is listed and is the oracle
+            gens = [random_vec(rng, q, length, density)
+                    for _ in range(rng.randint(1, 3 if q <= 4 else 2))]
+            s = span(f, mode, gens, length)
+            pts = list(s.points())
+            members = set(pts)
+            probes = rng.sample(pts, min(len(pts), 20))
+            probes += [random_vec(rng, q, length, density) for _ in range(20)]
+            for p in rng.sample(pts, min(len(pts), 10)):
+                j = rng.randrange(length)
+                bumped = list(p)
+                bumped[j] = f.add(bumped[j], rng.randrange(1, q))
+                probes.append(tuple(bumped))
+            for v in probes:
+                assert s.is_member(v) == (v in members) == ref_is_member(s, v)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_sparse_is_member_high_rank_matches_walk(q, mode):
+    # ranks far beyond any point listing: the full walk is the oracle, and
+    # combinations of the basis must be members
+    f = make_field(q)
+    rng = random.Random(f"rank_member:{q}:{mode}")
+    for density in WIDE_DENSITIES:
+        length = rng.randint(40, 400)
+        gens = [random_vec(rng, q, length, density)
+                for _ in range(rng.randint(5, 30))]
+        s = span(f, mode, gens, length)
+        basis = s.basis_points()
+        for _ in range(25):
+            coeffs = [rng.randrange(q) for _ in basis]
+            if mode == AFFINE:  # affine combinations: coefficients sum to 1
+                total = 0
+                for c in coeffs[1:]:
+                    total = f.add(total, c)
+                coeffs[0] = f.sub(1, total)
+            member = combine(f, coeffs, basis)
+            assert s.is_member(member) and ref_is_member(s, member)
+            v = random_vec(rng, q, length, density)
+            assert s.is_member(v) == ref_is_member(s, v)
+            j = rng.randrange(length)
+            bumped = list(member)
+            bumped[j] = f.add(bumped[j], rng.randrange(1, q))
+            assert s.is_member(tuple(bumped)) == ref_is_member(s, tuple(bumped))
+
+
+def test_is_member_rejects_wrong_length():
+    s = full_space(make_field(2), VECTOR, 3)
+    with pytest.raises(ValueError):
+        s.is_member((1, 0))
+
+
+# -- one-RREF linear extension against an inverse-matrix reference ---------
+#
+# The reference is the extension this replaced: invert the matrix whose
+# columns are the extended basis (differences from the first point in
+# affine mode) and multiply the image columns by the inverse.
+
+def ref_mat_inv(f, rows):
+    n = len(rows)
+    aug = [tuple(r) + tuple(1 if i == j else 0 for j in range(n))
+           for i, r in enumerate(rows)]
+    red, piv = ref_rref(f, aug)
+    assert piv == tuple(range(n)), "matrix is singular"
+    return tuple(row[n:] for row in red)
+
+
+def ref_columns(rows, width):
+    return tuple(tuple(row[j] for row in rows) for j in range(width))
+
+
+def ref_linear_extension(basis, imgs, codomain_len):
+    f, mode = basis.field, basis.mode
+    domain_len = len(basis.points[0]) if basis.points else 0
+    ambient = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
+    pts_all = list(extend_to_basis(basis, ambient).points)
+    extras = len(pts_all) - len(imgs)
+    if mode == VECTOR:
+        imgs_all = list(imgs) + [(0,) * codomain_len] * extras
+        src, dst = pts_all, imgs_all
+    else:
+        imgs_all = list(imgs) + [imgs[0]] * extras
+        src = [vec_sub(f, p, pts_all[0]) for p in pts_all[1:]]
+        dst = [vec_sub(f, y, imgs_all[0]) for y in imgs_all[1:]]
+    if domain_len:
+        mtx = mat_mul(f, ref_columns(dst, codomain_len),
+                      ref_mat_inv(f, ref_columns(src, domain_len)))
+    else:
+        mtx = ((),) * codomain_len
+    if mode == VECTOR:
+        return LinearMap(VECTOR, f, domain_len, codomain_len, mtx)
+    t = vec_sub(f, imgs_all[0], mat_vec(f, mtx, pts_all[0]))
+    return LinearMap(AFFINE, f, domain_len, codomain_len, mtx, t)
+
+
+def random_independent(rng, f, mode, length, size, density):
+    out = []
+    while len(out) < size:
+        cand = random_vec(rng, f.order, length, density)
+        if is_independent(f, mode, out + [cand]):
+            out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_linear_extension_matches_inverse_reference(q, mode):
+    f = make_field(q)
+    rng = random.Random(f"extension:{q}:{mode}")
+    # a partial basis is completed from the listed points of the domain
+    max_len = max(d for d in range(7) if q ** d <= 4096)
+    for trial in range(40):
+        domain_len = trial % (max_len + 1)
+        rank = domain_len + (1 if mode == AFFINE else 0)
+        # full bases, partial bases and (vector mode) the empty basis
+        size = rank if trial % 3 == 0 else rng.randint(
+            1 if mode == AFFINE else 0, rank)
+        density = rng.choice(DENSITIES)
+        pts = random_independent(rng, f, mode, domain_len, size, density)
+        basis = BasisSet(mode, f, tuple(pts))
+        codomain_len = rng.randint(0, 6)
+        imgs = [random_vec(rng, q, codomain_len, density) for _ in pts]
+        m = linear_extension(basis, imgs, codomain_len=codomain_len)
+        assert m == ref_linear_extension(basis, imgs, codomain_len)
+        for p, y in zip(pts, imgs):
+            assert apply(m, p) == y
+
+
+def test_linear_extension_domain_len_zero():
+    f = make_field(3)
+    vec = linear_extension(BasisSet(VECTOR, f, ()), [], codomain_len=2)
+    assert vec.matrix == ((), ()) and vec.domain_len == 0
+    aff = linear_extension(BasisSet(AFFINE, f, ((),)), [(1, 2)])
+    assert aff.matrix == ((), ()) and aff.translation == (1, 2)
+    assert apply(aff, ()) == (1, 2)
+
+
+# -- the RREF matrix walk against the generator it replaced ----------------
+
+def ref_rref_matrices(f, k, d):
+    """Every k x d full-rank RREF matrix, filling all free entries at once."""
+    if k == 0:
+        yield (), ()
+        return
+    if k > d:
+        return
+    elems = f.elements()
+    for piv in itertools.combinations(range(d), k):
+        pivset = set(piv)
+        free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d)
+                if j not in pivset]
+        for vals in itertools.product(elems, repeat=len(free)):
+            rows = [[0] * d for _ in range(k)]
+            for i in range(k):
+                rows[i][piv[i]] = 1
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            yield tuple(tuple(r) for r in rows), piv
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rref_matrices_order_matches_reference(q):
+    f = make_field(q)
+    for d in range(6 if q == 2 else 5):
+        for k in range(d + 2):
+            assert list(space._rref_matrices(f, k, d)) == \
+                list(ref_rref_matrices(f, k, d))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_iter_subspaces_order_matches_reference(q, mode, monkeypatch):
+    f = make_field(q)
+    ambients = [full_space(f, mode, 4)]
+    # a proper ambient too, so the walk's rows are mapped into it
+    gens = [(1, 0, 1, 0, 1), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1), (1, 1, 0, 0, 0)]
+    ambients.append(span(f, mode, gens[:3] if mode == VECTOR else gens, 5))
+    for ambient in ambients:
+        for k in range(ambient.rank + 1):
+            got = list(space.iter_subspaces(ambient, k))
+            monkeypatch.setattr(space, "_rref_matrices", ref_rref_matrices)
+            want = list(space.iter_subspaces(ambient, k))
+            monkeypatch.undo()
+            assert got == want
