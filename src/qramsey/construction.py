@@ -29,7 +29,7 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     direct_sum, enumerate_subspaces, full_space, identity_map,
                     identity_rows, image_space, json_expect, json_int,
                     linear_extension, nullspace_rows, span, subspace_templates,
-                    zero_space)
+                    transpose, vec_sub, zero_space)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -139,6 +139,9 @@ class BaseHost:
     cover_k_spaces: tuple[Subspace, ...]    # union of the covers' rank-k subspaces
     projection: LinearMap                   # block space -> base space
     cover_slot: tuple[tuple[int, ...], ...]  # [cover][base k-space] -> cover_k index
+    sections: tuple[tuple[Vec, ...], ...]   # [cover][base point] -> cover point over it
+    cover_k_frames: tuple[tuple[int, tuple[int, ...]], ...]
+    # [cover_k] -> (a cover holding it, the base point under each basis point)
 
     @property
     def field(self) -> Field:
@@ -207,8 +210,12 @@ def build_base_host(spec: HostSpec) -> BaseHost:
                                     tuple(cblocks)))
     if cursor != len(v_basis):
         raise ConstructionCheckError("block slots do not exhaust the basis")
-    projection = linear_extension(BasisSet(mode, f, v_basis), pi_images,
-                                  codomain_len=e_amb)
+    # basis point i maps to pi_images[i]: in vector mode the basis is the
+    # unit vectors, so the images are the columns; in affine mode the
+    # first basis point is the origin, so its image is the translation
+    t = pi_images[0] if mode == AFFINE else None
+    cols = pi_images if t is None else [vec_sub(f, p, t) for p in pi_images[1:]]
+    projection = LinearMap(mode, f, v_amb, e_amb, transpose(cols, width=e_amb), t)
 
     # re-verify the structural claims the rest of the pipeline leans on;
     # canonical subspaces are equal exactly when their keys are
@@ -230,16 +237,24 @@ def build_base_host(spec: HostSpec) -> BaseHost:
 
     # one pass over each cover's k-spaces, through the templates of the
     # rank-N0 coordinate space (a cover has rank N0): list the cover's
-    # points once, project each once, and find the base k-space that is
-    # each template's image; record it, and collect the k-spaces
+    # points once, project each once, and keep the inverse as the cover's
+    # section; find the base k-space that is each template's image, record
+    # it, and collect the k-spaces with a cover holding each and the base
+    # points under its basis points
     base_k = tuple(enumerate_subspaces(base, k))
     where, slot_of = point_index(base, base_k)
     templates = subspace_templates(f, mode, big_n, k)
-    seen: dict[Subspace, Subspace] = {}
+    frames: dict[Subspace, tuple[int, tuple[int, ...]]] = {}
+    sections: list[tuple[Vec, ...]] = []
     slot_rows: list[list[Subspace | None]] = []
-    for cover in covers:
+    for ci, cover in enumerate(covers):
         pts = list(cover.points())
         at = [where[apply(projection, p)] for p in pts]
+        if len(at) != len(where) or len(set(at)) != len(at):
+            raise ConstructionCheckError("projection is not a bijection from "
+                                         "a cover onto the base space")
+        sections.append(tuple(p for _, p in sorted(zip(at, pts))))
+        over = dict(zip(pts, at))
         row: list[Subspace | None] = [None] * len(base_k)
         for point_pos, basis_pos in templates:
             image = frozenset([at[i] for i in point_pos])
@@ -251,15 +266,18 @@ def build_base_host(spec: HostSpec) -> BaseHost:
                 raise ConstructionCheckError("fibers do not align with the base "
                                              "k-spaces")
             s = span(f, mode, [pts[i] for i in basis_pos], v_amb)
-            row[j] = seen.setdefault(s, s)
+            if s not in frames:
+                frames[s] = (ci, tuple(map(over.__getitem__, s.basis_points())))
+            row[j] = s
         if None in row:
             raise ConstructionCheckError("a cover misses a base k-space")
         slot_rows.append(row)
-    cover_k = tuple(sorted(seen, key=Subspace.key))
+    cover_k = tuple(sorted(frames, key=Subspace.key))
     g_index = {s: i for i, s in enumerate(cover_k)}
     cover_slot = tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows)
     return BaseHost(spec, base, base_k, room, tuple(blocks), tuple(covers),
-                    cover_k, projection, cover_slot)
+                    cover_k, projection, cover_slot, tuple(sections),
+                    tuple(map(frames.__getitem__, cover_k)))
 
 
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
@@ -300,20 +318,6 @@ def _inverse_point_map(projection: LinearMap, part: Subspace) -> dict[Vec, Vec]:
     return out
 
 
-def _tuple_space_from_maps(f: Field, mode: str, image: Subspace,
-                           inverse_maps, total: int) -> Subspace:
-    pts = []
-    for e in image.basis_points():
-        pieces: list[int] = []
-        for inv in inverse_maps:
-            pieces.extend(inv[e])
-        pts.append(tuple(pieces))
-    out = span(f, mode, pts, total)
-    if out.rank != image.rank:
-        raise ConstructionCheckError("tuple space has wrong rank")
-    return out
-
-
 def tuple_space(projection: LinearMap, parts) -> Subspace:
     """The subspace of projection-compatible tuples through the given parts.
 
@@ -324,8 +328,6 @@ def tuple_space(projection: LinearMap, parts) -> Subspace:
     parts = list(parts)
     if not parts:
         raise ValueError("tuple_space needs at least one part")
-    f = projection.field
-    mode = projection.mode
     image = apply(projection, parts[0])
     for p in parts:
         if p.ambient_len != projection.domain_len:
@@ -336,8 +338,48 @@ def tuple_space(projection: LinearMap, parts) -> Subspace:
         if img.rank != p.rank:
             raise ValueError("projection is not injective on a part")
     inv = [_inverse_point_map(projection, p) for p in parts]
-    return _tuple_space_from_maps(f, mode, image, inv,
-                                  len(parts) * projection.domain_len)
+    pts = [tuple(itertools.chain.from_iterable(m[e] for m in inv))
+           for e in image.basis_points()]
+    out = span(projection.field, projection.mode, pts,
+               len(parts) * projection.domain_len)
+    if out.rank != image.rank:
+        raise ConstructionCheckError("tuple space has wrong rank")
+    return out
+
+
+def _in_equalizer(projection: LinearMap, point: Vec, word_len: int) -> bool:
+    """Whether the point's word_len blocks share one projection value."""
+    d = projection.domain_len
+    first = apply(projection, point[:d])
+    return all(apply(projection, point[i * d:(i + 1) * d]) == first
+               for i in range(1, word_len))
+
+
+def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
+    """The member through the cover k-spaces `parts`, in canonical form.
+
+    Its pivots all lie in the first block, where it is the first part.
+    So its RREF rows are the first part's, each extended by the other
+    parts' sections at the base point under that row's basis point; in
+    affine mode the rows extend by differences from the basepoint's
+    extension, and the basepoint extends by its own.
+    """
+    first = base.cover_k_spaces[parts[0]]
+    if len(parts) == 1:
+        return first
+    anchors = base.cover_k_frames[parts[0]][1]
+    secs = [base.sections[base.cover_k_frames[g][0]] for g in parts[1:]]
+    tails = [tuple(itertools.chain.from_iterable(s[a] for s in secs))
+             for a in anchors]
+    f = base.field
+    total = len(parts) * base.projection.domain_len
+    if base.mode == VECTOR:
+        return Subspace(VECTOR, f, total,
+                        tuple(r + t for r, t in zip(first.direction, tails)))
+    origin = tails[0]
+    rows = tuple(r + vec_sub(f, t, origin)
+                 for r, t in zip(first.direction, tails[1:]))
+    return Subspace(AFFINE, f, total, rows, first.basepoint + origin)
 
 
 @dataclass(frozen=True)
@@ -377,27 +419,29 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     if big_x.rank != expect:
         raise ConstructionCheckError(
             f"equalizer rank {big_x.rank} differs from the rank law {expect}")
+    # the tuples whose blocks share one projection value form a space of
+    # the law's rank, so X, of that rank, is that space exactly when its
+    # basis lies in it; members are then checked against the definition,
+    # which every point meets at word length 1
+    if word_len > 1 and not all(_in_equalizer(pi, p, word_len)
+                                for p in big_x.basis_points()):
+        raise ConstructionCheckError("the equalizer leaves its definition")
     total = word_len * pi.domain_len
     pi_tilde = LinearMap(
         mode, f, total, pi.codomain_len,
         tuple(tuple(row) + (0,) * (total - pi.domain_len) for row in pi.matrix),
         pi.translation if mode == AFFINE else None)
 
-    inv_maps = [_inverse_point_map(pi, g) for g in base.cover_k_spaces]
-    entries: list[tuple[tuple[int, ...], Subspace]] = []
-    for image, fiber in zip(base.base_k_spaces, fibers):
-        for parts in itertools.product(fiber, repeat=word_len):
-            member = _tuple_space_from_maps(f, mode, image,
-                                            [inv_maps[i] for i in parts], total)
-            entries.append((parts, member))
-    entries.sort(key=lambda e: e[0])
-    members = tuple(m for _, m in entries)
-    member_parts = tuple(p for p, _ in entries)
+    member_parts = tuple(sorted(
+        parts for fiber in fibers
+        for parts in itertools.product(fiber, repeat=word_len)))
+    members = tuple(_write_member(base, parts) for parts in member_parts)
     if len(set(members)) != len(members):
         raise ConstructionCheckError("member tuples collided")
-    for m in members:
-        if any(not big_x.is_member(p) for p in m.basis_points()):
-            raise ConstructionCheckError("a member leaves the equalizer")
+    if word_len > 1:
+        for m in members:
+            if not all(_in_equalizer(pi, p, word_len) for p in m.basis_points()):
+                raise ConstructionCheckError("a member leaves the equalizer")
     return ProductHost(base, word_len, big_x, pi_tilde, members, member_parts,
                        fibers)
 
@@ -471,15 +515,14 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
     total = host.word_len * v_amb
     e_basis = base.base_space.basis_points()
 
+    where = {p: i for i, p in enumerate(base.base_space.points())}
     block_maps: dict[int, LinearMap] = {}
     for pos, sym in line.fixed:
-        cover = base.covers[sym]
-        inv = _inverse_point_map(pi, cover)
-        try:
-            imgs = [inv[e] for e in e_basis]
-        except KeyError:
+        section = base.sections[sym]
+        if len(section) != len(where):
             raise ConstructionCheckError("a cover does not project onto the "
-                                         "base space") from None
+                                         "base space")
+        imgs = [section[where[e]] for e in e_basis]
         back = linear_extension(BasisSet(mode, f, e_basis), imgs,
                                 codomain_len=v_amb)
         for e in e_basis:

@@ -864,6 +864,14 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
 
 
 def image_space(m: LinearMap) -> Subspace:
-    """Image of the whole domain ambient under the map."""
-    return apply(m, full_space(m.field, m.mode,
-                               m.domain_len + (1 if m.mode == AFFINE else 0)))
+    """Image of the whole domain ambient under the map.
+
+    The span of the matrix's columns; in affine mode the flat through
+    the translation, which the columns move along.
+    """
+    f = m.field
+    cols = transpose(m.matrix, width=m.domain_len)
+    if m.mode == VECTOR:
+        return span(f, VECTOR, cols, m.codomain_len)
+    t = m.translation
+    return span(f, AFFINE, [t, *(vec_add(f, t, c) for c in cols)], m.codomain_len)

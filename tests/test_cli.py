@@ -5,6 +5,7 @@ compared byte for byte; one subprocess test checks the installed console
 script end to end.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,9 +15,9 @@ import time
 import pytest
 
 import qramsey
-from qramsey import (VECTOR, ConfigFamily, arrow, enumerate_subspaces,
-                     full_space, host_from_json, induced_host_verify,
-                     make_field)
+from qramsey import (AFFINE, VECTOR, ConfigFamily, HostSpec, arrow,
+                     enumerate_subspaces, full_space, host_from_json,
+                     induced_host_verify, make_field)
 from qramsey.cli import _write_json, main
 
 DEGENERATE_SPEC = {
@@ -198,6 +199,38 @@ def test_construct_bundle_contents(bundle_path):
     host = host_from_json(data)
     assert len(host.members) == 3
     assert host.space.rank == 3
+
+
+# sha256 of the bundles of small n = 2, k = 1 specs, recorded when every
+# member was still found by projecting its parts and row-reducing: the
+# members written from cover sections must give the same bytes.
+# (q, mode, |F|, N0, N1) -> digest
+PINNED_BUNDLES = {
+    (2, VECTOR, 2, 2, 2): "e0f273298606a29fa624fdb39fa693e9c750b21c05a1404fce33eaebd05121b9",
+    (2, VECTOR, 3, 3, 1): "af99e9b2f685ad261cb07fa1178ade14f1af9ce18ec3598729183f35a90fa371",
+    (2, AFFINE, 2, 3, 2): "cc397aee27ecbe1ad6acd461df421c0746109d7554b1935f302d009a27aaa848",
+    (2, AFFINE, 1, 2, 3): "a92af1cd5ee42ddb9aa45b00cf4b81047a111ab7c28282c11bd36258512d1df1",
+    (3, VECTOR, 2, 2, 2): "a9ede18c635e41ee86ed6e3854044f5dff1deece1ba6ab2dab92d0addbd2c723",
+    (3, VECTOR, 1, 3, 1): "854d03167c19d26cfc094892cdb5eee2e478369b0ce4e686993d7df3990a1ec8",
+    (3, AFFINE, 2, 3, 1): "6f70f13ac735868886f0f7800712c40e0a6c2d2a9a0683873511a5ca89de228f",
+    (3, AFFINE, 2, 2, 2): "b484015aef7e97fa5cd31cd1a9396feffeb8f2558ac07d4401221829c34c5cfd",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_BUNDLES),
+                         ids=["q{}_{}_F{}_N0_{}_N1_{}".format(*c)
+                              for c in PINNED_BUNDLES])
+def test_construct_bundle_digests_pinned(case, tmp_path, capsys):
+    q, mode, nf, n0, n1 = case
+    amb = full_space(make_field(q), mode, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:nf]))
+    spec = HostSpec(q, mode, 1, 2, 2, fam, n0, n1)
+    spec_path, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec_path.write_text(json.dumps(spec.to_json()))
+    code, _, _ = run_cli(capsys, "construct", "--spec", str(spec_path),
+                         "--out", str(bundle))
+    assert code == 0
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() == PINNED_BUNDLES[case]
 
 
 def test_construct_spec_with_unsorted_rows(tmp_path, capsys):

@@ -7,6 +7,7 @@ block, frozen sizes for the smallest host, and the success/diagnostic
 split of the extraction walk.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -14,17 +15,18 @@ import time
 
 import pytest
 
-from qramsey import (AFFINE, VECTOR, Budget, ConfigFamily, ExtractionFailure,
-                     HostSpec, Line, LinearMap, MonochromaticCopy,
-                     SizeCapError, apply, auto_n1, auto_word_length,
-                     build_base_host, build_product_host, color_pattern,
-                     compose, enumerate_subspaces, equalizer_subspace,
+from qramsey import (AFFINE, VECTOR, BasisSet, Budget, ConfigFamily,
+                     ExtractionFailure, HostSpec, Line, LinearMap,
+                     MonochromaticCopy, SizeCapError, apply, auto_n1,
+                     auto_word_length, build_base_host, build_product_host,
+                     color_pattern, complement, compose,
+                     enumerate_subspaces, equalizer_subspace,
                      extract_monochromatic_copy, family_isomorphic,
                      full_space, hales_jewett, host_from_json, host_to_json,
                      identity_map, image_space, induced_host_verify,
-                     line_embedding, make_field, span, tuple_space,
-                     zero_space)
-from qramsey import construction
+                     line_embedding, linear_extension, make_field, span,
+                     tuple_space, zero_space)
+from qramsey import construction, space
 from qramsey.space import nullspace_rows
 
 
@@ -292,7 +294,7 @@ def test_product_host_member_count_cap(monkeypatch):
     def built(*args):
         raise AssertionError("a member was built before the size check")
 
-    monkeypatch.setattr(construction, "_tuple_space_from_maps", built)
+    monkeypatch.setattr(construction, "_write_member", built)
     start = time.perf_counter()
     with pytest.raises(SizeCapError, match="1361367 members"):
         build_product_host(base, 4)
@@ -408,20 +410,152 @@ def test_cover_pass_enumerates_no_cover(make_spec, monkeypatch):
 
 
 def test_duplicate_member_is_caught(monkeypatch):
+    # at word length 1 a member is its cover k-space; at 2 it is written
+    # from the sections
     base = build_base_host(vector_spec(2))
-    real = construction._tuple_space_from_maps
-    built = []
+    real = construction._write_member
+    for word_len, count in [(1, 6), (2, 12)]:
+        built = []
 
-    def second_repeats_first(*args):
-        built.append(real(*args))
-        return built[0]
+        def second_repeats_first(*args):
+            built.append(real(*args))
+            return built[0]
 
-    monkeypatch.setattr(construction, "_tuple_space_from_maps",
-                        second_repeats_first)
+        monkeypatch.setattr(construction, "_write_member", second_repeats_first)
+        with pytest.raises(construction.ConstructionCheckError,
+                           match="member tuples collided"):
+            build_product_host(base, word_len)
+        assert len(built) == count
+
+
+# -- members written from cover sections ----------------------------------------
+
+
+def section_spec(q, mode, nf, base_rank, k=1, n=2):
+    """Spec over GF(q) with the first nf rank-k members of the rank-n space."""
+    f = make_field(q)
+    amb = full_space(f, mode, n)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, k)[:nf]))
+    return HostSpec(q, mode, k, n, 1, fam, base_rank, 1)
+
+
+def reference_pi_images(base):
+    """The images of the block space's basis points, slot by slot: each
+    target's basis, then each cover's complement basis."""
+    out = []
+    for b in base.blocks:
+        out.extend(b.target.basis_points())
+        if base.spec.base_rank > base.spec.colored_rank:
+            for c in b.covers:
+                out.extend(complement(c.member, base.base_space).basis_points())
+    return out
+
+
+# (mode, q, N0, k, n); at k = 1 an affine member is a point, so k = 2
+# gives members with rows beside the basepoint in both modes
+SECTION_CASES = [(mode, q, n0, 1, 2) for mode in (VECTOR, AFFINE)
+                 for q in (2, 3, 4) for n0 in (2, 3)]
+SECTION_CASES += [(mode, q, 3, 2, 3) for mode in (VECTOR, AFFINE) for q in (2, 3)]
+
+
+@pytest.mark.parametrize("case", SECTION_CASES,
+                         ids=["{}_q{}_N0_{}_k{}_n{}".format(*c)
+                              for c in SECTION_CASES])
+def test_members_from_sections_oracle(case):
+    mode, q, base_rank, k, n = case
+    base = build_base_host(section_spec(q, mode, 2 if q < 4 else 1, base_rank,
+                                        k, n))
+    pi = base.projection
+    assert pi == linear_extension(BasisSet(mode, base.field,
+                                           base.space.basis_points()),
+                                  reference_pi_images(base),
+                                  codomain_len=pi.codomain_len)
+    base_points = list(base.base_space.points())
+    assert len(base.sections) == len(base.covers)
+    for cover, section in zip(base.covers, base.sections):
+        assert [apply(pi, p) for p in section] == base_points
+        assert all(cover.is_member(p) for p in section)
+    for word_len in (1, 2):
+        host = build_product_host(base, word_len)
+        for member, parts in zip(host.members, host.member_parts):
+            assert member == tuple_space(
+                pi, [base.cover_k_spaces[g] for g in parts])
+
+
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
+def test_section_must_be_a_bijection(make_spec, monkeypatch):
+    # number the last base point as the first: every cover then has two
+    # points over base point 0 and none over the last
+    real = construction.point_index
+
+    def merged(host, k_spaces):
+        where, item_of = real(host, k_spaces)
+        where = dict(where)
+        where[list(where)[-1]] = 0
+        return where, item_of
+
+    monkeypatch.setattr(construction, "point_index", merged)
     with pytest.raises(construction.ConstructionCheckError,
-                       match="member tuples collided"):
-        build_product_host(base, 1)
-    assert len(built) == 6
+                       match="projection is not a bijection"):
+        build_base_host(make_spec(2))
+
+
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
+def test_corrupted_section_leaves_the_equalizer(make_spec):
+    base = build_base_host(make_spec(2))
+    build_product_host(base, 2)
+    # cover 0 holds its k-spaces first, so members read their later
+    # blocks from its section; swap its points over two base points
+    section = list(base.sections[0])
+    section[-1], section[-2] = section[-2], section[-1]
+    bad = dataclasses.replace(base, sections=(tuple(section),) + base.sections[1:])
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="a member leaves the equalizer"):
+        build_product_host(bad, 2)
+
+
+def test_equalizer_is_checked_against_its_definition(monkeypatch):
+    real = construction.equalizer_subspace
+
+    def unit_rows(projection, word_len):
+        # the right rank, but spanned by unit vectors of the first blocks
+        x = real(projection, word_len)
+        rows = [tuple(1 if j == i else 0 for j in range(x.ambient_len))
+                for i in range(x.rank)]
+        return span(x.field, x.mode, rows, x.ambient_len)
+
+    base = build_base_host(vector_spec(2))
+    monkeypatch.setattr(construction, "equalizer_subspace", unit_rows)
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="the equalizer leaves its definition"):
+        build_product_host(base, 2)
+
+
+def test_product_host_runs_no_row_reduction_per_member(monkeypatch):
+    # X's nullspace and span and the projection's image are the only row
+    # reductions, whatever the member count, and no part is inverted
+    # point by point
+    rref_calls = []
+    real_rref = space.rref
+
+    def counted(*args):
+        rref_calls.append(1)
+        return real_rref(*args)
+
+    def refused(*args):
+        raise AssertionError("a part was inverted point by point")
+
+    monkeypatch.setattr(space, "rref", counted)
+    monkeypatch.setattr(construction, "_inverse_point_map", refused)
+    bases = [build_base_host(vector_spec(2)), build_base_host(affine_spec(2)),
+             build_base_host(vector_spec(3, base_rank=3))]
+    for base in bases:
+        for word_len in (1, 2):
+            rref_calls.clear()
+            host = build_product_host(base, word_len)
+            assert len(host.members) > 3
+            assert len(rref_calls) == 3
+    assert len(host.members) == 3087
 
 
 # -- color patterns ---------------------------------------------------------------

@@ -929,3 +929,24 @@ def test_iter_subspaces_order_matches_reference(q, mode, monkeypatch):
             want = list(space.iter_subspaces(ambient, k))
             monkeypatch.undo()
             assert got == want
+
+
+# -- image of a map from its columns -----------------------------------------
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_image_space_matches_image_of_full_space(q, mode):
+    # the reference applies the map to every basis point of its domain
+    f = make_field(q)
+    rng = random.Random(f"image:{q}:{mode}")
+    for trial in range(40):
+        domain_len = trial % 13
+        codomain_len = rng.randint(0, 6)
+        density = rng.choice(DENSITIES)
+        mtx = tuple(random_vec(rng, q, domain_len, density)
+                    for _ in range(codomain_len))
+        t = random_vec(rng, q, codomain_len, 0.5) if mode == AFFINE else None
+        m = LinearMap(mode, f, domain_len, codomain_len, mtx, t)
+        domain = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
+        assert image_space(m) == apply(m, domain)
