@@ -120,7 +120,9 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ambient = full_space(make_field(args.q), args.mode, args.N)
-    lines = [json.dumps(s.to_json())
+    # a key is the compact JSON of to_json(); spacing its separators gives
+    # json.dumps's default text, as no key holds a string with "," or ":"
+    lines = [s.key().replace(",", ", ").replace(":", ": ")
              for s in enumerate_subspaces(ambient, args.k)]
     for line in lines:
         print(line)

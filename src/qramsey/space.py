@@ -15,7 +15,7 @@ the same point set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
@@ -475,13 +475,15 @@ def count_subspaces(n_rank: int, k: int, q: int, mode: str) -> int:
     return q ** (d - (k - 1)) * gaussian_binomial(d, k - 1, q)
 
 
-def _rref_matrices(f: Field, k: int, d: int):
-    """All k x d full-rank RREF matrices, as (rows, pivots)."""
-    if k == 0:
-        yield (), ()
-        return
-    if k > d:
-        return
+def _rref_patterns(f: Field, k: int, d: int):
+    """The pivot patterns of the k x d full-rank RREF matrices, checked.
+
+    Yields (pivots, choices), where choices[i] lists every value of row
+    i: a 1 at its pivot, zeros before it and on the other pivots, and its
+    free entries running over the field, the last fastest.  The
+    pattern's matrices are the products of its rows' choices.  Every
+    choice has passed `_check_pattern`, so every product is canonical.
+    """
     elems = f.elements()
     for piv in itertools.combinations(range(d), k):
         pivset = set(piv)
@@ -496,6 +498,76 @@ def _rref_matrices(f: Field, k: int, d: int):
                     row[j] = v
                 options.append(tuple(row))
             choices.append(options)
+        _check_pattern(f, d, piv, choices)
+        yield piv, choices
+
+
+def _check_pattern(f: Field, d: int, piv: tuple[int, ...], choices) -> None:
+    """Raise ValueError unless each row choice is canonical for `piv`.
+
+    These are the direction checks of `Subspace.__post_init__`, with its
+    messages, made once per row choice instead of once per matrix.  If
+    the pivots strictly increase and each choice for row i is a length-d
+    row over the field that leads with a 1 at piv[i] and is zero on the
+    other pivots, then every matrix built from the choices is a
+    direction `__post_init__` accepts.
+    """
+    if any(a >= b for a, b in zip(piv, piv[1:])):
+        raise ValueError("pivots must be strictly increasing")
+    elements = _elements(f.order)
+    pivset = set(piv)
+    cols = range(d)
+    for p, options in zip(piv, choices):
+        for row in options:
+            if len(row) != d:
+                raise ValueError("direction row length differs from ambient_len")
+            if not elements.issuperset(row):
+                raise ValueError("direction entries out of field range")
+            if row[p] != 1:
+                raise ValueError("pivot entries must be 1")
+            # the row's own pivot is its only nonzero pivot column
+            if len(pivset.intersection(compress(cols, row))) != 1:
+                raise ValueError("non-reduced entry above/below a pivot")
+            if next(compress(cols, row)) != p:
+                raise ValueError("nonzero direction entry before its pivot")
+
+
+def _coset_bases(f: Field, d: int, piv: tuple[int, ...]) -> list[Vec]:
+    """The canonical basepoints of the flats whose direction has pivots `piv`.
+
+    They are the points that are zero on the pivots, their free entries
+    in itertools.product order, checked by `_check_bases`.
+    """
+    pivset = set(piv)
+    free = [c for c in range(d) if c not in pivset]
+    point = [0] * d
+    bases = []
+    for vals in itertools.product(f.elements(), repeat=len(free)):
+        for c, v in zip(free, vals):
+            point[c] = v
+        bases.append(tuple(point))
+    _check_bases(f, d, piv, bases)
+    return bases
+
+
+def _check_bases(f: Field, d: int, piv: tuple[int, ...], bases) -> None:
+    """Raise ValueError unless each basepoint is canonical for pivots `piv`.
+
+    The basepoint checks of `Subspace.__post_init__`, with its messages.
+    """
+    elements = _elements(f.order)
+    for b in bases:
+        if len(b) != d:
+            raise ValueError("basepoint length differs from ambient_len")
+        if not elements.issuperset(b):
+            raise ValueError("basepoint entries out of field range")
+        if any(b[p] for p in piv):
+            raise ValueError("basepoint must be zero on pivot columns")
+
+
+def _rref_matrices(f: Field, k: int, d: int):
+    """All k x d full-rank RREF matrices, as (rows, pivots)."""
+    for piv, choices in _rref_patterns(f, k, d):
         # rows vary independently, the last fastest, as the free entries did
         for rows in itertools.product(*choices):
             yield rows, piv
@@ -527,41 +599,73 @@ def guard_subspace_count(ambient: Subspace, k: int, cap: int = POINT_CAP) -> int
     return count
 
 
+# The slot descriptors of Subspace's fields, in field order.  The frozen
+# dataclass's __init__ writes each slot through its descriptor as well
+# (by object.__setattr__); calling the descriptors directly is cheaper.
+(_set_mode, _set_field, _set_ambient_len, _set_direction, _set_basepoint,
+ _set_key, _set_pivot_rows) = (Subspace.__dict__[fl.name].__set__
+                               for fl in fields(Subspace))
+
+
+def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
+                        direction: tuple[Vec, ...], basepoint: Vec | None) -> Subspace:
+    """A Subspace whose canonical form was checked before it was built.
+
+    Writes the slots as the dataclass's __init__ does, without running
+    `__post_init__`.  Only the full-space walks of `iter_subspaces` call
+    it: their rows and basepoints come from `_rref_patterns` and
+    `_coset_bases`, which check them once per pattern.
+    """
+    s = object.__new__(Subspace)
+    _set_mode(s, mode)
+    _set_field(s, f)
+    _set_ambient_len(s, ambient_len)
+    _set_direction(s, direction)
+    _set_basepoint(s, basepoint)
+    _set_key(s, None)
+    _set_pivot_rows(s, None)
+    return s
+
+
 def iter_subspaces(ambient: Subspace, k: int):
     """The rank-k subspaces of `ambient`, unsorted and unkeyed.
 
     Walks RREF matrices (and coset representatives in affine mode) over
-    the ambient's internal coordinates, then rewrites them in ambient
-    coordinates.  Checks no cap: callers run `guard_subspace_count` first.
+    the ambient's internal coordinates.  Over a full coordinate space
+    these are already canonical, and each pattern's row choices and
+    basepoints are checked once, so its subspaces skip the per-object
+    check; a proper ambient's are rewritten in ambient coordinates and
+    re-canonicalized.  Checks no cap: callers run `guard_subspace_count`
+    first.
     """
     f = ambient.field
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len
     if ambient.mode == VECTOR:
-        for rows, _ in _rref_matrices(f, k, d):
-            if is_full:
-                yield Subspace(VECTOR, f, d, rows, None)
-            else:
+        if is_full:
+            for _, choices in _rref_patterns(f, k, d):
+                for rows in itertools.product(*choices):
+                    yield _unchecked_subspace(VECTOR, f, d, rows, None)
+        else:
+            for rows, _ in _rref_matrices(f, k, d):
                 mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
                           for r in rows]
                 yield span(f, VECTOR, mapped, ambient.ambient_len)
     elif k > 0:  # no empty flats; mirrors count_subspaces
-        elems = f.elements()
-        for rows, piv in _rref_matrices(f, k - 1, d):
-            pivset = set(piv)
-            free_cols = [c for c in range(d) if c not in pivset]
-            for vals in itertools.product(elems, repeat=len(free_cols)):
-                b_int = [0] * d
-                for c, v in zip(free_cols, vals):
-                    b_int[c] = v
-                if is_full:
-                    yield Subspace(AFFINE, f, d, rows, tuple(b_int))
-                else:
-                    mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
-                              for r in rows]
+        if is_full:
+            for piv, choices in _rref_patterns(f, k - 1, d):
+                bases = _coset_bases(f, d, piv)
+                for rows in itertools.product(*choices):
+                    for b in bases:
+                        yield _unchecked_subspace(AFFINE, f, d, rows, b)
+        else:
+            for rows, piv in _rref_matrices(f, k - 1, d):
+                mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
+                          for r in rows]
+                red, rpiv = rref(f, mapped)
+                for b_int in _coset_bases(f, d, piv):
                     pt = vec_add(f, ambient.basepoint,
                                  _combine_rows(f, b_int, ambient.direction, ambient.ambient_len))
-                    red, rpiv = rref(f, mapped)
                     yield Subspace(AFFINE, f, ambient.ambient_len, red,
                                    _reduce_by(f, red, rpiv, pt))
 

@@ -84,6 +84,39 @@ def test_enumerate_size_cap(capsys):
     assert lines[0]["error"] == "size_cap"
 
 
+# enumerate prints each line from the subspace's key; the bytes must stay
+# those of json.dumps(s.to_json()).  q = 11 and 16 give two-digit entries;
+# vector k = 0 gives an empty direction.
+ENUMERATE_CASES = [
+    (VECTOR, 2, 4, 2), (AFFINE, 2, 4, 2), (VECTOR, 3, 3, 1), (AFFINE, 3, 3, 2),
+    (VECTOR, 11, 3, 2), (AFFINE, 11, 3, 2), (VECTOR, 16, 2, 1),
+    (AFFINE, 16, 3, 2), (VECTOR, 3, 2, 0), (VECTOR, 16, 3, 0),
+]
+
+
+@pytest.mark.parametrize("mode,q,big_n,k", ENUMERATE_CASES)
+def test_enumerate_lines_match_json_dumps(mode, q, big_n, k, capsys, tmp_path):
+    out_file = tmp_path / "subspaces.jsonl"
+    code, _, out = run_cli(capsys, "enumerate", "--q", str(q), "--mode", mode,
+                           "--N", str(big_n), "--k", str(k),
+                           "--out", str(out_file))
+    assert code == 0
+    want = "".join(json.dumps(s.to_json()) + "\n" for s in
+                   enumerate_subspaces(full_space(make_field(q), mode, big_n), k))
+    assert want
+    assert out == want
+    assert out_file.read_text(encoding="utf-8") == want
+
+
+def test_enumerate_stdout_digest_pinned(capsys):
+    # sha256 of the stdout, recorded when each line was json.dumps(s.to_json())
+    code, _, out = run_cli(capsys, "enumerate", "--q", "2", "--mode", "vector",
+                           "--N", "5", "--k", "2")
+    assert code == 0 and out.count("\n") == 155
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "dc92a538896823916eeaf1d6fb0eaaa2dbc9334c3284b0b85514f007b9a0bb5a"
+
+
 def test_count_builds_no_keys(capsys, monkeypatch):
     def keyed(self):
         raise AssertionError("count keyed a subspace")

@@ -199,3 +199,74 @@ def test_detects_unresolved_trace_name():
     assert names == [("space", "span"), ("space", "mat_inv"),
                      ("space.Subspace", "key"), ("space.Subspace", "_reduce")]
     assert [resolve(o, a) for o, a in names] == [True, False, True, False]
+
+
+# -- the unchecked Subspace constructor -----------------------------------
+#
+# space._unchecked_subspace builds a Subspace without running its
+# __post_init__ check.  That is sound only for the rows and basepoints of
+# _rref_patterns and _coset_bases, which are checked once per pivot
+# pattern, and only the full-space branches of iter_subspaces build from
+# those.  Any other reference could let an unchecked subspace out.
+
+UNCHECKED = "_unchecked_subspace"
+
+
+def references(node: ast.AST, name: str) -> list[ast.AST]:
+    """Every read, attribute access or string constant naming `name`."""
+    return [n for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            or (isinstance(n, ast.Constant) and n.value == name)]
+
+
+def full_space_references(tree: ast.Module) -> list[ast.AST]:
+    """The references to the unchecked constructor inside an `if is_full:`
+    body of a top-level `iter_subspaces`."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "iter_subspaces":
+            for branch in ast.walk(node):
+                if (isinstance(branch, ast.If)
+                        and isinstance(branch.test, ast.Name)
+                        and branch.test.id == "is_full"):
+                    for stmt in branch.body:
+                        out += references(stmt, UNCHECKED)
+    return out
+
+
+def stray_references(tree: ast.Module, filename: str) -> list[int]:
+    """Lines referencing the unchecked constructor anywhere but the
+    full-space branches of space.iter_subspaces."""
+    allowed = set(map(id, full_space_references(tree))) \
+        if filename == "space.py" else set()
+    return sorted(n.lineno for n in references(tree, UNCHECKED)
+                  if id(n) not in allowed)
+
+
+def test_unchecked_constructor_only_in_full_space_walks():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stray += [f"{path.name}:{line}"
+                  for line in stray_references(tree, path.name)]
+    assert not stray, (f"{UNCHECKED} skips Subspace's check; referenced "
+                       f"outside iter_subspaces' full-space branches: "
+                       f"{', '.join(stray)}")
+    # the vector and the affine branch, so a rename cannot empty the check
+    space_tree = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
+    assert len(full_space_references(space_tree)) == 2
+
+
+def test_detects_stray_unchecked_reference():
+    tree = ast.parse("def iter_subspaces(ambient, k):\n"
+                     "    if is_full:\n"
+                     "        yield _unchecked_subspace(1)\n"
+                     "    else:\n"
+                     "        yield _unchecked_subspace(2)\n"
+                     "def span(points):\n"
+                     "    return space._unchecked_subspace(3)\n"
+                     "MAKERS = ['_unchecked_subspace']\n")
+    assert len(full_space_references(tree)) == 1
+    assert stray_references(tree, "space.py") == [5, 7, 8]
+    assert stray_references(tree, "arrow.py") == [3, 5, 7, 8]

@@ -11,7 +11,12 @@ Two oracles drive the bulk of the checks:
 
 import itertools
 import json
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -914,21 +919,187 @@ def test_rref_matrices_order_matches_reference(q):
                 list(ref_rref_matrices(f, k, d))
 
 
+def ref_full_space_subspaces(f, mode, k, d):
+    """The rank-k subspaces of the full coordinate space on d columns, in
+    walk order, each built by the validating constructor."""
+    if mode == VECTOR:
+        for rows, _ in ref_rref_matrices(f, k, d):
+            yield Subspace(VECTOR, f, d, rows, None)
+        return
+    if k == 0:
+        return
+    for rows, piv in ref_rref_matrices(f, k - 1, d):
+        free = [c for c in range(d) if c not in piv]
+        for vals in itertools.product(f.elements(), repeat=len(free)):
+            base = [0] * d
+            for c, v in zip(free, vals):
+                base[c] = v
+            yield Subspace(AFFINE, f, d, rows, tuple(base))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
 def test_iter_subspaces_order_matches_reference(q, mode, monkeypatch):
     f = make_field(q)
-    ambients = [full_space(f, mode, 4)]
-    # a proper ambient too, so the walk's rows are mapped into it
+    # the full space's walk builds from checked patterns, so it is compared
+    # with the reference matrices through the validating constructor
+    full = full_space(f, mode, 4)
+    for k in range(full.rank + 1):
+        assert list(space.iter_subspaces(full, k)) == \
+            list(ref_full_space_subspaces(f, mode, k, full.ambient_len))
+    # a proper ambient, whose walk's rows are mapped into it
     gens = [(1, 0, 1, 0, 1), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1), (1, 1, 0, 0, 0)]
-    ambients.append(span(f, mode, gens[:3] if mode == VECTOR else gens, 5))
-    for ambient in ambients:
-        for k in range(ambient.rank + 1):
-            got = list(space.iter_subspaces(ambient, k))
-            monkeypatch.setattr(space, "_rref_matrices", ref_rref_matrices)
-            want = list(space.iter_subspaces(ambient, k))
-            monkeypatch.undo()
-            assert got == want
+    ambient = span(f, mode, gens[:3] if mode == VECTOR else gens, 5)
+    for k in range(ambient.rank + 1):
+        got = list(space.iter_subspaces(ambient, k))
+        monkeypatch.setattr(space, "_rref_matrices", ref_rref_matrices)
+        want = list(space.iter_subspaces(ambient, k))
+        monkeypatch.undo()
+        assert got == want
+
+
+# -- the checked pattern walk ------------------------------------------------
+#
+# Over a full coordinate space, iter_subspaces builds its subspaces without
+# Subspace.__post_init__, from row choices and basepoints checked once per
+# pivot pattern.  Every subspace it yields must still pass the full check.
+
+ORACLE_Q_POWER_CAP = 4096
+
+
+def oracle_cases(q):
+    """(mode, rank, k) for every rank with q^rank <= 4,096 and every k
+    whose subspace count the size guard admits."""
+    rank = 0
+    while q ** rank <= ORACLE_Q_POWER_CAP:
+        for mode in (VECTOR, AFFINE):
+            if mode == AFFINE and rank == 0:
+                continue
+            for k in range(rank + 1):
+                if count_subspaces(rank, k, q, mode) <= space.POINT_CAP:
+                    yield mode, rank, k
+        rank += 1
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_full_space_walk_passes_the_full_check(q):
+    f = make_field(q)
+    cases = list(oracle_cases(q))
+    assert {mode for mode, _, _ in cases} == {VECTOR, AFFINE}
+    for mode, rank, k in cases:
+        ambient = full_space(f, mode, rank)
+        got = list(space.iter_subspaces(ambient, k))
+        checked = [Subspace(s.mode, s.field, s.ambient_len, s.direction,
+                            s.basepoint) for s in got]
+        assert got == checked
+        assert len(got) == count_subspaces(rank, k, q, mode)
+        listed = enumerate_subspaces(ambient, k)
+        assert len(listed) == len(got) and set(listed) == set(checked)
+
+
+def corrupt_row(col, value):
+    """A corruption of the first row choice of the first row: entry `col`
+    set to `value`."""
+    def corrupt(piv, choices):
+        row = list(choices[0][0])
+        row[col] = value
+        return piv, [[tuple(row)] + choices[0][1:]] + choices[1:]
+    return corrupt
+
+
+def reverse_pivots(piv, choices):
+    return piv[::-1], choices[::-1]
+
+
+# (q, mode, rank, k, corruption, the message __post_init__ gives that fault);
+# the first pattern of rank-k rows in 4 columns has pivots (0, 1, ...)
+PATTERN_FAULTS = [
+    (2, VECTOR, 4, 2, corrupt_row(1, 1),
+     "non-reduced entry above/below a pivot"),
+    (3, AFFINE, 5, 3, corrupt_row(1, 1),
+     "non-reduced entry above/below a pivot"),
+    (3, VECTOR, 4, 2, corrupt_row(0, 2), "pivot entries must be 1"),
+    (3, AFFINE, 4, 2, corrupt_row(0, 2), "pivot entries must be 1"),
+    (3, VECTOR, 4, 2, corrupt_row(3, 3), "direction entries out of field range"),
+    (3, AFFINE, 5, 3, corrupt_row(3, 3), "direction entries out of field range"),
+    (2, VECTOR, 4, 2, reverse_pivots, "pivots must be strictly increasing"),
+    (3, AFFINE, 5, 3, reverse_pivots, "pivots must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("q,mode,rank,k,corrupt,message", PATTERN_FAULTS)
+def test_pattern_check_catches_a_corrupted_row(q, mode, rank, k, corrupt,
+                                               message, monkeypatch):
+    f = make_field(q)
+    ambient = full_space(f, mode, rank)
+    d, rows_k = ambient.ambient_len, k - (mode == AFFINE)
+    piv, choices = corrupt(*next(space._rref_patterns(f, rows_k, d)))
+    # the validating constructor names the fault so
+    base = tuple([0] * d) if mode == AFFINE else None
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Subspace(mode, f, d, tuple(options[0] for options in choices), base)
+    # and the walk's pattern check, corrupted inside the walk, names it alike
+    check = space._check_pattern
+    monkeypatch.setattr(space, "_check_pattern",
+                        lambda f, d, piv, choices: check(f, d, *corrupt(piv, choices)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        list(space.iter_subspaces(ambient, k))
+
+
+@pytest.mark.parametrize("row,message", [
+    ((0, 1), "direction row length differs from ambient_len"),
+    ((0, 0, 0), "pivot entries must be 1"),
+    ((1, 1, 0), "nonzero direction entry before its pivot"),
+])
+def test_pattern_check_rejects_a_malformed_row(row, message):
+    f = make_field(2)
+    space._check_pattern(f, 3, (1,), [[(0, 1, 0), (0, 1, 1)]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        space._check_pattern(f, 3, (1,), [[(0, 1, 0), row]])
+    with pytest.raises(ValueError, match="^basepoint length differs from ambient_len$"):
+        space._check_bases(f, 3, (1,), [(0, 0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("index,value,message", [
+    (0, 1, "basepoint must be zero on pivot columns"),
+    (2, 5, "basepoint entries out of field range"),
+])
+def test_basepoint_check_catches_a_corrupted_basepoint(index, value, message,
+                                                       monkeypatch):
+    f = make_field(5)
+    ambient = full_space(f, AFFINE, 4)  # rank-2 flats: one row, pivot 0 first
+    check = space._check_bases
+
+    def corrupted(f, d, piv, bases):
+        b = list(bases[-1])
+        b[index] = value
+        check(f, d, piv, bases[:-1] + [tuple(b)])
+
+    monkeypatch.setattr(space, "_check_bases", corrupted)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        list(space.iter_subspaces(ambient, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Subspace(AFFINE, f, 3, ((1, 0, 0),), (value, 0, 0) if index == 0
+                 else (0, 0, value))
+
+
+def test_pattern_check_survives_python_O():
+    # the checks raise explicitly, so -O, which strips asserts, keeps them
+    code = (
+        "from qramsey import full_space, make_field, space\n"
+        "check = space._check_pattern\n"
+        "space._check_pattern = lambda f, d, piv, choices: check(\n"
+        "    f, d, piv[::-1], choices)\n"
+        "try:\n"
+        "    list(space.iter_subspaces(full_space(make_field(2), 'vector', 3), 2))\n"
+        "except ValueError as e:\n"
+        "    print(e)\n")
+    src = pathlib.Path(space.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "PYTHONDONTWRITEBYTECODE": "1"})
+    assert out.stdout == "pivots must be strictly increasing\n"
 
 
 # -- image of a map from its columns -----------------------------------------
