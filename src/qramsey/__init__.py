@@ -9,10 +9,10 @@ from .budget import Budget, BudgetExceededError
 from .field import FIELD_ORDER_CAP, Field, make_field
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, apply, complement, compose,
-                    count_subspaces, direct_sum, enumerate_subspaces,
-                    extend_to_basis, full_space, gaussian_binomial,
-                    identity_map, image_space, is_independent,
-                    linear_extension, span, zero_space)
+                    coordinate_map, count_subspaces, direct_sum,
+                    enumerate_subspaces, extend_to_basis, full_space,
+                    gaussian_binomial, identity_map, image_space,
+                    is_independent, linear_extension, span, zero_space)
 from .coloring_search import find_proper_coloring
 from .hales_jewett import (Line, all_words, enumerate_lines,
                            find_monochromatic_line, hj_number,
@@ -27,7 +27,6 @@ from .construction import (BaseHost, ConstructionCheckError, CoverBlock,
                            auto_n1, auto_word_length, build_base_host,
                            build_product_host, color_pattern,
                            equalizer_subspace, extract_monochromatic_copy,
-                           host_from_json, host_to_json, line_embedding,
-                           tuple_space)
+                           host_from_json, host_to_json, line_embedding)
 
 __version__ = "0.1.0"

@@ -22,9 +22,9 @@ from .construction import (ExtractionFailure, HostSpec, auto_n1,
                            host_to_json)
 from .field import make_field
 from .hales_jewett import hj_number
-from .space import (SizeCapError, count_subspaces, enumerate_subspaces,
-                    full_space, guard_subspace_count, iter_subspaces,
-                    json_expect, json_int)
+from .space import (SizeCapError, enumerate_subspaces, full_space,
+                    guard_subspace_count, iter_subspaces, json_expect,
+                    json_int)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -104,9 +104,8 @@ def _space_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_count(args) -> int:
-    formula = count_subspaces(args.N, args.k, args.q, args.mode)
     ambient = full_space(make_field(args.q), args.mode, args.N)
-    guard_subspace_count(ambient, args.k)
+    formula = guard_subspace_count(ambient, args.k)
     enumerated = sum(1 for _ in iter_subspaces(ambient, args.k))
     obj = {
         "command": "count", "q": args.q, "mode": args.mode,

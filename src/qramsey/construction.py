@@ -26,10 +26,10 @@ from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, Vec, apply, complement, compose,
-                    direct_sum, enumerate_subspaces, full_space, identity_map,
-                    identity_rows, image_space, json_expect, json_int,
-                    linear_extension, nullspace_rows, span, subspace_templates,
-                    transpose, vec_sub, zero_space)
+                    coordinate_map, direct_sum, enumerate_subspaces,
+                    full_space, identity_map, identity_rows, image_space,
+                    json_expect, json_int, linear_extension, nullspace_rows,
+                    span, subspace_templates, vec_sub, zero_space)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -210,12 +210,7 @@ def build_base_host(spec: HostSpec) -> BaseHost:
                                     tuple(cblocks)))
     if cursor != len(v_basis):
         raise ConstructionCheckError("block slots do not exhaust the basis")
-    # basis point i maps to pi_images[i]: in vector mode the basis is the
-    # unit vectors, so the images are the columns; in affine mode the
-    # first basis point is the origin, so its image is the translation
-    t = pi_images[0] if mode == AFFINE else None
-    cols = pi_images if t is None else [vec_sub(f, p, t) for p in pi_images[1:]]
-    projection = LinearMap(mode, f, v_amb, e_amb, transpose(cols, width=e_amb), t)
+    projection = coordinate_map(f, mode, pi_images, e_amb)
 
     # re-verify the structural claims the rest of the pipeline leans on;
     # canonical subspaces are equal exactly when their keys are
@@ -305,46 +300,6 @@ def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
         return span(f, VECTOR, directions, total)
     origin = tuple([0] * total)
     return span(f, AFFINE, [origin, *directions], total)
-
-
-def _inverse_point_map(projection: LinearMap, part: Subspace) -> dict[Vec, Vec]:
-    """Point dictionary image -> preimage; requires injectivity on the part."""
-    out: dict[Vec, Vec] = {}
-    for p in part.points():
-        img = apply(projection, p)
-        if img in out and out[img] != p:
-            raise ValueError("projection is not injective on a part")
-        out[img] = p
-    return out
-
-
-def tuple_space(projection: LinearMap, parts) -> Subspace:
-    """The subspace of projection-compatible tuples through the given parts.
-
-    All parts must share one projection image and the projection must be
-    injective on each; the result has the parts' common rank and lives on
-    len(parts) concatenated copies of the domain coordinates.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("tuple_space needs at least one part")
-    image = apply(projection, parts[0])
-    for p in parts:
-        if p.ambient_len != projection.domain_len:
-            raise ValueError("part ambient differs from the projection domain")
-        img = apply(projection, p)
-        if img.key() != image.key():
-            raise ValueError("parts have different projection images")
-        if img.rank != p.rank:
-            raise ValueError("projection is not injective on a part")
-    inv = [_inverse_point_map(projection, p) for p in parts]
-    pts = [tuple(itertools.chain.from_iterable(m[e] for m in inv))
-           for e in image.basis_points()]
-    out = span(projection.field, projection.mode, pts,
-               len(parts) * projection.domain_len)
-    if out.rank != image.rank:
-        raise ConstructionCheckError("tuple space has wrong rank")
-    return out
 
 
 def _in_equalizer(projection: LinearMap, point: Vec, word_len: int) -> bool:
@@ -515,16 +470,16 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
     total = host.word_len * v_amb
     e_basis = base.base_space.basis_points()
 
+    # the base points under the base basis points, as section positions
     where = {p: i for i, p in enumerate(base.base_space.points())}
+    at = [where[e] for e in e_basis]
     block_maps: dict[int, LinearMap] = {}
     for pos, sym in line.fixed:
         section = base.sections[sym]
         if len(section) != len(where):
             raise ConstructionCheckError("a cover does not project onto the "
                                          "base space")
-        imgs = [section[where[e]] for e in e_basis]
-        back = linear_extension(BasisSet(mode, f, e_basis), imgs,
-                                codomain_len=v_amb)
+        back = coordinate_map(f, mode, [section[i] for i in at], v_amb)
         for e in e_basis:
             if apply(pi, apply(back, e)) != e:
                 raise ConstructionCheckError("cover inverse is not a section")
@@ -565,12 +520,15 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
         raise ConstructionCheckError("the copy does not flatten onto the "
                                      "block space")
 
-    # (b) word spaces correspond to covers
+    # (b) word spaces correspond to covers; each is spanned, as members
+    # are written, by the word's section points over the base basis points
     word_spaces = []
     seen_words = set()
     for s in range(t):
-        word = line.word(s)
-        ws = tuple_space(pi, [base.covers[c] for c in word])
+        secs = [base.sections[c] for c in line.word(s)]
+        pts = [tuple(itertools.chain.from_iterable(sec[i] for sec in secs))
+               for i in at]
+        ws = span(f, mode, pts, total)
         if any(not copy.is_member(p) for p in ws.basis_points()):
             raise ConstructionCheckError("a word space leaves the copy")
         if apply(flatten, ws).key() != base.covers[s].key():
@@ -712,20 +670,20 @@ def extract_monochromatic_copy(host: ProductHost, coloring):
 
 
 def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
-                     n_max: int = 3, budget: Budget | None = None) -> int | None:
+                     budget: Budget | None = None) -> int | None:
     """Word length with the monochromatic-line guarantee, honestly or not at all.
 
     A single color or at most one cover needs length 1.  Otherwise run
-    the Hales-Jewett search with the full pattern alphabet; None means
-    the search was infeasible within n_max and the budget, never a
-    fabricated bound.
+    the Hales-Jewett search with the full pattern alphabet up to word
+    length 3; None means the search was infeasible within that length
+    and the budget, never a fabricated bound.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
     if num_colors == 1 or cover_count <= 1:
         return 1
     try:
-        return hj_number(cover_count, num_colors ** pattern_slots, n_max,
+        return hj_number(cover_count, num_colors ** pattern_slots, 3,
                          budget=budget)[0]
     except BudgetExceededError:
         return None

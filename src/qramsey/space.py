@@ -267,7 +267,7 @@ class Subspace:
 
     # -- point set -----------------------------------------------------
 
-    def points(self, cap: int = POINT_CAP):
+    def points(self):
         """All points, in a deterministic (not lexicographic) order.
 
         The order is that of the coefficient vectors over the direction
@@ -276,8 +276,8 @@ class Subspace:
         list built so far: each point is followed by its sums with the
         row's nonzero multiples.
         """
-        if self.num_points > cap:
-            raise SizeCapError(f"{self.num_points} points exceeds cap {cap}")
+        if self.num_points > POINT_CAP:
+            raise SizeCapError(f"{self.num_points} points exceeds cap {POINT_CAP}")
         add, mul = self.field.add_table, self.field.mul_table
         pts = [self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)]
         for row in self.direction:
@@ -291,8 +291,8 @@ class Subspace:
             pts = grown
         yield from pts
 
-    def sorted_points(self, cap: int = POINT_CAP) -> list[Vec]:
-        return sorted(self.points(cap))
+    def sorted_points(self) -> list[Vec]:
+        return sorted(self.points())
 
     def is_member(self, v: Vec) -> bool:
         """Reduce v along its own nonzero entries that sit on pivots.
@@ -565,37 +565,20 @@ def _check_bases(f: Field, d: int, piv: tuple[int, ...], bases) -> None:
             raise ValueError("basepoint must be zero on pivot columns")
 
 
-def _rref_matrices(f: Field, k: int, d: int):
-    """All k x d full-rank RREF matrices, as (rows, pivots)."""
-    for piv, choices in _rref_patterns(f, k, d):
-        # rows vary independently, the last fastest, as the free entries did
-        for rows in itertools.product(*choices):
-            yield rows, piv
-
-
-def _combine_rows(f: Field, coeffs, rows: tuple[Vec, ...], width: int) -> Vec:
-    add, mul = f.add_table, f.mul_table
-    out = [0] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            _axpy(add, mul[c], out, row)
-    return tuple(out)
-
-
-def guard_subspace_count(ambient: Subspace, k: int, cap: int = POINT_CAP) -> int:
-    """The closed-form number of rank-k subspaces of `ambient`, within `cap`.
+def guard_subspace_count(ambient: Subspace, k: int) -> int:
+    """The closed-form number of rank-k subspaces of `ambient`, within POINT_CAP.
 
     Builds nothing.  Raises SizeCapError when the ambient has more than
-    `cap` points or the count exceeds `cap`, and ValueError when k is not
-    in 0..rank; callers run it before listing or scanning subspaces.
+    POINT_CAP points or the count exceeds it, and ValueError when k is
+    not in 0..rank; callers run it before listing or scanning subspaces.
     """
-    if ambient.num_points > cap:
-        raise SizeCapError(f"ambient has {ambient.num_points} points, cap {cap}")
+    if ambient.num_points > POINT_CAP:
+        raise SizeCapError(f"ambient has {ambient.num_points} points, cap {POINT_CAP}")
     if not 0 <= k <= ambient.rank:
         raise ValueError(f"k={k} out of range for rank {ambient.rank}")
     count = count_subspaces(ambient.rank, k, ambient.field.order, ambient.mode)
-    if count > cap:
-        raise SizeCapError(f"{count} rank-{k} subspaces, cap {cap}")
+    if count > POINT_CAP:
+        raise SizeCapError(f"{count} rank-{k} subspaces, cap {POINT_CAP}")
     return count
 
 
@@ -630,53 +613,42 @@ def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
 def iter_subspaces(ambient: Subspace, k: int):
     """The rank-k subspaces of `ambient`, unsorted and unkeyed.
 
-    Walks RREF matrices (and coset representatives in affine mode) over
-    the ambient's internal coordinates.  Over a full coordinate space
-    these are already canonical, and each pattern's row choices and
-    basepoints are checked once, so its subspaces skip the per-object
-    check; a proper ambient's are rewritten in ambient coordinates and
-    re-canonicalized.  Checks no cap: callers run `guard_subspace_count`
-    first.
+    Over a full coordinate space, walks RREF matrices (and coset
+    representatives in affine mode).  These are already canonical, and
+    each pattern's row choices and basepoints are checked once, so its
+    subspaces skip the per-object check.  A proper ambient's subspaces
+    are the walk over the coordinate space of its rank, carried through
+    its basis map by `apply`, which re-canonicalizes and checks each.
+    Checks no cap: callers run `guard_subspace_count` first.
     """
     f = ambient.field
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len
-    if ambient.mode == VECTOR:
-        if is_full:
+    if is_full:
+        if ambient.mode == VECTOR:
             for _, choices in _rref_patterns(f, k, d):
                 for rows in itertools.product(*choices):
                     yield _unchecked_subspace(VECTOR, f, d, rows, None)
-        else:
-            for rows, _ in _rref_matrices(f, k, d):
-                mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
-                          for r in rows]
-                yield span(f, VECTOR, mapped, ambient.ambient_len)
-    elif k > 0:  # no empty flats; mirrors count_subspaces
-        if is_full:
+        elif k > 0:  # no empty flats; mirrors count_subspaces
             for piv, choices in _rref_patterns(f, k - 1, d):
                 bases = _coset_bases(f, d, piv)
                 for rows in itertools.product(*choices):
                     for b in bases:
                         yield _unchecked_subspace(AFFINE, f, d, rows, b)
-        else:
-            for rows, piv in _rref_matrices(f, k - 1, d):
-                mapped = [_combine_rows(f, r, ambient.direction, ambient.ambient_len)
-                          for r in rows]
-                red, rpiv = rref(f, mapped)
-                for b_int in _coset_bases(f, d, piv):
-                    pt = vec_add(f, ambient.basepoint,
-                                 _combine_rows(f, b_int, ambient.direction, ambient.ambient_len))
-                    yield Subspace(AFFINE, f, ambient.ambient_len, red,
-                                   _reduce_by(f, red, rpiv, pt))
+    else:
+        m = coordinate_map(f, ambient.mode, ambient.basis_points(),
+                           ambient.ambient_len)
+        for s in iter_subspaces(full_space(f, ambient.mode, ambient.rank), k):
+            yield apply(m, s)
 
 
-def enumerate_subspaces(ambient: Subspace, k: int, cap: int = POINT_CAP) -> list[Subspace]:
+def enumerate_subspaces(ambient: Subspace, k: int) -> list[Subspace]:
     """All rank-k subspaces of `ambient`, sorted by canonical key.
 
     `guard_subspace_count` runs first, so the size cap is checked before
     anything is listed.
     """
-    guard_subspace_count(ambient, k, cap)
+    guard_subspace_count(ambient, k)
     return sorted(iter_subspaces(ambient, k), key=Subspace.key)
 
 
@@ -874,6 +846,21 @@ class LinearMap:
                 raise ValueError("affine-mode maps need a codomain-length translation")
             if not elements.issuperset(self.translation):
                 raise ValueError("translation entries out of field range")
+
+
+def coordinate_map(f: Field, mode: str, images, codomain_len: int) -> LinearMap:
+    """The map sending canonical basis point i of a full coordinate space
+    to images[i].
+
+    In vector mode that basis is the unit vectors, so the images are the
+    matrix's columns; in affine mode the first basis point is the origin,
+    so its image is the translation and the columns are the others' offsets
+    from it.
+    """
+    t = images[0] if mode == AFFINE else None
+    cols = images if t is None else [vec_sub(f, p, t) for p in images[1:]]
+    return LinearMap(mode, f, len(cols), codomain_len,
+                     transpose(cols, width=codomain_len), t)
 
 
 def identity_map(f: Field, mode: str, n: int) -> LinearMap:

@@ -64,6 +64,25 @@ def test_count_affine_points(capsys):
     assert lines[0]["count_formula"] == 3 == lines[0]["count_enumerated"]
 
 
+def test_count_rejects_field_order_one(capsys):
+    # the closed form divides by q^i - 1, so the field is checked first
+    start = time.perf_counter()
+    code, lines, _ = run_cli(capsys, "count", "--q", "1", "--mode", "vector",
+                             "--N", "2", "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and lines == []
+
+
+def test_count_size_cap_before_closed_form(capsys):
+    # 16^2000 points: the Gaussian binomial alone would take half a minute
+    start = time.perf_counter()
+    code, lines, _ = run_cli(capsys, "count", "--q", "16", "--mode", "vector",
+                             "--N", "2000", "--k", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert [ln["error"] for ln in lines] == ["size_cap"]
+
+
 def test_enumerate_lists_subspaces(capsys):
     code, lines, _ = run_cli(capsys, "enumerate", "--q", "2", "--mode",
                              "vector", "--N", "2", "--k", "1")

@@ -1,8 +1,8 @@
 """Host construction, equalizers, line embeddings, extraction.
 
 Builders re-verify their own algebra internally, so these tests focus on
-extensional facts a caller can observe: point sets of equalizers and
-tuple spaces against brute-force filters, projection behavior on every
+extensional facts a caller can observe: point sets of equalizers, members
+and word spaces against brute-force oracles, projection behavior on every
 block, frozen sizes for the smallest host, and the success/diagnostic
 split of the extraction walk.
 """
@@ -25,9 +25,8 @@ from qramsey import (AFFINE, VECTOR, BasisSet, Budget, ConfigFamily,
                      full_space, hales_jewett, host_from_json, host_to_json,
                      identity_map, image_space, induced_host_verify,
                      line_embedding, linear_extension, make_field, span,
-                     tuple_space, zero_space)
+                     zero_space)
 from qramsey import construction, space
-from qramsey.space import nullspace_rows
 
 
 def vector_spec(nf, word_len=1, num_colors=1, base_rank=2):
@@ -211,48 +210,21 @@ def test_equalizer_rank_law_samples():
 # -- tuple spaces --------------------------------------------------------------
 
 
-def tuple_space_oracle(pi, parts):
-    pts = set()
-    plists = [list(p.points()) for p in parts]
-    for tup in itertools.product(*plists):
-        if len({apply(pi, x) for x in tup}) == 1:
-            pts.add(tuple(c for x in tup for c in x))
-    return pts
+def compatible_tuples(pi, parts):
+    """The points of the tuple space through the parts: over each point of
+    their common image, the parts' points above it, concatenated.
 
-
-def test_tuple_space_matches_oracle(two_cover_base):
-    base = two_cover_base
-    pi = base.projection
-    by_image = {}
-    for g in base.cover_k_spaces:
-        by_image.setdefault(apply(pi, g).key(), []).append(g)
-    fiber = next(iter(by_image.values()))
-    assert len(fiber) == 2
-    for parts in itertools.product(fiber, repeat=2):
-        ts = tuple_space(pi, parts)
-        assert set(ts.points()) == tuple_space_oracle(pi, parts)
-        assert ts.rank == parts[0].rank
-
-
-def test_tuple_space_rejects_mismatched_images(two_cover_base):
-    base = two_cover_base
-    pi = base.projection
-    gs = base.cover_k_spaces
-    a = gs[0]
-    b = next(g for g in gs
-             if apply(pi, g).key() != apply(pi, a).key())
-    with pytest.raises(ValueError):
-        tuple_space(pi, (a, b))
-
-
-def test_tuple_space_rejects_rank_collapse(two_cover_base):
-    base = two_cover_base
-    pi = base.projection
-    ker = nullspace_rows(base.field, pi.matrix, pi.domain_len)
-    assert ker
-    kline = span(base.field, VECTOR, [ker[0]], 4)
-    with pytest.raises(ValueError):
-        tuple_space(base.projection, (kline, kline))
+    Each part's image -> point dict must be a bijection onto one common
+    image, which the checks here assert.
+    """
+    by_image = []
+    for part in parts:
+        pts = list(part.points())
+        inverse = {apply(pi, p): p for p in pts}
+        assert len(inverse) == len(pts)  # pi is injective on the part
+        by_image.append(inverse)
+    assert all(inv.keys() == by_image[0].keys() for inv in by_image)
+    return {tuple(c for inv in by_image for c in inv[y]) for y in by_image[0]}
 
 
 # -- product host ---------------------------------------------------------------
@@ -276,9 +248,8 @@ def test_product_host_member_structure():
     for member, parts in zip(host.members, host.member_parts):
         assert member.key() not in seen
         seen.add(member.key())
-        rebuilt = tuple_space(base.projection,
-                              [base.cover_k_spaces[j] for j in parts])
-        assert member == rebuilt
+        assert set(member.points()) == compatible_tuples(
+            base.projection, [base.cover_k_spaces[j] for j in parts])
         assert host.space.contains_subspace(member)
     # fibers partition the cover k-spaces
     flat = sorted(i for fib in host.fibers for i in fib)
@@ -478,7 +449,7 @@ def test_members_from_sections_oracle(case):
     for word_len in (1, 2):
         host = build_product_host(base, word_len)
         for member, parts in zip(host.members, host.member_parts):
-            assert member == tuple_space(
+            assert set(member.points()) == compatible_tuples(
                 pi, [base.cover_k_spaces[g] for g in parts])
 
 
@@ -533,8 +504,7 @@ def test_equalizer_is_checked_against_its_definition(monkeypatch):
 
 def test_product_host_runs_no_row_reduction_per_member(monkeypatch):
     # X's nullspace and span and the projection's image are the only row
-    # reductions, whatever the member count, and no part is inverted
-    # point by point
+    # reductions, whatever the member count
     rref_calls = []
     real_rref = space.rref
 
@@ -542,11 +512,7 @@ def test_product_host_runs_no_row_reduction_per_member(monkeypatch):
         rref_calls.append(1)
         return real_rref(*args)
 
-    def refused(*args):
-        raise AssertionError("a part was inverted point by point")
-
     monkeypatch.setattr(space, "rref", counted)
-    monkeypatch.setattr(construction, "_inverse_point_map", refused)
     bases = [build_base_host(vector_spec(2)), build_base_host(affine_spec(2)),
              build_base_host(vector_spec(3, base_rank=3))]
     for base in bases:
@@ -632,6 +598,19 @@ def test_line_embedding_word_spaces():
         assert len(emb.host_members) == len(base.cover_k_spaces)
         flat = sorted(apply(emb.flatten, hm).key() for hm in emb.host_members)
         assert flat == [g.key() for g in base.cover_k_spaces]
+
+
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
+def test_word_spaces_match_compatible_tuples(make_spec):
+    base = build_base_host(make_spec(2))
+    for word_len in (1, 2):
+        host = build_product_host(base, word_len)
+        for line in iter_lines(host):
+            emb = line_embedding(host, line)
+            for s, ws in enumerate(emb.word_spaces):
+                covers = [base.covers[c] for c in line.word(s)]
+                assert set(ws.points()) == compatible_tuples(base.projection,
+                                                             covers)
 
 
 def test_line_embedding_trivial_word():
@@ -778,7 +757,9 @@ def test_auto_word_length_values():
     assert auto_word_length(1, 5, 10) == 1
     assert auto_word_length(7, 1, 10) == 1
     assert auto_word_length(2, 2, 1) == 2  # hj(2, 2) = 2
-    assert auto_word_length(2, 2, 3, n_max=1) is None  # out of range
+    start = time.perf_counter()
+    assert auto_word_length(2, 2, 3) is None  # HJ(2, 8) = 8 > 3
+    assert time.perf_counter() - start < 1.0
     assert auto_word_length(2, 2, 1, budget=Budget(max_nodes=1)) is None
 
 
@@ -799,7 +780,7 @@ def test_auto_word_length_huge_pattern_alphabet(monkeypatch):
 
     monkeypatch.setattr(hales_jewett, "find_proper_coloring", guarded)
     start = time.perf_counter()
-    assert auto_word_length(2, 2, 40) is None  # no line forced up to n_max
+    assert auto_word_length(2, 2, 40) is None  # no line forced up to length 3
     assert time.perf_counter() - start < 1.0
 
 

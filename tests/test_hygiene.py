@@ -1,8 +1,10 @@
-"""Source hygiene: no unused imports and no unreferenced definitions.
+"""Source hygiene: no unused imports, unreferenced definitions or unused
+defaults.
 
-Every name a library module imports is used in it, and every function,
+Every name a library module imports is used in it, every function,
 class and method it defines is referenced somewhere in the library or
-the benchmark; code that only the tests call is dead weight.  No linter
+the benchmark, and every defaulted parameter is passed by some call
+there; code that only the tests call is dead weight.  No linter
 ships with the project, so this walks each module's syntax tree with the
 standard library.  `__init__.py` is skipped: its imports are the
 package's public re-exports, and a re-export alone is not a use.
@@ -270,3 +272,105 @@ def test_detects_stray_unchecked_reference():
     assert len(full_space_references(tree)) == 1
     assert stray_references(tree, "space.py") == [5, 7, 8]
     assert stray_references(tree, "arrow.py") == [3, 5, 7, 8]
+
+
+# -- defaulted parameters that no call passes -----------------------------
+#
+# A parameter whose default every caller keeps is a knob no one turns; the
+# default belongs in the body as a constant.  Calls are matched to
+# definitions by name alone, so a call of any function or method of that
+# name counts, and `Class(...)` counts as a call of `Class.__init__`.
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, position among the call's positional
+    arguments or None for keyword-only) of every parameter with a default,
+    on top-level functions and on methods, where `__init__` takes its
+    class's name and a non-static method's position skips `self`."""
+    defs = [(node.name, node, 0) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = cls.name if item.name == "__init__" else item.name
+                    defs.append((name, item, 0 if static else 1))
+    out = []
+    for name, node, skip in defs:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        out += [(name, a.arg, i - skip) for i, a in enumerate(positional)
+                if i >= first]
+        out += [(name, a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def passed_arguments(tree: ast.Module) -> dict[str, tuple[int, set]]:
+    """Callee name -> (most positional arguments of a call, keywords
+    passed); a call with *args or **kwargs passes every parameter, which
+    reads as infinitely many positional arguments and keyword "*"."""
+    out: dict[str, tuple[int, set]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        count, keywords = out.get(name, (0, set()))
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            count = float("inf")
+        count = max(count, len(node.args))
+        keywords |= {k.arg or "*" for k in node.keywords}
+        out[name] = (count, keywords)
+    return out
+
+
+def unpassed(defaulted, passed) -> list[str]:
+    out = []
+    for name, param, position in defaulted:
+        count, keywords = passed.get(name, (0, set()))
+        if not ("*" in keywords or param in keywords
+                or (position is not None and count > position)):
+            out.append(f"{name}({param})")
+    return sorted(out)
+
+
+def test_every_default_is_passed_somewhere():
+    passed: dict[str, tuple[int, set]] = {}
+    for path in REFERENCE_FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, (count, keywords) in passed_arguments(tree).items():
+            old_count, old_keywords = passed.get(name, (0, set()))
+            passed[name] = (max(count, old_count), keywords | old_keywords)
+    never = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        never += [f"{path.name} {name}"
+                  for name in unpassed(defaulted_parameters(tree), passed)]
+    assert not never, ("defaulted parameters that no call in src/qramsey or "
+                       f"perfbench passes: {', '.join(never)}")
+
+
+def test_detects_unpassed_default():
+    tree = ast.parse("class A:\n"
+                     "    def __init__(self, x=1, y=2): pass\n"
+                     "    def m(self, a, b=0, *, c=None, d=1): pass\n"
+                     "    @staticmethod\n"
+                     "    def s(a, b=0): pass\n"
+                     "def f(a, b=1, c=2): pass\n"
+                     "def g(a=1): pass\n"
+                     "def h(a=1, b=2): pass\n"
+                     "A(5)\n"
+                     "A().m(1, c=3)\n"
+                     "A.s(1, 2)\n"
+                     "f(1, *rest)\n"
+                     "h(**opts)\n")
+    assert unpassed(defaulted_parameters(tree), passed_arguments(tree)) == \
+        ["A(y)", "g(a)", "m(b)", "m(d)"]

@@ -21,11 +21,11 @@ import sys
 import pytest
 
 from qramsey import (AFFINE, VECTOR, BasisSet, LinearMap, SizeCapError,
-                     Subspace, apply, complement, compose, count_subspaces,
-                     direct_sum, enumerate_subspaces, extend_to_basis,
-                     full_space, gaussian_binomial, identity_map, image_space,
-                     is_independent, linear_extension, make_field, span,
-                     zero_space)
+                     Subspace, apply, complement, compose, coordinate_map,
+                     count_subspaces, direct_sum, enumerate_subspaces,
+                     extend_to_basis, full_space, gaussian_binomial,
+                     identity_map, image_space, is_independent,
+                     linear_extension, make_field, span, zero_space)
 from qramsey import space
 from qramsey.space import (mat_mul, mat_vec, nullspace_rows, rref, vec_add,
                            vec_scale, vec_sub)
@@ -319,11 +319,13 @@ def test_num_points():
 
 def test_point_cap_enforced():
     f = make_field(2)
-    s = full_space(f, VECTOR, 5)
+    s = full_space(f, VECTOR, 17)  # 131,072 points
     with pytest.raises(SizeCapError):
-        s.sorted_points(cap=10)
+        next(s.points())  # refused before the first point
     with pytest.raises(SizeCapError):
-        enumerate_subspaces(full_space(f, VECTOR, 4), 2, cap=10)
+        s.sorted_points()
+    with pytest.raises(SizeCapError):
+        enumerate_subspaces(s, 1)
     with pytest.raises(SizeCapError):
         enumerate_subspaces(full_space(f, VECTOR, 12), 6)  # 4096 points
 
@@ -887,6 +889,23 @@ def test_linear_extension_domain_len_zero():
     assert apply(aff, ()) == (1, 2)
 
 
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_coordinate_map_matches_linear_extension(q, mode):
+    f = make_field(q)
+    rng = random.Random(q)
+    for rank in range(1 if mode == AFFINE else 0, 5):
+        basis = full_space(f, mode, rank).basis_points()
+        for codomain_len in (0, 1, 3, 6):
+            for _ in range(3):
+                imgs = [tuple(rng.randrange(q) for _ in range(codomain_len))
+                        for _ in basis]
+                m = coordinate_map(f, mode, imgs, codomain_len)
+                assert m == linear_extension(BasisSet(mode, f, basis), imgs,
+                                             codomain_len=codomain_len)
+                assert [apply(m, p) for p in basis] == imgs
+
+
 # -- the RREF matrix walk against the generator it replaced ----------------
 
 def ref_rref_matrices(f, k, d):
@@ -915,8 +934,9 @@ def test_rref_matrices_order_matches_reference(q):
     f = make_field(q)
     for d in range(6 if q == 2 else 5):
         for k in range(d + 2):
-            assert list(space._rref_matrices(f, k, d)) == \
-                list(ref_rref_matrices(f, k, d))
+            walk = [(rows, piv) for piv, choices in space._rref_patterns(f, k, d)
+                    for rows in itertools.product(*choices)]
+            assert walk == list(ref_rref_matrices(f, k, d))
 
 
 def ref_full_space_subspaces(f, mode, k, d):
@@ -939,7 +959,7 @@ def ref_full_space_subspaces(f, mode, k, d):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
-def test_iter_subspaces_order_matches_reference(q, mode, monkeypatch):
+def test_iter_subspaces_order_matches_reference(q, mode):
     f = make_field(q)
     # the full space's walk builds from checked patterns, so it is compared
     # with the reference matrices through the validating constructor
@@ -947,15 +967,21 @@ def test_iter_subspaces_order_matches_reference(q, mode, monkeypatch):
     for k in range(full.rank + 1):
         assert list(space.iter_subspaces(full, k)) == \
             list(ref_full_space_subspaces(f, mode, k, full.ambient_len))
-    # a proper ambient, whose walk's rows are mapped into it
-    gens = [(1, 0, 1, 0, 1), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1), (1, 1, 0, 0, 0)]
-    ambient = span(f, mode, gens[:3] if mode == VECTOR else gens, 5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_proper_ambient_subspaces_match_containment_filter(q, mode):
+    f = make_field(q)
+    gens = [(1, 0, 1, 1), (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0)]
+    ambient = span(f, mode, gens[:3] if mode == VECTOR else gens, 4)
+    full = full_space(f, mode, 4 if mode == VECTOR else 5)
+    assert ambient.rank == full.rank - 1 and full.ambient_len == 4
     for k in range(ambient.rank + 1):
-        got = list(space.iter_subspaces(ambient, k))
-        monkeypatch.setattr(space, "_rref_matrices", ref_rref_matrices)
-        want = list(space.iter_subspaces(ambient, k))
-        monkeypatch.undo()
-        assert got == want
+        want = [s for s in enumerate_subspaces(full, k)
+                if ambient.contains_subspace(s)]
+        assert enumerate_subspaces(ambient, k) == want
+        assert len(want) == count_subspaces(ambient.rank, k, q, mode)
 
 
 # -- the checked pattern walk ------------------------------------------------
