@@ -21,11 +21,10 @@ from .arrow import (ArrowInstance, ArrowResult, ArrowStructure, ColoringTable,
                     ConfigFamily, VerifyResult, arrow_holds, arrow_structure,
                     family_isomorphic, find_monochromatic_subspace,
                     induced_host_verify, min_arrow_N, structure_generators)
-from .construction import (BaseHost, ConstructionCheckError, CoverBlock,
+from .construction import (BaseHost, ConstructionCheckError,
                            ExtractionFailure, HostSpec, LineEmbedding,
-                           MonochromaticCopy, ProductHost, SubspaceBlock,
-                           auto_n1, auto_word_length, build_base_host,
-                           build_product_host, color_pattern,
+                           MonochromaticCopy, ProductHost, auto_word_length,
+                           build_base_host, build_product_host, color_pattern,
                            equalizer_subspace, extract_monochromatic_copy,
                            host_from_json, host_to_json, line_embedding)
 

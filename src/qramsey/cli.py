@@ -16,7 +16,7 @@ import time
 from .arrow import (ArrowInstance, arrow_holds, induced_host_verify,
                     min_arrow_N)
 from .budget import Budget, BudgetExceededError
-from .construction import (ExtractionFailure, HostSpec, auto_n1,
+from .construction import (ExtractionFailure, HostSpec, auto_word_length,
                            build_base_host, build_product_host,
                            extract_monochromatic_copy, host_from_json,
                            host_to_json)
@@ -173,7 +173,8 @@ def cmd_construct(args) -> int:
     base = build_base_host(spec)
     word_len = spec.word_len
     if word_len is None:
-        word_len = auto_n1(spec, base, budget=bud)
+        word_len = auto_word_length(len(base.covers), spec.num_colors,
+                                    len(base.base_k_spaces), budget=bud)
         if word_len is None:
             _emit({"command": "construct", "verdict": "unknown",
                    "reason": "word length search found no bound in range"})
@@ -183,7 +184,7 @@ def cmd_construct(args) -> int:
     _emit({
         "command": "construct", "out": args.out, "word_len": word_len,
         "rank_block_space": base.space.rank, "rank_equalizer": host.space.rank,
-        "num_targets": len(base.blocks), "num_covers": len(base.covers),
+        "num_targets": len(base.targets), "num_covers": len(base.covers),
         "num_cover_k_spaces": len(base.cover_k_spaces),
         "num_members": len(host.members),
     })

@@ -19,17 +19,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arrow import (ConfigFamily, family_isomorphic, find_monochromatic_subspace,
-                    point_index)
+from .arrow import ConfigFamily, family_isomorphic, find_monochromatic_subspace
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, Vec, apply, complement, compose,
-                    coordinate_map, direct_sum, enumerate_subspaces,
-                    full_space, identity_map, identity_rows, image_space,
-                    json_expect, json_int, linear_extension, nullspace_rows,
-                    span, subspace_templates, vec_sub, zero_space)
+                    coordinate_map, count_text, direct_sum,
+                    enumerate_subspaces, full_space, identity_map,
+                    identity_rows, image_space, json_expect, json_int,
+                    linear_extension, nullspace_rows, span,
+                    subspace_templates, vec_sub)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -108,33 +108,13 @@ class HostSpec:
 
 
 @dataclass(frozen=True)
-class CoverBlock:
-    """Per family member inside one target: its cover and bookkeeping."""
-
-    member: Subspace              # family member pushed into the target
-    comp_span: Subspace | None    # span of the slots holding the complement copy
-    lifted: Subspace              # member pulled up beside the target's slots
-    cover: Subspace               # lifted (+) comp_span, full base rank
-
-
-@dataclass(frozen=True)
-class SubspaceBlock:
-    """Per rank-n target subspace of the base space."""
-
-    target: Subspace              # the subspace of the base space
-    embed: LinearMap              # config ambient -> target
-    span: Subspace                # span of the slots holding the target copy
-    lift: LinearMap               # base-space coords -> block coords, inverse of the projection on target
-    covers: tuple[CoverBlock, ...]
-
-
-@dataclass(frozen=True)
 class BaseHost:
     spec: HostSpec
     base_space: Subspace                    # rank-N0 projection target
     base_k_spaces: tuple[Subspace, ...]     # its rank-k subspaces, canonical order
     space: Subspace                         # the block space carrying all covers
-    blocks: tuple[SubspaceBlock, ...]       # one per rank-n target, canonical order
+    targets: tuple[Subspace, ...]           # base rank-n subspaces, canonical order
+    target_spans: tuple[Subspace, ...]      # [target] -> span of the slots holding its copy
     covers: tuple[Subspace, ...]            # all covers, (target, member) order
     cover_k_spaces: tuple[Subspace, ...]    # union of the covers' rank-k subspaces
     projection: LinearMap                   # block space -> base space
@@ -169,110 +149,95 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     room = full_space(f, mode, total_rank)
     v_amb = room.ambient_len
     v_basis = room.basis_points()
-    cfg_basis = BasisSet(mode, f, spec.family.ambient.basis_points())
 
-    blocks: list[SubspaceBlock] = []
+    # pull F back onto the rank-n coordinate space once; the coordinate
+    # maps of a target's basis points and of its slots then push each
+    # member into the target and into the slots
+    coord = full_space(f, mode, n)
+    pull = linear_extension(BasisSet(mode, f, spec.family.ambient.basis_points()),
+                            coord.basis_points(), codomain_len=coord.ambient_len)
+    members = [apply(pull, m) for m in spec.family.members]
+    target_spans: list[Subspace] = []
+    parts: list[Subspace] = []    # the slot spans, whose direct sum is the room
     covers: list[Subspace] = []
     pi_images: list[Vec] = []
     cursor = 0
     for target in targets:
         t_basis = target.basis_points()
-        embed = linear_extension(cfg_basis, t_basis, codomain_len=e_amb)
         slots = v_basis[cursor:cursor + n]
         cursor += n
         pi_images.extend(t_basis)
-        lift = linear_extension(BasisSet(mode, f, t_basis), slots,
-                                codomain_len=v_amb)
         t_span = span(f, mode, slots, v_amb)
-        cblocks: list[CoverBlock] = []
-        for fmember in spec.family.members:
-            member = apply(embed, fmember)
-            if member.rank != k:
-                raise ConstructionCheckError("pushed member lost rank")
-            lifted = apply(lift, member)
-            if comp_size == 0:
-                comp_span = zero_space(f, v_amb) if mode == VECTOR else None
-                cover = lifted
-            else:
-                comp = complement(member, base)
+        target_spans.append(t_span)
+        parts.append(t_span)
+        push = coordinate_map(f, mode, t_basis, e_amb)
+        lift = coordinate_map(f, mode, slots, v_amb)
+        for member in members:
+            cover = lifted = apply(lift, member)
+            if comp_size:
+                comp = complement(apply(push, member), base)
                 if comp.rank != comp_size:
                     raise ConstructionCheckError("complement has wrong rank")
                 comp_slots = v_basis[cursor:cursor + comp_size]
                 cursor += comp_size
                 pi_images.extend(comp.basis_points())
                 comp_span = span(f, mode, comp_slots, v_amb)
+                parts.append(comp_span)
                 cover = direct_sum([lifted, comp_span])
             if cover.rank != big_n:
                 raise ConstructionCheckError("cover has wrong rank")
-            cblocks.append(CoverBlock(member, comp_span, lifted, cover))
             covers.append(cover)
-        blocks.append(SubspaceBlock(target, embed, t_span, lift,
-                                    tuple(cblocks)))
     if cursor != len(v_basis):
         raise ConstructionCheckError("block slots do not exhaust the basis")
     projection = coordinate_map(f, mode, pi_images, e_amb)
 
     # re-verify the structural claims the rest of the pipeline leans on;
     # canonical subspaces are equal exactly when their keys are
-    parts = []
-    for b in blocks:
-        parts.append(b.span)
-        parts.extend(c.comp_span for c in b.covers if c.comp_span is not None
-                     and c.comp_span.rank > 0)
     if parts and direct_sum(parts) != room:
         raise ConstructionCheckError("blocks do not sum to the whole space")
-    for b in blocks:
-        if apply(projection, b.span) != b.target:
+    for target, t_span in zip(targets, target_spans):
+        if apply(projection, t_span) != target:
             raise ConstructionCheckError("projection misses a target block")
-        for c in b.covers:
-            back = apply(projection, c.cover)
-            if back != base or c.cover.rank != back.rank:
-                raise ConstructionCheckError("projection is not onto the base "
-                                             "space on a cover")
 
-    # one pass over each cover's k-spaces, through the templates of the
-    # rank-N0 coordinate space (a cover has rank N0): list the cover's
-    # points once, project each once, and keep the inverse as the cover's
-    # section; find the base k-space that is each template's image, record
-    # it, and collect the k-spaces with a cover holding each and the base
-    # points under its basis points
+    # one pass over the covers: list each cover's points once, project
+    # each once, and keep the inverse as the cover's section.  The base
+    # space is the rank-N0 coordinate space, so its k-spaces are the
+    # rank-N0 templates in order (checked once), and the cover k-space
+    # over base k-space j is the span of the section at template j's
+    # basis positions.  Collect the k-spaces with a cover holding each
+    # and the base points under its basis points.
     base_k = tuple(enumerate_subspaces(base, k))
-    where, slot_of = point_index(base, base_k)
+    where = {p: i for i, p in enumerate(base.points())}
     templates = subspace_templates(f, mode, big_n, k)
+    if [t for t, _ in templates] != [[where[p] for p in s.points()]
+                                     for s in base_k]:
+        raise ConstructionCheckError("templates do not align with the base "
+                                     "k-spaces")
     frames: dict[Subspace, tuple[int, tuple[int, ...]]] = {}
     sections: list[tuple[Vec, ...]] = []
-    slot_rows: list[list[Subspace | None]] = []
+    slot_rows: list[list[Subspace]] = []
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
         at = [where[apply(projection, p)] for p in pts]
         if len(at) != len(where) or len(set(at)) != len(at):
             raise ConstructionCheckError("projection is not a bijection from "
                                          "a cover onto the base space")
-        sections.append(tuple(p for _, p in sorted(zip(at, pts))))
+        section = tuple(p for _, p in sorted(zip(at, pts)))
+        sections.append(section)
         over = dict(zip(pts, at))
-        row: list[Subspace | None] = [None] * len(base_k)
-        for point_pos, basis_pos in templates:
-            image = frozenset([at[i] for i in point_pos])
-            if len(image) != len(point_pos):
-                raise ConstructionCheckError("projection not injective on a "
-                                             "cover k-space")
-            j = slot_of.get(image)
-            if j is None:
-                raise ConstructionCheckError("fibers do not align with the base "
-                                             "k-spaces")
-            s = span(f, mode, [pts[i] for i in basis_pos], v_amb)
+        row = []
+        for _, basis_pos in templates:
+            s = span(f, mode, [section[i] for i in basis_pos], v_amb)
             if s not in frames:
                 frames[s] = (ci, tuple(map(over.__getitem__, s.basis_points())))
-            row[j] = s
-        if None in row:
-            raise ConstructionCheckError("a cover misses a base k-space")
+            row.append(s)
         slot_rows.append(row)
     cover_k = tuple(sorted(frames, key=Subspace.key))
     g_index = {s: i for i, s in enumerate(cover_k)}
     cover_slot = tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows)
-    return BaseHost(spec, base, base_k, room, tuple(blocks), tuple(covers),
-                    cover_k, projection, cover_slot, tuple(sections),
-                    tuple(map(frames.__getitem__, cover_k)))
+    return BaseHost(spec, base, base_k, room, tuple(targets), tuple(target_spans),
+                    tuple(covers), cover_k, projection, cover_slot,
+                    tuple(sections), tuple(map(frames.__getitem__, cover_k)))
 
 
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
@@ -363,7 +328,8 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
                    for j in range(len(base.base_k_spaces)))
     count = sum(len(fiber) ** word_len for fiber in fibers)
     if count > POINT_CAP:
-        raise SizeCapError(f"{count} members at word_len {word_len}, cap {POINT_CAP}")
+        raise SizeCapError(f"{count_text(count)} members at word_len {word_len}, "
+                           f"cap {POINT_CAP}")
     f = base.field
     mode = base.mode
     pi = base.projection
@@ -648,25 +614,19 @@ def extract_monochromatic_copy(host: ProductHost, coloring):
             "no pattern-monochromatic target subspace: the base rank is too "
             "small for this coloring", line, pattern)
     target, color = found
-    block = next(b for b in base.blocks if b.target.key() == target.key())
-    members = tuple(sorted((apply(emb.section, c.lifted) for c in block.covers),
-                           key=lambda s: s.key()))
-    copy_space = apply(emb.section, block.span)
-
-    member_keys = {m.key() for m in members}
-    for m in members:
-        if m.key() not in coloring:
-            raise ConstructionCheckError("copy member is not in the host family")
-        if coloring[m.key()] != color:
-            raise ConstructionCheckError("copy member has the wrong color")
-    inside = {m.key() for m in host.members
-              if copy_space.contains_subspace(m)}
-    if inside != member_keys:
-        raise ConstructionCheckError("copy is not induced: its space meets "
-                                     "the family elsewhere")
-    if family_isomorphic(spec.family, ConfigFamily(copy_space, members)) is None:
-        raise ConstructionCheckError("copy is not isomorphic to the family")
-    return MonochromaticCopy(target, copy_space, members, color, line, pattern)
+    copy_space = apply(emb.section,
+                       base.target_spans[base.targets.index(target)])
+    # take the copy's members to be the host members inside it: the copy
+    # is then induced and a copy of F exactly when it is isomorphic to F
+    copy = ConfigFamily(copy_space, tuple(m for m in host.members
+                                          if copy_space.contains_subspace(m)))
+    if any(coloring[m.key()] != color for m in copy.members):
+        raise ConstructionCheckError("copy member has the wrong color")
+    if family_isomorphic(spec.family, copy) is None:
+        raise ConstructionCheckError("copy is not an induced copy of the "
+                                     "family: its members are not F's image")
+    return MonochromaticCopy(target, copy_space, copy.members, color, line,
+                             pattern)
 
 
 def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
@@ -687,12 +647,6 @@ def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
                          budget=budget)[0]
     except BudgetExceededError:
         return None
-
-
-def auto_n1(spec: HostSpec, base: BaseHost,
-            budget: Budget | None = None) -> int | None:
-    return auto_word_length(len(base.covers), spec.num_colors,
-                            len(base.base_k_spaces), budget=budget)
 
 
 # ---------------------------------------------------------------------------

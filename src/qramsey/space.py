@@ -30,6 +30,17 @@ AFFINE = "affine"
 POINT_CAP = 1 << 16
 
 
+def count_text(count: int) -> str:
+    """A count for a message: exact up to 64 bits, else a power-of-two bound.
+
+    Python refuses to turn integers of more than 4,300 digits into text,
+    and the counts a size cap refuses can be that large.
+    """
+    if count.bit_length() <= 64:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
+
+
 class SizeCapError(ValueError):
     """An enumeration would exceed the configured point/item cap."""
 
@@ -277,7 +288,8 @@ class Subspace:
         row's nonzero multiples.
         """
         if self.num_points > POINT_CAP:
-            raise SizeCapError(f"{self.num_points} points exceeds cap {POINT_CAP}")
+            raise SizeCapError(f"{count_text(self.num_points)} points exceeds cap "
+                               f"{POINT_CAP}")
         add, mul = self.field.add_table, self.field.mul_table
         pts = [self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)]
         for row in self.direction:
@@ -573,12 +585,13 @@ def guard_subspace_count(ambient: Subspace, k: int) -> int:
     not in 0..rank; callers run it before listing or scanning subspaces.
     """
     if ambient.num_points > POINT_CAP:
-        raise SizeCapError(f"ambient has {ambient.num_points} points, cap {POINT_CAP}")
+        raise SizeCapError(f"ambient has {count_text(ambient.num_points)} points, "
+                           f"cap {POINT_CAP}")
     if not 0 <= k <= ambient.rank:
         raise ValueError(f"k={k} out of range for rank {ambient.rank}")
     count = count_subspaces(ambient.rank, k, ambient.field.order, ambient.mode)
     if count > POINT_CAP:
-        raise SizeCapError(f"{count} rank-{k} subspaces, cap {POINT_CAP}")
+        raise SizeCapError(f"{count_text(count)} rank-{k} subspaces, cap {POINT_CAP}")
     return count
 
 

@@ -8,6 +8,7 @@ script end to end.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ import pytest
 import qramsey
 from qramsey import (AFFINE, VECTOR, ConfigFamily, HostSpec, arrow,
                      enumerate_subspaces, full_space, host_from_json,
-                     induced_host_verify, make_field)
+                     induced_host_verify, make_field, span)
 from qramsey.cli import _write_json, main
 
 DEGENERATE_SPEC = {
@@ -285,6 +286,53 @@ def test_construct_bundle_digests_pinned(case, tmp_path, capsys):
     assert hashlib.sha256(bundle.read_bytes()).hexdigest() == PINNED_BUNDLES[case]
 
 
+def construct_bundle(capsys, tmp_path, spec):
+    spec_path, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec_path.write_text(json.dumps(spec.to_json()))
+    code, _, _ = run_cli(capsys, "construct", "--spec", str(spec_path),
+                         "--out", str(bundle))
+    assert code == 0
+    return bundle
+
+
+def proper_ambient_spec(q, mode, n0, n1):
+    """F: two rank-1 members of a rank-2 proper subspace of the coordinate
+    3-space whose canonical basis is not made of unit vectors."""
+    pts = [(1, 1, 0), (0, 1, 1)] if mode == VECTOR else [(1, 0, 1), (0, 1, 1)]
+    amb = span(make_field(q), mode, pts, 3)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:2]))
+    return HostSpec(q, mode, 1, 2, 2, fam, n0, n1)
+
+
+# the same, for F inside a proper subspace of a longer coordinate space,
+# where the build pulls F back to the coordinate space of its rank;
+# recorded when each target solved its own embedding of F's ambient.
+# (q, mode, N0, N1) -> digest
+PINNED_PROPER_AMBIENT_BUNDLES = {
+    (2, VECTOR, 2, 1): "823ce26cddf7cdba0b710096f01d95af063274bc6b2fbc6719d92a70b7bb0913",
+    (2, VECTOR, 2, 2): "40b8898d3a179bd750598e4d71f88acd85961449f723224924ed925d1bdd697b",
+    (2, VECTOR, 3, 1): "b3ef095b37c813fc31d338572ed86f50582fa0e0dcffa333bc9cb80c86a8fed9",
+    (3, VECTOR, 2, 1): "8b9ff0ba64516b3624f2d4924655a4a06fe96259c96277559aab6b3620e9a923",
+    (3, VECTOR, 2, 2): "b6810d611f120c22d72319b10c7dc0e08c591a4714d0df0c264341b3dd47b21a",
+    (3, VECTOR, 3, 1): "bc65a98a99b143a5da003d906d218547cdd077361b2bfb08911453aad27e4e54",
+    (2, AFFINE, 2, 1): "5dd42855bf8c1bf1d668d14ffe6b1c1d1168b9e66d5f0382d1c94d4f828a7497",
+    (2, AFFINE, 2, 2): "855445c52b8903c9a902078db20fddad1d1809edd624ba056879c7d1e0220068",
+    (2, AFFINE, 3, 1): "35c6c33ed44e8ff82bc4abdcd7c64369db1a2958bdcd690b10e93f87878b5473",
+    (3, AFFINE, 2, 1): "6f8dd9af81c5481baa39adbebd6b1e5431f7e6a413d1ca4b4eff5dd8b52259b7",
+    (3, AFFINE, 2, 2): "47c73dc83c6fec58a40dc18cfdba60462c5f647c341492f296c15b1c414c58dd",
+    (3, AFFINE, 3, 1): "e53e6510e2f8cc0dd48fe95b79ace503095a2377a4c14b04ff4bb5444f535da7",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_PROPER_AMBIENT_BUNDLES),
+                         ids=["q{}_{}_N0_{}_N1_{}".format(*c)
+                              for c in PINNED_PROPER_AMBIENT_BUNDLES])
+def test_construct_proper_ambient_digests_pinned(case, tmp_path, capsys):
+    bundle = construct_bundle(capsys, tmp_path, proper_ambient_spec(*case))
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() == \
+        PINNED_PROPER_AMBIENT_BUNDLES[case]
+
+
 def test_construct_spec_with_unsorted_rows(tmp_path, capsys):
     # hand-authored generating sets need not be in canonical form
     spec = json.loads(json.dumps(DEGENERATE_SPEC))
@@ -317,6 +365,53 @@ def test_extract_entries_coloring(bundle_path, tmp_path, capsys):
     code, lines, _ = run_cli(capsys, "extract", "--bundle", str(bundle_path),
                              "--coloring", str(col))
     assert code == 0 and lines[0]["status"] == "success"
+
+
+# sha256 of extract's stdout on q = 2, n = 2, k = 1, r = 2 hosts at N1 = 1,
+# recorded when the copy's members were predicted from the target's block.
+# "members" colors each member by a seeded draw, "fibers" each base
+# k-space (every member over it takes its color), so the line search
+# passes and the subspace search decides.
+# (mode, |F|, N0, coloring) -> (exit code, status or step, digest)
+PINNED_EXTRACTS = {
+    (VECTOR, 2, 3, "constant"): (0, "success", "d2a994cfe0418671df622638dd8db29bb1037ce21dfd1a0b443f8065a8e244a8"),
+    (VECTOR, 2, 3, "members"): (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8"),
+    (VECTOR, 2, 3, "fibers"): (0, "success", "1a7a06cefe2879bd74cea935c6b6daca9af3930a97991c103bc5f1272525f758"),
+    (VECTOR, 1, 2, "fibers"): (2, "subspace_search", "f2b63ae2506bba2adcf5f37397e32b8e0d9137d1b980cb9b60425f1d817bac5e"),
+    (AFFINE, 2, 3, "constant"): (0, "success", "a66b8f578a53bfe84989a752e61559bb897b0a700d125f7a0d8196dc430dfcb7"),
+    (AFFINE, 2, 3, "members"): (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8"),
+    (AFFINE, 2, 3, "fibers"): (0, "success", "b98205afb918899a6895d2c5a412217a568a950975c6c3401d15f0027e7ef151"),
+    (AFFINE, 1, 2, "fibers"): (2, "subspace_search", "0b7b8d88660e95ddf194328ff6deb6ccdd5808d4e7da25c35bafd66ec152e32f"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_EXTRACTS),
+                         ids=["{}_F{}_N0_{}_{}".format(*c) for c in PINNED_EXTRACTS])
+def test_extract_stdout_digests_pinned(case, tmp_path, capsys):
+    mode, nf, n0, coloring = case
+    amb = full_space(make_field(2), mode, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:nf]))
+    bundle = construct_bundle(capsys, tmp_path,
+                              HostSpec(2, mode, 1, 2, 2, fam, n0, 1))
+    host = host_from_json(json.loads(bundle.read_text()))
+    rng = random.Random(4)
+    if coloring == "constant":
+        data = {"constant": 1}
+    elif coloring == "members":
+        data = {"entries": {m.key(): rng.randrange(2) for m in host.members}}
+    else:
+        colors = [rng.randrange(2) for _ in host.fibers]
+        fiber_of = {g: j for j, fiber in enumerate(host.fibers) for g in fiber}
+        data = {"entries": {m.key(): colors[fiber_of[parts[0]]]
+                            for m, parts in zip(host.members, host.member_parts)}}
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps(data))
+    code, lines, out = run_cli(capsys, "extract", "--bundle", str(bundle),
+                               "--coloring", str(col))
+    want_code, outcome, digest = PINNED_EXTRACTS[case]
+    assert code == want_code
+    assert lines[0].get("step", lines[0]["status"]) == outcome
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_extract_bad_coloring_file(bundle_path, tmp_path, capsys):
@@ -428,6 +523,49 @@ def test_construct_member_count_cap(tmp_path, capsys):
     assert out == ('{"command": "construct", "error": "size_cap", "message": '
                    '"1361367 members at word_len 4, cap 65536"}\n')
     assert not (tmp_path / "bundle.json").exists()
+
+
+def axes_spec(r, word_len):
+    """vector q = 2, n = 2, k = 1, F = both coordinate axes, N0 = 2."""
+    amb = full_space(make_field(2), VECTOR, 2)
+    axes = tuple(span(amb.field, VECTOR, [row], 2) for row in amb.direction)
+    return {"q": 2, "mode": "vector", "k": 1, "n": 2, "r": r,
+            "F": ConfigFamily(amb, axes).to_json(), "N0": 2, "N1": word_len}
+
+
+def test_construct_auto_word_length(tmp_path, capsys):
+    # one color needs no line search; two colors over 3 base k-spaces need
+    # HJ(2, 2^3) = 8, beyond the search's word lengths up to 3
+    spec_path, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec_path.write_text(json.dumps(axes_spec(1, "auto")))
+    code, lines, _ = run_cli(capsys, "construct", "--spec", str(spec_path),
+                             "--out", str(bundle))
+    assert code == 0 and lines[0]["word_len"] == 1
+    assert json.loads(bundle.read_text())["spec"]["N1"] == 1
+    bundle.unlink()
+    spec_path.write_text(json.dumps(axes_spec(2, "auto")))
+    code, lines, _ = run_cli(capsys, "construct", "--spec", str(spec_path),
+                             "--out", str(bundle))
+    assert code == 3 and lines[0]["verdict"] == "unknown"
+    assert not bundle.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "16", "--mode", "vector", "--N", "4000", "--k", "1000"],
+    ["construct", "--spec", "{spec}", "--out", "{out}"],
+], ids=["count", "construct"])
+def test_size_cap_message_for_huge_counts(argv, tmp_path, capsys):
+    # 16^4000 points, and 3 * 2^20000 members at N1 = 20000: counts beyond
+    # Python's 4,300-digit limit on integer-to-text conversion are written
+    # as a power-of-two bound
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(axes_spec(2, 20000)))
+    argv = [a.format(spec=spec_path, out=tmp_path / "bundle.json") for a in argv]
+    code, lines, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert lines[0]["error"] == "size_cap"
+    assert len(lines[0]["message"]) < 200
+    assert "at least 2^" in lines[0]["message"]
 
 
 @pytest.mark.parametrize("path", [

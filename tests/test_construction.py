@@ -17,9 +17,9 @@ import pytest
 
 from qramsey import (AFFINE, VECTOR, BasisSet, Budget, ConfigFamily,
                      ExtractionFailure, HostSpec, Line, LinearMap,
-                     MonochromaticCopy, SizeCapError, apply, auto_n1,
-                     auto_word_length, build_base_host, build_product_host,
-                     color_pattern, complement, compose,
+                     MonochromaticCopy, SizeCapError, apply, auto_word_length,
+                     build_base_host, build_product_host, color_pattern,
+                     complement, compose,
                      enumerate_subspaces, equalizer_subspace,
                      extract_monochromatic_copy, family_isomorphic,
                      full_space, hales_jewett, host_from_json, host_to_json,
@@ -94,7 +94,8 @@ def test_base_host_frozen_sizes(two_cover_base):
     base = two_cover_base
     # one target (E itself), two covers, rank 2 + 2*(2-1) slots
     assert base.space.rank == 4
-    assert len(base.blocks) == 1 and len(base.covers) == 2
+    assert len(base.targets) == len(base.target_spans) == 1
+    assert len(base.covers) == 2
     assert len(base.base_k_spaces) == 3
     assert len(base.cover_k_spaces) == 6
     assert base.projection.domain_len == 4 and base.projection.codomain_len == 2
@@ -105,26 +106,46 @@ def test_base_host_projection_behavior(two_cover_base):
     E = base.base_space
     pi = base.projection
     assert image_space(pi) == E
-    for block in base.blocks:
-        assert apply(pi, block.span) == block.target
-        # lift is a section of the projection over the target
-        for p in block.target.points():
-            assert apply(pi, apply(block.lift, p)) == p
-        for cb in block.covers:
-            assert cb.cover.rank == base.spec.base_rank
-            assert apply(pi, cb.cover) == E
-            assert apply(pi, cb.lifted) == apply(block.embed, cb.member)
+    for target, t_span in zip(base.targets, base.target_spans):
+        # the projection carries the target's slots bijectively onto it
+        assert apply(pi, t_span) == target and t_span.rank == target.rank
+    for cover in base.covers:
+        assert cover.rank == base.spec.base_rank
+        assert apply(pi, cover) == E
 
 
-def test_base_host_embed_is_configuration_iso(two_cover_base):
-    base = two_cover_base
-    fam = base.spec.family
-    for block in base.blocks:
-        assert apply(block.embed, fam.ambient) == block.target
-        image_fam = ConfigFamily(
-            block.target,
-            tuple(apply(block.embed, m) for m in fam.members))
-        assert family_isomorphic(fam, image_fam) is not None
+def proper_ambient_spec(q, mode, base_rank):
+    """F: two rank-1 members of a rank-2 proper subspace of the coordinate
+    3-space whose canonical basis is not made of unit vectors."""
+    pts = [(1, 1, 0), (0, 1, 1)] if mode == VECTOR else [(1, 0, 1), (0, 1, 1)]
+    amb = span(make_field(q), mode, pts, 3)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:2]))
+    return HostSpec(q, mode, 1, 2, 1, fam, base_rank, 1)
+
+
+def test_base_host_embed_is_configuration_iso():
+    # for each target, the cover k-spaces inside its slots project onto
+    # F's members carried into the target by `linear_extension` from F's
+    # ambient basis, a copy of F there
+    specs = [vector_spec(2), affine_spec(2), vector_spec(2, base_rank=3),
+             proper_ambient_spec(2, VECTOR, 3), proper_ambient_spec(3, VECTOR, 2),
+             proper_ambient_spec(2, AFFINE, 3), proper_ambient_spec(3, AFFINE, 3)]
+    for spec in specs:
+        base = build_base_host(spec)
+        fam = spec.family
+        cfg = BasisSet(spec.mode, spec.field, fam.ambient.basis_points())
+        assert len(base.covers) == len(base.targets) * len(fam.members)
+        for target, t_span in zip(base.targets, base.target_spans):
+            embed = linear_extension(cfg, target.basis_points(),
+                                     codomain_len=target.ambient_len)
+            assert apply(embed, fam.ambient) == target
+            pushed = {apply(embed, m) for m in fam.members}
+            inside = [g for g in base.cover_k_spaces
+                      if t_span.contains_subspace(g)]
+            assert len(inside) == len(fam.members)
+            assert {apply(base.projection, g) for g in inside} == pushed
+            assert family_isomorphic(
+                fam, ConfigFamily(target, tuple(pushed))) is not None
 
 
 def test_base_host_cover_k_spaces(two_cover_base):
@@ -141,19 +162,19 @@ def test_base_host_affine():
     # affine rank bookkeeping: 2 + 2*(2-1) slots like the vector case
     assert base.space.rank == 4
     assert image_space(base.projection) == base.base_space
-    for block in base.blocks:
-        assert apply(base.projection, block.span) == block.target
+    for target, t_span in zip(base.targets, base.target_spans):
+        assert apply(base.projection, t_span) == target
 
 
 def test_base_host_multiple_targets():
     # N0 = 3 gives seven rank-2 targets inside E, one cover per (U, member)
     spec = vector_spec(1, base_rank=3)
     base = build_base_host(spec)
-    assert len(base.blocks) == 7
+    assert len(base.targets) == len(base.target_spans) == 7
     assert len(base.covers) == 7
     assert base.space.rank == 7 * (2 + (3 - 1) * 1)
-    for block in base.blocks:
-        assert apply(base.projection, block.span) == block.target
+    for target, t_span in zip(base.targets, base.target_spans):
+        assert apply(base.projection, t_span) == target
 
 
 # -- equalizer ----------------------------------------------------------------
@@ -412,13 +433,19 @@ def section_spec(q, mode, nf, base_rank, k=1, n=2):
 
 def reference_pi_images(base):
     """The images of the block space's basis points, slot by slot: each
-    target's basis, then each cover's complement basis."""
+    target's basis, then the complement basis of each member of F carried
+    into the target by `linear_extension` from F's ambient basis."""
+    spec = base.spec
+    cfg = BasisSet(spec.mode, spec.field, spec.family.ambient.basis_points())
     out = []
-    for b in base.blocks:
-        out.extend(b.target.basis_points())
-        if base.spec.base_rank > base.spec.colored_rank:
-            for c in b.covers:
-                out.extend(complement(c.member, base.base_space).basis_points())
+    for target in base.targets:
+        out.extend(target.basis_points())
+        if spec.base_rank > spec.colored_rank:
+            embed = linear_extension(cfg, target.basis_points(),
+                                     codomain_len=target.ambient_len)
+            for m in spec.family.members:
+                out.extend(complement(apply(embed, m),
+                                      base.base_space).basis_points())
     return out
 
 
@@ -455,20 +482,42 @@ def test_members_from_sections_oracle(case):
 
 @pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
 def test_section_must_be_a_bijection(make_spec, monkeypatch):
-    # number the last base point as the first: every cover then has two
-    # points over base point 0 and none over the last
-    real = construction.point_index
-
-    def merged(host, k_spaces):
-        where, item_of = real(host, k_spaces)
-        where = dict(where)
-        where[list(where)[-1]] = 0
-        return where, item_of
-
-    monkeypatch.setattr(construction, "point_index", merged)
+    # a "complement" of the right rank inside the member itself: the
+    # complement slots then project into the member, so every cover has
+    # several points over some base points and none over others
+    monkeypatch.setattr(construction, "complement", lambda inner, outer: inner)
     with pytest.raises(construction.ConstructionCheckError,
                        match="projection is not a bijection"):
         build_base_host(make_spec(2))
+
+
+def test_templates_must_align_with_the_base_k_spaces(monkeypatch):
+    # cover k-space j is read off the sections at template j's basis
+    # positions, so template j must be base k-space j
+    real = construction.subspace_templates
+    monkeypatch.setattr(construction, "subspace_templates",
+                        lambda *args: real(*args)[::-1])
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="templates do not align"):
+        build_base_host(vector_spec(2))
+
+
+@pytest.mark.parametrize("make_spec", list(ORACLE_SPECS.values())
+                         + [lambda: proper_ambient_spec(3, AFFINE, 3)],
+                         ids=list(ORACLE_SPECS) + ["proper_affine"])
+def test_base_host_solves_one_linear_extension(make_spec, monkeypatch):
+    # F is pulled back to the coordinate space once; targets and slots
+    # take it by coordinate maps of their basis points
+    real = construction.linear_extension
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "linear_extension", counted)
+    base = build_base_host(make_spec())
+    assert len(base.targets) > 1 and len(calls) == 1
 
 
 @pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
@@ -750,6 +799,51 @@ def test_extract_base_rank_above_target_rank(spec):
                                  ConfigFamily(out.space, out.members))
 
 
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
+                         ids=["vector", "affine"])
+def test_extract_rejects_a_copy_that_is_not_induced(make_spec, monkeypatch):
+    # add to H a k-space of the extracted copy that is not one of its
+    # members: the copy then meets the family outside F's image.  The
+    # line embedding, which would see the extra member first, is taken
+    # on the host without it.
+    host = build_product_host(build_base_host(make_spec(1, num_colors=2)), 1)
+    coloring = {m.key(): 0 for m in host.members}
+    out = extract_monochromatic_copy(host, coloring)
+    assert isinstance(out, MonochromaticCopy)
+    extra = next(s for s in enumerate_subspaces(out.space, 1)
+                 if s not in out.members)
+    assert extra not in host.members
+    coloring[extra.key()] = 0
+    bad = dataclasses.replace(host, members=host.members + (extra,))
+    real = construction.line_embedding
+    monkeypatch.setattr(construction, "line_embedding",
+                        lambda _, line: real(host, line))
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="not an induced copy"):
+        extract_monochromatic_copy(bad, coloring)
+
+
+def test_extract_rejects_a_target_that_is_not_monochromatic(monkeypatch):
+    # color the members over one base k-space of the first target 1 and
+    # all others 0; a base search that answers (first target, 0) anyway
+    # must be caught on the copy's members
+    host = build_product_host(
+        build_base_host(vector_spec(2, num_colors=2, base_rank=3)), 1)
+    base = host.base
+    first = base.targets[0]
+    j = next(j for j, s in enumerate(base.base_k_spaces)
+             if first.contains_subspace(s))
+    coloring = {m.key(): int(parts[0] in host.fibers[j])
+                for m, parts in zip(host.members, host.member_parts)}
+    out = extract_monochromatic_copy(host, coloring)
+    assert isinstance(out, MonochromaticCopy) and out.target != first
+    monkeypatch.setattr(construction, "find_monochromatic_subspace",
+                        lambda *args: (first, 0))
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="wrong color"):
+        extract_monochromatic_copy(host, coloring)
+
+
 # -- automatic word length --------------------------------------------------------
 
 
@@ -782,12 +876,6 @@ def test_auto_word_length_huge_pattern_alphabet(monkeypatch):
     start = time.perf_counter()
     assert auto_word_length(2, 2, 40) is None  # no line forced up to length 3
     assert time.perf_counter() - start < 1.0
-
-
-def test_auto_n1_degenerate():
-    spec = vector_spec(2)
-    base = build_base_host(spec)
-    assert auto_n1(spec, base) == 1  # single color
 
 
 # -- bundle serialization -----------------------------------------------------------
