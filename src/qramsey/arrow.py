@@ -9,15 +9,17 @@ orderings so witnesses are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
 from .field import make_field
-from .space import (AFFINE, BasisSet, LinearMap, Subspace, apply,
-                    enumerate_subspaces, full_space, guard_subspace_count,
-                    is_independent, json_expect, linear_extension, span,
-                    subspace_templates)
+from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
+                    SizeCapError, Subspace, combination_points,
+                    count_subspaces, count_text, enumerate_subspaces,
+                    full_space, guard_subspace_count, json_expect,
+                    linear_extension, span, subspace_templates, vec_sub)
 
 ISO_RANK_CAP = 4
 
@@ -245,50 +247,103 @@ class ConfigFamily:
                                        for m in members))
 
 
-def family_isomorphic(fam1: ConfigFamily, fam2: ConfigFamily,
-                      budget: Budget | None = None) -> LinearMap | None:
+def family_isomorphic(fam1: ConfigFamily,
+                      fam2: ConfigFamily) -> LinearMap | None:
     """An isomorphism of ambients carrying fam1's members onto fam2's.
 
-    Brute force over ordered bases of fam2.ambient as images of the
-    canonical basis of fam1.ambient, in lexicographic point order; the
-    first success is returned, so the result is deterministic.
+    The first one `isomorphism_images` finds, solved from its basis
+    images, so the result is deterministic.
     """
-    if fam1.ambient.rank != fam2.ambient.rank:
+    images = isomorphism_images(fam1, fam2.ambient,
+                                (frozenset(m.points()) for m in fam2.members),
+                                None)
+    if images is None:
         return None
-    if fam1.ambient.rank > ISO_RANK_CAP:
+    amb = fam1.ambient
+    return linear_extension(BasisSet(amb.mode, amb.field, amb.basis_points()),
+                            images, codomain_len=fam2.ambient.ambient_len)
+
+
+def isomorphism_images(config: ConfigFamily, ambient: Subspace, point_sets,
+                       budget: Budget | None) -> list | None:
+    """The images of config.ambient's canonical basis under an isomorphism
+    onto `ambient` that carries config's members onto the subspaces with
+    the given point sets, or None.
+
+    Brute force over ordered bases of `ambient`, each image tried in
+    lexicographic point order at one budget node, so the first success
+    is deterministic.  The combinations of the images chosen so far,
+    listed like config.ambient.points(), are the images of its points
+    in order: a point outside them extends the chosen images
+    independently, and at a full basis each member's image is read off
+    them at the member's point positions and compared as a point set.
+    """
+    if config.ambient.rank != ambient.rank:
+        return None
+    if config.ambient.rank > ISO_RANK_CAP:
         raise ValueError(f"ambient rank above the isomorphism cap {ISO_RANK_CAP}")
-    if len(fam1.members) != len(fam2.members):
+    targets = frozenset(point_sets)
+    if len(config.members) != len(targets):
         return None
-    if fam1.members and fam1.members[0].rank != fam2.members[0].rank:
+    if config.members and config.members[0].num_points != len(next(iter(targets))):
         return None
     bud = ensure_budget(budget)
-    f = fam2.ambient.field
-    mode = fam2.ambient.mode
-    basis1 = fam1.ambient.basis_points()
-    candidates = fam2.ambient.sorted_points()
-    target_keys = frozenset(m.key() for m in fam2.members)
-    base_set = BasisSet(fam1.ambient.mode, fam1.ambient.field, basis1)
+    f = ambient.field
+    candidates = ambient.sorted_points()
+    where = {p: i for i, p in enumerate(config.ambient.points())}
+    positions = [[where[p] for p in m.points()] for m in config.members]
+    origin = tuple([0] * ambient.ambient_len)
     chosen: list = []
 
-    def search() -> LinearMap | None:
-        if len(chosen) == len(basis1):
-            iso = linear_extension(base_set, chosen,
-                                   codomain_len=fam2.ambient.ambient_len)
-            image_keys = frozenset(apply(iso, m).key() for m in fam1.members)
-            if image_keys == target_keys:
-                return iso
-            return None
+    def search() -> bool:
+        if ambient.mode == VECTOR:
+            img = combination_points(f, origin, chosen)
+        elif chosen:
+            img = combination_points(
+                f, chosen[0], [vec_sub(f, p, chosen[0]) for p in chosen[1:]])
+        else:
+            img = []  # any one point is affinely independent
+        if len(chosen) == ambient.rank:
+            return {frozenset([img[j] for j in pos])
+                    for pos in positions} == targets
+        spanned = set(img)
         for cand in candidates:
             bud.spend()
-            chosen.append(cand)
-            if is_independent(f, mode, chosen):
-                found = search()
-                if found is not None:
-                    return found
-            chosen.pop()
-        return None
+            if cand not in spanned:
+                chosen.append(cand)
+                if search():
+                    return True
+                chosen.pop()
+        return False
 
-    return search()
+    return chosen if search() else None
+
+
+def member_lookup(members, n: int):
+    """A function taking a rank-n space U to the members inside it.
+
+    It returns them as index -> point set, in index order.  Each
+    member's point set is indexed once.  The `subspace_templates` of
+    rank n, carried through U.points(), are U's subspaces of the members'
+    ranks, so the members inside U are the templates found in the
+    index, and no member is tested against U.
+    """
+    index = {frozenset(m.points()): i for i, m in enumerate(members)}
+    templates = [t for r in sorted({m.rank for m in members}) if r <= n
+                 for t in subspace_templates(members[0].field, members[0].mode,
+                                             n, r)]
+
+    def inside(u: Subspace) -> dict[int, frozenset]:
+        at = list(u.points())
+        hits = {}
+        for t, _ in templates:
+            pts = frozenset([at[j] for j in t])
+            i = index.get(pts)
+            if i is not None:
+                hits[i] = pts
+        return dict(sorted(hits.items()))
+
+    return inside
 
 
 @dataclass
@@ -349,20 +404,34 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     is monochromatic and carried onto config.members by an isomorphism
     config.ambient -> U.  The per-U intersections are independent of the
     coloring, so candidate copies are found once and the coloring search
-    runs over them.
+    runs over them.  Each U's members are looked up by point set
+    (`member_lookup`), and its isomorphism search compares point sets.
 
     When config's members span config.ambient, a copy U is spanned by
     the members it contains, so the candidates are the rank-n spans of
-    members (`_member_spans`); otherwise they are every rank-n subspace
-    of host_space.  Either way they are scanned in key order and the
+    members (`_member_spans`).  A chain there adds at most n - k + 1
+    members, so the closed-form number of such member sets is checked
+    against the size cap before the walk.  Otherwise the candidates are
+    every rank-n subspace of host_space, whose number is checked against
+    the cap first.  Either way they are scanned in key order, and the
     reported candidate count is the closed-form number of rank-n
-    subspaces, checked against the size cap before anything is built.
+    subspaces.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
     amb = config.ambient
     n = amb.rank
-    num_candidates = guard_subspace_count(host_space, n)
+    f, mode = host_space.field, host_space.mode
+    spanning = bool(config.members) and span(
+        amb.field, amb.mode,
+        [p for m in config.members for p in m.basis_points()],
+        amb.ambient_len).rank == n
+    if spanning:
+        if n > host_space.rank:
+            raise ValueError(f"k={n} out of range for rank {host_space.rank}")
+        num_candidates = count_subspaces(host_space.rank, n, f.order, mode)
+    else:
+        num_candidates = guard_subspace_count(f, mode, host_space.rank, n)
     bud = ensure_budget(budget)
     before = bud.nodes
     fam = {}
@@ -373,20 +442,22 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
             raise ValueError("family member rank differs from the config's")
         fam[m.key()] = m
     keys = sorted(fam)
-    index = {k: i for i, k in enumerate(keys)}
     host_members = [fam[k] for k in keys]
-    if config.members and span(
-            amb.field, amb.mode,
-            [p for m in config.members for p in m.basis_points()],
-            amb.ambient_len).rank == n:
+    if spanning:
+        chains = sum(math.comb(len(host_members), j)
+                     for j in range(1, n - config.member_rank + 2))
+        if chains > POINT_CAP:
+            raise SizeCapError(f"{count_text(chains)} member chains, "
+                               f"cap {POINT_CAP}")
         candidates = _member_spans(host_members, n)
     else:
         candidates = enumerate_subspaces(host_space, n)
+    members_inside = member_lookup(host_members, n)
     good: list[frozenset[int]] = []
     for u in candidates:
-        inter = tuple(m for m in host_members if u.contains_subspace(m))
-        if family_isomorphic(config, ConfigFamily(u, inter), budget=bud) is not None:
-            good.append(frozenset(index[m.key()] for m in inter))
+        inside = members_inside(u)
+        if isomorphism_images(config, u, inside.values(), bud) is not None:
+            good.append(frozenset(inside))
     coloring = find_proper_coloring(len(host_members), num_colors, good,
                                     budget=bud, symmetry=symmetry)
     witness = None

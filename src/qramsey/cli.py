@@ -103,9 +103,19 @@ def _space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["vector", "affine"], required=True)
 
 
+def _guarded_space(args):
+    """The rank-N coordinate space, built only after the size guard passes.
+
+    The guard reads the space's shape alone, so a refused count builds
+    no N x N identity.
+    """
+    f = make_field(args.q)
+    count = guard_subspace_count(f, args.mode, args.N, args.k)
+    return full_space(f, args.mode, args.N), count
+
+
 def cmd_count(args) -> int:
-    ambient = full_space(make_field(args.q), args.mode, args.N)
-    formula = guard_subspace_count(ambient, args.k)
+    ambient, formula = _guarded_space(args)
     enumerated = sum(1 for _ in iter_subspaces(ambient, args.k))
     obj = {
         "command": "count", "q": args.q, "mode": args.mode,
@@ -118,7 +128,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ambient = full_space(make_field(args.q), args.mode, args.N)
+    ambient, _ = _guarded_space(args)
     # a key is the compact JSON of to_json(); spacing its separators gives
     # json.dumps's default text, as no key holds a string with "," or ":"
     lines = [s.key().replace(",", ", ").replace(":", ": ")

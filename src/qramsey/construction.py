@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arrow import ConfigFamily, family_isomorphic, find_monochromatic_subspace
+from .arrow import (ConfigFamily, find_monochromatic_subspace,
+                    isomorphism_images, member_lookup)
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
@@ -618,15 +619,14 @@ def extract_monochromatic_copy(host: ProductHost, coloring):
                        base.target_spans[base.targets.index(target)])
     # take the copy's members to be the host members inside it: the copy
     # is then induced and a copy of F exactly when it is isomorphic to F
-    copy = ConfigFamily(copy_space, tuple(m for m in host.members
-                                          if copy_space.contains_subspace(m)))
-    if any(coloring[m.key()] != color for m in copy.members):
+    inside = member_lookup(host.members, spec.target_rank)(copy_space)
+    members = tuple(sorted((host.members[i] for i in inside), key=Subspace.key))
+    if any(coloring[m.key()] != color for m in members):
         raise ConstructionCheckError("copy member has the wrong color")
-    if family_isomorphic(spec.family, copy) is None:
+    if isomorphism_images(spec.family, copy_space, inside.values(), None) is None:
         raise ConstructionCheckError("copy is not an induced copy of the "
                                      "family: its members are not F's image")
-    return MonochromaticCopy(target, copy_space, copy.members, color, line,
-                             pattern)
+    return MonochromaticCopy(target, copy_space, members, color, line, pattern)
 
 
 def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,

@@ -200,6 +200,27 @@ def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ..
     return tuple(out)
 
 
+def combination_points(f: Field, origin: Vec, rows) -> list[Vec]:
+    """origin + sum of c_i * rows[i] over every coefficient vector c.
+
+    In itertools.product order, the last coefficient running fastest:
+    each row multiplies the list built so far, each point followed by
+    its sums with the row's nonzero multiples.
+    """
+    add, mul = f.add_table, f.mul_table
+    pts = [origin]
+    for row in rows:
+        grown = []
+        for p in pts:
+            grown.append(p)
+            for c in range(1, f.order):
+                acc = list(p)
+                _axpy(add, mul[c], acc, row)
+                grown.append(tuple(acc))
+        pts = grown
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -281,27 +302,15 @@ class Subspace:
     def points(self):
         """All points, in a deterministic (not lexicographic) order.
 
-        The order is that of the coefficient vectors over the direction
-        rows in itertools.product order: base + sum of c_i * row_i, with
-        the last coefficient running fastest.  Each row multiplies the
-        list built so far: each point is followed by its sums with the
-        row's nonzero multiples.
+        The `combination_points` of the direction rows over the
+        basepoint (the origin in vector mode): base + sum of c_i * row_i,
+        with the coefficient vectors in itertools.product order.
         """
         if self.num_points > POINT_CAP:
             raise SizeCapError(f"{count_text(self.num_points)} points exceeds cap "
                                f"{POINT_CAP}")
-        add, mul = self.field.add_table, self.field.mul_table
-        pts = [self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)]
-        for row in self.direction:
-            grown = []
-            for p in pts:
-                grown.append(p)
-                for c in range(1, self.field.order):
-                    acc = list(p)
-                    _axpy(add, mul[c], acc, row)
-                    grown.append(tuple(acc))
-            pts = grown
-        yield from pts
+        origin = self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)
+        yield from combination_points(self.field, origin, self.direction)
 
     def sorted_points(self) -> list[Vec]:
         return sorted(self.points())
@@ -577,19 +586,26 @@ def _check_bases(f: Field, d: int, piv: tuple[int, ...], bases) -> None:
             raise ValueError("basepoint must be zero on pivot columns")
 
 
-def guard_subspace_count(ambient: Subspace, k: int) -> int:
-    """The closed-form number of rank-k subspaces of `ambient`, within POINT_CAP.
+def guard_subspace_count(f: Field, mode: str, rank: int, k: int) -> int:
+    """The closed-form number of rank-k subspaces of a rank-`rank` space.
 
-    Builds nothing.  Raises SizeCapError when the ambient has more than
-    POINT_CAP points or the count exceeds it, and ValueError when k is
-    not in 0..rank; callers run it before listing or scanning subspaces.
+    Reads the space's shape only, so nothing is built, not even the
+    space.  Raises SizeCapError when the space has more than POINT_CAP
+    points or the count exceeds POINT_CAP, and ValueError when the rank
+    does not fit the mode or k is not in 0..rank; callers run it before
+    listing or scanning subspaces.
     """
-    if ambient.num_points > POINT_CAP:
-        raise SizeCapError(f"ambient has {count_text(ambient.num_points)} points, "
+    _check_mode(mode)
+    lo = 1 if mode == AFFINE else 0
+    if rank < lo:
+        raise ValueError(f"{mode} rank must be at least {lo}")
+    num_points = f.order ** (rank - lo)
+    if num_points > POINT_CAP:
+        raise SizeCapError(f"ambient has {count_text(num_points)} points, "
                            f"cap {POINT_CAP}")
-    if not 0 <= k <= ambient.rank:
-        raise ValueError(f"k={k} out of range for rank {ambient.rank}")
-    count = count_subspaces(ambient.rank, k, ambient.field.order, ambient.mode)
+    if not 0 <= k <= rank:
+        raise ValueError(f"k={k} out of range for rank {rank}")
+    count = count_subspaces(rank, k, f.order, mode)
     if count > POINT_CAP:
         raise SizeCapError(f"{count_text(count)} rank-{k} subspaces, cap {POINT_CAP}")
     return count
@@ -661,7 +677,7 @@ def enumerate_subspaces(ambient: Subspace, k: int) -> list[Subspace]:
     `guard_subspace_count` runs first, so the size cap is checked before
     anything is listed.
     """
-    guard_subspace_count(ambient, k)
+    guard_subspace_count(ambient.field, ambient.mode, ambient.rank, k)
     return sorted(iter_subspaces(ambient, k), key=Subspace.key)
 
 

@@ -11,14 +11,15 @@ import random
 
 import pytest
 
-from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, Budget,
-                     BudgetExceededError, ColoringTable, ConfigFamily,
-                     HostSpec, LinearMap, VerifyResult, apply, arrow,
-                     arrow_holds, arrow_structure, build_base_host,
+from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, BasisSet,
+                     Budget, BudgetExceededError, ColoringTable, ConfigFamily,
+                     HostSpec, LinearMap, Subspace, VerifyResult, apply,
+                     arrow, arrow_holds, arrow_structure, build_base_host,
                      build_product_host, count_subspaces, enumerate_subspaces,
                      family_isomorphic, find_monochromatic_subspace,
                      find_proper_coloring, full_space, induced_host_verify,
-                     make_field, min_arrow_N, span, structure_generators)
+                     is_independent, linear_extension, make_field,
+                     min_arrow_N, span, structure_generators)
 from qramsey.arrow import ISO_RANK_CAP
 
 
@@ -400,6 +401,120 @@ def fano_family(collinear):
     return ConfigFamily(amb, tuple(span(f, VECTOR, [p], 3) for p in pts))
 
 
+def reference_isomorphic(fam1, fam2, bud):
+    """family_isomorphic as it was before point sets: the same search,
+    but each full basis is solved with `linear_extension` and the
+    members' images are compared with fam2's by canonical key."""
+    if fam1.ambient.rank != fam2.ambient.rank:
+        return None
+    if fam1.ambient.rank > ISO_RANK_CAP:
+        raise ValueError("ambient rank above the isomorphism cap")
+    if len(fam1.members) != len(fam2.members):
+        return None
+    if fam1.members and fam1.members[0].rank != fam2.members[0].rank:
+        return None
+    f, mode = fam2.ambient.field, fam2.ambient.mode
+    basis = BasisSet(fam1.ambient.mode, fam1.ambient.field,
+                     fam1.ambient.basis_points())
+    target_keys = {m.key() for m in fam2.members}
+    chosen = []
+
+    def search():
+        if len(chosen) == len(basis):
+            iso = linear_extension(basis, chosen,
+                                   codomain_len=fam2.ambient.ambient_len)
+            if {apply(iso, m).key() for m in fam1.members} == target_keys:
+                return iso
+            return None
+        for cand in fam2.ambient.sorted_points():
+            bud.spend()
+            chosen.append(cand)
+            if is_independent(f, mode, chosen):
+                found = search()
+                if found is not None:
+                    return found
+            chosen.pop()
+        return None
+
+    return search()
+
+
+def random_family_pair(rng, f, mode):
+    """(fam1, fam2): fam1 in a coordinate space of at most 9 points (rank
+    3, or 2 for vector q = 3), fam2 in a random subspace of a longer
+    coordinate space, and half the time fam1's image under a random
+    isomorphism."""
+    q = f.order
+    rank = rng.randint(1 if mode == VECTOR else 2,
+                       2 if (q, mode) == (3, VECTOR) else 3)
+    amb1 = full_space(f, mode, rank)
+    k = rng.randint(1, rank - 1) if rank > 1 else 1
+    pool = enumerate_subspaces(amb1, k)
+    fam1 = ConfigFamily(amb1, tuple(rng.sample(pool, rng.randint(
+        0, min(4, len(pool))))))
+    width = rank + rng.randint(0, 2) - (mode == AFFINE)
+    while True:
+        pts = [tuple(rng.randrange(q) for _ in range(width))
+               for _ in range(rank)]
+        amb2 = span(f, mode, pts, width)
+        if amb2.rank == rank:
+            break
+    if rng.random() < 0.5:
+        iso = linear_extension(BasisSet(mode, f, amb1.basis_points()), pts,
+                               codomain_len=width)
+        members = tuple(apply(iso, m) for m in fam1.members)
+    else:
+        pool2 = enumerate_subspaces(amb2, k)
+        members = tuple(rng.sample(pool2, min(len(fam1.members), len(pool2))))
+    return fam1, ConfigFamily(amb2, members)
+
+
+def flat_and_spread_families(f, mode):
+    """Two families of points that no isomorphism matches: in a rank-3
+    vector space three lines through one plane or not; in an affine
+    space three points (four at q = 2) on one line (plane) or not."""
+    if mode == VECTOR:
+        amb = full_space(f, VECTOR, 3)
+        flat = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+        spread = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    elif f.order == 2:
+        amb = full_space(f, AFFINE, 4)
+        flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+        spread = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    else:
+        amb = full_space(f, AFFINE, 3)
+        flat = [(0, 0), (1, 0), (2, 0)]
+        spread = [(0, 0), (1, 0), (0, 1)]
+    return [ConfigFamily(amb, tuple(span(f, mode, [p], amb.ambient_len)
+                                    for p in pts)) for pts in (flat, spread)]
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+@pytest.mark.parametrize("q", [2, 3])
+def test_point_set_isomorphism_matches_key_reference(q, mode):
+    # same map and same nodes as the key-based leaf: the point-set leaf
+    # changes only how a full basis is tested
+    rng = random.Random(31 * q + len(mode))
+    f = make_field(q)
+    flat, spread = flat_and_spread_families(f, mode)
+    pairs = [(flat, spread), (flat, flat)]
+    pairs += [random_family_pair(rng, f, mode) for _ in range(40)]
+    found = set()
+    for fam1, fam2 in pairs:
+        want_bud, got_bud = Budget(), Budget()
+        want = reference_isomorphic(fam1, fam2, want_bud)
+        got = arrow.isomorphism_images(
+            fam1, fam2.ambient, [frozenset(m.points()) for m in fam2.members],
+            got_bud)
+        assert got_bud.nodes == want_bud.nodes
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == [apply(want, p) for p in fam1.ambient.basis_points()]
+            assert family_isomorphic(fam1, fam2) == want
+        found.add(want is not None)
+    assert found == {True, False}
+
+
 def test_family_isomorphic_reflexive():
     for fam in (fano_family(True), fano_family(False)):
         m = family_isomorphic(fam, fam)
@@ -525,7 +640,9 @@ def reference_verify(host_space, members, config, num_colors):
     """induced_host_verify by listing every rank-n subspace of the host.
 
     The scan `induced_host_verify` ran on every family before candidates
-    were built from member spans; it stays here as the oracle.
+    were built from member spans and their members looked up by point
+    set: U ∩ H by testing every member with `contains_subspace`, and the
+    isomorphism by `reference_isomorphic`.  It stays here as the oracle.
     """
     bud = Budget()
     fam = {m.key(): m for m in members}
@@ -536,8 +653,8 @@ def reference_verify(host_space, members, config, num_colors):
     good = []
     for u in candidates:
         inter = tuple(m for m in host_members if u.contains_subspace(m))
-        if family_isomorphic(config, ConfigFamily(u, inter),
-                             budget=bud) is not None:
+        if reference_isomorphic(config, ConfigFamily(u, inter),
+                                bud) is not None:
             good.append(frozenset(index[m.key()] for m in inter))
     coloring = find_proper_coloring(len(host_members), num_colors, good,
                                     budget=bud)
@@ -681,3 +798,49 @@ def test_member_spans_skip_coplanar_members():
         want = reference_verify(host, members, config, r)
         assert_same_answers(got, want)
         assert got.nodes < want.nodes
+
+
+# -- candidate members by point-set lookup ---------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_member_lookup_matches_the_scan_on_the_grid(q):
+    # U ∩ H looked up by point set equals the scan with contains_subspace
+    # on every rank-n subspace of each grid host, both modes
+    hosts = grid_hosts(q, (1, 2)) if q == 2 else grid_hosts(q, (1,), cap=2000)
+    assert len(hosts) == (14 if q == 2 else 8)
+    for spec, host in hosts:
+        members = host.members
+        inside = arrow.member_lookup(members, spec.target_rank)
+        for u in enumerate_subspaces(host.space, spec.target_rank):
+            want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
+            got = inside(u)
+            assert list(got) == want
+            assert list(got.values()) == [frozenset(members[i].points())
+                                          for i in want]
+
+
+def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):
+    # regression gate without a timer: a candidate U's members come from
+    # the point-set index, so no U ever receives contains_subspace, on the
+    # member-span path and on the enumeration path alike
+    candidates = []
+    for name in ("_member_spans", "enumerate_subspaces"):
+        def recorded(*args, plain=getattr(arrow, name)):
+            out = plain(*args)
+            candidates.extend(out)
+            return out
+
+        monkeypatch.setattr(arrow, name, recorded)
+    plain_contains = Subspace.contains_subspace
+
+    def guarded(self, other):
+        if any(self is u for u in candidates):
+            raise AssertionError("a member was tested against a candidate")
+        return plain_contains(self, other)
+
+    monkeypatch.setattr(Subspace, "contains_subspace", guarded)
+    for spec, host, want in q2_grid:
+        got = induced_host_verify(host.space, host.members, spec.family, 2)
+        assert_same_answers(got, want)
+    assert len(candidates) > len(q2_grid)

@@ -104,6 +104,28 @@ def test_enumerate_size_cap(capsys):
     assert lines[0]["error"] == "size_cap"
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("q,mode,big_n,k,message", [
+    (16, VECTOR, 4000, 1000, "ambient has at least 2^16000 points"),
+    (2, AFFINE, 18, 1, "ambient has 131072 points"),
+    (2, VECTOR, 12, 6, "230674393235 rank-6 subspaces"),
+], ids=["16^4000_points", "affine_2^17_points", "2.3e11_subspaces"])
+def test_size_guard_runs_before_the_space_is_built(command, q, mode, big_n,
+                                                   k, message, capsys,
+                                                   monkeypatch):
+    # the guard reads the space's shape only, so a refused count builds
+    # no N x N identity
+    def built(*args):
+        raise AssertionError("the coordinate space was built")
+
+    monkeypatch.setattr("qramsey.cli.full_space", built)
+    code, _, out = run_cli(capsys, command, "--q", str(q), "--mode", mode,
+                           "--N", str(big_n), "--k", str(k))
+    assert code == 2
+    assert out == ('{"command": "%s", "error": "size_cap", "message": '
+                   '"%s, cap 65536"}\n' % (command, message))
+
+
 # enumerate prints each line from the subspace's key; the bytes must stay
 # those of json.dumps(s.to_json()).  q = 11 and 16 give two-digit entries;
 # vector k = 0 gives an empty direction.
@@ -467,29 +489,149 @@ def test_verify_witness_file_on_failure(tmp_path, capsys):
     assert set(lines[0]["witness"]["entries"].values()) == {0, 1}
 
 
-@pytest.mark.parametrize("base_rank,word_len,message", [
-    (3, 1, "ambient has 72057594037927936 points, cap 65536"),
-    (2, 3, "698027 rank-2 subspaces, cap 65536"),
-], ids=["N0=3", "N1=3"])
+# sha256 of `verify --r 2` stdout (nodes_explored included) and of
+# `extract` stdout under the constant color 1 and a member coloring drawn
+# from Random(7), over the q = 2 grid at N0 = n, k = 1: both modes,
+# n <= 2, every F of the first |F| base k-spaces, N1 <= 2; recorded when
+# U ∩ H was found by testing every member with `contains_subspace`.
+# (mode, n, |F|, N1) -> verify (exit code, verdict, digest), then extract
+# (exit code, status or step, digest) for the constant and random colorings
+PINNED_GRID = {
+    (VECTOR, 1, 1, 1): (
+        (0, "holds", "662331d398c8cbfb8cf88bc65e2ce447cbd18659d802646c98469e4501cec362"),
+        (0, "success", "8556126215c20540387b7d33a33c56b42c38c332b2b976ba66203e519ed7f618"),
+        (0, "success", "8556126215c20540387b7d33a33c56b42c38c332b2b976ba66203e519ed7f618")),
+    (VECTOR, 1, 1, 2): (
+        (0, "holds", "662331d398c8cbfb8cf88bc65e2ce447cbd18659d802646c98469e4501cec362"),
+        (0, "success", "21e13d6cc6a27db6b838d2f27c9726c44f3f45d220cd0dbae0f13a3c569186f4"),
+        (0, "success", "21e13d6cc6a27db6b838d2f27c9726c44f3f45d220cd0dbae0f13a3c569186f4")),
+    (VECTOR, 2, 1, 1): (
+        (0, "holds", "ca599a6e7f90231febce11ac26b2d47aea4e5781f6c07e1f64fadd9ee5350de5"),
+        (0, "success", "10c89d1dac5a7d5c1941d4e0552bc41d277750bdc6bbebff164fb5cbe9b96770"),
+        (2, "subspace_search", "96cadf60f07ebdfa779354e1d54167e591e866fe6f31625eaa88259d3e5f3485")),
+    (VECTOR, 2, 1, 2): (
+        (0, "holds", "b5148e3162f2694c8838a3e725f6b15bb00ee09933dc246883357139beb1f20a"),
+        (0, "success", "31dc9763eb7e85da6bc7a6f676cd19b10a2db41f74e75a95720bc167059b9c7f"),
+        (2, "subspace_search", "b61d10fc7b308103fb0c27fd2b1b92cadbf85459ab0c59aae30e0b5977732132")),
+    (VECTOR, 2, 2, 1): (
+        (2, "fails", "f21b6dd263ddb96fc6dbb4b1cbff8b0896838e17ed0550050fd5198eb6c5826e"),
+        (0, "success", "ac69b05bf7c92ca3bfb4b5f1d9bd5e88ac5f7e1aa5e5e58287ce2ab24b20709d"),
+        (2, "subspace_search", "bc26bef4cb9c29a51c4aaae4155111db94970a1113cf736fffa6099da39185a1")),
+    (VECTOR, 2, 2, 2): (
+        (0, "holds", "e1d5250696ef6e7ae61320395099c50720ad65f3a34413b0a6647ae1c541e1a6"),
+        (0, "success", "2d3755f7e097cbf9b500693e489a7337b964c5bf6d379d9b83d2f7dd5d4e7470"),
+        (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
+    (VECTOR, 2, 3, 1): (
+        (2, "fails", "e9604d802cfb0a09e9652677ae15a579a61fac6e740007c96109c41e90b70bef"),
+        (0, "success", "cc4d993005cee12d14e3ef06feead7fa164f2cd900f8c4f0ba9ca5464360b522"),
+        (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
+    (VECTOR, 2, 3, 2): (
+        (2, "fails", "07daca76464792d9823ac4183f51a26474e76e4caed496aa7ed5b814189b0d7d"),
+        (0, "success", "3a8a7adbec1ed8a871e35762de58af99582c10d55c6cf9505f8ee51e25d9e10d"),
+        (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
+    (AFFINE, 1, 1, 1): (
+        (0, "holds", "6cc288b2ae5e994a4e8b0aaaa0003e252488c92488ea853e1f7884af98b02bdb"),
+        (0, "success", "ce713307bb767e6e04009375a42a882f3542d41a1dbeba6c483501ee934e8e34"),
+        (0, "success", "ce713307bb767e6e04009375a42a882f3542d41a1dbeba6c483501ee934e8e34")),
+    (AFFINE, 1, 1, 2): (
+        (0, "holds", "6cc288b2ae5e994a4e8b0aaaa0003e252488c92488ea853e1f7884af98b02bdb"),
+        (0, "success", "61ef13028140bf7827a9e44e71997a72394c5afa204ea946b31929e40aff4f8e"),
+        (0, "success", "61ef13028140bf7827a9e44e71997a72394c5afa204ea946b31929e40aff4f8e")),
+    (AFFINE, 2, 1, 1): (
+        (0, "holds", "9f4d59c0e0d623843fdd2bb63801372700289f952f3e1bb29b044b001fb971b2"),
+        (0, "success", "eff174c1fc119ca418a9df35f7a9db2d76561fdbbcd4a88706c6d5b83bbcc7a8"),
+        (2, "subspace_search", "051d83639e0397eceb65a8c02141fa30ec13303a821f05f2d561950efb1fedc7")),
+    (AFFINE, 2, 1, 2): (
+        (0, "holds", "dbf1148ed71983fdb2ac6918023f5487dc23dc345c4edeb67572c1beff3d8f4f"),
+        (0, "success", "c76ed1360c0ddc455433f98d6e88f3002427a272d0b792b4c5379d57659437ab"),
+        (2, "subspace_search", "2cec93537add9ac3be17bea4f1d8ad25d667b31508a734f94e5d5d023276c191")),
+    (AFFINE, 2, 2, 1): (
+        (0, "holds", "6b63b58bfbcbf2e3c546121e6998be1461c5a322a9694fb760289275e154f5c2"),
+        (0, "success", "2a85b96ea7663c04d052a54254212eb1a21e6cf6f034be00d6a0142e0572362c"),
+        (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
+    (AFFINE, 2, 2, 2): (
+        (0, "holds", "4f74c5b623f5ce15a1320451aa64bb9986ed9e43e77d570af38266fb171ffbfc"),
+        (0, "success", "96d80c239bd278a890e5e2e63eb9626a0328633aa718dd550142ecbbaa142f6b"),
+        (0, "success", "7ff7ae59d6d1d7829b51e2ef3f5900d3d8ded8494c9398b88e194406941aa46a")),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_GRID),
+                         ids=["{}_n{}_F{}_N1_{}".format(*c) for c in PINNED_GRID])
+def test_verify_and_extract_stdout_digests_pinned(case, tmp_path, capsys):
+    mode, n, nf, n1 = case
+    amb = full_space(make_field(2), mode, n)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:nf]))
+    bundle = construct_bundle(capsys, tmp_path,
+                              HostSpec(2, mode, 1, n, 2, fam, n, n1))
+    host = host_from_json(json.loads(bundle.read_text()))
+    rng = random.Random(7)
+    runs = [("verify", "--bundle", str(bundle), "--r", "2")]
+    for data in ({"constant": 1},
+                 {"entries": {m.key(): rng.randrange(2) for m in host.members}}):
+        col = tmp_path / f"col{len(runs)}.json"
+        col.write_text(json.dumps(data))
+        runs.append(("extract", "--bundle", str(bundle), "--coloring", str(col)))
+    for argv, (want_code, outcome, digest) in zip(runs, PINNED_GRID[case]):
+        code, lines, out = run_cli(capsys, *argv)
+        assert code == want_code
+        line = lines[0]
+        assert line.get("verdict", line.get("step", line.get("status"))) == outcome
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def plane_lines_bundle(capsys, tmp_path, base_rank, word_len, nf=3):
+    """The bundle of vector q = 2, n = 2, k = 1, r = 2, F = the first nf
+    lines of a plane; all three span F's ambient, one does not."""
+    amb = full_space(make_field(2), VECTOR, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:nf]))
+    return construct_bundle(capsys, tmp_path, HostSpec(
+        2, VECTOR, 1, 2, 2, fam, base_rank, word_len))
+
+
+def test_verify_holds_above_the_base_rank(tmp_path, capsys):
+    # N0 = 3 > n: X has rank 56, so its rank-2 subspaces cannot be listed,
+    # but the 147 members give 147 + C(147, 2) = 10,878 member chains.
+    # Every cover is a copy of the base plane holding all of its lines,
+    # and GF(2)^3 arrows (2, 1, 2), so the host holds.
+    bundle = plane_lines_bundle(capsys, tmp_path, 3, 1)
+    code, _, out = run_cli(capsys, "verify", "--bundle", str(bundle),
+                           "--r", "2")
+    assert code == 0
+    assert out == ('{"command": "verify", "r": 2, "verdict": "holds", '
+                   '"witness": null, '
+                   '"candidates": 865382809755804568726285702572715, '
+                   '"induced_copies": 154, "nodes_explored": 1748}\n')
+
+
+def test_verify_fails_at_word_length_3_and_extract_agrees(tmp_path, capsys):
+    # N0 = n = 2, N1 = 3: 81 members, where X has 698,027 rank-2 subspaces.
+    # At N0 = n this F fails at every word length, and extraction under
+    # the witness must then give a diagnostic, not a copy.
+    bundle = plane_lines_bundle(capsys, tmp_path, 2, 3)
+    witness = tmp_path / "w.json"
+    code, lines, _ = run_cli(capsys, "verify", "--bundle", str(bundle),
+                             "--r", "2", "--out", str(witness))
+    assert code == 2
+    assert (lines[0]["verdict"], lines[0]["candidates"],
+            lines[0]["induced_copies"]) == ("fails", 698027, 64)
+    code, lines, _ = run_cli(capsys, "extract", "--bundle", str(bundle),
+                             "--coloring", str(witness))
+    assert code == 2 and lines[0]["status"] == "diagnostic"
+
+
+@pytest.mark.parametrize("nf,word_len,message", [
+    (3, 2, "4766328 member chains, cap 65536"),
+    (1, 1, "ambient has 268435456 points, cap 65536"),
+], ids=["member_chains", "non_spanning"])
 def test_verify_size_cap_before_building_candidates(tmp_path, capsys,
-                                                    monkeypatch, base_rank,
-                                                    word_len, message):
-    # vector |F| = 3: at N0 > n the equalizer has too many points, at
-    # N0 = n, N1 = 3 too many rank-2 subspaces; both are refused from the
-    # closed form before either candidate path runs
-    f = make_field(2)
-    amb = full_space(f, VECTOR, 2)
-    spec = {"q": 2, "mode": "vector", "k": 1, "n": 2, "r": 2,
-            "F": {"ambient": amb.to_json(),
-                  "members": [m.to_json()
-                              for m in enumerate_subspaces(amb, 1)]},
-            "N0": base_rank, "N1": word_len}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    bundle = tmp_path / "bundle.json"
-    assert main(["construct", "--spec", str(spec_path), "--out",
-                 str(bundle)]) == 0
-    capsys.readouterr()
+                                                    monkeypatch, nf, word_len,
+                                                    message):
+    # N0 = 3 > n, both refused from a closed form before either candidate
+    # path runs.  F = the plane's three lines at N1 = 2: 3,087 members give
+    # 3,087 + C(3,087, 2) member chains.  F = one line does not span its
+    # plane, so every rank-2 subspace of X (rank 28) would be a candidate.
+    bundle = plane_lines_bundle(capsys, tmp_path, 3, word_len, nf)
 
     def built(*args):
         raise AssertionError("candidates built before the size check")

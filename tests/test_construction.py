@@ -799,6 +799,29 @@ def test_extract_base_rank_above_target_rank(spec):
                                  ConfigFamily(out.space, out.members))
 
 
+@pytest.mark.parametrize("base_rank", [2, 3])
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
+                         ids=["vector", "affine"])
+def test_extract_tests_no_member_against_the_copy(make_spec, base_rank,
+                                                  monkeypatch):
+    # regression gate without a timer: the copy's members come from the
+    # point-set index of H, so the copy never receives contains_subspace
+    host = build_product_host(build_base_host(
+        make_spec(2, num_colors=2, base_rank=base_rank)), 1)
+    coloring = {m.key(): 0 for m in host.members}
+    want = extract_monochromatic_copy(host, coloring)
+    assert isinstance(want, MonochromaticCopy) and len(want.members) == 2
+    plain = space.Subspace.contains_subspace
+
+    def guarded(self, other):
+        if self.key() == want.space.key():
+            raise AssertionError("a member was tested against the copy")
+        return plain(self, other)
+
+    monkeypatch.setattr(space.Subspace, "contains_subspace", guarded)
+    assert extract_monochromatic_copy(host, coloring) == want
+
+
 @pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
                          ids=["vector", "affine"])
 def test_extract_rejects_a_copy_that_is_not_induced(make_spec, monkeypatch):
