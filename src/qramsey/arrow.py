@@ -116,18 +116,18 @@ def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
     image of its point set.  Identity permutations are left out.
     """
     host = struct.host
-    add = host.field.add_table
+    add = host.field.add
     d = host.ambient_len
     where, item_of = struct.where, struct.item_of
     points = list(where)
     covers = list(item_of)
     images = []
     for i in range(d - 1):
-        images.append([p[:i] + (p[i + 1], p[i]) + p[i + 2:] for p in points])
-        images.append([p[:i] + (add[p[i]][p[i + 1]],) + p[i + 1:]
+        images.append([p[:i] + bytes((p[i + 1], p[i])) + p[i + 2:] for p in points])
+        images.append([p[:i] + bytes((add(p[i], p[i + 1]),)) + p[i + 1:]
                        for p in points])
     if host.mode == AFFINE and d:
-        images.append([(add[p[0]][1],) + p[1:] for p in points])
+        images.append([bytes((add(p[0], 1),)) + p[1:] for p in points])
     out = []
     identity = tuple(range(len(covers)))
     for image in images:
@@ -292,7 +292,7 @@ def isomorphism_images(config: ConfigFamily, ambient: Subspace, point_sets,
     candidates = ambient.sorted_points()
     where = {p: i for i, p in enumerate(config.ambient.points())}
     positions = [[where[p] for p in m.points()] for m in config.members]
-    origin = tuple([0] * ambient.ambient_len)
+    origin = bytes(ambient.ambient_len)
     chosen: list = []
 
     def search() -> bool:

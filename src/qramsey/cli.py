@@ -18,11 +18,11 @@ from .arrow import (ArrowInstance, arrow_holds, induced_host_verify,
 from .budget import Budget, BudgetExceededError
 from .construction import (ExtractionFailure, HostSpec, auto_word_length,
                            build_base_host, build_product_host,
-                           extract_monochromatic_copy, host_from_json,
-                           host_to_json)
+                           extract_monochromatic_copy, host_bundle,
+                           host_from_json)
 from .field import make_field
 from .hales_jewett import hj_number
-from .space import (SizeCapError, enumerate_subspaces, full_space,
+from .space import (SizeCapError, Subspace, enumerate_subspaces, full_space,
                     guard_subspace_count, iter_subspaces, json_expect,
                     json_int)
 
@@ -48,27 +48,44 @@ def _emit(obj: dict, path: str | None = None) -> None:
             fh.write(line + "\n")
 
 
+def _json_text(s: Subspace) -> str:
+    """json.dumps(s.to_json()), written from the key.
+
+    A key is the compact JSON of to_json(); spacing its separators gives
+    json.dumps's default text, as no key holds a string with "," or ":".
+    """
+    return s.key().replace(",", ", ").replace(":", ": ")
+
+
 def _write_json(path: str, obj) -> None:
-    """Write the same bytes as json.dump(obj) plus a newline.
+    """Write the same bytes as json.dump(obj) plus a newline, where a
+    Subspace stands for its to_json().
 
     json.dump runs the pure-Python encoder; json.dumps runs the C one.
     But json.dumps gathers one string object per number before joining
     them, so encoding a whole bundle, or even its member list, at once
     costs far more memory than the text.  Objects are therefore written
     piece by piece, and each element of a list of containers (a member,
-    a row of numbers) with one json.dumps call: an element is a few KB
-    of text at most.
+    a row of numbers) with one call: an element is a few KB of text at
+    most.  A subspace is written from its key, which a host build at word
+    length 1 has already formatted for its members.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _stream_json(fh, obj)
         fh.write("\n")
 
 
+def _element_text(value) -> str:
+    return _json_text(value) if isinstance(value, Subspace) else json.dumps(value)
+
+
 def _stream_json(fh, obj) -> None:
-    if isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+    if isinstance(obj, Subspace):
+        fh.write(_json_text(obj))
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict, Subspace)):
         fh.write("[")
         for i, value in enumerate(obj):
-            fh.write(", " + json.dumps(value) if i else json.dumps(value))
+            fh.write(", " + _element_text(value) if i else _element_text(value))
         fh.write("]")
     elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         fh.write("{")
@@ -129,10 +146,7 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ambient, _ = _guarded_space(args)
-    # a key is the compact JSON of to_json(); spacing its separators gives
-    # json.dumps's default text, as no key holds a string with "," or ":"
-    lines = [s.key().replace(",", ", ").replace(":", ": ")
-             for s in enumerate_subspaces(ambient, args.k)]
+    lines = [_json_text(s) for s in enumerate_subspaces(ambient, args.k)]
     for line in lines:
         print(line)
     if args.out:
@@ -190,7 +204,7 @@ def cmd_construct(args) -> int:
                    "reason": "word length search found no bound in range"})
             return EXIT_UNKNOWN
     host = build_product_host(base, word_len)
-    _write_json(args.out, host_to_json(host))
+    _write_json(args.out, host_bundle(host))
     _emit({
         "command": "construct", "out": args.out, "word_len": word_len,
         "rank_block_space": base.space.rank, "rank_equalizer": host.space.rank,

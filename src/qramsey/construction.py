@@ -25,12 +25,12 @@ from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
-                    SizeCapError, Subspace, Vec, apply, complement, compose,
-                    coordinate_map, count_text, direct_sum,
-                    enumerate_subspaces, full_space, identity_map,
-                    identity_rows, image_space, json_expect, json_int,
-                    linear_extension, nullspace_rows, span,
-                    subspace_templates, vec_sub)
+                    SizeCapError, Subspace, Vec, apply, combination_points,
+                    complement, compose, coordinate_map, count_text,
+                    direct_sum, enumerate_subspaces, full_space,
+                    identity_map, identity_rows, image_space, json_expect,
+                    json_int, linear_extension, mat_vec, nullspace_rows,
+                    span, subspace_templates, vec_scale, vec_sub)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -200,8 +200,11 @@ def build_base_host(spec: HostSpec) -> BaseHost:
         if apply(projection, t_span) != target:
             raise ConstructionCheckError("projection misses a target block")
 
-    # one pass over the covers: list each cover's points once, project
-    # each once, and keep the inverse as the cover's section.  The base
+    # one pass over the covers: list each cover's points once, and keep
+    # the inverse of the projection on them as the cover's section.  The
+    # projection is affine, so the images of a cover's points, in
+    # points() order, are the combinations of the images of its
+    # basepoint and direction rows: only those are projected.  The base
     # space is the rank-N0 coordinate space, so its k-spaces are the
     # rank-N0 templates in order (checked once), and the cover k-space
     # over base k-space j is the span of the section at template j's
@@ -217,9 +220,14 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     frames: dict[Subspace, tuple[int, tuple[int, ...]]] = {}
     sections: list[tuple[Vec, ...]] = []
     slot_rows: list[list[Subspace]] = []
+    origin = bytes(e_amb)
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
-        at = [where[apply(projection, p)] for p in pts]
+        if mode == AFFINE:
+            origin = apply(projection, cover.basepoint)
+        images = combination_points(f, origin, [mat_vec(f, projection.matrix, r)
+                                                for r in cover.direction])
+        at = [where[x] for x in images]
         if len(at) != len(where) or len(set(at)) != len(at):
             raise ConstructionCheckError("projection is not a bijection from "
                                          "a cover onto the base space")
@@ -253,19 +261,14 @@ def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
     f = projection.field
     d = projection.domain_len
     total = word_len * d
-    rows: list[Vec] = []
-    for i in range(1, word_len):
-        for mrow in projection.matrix:
-            row = [0] * total
-            for j, x in enumerate(mrow):
-                row[j] = x
-                row[i * d + j] = f.neg(x)
-            rows.append(tuple(row))
-    directions = nullspace_rows(f, tuple(rows), total)
+    # block 0 minus block i, for each row of the projection's matrix
+    rows = tuple(mrow + bytes((i - 1) * d) + vec_scale(f, f.neg(1), mrow)
+                 + bytes((word_len - 1 - i) * d)
+                 for i in range(1, word_len) for mrow in projection.matrix)
+    directions = nullspace_rows(f, rows, total)
     if projection.mode == VECTOR:
         return span(f, VECTOR, directions, total)
-    origin = tuple([0] * total)
-    return span(f, AFFINE, [origin, *directions], total)
+    return span(f, AFFINE, [bytes(total), *directions], total)
 
 
 def _in_equalizer(projection: LinearMap, point: Vec, word_len: int) -> bool:
@@ -290,8 +293,7 @@ def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
         return first
     anchors = base.cover_k_frames[parts[0]][1]
     secs = [base.sections[base.cover_k_frames[g][0]] for g in parts[1:]]
-    tails = [tuple(itertools.chain.from_iterable(s[a] for s in secs))
-             for a in anchors]
+    tails = [b"".join([s[a] for s in secs]) for a in anchors]
     f = base.field
     total = len(parts) * base.projection.domain_len
     if base.mode == VECTOR:
@@ -351,7 +353,7 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     total = word_len * pi.domain_len
     pi_tilde = LinearMap(
         mode, f, total, pi.codomain_len,
-        tuple(tuple(row) + (0,) * (total - pi.domain_len) for row in pi.matrix),
+        tuple(row + bytes(total - pi.domain_len) for row in pi.matrix),
         pi.translation if mode == AFFINE else None)
 
     member_parts = tuple(sorted(
@@ -452,25 +454,18 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
                 raise ConstructionCheckError("cover inverse is not a section")
         block_maps[pos] = compose(back, pi)
 
-    ident = identity_rows(v_amb)
-    rows: list[Vec] = []
-    trans: list[int] = []
-    for pos in range(host.word_len):
-        if pos in block_maps:
-            rows.extend(block_maps[pos].matrix)
-            if mode == AFFINE:
-                trans.extend(block_maps[pos].translation)
-        else:
-            rows.extend(ident)
-            if mode == AFFINE:
-                trans.extend([0] * v_amb)
-    section = LinearMap(mode, f, v_amb, total, tuple(rows),
-                        tuple(trans) if mode == AFFINE else None)
+    ident = identity_map(f, mode, v_amb)
+    blocks = [block_maps.get(pos, ident) for pos in range(host.word_len)]
+    section = LinearMap(mode, f, v_amb, total,
+                        tuple(itertools.chain.from_iterable(b.matrix for b in blocks)),
+                        b"".join([b.translation for b in blocks])
+                        if mode == AFFINE else None)
+    # the moving block's coordinates: the identity, shifted into place
     i0 = line.moving[0]
-    sel = tuple(tuple(1 if j == i0 * v_amb + r else 0 for j in range(total))
-                for r in range(v_amb))
+    sel = tuple(bytes(i0 * v_amb) + row + bytes(total - (i0 + 1) * v_amb)
+                for row in identity_rows(v_amb))
     flatten = LinearMap(mode, f, total, v_amb, sel,
-                        tuple([0] * v_amb) if mode == AFFINE else None)
+                        bytes(v_amb) if mode == AFFINE else None)
     copy = apply(section, base.space)
 
     # (a) mutually inverse isomorphism staying inside the equalizer
@@ -493,8 +488,7 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
     seen_words = set()
     for s in range(t):
         secs = [base.sections[c] for c in line.word(s)]
-        pts = [tuple(itertools.chain.from_iterable(sec[i] for sec in secs))
-               for i in at]
+        pts = [b"".join([sec[i] for sec in secs]) for i in at]
         ws = span(f, mode, pts, total)
         if any(not copy.is_member(p) for p in ws.basis_points()):
             raise ConstructionCheckError("a word space leaves the copy")
@@ -652,18 +646,30 @@ def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
 # ---------------------------------------------------------------------------
 # bundle serialization
 
-def host_to_json(host: ProductHost) -> dict:
-    """The bundle: the spec with its word length resolved, then X, H, fibers."""
+def host_bundle(host: ProductHost) -> dict:
+    """The bundle's fields in file order: the spec with its word length
+    resolved, then X, H and the fibers, with X and H as subspaces.
+
+    `host_to_json` turns X and H into JSON data; the command line writes
+    them from their keys instead.
+    """
     spec = host.spec
     resolved = HostSpec(spec.q, spec.mode, spec.colored_rank, spec.target_rank,
                         spec.num_colors, spec.family, spec.base_rank,
                         host.word_len)
     return {
         "spec": resolved.to_json(),
-        "X": host.space.to_json(),
-        "H": [m.to_json() for m in host.members],
+        "X": host.space,
+        "H": list(host.members),
         "fibers": [list(fb) for fb in host.fibers],
     }
+
+
+def host_to_json(host: ProductHost) -> dict:
+    """The bundle as JSON data."""
+    bundle = host_bundle(host)
+    return {**bundle, "X": bundle["X"].to_json(),
+            "H": [m.to_json() for m in bundle["H"]]}
 
 
 def host_from_json(data: dict) -> ProductHost:

@@ -5,6 +5,13 @@ coefficient vector in base-p digits (little-endian), so 0 and 1 are
 always the additive and multiplicative identities and prime fields are
 just integers mod p.  All operation tables are built eagerly at
 construction; everything afterwards is a table lookup.
+
+A vector over the field is a `bytes` object, one element per byte.  The
+byte tables below act on whole vectors through `bytes.translate`: an
+element fits in four bits, so byte j of the pair vector of a and b,
+16 * a[j] + b[j], indexes a pair table, and one translate adds or
+subtracts every entry at once; scaling is one translate by the
+scalar's table.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ class Field:
     base-p digits of i are the coefficients.
     """
 
-    __slots__ = ("p", "degree", "modulus", "order", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "degree", "modulus", "order", "_add", "_mul", "_neg", "_inv",
+                 "add_pairs", "sub_pairs", "scale")
 
     def __init__(self, p: int, degree: int = 1, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
@@ -154,6 +162,14 @@ class Field:
         self._mul = tuple(mul)
         self._neg = neg
         self._inv = tuple(inv)
+        # the byte tables (read-only): add_pairs[16 * a + b] == add(a, b),
+        # likewise sub_pairs, and scale[c][x] == mul(c, x).
+        # Each is a 256-byte table for bytes.translate; an index naming no
+        # element (an entry >= q) maps to 0
+        pairs = [(a >> 4, a & 15) for a in range(256)]
+        self.add_pairs = bytes(add[a][b] if a < q and b < q else 0 for a, b in pairs)
+        self.sub_pairs = bytes(add[a][neg[b]] if a < q and b < q else 0 for a, b in pairs)
+        self.scale = tuple(bytes(row) + bytes(256 - q) for row in mul)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -176,26 +192,6 @@ class Field:
 
     def elements(self) -> list[int]:
         return list(range(self.order))
-
-    # -- tables (read-only; rows are tuples) ---------------------------
-    #
-    # Kernels index a per-scalar row once, e.g. m = mul_table[c], and
-    # then look up m[x] per entry instead of calling mul(c, x).
-
-    @property
-    def add_table(self) -> tuple[tuple[int, ...], ...]:
-        """add_table[a][b] == add(a, b)."""
-        return self._add
-
-    @property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """mul_table[a][b] == mul(a, b)."""
-        return self._mul
-
-    @property
-    def neg_table(self) -> tuple[int, ...]:
-        """neg_table[a] == neg(a)."""
-        return self._neg
 
     # -- identity ------------------------------------------------------
 

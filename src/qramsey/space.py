@@ -22,7 +22,11 @@ from operator import itemgetter
 
 from .field import Field, make_field
 
-Vec = tuple[int, ...]
+# A vector over GF(q) is a bytes object, one field element per byte.
+# bytes order is tuple order, so sorting vectors sorts them
+# lexicographically; bytes hash once and compare, slice and concatenate
+# in C.
+Vec = bytes
 
 VECTOR = "vector"
 AFFINE = "affine"
@@ -51,123 +55,149 @@ def _check_mode(mode: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _elements(q: int) -> frozenset[int]:
-    """The elements of GF(q), for validating entries at C speed."""
-    return frozenset(range(q))
+def _elements(q: int) -> bytes:
+    """The elements of GF(q) as one bytes object.
+
+    v.translate(None, _elements(q)) deletes every entry that is an
+    element, so it is empty exactly when all of v's entries are.
+    """
+    return bytes(range(q))
+
+
+def _check_bytes(vectors, what: str) -> None:
+    """TypeError unless every vector is bytes: a tuple of the same entries
+    would compare unequal to it without any error."""
+    others = set(map(type, vectors)) - {bytes}
+    if others:
+        raise TypeError(f"{what} must be bytes, not {others.pop().__name__}")
 
 
 # ---------------------------------------------------------------------------
 # vector / matrix primitives
 #
-# One code path serves every q.  The kernels index the field's add/mul/neg
-# tables, fetching a per-scalar row such as mul_table[c] once per row
-# operation, and visit only the nonzero entries of the rows they add in:
-# compress(range(len(v)), v) yields the indices of v's nonzero entries,
-# skipping the zeros at C speed.  The points and direction rows of the
-# construction are mostly zero.
+# One code path serves every q.  An element fits in four bits, so `_pairs`
+# packs two vectors into one whose byte j indexes the field's pair tables,
+# and a single bytes.translate then adds or subtracts every entry at once.
+# Scaling is one translate by the scalar's table.  Every row operation
+# thus runs in C, whatever the width.
 
-def _axpy(add, m: Vec, acc: list[int], row: Vec) -> None:
-    """acc += c * row in place, where m = mul_table[c]."""
-    for j in compress(range(len(row)), row):
-        acc[j] = add[acc[j]][m[row[j]]]
+def _pairs(a: Vec, b: Vec) -> bytes:
+    """Byte j is 16 * a[j] + b[j], the index of (a[j], b[j]) in a pair table.
+
+    Entries are below 16, so shifting a's big-endian int four bits moves
+    each entry into the high half of its own byte, with no carry.
+    """
+    return ((int.from_bytes(a) << 4) | int.from_bytes(b)).to_bytes(len(a))
+
+
+def _lead(v: Vec) -> int:
+    """The first nonzero column of v, or len(v) when v is zero."""
+    return len(v) - len(v.lstrip(b"\0"))
 
 
 def vec_add(f: Field, a: Vec, b: Vec) -> Vec:
-    add = f.add_table
-    out = list(a)
-    for j in compress(range(len(b)), b):
-        out[j] = add[out[j]][b[j]]
-    return tuple(out)
+    return _pairs(a, b).translate(f.add_pairs)
 
 
 def vec_sub(f: Field, a: Vec, b: Vec) -> Vec:
-    add, neg = f.add_table, f.neg_table
-    out = list(a)
-    for j in compress(range(len(b)), b):
-        out[j] = add[out[j]][neg[b[j]]]
-    return tuple(out)
+    return _pairs(a, b).translate(f.sub_pairs)
 
 
 def vec_scale(f: Field, c: int, v: Vec) -> Vec:
-    return tuple(map(f.mul_table[c].__getitem__, v))
+    return v.translate(f.scale[c])
+
+
+def _add_multiple(f: Field, v: Vec, c: int, row: Vec) -> Vec:
+    """v + c * row."""
+    return _pairs(v, row.translate(f.scale[c])).translate(f.add_pairs)
+
+
+_NONZERO = b"\0" + b"\1" * 255
+
+
+def _support(v: Vec) -> list[int]:
+    """The columns where v is nonzero, in order.
+
+    Each is one memchr-speed find in a copy of v with every nonzero entry
+    set to 1, so a sparse vector costs a step per nonzero entry, not per
+    column.
+    """
+    marks = v.translate(_NONZERO)
+    out = []
+    j = marks.find(1)
+    while j >= 0:
+        out.append(j)
+        j = marks.find(1, j + 1)
+    return out
 
 
 def mat_vec(f: Field, rows: tuple[Vec, ...], v: Vec) -> Vec:
-    """rows . v; each output entry costs O(nonzeros of v), not O(len(v))."""
-    add, mul = f.add_table, f.mul_table
-    terms = [(j, mul[v[j]]) for j in compress(range(len(v)), v)]
-    out = []
-    for row in rows:
-        acc = 0
-        for j, m in terms:
-            c = row[j]
-            if c:
-                acc = add[acc][m[c]]
-        out.append(acc)
-    return tuple(out)
+    """rows . v: the sum of v[j] times column j over v's nonzero entries.
+
+    Column j of the rows, joined into one bytes object, is its slice
+    from j in steps of the width.
+    """
+    width, joined = len(v), b"".join(rows)
+    out = bytes(len(rows))
+    for j in _support(v):
+        out = _add_multiple(f, out, v[j], joined[j::width])
+    return out
 
 
 def mat_mul(f: Field, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    add, mul = f.add_table, f.mul_table
     width = len(b[0]) if b else 0
     out = []
     for arow in a:
-        row = [0] * width
-        for i in compress(range(len(b)), arow):
-            _axpy(add, mul[arow[i]], row, b[i])
-        out.append(tuple(row))
+        acc = bytes(width)
+        for i in _support(arow):
+            acc = _add_multiple(f, acc, arow[i], b[i])
+        out.append(acc)
     return tuple(out)
 
 
 def transpose(rows: tuple[Vec, ...], width: int | None = None) -> tuple[Vec, ...]:
     if rows:
-        return tuple(zip(*rows))
+        return tuple(map(bytes, zip(*rows)))
     if width is None:
         raise ValueError("width needed to transpose an empty matrix")
-    return ((),) * width
+    return (b"",) * width
 
 
 def identity_rows(n: int) -> tuple[Vec, ...]:
-    zero = (0,) * n
-    return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
+    zero = bytes(n)
+    return tuple(zero[:i] + b"\1" + zero[i + 1:] for i in range(n))
 
 
 def rref(f: Field, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
 
-    Each elimination walks only the nonzero columns of the pivot row, and
-    the next pivot column is found from each row's leading column instead
-    of by scanning the matrix column by column.
+    The next pivot column is found from each row's leading column instead
+    of by scanning the matrix column by column, and only the rows with a
+    nonzero entry in the pivot column are eliminated.
     """
-    mat = [list(r) for r in rows]
+    mat = list(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    cols = range(ncols)
-    lead = [next(compress(cols, row), ncols) for row in mat]  # ncols: zero row
+    leads = [_lead(row) for row in mat]  # ncols: zero row
     pivots: list[int] = []
     for r in range(nrows):
-        c = min(lead[r:])
+        c = min(leads[r:])
         if c == ncols:
             break
-        pr = lead.index(c, r)
+        pr = leads.index(c, r)
         mat[r], mat[pr] = mat[pr], mat[r]
-        lead[r], lead[pr] = c, lead[r]
-        s = f.inv(mat[r][c])
+        leads[r], leads[pr] = c, leads[r]
+        s = mat[r][c]
         if s != 1:
-            mat[r] = list(map(mul[s].__getitem__, mat[r]))
+            mat[r] = vec_scale(f, f.inv(s), mat[r])
         prow = mat[r]
-        entries = [(j, prow[j]) for j in compress(cols, prow)]
         for i in compress(range(nrows), map(itemgetter(c), mat)):
             if i != r:
-                row = mat[i]
-                m = mul[neg[row[c]]]
-                for j, y in entries:
-                    row[j] = add[row[j]][m[y]]
+                mat[i] = _add_multiple(f, mat[i], f.neg(mat[i][c]), prow)
                 if i > r:
-                    lead[i] = next(compress(cols, row), ncols)
+                    leads[i] = _lead(mat[i])
         pivots.append(c)
-    return tuple(tuple(row) for row in mat[:len(pivots)]), tuple(pivots)
+    return tuple(mat[:len(pivots)]), tuple(pivots)
 
 
 def _reduce_by(f: Field, rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> Vec:
@@ -176,12 +206,10 @@ def _reduce_by(f: Field, rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec)
     An RREF row is zero on every other row's pivot, so the multiple of
     each row is v's own entry at that row's pivot.
     """
-    add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    out = list(v)
     coeffs = list(map(v.__getitem__, pivots))
     for row, c in compress(zip(rows, coeffs), coeffs):
-        _axpy(add, mul[neg[c]], out, row)
-    return tuple(out)
+        v = _add_multiple(f, v, f.neg(c), row)
+    return v
 
 
 def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ...]:
@@ -192,11 +220,11 @@ def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ..
     for free in range(ncols):
         if free in pivset:
             continue
-        v = [0] * ncols
+        v = bytearray(ncols)
         v[free] = 1
         for row, p in zip(red, piv):
             v[p] = f.neg(row[free])
-        out.append(tuple(v))
+        out.append(bytes(v))
     return tuple(out)
 
 
@@ -207,22 +235,36 @@ def combination_points(f: Field, origin: Vec, rows) -> list[Vec]:
     each row multiplies the list built so far, each point followed by
     its sums with the row's nonzero multiples.
     """
-    add, mul = f.add_table, f.mul_table
+    add, width = f.add_pairs, len(origin)
     pts = [origin]
     for row in rows:
+        steps = [int.from_bytes(row.translate(m)) for m in f.scale[1:]]
         grown = []
         for p in pts:
+            shifted = int.from_bytes(p) << 4
             grown.append(p)
-            for c in range(1, f.order):
-                acc = list(p)
-                _axpy(add, mul[c], acc, row)
-                grown.append(tuple(acc))
+            grown.extend([(shifted | s).to_bytes(width).translate(add)
+                          for s in steps])
         pts = grown
     return pts
 
 
 # ---------------------------------------------------------------------------
 # subspaces
+
+def _pivot_mask(width: int, pivots) -> int:
+    """The int of a width-long vector with 0xFF on the pivot columns: ANDed
+    with a vector's int, it keeps the vector's pivot entries alone."""
+    mask = bytearray(width)
+    for p in pivots:
+        mask[p] = 0xFF
+    return int.from_bytes(mask)
+
+
+def _unit(width: int, p: int) -> int:
+    """The int of the width-long unit vector with its 1 at column p."""
+    return 1 << 8 * (width - 1 - p)
+
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
@@ -245,15 +287,16 @@ class Subspace:
         elements = _elements(self.field.order)
         if self.ambient_len < 0:
             raise ValueError("ambient_len must be nonnegative")
+        _check_bytes(self.direction, "direction rows")
         piv_prev = -1
         pivots = []
         for row in self.direction:
             if len(row) != self.ambient_len:
                 raise ValueError("direction row length differs from ambient_len")
-            if not elements.issuperset(row):
+            if row.translate(None, elements):
                 raise ValueError("direction entries out of field range")
-            p = next(compress(range(len(row)), row), None)
-            if p is None:
+            p = _lead(row)
+            if p == len(row):
                 raise ValueError("zero row in direction")
             if p <= piv_prev:
                 raise ValueError("pivots must be strictly increasing")
@@ -261,10 +304,10 @@ class Subspace:
                 raise ValueError("pivot entries must be 1")
             pivots.append(p)
             piv_prev = p
-        pivset = set(pivots)
-        for row in self.direction:
+        on_pivots = _pivot_mask(self.ambient_len, pivots)
+        for row, p in zip(self.direction, pivots):
             # the row's own pivot is its only nonzero pivot column
-            if len(pivset.intersection(compress(range(len(row)), row))) != 1:
+            if int.from_bytes(row) & on_pivots != _unit(self.ambient_len, p):
                 raise ValueError("non-reduced entry above/below a pivot")
         if self.mode == VECTOR:
             if self.basepoint is not None:
@@ -272,11 +315,12 @@ class Subspace:
         else:
             if self.basepoint is None:
                 raise ValueError("affine-mode subspaces need a basepoint")
+            _check_bytes([self.basepoint], "the basepoint")
             if len(self.basepoint) != self.ambient_len:
                 raise ValueError("basepoint length differs from ambient_len")
-            if not elements.issuperset(self.basepoint):
+            if self.basepoint.translate(None, elements):
                 raise ValueError("basepoint entries out of field range")
-            if any(self.basepoint[p] != 0 for p in pivots):
+            if int.from_bytes(self.basepoint) & on_pivots:
                 raise ValueError("basepoint must be zero on pivot columns")
 
     # -- conventions ---------------------------------------------------
@@ -294,7 +338,7 @@ class Subspace:
         """Pivot column -> its direction row, in row order; built on first use."""
         if self._pivot_rows is None:
             object.__setattr__(self, "_pivot_rows", {
-                next(compress(range(len(row)), row)): row for row in self.direction})
+                _lead(row): row for row in self.direction})
         return self._pivot_rows
 
     # -- point set -----------------------------------------------------
@@ -309,34 +353,31 @@ class Subspace:
         if self.num_points > POINT_CAP:
             raise SizeCapError(f"{count_text(self.num_points)} points exceeds cap "
                                f"{POINT_CAP}")
-        origin = self.basepoint if self.mode == AFFINE else tuple([0] * self.ambient_len)
+        origin = self.basepoint if self.mode == AFFINE else bytes(self.ambient_len)
         yield from combination_points(self.field, origin, self.direction)
 
     def sorted_points(self) -> list[Vec]:
         return sorted(self.points())
 
     def is_member(self, v: Vec) -> bool:
-        """Reduce v along its own nonzero entries that sit on pivots.
+        """Reduce v at its leading column while a direction row pivots there.
 
-        An RREF row is zero on every other row's pivot column, so the
-        multiple of each row is v's own entry at its pivot, and reducing
-        by one row leaves the other pivot entries alone.  The remainder
-        is kept on the columns it can reach: v's and the used rows'.
+        An RREF row is zero before its pivot and on every other pivot, so
+        reducing at the leading column moves the lead right and leaves
+        the other pivot entries alone.  A leading column that is no pivot
+        stays nonzero under every later row: v is then outside.
         """
         if len(v) != self.ambient_len:
             raise ValueError("point length differs from ambient_len")
         f = self.field
         w = v if self.mode == VECTOR else vec_sub(f, v, self.basepoint)
-        add, mul, neg = f.add_table, f.mul_table, f.neg_table
         rows = self.pivots()
-        rem = dict(zip(compress(range(len(w)), w), filter(None, w)))
-        for j, c in list(rem.items()):
-            row = rows.get(j)
-            if row is not None:
-                m = mul[neg[c]]
-                for col in compress(range(len(row)), row):
-                    rem[col] = add[rem.get(col, 0)][m[row[col]]]
-        return not any(rem.values())
+        while (p := _lead(w)) < len(w):
+            row = rows.get(p)
+            if row is None:
+                return False
+            w = _add_multiple(f, w, f.neg(w[p]), row)
+        return True
 
     def basis_points(self) -> tuple[Vec, ...]:
         """The canonical basis: direction rows, or basepoint plus offsets."""
@@ -365,15 +406,15 @@ class Subspace:
     def key(self) -> str:
         """Canonical serialization; doubles as the bytewise sort key.
 
-        The compact JSON of `to_json()`, formatted directly: str() of a
-        list of ints differs from compact JSON only by its spaces.
+        The compact JSON of `to_json()`, formatted directly from the
+        vectors' bytes (`_json_list`).
         """
         if self._key is None:
-            key = '{"mode":"%s","q":%d,"ambient_len":%d,"direction":%s' % (
+            key = '{"mode":"%s","q":%d,"ambient_len":%d,"direction":[%s]' % (
                 self.mode, self.field.order, self.ambient_len,
-                str([list(r) for r in self.direction]).replace(" ", ""))
+                ",".join(map(_json_list, self.direction)))
             if self.mode == AFFINE:
-                key += ',"basepoint":%s' % str(list(self.basepoint)).replace(" ", "")
+                key += ',"basepoint":' + _json_list(self.basepoint)
             object.__setattr__(self, "_key", key + "}")
         return self._key
 
@@ -403,6 +444,18 @@ class Subspace:
         return span(f, VECTOR, rows, amb)
 
 
+# Entry x as the byte whose hex text is "c" and x's digit (x < 10) or "d"
+# and the digit of x - 10, so the hex text of a vector is its entries'
+# decimal text with "c" for "," and "d" for ",1"
+_ENTRY_HEX = bytes(0xC0 + x if x < 10 else 0xD0 + x - 10 for x in range(16)) + bytes(240)
+
+
+def _json_list(v: Vec) -> str:
+    """The compact JSON text of v as a list of ints."""
+    text = v.translate(_ENTRY_HEX).hex().replace("c", ",").replace("d", ",1")
+    return "[" + text[1:] + "]"
+
+
 def json_expect(value, kind: type, what: str):
     """`value` if it has the JSON type `kind` (dict or list), else ValueError."""
     if not isinstance(value, kind):
@@ -419,10 +472,10 @@ def json_int(value, what: str) -> int:
 
 
 def _json_point(f: Field, value, what: str) -> Vec:
-    point = tuple(json_int(x, what) for x in json_expect(value, list, what))
-    if not _elements(f.order).issuperset(point):
+    entries = [json_int(x, what) for x in json_expect(value, list, what)]
+    if not all(0 <= x < f.order for x in entries):
         raise ValueError(f"{what} has an entry outside GF({f.order})")
-    return point
+    return bytes(entries)
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -433,7 +486,7 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 def span(f: Field, mode: str, points, ambient_len: int | None = None) -> Subspace:
     """Canonical span of the given points (mode-appropriate combinations)."""
     _check_mode(mode)
-    pts = [tuple(p) for p in points]
+    pts = [bytes(p) for p in points]
     if ambient_len is None:
         if not pts:
             raise ValueError("ambient_len needed for an empty span")
@@ -461,7 +514,7 @@ def full_space(f: Field, mode: str, rank: int) -> Subspace:
     if rank < 1:
         raise ValueError("affine rank must be at least 1")
     d = rank - 1
-    return Subspace(AFFINE, f, d, identity_rows(d), tuple([0] * d))
+    return Subspace(AFFINE, f, d, identity_rows(d), bytes(d))
 
 
 def zero_space(f: Field, ambient_len: int) -> Subspace:
@@ -511,13 +564,13 @@ def _rref_patterns(f: Field, k: int, d: int):
         choices = []
         for p in piv:
             free = [j for j in range(p + 1, d) if j not in pivset]
-            row = [0] * d
+            row = bytearray(d)
             row[p] = 1
             options = []
             for vals in itertools.product(elems, repeat=len(free)):
                 for j, v in zip(free, vals):
                     row[j] = v
-                options.append(tuple(row))
+                options.append(bytes(row))
             choices.append(options)
         _check_pattern(f, d, piv, choices)
         yield piv, choices
@@ -536,20 +589,20 @@ def _check_pattern(f: Field, d: int, piv: tuple[int, ...], choices) -> None:
     if any(a >= b for a, b in zip(piv, piv[1:])):
         raise ValueError("pivots must be strictly increasing")
     elements = _elements(f.order)
-    pivset = set(piv)
-    cols = range(d)
+    on_pivots = _pivot_mask(d, piv)
     for p, options in zip(piv, choices):
+        _check_bytes(options, "direction rows")
         for row in options:
             if len(row) != d:
                 raise ValueError("direction row length differs from ambient_len")
-            if not elements.issuperset(row):
+            if row.translate(None, elements):
                 raise ValueError("direction entries out of field range")
             if row[p] != 1:
                 raise ValueError("pivot entries must be 1")
             # the row's own pivot is its only nonzero pivot column
-            if len(pivset.intersection(compress(cols, row))) != 1:
+            if int.from_bytes(row) & on_pivots != _unit(d, p):
                 raise ValueError("non-reduced entry above/below a pivot")
-            if next(compress(cols, row)) != p:
+            if _lead(row) != p:
                 raise ValueError("nonzero direction entry before its pivot")
 
 
@@ -561,12 +614,12 @@ def _coset_bases(f: Field, d: int, piv: tuple[int, ...]) -> list[Vec]:
     """
     pivset = set(piv)
     free = [c for c in range(d) if c not in pivset]
-    point = [0] * d
+    point = bytearray(d)
     bases = []
     for vals in itertools.product(f.elements(), repeat=len(free)):
         for c, v in zip(free, vals):
             point[c] = v
-        bases.append(tuple(point))
+        bases.append(bytes(point))
     _check_bases(f, d, piv, bases)
     return bases
 
@@ -577,10 +630,11 @@ def _check_bases(f: Field, d: int, piv: tuple[int, ...], bases) -> None:
     The basepoint checks of `Subspace.__post_init__`, with its messages.
     """
     elements = _elements(f.order)
+    _check_bytes(bases, "the basepoint")
     for b in bases:
         if len(b) != d:
             raise ValueError("basepoint length differs from ambient_len")
-        if not elements.issuperset(b):
+        if b.translate(None, elements):
             raise ValueError("basepoint entries out of field range")
         if any(b[p] for p in piv):
             raise ValueError("basepoint must be zero on pivot columns")
@@ -709,37 +763,29 @@ class _RankTracker:
         self.origin: Vec | None = None  # affine mode: first point seen
         self.rows: dict[int, Vec] = {}  # pivot -> row echelon row, led by 1
 
-    def _residual(self, v: Vec) -> list[int]:
-        """v reduced by the rows at its nonzero pivot columns, in order.
-
-        A row is zero before its pivot, so reducing at column p changes
-        only later columns, which the live walk over `out` still reads.
-        """
-        add, mul, neg = self.f.add_table, self.f.mul_table, self.f.neg_table
-        rows = self.rows
-        out = list(v)
-        for p in compress(range(len(out)), out):
-            row = rows.get(p)
-            if row is not None:
-                _axpy(add, mul[neg[out[p]]], out, row)
-        return out
-
     def try_add(self, point: Vec) -> bool:
-        """Add the point if it keeps the set independent; report success."""
+        """Add the point if it keeps the set independent; report success.
+
+        The point is reduced at its leading column while a row pivots
+        there.  A row is zero before its pivot, so each step moves the
+        lead right; a lead no row pivots on makes the residual a new row.
+        """
+        f = self.f
         if self.mode == AFFINE:
             if self.origin is None:
                 self.origin = point
                 return True
-            v = vec_sub(self.f, point, self.origin)
+            v = vec_sub(f, point, self.origin)
         else:
             v = point
-        res = self._residual(v)
-        p = next(compress(range(len(res)), res), None)
-        if p is None:
-            return False
-        self.rows[p] = (tuple(res) if res[p] == 1
-                        else vec_scale(self.f, self.f.inv(res[p]), res))
-        return True
+        rows = self.rows
+        while (p := _lead(v)) < len(v):
+            row = rows.get(p)
+            if row is None:
+                rows[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
+                return True
+            v = _add_multiple(f, v, f.neg(v[p]), row)
+        return False
 
     @property
     def rank(self) -> int:
@@ -751,7 +797,7 @@ def is_independent(f: Field, mode: str, points) -> bool:
     """True when the points form an independent set in the given mode."""
     _check_mode(mode)
     tracker = _RankTracker(f, mode)
-    return all(tracker.try_add(tuple(p)) for p in points)
+    return all(tracker.try_add(bytes(p)) for p in points)
 
 
 @dataclass(frozen=True)
@@ -764,6 +810,7 @@ class BasisSet:
 
     def __post_init__(self):
         _check_mode(self.mode)
+        _check_bytes(self.points, "basis points")
         if not is_independent(self.field, self.mode, self.points):
             raise ValueError("basis points are not independent")
 
@@ -862,10 +909,11 @@ class LinearMap:
         _check_mode(self.mode)
         if len(self.matrix) != self.codomain_len:
             raise ValueError("matrix row count differs from codomain_len")
-        if any(len(r) != self.domain_len for r in self.matrix):
+        _check_bytes(self.matrix, "matrix rows")
+        if set(map(len, self.matrix)) - {self.domain_len}:
             raise ValueError("matrix row length differs from domain_len")
         elements = _elements(self.field.order)
-        if not all(elements.issuperset(r) for r in self.matrix):
+        if b"".join(self.matrix).translate(None, elements):
             raise ValueError("matrix entries out of field range")
         if self.mode == VECTOR:
             if self.translation is not None:
@@ -873,7 +921,8 @@ class LinearMap:
         else:
             if self.translation is None or len(self.translation) != self.codomain_len:
                 raise ValueError("affine-mode maps need a codomain-length translation")
-            if not elements.issuperset(self.translation):
+            _check_bytes([self.translation], "the translation")
+            if self.translation.translate(None, elements):
                 raise ValueError("translation entries out of field range")
 
 
@@ -893,12 +942,13 @@ def coordinate_map(f: Field, mode: str, images, codomain_len: int) -> LinearMap:
 
 
 def identity_map(f: Field, mode: str, n: int) -> LinearMap:
-    t = tuple([0] * n) if mode == AFFINE else None
+    t = bytes(n) if mode == AFFINE else None
     return LinearMap(mode, f, n, n, identity_rows(n), t)
 
 
 def apply(m: LinearMap, x):
-    """Apply a map to a point (tuple) or to a Subspace (image, canonical)."""
+    """Apply a map to a point (a sequence of elements) or to a Subspace
+    (image, canonical)."""
     if isinstance(x, Subspace):
         if x.mode != m.mode or x.field != m.field:
             raise ValueError("map and subspace disagree on mode or field")
@@ -909,7 +959,7 @@ def apply(m: LinearMap, x):
             return span(m.field, VECTOR, imgs, m.codomain_len)
         imgs = [apply(m, p) for p in x.basis_points()]
         return span(m.field, AFFINE, imgs, m.codomain_len)
-    v = tuple(x)
+    v = bytes(x)
     if len(v) != m.domain_len:
         raise ValueError("point length differs from map domain")
     out = mat_vec(m.field, m.matrix, v)
@@ -942,7 +992,7 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
     """
     f = basis.field
     mode = basis.mode
-    imgs = [tuple(p) for p in images]
+    imgs = [bytes(p) for p in images]
     if len(imgs) != len(basis.points):
         raise ValueError("basis/image count mismatch")
     if codomain_len is None:
@@ -961,7 +1011,7 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
     pts_all = extend_to_basis(basis, ambient).points
     extras = len(pts_all) - len(imgs)
     if mode == VECTOR:
-        pairs = zip(pts_all, imgs + [tuple([0] * codomain_len)] * extras)
+        pairs = zip(pts_all, imgs + [bytes(codomain_len)] * extras)
     else:
         p0, y0 = pts_all[0], imgs[0]
         pairs = [(vec_sub(f, p, p0), vec_sub(f, y, y0))

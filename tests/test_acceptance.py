@@ -272,7 +272,7 @@ def test_acceptance_08_equalizer_rank_law():
             f = rng.choice((f2, f3))
             dom = rng.randint(1, 4)
             cod = rng.randint(1, 3)
-            rows = tuple(tuple(rng.randrange(f.order) for _ in range(dom))
+            rows = tuple(bytes(rng.randrange(f.order) for _ in range(dom))
                          for _ in range(cod))
             pi = LinearMap(VECTOR, f, dom, cod, rows)
             w = rng.randint(1, 3)
@@ -286,7 +286,7 @@ def test_acceptance_08_equalizer_rank_law():
                     row[:dom] = list(r)
                     for j, c in enumerate(r):
                         row[i * dom + j] = f.neg(c)
-                    stacked.append(tuple(row))
+                    stacked.append(bytes(row))
             constraint_rank = len(rref(f, stacked)[1]) if stacked else 0
             assert X.rank == w * dom - constraint_rank
             assert X.rank == w * dom - (w - 1) * m_rank

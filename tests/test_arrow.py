@@ -197,7 +197,7 @@ def test_instance_validation():
 def elementary_maps(f, mode, d):
     """The maps structure_generators uses, as LinearMaps, in its order."""
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    zero = tuple([0] * d) if mode == AFFINE else None
+    zero = bytes(d) if mode == AFFINE else None
     maps = []
     for i in range(d - 1):
         swap = [row[:] for row in identity]
@@ -205,10 +205,10 @@ def elementary_maps(f, mode, d):
         shear = [row[:] for row in identity]
         shear[i][i + 1] = 1  # x_i += x_{i+1}
         for m in (swap, shear):
-            maps.append(LinearMap(mode, f, d, d, tuple(map(tuple, m)), zero))
+            maps.append(LinearMap(mode, f, d, d, tuple(map(bytes, m)), zero))
     if mode == AFFINE and d:
-        maps.append(LinearMap(mode, f, d, d, tuple(map(tuple, identity)),
-                              (1,) + zero[1:]))
+        maps.append(LinearMap(mode, f, d, d, tuple(map(bytes, identity)),
+                              b"\1" + zero[1:]))
     return maps
 
 

@@ -159,6 +159,33 @@ def test_enumerate_stdout_digest_pinned(capsys):
         "dc92a538896823916eeaf1d6fb0eaaa2dbc9334c3284b0b85514f007b9a0bb5a"
 
 
+# sha256 of enumerate's stdout over the extension fields and GF(11),
+# where key entries reach two digits, recorded when every point was a
+# tuple of ints.  (q, mode, N, k) -> (lines, digest)
+PINNED_FIELD_ENUMERATIONS = {
+    (4, VECTOR, 3, 2): (21, "82e4656c96333877a9050533af5ae8053b24a88b7813ccfc9572060c852374a1"),
+    (4, AFFINE, 3, 2): (20, "ae7001ed570487bc687a223d57cd633f5fc516e425e3f75dd2844dc2f313cd49"),
+    (9, VECTOR, 3, 1): (91, "e65bcc4c409f29178888e2244f3936b365525fd0158a9f505979616efacb9b93"),
+    (9, AFFINE, 3, 2): (90, "dece611d75485e16338915082f23198054e54856955f701afa870e6c4b649de6"),
+    (11, VECTOR, 3, 2): (133, "802690fa0f2f4dd364f8fd9b7058f6a68aedb889fd005824e801d77f402f4c82"),
+    (11, AFFINE, 2, 1): (11, "c473e3aa07f8d6ac5bbf0b82f007c352eb1cb41bd17fd7e60c6714724a106171"),
+    (16, VECTOR, 3, 2): (273, "e1fa5a86e88b4fb87f8e161bc1cfc1b53b426452df0099bb97d6c0eb902f2346"),
+    (16, AFFINE, 3, 2): (272, "54a5cb2be15e43876f3fb9df1252e3b6bc027094efcd3c2032d32095d43f7d7b"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FIELD_ENUMERATIONS),
+                         ids=["q{}_{}_N{}_k{}".format(*c)
+                              for c in PINNED_FIELD_ENUMERATIONS])
+def test_enumerate_stdout_digests_pinned_over_larger_fields(case, capsys):
+    q, mode, big_n, k = case
+    lines, digest = PINNED_FIELD_ENUMERATIONS[case]
+    code, _, out = run_cli(capsys, "enumerate", "--q", str(q), "--mode", mode,
+                           "--N", str(big_n), "--k", str(k))
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_count_builds_no_keys(capsys, monkeypatch):
     def keyed(self):
         raise AssertionError("count keyed a subspace")
@@ -186,6 +213,17 @@ def test_arrow_fails_with_witness_file(capsys, tmp_path):
     assert lines[0]["verdict"] == "fails"
     assert list(lines[0]["witness"]["entries"].values()) == [0, 0, 1]
     assert json.loads(out.read_text()) == lines[0]["witness"]
+
+
+def test_arrow_stdout_digest_pinned_at_q11(capsys):
+    # sha256 of the stdout, recorded when every point was a tuple of ints;
+    # the witness keys hold two-digit entries
+    code, lines, out = run_cli(capsys, "arrow", "--q", "11", "--mode", "vector",
+                               "--N", "2", "--n", "2", "--k", "1", "--r", "2")
+    assert code == 2 and lines[0]["verdict"] == "fails"
+    assert any(",10]" in key for key in lines[0]["witness"]["entries"])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "db1f2e3bfd61b073e3641535470d422f8d01dc96996312f53032e21985ee82c4"
 
 
 def test_arrow_holds_single_color(capsys):
@@ -353,6 +391,34 @@ def test_construct_proper_ambient_digests_pinned(case, tmp_path, capsys):
     bundle = construct_bundle(capsys, tmp_path, proper_ambient_spec(*case))
     assert hashlib.sha256(bundle.read_bytes()).hexdigest() == \
         PINNED_PROPER_AMBIENT_BUNDLES[case]
+
+
+# the same over the extension fields and GF(11) and GF(16), whose key
+# entries reach two digits, recorded when every point was a tuple of
+# ints.  F is the rank-2 coordinate space's lines 2 .. 2 + |F| - 1, in
+# key order.  (q, mode, |F|, N0, N1) -> digest
+PINNED_FIELD_BUNDLES = {
+    (4, VECTOR, 2, 3, 1): "890c2d9672db3d688fbb8aa275e6f0c1677ea23633f2e57051c6547f90e4f34b",
+    (4, AFFINE, 2, 2, 2): "1d7359b9a3479e57a3cb272fd7bc9dc4bc3f0ba53134e0b987f189d4ccabaa44",
+    (9, AFFINE, 2, 2, 2): "39a14aa9db2f9a781059a34fbcd2702440c8161d589632466047fb93776d45df",
+    (11, VECTOR, 2, 2, 2): "0099323f9ecf1ff3478cf33c25844067d8a1cd626aecb27d959cc7f11a1e9fa3",
+    (16, AFFINE, 1, 2, 1): "b7edbc3bf9003ddf2b869863111f7f2db24f3712ff2d7ebe5aa61bb6aa38f20b",
+    (16, VECTOR, 2, 2, 1): "defb66bd98ef1f2a1cd45e38441255aeffe405b453f465f91aaa0bf130c9c13a",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FIELD_BUNDLES),
+                         ids=["q{}_{}_F{}_N0_{}_N1_{}".format(*c)
+                              for c in PINNED_FIELD_BUNDLES])
+def test_construct_bundle_digests_pinned_over_larger_fields(case, tmp_path,
+                                                            capsys):
+    q, mode, nf, n0, n1 = case
+    amb = full_space(make_field(q), mode, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[2:2 + nf]))
+    bundle = construct_bundle(capsys, tmp_path,
+                              HostSpec(q, mode, 1, 2, 2, fam, n0, n1))
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() == \
+        PINNED_FIELD_BUNDLES[case]
 
 
 def test_construct_spec_with_unsorted_rows(tmp_path, capsys):

@@ -35,6 +35,16 @@ def all_points(f, length):
     return list(itertools.product(range(f.order), repeat=length))
 
 
+def vecs(*rows):
+    """Vectors as the library holds them: one bytes object each."""
+    return tuple(map(bytes, rows))
+
+
+def tup(vectors):
+    """Vectors as tuples, for comparison with tuple references."""
+    return tuple(map(tuple, vectors))
+
+
 def closure_points(f, mode, gens):
     """Fixpoint closure of gens under mode combinations."""
     gens = [tuple(g) for g in gens]
@@ -82,7 +92,7 @@ def test_span_matches_closure_oracle(q, mode):
     for _ in range(40):
         gens = [rng.choice(pts) for _ in range(rng.randint(1, 3))]
         s = span(f, mode, gens, 3)
-        assert set(s.points()) == closure_points(f, mode, gens)
+        assert set(tup(s.points())) == closure_points(f, mode, gens)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -146,13 +156,13 @@ def test_affine_basepoint_normalized():
 def test_subspace_constructor_rejects_non_canonical():
     f = make_field(2)
     with pytest.raises(ValueError):
-        Subspace(VECTOR, f, 2, ((0, 1), (1, 0)))  # pivots not increasing
+        Subspace(VECTOR, f, 2, vecs((0, 1), (1, 0)))  # pivots not increasing
     with pytest.raises(ValueError):
-        Subspace(VECTOR, f, 2, ((1, 1), (0, 1)))  # not reduced
+        Subspace(VECTOR, f, 2, vecs((1, 1), (0, 1)))  # not reduced
     with pytest.raises(ValueError):
-        Subspace(VECTOR, f, 2, ((1, 0),), (0, 1))  # basepoint in vector mode
+        Subspace(VECTOR, f, 2, vecs((1, 0)), bytes((0, 1)))  # basepoint in vector mode
     with pytest.raises(ValueError):
-        Subspace(AFFINE, f, 2, ((1, 0),), (1, 0))  # basepoint on pivot column
+        Subspace(AFFINE, f, 2, vecs((1, 0)), bytes((1, 0)))  # basepoint on pivot column
 
 
 def test_from_json_recanonicalizes():
@@ -258,8 +268,8 @@ def test_key_is_compact_json(q):
     for s in key_cases(f, random.Random(q)):
         assert s.key() == json_key(s), s
     if q > 10:  # two-digit entries, 10 to q - 1
-        for s in (Subspace(VECTOR, f, 3, ((1, 0, 10), (0, 1, q - 1))),
-                  Subspace(AFFINE, f, 3, ((1, q - 1, 0),), (0, 10, q - 1))):
+        for s in (Subspace(VECTOR, f, 3, vecs((1, 0, 10), (0, 1, q - 1))),
+                  Subspace(AFFINE, f, 3, vecs((1, q - 1, 0)), bytes((0, 10, q - 1)))):
             assert "10" in s.key() and s.key() == json_key(s)
 
 
@@ -288,14 +298,14 @@ def test_points_run_in_coefficient_product_order(q, mode):
     for n in range(0 if mode == VECTOR else 1, 4):
         amb = full_space(f, mode, n + 1)
         for s in enumerate_subspaces(amb, n):
-            base = s.basepoint if mode == AFFINE else (0,) * s.ambient_len
+            base = tuple(s.basepoint) if mode == AFFINE else (0,) * s.ambient_len
             want = []
             for coeffs in itertools.product(range(q), repeat=len(s.direction)):
                 p = base
                 for c, row in zip(coeffs, s.direction):
                     p = tuple(f.add(x, f.mul(c, y)) for x, y in zip(p, row))
                 want.append(p)
-            assert list(s.points()) == want
+            assert list(tup(s.points())) == want
 
 
 def test_enumeration_inside_proper_ambient():
@@ -347,28 +357,28 @@ def test_is_independent_modes():
 def test_extend_to_basis_golden():
     f = make_field(2)
     got = extend_to_basis(BasisSet(VECTOR, f, ()), full_space(f, VECTOR, 2))
-    assert got.points == ((0, 1), (1, 0))  # lex scan order, frozen
+    assert tup(got.points) == ((0, 1), (1, 0))  # lex scan order, frozen
     f3 = make_field(3)
     amb = full_space(f3, AFFINE, 2)
     got = extend_to_basis(BasisSet(AFFINE, f3, ()), amb)
-    assert got.points == ((0,), (1,))
+    assert tup(got.points) == ((0,), (1,))
 
 
 def test_extend_to_basis_identity_on_full_basis():
     f = make_field(2)
-    basis = BasisSet(VECTOR, f, ((0, 1), (1, 0)))
+    basis = BasisSet(VECTOR, f, vecs((0, 1), (1, 0)))
     assert extend_to_basis(basis, full_space(f, VECTOR, 2)).points == basis.points
     flat = span(f, AFFINE, [(0, 1), (1, 0)], 2)
-    got = extend_to_basis(BasisSet(AFFINE, f, ((0, 1),)), flat)
-    assert got.points == ((0, 1), (1, 0))  # the only other point of the flat
+    got = extend_to_basis(BasisSet(AFFINE, f, vecs((0, 1))), flat)
+    assert tup(got.points) == ((0, 1), (1, 0))  # the only other point of the flat
 
 
 def test_extend_to_basis_keeps_prefix():
     f = make_field(2)
     target = full_space(f, VECTOR, 3)
-    start = BasisSet(VECTOR, f, ((1, 1, 0),))
+    start = BasisSet(VECTOR, f, vecs((1, 1, 0)))
     got = extend_to_basis(start, target)
-    assert got.points[0] == (1, 1, 0) and len(got.points) == 3
+    assert tuple(got.points[0]) == (1, 1, 0) and len(got.points) == 3
     assert span(f, VECTOR, got.points) == target
 
 
@@ -376,7 +386,7 @@ def test_extend_to_basis_rejects_outsiders():
     f = make_field(2)
     target = span(f, VECTOR, [(1, 0, 0)], 3)
     with pytest.raises(ValueError):
-        extend_to_basis(BasisSet(VECTOR, f, ((0, 1, 0),)), target)
+        extend_to_basis(BasisSet(VECTOR, f, vecs((0, 1, 0))), target)
 
 
 def test_complement_golden():
@@ -432,30 +442,30 @@ def test_direct_sum_single_part_is_that_part():
 def test_identity_and_compose():
     f = make_field(3)
     ident = identity_map(f, VECTOR, 3)
-    assert apply(ident, (1, 2, 0)) == (1, 2, 0)
+    assert tuple(apply(ident, (1, 2, 0))) == (1, 2, 0)
     m = linear_extension(
-        BasisSet(VECTOR, f, ((1, 0), (0, 1))), [(1, 1), (0, 2)])
+        BasisSet(VECTOR, f, vecs((1, 0), (0, 1))), [(1, 1), (0, 2)])
     assert compose(ident_2d := identity_map(f, VECTOR, 2), m).matrix == m.matrix
     assert compose(m, ident_2d).matrix == m.matrix
 
 
 def test_linear_extension_maps_basis():
     f = make_field(2)
-    basis = BasisSet(VECTOR, f, ((1, 1, 0), (0, 0, 1)))
+    basis = BasisSet(VECTOR, f, vecs((1, 1, 0), (0, 0, 1)))
     images = [(1, 0), (1, 1)]
     m = linear_extension(basis, images)
     for b, y in zip(basis.points, images):
-        assert apply(m, b) == y
+        assert tuple(apply(m, b)) == y
     assert m.domain_len == 3 and m.codomain_len == 2
 
 
 def test_affine_extension_and_translation():
     f = make_field(3)
-    basis = BasisSet(AFFINE, f, ((0, 0), (1, 0), (0, 1)))
+    basis = BasisSet(AFFINE, f, vecs((0, 0), (1, 0), (0, 1)))
     images = [(1,), (2,), (1,)]
     m = linear_extension(basis, images)
     for b, y in zip(basis.points, images):
-        assert apply(m, b) == y
+        assert tuple(apply(m, b)) == y
     # affine maps preserve affine combinations
     rng = random.Random(9)
     for _ in range(20):
@@ -465,36 +475,36 @@ def test_affine_extension_and_translation():
             comb = tuple(f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(u, v))
             img = tuple(f.add(f.mul(a, x), f.mul(b, y))
                         for x, y in zip(apply(m, u), apply(m, v)))
-            assert apply(m, comb) == img
+            assert tuple(apply(m, comb)) == img
 
 
 def test_extension_identity_and_swap_goldens():
     f = make_field(2)
-    e = BasisSet(VECTOR, f, ((1, 0), (0, 1)))
+    e = BasisSet(VECTOR, f, vecs((1, 0), (0, 1)))
     ident = linear_extension(e, [(1, 0), (0, 1)])
     assert ident.matrix == identity_map(f, VECTOR, 2).matrix
     s = span(f, VECTOR, [(1, 1)], 2)
     assert apply(ident, s) == s
     swap = linear_extension(e, [(0, 1), (1, 0)])
-    assert swap.matrix == ((0, 1), (1, 0))
+    assert tup(swap.matrix) == ((0, 1), (1, 0))
     assert apply(swap, span(f, VECTOR, [(1, 0)], 2)) == span(f, VECTOR, [(0, 1)], 2)
 
 
 def test_affine_extension_translation_golden():
     # 0 -> (1,1) pins the translation; 1 -> (0,1) then pins the matrix column
     f = make_field(2)
-    m = linear_extension(BasisSet(AFFINE, f, ((0,), (1,))), [(1, 1), (0, 1)])
-    assert m.translation == (1, 1)
-    assert m.matrix == ((1,), (0,))
+    m = linear_extension(BasisSet(AFFINE, f, vecs((0,), (1,))), [(1, 1), (0, 1)])
+    assert tuple(m.translation) == (1, 1)
+    assert tup(m.matrix) == ((1,), (0,))
 
 
 def test_extension_determined_by_any_basis():
     # two maps that agree on one basis agree on every point of the span
     f = make_field(2)
     m = linear_extension(
-        BasisSet(VECTOR, f, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        BasisSet(VECTOR, f, vecs((1, 0, 0), (0, 1, 0), (0, 0, 1))),
         [(1, 1), (0, 1), (1, 0)])
-    other = BasisSet(VECTOR, f, ((1, 1, 0), (0, 1, 1), (1, 1, 1)))
+    other = BasisSet(VECTOR, f, vecs((1, 1, 0), (0, 1, 1), (1, 1, 1)))
     m2 = linear_extension(other, [apply(m, p) for p in other.points])
     for p in full_space(f, VECTOR, 3).points():
         assert apply(m2, p) == apply(m, p)
@@ -514,7 +524,7 @@ def test_apply_preserves_combinations(mode):
     f = make_field(3)
     pts = all_points(f, 2)
     basis_pts = ((0, 0), (1, 0), (0, 1)) if mode == AFFINE else ((1, 0), (0, 1))
-    m = linear_extension(BasisSet(mode, f, basis_pts),
+    m = linear_extension(BasisSet(mode, f, vecs(*basis_pts)),
                          [rng.choice(pts) for _ in basis_pts])
     for _ in range(40):
         ps = [rng.choice(pts) for _ in range(3)]
@@ -522,12 +532,12 @@ def test_apply_preserves_combinations(mode):
         if mode == AFFINE:
             cs[-1] = f.sub(1, f.add(cs[0], cs[1]))
         x = combine(f, cs, ps)
-        assert apply(m, x) == combine(f, cs, [apply(m, p) for p in ps])
+        assert tuple(apply(m, x)) == combine(f, cs, [apply(m, p) for p in ps])
 
 
 def test_apply_to_subspace_is_pointwise_image():
     f = make_field(2)
-    basis = BasisSet(VECTOR, f, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    basis = BasisSet(VECTOR, f, vecs((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     m = linear_extension(basis, [(1, 1), (1, 1), (0, 1)])
     s = span(f, VECTOR, [(1, 1, 0), (0, 0, 1)], 3)
     img = apply(m, s)
@@ -544,16 +554,16 @@ def test_rank_nullity():
     rng = random.Random(31)
     f = make_field(3)
     for _ in range(100):
-        rows = tuple(tuple(rng.randrange(3) for _ in range(4)) for _ in range(2))
+        rows = tuple(bytes(rng.randrange(3) for _ in range(4)) for _ in range(2))
         m = LinearMap(VECTOR, f, 4, 2, rows)
         assert kernel(m).rank + image_space(m).rank == 4
 
 
 def test_image_space_modes():
     f = make_field(2)
-    m = LinearMap(VECTOR, f, 2, 2, ((1, 1), (0, 0)))
+    m = LinearMap(VECTOR, f, 2, 2, vecs((1, 1), (0, 0)))
     assert image_space(m) == span(f, VECTOR, [(1, 0)], 2)
-    ma = LinearMap(AFFINE, f, 2, 2, ((1, 1), (0, 0)), (0, 1))
+    ma = LinearMap(AFFINE, f, 2, 2, vecs((1, 1), (0, 0)), bytes((0, 1)))
     img = image_space(ma)
     assert img.mode == AFFINE
     assert set(img.points()) == {apply(ma, p) for p in all_points(f, 2)}
@@ -566,7 +576,7 @@ def test_rref_properties_random():
     rng = random.Random(2024)
     f = make_field(3)
     for _ in range(40):
-        rows = [tuple(rng.randrange(3) for _ in range(4))
+        rows = [bytes(rng.randrange(3) for _ in range(4))
                 for _ in range(rng.randint(1, 4))]
         red, piv = rref(f, rows)
         assert list(piv) == sorted(piv) and len(red) == len(piv)
@@ -627,7 +637,7 @@ def ref_mat_vec(f, rows, v):
 
 
 def random_vec(rng, q, length, density):
-    return tuple(rng.randrange(1, q) if rng.random() < density else 0
+    return bytes(rng.randrange(1, q) if rng.random() < density else 0
                  for _ in range(length))
 
 
@@ -646,7 +656,8 @@ def test_rref_matches_method_call_reference(q, density):
                 for _ in range(rng.randint(1, 10))]
         if rng.random() < 0.3:  # dependent rows
             rows.append(vec_add(f, rows[0], vec_scale(f, rng.randrange(q), rows[-1])))
-        assert rref(f, rows) == ref_rref(f, rows)
+        red, piv = rref(f, rows)
+        assert (tup(red), piv) == ref_rref(f, rows)
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
@@ -659,7 +670,7 @@ def test_mat_vec_matches_method_call_reference(q, density):
         rows = tuple(random_vec(rng, q, width, density)
                      for _ in range(rng.randint(0, 8)))
         v = random_vec(rng, q, width, density)
-        assert mat_vec(f, rows, v) == ref_mat_vec(f, rows, v)
+        assert tuple(mat_vec(f, rows, v)) == ref_mat_vec(f, rows, v)
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
@@ -671,12 +682,12 @@ def test_vector_ops_match_method_calls(q, density):
         n = rng.randint(0, 20)
         a, b = random_vec(rng, q, n, density), random_vec(rng, q, n, density)
         c = rng.randrange(q)
-        assert vec_add(f, a, b) == tuple(f.add(x, y) for x, y in zip(a, b))
-        assert vec_sub(f, a, b) == tuple(f.sub(x, y) for x, y in zip(a, b))
-        assert vec_scale(f, c, a) == tuple(f.mul(c, x) for x in a)
+        assert tuple(vec_add(f, a, b)) == tuple(f.add(x, y) for x, y in zip(a, b))
+        assert tuple(vec_sub(f, a, b)) == tuple(f.sub(x, y) for x, y in zip(a, b))
+        assert tuple(vec_scale(f, c, a)) == tuple(f.mul(c, x) for x in a)
         left = tuple(random_vec(rng, q, 4, density) for _ in range(3))
         right = tuple(random_vec(rng, q, n, density) for _ in range(4))
-        assert mat_mul(f, left, right) == tuple(
+        assert tup(mat_mul(f, left, right)) == tuple(
             ref_mat_vec(f, tuple(zip(*right)), row) if n else ()
             for row in left)
 
@@ -763,7 +774,7 @@ def test_sparse_is_member_wide_ambients(q, mode):
                 j = rng.randrange(length)
                 bumped = list(p)
                 bumped[j] = f.add(bumped[j], rng.randrange(1, q))
-                probes.append(tuple(bumped))
+                probes.append(bytes(bumped))
             for v in probes:
                 assert s.is_member(v) == (v in members) == ref_is_member(s, v)
 
@@ -788,14 +799,14 @@ def test_sparse_is_member_high_rank_matches_walk(q, mode):
                 for c in coeffs[1:]:
                     total = f.add(total, c)
                 coeffs[0] = f.sub(1, total)
-            member = combine(f, coeffs, basis)
+            member = bytes(combine(f, coeffs, basis))
             assert s.is_member(member) and ref_is_member(s, member)
             v = random_vec(rng, q, length, density)
             assert s.is_member(v) == ref_is_member(s, v)
             j = rng.randrange(length)
             bumped = list(member)
             bumped[j] = f.add(bumped[j], rng.randrange(1, q))
-            assert s.is_member(tuple(bumped)) == ref_is_member(s, tuple(bumped))
+            assert s.is_member(bytes(bumped)) == ref_is_member(s, bytes(bumped))
 
 
 def test_is_member_rejects_wrong_length():
@@ -816,11 +827,11 @@ def ref_mat_inv(f, rows):
            for i, r in enumerate(rows)]
     red, piv = ref_rref(f, aug)
     assert piv == tuple(range(n)), "matrix is singular"
-    return tuple(row[n:] for row in red)
+    return tuple(bytes(row[n:]) for row in red)
 
 
 def ref_columns(rows, width):
-    return tuple(tuple(row[j] for row in rows) for j in range(width))
+    return tuple(bytes(row[j] for row in rows) for j in range(width))
 
 
 def ref_linear_extension(basis, imgs, codomain_len):
@@ -830,7 +841,7 @@ def ref_linear_extension(basis, imgs, codomain_len):
     pts_all = list(extend_to_basis(basis, ambient).points)
     extras = len(pts_all) - len(imgs)
     if mode == VECTOR:
-        imgs_all = list(imgs) + [(0,) * codomain_len] * extras
+        imgs_all = list(imgs) + [bytes(codomain_len)] * extras
         src, dst = pts_all, imgs_all
     else:
         imgs_all = list(imgs) + [imgs[0]] * extras
@@ -840,7 +851,7 @@ def ref_linear_extension(basis, imgs, codomain_len):
         mtx = mat_mul(f, ref_columns(dst, codomain_len),
                       ref_mat_inv(f, ref_columns(src, domain_len)))
     else:
-        mtx = ((),) * codomain_len
+        mtx = (b"",) * codomain_len
     if mode == VECTOR:
         return LinearMap(VECTOR, f, domain_len, codomain_len, mtx)
     t = vec_sub(f, imgs_all[0], mat_vec(f, mtx, pts_all[0]))
@@ -883,10 +894,10 @@ def test_linear_extension_matches_inverse_reference(q, mode):
 def test_linear_extension_domain_len_zero():
     f = make_field(3)
     vec = linear_extension(BasisSet(VECTOR, f, ()), [], codomain_len=2)
-    assert vec.matrix == ((), ()) and vec.domain_len == 0
-    aff = linear_extension(BasisSet(AFFINE, f, ((),)), [(1, 2)])
-    assert aff.matrix == ((), ()) and aff.translation == (1, 2)
-    assert apply(aff, ()) == (1, 2)
+    assert tup(vec.matrix) == ((), ()) and vec.domain_len == 0
+    aff = linear_extension(BasisSet(AFFINE, f, vecs(())), [(1, 2)])
+    assert tup(aff.matrix) == ((), ()) and tuple(aff.translation) == (1, 2)
+    assert tuple(apply(aff, ())) == (1, 2)
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
@@ -898,7 +909,7 @@ def test_coordinate_map_matches_linear_extension(q, mode):
         basis = full_space(f, mode, rank).basis_points()
         for codomain_len in (0, 1, 3, 6):
             for _ in range(3):
-                imgs = [tuple(rng.randrange(q) for _ in range(codomain_len))
+                imgs = [bytes(rng.randrange(q) for _ in range(codomain_len))
                         for _ in basis]
                 m = coordinate_map(f, mode, imgs, codomain_len)
                 assert m == linear_extension(BasisSet(mode, f, basis), imgs,
@@ -934,7 +945,7 @@ def test_rref_matrices_order_matches_reference(q):
     f = make_field(q)
     for d in range(6 if q == 2 else 5):
         for k in range(d + 2):
-            walk = [(rows, piv) for piv, choices in space._rref_patterns(f, k, d)
+            walk = [(tup(rows), piv) for piv, choices in space._rref_patterns(f, k, d)
                     for rows in itertools.product(*choices)]
             assert walk == list(ref_rref_matrices(f, k, d))
 
@@ -944,7 +955,7 @@ def ref_full_space_subspaces(f, mode, k, d):
     walk order, each built by the validating constructor."""
     if mode == VECTOR:
         for rows, _ in ref_rref_matrices(f, k, d):
-            yield Subspace(VECTOR, f, d, rows, None)
+            yield Subspace(VECTOR, f, d, vecs(*rows), None)
         return
     if k == 0:
         return
@@ -954,7 +965,7 @@ def ref_full_space_subspaces(f, mode, k, d):
             base = [0] * d
             for c, v in zip(free, vals):
                 base[c] = v
-            yield Subspace(AFFINE, f, d, rows, tuple(base))
+            yield Subspace(AFFINE, f, d, vecs(*rows), bytes(base))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -1029,7 +1040,7 @@ def corrupt_row(col, value):
     def corrupt(piv, choices):
         row = list(choices[0][0])
         row[col] = value
-        return piv, [[tuple(row)] + choices[0][1:]] + choices[1:]
+        return piv, [[bytes(row)] + choices[0][1:]] + choices[1:]
     return corrupt
 
 
@@ -1061,7 +1072,7 @@ def test_pattern_check_catches_a_corrupted_row(q, mode, rank, k, corrupt,
     d, rows_k = ambient.ambient_len, k - (mode == AFFINE)
     piv, choices = corrupt(*next(space._rref_patterns(f, rows_k, d)))
     # the validating constructor names the fault so
-    base = tuple([0] * d) if mode == AFFINE else None
+    base = bytes(d) if mode == AFFINE else None
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Subspace(mode, f, d, tuple(options[0] for options in choices), base)
     # and the walk's pattern check, corrupted inside the walk, names it alike
@@ -1079,11 +1090,11 @@ def test_pattern_check_catches_a_corrupted_row(q, mode, rank, k, corrupt,
 ])
 def test_pattern_check_rejects_a_malformed_row(row, message):
     f = make_field(2)
-    space._check_pattern(f, 3, (1,), [[(0, 1, 0), (0, 1, 1)]])
+    space._check_pattern(f, 3, (1,), [vecs((0, 1, 0), (0, 1, 1))])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        space._check_pattern(f, 3, (1,), [[(0, 1, 0), row]])
+        space._check_pattern(f, 3, (1,), [vecs((0, 1, 0), row)])
     with pytest.raises(ValueError, match="^basepoint length differs from ambient_len$"):
-        space._check_bases(f, 3, (1,), [(0, 0, 0), (1, 0)])
+        space._check_bases(f, 3, (1,), vecs((0, 0, 0), (1, 0)))
 
 
 @pytest.mark.parametrize("index,value,message", [
@@ -1099,14 +1110,14 @@ def test_basepoint_check_catches_a_corrupted_basepoint(index, value, message,
     def corrupted(f, d, piv, bases):
         b = list(bases[-1])
         b[index] = value
-        check(f, d, piv, bases[:-1] + [tuple(b)])
+        check(f, d, piv, bases[:-1] + [bytes(b)])
 
     monkeypatch.setattr(space, "_check_bases", corrupted)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         list(space.iter_subspaces(ambient, 2))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Subspace(AFFINE, f, 3, ((1, 0, 0),), (value, 0, 0) if index == 0
-                 else (0, 0, value))
+        Subspace(AFFINE, f, 3, vecs((1, 0, 0)), bytes((value, 0, 0) if index == 0
+                                                      else (0, 0, value)))
 
 
 def test_pattern_check_survives_python_O():
@@ -1147,3 +1158,122 @@ def test_image_space_matches_image_of_full_space(q, mode):
         m = LinearMap(mode, f, domain_len, codomain_len, mtx, t)
         domain = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
         assert image_space(m) == apply(m, domain)
+
+
+# -- byte kernels against plain-tuple references ------------------------------
+#
+# Vectors are bytes, and the kernels act on whole vectors through the
+# field's pair tables.  These references are independent tuple code: one
+# Field method call per entry, over tuples of ints.  Every field order and
+# the widths 0, 1, 7 (the search sizes) and 385 (a block space at N0 = 4).
+
+ORACLE_WIDTHS = (0, 1, 7, 385)
+
+
+def ref_add(f, a, b):
+    return tuple(f.add(x, y) for x, y in zip(a, b))
+
+
+def ref_sub(f, a, b):
+    return tuple(f.sub(x, y) for x, y in zip(a, b))
+
+
+def ref_scale(f, c, v):
+    return tuple(f.mul(c, x) for x in v)
+
+
+def ref_axpy(f, v, c, row):
+    return tuple(f.add(x, f.mul(c, y)) for x, y in zip(v, row))
+
+
+def ref_member(f, mode, direction, basepoint, v):
+    """Reduce v by each RREF row at the row's pivot, all in tuples."""
+    w = tuple(v) if mode == VECTOR else ref_sub(f, v, basepoint)
+    for row in map(tuple, direction):
+        p = next(i for i, x in enumerate(row) if x)
+        w = ref_sub(f, w, ref_scale(f, w[p], row))
+    return not any(w)
+
+
+def oracle_vecs(rng, q, width):
+    """A zero vector, a full one, and random sparse and dense ones."""
+    out = [bytes(width), bytes([q - 1] * width)]
+    out += [random_vec(rng, q, width, d) for d in (0.02, 0.5, 1.0)]
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_byte_kernels_match_tuple_references(q):
+    f = make_field(q)
+    rng = random.Random(f"byte_kernels:{q}")
+    scalars = range(q) if q <= 4 else [0, 1, 2, q - 1, rng.randrange(q)]
+    for width in ORACLE_WIDTHS:
+        vs = oracle_vecs(rng, q, width)
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            assert tuple(vec_add(f, a, b)) == ref_add(f, a, b)
+            assert tuple(vec_sub(f, a, b)) == ref_sub(f, a, b)
+            for c in scalars:
+                assert tuple(vec_scale(f, c, a)) == ref_scale(f, c, a)
+                assert tuple(space._add_multiple(f, a, c, b)) == ref_axpy(f, a, c, b)
+        # rref: a few rows, one of them a combination of the others
+        for _ in range(3):
+            rows = [random_vec(rng, q, width, rng.choice((0.02, 0.5)))
+                    for _ in range(rng.randint(1, 4))]
+            rows.append(vec_add(f, rows[0], vec_scale(f, rng.randrange(q), rows[-1])))
+            red, piv = rref(f, rows)
+            assert (tup(red), piv) == ref_rref(f, rows)
+        # mat_vec: a wide matrix, and a tall one whose columns are long
+        for rows, v in ((vs[2:], vs[3]),
+                        (tuple(random_vec(rng, q, 3, 0.5) for _ in range(width)),
+                         random_vec(rng, q, 3, 0.7))):
+            assert tuple(mat_vec(f, rows, v)) == ref_mat_vec(f, rows, v)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_byte_membership_and_keys_match_tuple_references(q):
+    f = make_field(q)
+    rng = random.Random(f"byte_members:{q}")
+    for width in ORACLE_WIDTHS:
+        for mode in (VECTOR, AFFINE):
+            gens = [random_vec(rng, q, width, rng.choice((0.02, 0.5)))
+                    for _ in range(rng.randint(1, 3))]
+            s = span(f, mode, gens, width)
+            base = s.basepoint if mode == AFFINE else bytes(width)
+            # members: the basepoint plus combinations of the direction rows
+            probes = [base]
+            for _ in range(4):
+                p = tuple(base)
+                for row in s.direction:
+                    p = ref_axpy(f, p, rng.randrange(q), row)
+                probes.append(bytes(p))
+            probes += oracle_vecs(rng, q, width)
+            for p in probes[1:5]:
+                if width:
+                    j = rng.randrange(width)
+                    probes.append(p[:j] + bytes([f.add(p[j], 1)]) + p[j + 1:])
+            for v in probes:
+                want = ref_member(f, mode, s.direction, s.basepoint, v)
+                assert s.is_member(v) == want
+            assert all(s.is_member(v) for v in probes[:5])
+            assert s.key() == json_key(s)
+            # a point whose every entry is the field's largest element
+            top = span(f, AFFINE, [bytes([q - 1] * width)], width)
+            assert top.key() == json_key(top)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: Subspace(VECTOR, f, 2, ((1, 0),)),
+    lambda f: Subspace(VECTOR, f, 2, (bytearray((1, 0)),)),
+    lambda f: Subspace(AFFINE, f, 2, vecs((1, 0)), (0, 1)),
+    lambda f: LinearMap(VECTOR, f, 2, 1, ((1, 0),)),
+    lambda f: LinearMap(AFFINE, f, 2, 1, vecs((1, 0)), (1,)),
+    lambda f: BasisSet(VECTOR, f, ((1, 0),)),
+], ids=["subspace_row", "subspace_bytearray_row", "subspace_basepoint",
+        "map_row", "map_translation", "basis_point"])
+def test_value_types_reject_non_bytes_vectors(make):
+    # a tuple would compare unequal to the bytes of the same entries, so
+    # an equality or dictionary lookup would fail without any error
+    f = make_field(2)
+    assert (1, 0) != bytes((1, 0))
+    with pytest.raises(TypeError, match="must be bytes"):
+        make(f)
