@@ -18,7 +18,7 @@ from .field import make_field
 from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, combination_points,
                     count_subspaces, count_text, enumerate_subspaces,
-                    full_space, guard_subspace_count, json_expect,
+                    full_space, gaussian_binomial, json_expect,
                     linear_extension, span, subspace_templates, vec_sub)
 
 ISO_RANK_CAP = 4
@@ -365,7 +365,7 @@ class VerifyResult:
 
 
 def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
-    """The rank-n spans of chains of `members`, sorted by canonical key.
+    """The distinct rank-n spans of chains of `members`.
 
     A chain takes members in index order and adds one only when it
     raises the span's rank.  Every subspace spanned by the members it
@@ -391,7 +391,39 @@ def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
                 grow(s, j + 1)
 
     grow(None, 0)
-    return [found[k] for k in sorted(found)]
+    return list(found.values())
+
+
+def _free_space(host: Subspace, n: int, base: Subspace | None,
+                others) -> bool:
+    """Whether a rank-n U with base ⊆ U ⊆ host holds none of `others`.
+
+    A rank-r space lies in [R - r; n - r]_q of the rank-n U in the rank-R
+    host, in either mode, so counting the spans of base with each other
+    member decides first (base None: every U counts, the spans are the
+    members).  The count is exact when each span of rank <= n is one U;
+    otherwise the host's rank-n subspaces are listed, under the size cap.
+    """
+    f, mode, big_r = host.field, host.mode, host.rank
+
+    def through(r: int) -> int:
+        return gaussian_binomial(big_r - r, n - r, f.order)
+
+    if base is None:
+        total, spans = count_subspaces(big_r, n, f.order, mode), others
+    else:
+        total = through(base.rank)
+        if len(others) * through(base.rank + 1) < total:
+            return True
+        spans = {span(f, mode, base.basis_points() + m.basis_points(),
+                      host.ambient_len) for m in others}
+    if sum(through(d.rank) for d in spans) < total:
+        return True
+    if all(d.rank >= n for d in spans):
+        return False
+    return any((base is None or u.contains_subspace(base))
+               and not any(u.contains_subspace(d) for d in spans)
+               for u in enumerate_subspaces(host, n))
 
 
 def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
@@ -402,36 +434,27 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     Holds when every num_colors-coloring of `members` admits a rank-n
     subspace U of host_space whose member intersection [U;k] cap members
     is monochromatic and carried onto config.members by an isomorphism
-    config.ambient -> U.  The per-U intersections are independent of the
-    coloring, so candidate copies are found once and the coloring search
-    runs over them.  Each U's members are looked up by point set
-    (`member_lookup`), and its isomorphism search compares point sets.
+    config.ambient -> U.  The coloring sees only the member sets
+    S = U cap members, so the distinct copies S are found once and the
+    coloring search runs over them.
 
-    When config's members span config.ambient, a copy U is spanned by
-    the members it contains, so the candidates are the rank-n spans of
-    members (`_member_spans`).  A chain there adds at most n - k + 1
-    members, so the closed-form number of such member sets is checked
-    against the size cap before the walk.  Otherwise the candidates are
-    every rank-n subspace of host_space, whose number is checked against
-    the cap first.  Either way they are scanned in key order, and the
-    reported candidate count is the closed-form number of rank-n
-    subspaces.
+    An isomorphism carries the span W of config's members, of rank w,
+    onto span S.  So S is D cap members, looked up by point set
+    (`member_lookup`), for a rank-w span D of members (`_member_spans`),
+    with (D, S) isomorphic to (W, config.members) and some rank-n U over
+    D holding no other member (`_free_space`).  A chain adds at most
+    w - k + 1 members, so the closed-form number of chains is checked
+    against the size cap before the walk.  The reported candidate count
+    is the closed-form number of rank-n subspaces.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
     amb = config.ambient
     n = amb.rank
     f, mode = host_space.field, host_space.mode
-    spanning = bool(config.members) and span(
-        amb.field, amb.mode,
-        [p for m in config.members for p in m.basis_points()],
-        amb.ambient_len).rank == n
-    if spanning:
-        if n > host_space.rank:
-            raise ValueError(f"k={n} out of range for rank {host_space.rank}")
-        num_candidates = count_subspaces(host_space.rank, n, f.order, mode)
-    else:
-        num_candidates = guard_subspace_count(f, mode, host_space.rank, n)
+    if n > host_space.rank:
+        raise ValueError(f"k={n} out of range for rank {host_space.rank}")
+    num_candidates = count_subspaces(host_space.rank, n, f.order, mode)
     bud = ensure_budget(budget)
     before = bud.nodes
     fam = {}
@@ -443,21 +466,28 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
         fam[m.key()] = m
     keys = sorted(fam)
     host_members = [fam[k] for k in keys]
-    if spanning:
+    good: list[frozenset[int]] = []
+    if not config.members:
+        if _free_space(host_space, n, None, host_members):
+            good.append(frozenset())
+    else:
+        pts = [p for m in config.members for p in m.basis_points()]
+        shape = ConfigFamily(span(amb.field, amb.mode, pts, amb.ambient_len),
+                             config.members)
+        w = shape.ambient.rank
         chains = sum(math.comb(len(host_members), j)
-                     for j in range(1, n - config.member_rank + 2))
+                     for j in range(1, w - config.member_rank + 2))
         if chains > POINT_CAP:
             raise SizeCapError(f"{count_text(chains)} member chains, "
                                f"cap {POINT_CAP}")
-        candidates = _member_spans(host_members, n)
-    else:
-        candidates = enumerate_subspaces(host_space, n)
-    members_inside = member_lookup(host_members, n)
-    good: list[frozenset[int]] = []
-    for u in candidates:
-        inside = members_inside(u)
-        if isomorphism_images(config, u, inside.values(), bud) is not None:
-            good.append(frozenset(inside))
+        members_inside = member_lookup(host_members, w)
+        for d in _member_spans(host_members, w):
+            inside = members_inside(d)
+            if (isomorphism_images(shape, d, inside.values(), bud) is not None
+                    and _free_space(host_space, n, d, [
+                        m for i, m in enumerate(host_members)
+                        if i not in inside])):
+                good.append(frozenset(inside))
     coloring = find_proper_coloring(len(host_members), num_colors, good,
                                     budget=bud, symmetry=symmetry)
     witness = None

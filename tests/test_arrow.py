@@ -20,6 +20,7 @@ from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, BasisSet,
                      find_proper_coloring, full_space, induced_host_verify,
                      is_independent, linear_extension, make_field,
                      min_arrow_N, span, structure_generators)
+from qramsey import space as qspace
 from qramsey.arrow import ISO_RANK_CAP
 
 
@@ -633,7 +634,7 @@ def test_induced_host_verify_respects_symmetry_flag():
         assert a.witness.entries == b.witness.entries
 
 
-# -- candidates from member spans ----------------------------------------------
+# -- one copy walk over member spans -------------------------------------------
 
 
 def reference_verify(host_space, members, config, num_colors):
@@ -643,6 +644,8 @@ def reference_verify(host_space, members, config, num_colors):
     were built from member spans and their members looked up by point
     set: U ∩ H by testing every member with `contains_subspace`, and the
     isomorphism by `reference_isomorphic`.  It stays here as the oracle.
+    Its induced count is the number of distinct member sets U ∩ H, all
+    the coloring search sees; a spanning F has one U per set.
     """
     bud = Budget()
     fam = {m.key(): m for m in members}
@@ -662,7 +665,7 @@ def reference_verify(host_space, members, config, num_colors):
     if coloring is not None:
         witness = ColoringTable(host_space.key(), dict(zip(keys, coloring)))
     return VerifyResult(coloring is None, witness, len(candidates),
-                        len(good), bud.nodes)
+                        len(set(good)), bud.nodes)
 
 
 def spans_ambient(config):
@@ -673,9 +676,12 @@ def spans_ambient(config):
         amb.ambient_len) == amb
 
 
+def answers(res):
+    return res.holds, res.witness, res.num_candidates, res.num_induced
+
+
 def assert_same_answers(got, want):
-    assert (got.holds, got.witness, got.num_candidates, got.num_induced) == \
-        (want.holds, want.witness, want.num_candidates, want.num_induced)
+    assert answers(got) == answers(want)
     assert got.nodes <= want.nodes
 
 
@@ -706,32 +712,39 @@ def q2_grid():
             for spec, host in grid_hosts(2, (1, 2, 3))]
 
 
+def forbid_listing(monkeypatch, spaces):
+    """Make listing the subspaces of any of these spaces fail, through
+    arrow's `enumerate_subspaces` or the space walk under it."""
+    ids = {id(s) for s in spaces}
+    for module, name in ((arrow, "enumerate_subspaces"),
+                         (qspace, "iter_subspaces")):
+        def guarded(ambient, k, plain=getattr(module, name)):
+            if id(ambient) in ids:
+                raise AssertionError("rank-n subspaces of the host listed")
+            return plain(ambient, k)
+
+        monkeypatch.setattr(module, name, guarded)
+
+
 def test_member_spans_match_enumeration_on_the_grid(q2_grid):
     assert len(q2_grid) == 20  # the 21 grid hosts less vector |F| = 3, N1 = 3
     for spec, host, want in q2_grid:
         got = induced_host_verify(host.space, host.members, spec.family, 2)
         assert_same_answers(got, want)
-        # |F| = 1 at n = 2 enumerates either way; elsewhere at n <= 2 any U
-        # holding |F| members is spanned by them, so the enumeration runs
-        # no isomorphism search that the spans skip
-        assert got.nodes == want.nodes
+        # at n <= 2 any U holding a spanning F's members is spanned by
+        # them, so the enumeration runs no isomorphism search the spans skip
+        if spans_ambient(spec.family):
+            assert got.nodes == want.nodes
 
 
 def test_member_spans_never_enumerate_the_host(q2_grid, monkeypatch):
-    # regression gate without a timer: on a spanning family, listing the
-    # host's rank-n subspaces is the slow path this replaces
-    hosts = {id(host.space) for _, host, _ in q2_grid}
-    plain = arrow.enumerate_subspaces
-
-    def guarded(ambient, k, *args):
-        if id(ambient) in hosts:
-            raise AssertionError("rank-n subspaces of the host enumerated")
-        return plain(ambient, k, *args)
-
-    monkeypatch.setattr(arrow, "enumerate_subspaces", guarded)
-    spanning = [case for case in q2_grid if spans_ambient(case[0].family)]
-    assert len(spanning) == 14  # all but |F| = 1 at n = 2, both modes
-    for spec, host, want in spanning:
+    # regression gate without a timer: for every F, spanning or not, the
+    # copies come from member spans and X's rank-n subspaces are never
+    # listed (|F| = 1 at n = 2 is decided by counting the planes over it)
+    forbid_listing(monkeypatch, [host.space for _, host, _ in q2_grid])
+    assert sum(not spans_ambient(spec.family) for spec, _, _ in q2_grid) == 6
+    for spec, host, want in q2_grid:
+        assert spec.family.members
         got = induced_host_verify(host.space, host.members, spec.family, 2)
         assert_same_answers(got, want)
 
@@ -743,6 +756,8 @@ def test_member_spans_match_enumeration_at_q3():
         got = induced_host_verify(host.space, host.members, spec.family, 2)
         want = reference_verify(host.space, host.members, spec.family, 2)
         assert_same_answers(got, want)
+        if spans_ambient(spec.family):
+            assert got.nodes == want.nodes
 
 
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
@@ -821,17 +836,18 @@ def test_member_lookup_matches_the_scan_on_the_grid(q):
 
 
 def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):
-    # regression gate without a timer: a candidate U's members come from
-    # the point-set index, so no U ever receives contains_subspace, on the
-    # member-span path and on the enumeration path alike
+    # regression gate without a timer: a candidate span's members come
+    # from the point-set index, so no candidate ever receives
+    # contains_subspace, and X's rank-n subspaces are never listed
     candidates = []
-    for name in ("_member_spans", "enumerate_subspaces"):
-        def recorded(*args, plain=getattr(arrow, name)):
-            out = plain(*args)
-            candidates.extend(out)
-            return out
 
-        monkeypatch.setattr(arrow, name, recorded)
+    def recorded(*args, plain=arrow._member_spans):
+        out = plain(*args)
+        candidates.extend(out)
+        return out
+
+    monkeypatch.setattr(arrow, "_member_spans", recorded)
+    forbid_listing(monkeypatch, [host.space for _, host, _ in q2_grid])
     plain_contains = Subspace.contains_subspace
 
     def guarded(self, other):
@@ -844,3 +860,123 @@ def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):
         got = induced_host_verify(host.space, host.members, spec.family, 2)
         assert_same_answers(got, want)
     assert len(candidates) > len(q2_grid)
+
+
+def random_host(rng, f, mode, ranks, widths):
+    """A random rank-`ranks` space inside a coordinate space of `widths`."""
+    rank, width = rng.randint(*ranks), rng.randint(*widths)
+    while True:
+        host = span(f, mode, [tuple(rng.randrange(f.order)
+                                    for _ in range(width))
+                              for _ in range(rank)], width)
+        if host.rank == rank:
+            return host
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_one_walk_matches_enumeration_on_random_non_spanning_families(mode):
+    # F: up to two members of rank 1 or 2 that do not span GF(2)^3, the
+    # empty F included; H: random members of a rank-3 or rank-4 host
+    # inside a larger coordinate space.  Node counts are not compared:
+    # the walk runs its isomorphism searches on rank-w spans, which the
+    # scan never builds.
+    rng = random.Random(15)
+    f = make_field(2)
+    amb = full_space(f, mode, 3)
+    outcomes = set()
+    sizes = set()
+    for _ in range(30):
+        k = rng.randint(1, 2)
+        pool = enumerate_subspaces(amb, k)
+        while True:
+            fam = ConfigFamily(amb, tuple(rng.sample(pool, rng.randint(0, 2))))
+            if not spans_ambient(fam):
+                break
+        host = random_host(rng, f, mode, (3, 4), (4, 5))
+        h_pool = enumerate_subspaces(host, k)
+        members = rng.sample(h_pool, rng.randint(0, min(8, len(h_pool))))
+        r = rng.randint(1, 2)
+        got = induced_host_verify(host, members, fam, r)
+        assert answers(got) == answers(reference_verify(host, members, fam, r))
+        outcomes.add((got.holds, got.num_induced > 0))
+        sizes.add(len(fam.members))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+    assert sizes == {0, 1, 2}
+
+
+def test_one_walk_on_rank_0_members():
+    # vector k = 0: the only rank-0 space is the origin, inside every U
+    f = make_field(2)
+    amb, host = full_space(f, VECTOR, 3), full_space(f, VECTOR, 4)
+    origin = span(f, VECTOR, [], 4)
+    verdicts = {}
+    for fam in ((), (span(f, VECTOR, [], 3),)):
+        config = ConfigFamily(amb, fam)
+        for members in ([], [origin]):
+            got = induced_host_verify(host, members, config, 2)
+            assert answers(got) == answers(
+                reference_verify(host, members, config, 2))
+            verdicts[len(fam), len(members)] = got.holds, got.num_induced
+    assert verdicts == {(0, 0): (True, 1), (0, 1): (False, 0),
+                       (1, 0): (False, 0), (1, 1): (True, 1)}
+
+
+def lines(f, width, vectors):
+    return [span(f, VECTOR, [v], width) for v in vectors]
+
+
+def test_one_line_of_a_plane_decided_by_counting_planes(monkeypatch):
+    # F = one line of a plane (w = 1, n = 2), X = GF(2)^3: the planes over
+    # a member line L are its spans with the other members, and each is
+    # one rank-n U, so counting them is exact and X is never listed
+    f = make_field(2)
+    amb = full_space(f, VECTOR, 2)
+    config = ConfigFamily(amb, (enumerate_subspaces(amb, 1)[0],))
+    host = full_space(f, VECTOR, 3)
+    hosts = (
+        # all seven lines: every plane over a line holds two more
+        enumerate_subspaces(host, 1),
+        # over e1, e2 and e1 + e2 exactly one of the three planes is
+        # free; over e3 all three are taken
+        lines(f, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]))
+    want = [reference_verify(host, members, config, 1) for members in hosts]
+    forbid_listing(monkeypatch, [host])
+    verdicts = []
+    for members, ref in zip(hosts, want):
+        got = induced_host_verify(host, members, config, 1)
+        assert answers(got) == answers(ref)
+        verdicts.append((got.holds, got.num_induced))
+    assert verdicts == [(False, 0), (True, 3)]
+
+
+def test_one_line_of_a_space_falls_back_to_the_scan(monkeypatch):
+    # F = one line of GF(2)^3 (w = 1, n = 3), X = GF(2)^4: over a member
+    # line the other three members give three planes, 9 >= 7 rank-3 U
+    # counted with overlap, so only the listed U decide
+    f = make_field(2)
+    amb = full_space(f, VECTOR, 3)
+    config = ConfigFamily(amb, (enumerate_subspaces(amb, 1)[0],))
+    host = full_space(f, VECTOR, 4)
+    scanned = []
+
+    def recorded(ambient, k, plain=arrow.enumerate_subspaces):
+        scanned.append(ambient is host)
+        return plain(ambient, k)
+
+    monkeypatch.setattr(arrow, "enumerate_subspaces", recorded)
+    verdicts = []
+    for members in (
+            # the four axes: over each, a U through none of the others exists
+            lines(f, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                         (0, 0, 0, 1)]),
+            # over e1 the other three lie in one plane mod e1, which meets
+            # every plane mod e1, so each U over e1 is taken
+            lines(f, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                         (0, 1, 1, 0)])):
+        scanned.clear()
+        got = induced_host_verify(host, members, config, 1)
+        assert answers(got) == answers(
+            reference_verify(host, members, config, 1))
+        assert scanned and all(scanned)
+        verdicts.append((got.holds, got.num_induced))
+    assert verdicts == [(True, 4), (True, 3)]

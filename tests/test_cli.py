@@ -515,7 +515,9 @@ def test_verify_holds(bundle_path, capsys):
     assert code == 0
     assert lines[0]["verdict"] == "holds"
     assert lines[0]["candidates"] == 7
-    assert lines[0]["induced_copies"] == 6
+    # one line of a plane at N0 = n = 2: six planes U carry a copy, but
+    # they hold only three distinct member sets
+    assert lines[0]["induced_copies"] == 3
 
 
 def test_verify_r_override_matches_library(bundle_path, capsys):
@@ -559,7 +561,11 @@ def test_verify_witness_file_on_failure(tmp_path, capsys):
 # `extract` stdout under the constant color 1 and a member coloring drawn
 # from Random(7), over the q = 2 grid at N0 = n, k = 1: both modes,
 # n <= 2, every F of the first |F| base k-spaces, N1 <= 2; recorded when
-# U ∩ H was found by testing every member with `contains_subspace`.
+# U ∩ H was found by testing every member with `contains_subspace`.  The
+# four |F| = 1, n = 2 verify digests were restated when a non-spanning F
+# came to count its copies as distinct member sets, and its nodes as
+# isomorphism nodes at the rank of F's span: 6 -> 3, 18 -> 3 (vector),
+# 4 -> 2, 12 -> 2 (affine) copies, the oracle scan's distinct sets.
 # (mode, n, |F|, N1) -> verify (exit code, verdict, digest), then extract
 # (exit code, status or step, digest) for the constant and random colorings
 PINNED_GRID = {
@@ -572,11 +578,11 @@ PINNED_GRID = {
         (0, "success", "21e13d6cc6a27db6b838d2f27c9726c44f3f45d220cd0dbae0f13a3c569186f4"),
         (0, "success", "21e13d6cc6a27db6b838d2f27c9726c44f3f45d220cd0dbae0f13a3c569186f4")),
     (VECTOR, 2, 1, 1): (
-        (0, "holds", "ca599a6e7f90231febce11ac26b2d47aea4e5781f6c07e1f64fadd9ee5350de5"),
+        (0, "holds", "1457cd2de26c696b35e0baa1c7aeba8518c4b3a4d211a7d42803883077776417"),
         (0, "success", "10c89d1dac5a7d5c1941d4e0552bc41d277750bdc6bbebff164fb5cbe9b96770"),
         (2, "subspace_search", "96cadf60f07ebdfa779354e1d54167e591e866fe6f31625eaa88259d3e5f3485")),
     (VECTOR, 2, 1, 2): (
-        (0, "holds", "b5148e3162f2694c8838a3e725f6b15bb00ee09933dc246883357139beb1f20a"),
+        (0, "holds", "9bba2e75c0af34c56918266fdaa2270b58b00352c4c92cfcf8bd083fc7f4f0a8"),
         (0, "success", "31dc9763eb7e85da6bc7a6f676cd19b10a2db41f74e75a95720bc167059b9c7f"),
         (2, "subspace_search", "b61d10fc7b308103fb0c27fd2b1b92cadbf85459ab0c59aae30e0b5977732132")),
     (VECTOR, 2, 2, 1): (
@@ -604,11 +610,11 @@ PINNED_GRID = {
         (0, "success", "61ef13028140bf7827a9e44e71997a72394c5afa204ea946b31929e40aff4f8e"),
         (0, "success", "61ef13028140bf7827a9e44e71997a72394c5afa204ea946b31929e40aff4f8e")),
     (AFFINE, 2, 1, 1): (
-        (0, "holds", "9f4d59c0e0d623843fdd2bb63801372700289f952f3e1bb29b044b001fb971b2"),
+        (0, "holds", "7b2e9b3e53a9d440f2a6eaf8dd42e5914f0293f98ea0a0475512dd5d7d2eb782"),
         (0, "success", "eff174c1fc119ca418a9df35f7a9db2d76561fdbbcd4a88706c6d5b83bbcc7a8"),
         (2, "subspace_search", "051d83639e0397eceb65a8c02141fa30ec13303a821f05f2d561950efb1fedc7")),
     (AFFINE, 2, 1, 2): (
-        (0, "holds", "dbf1148ed71983fdb2ac6918023f5487dc23dc345c4edeb67572c1beff3d8f4f"),
+        (0, "holds", "8b94c71ec17c3e16e0d35854468fb00724c50d47e81fb3cb2c387739c8c474aa"),
         (0, "success", "c76ed1360c0ddc455433f98d6e88f3002427a272d0b792b4c5379d57659437ab"),
         (2, "subspace_search", "2cec93537add9ac3be17bea4f1d8ad25d667b31508a734f94e5d5d023276c191")),
     (AFFINE, 2, 2, 1): (
@@ -688,15 +694,13 @@ def test_verify_fails_at_word_length_3_and_extract_agrees(tmp_path, capsys):
 
 @pytest.mark.parametrize("nf,word_len,message", [
     (3, 2, "4766328 member chains, cap 65536"),
-    (1, 1, "ambient has 268435456 points, cap 65536"),
-], ids=["member_chains", "non_spanning"])
+], ids=["member_chains"])
 def test_verify_size_cap_before_building_candidates(tmp_path, capsys,
                                                     monkeypatch, nf, word_len,
                                                     message):
-    # N0 = 3 > n, both refused from a closed form before either candidate
-    # path runs.  F = the plane's three lines at N1 = 2: 3,087 members give
-    # 3,087 + C(3,087, 2) member chains.  F = one line does not span its
-    # plane, so every rank-2 subspace of X (rank 28) would be a candidate.
+    # N0 = 3 > n, refused from a closed form before the candidate walk
+    # runs.  F = the plane's three lines at N1 = 2: 3,087 members give
+    # 3,087 + C(3,087, 2) member chains.
     bundle = plane_lines_bundle(capsys, tmp_path, 3, word_len, nf)
 
     def built(*args):
@@ -709,6 +713,54 @@ def test_verify_size_cap_before_building_candidates(tmp_path, capsys,
     assert code == 2
     assert out == ('{"command": "verify", "error": "size_cap", '
                    f'"message": "{message}"}}\n')
+
+
+# F = one line of a plane, N0 = 3 > n: X's rank-2 subspaces cannot be
+# listed, and before the walk over member spans this F exited size_cap.
+# Each copy is one member line with a plane over it in X that holds no
+# other member.  (q, mode, N1) -> (induced_copies, nodes_explored)
+ONE_LINE_ABOVE_THE_BASE_RANK = {
+    (2, VECTOR, 1): (49, 98),
+    (2, VECTOR, 2): (343, 686),
+    (2, AFFINE, 1): (24, 24),
+    (3, VECTOR, 1): (169, 338),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_LINE_ABOVE_THE_BASE_RANK),
+                         ids=["q{}_{}_N1_{}".format(*c)
+                              for c in ONE_LINE_ABOVE_THE_BASE_RANK])
+def test_verify_one_line_above_the_base_rank(case, tmp_path, capsys):
+    q, mode, word_len = case
+    amb = full_space(make_field(q), mode, 2)
+    fam = ConfigFamily(amb, (enumerate_subspaces(amb, 1)[0],))
+    bundle = construct_bundle(capsys, tmp_path,
+                              HostSpec(q, mode, 1, 2, 2, fam, 3, word_len))
+    code, lines, _ = run_cli(capsys, "verify", "--bundle", str(bundle),
+                             "--r", "2")
+    assert code == 0
+    assert (lines[0]["verdict"], lines[0]["induced_copies"],
+            lines[0]["nodes_explored"]) == (
+        "holds", *ONE_LINE_ABOVE_THE_BASE_RANK[case])
+
+
+def test_verify_one_line_of_a_q3_space_is_quick(tmp_path, capsys):
+    # q = 3, vector, F = one line of a rank-3 space, N0 = 3, N1 = 1: 13
+    # members in X of rank 5, whose 1,210 rank-3 subspaces hold 1,053
+    # copies U but only 13 distinct member sets.  Listing and searching
+    # every U took 1,608,984 nodes and about 26 s; the walk over member
+    # spans decides each line by counting the U over it.
+    amb = full_space(make_field(3), VECTOR, 3)
+    fam = ConfigFamily(amb, (enumerate_subspaces(amb, 1)[0],))
+    bundle = construct_bundle(capsys, tmp_path,
+                              HostSpec(3, VECTOR, 1, 3, 2, fam, 3, 1))
+    start = time.perf_counter()
+    code, lines, _ = run_cli(capsys, "verify", "--bundle", str(bundle),
+                             "--r", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert (lines[0]["verdict"], lines[0]["candidates"],
+            lines[0]["induced_copies"]) == ("holds", 1210, 13)
 
 
 def test_construct_member_count_cap(tmp_path, capsys):
