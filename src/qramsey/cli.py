@@ -9,6 +9,7 @@ nothing, 3 indeterminate (budget exhausted), 4 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -256,31 +257,14 @@ def cmd_extract(args) -> int:
     return EXIT_NEGATIVE if isinstance(result, ExtractionFailure) else EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qramsey",
-                     description="Coloring searches and host constructions "
-                                 "for spaces over small finite fields")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("count", help="compare the counting formula with "
-                                     "exhaustive enumeration")
+def _rank_args(p: argparse.ArgumentParser, out_help: str) -> None:
     _space_args(p)
     p.add_argument("--N", type=int, required=True, help="ambient rank")
     p.add_argument("--k", type=int, required=True, help="subspace rank")
-    _add_common(p, "also write the result line to this file")
-    p.set_defaults(func=cmd_count)
+    _add_common(p, out_help)
 
-    p = sub.add_parser("enumerate", help="list rank-k subspaces, one JSON "
-                                         "object per line")
-    _space_args(p)
-    p.add_argument("--N", type=int, required=True, help="ambient rank")
-    p.add_argument("--k", type=int, required=True, help="subspace rank")
-    _add_common(p, "also write the listing to this file")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("arrow", help="decide an arrow relation or scan for "
-                                     "the minimal host rank")
+def _arrow_args(p: argparse.ArgumentParser) -> None:
     _space_args(p)
     p.add_argument("--N", type=int, help="host rank (omit with --min-n)")
     p.add_argument("--n", type=int, required=True, help="target rank")
@@ -293,45 +277,87 @@ def build_parser() -> _Parser:
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable color and structural symmetry pruning")
     _add_common(p, "write the witness coloring here on failure")
-    p.set_defaults(func=cmd_arrow)
 
-    p = sub.add_parser("hj", help="least word length forcing a "
-                                  "monochromatic combinatorial line")
+
+def _hj_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, required=True, help="alphabet size")
     p.add_argument("--l", type=int, required=True, help="number of colors")
     p.add_argument("--nmax", type=int, required=True,
                    help="largest word length to try")
     _add_common(p, "write the last line-free coloring here")
-    p.set_defaults(func=cmd_hj)
 
-    p = sub.add_parser("construct", help="build a host bundle from a spec file")
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="host spec JSON file")
     _add_common(p, "bundle output file", out_required=True)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check the induced host property of a "
-                                      "bundle")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True, help="host bundle JSON file")
     p.add_argument("--r", type=int, help="number of colors "
                                          "(default: the bundle spec's)")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable color-symmetry pruning")
     _add_common(p, "write the witness coloring here on failure")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("extract", help="extract a monochromatic copy from a "
-                                       "bundle under a coloring")
+
+def _extract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True, help="host bundle JSON file")
     p.add_argument("--coloring", required=True,
                    help="coloring JSON file ('entries' map or 'constant')")
     _add_common(p, "also write the result to this file")
-    p.set_defaults(func=cmd_extract)
+
+
+# name -> (help line, argument adder, handler), in the order usage lists them
+COMMANDS = {
+    "count": ("compare the counting formula with exhaustive enumeration",
+              functools.partial(_rank_args,
+                                out_help="also write the result line to this file"),
+              cmd_count),
+    "enumerate": ("list rank-k subspaces, one JSON object per line",
+                  functools.partial(_rank_args,
+                                    out_help="also write the listing to this file"),
+                  cmd_enumerate),
+    "arrow": ("decide an arrow relation or scan for the minimal host rank",
+              _arrow_args, cmd_arrow),
+    "hj": ("least word length forcing a monochromatic combinatorial line",
+           _hj_args, cmd_hj),
+    "construct": ("build a host bundle from a spec file",
+                  _construct_args, cmd_construct),
+    "verify": ("check the induced host property of a bundle",
+               _verify_args, cmd_verify),
+    "extract": ("extract a monochromatic copy from a bundle under a coloring",
+                _extract_args, cmd_extract),
+}
+
+
+def build_parser(argv: list[str]) -> _Parser:
+    """The parser for argv.
+
+    When argv[0] names a command, only that command's subparser is built:
+    each argument costs a help formatter, and a call reads one command.
+    The usage line still lists every command through the metavar.  Any
+    other argv (-h, none, an unknown word) builds every subparser, for
+    the full help and the invalid-choice error.
+    """
+    parser = _Parser(prog="qramsey",
+                     description="Coloring searches and host constructions "
+                                 "for spaces over small finite fields")
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar="{" + ",".join(COMMANDS) + "}" if named else None)
+    for name in [named] if named else COMMANDS:
+        help_line, add_args, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

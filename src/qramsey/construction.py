@@ -249,34 +249,36 @@ def build_base_host(spec: HostSpec) -> BaseHost:
                     tuple(sections), tuple(map(frames.__getitem__, cover_k)))
 
 
+def _equalizer_rows(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
+    """The equalizer's constraint rows: block 0 minus block i, for each
+    row of the projection's matrix.
+
+    A tuple of word_len points shares one projection value exactly when
+    every row maps it to zero; affine translations cancel in the
+    differences, so the rows are the same in both modes.
+    """
+    f = projection.field
+    d = projection.domain_len
+    return tuple(mrow + bytes((i - 1) * d) + vec_scale(f, f.neg(1), mrow)
+                 + bytes((word_len - 1 - i) * d)
+                 for i in range(1, word_len) for mrow in projection.matrix)
+
+
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
     """Tuples of word_len points sharing one projection value, canonically.
 
     The result lives on word_len concatenated copies of the projection's
-    domain coordinates.  Affine translations cancel in the defining
-    equations, so both modes reduce to one nullspace computation.
+    domain coordinates.  Both modes reduce to one nullspace computation
+    of the constraint rows.
     """
     if word_len < 1:
         raise ValueError("word_len must be at least 1")
     f = projection.field
-    d = projection.domain_len
-    total = word_len * d
-    # block 0 minus block i, for each row of the projection's matrix
-    rows = tuple(mrow + bytes((i - 1) * d) + vec_scale(f, f.neg(1), mrow)
-                 + bytes((word_len - 1 - i) * d)
-                 for i in range(1, word_len) for mrow in projection.matrix)
-    directions = nullspace_rows(f, rows, total)
+    total = word_len * projection.domain_len
+    directions = nullspace_rows(f, _equalizer_rows(projection, word_len), total)
     if projection.mode == VECTOR:
         return span(f, VECTOR, directions, total)
     return span(f, AFFINE, [bytes(total), *directions], total)
-
-
-def _in_equalizer(projection: LinearMap, point: Vec, word_len: int) -> bool:
-    """Whether the point's word_len blocks share one projection value."""
-    d = projection.domain_len
-    first = apply(projection, point[:d])
-    return all(apply(projection, point[i * d:(i + 1) * d]) == first
-               for i in range(1, word_len))
 
 
 def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
@@ -345,10 +347,11 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
             f"equalizer rank {big_x.rank} differs from the rank law {expect}")
     # the tuples whose blocks share one projection value form a space of
     # the law's rank, so X, of that rank, is that space exactly when its
-    # basis lies in it; members are then checked against the definition,
-    # which every point meets at word length 1
-    if word_len > 1 and not all(_in_equalizer(pi, p, word_len)
-                                for p in big_x.basis_points()):
+    # basis lies in it; members are then checked against the definition.
+    # A point meets it when the constraint rows map it to zero, and at
+    # word length 1, where there are no rows, every point does
+    rows = _equalizer_rows(pi, word_len)
+    if rows and any(any(mat_vec(f, rows, p)) for p in big_x.basis_points()):
         raise ConstructionCheckError("the equalizer leaves its definition")
     total = word_len * pi.domain_len
     pi_tilde = LinearMap(
@@ -362,10 +365,9 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     members = tuple(_write_member(base, parts) for parts in member_parts)
     if len(set(members)) != len(members):
         raise ConstructionCheckError("member tuples collided")
-    if word_len > 1:
-        for m in members:
-            if not all(_in_equalizer(pi, p, word_len) for p in m.basis_points()):
-                raise ConstructionCheckError("a member leaves the equalizer")
+    if rows and any(any(mat_vec(f, rows, p))
+                    for m in members for p in m.basis_points()):
+        raise ConstructionCheckError("a member leaves the equalizer")
     return ProductHost(base, word_len, big_x, pi_tilde, members, member_parts,
                        fibers)
 

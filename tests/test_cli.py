@@ -5,6 +5,7 @@ compared byte for byte; one subprocess test checks the installed console
 script end to end.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ import qramsey
 from qramsey import (AFFINE, VECTOR, ConfigFamily, HostSpec, arrow,
                      enumerate_subspaces, full_space, host_from_json,
                      induced_host_verify, make_field, span)
-from qramsey.cli import _write_json, main
+from qramsey.cli import COMMANDS, _write_json, build_parser, main
 
 DEGENERATE_SPEC = {
     "q": 2, "mode": "vector", "k": 1, "n": 2, "r": 1,
@@ -985,6 +986,97 @@ def test_malformed_spec_exits_4(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "construct", "--spec", str(p), "--out",
                          str(tmp_path / "b.json"))
     assert code == 4
+
+
+# -- parser building ---------------------------------------------------------------
+#
+# build_parser(argv) builds only the subparser argv[0] names; anything else
+# builds all seven.  The texts below are the full build's, at 80 columns.
+
+TOP_USAGE = ("usage: qramsey [-h] "
+             "{count,enumerate,arrow,hj,construct,verify,extract} ...\n")
+COUNT_USAGE = (
+    "usage: qramsey count [-h] --q Q --mode {vector,affine} --N N --k K "
+    "[--out OUT]\n"
+    "                     [--seed SEED] [--workers WORKERS]\n"
+    "                     [--budget-nodes BUDGET_NODES] [--budget-ms BUDGET_MS]\n")
+INVALID_CHOICE = ("qramsey: error: argument command: invalid choice: {!r} "
+                  "(choose from 'count', 'enumerate', 'arrow', 'hj', "
+                  "'construct', 'verify', 'extract')\n")
+USAGE_ERRORS = {
+    "unknown_command": (["frobnicate"],
+                        TOP_USAGE + INVALID_CHOICE.format("frobnicate")),
+    "missing_required": (["count", "--bogus", "1"], COUNT_USAGE
+                         + "qramsey count: error: the following arguments "
+                           "are required: --q, --mode, --N, --k\n"),
+    "unrecognized": (["count", "--q", "2", "--mode", "vector", "--N", "2",
+                      "--k", "1", "--bogus", "1"],
+                     TOP_USAGE + "qramsey: error: unrecognized arguments: "
+                                 "--bogus 1\n"),
+    "empty_argv": ([], TOP_USAGE + "qramsey: error: the following arguments "
+                                   "are required: command\n"),
+    "double_dash": (["--", "count"], TOP_USAGE + INVALID_CHOICE.format("--")),
+}
+
+
+def registered(parser):
+    """The names of the subparsers a parser holds, in order."""
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_named_command_builds_one_subparser():
+    assert list(registered(build_parser(["verify", "--bundle", "x"]))) == \
+        ["verify"]
+    assert list(registered(build_parser([]))) == [
+        "count", "enumerate", "arrow", "hj", "construct", "verify", "extract"]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_help_matches_the_full_build(name, columns):
+    one = registered(build_parser([name]))[name]
+    full = registered(build_parser([]))[name]
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    # the top usage line lists every command either way
+    assert build_parser([name]).format_usage() == TOP_USAGE
+
+
+def test_top_help_lists_every_command(columns, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(TOP_USAGE)
+    flat = " ".join(out.split())
+    for name, (help_line, _, _) in COMMANDS.items():
+        assert f" {name} {help_line} " in flat
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_text_unchanged(case, columns, capsys):
+    argv, stderr = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    assert capsys.readouterr().err == stderr
+
+
+@pytest.mark.parametrize("case", ["empty_argv", "missing_required"])
+def test_main_reads_sys_argv_when_given_none(case, columns, capsys,
+                                             monkeypatch):
+    argv, stderr = USAGE_ERRORS[case]
+    monkeypatch.setattr(sys, "argv", ["qramsey", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main(None)
+    assert exc.value.code == 4
+    assert capsys.readouterr().err == stderr
 
 
 # -- determinism ---------------------------------------------------------------------

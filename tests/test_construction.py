@@ -228,6 +228,40 @@ def test_equalizer_rank_law_samples():
             assert X.rank == w * dom - (w - 1) * r_im
 
 
+def blocks_share_one_value(pi, point, w):
+    """Reference: project each block with `apply` and compare."""
+    d = pi.domain_len
+    values = {apply(pi, point[i * d:(i + 1) * d]) for i in range(w)}
+    return len(values) == 1
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("w", [2, 3])
+def test_equalizer_rows_match_per_block_reference(mode, q, w):
+    # a point is on the equalizer exactly when the constraint rows map
+    # it to zero; in affine mode the translation cancels in the rows
+    rng = random.Random(f"rows:{mode}:{q}:{w}")
+    f = make_field(q)
+    seen = set()
+    for _ in range(12):
+        dom, cod = rng.randint(1, 3), rng.randint(1, 2)
+        rows = tuple(bytes(rng.randrange(q) for _ in range(dom))
+                     for _ in range(cod))
+        shift = bytes(rng.randrange(q) for _ in range(cod))
+        pi = LinearMap(mode, f, dom, cod, rows,
+                       shift if mode == AFFINE else None)
+        constraint = construction._equalizer_rows(pi, w)
+        on = list(equalizer_subspace(pi, w).points())
+        off = [bytes(rng.randrange(q) for _ in range(w * dom))
+               for _ in range(8)]
+        for p in rng.sample(on, min(8, len(on))) + off:
+            expect = blocks_share_one_value(pi, p, w)
+            assert (not any(space.mat_vec(f, constraint, p))) == expect
+            seen.add(expect)
+    assert seen == {True, False}
+
+
 # -- tuple spaces --------------------------------------------------------------
 
 
