@@ -25,7 +25,7 @@ from .field import make_field
 from .hales_jewett import hj_number
 from .space import (SizeCapError, Subspace, enumerate_subspaces, full_space,
                     guard_subspace_count, iter_subspaces, json_expect,
-                    json_int)
+                    json_int, json_text)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -49,15 +49,6 @@ def _emit(obj: dict, path: str | None = None) -> None:
             fh.write(line + "\n")
 
 
-def _json_text(s: Subspace) -> str:
-    """json.dumps(s.to_json()), written from the key.
-
-    A key is the compact JSON of to_json(); spacing its separators gives
-    json.dumps's default text, as no key holds a string with "," or ":".
-    """
-    return s.key().replace(",", ", ").replace(":", ": ")
-
-
 def _write_json(path: str, obj) -> None:
     """Write the same bytes as json.dump(obj) plus a newline, where a
     Subspace stands for its to_json().
@@ -68,8 +59,7 @@ def _write_json(path: str, obj) -> None:
     costs far more memory than the text.  Objects are therefore written
     piece by piece, and each element of a list of containers (a member,
     a row of numbers) with one call: an element is a few KB of text at
-    most.  A subspace is written from its key, which a host build at word
-    length 1 has already formatted for its members.
+    most.  A subspace is written from its bytes by `json_text`.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _stream_json(fh, obj)
@@ -77,12 +67,12 @@ def _write_json(path: str, obj) -> None:
 
 
 def _element_text(value) -> str:
-    return _json_text(value) if isinstance(value, Subspace) else json.dumps(value)
+    return json_text(value) if isinstance(value, Subspace) else json.dumps(value)
 
 
 def _stream_json(fh, obj) -> None:
     if isinstance(obj, Subspace):
-        fh.write(_json_text(obj))
+        fh.write(json_text(obj))
     elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict, Subspace)):
         fh.write("[")
         for i, value in enumerate(obj):
@@ -147,7 +137,10 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ambient, _ = _guarded_space(args)
-    lines = [_json_text(s) for s in enumerate_subspaces(ambient, args.k)]
+    # the sort has formatted every key; at these widths spacing a key's
+    # separators is cheaper than writing the text anew (`json_text`)
+    lines = [s.key().replace(",", ", ").replace(":", ": ")
+             for s in enumerate_subspaces(ambient, args.k)]
     for line in lines:
         print(line)
     if args.out:

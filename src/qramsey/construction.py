@@ -365,9 +365,18 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     members = tuple(_write_member(base, parts) for parts in member_parts)
     if len(set(members)) != len(members):
         raise ConstructionCheckError("member tuples collided")
-    if rows and any(any(mat_vec(f, rows, p))
-                    for m in members for p in m.basis_points()):
-        raise ConstructionCheckError("a member leaves the equalizer")
+    # a point meets the constraint rows when all its blocks share one
+    # projection value (M b_0 - M b_i = 0); the members' basis points
+    # share few distinct blocks, so each block is projected once
+    if rows:
+        d = pi.domain_len
+        points = [p for m in members for p in m.basis_points()]
+        blocks = [[p[i * d:(i + 1) * d] for p in points] for i in range(word_len)]
+        images = {b: mat_vec(f, pi.matrix, b) for b in set().union(*blocks)}
+        first = list(map(images.__getitem__, blocks[0]))
+        if any(list(map(images.__getitem__, column)) != first
+               for column in blocks[1:]):
+            raise ConstructionCheckError("a member leaves the equalizer")
     return ProductHost(base, word_len, big_x, pi_tilde, members, member_parts,
                        fibers)
 

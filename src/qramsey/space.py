@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter
 
 from .field import Field, make_field
 
@@ -70,6 +69,14 @@ def _check_bytes(vectors, what: str) -> None:
     others = set(map(type, vectors)) - {bytes}
     if others:
         raise TypeError(f"{what} must be bytes, not {others.pop().__name__}")
+
+
+def _direction_error(rows, message: str) -> ValueError:
+    """The ValueError for a malformed direction row, unless some row is
+    not bytes: that TypeError is raised here instead, as the type check
+    comes before every row check."""
+    _check_bytes(rows, "direction rows")
+    return ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +178,32 @@ def identity_rows(n: int) -> tuple[Vec, ...]:
 def rref(f: Field, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
 
-    The next pivot column is found from each row's leading column instead
-    of by scanning the matrix column by column, and only the rows with a
-    nonzero entry in the pivot column are eliminated.
+    The forward pass files each row under its leading column, reducing
+    it first by the row filed there while there is one, as `_RankTracker`
+    does; a zero residual is dropped.  Back-substitution then clears each
+    pivot column from the rightmost to the left, in the rows above it
+    with a nonzero entry there.  A row is zero left of its pivot, so
+    clearing a column changes no entry to its left: the rows' columns in
+    one snapshot taken before the pass are read when their turn comes.
     """
-    mat = list(rows)
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    leads = [_lead(row) for row in mat]  # ncols: zero row
-    pivots: list[int] = []
-    for r in range(nrows):
-        c = min(leads[r:])
-        if c == ncols:
-            break
-        pr = leads.index(c, r)
-        mat[r], mat[pr] = mat[pr], mat[r]
-        leads[r], leads[pr] = c, leads[r]
-        s = mat[r][c]
-        if s != 1:
-            mat[r] = vec_scale(f, f.inv(s), mat[r])
-        prow = mat[r]
-        for i in compress(range(nrows), map(itemgetter(c), mat)):
-            if i != r:
-                mat[i] = _add_multiple(f, mat[i], f.neg(mat[i][c]), prow)
-                if i > r:
-                    leads[i] = _lead(mat[i])
-        pivots.append(c)
-    return tuple(mat[:len(pivots)]), tuple(pivots)
+    filed: dict[int, Vec] = {}  # lead column -> echelon row, led by 1
+    for v in rows:
+        while (p := _lead(v)) < len(v):
+            row = filed.get(p)
+            if row is None:
+                filed[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
+                break
+            v = _add_multiple(f, v, f.neg(v[p]), row)
+    pivots = sorted(filed)
+    mat = [filed[p] for p in pivots]
+    if mat:
+        width, joined = len(mat[0]), b"".join(mat)
+        for i in range(len(mat) - 1, 0, -1):
+            c, prow = pivots[i], mat[i]
+            # column c of the rows above row i
+            for r in _support(joined[c:i * width:width]):
+                mat[r] = _add_multiple(f, mat[r], f.neg(mat[r][c]), prow)
+    return tuple(mat), tuple(pivots)
 
 
 def _reduce_by(f: Field, rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> Vec:
@@ -283,44 +289,61 @@ class Subspace:
                                                  compare=False, repr=False)
 
     def __post_init__(self):
+        """Check the canonical form in one pass over the direction rows.
+
+        A row leads with its pivot, so it is zero on every earlier pivot;
+        it is reduced when every earlier row is zero on its own pivot,
+        which one OR of the earlier rows shows.  That miss is raised after
+        every row's own checks, and a row that is not bytes raises before
+        any of them (`_direction_error`).
+        """
         _check_mode(self.mode)
         elements = _elements(self.field.order)
-        if self.ambient_len < 0:
+        width = self.ambient_len
+        if width < 0:
             raise ValueError("ambient_len must be nonnegative")
-        _check_bytes(self.direction, "direction rows")
+        rows = self.direction
+        many = len(rows) > 1  # a single row is reduced: its pivot entry is 1
+        earlier = 0    # the OR of the earlier rows' ints
+        on_pivots = 0  # 0xFF on each pivot column so far
+        reduced = True
         piv_prev = -1
-        pivots = []
-        for row in self.direction:
-            if len(row) != self.ambient_len:
-                raise ValueError("direction row length differs from ambient_len")
+        for row in rows:
+            if type(row) is not bytes or len(row) != width:
+                raise _direction_error(rows, "direction row length differs "
+                                             "from ambient_len")
             if row.translate(None, elements):
-                raise ValueError("direction entries out of field range")
-            p = _lead(row)
-            if p == len(row):
-                raise ValueError("zero row in direction")
+                raise _direction_error(rows, "direction entries out of field range")
+            p = width - len(row.lstrip(b"\0"))
+            if p == width:
+                raise _direction_error(rows, "zero row in direction")
             if p <= piv_prev:
-                raise ValueError("pivots must be strictly increasing")
+                raise _direction_error(rows, "pivots must be strictly increasing")
             if row[p] != 1:
-                raise ValueError("pivot entries must be 1")
-            pivots.append(p)
+                raise _direction_error(rows, "pivot entries must be 1")
+            column = 0xFF << 8 * (width - 1 - p)
+            if many:
+                if earlier & column:
+                    reduced = False
+                earlier |= int.from_bytes(row)
+            on_pivots |= column
             piv_prev = p
-        on_pivots = _pivot_mask(self.ambient_len, pivots)
-        for row, p in zip(self.direction, pivots):
-            # the row's own pivot is its only nonzero pivot column
-            if int.from_bytes(row) & on_pivots != _unit(self.ambient_len, p):
-                raise ValueError("non-reduced entry above/below a pivot")
+        if not reduced:
+            raise ValueError("non-reduced entry above/below a pivot")
         if self.mode == VECTOR:
             if self.basepoint is not None:
                 raise ValueError("vector-mode subspaces carry no basepoint")
         else:
-            if self.basepoint is None:
+            base = self.basepoint
+            if base is None:
                 raise ValueError("affine-mode subspaces need a basepoint")
-            _check_bytes([self.basepoint], "the basepoint")
-            if len(self.basepoint) != self.ambient_len:
+            if type(base) is not bytes:
+                _check_bytes([base], "the basepoint")
+            if len(base) != width:
                 raise ValueError("basepoint length differs from ambient_len")
-            if self.basepoint.translate(None, elements):
+            if base.translate(None, elements):
                 raise ValueError("basepoint entries out of field range")
-            if int.from_bytes(self.basepoint) & on_pivots:
+            if int.from_bytes(base) & on_pivots:
                 raise ValueError("basepoint must be zero on pivot columns")
 
     # -- conventions ---------------------------------------------------
@@ -454,6 +477,27 @@ def _json_list(v: Vec) -> str:
     """The compact JSON text of v as a list of ints."""
     text = v.translate(_ENTRY_HEX).hex().replace("c", ",").replace("d", ",1")
     return "[" + text[1:] + "]"
+
+
+def _spaced_list(v: Vec) -> str:
+    """The text json.dumps writes for v as a list of ints.
+
+    `hex(",")` writes each entry as "c" or "d" and a digit, with "," in
+    between; replacing "c" by " " and "d" by " 1" leaves a space before
+    each entry's digits.  The first replace is one-for-one, which
+    CPython does in a single copy, unlike replacing every "," by ", ".
+    """
+    text = v.translate(_ENTRY_HEX).hex(",").replace("c", " ").replace("d", " 1")
+    return "[" + text[1:] + "]"
+
+
+def json_text(s: Subspace) -> str:
+    """json.dumps(s.to_json()), written from the vectors' bytes."""
+    text = '{"mode": "%s", "q": %d, "ambient_len": %d, "direction": [%s]' % (
+        s.mode, s.field.order, s.ambient_len, ", ".join(map(_spaced_list, s.direction)))
+    if s.mode == AFFINE:
+        text += ', "basepoint": ' + _spaced_list(s.basepoint)
+    return text + "}"
 
 
 def json_expect(value, kind: type, what: str):
@@ -823,6 +867,13 @@ def extend_to_basis(basis: BasisSet, target: Subspace) -> BasisSet:
 
     Candidates are scanned in lexicographic point order, so the result is
     deterministic.  An input that is already a basis comes back unchanged.
+
+    A target that fills its ambient is not listed.  The scan meets every
+    point led by a column right of j before e_j, and by then they all
+    lie in the span; the points led by column j follow e_j, and lie in
+    the span once e_j has been scanned.  So the scan takes the origin
+    (affine mode) and then e_j, from the last column to the first,
+    exactly when each is independent of what it has.
     """
     if basis.mode != target.mode or basis.field != target.field:
         raise ValueError("basis and target disagree on mode or field")
@@ -836,7 +887,15 @@ def extend_to_basis(basis: BasisSet, target: Subspace) -> BasisSet:
         if not tracker.try_add(p):
             raise ValueError("basis points are not independent")
     chosen = list(basis.points)
-    for cand in target.sorted_points():
+    width = target.ambient_len
+    if len(target.direction) == width:
+        zero = bytes(width)
+        candidates = itertools.chain(
+            [zero] if target.mode == AFFINE else [],
+            (zero[:j] + b"\1" + zero[j + 1:] for j in reversed(range(width))))
+    else:
+        candidates = target.sorted_points()
+    for cand in candidates:
         if tracker.rank == target.rank:
             break
         if tracker.try_add(cand):

@@ -22,10 +22,10 @@ from qramsey import (AFFINE, VECTOR, BasisSet, Budget, ConfigFamily,
                      complement, compose,
                      enumerate_subspaces, equalizer_subspace,
                      extract_monochromatic_copy, family_isomorphic,
-                     full_space, hales_jewett, host_from_json, host_to_json,
-                     identity_map, image_space, induced_host_verify,
-                     line_embedding, linear_extension, make_field, span,
-                     zero_space)
+                     find_monochromatic_subspace, full_space, hales_jewett,
+                     host_from_json, host_to_json, identity_map, image_space,
+                     induced_host_verify, line_embedding, linear_extension,
+                     make_field, span, zero_space)
 from qramsey import construction, space
 
 
@@ -568,6 +568,41 @@ def test_corrupted_section_leaves_the_equalizer(make_spec):
         build_product_host(bad, 2)
 
 
+def off_its_fiber(base, member):
+    """The span of member's basis points with the first one's second block
+    moved along a column the projection keeps: that block then lies over
+    another base point than the first block does."""
+    f, pi = base.field, base.projection
+    d = pi.domain_len
+    j = next(j for j in range(d) if any(row[j] for row in pi.matrix))
+    pts = list(member.basis_points())
+    p = pts[0]
+    unit = bytes(j) + b"\1" + bytes(d - j - 1)
+    pts[0] = p[:d] + space.vec_add(f, p[d:2 * d], unit) + p[2 * d:]
+    return span(f, member.mode, pts, member.ambient_len)
+
+
+@pytest.mark.parametrize("word_len", [2, 3])
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec],
+                         ids=["vector", "affine"])
+def test_member_off_its_fiber_leaves_the_equalizer(make_spec, word_len,
+                                                   monkeypatch):
+    # the check projects each distinct block once; one moved block of
+    # the last member written must still be seen
+    base = build_base_host(make_spec(2))
+    last = build_product_host(base, word_len).member_parts[-1]
+    real = construction._write_member
+
+    def moved(base, parts):
+        member = real(base, parts)
+        return off_its_fiber(base, member) if parts == last else member
+
+    monkeypatch.setattr(construction, "_write_member", moved)
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="^a member leaves the equalizer$"):
+        build_product_host(base, word_len)
+
+
 def test_equalizer_is_checked_against_its_definition(monkeypatch):
     real = construction.equalizer_subspace
 
@@ -831,6 +866,49 @@ def test_extract_base_rank_above_target_rank(spec):
         assert inside == {m.key() for m in out.members}
         assert family_isomorphic(spec.family,
                                  ConfigFamily(out.space, out.members))
+
+
+def pullback_coloring(host, base_colors):
+    """Each member colored as the base k-space under it."""
+    under = {g: j for j, fiber in enumerate(host.fibers) for g in fiber}
+    return {m.key(): base_colors[under[parts[0]]]
+            for m, parts in zip(host.members, host.member_parts)}
+
+
+@pytest.mark.parametrize("base_rank", [2, 3])
+def test_extract_above_the_target_rank_follows_the_base(base_rank):
+    # vector |F| = 3 (a plane's three lines), r = 2, N1 = 1.  Under a
+    # pullback coloring every cover shows the base coloring, so extraction
+    # succeeds exactly when the base holds a monochromatic target: always
+    # at N0 = 3, where every 2-coloring of the Fano plane's points leaves
+    # a monochromatic line, and at N0 = 2 only for a constant coloring
+    spec = vector_spec(3, num_colors=2, base_rank=base_rank)
+    host = build_product_host(build_base_host(spec), 1)
+    base = host.base
+    nk = len(base.base_k_spaces)
+    rng = random.Random(base_rank)
+    colorings = [[0] * nk, [j % 2 for j in range(nk)]]
+    colorings += [[rng.randrange(2) for _ in range(nk)] for _ in range(3)]
+    for colors in colorings:
+        table = {s.key(): c for s, c in zip(base.base_k_spaces, colors)}
+        found = find_monochromatic_subspace(base.base_space, 1, 2, table)
+        coloring = pullback_coloring(host, colors)
+        out = extract_monochromatic_copy(host, coloring)
+        assert (found is not None) == (base_rank == 3 or len(set(colors)) == 1)
+        if found is None:
+            assert isinstance(out, ExtractionFailure)
+            assert out.step == "subspace_search" and out.pattern == tuple(colors)
+            continue
+        assert isinstance(out, MonochromaticCopy)
+        assert (out.target, out.color) == found
+        assert {coloring[m.key()] for m in out.members} == {out.color}
+        assert family_isomorphic(spec.family, ConfigFamily(out.space, out.members))
+    # colored by the cover holding them, the covers show two patterns, and
+    # a word of length 1 has no monochromatic line
+    by_cover = {m.key(): base.cover_k_frames[parts[0]][0] % 2
+                for m, parts in zip(host.members, host.member_parts)}
+    out = extract_monochromatic_copy(host, by_cover)
+    assert isinstance(out, ExtractionFailure) and out.step == "line_search"
 
 
 @pytest.mark.parametrize("base_rank", [2, 3])

@@ -165,6 +165,46 @@ def test_subspace_constructor_rejects_non_canonical():
         Subspace(AFFINE, f, 2, vecs((1, 0)), bytes((1, 0)))  # basepoint on pivot column
 
 
+# one bad row of width 3 over GF(3) and the message that names it
+ROW_FAULTS = [
+    ((1, 0), "direction row length differs from ambient_len"),
+    ((1, 3, 0), "direction entries out of field range"),
+    ((0, 0, 0), "zero row in direction"),
+    ((0, 0, 2), "pivot entries must be 1"),
+]
+
+
+@pytest.mark.parametrize("row,message", ROW_FAULTS)
+def test_subspace_check_precedence(row, message):
+    f = make_field(3)
+    # alone, and before a row of another type, which raises first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Subspace(VECTOR, f, 3, (bytes(row),))
+    with pytest.raises(TypeError, match="^direction rows must be bytes, not tuple$"):
+        Subspace(VECTOR, f, 3, (bytes(row), (0, 0, 1)))
+    # a row's own fault, even on a later row, before the reduced form
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Subspace(VECTOR, f, 3, vecs((1, 1, 0), (0, 1, 0), row))
+
+
+def test_subspace_check_reduced_form():
+    f = make_field(3)
+    unreduced = "^non-reduced entry above/below a pivot$"
+    with pytest.raises(ValueError, match="^pivots must be strictly increasing$"):
+        Subspace(VECTOR, f, 3, vecs((0, 1, 0), (1, 0, 0)))
+    # an entry of an earlier row on a later pivot, in either mode
+    with pytest.raises(ValueError, match=unreduced):
+        Subspace(VECTOR, f, 3, vecs((1, 0, 2), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match=unreduced):
+        Subspace(AFFINE, f, 3, vecs((1, 2, 0), (0, 1, 1)), bytes(3))
+    # entries off the pivots are free, and one row is always reduced
+    Subspace(VECTOR, f, 3, vecs((1, 0, 2), (0, 1, 1)))
+    Subspace(VECTOR, f, 3, vecs((0, 1, 2),))
+    with pytest.raises(ValueError, match="^basepoint must be zero on pivot columns$"):
+        Subspace(AFFINE, f, 3, vecs((1, 0, 2), (0, 1, 1)), bytes((0, 1, 0)))
+    Subspace(AFFINE, f, 3, vecs((1, 0, 2), (0, 1, 1)), bytes((0, 0, 1)))
+
+
 def test_from_json_recanonicalizes():
     f = make_field(2)
     data = {"mode": "vector", "q": 2, "ambient_len": 2,
@@ -271,6 +311,20 @@ def test_key_is_compact_json(q):
         for s in (Subspace(VECTOR, f, 3, vecs((1, 0, 10), (0, 1, q - 1))),
                   Subspace(AFFINE, f, 3, vecs((1, q - 1, 0)), bytes((0, 10, q - 1)))):
             assert "10" in s.key() and s.key() == json_key(s)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_json_text_is_default_json(q):
+    # written from the bytes, without formatting a key
+    f = make_field(q)
+    cases = key_cases(f, random.Random(q))
+    cases += [Subspace(VECTOR, f, 3, vecs((1, 0, 10 % q), (0, 1, q - 1))),
+              Subspace(AFFINE, f, 3, vecs((1, q - 1, 0)), bytes((0, q // 2, q - 1)))]
+    for s in cases:
+        fresh = Subspace(s.mode, f, s.ambient_len, s.direction, s.basepoint)
+        assert space.json_text(fresh) == json.dumps(s.to_json())
+        assert fresh._key is None
+    assert 0 in {s.ambient_len for s in cases} and any(not s.direction for s in cases)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 11])
@@ -387,6 +441,50 @@ def test_extend_to_basis_rejects_outsiders():
     target = span(f, VECTOR, [(1, 0, 0)], 3)
     with pytest.raises(ValueError):
         extend_to_basis(BasisSet(VECTOR, f, vecs((0, 1, 0))), target)
+
+
+def listing_completion(basis, target):
+    """The lexicographic greedy over every listed point of the target."""
+    tracker = space._RankTracker(basis.field, basis.mode)
+    for p in basis.points:
+        assert tracker.try_add(p)
+    chosen = list(basis.points)
+    for cand in target.sorted_points():
+        if tracker.rank == target.rank:
+            break
+        if tracker.try_add(cand):
+            chosen.append(cand)
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_full_target_completion_matches_listing(q, mode):
+    # a target that fills its ambient is completed from the origin and
+    # the unit vectors, never listed; the lexicographic scan agrees
+    f = make_field(q)
+    rng = random.Random(f"complete:{q}:{mode}")
+    max_len = max(d for d in range(8) if q ** d <= 1024)
+    for trial in range(150):
+        length = trial % (max_len + 1)
+        target = full_space(f, mode, length + (mode == AFFINE))
+        size = rng.randint(1 if mode == AFFINE else 0, target.rank)
+        pts = random_independent(rng, f, mode, length, size, rng.choice(DENSITIES))
+        basis = BasisSet(mode, f, tuple(pts))
+        assert extend_to_basis(basis, target).points == listing_completion(basis, target)
+
+
+def test_linear_extension_past_the_point_cap():
+    # GF(7)^6 has 117,649 points, more than POINT_CAP: a partial basis is
+    # completed all the same
+    f = make_field(7)
+    assert 7 ** 6 > space.POINT_CAP
+    for mode, pts in ((VECTOR, vecs((0, 3, 1, 0, 0, 5), (1, 0, 0, 2, 0, 0))),
+                      (AFFINE, vecs((1, 1, 1, 1, 1, 1), (0, 3, 1, 0, 0, 5)))):
+        imgs = vecs((1, 2), (3, 4))
+        m = linear_extension(BasisSet(mode, f, pts), imgs)
+        assert [apply(m, p) for p in pts] == list(imgs)
+        assert m.domain_len == 6 and m.codomain_len == 2
 
 
 def test_complement_golden():
@@ -624,6 +722,84 @@ def ref_rref(f, rows):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def scan_rref(f, rows):
+    """The row reduction `rref` replaced, kept as its reference.
+
+    Each pivot is the least leading column of the rows not yet pivoted,
+    found by scanning them all, and every row with a nonzero entry in
+    the pivot column is cleared at once.
+    """
+    mat = list(rows)
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    leads = [space._lead(row) for row in mat]  # ncols: zero row
+    pivots = []
+    for r in range(nrows):
+        c = min(leads[r:])
+        if c == ncols:
+            break
+        pr = leads.index(c, r)
+        mat[r], mat[pr] = mat[pr], mat[r]
+        leads[r], leads[pr] = c, leads[r]
+        if mat[r][c] != 1:
+            mat[r] = vec_scale(f, f.inv(mat[r][c]), mat[r])
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                mat[i] = space._add_multiple(f, mat[i], f.neg(mat[i][c]), mat[r])
+                if i > r:
+                    leads[i] = space._lead(mat[i])
+        pivots.append(c)
+    return tuple(mat[:len(pivots)]), tuple(pivots)
+
+
+def redundant_rows(rng, f, rows, count):
+    """`count` zero rows, duplicates of rows, or combinations of two."""
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(bytes(len(rows[0])))
+        elif kind == 1:
+            out.append(rng.choice(rows))
+        else:
+            out.append(vec_add(f, vec_scale(f, rng.randrange(f.order), rng.choice(rows)),
+                               vec_scale(f, rng.randrange(f.order), rng.choice(rows))))
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_rref_matches_scan_reference(q):
+    f = make_field(q)
+    rng = random.Random(f"scan_rref:{q}")
+    for _ in range(200):
+        ncols = rng.randint(1, 12)
+        rows = [random_vec(rng, q, ncols, rng.choice(DENSITIES))
+                for _ in range(rng.randint(0, 6))]
+        for extra in redundant_rows(rng, f, rows, rng.randint(0, 3)) if rows else ():
+            rows.insert(rng.randrange(len(rows) + 1), extra)
+        assert rref(f, rows) == scan_rref(f, rows)
+    assert rref(f, []) == ((), ())
+
+
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_rref_matches_scan_reference_at_block_rank(q):
+    # 385 is the block rank at N0 = 4: identity rows with a few entries
+    # right of their 1, shuffled, then whole and partial blocks with
+    # dependent rows appended
+    f = make_field(q)
+    rng = random.Random(f"block_rref:{q}")
+    width = 385
+    rows = [row[:i + 1] + random_vec(rng, q, width - i - 1, 0.01)
+            for i, row in enumerate(space.identity_rows(width))]
+    rng.shuffle(rows)
+    for block in (rows, rows[:300]):
+        redundant = block + redundant_rows(rng, f, block, 20)
+        for case in (block, redundant):
+            red, piv = rref(f, case)
+            assert (red, piv) == scan_rref(f, case)
+            assert len(piv) == len(block)
 
 
 def ref_mat_vec(f, rows, v):
