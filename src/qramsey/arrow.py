@@ -84,15 +84,24 @@ def point_index(host: Subspace, k_spaces) -> tuple[dict, dict]:
 
 
 def _families(where: dict, item_of: dict, n_spaces, k: int):
-    """For each n-space U in turn, the indices of U's rank-k subspaces."""
+    """For each n-space U in turn, the indices of U's rank-k subspaces.
+
+    U's points are read with `combination_points`, in `points()` order,
+    without its per-call cap check: the host passed
+    `guard_subspace_count`, so no n-space of it has more points than the
+    cap.
+    """
     if not n_spaces:
         return
     u = n_spaces[0]
-    templates = subspace_templates(u.field, u.mode, u.rank, k)
+    f = u.field
+    point_sets = [t for t, _ in subspace_templates(f, u.mode, u.rank, k)]
+    zero = bytes(u.ambient_len)
     for u in n_spaces:
-        at = [where[p] for p in u.points()]
-        yield frozenset([item_of[frozenset([at[j] for j in t])]
-                         for t, _ in templates])
+        origin = zero if u.basepoint is None else u.basepoint
+        at = list(map(where.__getitem__, combination_points(f, origin, u.direction)))
+        yield frozenset([item_of[frozenset(map(at.__getitem__, t))]
+                         for t in point_sets])
 
 
 def arrow_structure(instance: ArrowInstance) -> ArrowStructure:

@@ -124,7 +124,7 @@ def _guarded_space(args):
 
 def cmd_count(args) -> int:
     ambient, formula = _guarded_space(args)
-    enumerated = sum(1 for _ in iter_subspaces(ambient, args.k))
+    enumerated = sum(1 for _ in iter_subspaces(ambient, args.k, keyed=False))
     obj = {
         "command": "count", "q": args.q, "mode": args.mode,
         "N": args.N, "k": args.k,
@@ -137,12 +137,12 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ambient, _ = _guarded_space(args)
-    # the sort has formatted every key; at these widths spacing a key's
-    # separators is cheaper than writing the text anew (`json_text`)
+    # the keyed walk has formatted every key; at these widths spacing a
+    # key's separators is cheaper than writing the text anew (`json_text`)
     lines = [s.key().replace(",", ", ").replace(":", ": ")
              for s in enumerate_subspaces(ambient, args.k)]
-    for line in lines:
-        print(line)
+    if lines:
+        print(*lines, sep="\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -430,12 +430,12 @@ class Subspace:
         """Canonical serialization; doubles as the bytewise sort key.
 
         The compact JSON of `to_json()`, formatted directly from the
-        vectors' bytes (`_json_list`).
+        vectors' bytes (`_json_list`) on first use, unless the keyed
+        full-space walk of `iter_subspaces` preset it (`_walk_keys`).
         """
         if self._key is None:
-            key = '{"mode":"%s","q":%d,"ambient_len":%d,"direction":[%s]' % (
-                self.mode, self.field.order, self.ambient_len,
-                ",".join(map(_json_list, self.direction)))
+            key = _KEY_HEAD % (self.mode, self.field.order, self.ambient_len,
+                               ",".join(map(_json_list, self.direction)))
             if self.mode == AFFINE:
                 key += ',"basepoint":' + _json_list(self.basepoint)
             object.__setattr__(self, "_key", key + "}")
@@ -466,6 +466,10 @@ class Subspace:
             raise ValueError("vector subspace cannot carry a basepoint")
         return span(f, VECTOR, rows, amb)
 
+
+# A key up to its direction's closing bracket; the rows' compact lists
+# fill the last %s
+_KEY_HEAD = '{"mode":"%s","q":%d,"ambient_len":%d,"direction":[%s]'
 
 # Entry x as the byte whose hex text is "c" and x's digit (x < 10) or "d"
 # and the digit of x - 10, so the hex text of a vector is its entries'
@@ -718,13 +722,15 @@ def guard_subspace_count(f: Field, mode: str, rank: int, k: int) -> int:
 
 
 def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
-                        direction: tuple[Vec, ...], basepoint: Vec | None) -> Subspace:
+                        direction: tuple[Vec, ...], basepoint: Vec | None,
+                        key: str | None) -> Subspace:
     """A Subspace whose canonical form was checked before it was built.
 
     Writes the slots as the dataclass's __init__ does, without running
-    `__post_init__`.  Only the full-space walks of `iter_subspaces` call
-    it: their rows and basepoints come from `_rref_patterns` and
-    `_coset_bases`, which check them once per pattern.
+    `__post_init__`, and presets the key (None leaves it to `key()`).
+    Only the full-space walks of `iter_subspaces` call it: their rows
+    and basepoints come from `_rref_patterns` and `_coset_bases`, which
+    check them once per pattern, and their keys from `_walk_keys`.
     """
     s = object.__new__(Subspace)
     _set_mode(s, mode)
@@ -732,20 +738,41 @@ def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
     _set_ambient_len(s, ambient_len)
     _set_direction(s, direction)
     _set_basepoint(s, basepoint)
-    _set_key(s, None)
+    _set_key(s, key)
     _set_pivot_rows(s, None)
     return s
 
 
-def iter_subspaces(ambient: Subspace, k: int):
-    """The rank-k subspaces of `ambient`, unsorted and unkeyed.
+def _walk_keys(f: Field, mode: str, d: int, choices, bases):
+    """The keys of one pivot pattern's subspaces, in walk order.
+
+    Each row option and basepoint is formatted once (`_json_list`), and
+    each key is one `%` of the pattern's format string by a product of
+    those texts, in the order `iter_subspaces` builds the subspaces: the
+    rows' options in itertools.product order, then (affine mode) the
+    basepoints fastest.
+    """
+    texts = [list(map(_json_list, options)) for options in choices]
+    # one "%s" per row where `key()` writes the rows' lists
+    fmt = _KEY_HEAD % (mode, f.order, d, ",".join(["%s"] * len(choices)))
+    if mode == AFFINE:
+        texts.append(list(map(_json_list, bases)))
+        fmt += ',"basepoint":%s'
+    return map((fmt + "}").__mod__, itertools.product(*texts))
+
+
+def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
+    """The rank-k subspaces of `ambient`, unsorted.
 
     Over a full coordinate space, walks RREF matrices (and coset
     representatives in affine mode).  These are already canonical, and
     each pattern's row choices and basepoints are checked once, so its
-    subspaces skip the per-object check.  A proper ambient's subspaces
-    are the walk over the coordinate space of its rank, carried through
-    its basis map by `apply`, which re-canonicalizes and checks each.
+    subspaces skip the per-object check.  When `keyed`, the walk also
+    presets each subspace's key from its pattern's formatted rows
+    (`_walk_keys`), for callers that sort; an unkeyed walk formats no
+    key.  A proper ambient's subspaces are the unkeyed walk over the
+    coordinate space of its rank, carried through its basis map by
+    `apply`, which re-canonicalizes and checks each and keys none.
     Checks no cap: callers run `guard_subspace_count` first.
     """
     f = ambient.field
@@ -754,18 +781,23 @@ def iter_subspaces(ambient: Subspace, k: int):
     if is_full:
         if ambient.mode == VECTOR:
             for _, choices in _rref_patterns(f, k, d):
-                for rows in itertools.product(*choices):
-                    yield _unchecked_subspace(VECTOR, f, d, rows, None)
+                keys = (_walk_keys(f, VECTOR, d, choices, None) if keyed
+                        else itertools.repeat(None))
+                for rows, key in zip(itertools.product(*choices), keys):
+                    yield _unchecked_subspace(VECTOR, f, d, rows, None, key)
         elif k > 0:  # no empty flats; mirrors count_subspaces
             for piv, choices in _rref_patterns(f, k - 1, d):
                 bases = _coset_bases(f, d, piv)
-                for rows in itertools.product(*choices):
-                    for b in bases:
-                        yield _unchecked_subspace(AFFINE, f, d, rows, b)
+                keys = (_walk_keys(f, AFFINE, d, choices, bases) if keyed
+                        else itertools.repeat(None))
+                flats = itertools.product(itertools.product(*choices), bases)
+                for (rows, b), key in zip(flats, keys):
+                    yield _unchecked_subspace(AFFINE, f, d, rows, b, key)
     else:
         m = coordinate_map(f, ambient.mode, ambient.basis_points(),
                            ambient.ambient_len)
-        for s in iter_subspaces(full_space(f, ambient.mode, ambient.rank), k):
+        for s in iter_subspaces(full_space(f, ambient.mode, ambient.rank), k,
+                                keyed=False):
             yield apply(m, s)
 
 
@@ -773,7 +805,9 @@ def enumerate_subspaces(ambient: Subspace, k: int) -> list[Subspace]:
     """All rank-k subspaces of `ambient`, sorted by canonical key.
 
     `guard_subspace_count` runs first, so the size cap is checked before
-    anything is listed.
+    anything is listed.  The walk is keyed, so over a full coordinate
+    space the sort reads keys that were formatted per row option, not
+    per subspace.
     """
     guard_subspace_count(ambient.field, ambient.mode, ambient.rank, k)
     return sorted(iter_subspaces(ambient, k), key=Subspace.key)

@@ -19,7 +19,7 @@ import pytest
 import qramsey
 from qramsey import (AFFINE, VECTOR, ConfigFamily, HostSpec, arrow,
                      enumerate_subspaces, full_space, host_from_json,
-                     induced_host_verify, make_field, span)
+                     induced_host_verify, make_field, space, span)
 from qramsey.cli import COMMANDS, _write_json, build_parser, main
 
 DEGENERATE_SPEC = {
@@ -83,6 +83,23 @@ def test_count_size_cap_before_closed_form(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert [ln["error"] for ln in lines] == ["size_cap"]
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_count_formats_no_key(capsys, monkeypatch, mode):
+    # count neither keys, sorts nor keeps the subspaces: its walk is
+    # unkeyed, so formatting any vector as key text fails the run
+    def refuse(v):
+        raise AssertionError("a key was formatted")
+
+    monkeypatch.setattr(space, "_json_list", refuse)
+    code, lines, _ = run_cli(capsys, "count", "--q", "3", "--mode", mode,
+                             "--N", "4", "--k", "2")
+    assert code == 0 and lines[0]["match"] is True
+    assert lines[0]["count_enumerated"] > 100
+    # the same walk keyed, as enumerate sorts it, does format keys
+    with pytest.raises(AssertionError, match="a key was formatted"):
+        main(["enumerate", "--q", "3", "--mode", mode, "--N", "4", "--k", "2"])
 
 
 def test_enumerate_lists_subspaces(capsys):

@@ -1210,6 +1210,30 @@ def test_full_space_walk_passes_the_full_check(q):
         assert len(listed) == len(got) and set(listed) == set(checked)
 
 
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_keyed_walk_presets_the_checked_keys(q, mode):
+    # every k, with k = 0 in vector mode and k = 1 (an empty direction) in
+    # affine mode; q >= 11 writes two-digit entries
+    f = make_field(q)
+    lo = 1 if mode == AFFINE else 0
+    for rank in range(lo, 6 if q <= 3 else 5 if q <= 5 else 4):
+        ambient = full_space(f, mode, rank)
+        for k in range(lo, rank + 1):
+            keyed = list(space.iter_subspaces(ambient, k))
+            assert all(s._key is not None for s in keyed)
+            # rebuilt through the checked constructor, which has no key yet
+            fresh = [Subspace(s.mode, s.field, s.ambient_len, s.direction,
+                              s.basepoint) for s in keyed]
+            assert [s.key() for s in keyed] == [t.key() for t in fresh]
+            unkeyed = list(space.iter_subspaces(ambient, k, keyed=False))
+            assert unkeyed == keyed
+            assert all(s._key is None for s in unkeyed)
+            listed = enumerate_subspaces(ambient, k)
+            assert listed == sorted(unkeyed, key=Subspace.key)
+            assert [s.key() for s in listed] == sorted(t.key() for t in fresh)
+
+
 def corrupt_row(col, value):
     """A corruption of the first row choice of the first row: entry `col`
     set to `value`."""
