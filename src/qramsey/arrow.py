@@ -404,8 +404,9 @@ def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
 
 
 def _free_space(host: Subspace, n: int, base: Subspace | None,
-                others) -> bool:
-    """Whether a rank-n U with base ⊆ U ⊆ host holds none of `others`.
+                members, inside=()) -> bool:
+    """Whether a rank-n U with base ⊆ U ⊆ host holds no member whose
+    index is not in `inside`.
 
     A rank-r space lies in [R - r; n - r]_q of the rank-n U in the rank-R
     host, in either mode, so counting the spans of base with each other
@@ -418,11 +419,12 @@ def _free_space(host: Subspace, n: int, base: Subspace | None,
     def through(r: int) -> int:
         return gaussian_binomial(big_r - r, n - r, f.order)
 
+    others = (m for i, m in enumerate(members) if i not in inside)
     if base is None:
-        total, spans = count_subspaces(big_r, n, f.order, mode), others
+        total, spans = count_subspaces(big_r, n, f.order, mode), list(others)
     else:
         total = through(base.rank)
-        if len(others) * through(base.rank + 1) < total:
+        if (len(members) - len(inside)) * through(base.rank + 1) < total:
             return True
         spans = {span(f, mode, base.basis_points() + m.basis_points(),
                       host.ambient_len) for m in others}
@@ -493,9 +495,7 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
         for d in _member_spans(host_members, w):
             inside = members_inside(d)
             if (isomorphism_images(shape, d, inside.values(), bud) is not None
-                    and _free_space(host_space, n, d, [
-                        m for i, m in enumerate(host_members)
-                        if i not in inside])):
+                    and _free_space(host_space, n, d, host_members, inside)):
                 good.append(frozenset(inside))
     coloring = find_proper_coloring(len(host_members), num_colors, good,
                                     budget=bud, symmetry=symmetry)

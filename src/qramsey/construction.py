@@ -28,9 +28,9 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, Vec, apply, combination_points,
                     complement, compose, coordinate_map, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    identity_map, identity_rows, image_space, json_expect,
-                    json_int, linear_extension, mat_vec, nullspace_rows,
-                    span, subspace_templates, vec_scale, vec_sub)
+                    identity_map, image_space, json_expect, json_int,
+                    linear_extension, mat_vec, nullspace_rows, span,
+                    transpose, vec_scale, vec_sub)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -204,29 +204,23 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     # the inverse of the projection on them as the cover's section.  The
     # projection is affine, so the images of a cover's points, in
     # points() order, are the combinations of the images of its
-    # basepoint and direction rows: only those are projected.  The base
-    # space is the rank-N0 coordinate space, so its k-spaces are the
-    # rank-N0 templates in order (checked once), and the cover k-space
-    # over base k-space j is the span of the section at template j's
-    # basis positions.  Collect the k-spaces with a cover holding each
-    # and the base points under its basis points.
+    # basepoint and direction rows: only those are projected.  The cover
+    # k-space over base k-space j is the span of the section at the
+    # positions of j's basis points.  Collect the k-spaces with a cover
+    # holding each and the base points under its basis points.
     base_k = tuple(enumerate_subspaces(base, k))
     where = {p: i for i, p in enumerate(base.points())}
-    templates = subspace_templates(f, mode, big_n, k)
-    if [t for t, _ in templates] != [[where[p] for p in s.points()]
-                                     for s in base_k]:
-        raise ConstructionCheckError("templates do not align with the base "
-                                     "k-spaces")
+    basis_at = [[where[p] for p in s.basis_points()] for s in base_k]
     frames: dict[Subspace, tuple[int, tuple[int, ...]]] = {}
     sections: list[tuple[Vec, ...]] = []
     slot_rows: list[list[Subspace]] = []
-    origin = bytes(e_amb)
+    zero = origin = bytes(e_amb)
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
         if mode == AFFINE:
             origin = apply(projection, cover.basepoint)
-        images = combination_points(f, origin, [mat_vec(f, projection.matrix, r)
-                                                for r in cover.direction])
+        images = combination_points(f, origin, [
+            mat_vec(f, projection.columns, r, zero) for r in cover.direction])
         at = [where[x] for x in images]
         if len(at) != len(where) or len(set(at)) != len(at):
             raise ConstructionCheckError("projection is not a bijection from "
@@ -235,7 +229,7 @@ def build_base_host(spec: HostSpec) -> BaseHost:
         sections.append(section)
         over = dict(zip(pts, at))
         row = []
-        for _, basis_pos in templates:
+        for basis_pos in basis_at:
             s = span(f, mode, [section[i] for i in basis_pos], v_amb)
             if s not in frames:
                 frames[s] = (ci, tuple(map(over.__getitem__, s.basis_points())))
@@ -249,19 +243,28 @@ def build_base_host(spec: HostSpec) -> BaseHost:
                     tuple(sections), tuple(map(frames.__getitem__, cover_k)))
 
 
-def _equalizer_rows(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
-    """The equalizer's constraint rows: block 0 minus block i, for each
-    row of the projection's matrix.
+def _equalizer_columns(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
+    """The columns of the equalizer's constraint matrix, which maps a
+    tuple (b_0, ..., b_{w-1}) to its parts M b_0 - M b_i, i = 1 .. w - 1.
 
     A tuple of word_len points shares one projection value exactly when
-    every row maps it to zero; affine translations cancel in the
-    differences, so the rows are the same in both modes.
+    the matrix maps it to zero; affine translations cancel in the
+    differences, so the matrix is the same in both modes.  Column j of
+    block 0 is M's column j in every part, and column j of block i is
+    minus M's column j in part i alone.
     """
-    f = projection.field
-    d = projection.domain_len
-    return tuple(mrow + bytes((i - 1) * d) + vec_scale(f, f.neg(1), mrow)
-                 + bytes((word_len - 1 - i) * d)
-                 for i in range(1, word_len) for mrow in projection.matrix)
+    f, e, parts = projection.field, projection.codomain_len, word_len - 1
+    cols = [c * parts for c in projection.columns]
+    minus = [vec_scale(f, f.neg(1), c) for c in projection.columns]
+    for i in range(parts):
+        cols += [bytes(i * e) + c + bytes((parts - 1 - i) * e) for c in minus]
+    return tuple(cols)
+
+
+def _equalizer_rows(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
+    """The constraint matrix's rows, one per part and row of M."""
+    return transpose(_equalizer_columns(projection, word_len),
+                     (word_len - 1) * projection.codomain_len)
 
 
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
@@ -348,16 +351,19 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     # the tuples whose blocks share one projection value form a space of
     # the law's rank, so X, of that rank, is that space exactly when its
     # basis lies in it; members are then checked against the definition.
-    # A point meets it when the constraint rows map it to zero, and at
-    # word length 1, where there are no rows, every point does
-    rows = _equalizer_rows(pi, word_len)
-    if rows and any(any(mat_vec(f, rows, p)) for p in big_x.basis_points()):
-        raise ConstructionCheckError("the equalizer leaves its definition")
-    total = word_len * pi.domain_len
-    pi_tilde = LinearMap(
-        mode, f, total, pi.codomain_len,
-        tuple(row + bytes(total - pi.domain_len) for row in pi.matrix),
-        pi.translation if mode == AFFINE else None)
+    # A point meets it when the constraint matrix maps it to zero, and at
+    # word length 1, where the matrix has no rows, every point does
+    d, e = pi.domain_len, pi.codomain_len
+    total = word_len * d
+    if word_len > 1:
+        constraint = LinearMap(VECTOR, f, total, (word_len - 1) * e,
+                               _equalizer_columns(pi, word_len))
+        zero = bytes(constraint.codomain_len)
+        if any(any(mat_vec(f, constraint.columns, p, zero))
+               for p in big_x.basis_points()):
+            raise ConstructionCheckError("the equalizer leaves its definition")
+    pi_tilde = LinearMap(mode, f, total, e,
+                         pi.columns + (bytes(e),) * (total - d), pi.translation)
 
     member_parts = tuple(sorted(
         parts for fiber in fibers
@@ -365,14 +371,14 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     members = tuple(_write_member(base, parts) for parts in member_parts)
     if len(set(members)) != len(members):
         raise ConstructionCheckError("member tuples collided")
-    # a point meets the constraint rows when all its blocks share one
+    # a point meets the constraint matrix when all its blocks share one
     # projection value (M b_0 - M b_i = 0); the members' basis points
     # share few distinct blocks, so each block is projected once
-    if rows:
-        d = pi.domain_len
+    if word_len > 1:
         points = [p for m in members for p in m.basis_points()]
         blocks = [[p[i * d:(i + 1) * d] for p in points] for i in range(word_len)]
-        images = {b: mat_vec(f, pi.matrix, b) for b in set().union(*blocks)}
+        zero = bytes(e)
+        images = {b: mat_vec(f, pi.columns, b, zero) for b in set().union(*blocks)}
         first = list(map(images.__getitem__, blocks[0]))
         if any(list(map(images.__getitem__, column)) != first
                for column in blocks[1:]):
@@ -467,20 +473,21 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
 
     ident = identity_map(f, mode, v_amb)
     blocks = [block_maps.get(pos, ident) for pos in range(host.word_len)]
+    # column j of the section stacks the blocks' columns j
     section = LinearMap(mode, f, v_amb, total,
-                        tuple(itertools.chain.from_iterable(b.matrix for b in blocks)),
+                        tuple(map(b"".join, zip(*(b.columns for b in blocks)))),
                         b"".join([b.translation for b in blocks])
                         if mode == AFFINE else None)
-    # the moving block's coordinates: the identity, shifted into place
-    i0 = line.moving[0]
-    sel = tuple(bytes(i0 * v_amb) + row + bytes(total - (i0 + 1) * v_amb)
-                for row in identity_rows(v_amb))
-    flatten = LinearMap(mode, f, total, v_amb, sel,
-                        bytes(v_amb) if mode == AFFINE else None)
+    # the moving block's coordinates: the identity's columns, between
+    # zero columns for the other blocks
+    i0, zero = line.moving[0], bytes(v_amb)
+    flatten = LinearMap(mode, f, total, v_amb,
+                        (zero,) * (i0 * v_amb) + ident.columns
+                        + (zero,) * (total - (i0 + 1) * v_amb), ident.translation)
     copy = apply(section, base.space)
 
     # (a) mutually inverse isomorphism staying inside the equalizer
-    if compose(flatten, section) != identity_map(f, mode, v_amb):
+    if compose(flatten, section) != ident:
         raise ConstructionCheckError("flatten is not a left inverse of section")
     for p in copy.basis_points():
         if not host.space.is_member(p):

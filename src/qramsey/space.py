@@ -138,36 +138,23 @@ def _support(v: Vec) -> list[int]:
     return out
 
 
-def mat_vec(f: Field, rows: tuple[Vec, ...], v: Vec) -> Vec:
-    """rows . v: the sum of v[j] times column j over v's nonzero entries.
+def mat_vec(f: Field, columns: tuple[Vec, ...], v: Vec, base: Vec) -> Vec:
+    """base + M v, for the matrix M with these columns: base plus v[j]
+    times columns[j], over v's nonzero entries.
 
-    Column j of the rows, joined into one bytes object, is its slice
-    from j in steps of the width.
+    A map stores its columns, so each step reads one stored vector
+    whole.  base is the zero vector of the codomain, or an affine map's
+    translation; it also gives the length when there are no columns.
     """
-    width, joined = len(v), b"".join(rows)
-    out = bytes(len(rows))
     for j in _support(v):
-        out = _add_multiple(f, out, v[j], joined[j::width])
-    return out
+        base = _add_multiple(f, base, v[j], columns[j])
+    return base
 
 
-def mat_mul(f: Field, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    width = len(b[0]) if b else 0
-    out = []
-    for arow in a:
-        acc = bytes(width)
-        for i in _support(arow):
-            acc = _add_multiple(f, acc, arow[i], b[i])
-        out.append(acc)
-    return tuple(out)
-
-
-def transpose(rows: tuple[Vec, ...], width: int | None = None) -> tuple[Vec, ...]:
-    if rows:
-        return tuple(map(bytes, zip(*rows)))
-    if width is None:
-        raise ValueError("width needed to transpose an empty matrix")
-    return (b"",) * width
+def transpose(rows: tuple[Vec, ...], width: int) -> tuple[Vec, ...]:
+    """The columns of the rows, each of length len(rows); width is the
+    rows' length, which gives the column count when there are no rows."""
+    return tuple(map(bytes, zip(*rows))) if rows else (b"",) * width
 
 
 def identity_rows(n: int) -> tuple[Vec, ...]:
@@ -988,25 +975,26 @@ class LinearMap:
 
     Vector mode: x -> M x.  Affine mode: x -> M x + t.  Either way the
     map preserves the mode's combinations, so images of subspaces are
-    subspaces.
+    subspaces.  M is kept as its columns, its only form: column j is
+    M e_j, so products and compositions read the columns as stored.
     """
 
     mode: str
     field: Field
     domain_len: int
     codomain_len: int
-    matrix: tuple[Vec, ...]      # codomain_len rows of length domain_len
+    columns: tuple[Vec, ...]     # domain_len columns of length codomain_len
     translation: Vec | None = None
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if len(self.matrix) != self.codomain_len:
-            raise ValueError("matrix row count differs from codomain_len")
-        _check_bytes(self.matrix, "matrix rows")
-        if set(map(len, self.matrix)) - {self.domain_len}:
-            raise ValueError("matrix row length differs from domain_len")
+        if len(self.columns) != self.domain_len:
+            raise ValueError("matrix column count differs from domain_len")
+        _check_bytes(self.columns, "matrix columns")
+        if set(map(len, self.columns)) - {self.codomain_len}:
+            raise ValueError("matrix column length differs from codomain_len")
         elements = _elements(self.field.order)
-        if b"".join(self.matrix).translate(None, elements):
+        if b"".join(self.columns).translate(None, elements):
             raise ValueError("matrix entries out of field range")
         if self.mode == VECTOR:
             if self.translation is not None:
@@ -1024,14 +1012,14 @@ def coordinate_map(f: Field, mode: str, images, codomain_len: int) -> LinearMap:
     to images[i].
 
     In vector mode that basis is the unit vectors, so the images are the
-    matrix's columns; in affine mode the first basis point is the origin,
-    so its image is the translation and the columns are the others' offsets
-    from it.
+    map's columns as they stand; in affine mode the first basis point is
+    the origin, so its image is the translation and the columns are the
+    others' offsets from it.
     """
     t = images[0] if mode == AFFINE else None
-    cols = images if t is None else [vec_sub(f, p, t) for p in images[1:]]
-    return LinearMap(mode, f, len(cols), codomain_len,
-                     transpose(cols, width=codomain_len), t)
+    cols = (tuple(images) if t is None
+            else tuple(vec_sub(f, p, t) for p in images[1:]))
+    return LinearMap(mode, f, len(cols), codomain_len, cols, t)
 
 
 def identity_map(f: Field, mode: str, n: int) -> LinearMap:
@@ -1055,24 +1043,26 @@ def apply(m: LinearMap, x):
     v = bytes(x)
     if len(v) != m.domain_len:
         raise ValueError("point length differs from map domain")
-    out = mat_vec(m.field, m.matrix, v)
-    if m.mode == AFFINE:
-        out = vec_add(m.field, out, m.translation)
-    return out
+    base = m.translation if m.mode == AFFINE else bytes(m.codomain_len)
+    return mat_vec(m.field, m.columns, v, base)
 
 
 def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """The map x -> outer(inner(x))."""
+    """The map x -> outer(inner(x)).
+
+    Its columns are inner's columns sent through outer's matrix, one
+    product each; in affine mode its translation is outer's image of
+    inner's.
+    """
     if outer.mode != inner.mode or outer.field != inner.field:
         raise ValueError("maps disagree on mode or field")
     if inner.codomain_len != outer.domain_len:
         raise ValueError("inner codomain differs from outer domain")
-    mtx = mat_mul(outer.field, outer.matrix, inner.matrix)
-    if outer.mode == VECTOR:
-        return LinearMap(VECTOR, outer.field, inner.domain_len, outer.codomain_len, mtx)
-    t = vec_add(outer.field, mat_vec(outer.field, outer.matrix, inner.translation),
-                outer.translation)
-    return LinearMap(AFFINE, outer.field, inner.domain_len, outer.codomain_len, mtx, t)
+    f, zero = outer.field, bytes(outer.codomain_len)
+    cols = tuple(mat_vec(f, outer.columns, c, zero) for c in inner.columns)
+    t = None if outer.mode == VECTOR else mat_vec(
+        f, outer.columns, inner.translation, outer.translation)
+    return LinearMap(outer.mode, f, inner.domain_len, outer.codomain_len, cols, t)
 
 
 def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -> LinearMap:
@@ -1110,16 +1100,15 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
         pairs = [(vec_sub(f, p, p0), vec_sub(f, y, y0))
                  for p, y in zip(pts_all[1:], imgs[1:] + [y0] * extras)]
     # M b = y for each pair.  Row-reducing the rows [b | y] turns the b
-    # block into the identity, so the row with pivot j reads [e_j | M e_j]
+    # block into the identity, so the row with pivot j reads [e_j | M e_j]:
+    # its tail is M's column j, as the map stores it
     red, piv = rref(f, [b + y for b, y in pairs])
     if piv != tuple(range(domain_len)):
         raise RuntimeError("extended basis does not span the domain")
-    mtx = transpose(tuple(row[domain_len:] for row in red), width=codomain_len)
-    if mode == VECTOR:
-        m = LinearMap(VECTOR, f, domain_len, codomain_len, mtx)
-    else:
-        t = vec_sub(f, y0, mat_vec(f, mtx, p0))
-        m = LinearMap(AFFINE, f, domain_len, codomain_len, mtx, t)
+    cols = tuple(row[domain_len:] for row in red)
+    t = None if mode == VECTOR else vec_sub(
+        f, y0, mat_vec(f, cols, p0, bytes(codomain_len)))
+    m = LinearMap(mode, f, domain_len, codomain_len, cols, t)
     for p, y in zip(basis.points, imgs):
         if apply(m, p) != y:
             raise RuntimeError("extension failed to reproduce a basis image")
@@ -1129,12 +1118,11 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
 def image_space(m: LinearMap) -> Subspace:
     """Image of the whole domain ambient under the map.
 
-    The span of the matrix's columns; in affine mode the flat through
-    the translation, which the columns move along.
+    The span of the map's columns; in affine mode the flat through the
+    translation, which the columns move along.
     """
     f = m.field
-    cols = transpose(m.matrix, width=m.domain_len)
     if m.mode == VECTOR:
-        return span(f, VECTOR, cols, m.codomain_len)
+        return span(f, VECTOR, m.columns, m.codomain_len)
     t = m.translation
-    return span(f, AFFINE, [t, *(vec_add(f, t, c) for c in cols)], m.codomain_len)
+    return span(f, AFFINE, [t, *(vec_add(f, t, c) for c in m.columns)], m.codomain_len)

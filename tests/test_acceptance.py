@@ -24,7 +24,7 @@ from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, Budget,
                      line_embedding, line_free_coloring, make_field,
                      min_arrow_N, span)
 from qramsey.cli import main
-from qramsey.space import rref
+from qramsey.space import rref, transpose
 
 
 class Timer:
@@ -274,7 +274,7 @@ def test_acceptance_08_equalizer_rank_law():
             cod = rng.randint(1, 3)
             rows = tuple(bytes(rng.randrange(f.order) for _ in range(dom))
                          for _ in range(cod))
-            pi = LinearMap(VECTOR, f, dom, cod, rows)
+            pi = LinearMap(VECTOR, f, dom, cod, transpose(rows, dom))
             w = rng.randint(1, 3)
             X = equalizer_subspace(pi, w)
             # direct rank computations from raw row reduction

@@ -206,7 +206,8 @@ def elementary_maps(f, mode, d):
         shear = [row[:] for row in identity]
         shear[i][i + 1] = 1  # x_i += x_{i+1}
         for m in (swap, shear):
-            maps.append(LinearMap(mode, f, d, d, tuple(map(bytes, m)), zero))
+            maps.append(LinearMap(mode, f, d, d, qspace.transpose(
+                tuple(map(bytes, m)), d), zero))
     if mode == AFFINE and d:
         maps.append(LinearMap(mode, f, d, d, tuple(map(bytes, identity)),
                               b"\1" + zero[1:]))

@@ -18,8 +18,9 @@ import pytest
 
 import qramsey
 from qramsey import (AFFINE, VECTOR, ConfigFamily, HostSpec, arrow,
-                     enumerate_subspaces, full_space, host_from_json,
-                     induced_host_verify, make_field, space, span)
+                     construction, enumerate_subspaces, full_space,
+                     host_from_json, induced_host_verify, make_field, space,
+                     span)
 from qramsey.cli import COMMANDS, _write_json, build_parser, main
 
 DEGENERATE_SPEC = {
@@ -677,6 +678,64 @@ def plane_lines_bundle(capsys, tmp_path, base_rank, word_len, nf=3):
     fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:nf]))
     return construct_bundle(capsys, tmp_path, HostSpec(
         2, VECTOR, 1, 2, 2, fam, base_rank, word_len))
+
+
+# sha256 of extract's stdout under {"constant": 0} on plane_lines_bundle
+# hosts where the maps are tall: block rank 385 at N0 = 4, N1 = 1; and at
+# N0 = 3, N1 = 2 the line fixes position 0, so `coordinate_map` of
+# section points and `compose` run.  Recorded when maps kept their
+# matrices as rows.
+# (N0, N1) -> digest
+PINNED_TALL_EXTRACTS = {
+    (4, 1): "7cbd4436d84c4fcece4ea23b06b76d3f6bf64029fce633a50955f25ba4f792b1",
+    (3, 2): "dc1e3505a433b137db02d7a378a16f6a82973720b1606c366467d8ad9790fffe",
+}
+
+
+def extract_constant(capsys, tmp_path, base_rank, word_len):
+    """Construct the plane_lines_bundle host, then extract under the
+    constant coloring 0; returns extract's first line and stdout."""
+    bundle = plane_lines_bundle(capsys, tmp_path, base_rank, word_len)
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"constant": 0}))
+    code, lines, out = run_cli(capsys, "extract", "--bundle", str(bundle),
+                               "--coloring", str(col))
+    assert code == 0 and lines[0]["status"] == "success"
+    return lines[0], out
+
+
+@pytest.mark.parametrize("case", list(PINNED_TALL_EXTRACTS),
+                         ids=["N0_{}_N1_{}".format(*c) for c in PINNED_TALL_EXTRACTS])
+def test_tall_map_extract_digests_pinned(case, tmp_path, capsys):
+    _, out = extract_constant(capsys, tmp_path, *case)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TALL_EXTRACTS[case]
+
+
+def test_every_product_reads_a_maps_stored_columns(tmp_path, capsys,
+                                                   monkeypatch):
+    # over the N0 = 3, N1 = 2 round trip, every mat_vec call is handed
+    # the very columns some LinearMap stores: no caller builds a matrix
+    # for one product
+    stored, received = [], []
+    real_check = space.LinearMap.__post_init__
+    real_mat_vec = space.mat_vec
+
+    def check(m):
+        real_check(m)
+        stored.append(m.columns)
+
+    def product(f, columns, v, base):
+        received.append(columns)
+        return real_mat_vec(f, columns, v, base)
+
+    monkeypatch.setattr(space.LinearMap, "__post_init__", check)
+    for module in (space, construction):
+        monkeypatch.setattr(module, "mat_vec", product)
+    first, _ = extract_constant(capsys, tmp_path, 3, 2)
+    assert [0, 0] in first["line"]["fixed"]
+    # both lists hold their objects, so no id is reused while they live
+    ids = {id(columns) for columns in stored}
+    assert received and all(id(columns) in ids for columns in received)
 
 
 def test_verify_holds_above_the_base_rank(tmp_path, capsys):

@@ -27,7 +27,7 @@ from qramsey import (AFFINE, VECTOR, BasisSet, LinearMap, SizeCapError,
                      identity_map, image_space, is_independent,
                      linear_extension, make_field, span, zero_space)
 from qramsey import space
-from qramsey.space import (mat_mul, mat_vec, nullspace_rows, rref, vec_add,
+from qramsey.space import (mat_vec, nullspace_rows, rref, transpose, vec_add,
                            vec_scale, vec_sub)
 
 
@@ -543,8 +543,8 @@ def test_identity_and_compose():
     assert tuple(apply(ident, (1, 2, 0))) == (1, 2, 0)
     m = linear_extension(
         BasisSet(VECTOR, f, vecs((1, 0), (0, 1))), [(1, 1), (0, 2)])
-    assert compose(ident_2d := identity_map(f, VECTOR, 2), m).matrix == m.matrix
-    assert compose(m, ident_2d).matrix == m.matrix
+    assert compose(ident_2d := identity_map(f, VECTOR, 2), m).columns == m.columns
+    assert compose(m, ident_2d).columns == m.columns
 
 
 def test_linear_extension_maps_basis():
@@ -580,20 +580,21 @@ def test_extension_identity_and_swap_goldens():
     f = make_field(2)
     e = BasisSet(VECTOR, f, vecs((1, 0), (0, 1)))
     ident = linear_extension(e, [(1, 0), (0, 1)])
-    assert ident.matrix == identity_map(f, VECTOR, 2).matrix
+    assert ident.columns == identity_map(f, VECTOR, 2).columns
     s = span(f, VECTOR, [(1, 1)], 2)
     assert apply(ident, s) == s
     swap = linear_extension(e, [(0, 1), (1, 0)])
-    assert tup(swap.matrix) == ((0, 1), (1, 0))
+    assert tup(swap.columns) == ((0, 1), (1, 0))
     assert apply(swap, span(f, VECTOR, [(1, 0)], 2)) == span(f, VECTOR, [(0, 1)], 2)
 
 
 def test_affine_extension_translation_golden():
-    # 0 -> (1,1) pins the translation; 1 -> (0,1) then pins the matrix column
+    # 0 -> (1,1) pins the translation; 1 -> (0,1) then pins the matrix's
+    # one column, (0,1) - (1,1)
     f = make_field(2)
     m = linear_extension(BasisSet(AFFINE, f, vecs((0,), (1,))), [(1, 1), (0, 1)])
     assert tuple(m.translation) == (1, 1)
-    assert tup(m.matrix) == ((1,), (0,))
+    assert tup(m.columns) == ((1, 0),)
 
 
 def test_extension_determined_by_any_basis():
@@ -644,7 +645,8 @@ def test_apply_to_subspace_is_pointwise_image():
 
 def kernel(m):
     """Null space of a vector-mode map, as a canonical subspace."""
-    return span(m.field, VECTOR, nullspace_rows(m.field, m.matrix, m.domain_len),
+    rows = transpose(m.columns, m.codomain_len)
+    return span(m.field, VECTOR, nullspace_rows(m.field, rows, m.domain_len),
                 m.domain_len)
 
 
@@ -653,15 +655,16 @@ def test_rank_nullity():
     f = make_field(3)
     for _ in range(100):
         rows = tuple(bytes(rng.randrange(3) for _ in range(4)) for _ in range(2))
-        m = LinearMap(VECTOR, f, 4, 2, rows)
+        m = LinearMap(VECTOR, f, 4, 2, transpose(rows, 4))
         assert kernel(m).rank + image_space(m).rank == 4
 
 
 def test_image_space_modes():
     f = make_field(2)
-    m = LinearMap(VECTOR, f, 2, 2, vecs((1, 1), (0, 0)))
+    # both columns are (1, 0)
+    m = LinearMap(VECTOR, f, 2, 2, vecs((1, 0), (1, 0)))
     assert image_space(m) == span(f, VECTOR, [(1, 0)], 2)
-    ma = LinearMap(AFFINE, f, 2, 2, vecs((1, 1), (0, 0)), bytes((0, 1)))
+    ma = LinearMap(AFFINE, f, 2, 2, vecs((1, 0), (1, 0)), bytes((0, 1)))
     img = image_space(ma)
     assert img.mode == AFFINE
     assert set(img.points()) == {apply(ma, p) for p in all_points(f, 2)}
@@ -846,7 +849,8 @@ def test_mat_vec_matches_method_call_reference(q, density):
         rows = tuple(random_vec(rng, q, width, density)
                      for _ in range(rng.randint(0, 8)))
         v = random_vec(rng, q, width, density)
-        assert tuple(mat_vec(f, rows, v)) == ref_mat_vec(f, rows, v)
+        assert tuple(mat_vec(f, transpose(rows, width), v, bytes(len(rows)))) == \
+            ref_mat_vec(f, rows, v)
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
@@ -861,9 +865,12 @@ def test_vector_ops_match_method_calls(q, density):
         assert tuple(vec_add(f, a, b)) == tuple(f.add(x, y) for x, y in zip(a, b))
         assert tuple(vec_sub(f, a, b)) == tuple(f.sub(x, y) for x, y in zip(a, b))
         assert tuple(vec_scale(f, c, a)) == tuple(f.mul(c, x) for x in a)
+        # the product of two matrices, as the composition of their maps
         left = tuple(random_vec(rng, q, 4, density) for _ in range(3))
         right = tuple(random_vec(rng, q, n, density) for _ in range(4))
-        assert tup(mat_mul(f, left, right)) == tuple(
+        both = compose(LinearMap(VECTOR, f, 4, 3, transpose(left, 4)),
+                       LinearMap(VECTOR, f, n, 4, transpose(right, n)))
+        assert tup(transpose(both.columns, 3)) == tuple(
             ref_mat_vec(f, tuple(zip(*right)), row) if n else ()
             for row in left)
 
@@ -1024,14 +1031,16 @@ def ref_linear_extension(basis, imgs, codomain_len):
         src = [vec_sub(f, p, pts_all[0]) for p in pts_all[1:]]
         dst = [vec_sub(f, y, imgs_all[0]) for y in imgs_all[1:]]
     if domain_len:
-        mtx = mat_mul(f, ref_columns(dst, codomain_len),
-                      ref_mat_inv(f, ref_columns(src, domain_len)))
+        inv = ref_mat_inv(f, ref_columns(src, domain_len))
+        mtx = tuple(bytes(ref_mat_vec(f, ref_columns(inv, domain_len), row))
+                    for row in ref_columns(dst, codomain_len))
     else:
         mtx = (b"",) * codomain_len
+    cols = ref_columns(mtx, domain_len)
     if mode == VECTOR:
-        return LinearMap(VECTOR, f, domain_len, codomain_len, mtx)
-    t = vec_sub(f, imgs_all[0], mat_vec(f, mtx, pts_all[0]))
-    return LinearMap(AFFINE, f, domain_len, codomain_len, mtx, t)
+        return LinearMap(VECTOR, f, domain_len, codomain_len, cols)
+    t = vec_sub(f, imgs_all[0], bytes(ref_mat_vec(f, mtx, pts_all[0])))
+    return LinearMap(AFFINE, f, domain_len, codomain_len, cols, t)
 
 
 def random_independent(rng, f, mode, length, size, density):
@@ -1070,9 +1079,9 @@ def test_linear_extension_matches_inverse_reference(q, mode):
 def test_linear_extension_domain_len_zero():
     f = make_field(3)
     vec = linear_extension(BasisSet(VECTOR, f, ()), [], codomain_len=2)
-    assert tup(vec.matrix) == ((), ()) and vec.domain_len == 0
+    assert vec.columns == () and vec.codomain_len == 2
     aff = linear_extension(BasisSet(AFFINE, f, vecs(())), [(1, 2)])
-    assert tup(aff.matrix) == ((), ()) and tuple(aff.translation) == (1, 2)
+    assert aff.columns == () and tuple(aff.translation) == (1, 2)
     assert tuple(apply(aff, ())) == (1, 2)
 
 
@@ -1091,6 +1100,98 @@ def test_coordinate_map_matches_linear_extension(q, mode):
                 assert m == linear_extension(BasisSet(mode, f, basis), imgs,
                                              codomain_len=codomain_len)
                 assert [apply(m, p) for p in basis] == imgs
+
+
+# -- maps kept as their columns -------------------------------------------
+
+COLUMN_QS = (2, 3, 4, 16)
+
+
+def ref_column_product(f, columns, codomain_len, v, base):
+    """base + sum of v[j] * columns[j], one Field method call per entry."""
+    out = list(base)
+    for j, x in enumerate(v):
+        for i in range(codomain_len):
+            out[i] = f.add(out[i], f.mul(x, columns[j][i]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", COLUMN_QS)
+def test_mat_vec_matches_per_entry_reference_on_columns(q):
+    # wide maps (many short columns), tall ones (few long columns), and
+    # the empty domain and codomain
+    f = make_field(q)
+    rng = random.Random(f"columns:{q}")
+    shapes = ((40, 3), (385, 2), (3, 40), (2, 385), (0, 5), (5, 0), (0, 0))
+    for domain_len, codomain_len in shapes:
+        for density in DENSITIES:
+            cols = tuple(random_vec(rng, q, codomain_len, density)
+                         for _ in range(domain_len))
+            for base in (bytes(codomain_len), random_vec(rng, q, codomain_len, 0.5)):
+                for v in (bytes(domain_len), random_vec(rng, q, domain_len, density)):
+                    assert tuple(mat_vec(f, cols, v, base)) == \
+                        ref_column_product(f, cols, codomain_len, v, base)
+
+
+def random_map(rng, f, mode, domain_len, codomain_len):
+    cols = tuple(random_vec(rng, f.order, codomain_len, rng.choice(DENSITIES))
+                 for _ in range(domain_len))
+    t = random_vec(rng, f.order, codomain_len, 0.5) if mode == AFFINE else None
+    return LinearMap(mode, f, domain_len, codomain_len, cols, t)
+
+
+@pytest.mark.parametrize("q", COLUMN_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_compose_matches_pointwise_apply(q, mode):
+    f = make_field(q)
+    rng = random.Random(f"compose:{q}:{mode}")
+    for _ in range(30):
+        a, b, c = (rng.randint(0, 6) for _ in range(3))
+        inner, outer = random_map(rng, f, mode, a, b), random_map(rng, f, mode, b, c)
+        both = compose(outer, inner)
+        assert (both.domain_len, both.codomain_len) == (a, c)
+        # the origin and the unit vectors determine a map; random points too
+        points = [bytes(a), *space.identity_rows(a),
+                  *(random_vec(rng, q, a, 0.5) for _ in range(3))]
+        for x in points:
+            assert apply(both, x) == apply(outer, apply(inner, x))
+
+
+@pytest.mark.parametrize("q", COLUMN_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_coordinate_map_keeps_the_images_as_columns(q, mode):
+    # vector mode: the images are the columns; affine mode: the first is
+    # the translation and the columns are the others' offsets from it
+    f = make_field(q)
+    rng = random.Random(f"coordinate:{q}:{mode}")
+    for rank in range(1 if mode == AFFINE else 0, 5):
+        for codomain_len in (0, 1, 4):
+            imgs = [random_vec(rng, q, codomain_len, 0.5) for _ in range(rank)]
+            m = coordinate_map(f, mode, imgs, codomain_len)
+            if mode == VECTOR:
+                assert m.columns == tuple(imgs) and m.translation is None
+            else:
+                assert m.translation == imgs[0]
+                assert tup(m.columns) == tuple(ref_sub(f, y, imgs[0])
+                                               for y in imgs[1:])
+
+
+@pytest.mark.parametrize("columns, error, message", [
+    (vecs((1, 0)), ValueError, "matrix column count differs from domain_len"),
+    (vecs((1, 0), (0, 1), (1, 1)), ValueError,
+     "matrix column count differs from domain_len"),
+    (vecs((1, 0), (0, 1, 1)), ValueError,
+     "matrix column length differs from codomain_len"),
+    ((bytes((1, 0)), (0, 1)), TypeError, "matrix columns must be bytes, not tuple"),
+    (vecs((1, 0), (0, 2)), ValueError, "matrix entries out of field range"),
+], ids=["too_few", "too_many", "length", "type", "range"])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_linear_map_rejects_malformed_columns(columns, error, message, mode):
+    f = make_field(2)
+    t = bytes(2) if mode == AFFINE else None
+    LinearMap(mode, f, 2, 2, vecs((1, 0), (0, 1)), t)
+    with pytest.raises(error, match=f"^{message}$"):
+        LinearMap(mode, f, 2, 2, columns, t)
 
 
 # -- the RREF matrix walk against the generator it replaced ----------------
@@ -1355,7 +1456,8 @@ def test_image_space_matches_image_of_full_space(q, mode):
         mtx = tuple(random_vec(rng, q, domain_len, density)
                     for _ in range(codomain_len))
         t = random_vec(rng, q, codomain_len, 0.5) if mode == AFFINE else None
-        m = LinearMap(mode, f, domain_len, codomain_len, mtx, t)
+        m = LinearMap(mode, f, domain_len, codomain_len,
+                      ref_columns(mtx, domain_len), t)
         domain = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
         assert image_space(m) == apply(m, domain)
 
@@ -1426,7 +1528,8 @@ def test_byte_kernels_match_tuple_references(q):
         for rows, v in ((vs[2:], vs[3]),
                         (tuple(random_vec(rng, q, 3, 0.5) for _ in range(width)),
                          random_vec(rng, q, 3, 0.7))):
-            assert tuple(mat_vec(f, rows, v)) == ref_mat_vec(f, rows, v)
+            assert tuple(mat_vec(f, transpose(rows, len(v)), v,
+                                 bytes(len(rows)))) == ref_mat_vec(f, rows, v)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_QS)
@@ -1465,11 +1568,11 @@ def test_byte_membership_and_keys_match_tuple_references(q):
     lambda f: Subspace(VECTOR, f, 2, ((1, 0),)),
     lambda f: Subspace(VECTOR, f, 2, (bytearray((1, 0)),)),
     lambda f: Subspace(AFFINE, f, 2, vecs((1, 0)), (0, 1)),
-    lambda f: LinearMap(VECTOR, f, 2, 1, ((1, 0),)),
-    lambda f: LinearMap(AFFINE, f, 2, 1, vecs((1, 0)), (1,)),
+    lambda f: LinearMap(VECTOR, f, 2, 1, ((1,), (0,))),
+    lambda f: LinearMap(AFFINE, f, 2, 1, vecs((1,), (0,)), (1,)),
     lambda f: BasisSet(VECTOR, f, ((1, 0),)),
 ], ids=["subspace_row", "subspace_bytearray_row", "subspace_basepoint",
-        "map_row", "map_translation", "basis_point"])
+        "map_column", "map_translation", "basis_point"])
 def test_value_types_reject_non_bytes_vectors(make):
     # a tuple would compare unequal to the bytes of the same entries, so
     # an equality or dictionary lookup would fail without any error
