@@ -19,13 +19,13 @@ from .arrow import (ArrowInstance, arrow_holds, induced_host_verify,
 from .budget import Budget, BudgetExceededError
 from .construction import (ExtractionFailure, HostSpec, auto_word_length,
                            build_base_host, build_product_host,
-                           extract_monochromatic_copy, host_bundle,
-                           host_from_json)
+                           bundle_text, extract_monochromatic_copy,
+                           host_from_text)
 from .field import make_field
 from .hales_jewett import hj_number
-from .space import (SizeCapError, Subspace, enumerate_subspaces, full_space,
+from .space import (SizeCapError, enumerate_subspaces, full_space,
                     guard_subspace_count, iter_subspaces, json_expect,
-                    json_int, json_text)
+                    json_int)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -50,43 +50,8 @@ def _emit(obj: dict, path: str | None = None) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    """Write the same bytes as json.dump(obj) plus a newline, where a
-    Subspace stands for its to_json().
-
-    json.dump runs the pure-Python encoder; json.dumps runs the C one.
-    But json.dumps gathers one string object per number before joining
-    them, so encoding a whole bundle, or even its member list, at once
-    costs far more memory than the text.  Objects are therefore written
-    piece by piece, and each element of a list of containers (a member,
-    a row of numbers) with one call: an element is a few KB of text at
-    most.  A subspace is written from its bytes by `json_text`.
-    """
     with open(path, "w", encoding="utf-8") as fh:
-        _stream_json(fh, obj)
-        fh.write("\n")
-
-
-def _element_text(value) -> str:
-    return json_text(value) if isinstance(value, Subspace) else json.dumps(value)
-
-
-def _stream_json(fh, obj) -> None:
-    if isinstance(obj, Subspace):
-        fh.write(json_text(obj))
-    elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict, Subspace)):
-        fh.write("[")
-        for i, value in enumerate(obj):
-            fh.write(", " + _element_text(value) if i else _element_text(value))
-        fh.write("]")
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        fh.write("{")
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(", " if i else "")
-            fh.write(json.dumps(key) + ": ")
-            _stream_json(fh, value)
-        fh.write("}")
-    else:
-        fh.write(json.dumps(obj))
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _budget(args) -> Budget:
@@ -198,7 +163,8 @@ def cmd_construct(args) -> int:
                    "reason": "word length search found no bound in range"})
             return EXIT_UNKNOWN
     host = build_product_host(base, word_len)
-    _write_json(args.out, host_bundle(host))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(bundle_text(host))
     _emit({
         "command": "construct", "out": args.out, "word_len": word_len,
         "rank_block_space": base.space.rank, "rank_equalizer": host.space.rank,
@@ -211,7 +177,7 @@ def cmd_construct(args) -> int:
 
 def _load_host(path: str):
     with open(path, encoding="utf-8") as fh:
-        return host_from_json(json.load(fh))
+        return host_from_text(fh.read())
 
 
 def cmd_verify(args) -> int:

@@ -17,7 +17,8 @@ a bug, never a tolerable condition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 
 from .arrow import (ConfigFamily, find_monochromatic_subspace,
                     isomorphism_images, member_lookup)
@@ -28,7 +29,7 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, Vec, apply, combination_points,
                     complement, compose, coordinate_map, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    identity_map, image_space, json_expect, json_int,
+                    identity_map, image_space, json_expect, json_int, json_text,
                     linear_extension, mat_vec, nullspace_rows, span,
                     transpose, vec_scale, vec_sub)
 
@@ -439,7 +440,8 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
     the flatten/section pair is a mutually inverse isomorphism compatible
     with both projections, the line's word spaces map bijectively onto
     the covers, and the family members inside the copy map bijectively
-    onto the cover k-spaces.
+    onto the cover k-spaces.  Subspaces are compared as canonical forms,
+    which are equal exactly when their keys are, so no key is formatted.
     """
     base = host.base
     f = base.field
@@ -496,39 +498,36 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
             raise ConstructionCheckError("section is not inverse on the copy")
         if apply(host.projection, p) != apply(pi, apply(flatten, p)):
             raise ConstructionCheckError("projections disagree on the copy")
-    if apply(flatten, copy).key() != base.space.key():
+    if apply(flatten, copy) != base.space:
         raise ConstructionCheckError("the copy does not flatten onto the "
                                      "block space")
 
     # (b) word spaces correspond to covers; each is spanned, as members
     # are written, by the word's section points over the base basis points
     word_spaces = []
-    seen_words = set()
     for s in range(t):
         secs = [base.sections[c] for c in line.word(s)]
         pts = [b"".join([sec[i] for sec in secs]) for i in at]
         ws = span(f, mode, pts, total)
         if any(not copy.is_member(p) for p in ws.basis_points()):
             raise ConstructionCheckError("a word space leaves the copy")
-        if apply(flatten, ws).key() != base.covers[s].key():
+        if apply(flatten, ws) != base.covers[s]:
             raise ConstructionCheckError("a word space misses its cover")
-        if apply(section, base.covers[s]).key() != ws.key():
+        if apply(section, base.covers[s]) != ws:
             raise ConstructionCheckError("section misses a word space")
-        seen_words.add(ws.key())
         word_spaces.append(ws)
-    if len(seen_words) != t:
+    if len(set(word_spaces)) != t:
         raise ConstructionCheckError("word spaces are not distinct")
 
-    # (c) members inside the copy correspond to cover k-spaces
+    # (c) members inside the copy correspond to cover k-spaces.  By (a)
+    # flatten is a left inverse of section, so section is injective and
+    # flatten carries each section image back to its g; members are
+    # distinct ("member tuples collided").  So the members inside are the
+    # section images exactly when g -> section(g) is a bijection onto them
     inside = [m for m in host.members if copy.contains_subspace(m)]
-    flat_keys = {apply(flatten, s).key() for s in inside}
-    g_keys = {g.key() for g in base.cover_k_spaces}
-    if flat_keys != g_keys or len(inside) != len(g_keys):
+    if set(inside) != {apply(section, g) for g in base.cover_k_spaces}:
         raise ConstructionCheckError("copy members do not biject onto the "
                                      "cover k-spaces")
-    if {apply(section, g).key() for g in base.cover_k_spaces} != \
-            {s.key() for s in inside}:
-        raise ConstructionCheckError("section misses a copy member")
     return LineEmbedding(line, copy, flatten, section, tuple(word_spaces),
                          tuple(inside))
 
@@ -664,42 +663,60 @@ def auto_word_length(cover_count: int, num_colors: int, pattern_slots: int,
 # ---------------------------------------------------------------------------
 # bundle serialization
 
-def host_bundle(host: ProductHost) -> dict:
-    """The bundle's fields in file order: the spec with its word length
-    resolved, then X, H and the fibers, with X and H as subspaces.
+_HEAD = '{"spec": '
 
-    `host_to_json` turns X and H into JSON data; the command line writes
-    them from their keys instead.
+
+def bundle_text(host: ProductHost):
+    """The bundle file's text in pieces: json.dumps of the spec with its
+    word length resolved, X, H and the fibers, plus a newline.
+
+    The head holds the spec and X, then each member of H is one piece.
+    X and the members are written from their bytes (`json_text`), so the
+    whole text is never held at once.  This is the format's one writer:
+    `host_to_json` parses it, and `host_from_text` compares files with it.
     """
-    spec = host.spec
-    resolved = HostSpec(spec.q, spec.mode, spec.colored_rank, spec.target_rank,
-                        spec.num_colors, spec.family, spec.base_rank,
-                        host.word_len)
-    return {
-        "spec": resolved.to_json(),
-        "X": host.space,
-        "H": list(host.members),
-        "fibers": [list(fb) for fb in host.fibers],
-    }
+    resolved = replace(host.spec, word_len=host.word_len)
+    yield (_HEAD + json.dumps(resolved.to_json()) + ', "X": '
+           + json_text(host.space) + ', "H": [')
+    for i, m in enumerate(host.members):
+        yield ", " + json_text(m) if i else json_text(m)
+    yield '], "fibers": ' + json.dumps([list(fb) for fb in host.fibers]) + "}\n"
 
 
 def host_to_json(host: ProductHost) -> dict:
-    """The bundle as JSON data."""
-    bundle = host_bundle(host)
-    return {**bundle, "X": bundle["X"].to_json(),
-            "H": [m.to_json() for m in bundle["H"]]}
+    """The bundle as JSON data: the parsed `bundle_text`."""
+    return json.loads("".join(bundle_text(host)))
 
 
-def host_from_json(data: dict) -> ProductHost:
-    """Rebuild the host from the bundle's spec; ValueError if the file differs.
+def host_from_text(text: str) -> ProductHost:
+    """Rebuild the host from a bundle file's spec; ValueError if the file differs.
 
     Every field of a loaded host is thus re-derived and re-verified by the
-    construction instead of trusted from disk."""
-    json_expect(data, dict, "a host bundle")
-    spec = HostSpec.from_json(data["spec"])
+    construction instead of trusted from disk.  Text as `bundle_text`
+    writes it has only its spec decoded, and is compared in place piece by
+    piece.  Other text is parsed and compared as data: equal data in
+    another layout loads, and the error names each section that differs.
+    """
+    data = None
+    if text.startswith(_HEAD):
+        spec_data = json.JSONDecoder().raw_decode(text, len(_HEAD))[0]
+    else:
+        data = json_expect(json.loads(text), dict, "a host bundle")
+        spec_data = data["spec"]
+    spec = HostSpec.from_json(spec_data)
     if spec.word_len is None:
         raise ValueError("bundle spec must carry a resolved word length")
     host = build_product_host(build_base_host(spec), spec.word_len)
+    at = 0
+    for piece in bundle_text(host):
+        if not text.startswith(piece, at):
+            break
+        at += len(piece)
+    else:
+        if at == len(text):
+            return host
+    if data is None:
+        data = json_expect(json.loads(text), dict, "a host bundle")
     rebuilt = host_to_json(host)
     if rebuilt != data:
         diffs = [f"{key} ({'missing' if key not in data else 'differs'})"
@@ -708,3 +725,9 @@ def host_from_json(data: dict) -> ProductHost:
         raise ValueError("bundle differs from the host rebuilt from its spec: "
                          + ", ".join(diffs))
     return host
+
+
+def host_from_json(data: dict) -> ProductHost:
+    """`host_from_text` of json.dumps(data): a parsed bundle dumps back to
+    the text `construct` wrote, so it loads with only its spec decoded."""
+    return host_from_text(json.dumps(data) + "\n")

@@ -937,6 +937,74 @@ def test_stale_bundle_section_exits_4(bundle_path, capsys):
     assert "pi (unexpected)" in captured.err
 
 
+def load_runs(bundle, tmp_path):
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"constant": 0}))
+    return (["verify", "--bundle", str(bundle)],
+            ["extract", "--bundle", str(bundle), "--coloring", str(col)])
+
+
+def test_loading_a_written_bundle_decodes_only_its_spec(bundle_path, tmp_path,
+                                                       monkeypatch):
+    # every JSON decode, json.load and json.loads included, goes through
+    # raw_decode: record its input's length and how much of it was read
+    decoded = []
+    real = json.JSONDecoder.raw_decode
+
+    def recording(self, s, idx=0):
+        obj, end = real(self, s, idx)
+        decoded.append((len(s), end - idx))
+        return obj, end
+
+    text = bundle_path.read_text()
+    spec_len = len(json.dumps(json.loads(text)["spec"]))
+    for argv in load_runs(bundle_path, tmp_path):
+        decoded.clear()
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert (len(text), spec_len) in decoded
+        assert max(read for _, read in decoded) == spec_len
+
+
+def reverse_keys(obj):
+    if isinstance(obj, dict):
+        return {k: reverse_keys(obj[k]) for k in reversed(obj)}
+    return [reverse_keys(v) for v in obj] if isinstance(obj, list) else obj
+
+
+@pytest.mark.parametrize("layout", [
+    lambda data: json.dumps(data, indent=1),
+    lambda data: json.dumps(reverse_keys(data)) + "\n",
+    lambda data: json.dumps({**data, "spec": reverse_keys(data["spec"])}) + "\n",
+    lambda data: json.dumps(data),
+], ids=["indent", "keys_reversed", "spec_keys_reversed", "no_final_newline"])
+def test_equal_bundle_in_another_layout_loads(bundle_path, tmp_path, capsys,
+                                              layout):
+    runs = load_runs(bundle_path, tmp_path)
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    bundle_path.write_text(layout(json.loads(bundle_path.read_text())))
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("change", [
+    lambda text: text + "{}\n",
+    lambda text: text.replace('"N1": 1', '"N1": 2', 1),
+], ids=["bytes_after_the_brace", "spec_entry"])
+def test_differing_bundle_text_exits_4(bundle_path, tmp_path, capsys, change):
+    text = bundle_path.read_text()
+    assert change(text) != text
+    bundle_path.write_text(change(text))
+    for argv in load_runs(bundle_path, tmp_path):
+        code, _, out = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+
+
 @pytest.mark.parametrize("flag", ["--bundle", "--spec", "--coloring"])
 def test_non_object_json_input_exits_4(bundle_path, tmp_path, capsys, flag):
     bad = tmp_path / "bad.json"

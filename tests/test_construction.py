@@ -734,6 +734,38 @@ def test_line_embedding_trivial_word():
     assert emb.space == host.space
 
 
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
+def test_line_embedding_checks_format_no_key(make_spec, monkeypatch):
+    # checks (a)-(c) compare canonical subspaces by value
+    host = build_product_host(build_base_host(make_spec(2)), 2)
+    lines = list(iter_lines(host))
+    expected = [line_embedding(host, line) for line in lines]
+
+    def no_key(self):
+        raise AssertionError("line_embedding formatted a key")
+
+    monkeypatch.setattr(space.Subspace, "key", no_key)
+    assert [line_embedding(host, line) for line in lines] == expected
+
+
+@pytest.mark.parametrize("case", ["extra", "missing", "replaced"])
+def test_check_c_fires_when_the_members_inside_the_copy_differ(case):
+    host = build_product_host(build_base_host(vector_spec(2)), 2)
+    line = next(iter_lines(host))
+    emb = line_embedding(host, line)
+    # a point of the copy off every cover k-space's section image
+    covered = set(host.base.cover_k_spaces)
+    extra = next(apply(emb.section, s)
+                 for s in enumerate_subspaces(host.base.space, 1)
+                 if s not in covered)
+    kept = tuple(m for m in host.members if m != emb.host_members[0])
+    members = {"extra": host.members + (extra,), "missing": kept,
+               "replaced": kept + (extra,)}[case]
+    with pytest.raises(construction.ConstructionCheckError,
+                       match="copy members do not biject"):
+        line_embedding(dataclasses.replace(host, members=members), line)
+
+
 # -- extraction -----------------------------------------------------------------
 
 
