@@ -23,9 +23,8 @@ from .construction import (ExtractionFailure, HostSpec, auto_word_length,
                            host_from_text)
 from .field import make_field
 from .hales_jewett import hj_number
-from .space import (SizeCapError, enumerate_subspaces, full_space,
-                    guard_subspace_count, iter_subspaces, json_expect,
-                    json_int)
+from .space import (SizeCapError, count_walk, enumerate_subspaces,
+                    full_space, guard_subspace_count, json_expect, json_int)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -76,20 +75,19 @@ def _space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["vector", "affine"], required=True)
 
 
-def _guarded_space(args):
-    """The rank-N coordinate space, built only after the size guard passes.
+def _guarded_field(args):
+    """The field, once the size guard has passed on the space's shape.
 
-    The guard reads the space's shape alone, so a refused count builds
-    no N x N identity.
+    The guard reads the shape alone, so a refused count builds nothing.
     """
     f = make_field(args.q)
     count = guard_subspace_count(f, args.mode, args.N, args.k)
-    return full_space(f, args.mode, args.N), count
+    return f, count
 
 
 def cmd_count(args) -> int:
-    ambient, formula = _guarded_space(args)
-    enumerated = sum(1 for _ in iter_subspaces(ambient, args.k, keyed=False))
+    f, formula = _guarded_field(args)
+    enumerated = count_walk(f, args.mode, args.N, args.k)
     obj = {
         "command": "count", "q": args.q, "mode": args.mode,
         "N": args.N, "k": args.k,
@@ -101,7 +99,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ambient, _ = _guarded_space(args)
+    f, _ = _guarded_field(args)
+    ambient = full_space(f, args.mode, args.N)
     # the keyed walk has formatted every key; at these widths spacing a
     # key's separators is cheaper than writing the text anew (`json_text`)
     lines = [s.key().replace(",", ", ").replace(":", ": ")

@@ -23,9 +23,15 @@ item may use at most one more than the largest color used before it.
 Items: for each given generator g, a permutation of the items that maps
 the families onto themselves, c* o g is proper too, so c* <=lex c* o g
 and the search may demand c <=lex c o g (the lex-leader constraints of
-Crawford, Ginsberg, Luks & Roy 1996).  Each generator keeps a pointer
-to its first position p whose pair (p, g(p)) is not settled equal, and
-waits on the item whose coloring next changes that pair.  Once p is
+Crawford, Ginsberg, Luks & Roy 1996).  Before the search, each g is
+checked to permute the items and to map the families onto themselves:
+g passes when the key of every family's image is a family's key.  The
+keys are bitmasks, a family's mask the OR of `1 << item` over its
+members, unless a table of one bit per item would outweigh the family
+masks (many items, few families); then they are frozensets.  Each
+generator keeps a pointer to its first position p whose pair (p, g(p))
+is not settled equal, and waits on the item whose coloring next changes
+that pair.  Once p is
 colored, the colors below c[p] are forbidden at g(p), in the same masks
 and trail as the forward check; once both are colored, a smaller c[p]
 satisfies the constraint for good and an equal one moves the pointer
@@ -41,6 +47,9 @@ the node cap, so the cap trips at exactly `max_nodes + 1` and
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import or_
+
 from .budget import Budget, ensure_budget
 
 _CHUNK = 4096
@@ -54,22 +63,64 @@ def _chunk(bud: Budget) -> int:
     return max(room, 1)
 
 
-def _lex_leader_generators(item_count: int, family_set, generators
+def _masks(columns, image):
+    """The bitmask of each family of one size, read through `image`.
+
+    `columns[j]` holds the j-th member of every family; a family's mask
+    is the OR of `image[member]` over its members.
+    """
+    masks = [0] * len(columns[0])
+    for column in columns:
+        masks = list(map(or_, masks, map(image.__getitem__, column)))
+    return masks
+
+
+def _image_keys(item_count: int, fams):
+    """A function giving, for a permutation of the items, a key for the
+    image of each nonempty family; keys are equal exactly when member
+    sets are.
+
+    The keys are bitmasks when a table of one mask per item (about
+    item_count**2 / 16 bytes) costs no more than the family masks
+    (item_count / 8 bytes per family): the families are grouped by size
+    and transposed into columns once, and a family's mask is the OR of
+    its members' masks.  Otherwise they are frozensets.
+    """
+    fams = [members for members in fams if members]
+    if item_count > 2 * len(fams):
+        return lambda perm: (frozenset(map(perm.__getitem__, members))
+                             for members in fams)
+    by_size = {}
+    for members in fams:
+        by_size.setdefault(len(members), []).append(members)
+    groups = [list(zip(*group)) for group in by_size.values()]
+
+    def keys(perm):
+        image = [1 << p for p in perm]
+        return chain.from_iterable(_masks(columns, image)
+                                   for columns in groups)
+    return keys
+
+
+def _lex_leader_generators(item_count: int, fams, generators
                            ) -> list[tuple[tuple[int, ...], list[int]]]:
     """(permutation, positions it moves) of each non-identity generator.
 
     ValueError unless every generator permutes the items and maps the
-    family set onto itself: that is what makes its constraint sound.
+    families onto themselves: that is what makes its constraint sound.
+    A bijection maps distinct families to distinct keys (`_image_keys`),
+    so the image keys lie in the family keys exactly when the image
+    families lie in the families; the empty family is its own image.
     """
+    image_keys = _image_keys(item_count, fams)
+    family_keys = set(image_keys(range(item_count)))
     out = []
     items = list(range(item_count))
     for gen in generators:
         perm = tuple(gen)
         if sorted(perm) != items:
             raise ValueError("generator is not a permutation of the items")
-        image = perm.__getitem__
-        if not family_set.issuperset(frozenset(map(image, fam))
-                                     for fam in family_set):
+        if not family_keys.issuperset(image_keys(perm)):
             raise ValueError("generator maps a family outside the families")
         moved = [p for p in items if perm[p] != p]
         if moved:
@@ -154,8 +205,7 @@ def find_proper_coloring(item_count: int,
         fams.append(members)
     gens = []
     if generators:
-        gens = _lex_leader_generators(item_count, set(map(frozenset, fams)),
-                                      generators)
+        gens = _lex_leader_generators(item_count, fams, generators)
     forbidden = [0] * item_count  # bitmask of the colors ruled out per item
     # triggers[s]: (bitmask of the members below s, highest member) of each
     # family whose second-highest member is s

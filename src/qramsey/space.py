@@ -748,16 +748,50 @@ def _walk_keys(f: Field, mode: str, d: int, choices, bases):
     return map((fmt + "}").__mod__, itertools.product(*texts))
 
 
+def _full_walk(f: Field, mode: str, k: int, d: int):
+    """The rank-k subspaces of the full coordinate space on d columns.
+
+    Yields (choices, bases, flats) for each checked pivot pattern of
+    `_rref_patterns`: the rows' options, the pattern's `_coset_bases`
+    (None in vector mode), and an iterator over its subspaces in walk
+    order, as row tuples (vector mode) or (rows, basepoint) pairs with
+    the basepoints fastest.  Nothing is built but those tuples.
+    """
+    affine = mode == AFFINE
+    if affine and k == 0:
+        return  # no empty flats; mirrors count_subspaces
+    for piv, choices in _rref_patterns(f, k - 1 if affine else k, d):
+        matrices = itertools.product(*choices)
+        if affine:
+            bases = _coset_bases(f, d, piv)
+            yield choices, bases, itertools.product(matrices, bases)
+        else:
+            yield choices, None, matrices
+
+
+def count_walk(f: Field, mode: str, rank: int, k: int) -> int:
+    """The number of rank-k subspaces of the rank-`rank` coordinate space
+    (`full_space`), counted by iterating the checked walk
+    `iter_subspaces` takes over it.
+
+    Builds no Subspace, so it is a count of the walk, not a second
+    closed form (`count_subspaces`).  Checks neither the mode nor any
+    cap: callers run `guard_subspace_count` first.
+    """
+    walk = _full_walk(f, mode, k, rank - (mode == AFFINE))
+    return sum(sum(1 for _ in flats) for _, _, flats in walk)
+
+
 def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
     """The rank-k subspaces of `ambient`, unsorted.
 
     Over a full coordinate space, walks RREF matrices (and coset
-    representatives in affine mode).  These are already canonical, and
-    each pattern's row choices and basepoints are checked once, so its
-    subspaces skip the per-object check.  When `keyed`, the walk also
-    presets each subspace's key from its pattern's formatted rows
-    (`_walk_keys`), for callers that sort; an unkeyed walk formats no
-    key.  A proper ambient's subspaces are the unkeyed walk over the
+    representatives in affine mode) by `_full_walk`.  These are already
+    canonical, and each pattern's row choices and basepoints are checked
+    once, so its subspaces skip the per-object check.  When `keyed`, the
+    walk also presets each subspace's key from its pattern's formatted
+    rows (`_walk_keys`), for callers that sort; an unkeyed walk formats
+    no key.  A proper ambient's subspaces are the unkeyed walk over the
     coordinate space of its rank, carried through its basis map by
     `apply`, which re-canonicalizes and checks each and keys none.
     Checks no cap: callers run `guard_subspace_count` first.
@@ -766,18 +800,13 @@ def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len
     if is_full:
-        if ambient.mode == VECTOR:
-            for _, choices in _rref_patterns(f, k, d):
-                keys = (_walk_keys(f, VECTOR, d, choices, None) if keyed
-                        else itertools.repeat(None))
-                for rows, key in zip(itertools.product(*choices), keys):
+        for choices, bases, flats in _full_walk(f, ambient.mode, k, d):
+            keys = (_walk_keys(f, ambient.mode, d, choices, bases) if keyed
+                    else itertools.repeat(None))
+            if bases is None:
+                for rows, key in zip(flats, keys):
                     yield _unchecked_subspace(VECTOR, f, d, rows, None, key)
-        elif k > 0:  # no empty flats; mirrors count_subspaces
-            for piv, choices in _rref_patterns(f, k - 1, d):
-                bases = _coset_bases(f, d, piv)
-                keys = (_walk_keys(f, AFFINE, d, choices, bases) if keyed
-                        else itertools.repeat(None))
-                flats = itertools.product(itertools.product(*choices), bases)
+            else:
                 for (rows, b), key in zip(flats, keys):
                     yield _unchecked_subspace(AFFINE, f, d, rows, b, key)
     else:

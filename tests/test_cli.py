@@ -17,8 +17,8 @@ import time
 import pytest
 
 import qramsey
-from qramsey import (AFFINE, VECTOR, ConfigFamily, HostSpec, arrow,
-                     construction, enumerate_subspaces, full_space,
+from qramsey import (AFFINE, POINT_CAP, VECTOR, ConfigFamily, HostSpec,
+                     arrow, construction, enumerate_subspaces, full_space,
                      host_from_json, induced_host_verify, make_field, space,
                      span)
 from qramsey.cli import COMMANDS, _write_json, build_parser, main
@@ -220,6 +220,41 @@ def test_count_builds_no_keys(capsys, monkeypatch):
                        '"match": true}\n' % (mode, big_n, k, count, count))
 
 
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_count_builds_no_subspace(capsys, monkeypatch, mode):
+    # count iterates the walk's row tuples (and basepoints); it never
+    # builds the subspaces that enumerate lists
+    def build(*args):
+        raise AssertionError("a subspace was built")
+
+    monkeypatch.setattr(space, "_unchecked_subspace", build)
+    for q, big_n, k in [(3, "4", "2"), (4, "3", "1"), (2, "5", "3")]:
+        code, lines, _ = run_cli(capsys, "count", "--q", str(q), "--mode",
+                                 mode, "--N", big_n, "--k", k)
+        assert code == 0 and lines[0]["match"] is True
+        assert lines[0]["count_enumerated"] == lines[0]["count_formula"] > 1
+    with pytest.raises(AssertionError, match="a subspace was built"):
+        main(["enumerate", "--q", "3", "--mode", mode, "--N", "4", "--k", "2"])
+
+
+@pytest.mark.parametrize("mode,check", [(VECTOR, "_check_pattern"),
+                                        (AFFINE, "_check_pattern"),
+                                        (AFFINE, "_check_bases")])
+def test_count_runs_the_walk_checks(capsys, monkeypatch, mode, check):
+    # the count is taken over checked row options and basepoints, so a
+    # failing check fails count as it fails enumerate
+    def refuse(*args):
+        raise ValueError(f"{check} ran")
+
+    monkeypatch.setattr(space, check, refuse)
+    for command in ("count", "enumerate"):
+        code = main([command, "--q", "3", "--mode", mode, "--N", "4",
+                     "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert f"{check} ran" in captured.err
+
+
 # -- arrow --------------------------------------------------------------------
 
 
@@ -309,6 +344,20 @@ def test_hj_size_cap(capsys):
     assert code == 2
     assert lines == [{"command": "hj", "error": "size_cap",
                       "message": "1000000 words of length 2, cap 65536"}]
+
+
+@pytest.mark.parametrize("t,nmax,nodes", [("65536", "1", 65536),
+                                           ("256", "2", 65794)])
+def test_hj_at_the_word_cap(capsys, t, nmax, nodes):
+    # POINT_CAP words at the last length: one line of them all at t = 65536,
+    # 1028 lines of 256 at t = 256; both are 2-colorable
+    start = time.perf_counter()
+    code, lines, _ = run_cli(capsys, "hj", "--t", t, "--l", "2",
+                             "--nmax", nmax)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert lines[0]["value"] is None and lines[0]["nodes_explored"] == nodes
+    assert len(lines[0]["witness"]["colors"]) == POINT_CAP
 
 
 # -- construct / verify / extract -------------------------------------------------

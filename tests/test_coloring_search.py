@@ -16,12 +16,15 @@ budget is shared by several searches.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from qramsey import (VECTOR, ArrowInstance, Budget, BudgetExceededError,
-                     arrow_holds, enumerate_lines, find_proper_coloring,
-                     hj_number, line_free_coloring, min_arrow_N, word_index)
+from qramsey import (POINT_CAP, VECTOR, ArrowInstance, Budget,
+                     BudgetExceededError, arrow_holds, coloring_search,
+                     enumerate_lines, find_proper_coloring, hj_number,
+                     line_free_coloring, min_arrow_N, word_generators,
+                     word_index)
 
 
 def chronological(item_count, num_colors, families, budget=None,
@@ -291,6 +294,111 @@ def test_generators_are_validated():
         find_proper_coloring(3, 2, fams, generators=[[1, 0, 2]])
     with pytest.raises(ValueError, match="outside the families"):
         find_proper_coloring(3, 2, fams, generators=[[2, 1, 0], [0, 2, 1]])
+
+
+def frozenset_generators(item_count, fams, generators):
+    """The generator check on one frozenset per family and generator, the
+    reference for the engine's check on family keys."""
+    family_set = set(map(frozenset, fams))
+    out = []
+    items = list(range(item_count))
+    for gen in generators:
+        perm = tuple(gen)
+        if sorted(perm) != items:
+            raise ValueError("generator is not a permutation of the items")
+        image = perm.__getitem__
+        if not family_set.issuperset(frozenset(map(image, fam))
+                                     for fam in family_set):
+            raise ValueError("generator maps a family outside the families")
+        moved = [p for p in items if perm[p] != p]
+        if moved:
+            out.append((perm, moved))
+    return out
+
+
+def generator_outcome(check, item_count, fams, generators):
+    """What a generator check returns, or the message it raises."""
+    try:
+        return check(item_count, fams, generators)
+    except ValueError as exc:
+        return str(exc)
+
+
+def short_cycle_hypergraph(rng, max_items):
+    """(items, families, automorphism): families of 1 to 6 members closed
+    under a product of disjoint 2-, 3- and 4-cycles, whose order divides
+    12, so no orbit is longer than 12 at any item count."""
+    n = rng.randint(1, max_items)
+    perm = list(range(n))
+    pool = rng.sample(range(n), rng.randint(0, n))
+    while len(pool) >= 2:
+        cycle = [pool.pop() for _ in range(min(rng.randint(2, 4), len(pool)))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+    fams = set()
+    for _ in range(rng.randint(1, 20)):
+        fam = frozenset(rng.sample(range(n), rng.randint(1, min(6, n))))
+        for _ in range(12):
+            fams.add(fam)
+            fam = frozenset(perm[i] for i in fam)
+    return n, [sorted(f) for f in fams], perm
+
+
+def test_bitmask_generator_check_matches_the_frozenset_check():
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    key_kinds = {int: 0, frozenset: 0}
+    for trial in range(400):
+        if trial % 2:
+            n, fams, gens = random_symmetric_hypergraph(rng, max_items=12)
+        else:
+            n, fams, auto = short_cycle_hypergraph(rng, max_items=300)
+            gens = [auto]
+        # repeated families, and now and then the empty family, in the
+        # sorted member lists the engine passes
+        fams = fams + [rng.choice(fams) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.1:
+            fams.append([])
+        fams = [sorted(set(f)) for f in fams]
+        keys = coloring_search._image_keys(n, fams)(range(n))
+        key_kinds[type(next(iter(keys)))] += 1
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        candidates = [*gens, shuffled, list(range(n)), list(range(n + 1))]
+        if n >= 2:
+            spoiled = list(rng.choice(gens))
+            i, j = rng.sample(range(n), 2)
+            spoiled[i], spoiled[j] = spoiled[j], spoiled[i]
+            candidates.append(spoiled)
+        for generators in [[g] for g in candidates] + [gens, candidates]:
+            got = generator_outcome(coloring_search._lex_leader_generators,
+                                    n, fams, generators)
+            want = generator_outcome(frozenset_generators, n, fams, generators)
+            assert got == want, (n, fams, generators)
+            verdicts[isinstance(got, list)] += 1
+    # both verdicts and both kinds of key are common, so neither side of
+    # the check goes untested
+    assert min(verdicts.values()) > 500, verdicts
+    assert min(key_kinds.values()) > 100, key_kinds
+
+
+@pytest.mark.parametrize("length,t", [(1, POINT_CAP), (2, 256)])
+def test_generator_check_stays_small_on_many_items(length, t):
+    # POINT_CAP words: at length 1 one line holds them all, at length 2
+    # there are 1028 lines of 256.  A table of one bitmask per word would
+    # take about 286 MB.
+    families = [sorted(word_index(w, t) for w in line.words(t))
+                for line in enumerate_lines(length, t)]
+    generators = word_generators(length, t)
+    tracemalloc.start()
+    try:
+        got = coloring_search._lex_leader_generators(t ** length, families,
+                                                     generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert got == frozenset_generators(t ** length, families, generators)
 
 
 def test_edge_cases():

@@ -274,6 +274,45 @@ def test_detects_stray_unchecked_reference():
     assert stray_references(tree, "arrow.py") == [3, 5, 7, 8]
 
 
+# -- one walk over a pattern's row choices --------------------------------
+#
+# `count` counts the walk that `enumerate` lists: both take the product of
+# each pivot pattern's row choices in space._full_walk.  A second product
+# over the choices would be a second walk, free to drift from the first.
+
+
+def choice_products(tree: ast.Module) -> list[str | None]:
+    """The top-level definition (None for module code) around each
+    `product(*choices)` call."""
+    out = []
+    for node in tree.body:
+        name = getattr(node, "name", None)
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call)
+                    and (getattr(call.func, "attr", None) == "product"
+                         or getattr(call.func, "id", None) == "product")
+                    and any(isinstance(a, ast.Starred)
+                            and isinstance(a.value, ast.Name)
+                            and a.value.id == "choices" for a in call.args)):
+                out.append(name)
+    return out
+
+
+def test_row_choices_are_walked_once():
+    tree = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
+    assert choice_products(tree) == ["_full_walk"]
+
+
+def test_detects_a_second_walk():
+    tree = ast.parse("def _full_walk(choices):\n"
+                     "    return itertools.product(*choices)\n"
+                     "def count(choices, texts):\n"
+                     "    product(*texts)\n"
+                     "    return sum(1 for _ in product(*choices))\n"
+                     "ROWS = itertools.product(*choices)\n")
+    assert choice_products(tree) == ["_full_walk", "count", None]
+
+
 # -- defaulted parameters that no call passes -----------------------------
 #
 # A parameter whose default every caller keeps is a knob no one turns; the

@@ -1335,6 +1335,20 @@ def test_keyed_walk_presets_the_checked_keys(q, mode):
             assert [s.key() for s in listed] == sorted(t.key() for t in fresh)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_count_walk_counts_the_walk(q, mode):
+    # every rank N <= 4 and every k, with the k past N, and k = 0 in
+    # affine mode, that have no subspace
+    f = make_field(q)
+    for rank in range(1 if mode == AFFINE else 0, 5):
+        ambient = full_space(f, mode, rank)
+        for k in range(rank + 2):
+            walked = len(list(space.iter_subspaces(ambient, k)))
+            assert space.count_walk(f, mode, rank, k) == walked
+            assert walked == count_subspaces(rank, k, q, mode)
+
+
 def corrupt_row(col, value):
     """A corruption of the first row choice of the first row: entry `col`
     set to `value`."""
@@ -1382,6 +1396,8 @@ def test_pattern_check_catches_a_corrupted_row(q, mode, rank, k, corrupt,
                         lambda f, d, piv, choices: check(f, d, *corrupt(piv, choices)))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         list(space.iter_subspaces(ambient, k))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        space.count_walk(f, mode, rank, k)
 
 
 @pytest.mark.parametrize("row,message", [
@@ -1416,6 +1432,8 @@ def test_basepoint_check_catches_a_corrupted_basepoint(index, value, message,
     monkeypatch.setattr(space, "_check_bases", corrupted)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         list(space.iter_subspaces(ambient, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        space.count_walk(f, AFFINE, 4, 2)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Subspace(AFFINE, f, 3, vecs((1, 0, 0)), bytes((value, 0, 0) if index == 0
                                                       else (0, 0, value)))
