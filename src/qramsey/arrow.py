@@ -10,7 +10,7 @@ orderings so witnesses are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
@@ -63,45 +63,17 @@ class ArrowInstance:
 
 @dataclass(frozen=True)
 class ArrowStructure:
-    """The incidence data an arrow search colors: items and families."""
+    """The incidence data an arrow search colors: items and families.
+
+    The items are the host's rank-k subspaces and the families, one per
+    rank-n subspace U in key order, are the indices of the k-spaces
+    inside U, found by `member_lookup`.
+    """
 
     host: Subspace
     k_spaces: tuple[Subspace, ...]
     n_spaces: tuple[Subspace, ...]
     families: tuple[frozenset[int], ...]  # k-space indices, per n-space
-    # the host's points -> their index, in points() order
-    where: dict = dc_field(compare=False, repr=False)
-    # each k-space's set of point indices -> its index, in k-space order
-    item_of: dict = dc_field(compare=False, repr=False)
-
-
-def point_index(host: Subspace, k_spaces) -> tuple[dict, dict]:
-    """`where` and `item_of` of `ArrowStructure` for these k-spaces."""
-    where = {p: i for i, p in enumerate(host.points())}
-    item_of = {frozenset([where[p] for p in s.points()]): i
-               for i, s in enumerate(k_spaces)}
-    return where, item_of
-
-
-def _families(where: dict, item_of: dict, n_spaces, k: int):
-    """For each n-space U in turn, the indices of U's rank-k subspaces.
-
-    U's points are read with `combination_points`, in `points()` order,
-    without its per-call cap check: the host passed
-    `guard_subspace_count`, so no n-space of it has more points than the
-    cap.
-    """
-    if not n_spaces:
-        return
-    u = n_spaces[0]
-    f = u.field
-    point_sets = [t for t, _ in subspace_templates(f, u.mode, u.rank, k)]
-    zero = bytes(u.ambient_len)
-    for u in n_spaces:
-        origin = zero if u.basepoint is None else u.basepoint
-        at = list(map(where.__getitem__, combination_points(f, origin, u.direction)))
-        yield frozenset([item_of[frozenset(map(at.__getitem__, t))]
-                         for t in point_sets])
 
 
 def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
@@ -109,9 +81,9 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     host = full_space(f, instance.mode, instance.host_rank)
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
     n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
-    where, item_of = point_index(host, k_spaces)
-    families = tuple(_families(where, item_of, n_spaces, instance.colored_rank))
-    return ArrowStructure(host, k_spaces, n_spaces, families, where, item_of)
+    inside = member_lookup(k_spaces, instance.target_rank)
+    families = tuple([frozenset(inside(u)) for u in n_spaces])
+    return ArrowStructure(host, k_spaces, n_spaces, families)
 
 
 def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
@@ -127,9 +99,10 @@ def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
     host = struct.host
     add = host.field.add
     d = host.ambient_len
-    where, item_of = struct.where, struct.item_of
-    points = list(where)
-    covers = list(item_of)
+    points = list(host.points())
+    where = {p: i for i, p in enumerate(points)}
+    covers = [[where[p] for p in s.points()] for s in struct.k_spaces]
+    item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
     images = []
     for i in range(d - 1):
         images.append([p[:i] + bytes((p[i + 1], p[i])) + p[i + 2:] for p in points])
@@ -208,10 +181,9 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
         if s.key() not in coloring:
             raise KeyError(f"coloring not total: missing {s.key()}")
     colors = [coloring[s.key()] for s in k_spaces]
-    n_spaces = enumerate_subspaces(ambient, n)
-    where, item_of = point_index(ambient, k_spaces)
-    for u, fam in zip(n_spaces, _families(where, item_of, n_spaces, k)):
-        found = {colors[i] for i in fam}
+    inside = member_lookup(k_spaces, n)
+    for u in enumerate_subspaces(ambient, n):
+        found = {colors[i] for i in inside(u)}
         if len(found) == 1:
             return u, found.pop()
     return None
@@ -331,26 +303,31 @@ def isomorphism_images(config: ConfigFamily, ambient: Subspace, point_sets,
 def member_lookup(members, n: int):
     """A function taking a rank-n space U to the members inside it.
 
-    It returns them as index -> point set, in index order.  Each
-    member's point set is indexed once.  The `subspace_templates` of
-    rank n, carried through U.points(), are U's subspaces of the members'
-    ranks, so the members inside U are the templates found in the
-    index, and no member is tested against U.
+    It returns them as index -> point set.  Each member's point set is
+    indexed once.  The `subspace_templates` of rank n, carried through
+    U's points, are U's subspaces of the members' ranks, so the members
+    inside U are the templates found in the index, and no member is
+    tested against U.  U's points are read with `combination_points`,
+    in `points()` order, without its per-call cap check: listing the
+    templates of the (non-empty) members ran `guard_subspace_count` for
+    rank n, so U has no more points than the cap.
     """
     index = {frozenset(m.points()): i for i, m in enumerate(members)}
-    templates = [t for r in sorted({m.rank for m in members}) if r <= n
+    templates = [t for r in sorted({m.rank for m in members})
                  for t in subspace_templates(members[0].field, members[0].mode,
                                              n, r)]
 
     def inside(u: Subspace) -> dict[int, frozenset]:
-        at = list(u.points())
+        origin = u.basepoint if u.mode == AFFINE else bytes(u.ambient_len)
+        at = combination_points(u.field, origin, u.direction).__getitem__
+        get = index.get
         hits = {}
-        for t, _ in templates:
-            pts = frozenset([at[j] for j in t])
-            i = index.get(pts)
+        for t in templates:
+            pts = frozenset(map(at, t))
+            i = get(pts)
             if i is not None:
                 hits[i] = pts
-        return dict(sorted(hits.items()))
+        return hits
 
     return inside
 
@@ -464,7 +441,7 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     n = amb.rank
     f, mode = host_space.field, host_space.mode
     if n > host_space.rank:
-        raise ValueError(f"k={n} out of range for rank {host_space.rank}")
+        raise ValueError(f"n={n} out of range for rank {host_space.rank}")
     num_candidates = count_subspaces(host_space.rank, n, f.order, mode)
     bud = ensure_budget(budget)
     before = bud.nodes

@@ -162,25 +162,39 @@ def identity_rows(n: int) -> tuple[Vec, ...]:
     return tuple(zero[:i] + b"\1" + zero[i + 1:] for i in range(n))
 
 
+def _reduce_at_lead(f: Field, rows: dict[int, Vec], v: Vec) -> tuple[int, Vec]:
+    """Reduce v at its leading column while a row of `rows` pivots there.
+
+    `rows` maps pivot columns to echelon rows led by 1.  A row is zero
+    before its pivot, so each step moves the lead right.  Returns the
+    final lead and the residual: the lead is len(v) when v reduced to
+    zero, and otherwise a column that no row pivots on, where no
+    further reduction by the rows could clear v.
+    """
+    while (p := _lead(v)) < len(v):
+        row = rows.get(p)
+        if row is None:
+            break
+        v = _add_multiple(f, v, f.neg(v[p]), row)
+    return p, v
+
+
 def rref(f: Field, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
 
-    The forward pass files each row under its leading column, reducing
-    it first by the row filed there while there is one, as `_RankTracker`
-    does; a zero residual is dropped.  Back-substitution then clears each
-    pivot column from the rightmost to the left, in the rows above it
-    with a nonzero entry there.  A row is zero left of its pivot, so
-    clearing a column changes no entry to its left: the rows' columns in
-    one snapshot taken before the pass are read when their turn comes.
+    The forward pass files each row under its leading column after
+    `_reduce_at_lead` by the rows filed so far; a zero residual is
+    dropped.  Back-substitution then clears each pivot column from the
+    rightmost to the left, in the rows above it with a nonzero entry
+    there.  A row is zero left of its pivot, so clearing a column
+    changes no entry to its left: the rows' columns in one snapshot
+    taken before the pass are read when their turn comes.
     """
     filed: dict[int, Vec] = {}  # lead column -> echelon row, led by 1
     for v in rows:
-        while (p := _lead(v)) < len(v):
-            row = filed.get(p)
-            if row is None:
-                filed[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
-                break
-            v = _add_multiple(f, v, f.neg(v[p]), row)
+        p, v = _reduce_at_lead(f, filed, v)
+        if p < len(v):
+            filed[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
     pivots = sorted(filed)
     mat = [filed[p] for p in pivots]
     if mat:
@@ -370,24 +384,16 @@ class Subspace:
         return sorted(self.points())
 
     def is_member(self, v: Vec) -> bool:
-        """Reduce v at its leading column while a direction row pivots there.
+        """Whether v reduces to zero by the direction rows.
 
-        An RREF row is zero before its pivot and on every other pivot, so
-        reducing at the leading column moves the lead right and leaves
-        the other pivot entries alone.  A leading column that is no pivot
-        stays nonzero under every later row: v is then outside.
+        `_reduce_at_lead` stops at the first leading column that is no
+        pivot: v is then outside.
         """
         if len(v) != self.ambient_len:
             raise ValueError("point length differs from ambient_len")
         f = self.field
         w = v if self.mode == VECTOR else vec_sub(f, v, self.basepoint)
-        rows = self.pivots()
-        while (p := _lead(w)) < len(w):
-            row = rows.get(p)
-            if row is None:
-                return False
-            w = _add_multiple(f, w, f.neg(w[p]), row)
-        return True
+        return _reduce_at_lead(f, self.pivots(), w)[0] == len(w)
 
     def basis_points(self) -> tuple[Vec, ...]:
         """The canonical basis: direction rows, or basepoint plus offsets."""
@@ -832,17 +838,16 @@ def enumerate_subspaces(ambient: Subspace, k: int) -> list[Subspace]:
 def subspace_templates(f: Field, mode: str, rank: int, k: int):
     """The rank-k subspaces of the rank-`rank` coordinate space, in key order.
 
-    Each is given as (positions of its points, positions of its basis
-    points) in that space's points() order.  Any rank-`rank` space U
-    walks its points() over coefficient vectors in the same order, so
-    U's position j is the image of coordinate point j under U's basis
-    map, a linear (vector mode) or affine (affine mode) bijection onto
-    U; it carries the templates exactly onto U's rank-k subspaces.
+    Each is given as the positions of its points in that space's
+    points() order.  Any rank-`rank` space U walks its points() over
+    coefficient vectors in the same order, so U's position j is the
+    image of coordinate point j under U's basis map, a linear (vector
+    mode) or affine (affine mode) bijection onto U; it carries the
+    templates exactly onto U's rank-k subspaces.
     """
     coord = full_space(f, mode, rank)
     pos = {p: j for j, p in enumerate(coord.points())}
-    return [([pos[p] for p in t.points()], [pos[p] for p in t.basis_points()])
-            for t in enumerate_subspaces(coord, k)]
+    return [[pos[p] for p in t.points()] for t in enumerate_subspaces(coord, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -860,9 +865,8 @@ class _RankTracker:
     def try_add(self, point: Vec) -> bool:
         """Add the point if it keeps the set independent; report success.
 
-        The point is reduced at its leading column while a row pivots
-        there.  A row is zero before its pivot, so each step moves the
-        lead right; a lead no row pivots on makes the residual a new row.
+        The point is reduced by `_reduce_at_lead`; a lead no row pivots
+        on makes the residual a new row.
         """
         f = self.f
         if self.mode == AFFINE:
@@ -872,14 +876,11 @@ class _RankTracker:
             v = vec_sub(f, point, self.origin)
         else:
             v = point
-        rows = self.rows
-        while (p := _lead(v)) < len(v):
-            row = rows.get(p)
-            if row is None:
-                rows[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
-                return True
-            v = _add_multiple(f, v, f.neg(v[p]), row)
-        return False
+        p, v = _reduce_at_lead(f, self.rows, v)
+        if p == len(v):
+            return False
+        self.rows[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
+        return True
 
     @property
     def rank(self) -> int:

@@ -623,6 +623,15 @@ def test_induced_host_verify_empty_cases():
     assert not res.holds and res.witness.entries == {}
 
 
+def test_induced_host_verify_names_the_config_rank_in_its_range_error():
+    # the config's ambient has rank n = 2, above the host's rank 1
+    f = make_field(2)
+    host = full_space(f, VECTOR, 1)
+    config = ConfigFamily(full_space(f, VECTOR, 2), ())
+    with pytest.raises(ValueError, match=r"^n=2 out of range for rank 1$"):
+        induced_host_verify(host, [], config, 2)
+
+
 def test_induced_host_verify_respects_symmetry_flag():
     f = make_field(2)
     host = full_space(f, VECTOR, 2)
@@ -830,10 +839,8 @@ def test_member_lookup_matches_the_scan_on_the_grid(q):
         inside = arrow.member_lookup(members, spec.target_rank)
         for u in enumerate_subspaces(host.space, spec.target_rank):
             want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
-            got = inside(u)
-            assert list(got) == want
-            assert list(got.values()) == [frozenset(members[i].points())
-                                          for i in want]
+            assert inside(u) == {i: frozenset(members[i].points())
+                                 for i in want}
 
 
 def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):

@@ -313,6 +313,60 @@ def test_detects_a_second_walk():
     assert choice_products(tree) == ["_full_walk", "count", None]
 
 
+# -- one lookup of listed subspaces inside a space ------------------------
+#
+# arrow.member_lookup answers "which listed subspaces lie inside U" for the
+# arrow families, the monochromatic scan, verify and extract, by carrying
+# `space.subspace_templates` through U's points.  A second walk of the
+# templates, or the point-index lookup it replaced, would be a second
+# answer to the same question, free to drift from the first.
+
+TEMPLATES = "subspace_templates"
+SECOND_LOOKUPS = ("point_index", "_families")
+
+
+def template_users(tree: ast.Module) -> list[str | None]:
+    """The top-level definition (None for module code) around each
+    reference to `subspace_templates`, its own definition aside."""
+    out = []
+    for node in tree.body:
+        name = getattr(node, "name", None)
+        out += [name for _ in references(node, TEMPLATES)]
+    return out
+
+
+def second_lookups(tree: ast.Module) -> list[str]:
+    """The top-level definitions named like the retired point-index
+    lookup."""
+    return [name for name in definitions(tree) if name in SECOND_LOOKUPS]
+
+
+def test_subspaces_inside_a_space_have_one_lookup():
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        users += [f"{path.name}:{name}" for name in template_users(tree)]
+    # the lookup itself references the templates, so a rename cannot
+    # empty the check
+    assert users == ["arrow.py:member_lookup"]
+    arrow_tree = ast.parse((SRC / "arrow.py").read_text(encoding="utf-8"))
+    assert second_lookups(arrow_tree) == []
+
+
+def test_detects_a_second_lookup():
+    tree = ast.parse("def member_lookup(members, n):\n"
+                     "    return subspace_templates(f, mode, n, 1)\n"
+                     "def point_index(host, k_spaces):\n"
+                     "    return {}\n"
+                     "def _families(where, n_spaces):\n"
+                     "    yield space.subspace_templates(f, mode, n, 1)\n"
+                     "def subspace_templates(f, mode, rank, k):\n"
+                     "    return []\n"
+                     "NAMES = ['subspace_templates']\n")
+    assert template_users(tree) == ["member_lookup", "_families", None]
+    assert second_lookups(tree) == ["point_index", "_families"]
+
+
 # -- defaulted parameters that no call passes -----------------------------
 #
 # A parameter whose default every caller keeps is a knob no one turns; the
