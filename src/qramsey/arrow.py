@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from struct import Struct
 
 from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
@@ -19,9 +21,13 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, combination_points,
                     count_subspaces, count_text, enumerate_subspaces,
                     full_space, gaussian_binomial, json_expect,
-                    linear_extension, span, subspace_templates, vec_sub)
+                    linear_extension, span, stacked_images,
+                    subspace_templates, vec_sub)
 
 ISO_RANK_CAP = 4
+
+# member spans per `member_lookup` batch in induced_host_verify (`_chunked`)
+SPAN_CHUNK = 1024
 
 
 @dataclass
@@ -67,7 +73,8 @@ class ArrowStructure:
 
     The items are the host's rank-k subspaces and the families, one per
     rank-n subspace U in key order, are the indices of the k-spaces
-    inside U, found by `member_lookup`.
+    inside U.  `member_lookup` finds them for every U in one batch, by
+    the canonical images of the coordinate templates, listing no point.
     """
 
     host: Subspace
@@ -82,7 +89,7 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
     n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
     inside = member_lookup(k_spaces, instance.target_rank)
-    families = tuple([frozenset(inside(u)) for u in n_spaces])
+    families = tuple(map(frozenset, inside(n_spaces)))
     return ArrowStructure(host, k_spaces, n_spaces, families)
 
 
@@ -181,9 +188,9 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
         if s.key() not in coloring:
             raise KeyError(f"coloring not total: missing {s.key()}")
     colors = [coloring[s.key()] for s in k_spaces]
-    inside = member_lookup(k_spaces, n)
-    for u in enumerate_subspaces(ambient, n):
-        found = {colors[i] for i in inside(u)}
+    n_spaces = enumerate_subspaces(ambient, n)
+    for u, hits in zip(n_spaces, member_lookup(k_spaces, n)(n_spaces)):
+        found = {colors[i] for i in hits}
         if len(found) == 1:
             return u, found.pop()
     return None
@@ -301,33 +308,41 @@ def isomorphism_images(config: ConfigFamily, ambient: Subspace, point_sets,
 
 
 def member_lookup(members, n: int):
-    """A function taking a rank-n space U to the members inside it.
+    """A function taking a list of rank-n spaces, all in one ambient, to
+    the indices of the members inside each, one tuple per space.
 
-    It returns them as index -> point set.  Each member's point set is
-    indexed once.  The `subspace_templates` of rank n, carried through
-    U's points, are U's subspaces of the members' ranks, so the members
-    inside U are the templates found in the index, and no member is
-    tested against U.  U's points are read with `combination_points`,
-    in `points()` order, without its per-call cap check: listing the
-    templates of the (non-empty) members ran `guard_subspace_count` for
-    rank n, so U has no more points than the cap.
+    Each member is indexed once by its canonical bytes: its direction
+    rows joined, then its basepoint in affine mode.  The
+    `subspace_templates` of rank n, carried through a space U's basis
+    map, are U's subspaces of the members' ranks, so the members inside
+    U are the templates' images found in the index, and no member is
+    tested against U.  The images are canonical as built
+    (`stacked_images`), for the whole batch of spaces at once, and each
+    buffer is cut into one slice per space; no point of U is listed.
     """
-    index = {frozenset(m.points()): i for i, m in enumerate(members)}
+    index = {b"".join(m.direction) + (m.basepoint or b""): i
+             for i, m in enumerate(members)}
     templates = [t for r in sorted({m.rank for m in members})
                  for t in subspace_templates(members[0].field, members[0].mode,
                                              n, r)]
+    get = index.get
 
-    def inside(u: Subspace) -> dict[int, frozenset]:
-        origin = u.basepoint if u.mode == AFFINE else bytes(u.ambient_len)
-        at = combination_points(u.field, origin, u.direction).__getitem__
-        get = index.get
-        hits = {}
+    def inside(spaces) -> list[tuple[int, ...]]:
+        if not templates or not spaces:
+            return [()] * len(spaces)
+        f, d = templates[0].field, spaces[0].ambient_len
+        rows = list(map(b"".join, zip(*[u.direction for u in spaces])))
+        origin = (b"".join([u.basepoint for u in spaces])
+                  if spaces[0].mode == AFFINE else None)
+        cut = Struct(f"{d}s" * len(spaces)).unpack
+        found = []  # per template, its image's member index (or None) per space
         for t in templates:
-            pts = frozenset(map(at, t))
-            i = get(pts)
-            if i is not None:
-                hits[i] = pts
-        return hits
+            parts = [cut(buf) for buf in stacked_images(f, t, rows, origin)]
+            keys = (map(b"".join, zip(*parts)) if parts  # else the origin
+                    else [b""] * len(spaces))
+            found.append(list(map(get, keys)))
+        return [tuple(i for i in hits if i is not None)
+                for hits in zip(*found)]
 
     return inside
 
@@ -380,6 +395,18 @@ def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
     return list(found.values())
 
 
+def _chunked(inside, spaces):
+    """(space, hits) for each space, looked up SPAN_CHUNK spaces at a time.
+
+    A lookup holds its batch's image buffers at once, so a batch of
+    every span would hold them for all the spans.  The spaces are
+    released when the walk ends.
+    """
+    for start in range(0, len(spaces), SPAN_CHUNK):
+        chunk = spaces[start:start + SPAN_CHUNK]
+        yield from zip(chunk, inside(chunk))
+
+
 def _free_space(host: Subspace, n: int, base: Subspace | None,
                 members, inside=()) -> bool:
     """Whether a rank-n U with base ⊆ U ⊆ host holds no member whose
@@ -427,10 +454,11 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     coloring search runs over them.
 
     An isomorphism carries the span W of config's members, of rank w,
-    onto span S.  So S is D cap members, looked up by point set
-    (`member_lookup`), for a rank-w span D of members (`_member_spans`),
-    with (D, S) isomorphic to (W, config.members) and some rank-n U over
-    D holding no other member (`_free_space`).  A chain adds at most
+    onto span S.  So S is D cap members, looked up by canonical image
+    (`member_lookup`, SPAN_CHUNK spans per batch), for a rank-w span D
+    of members (`_member_spans`), with (D, S) isomorphic to
+    (W, config.members) and some rank-n U over D holding no other
+    member (`_free_space`).  A chain adds at most
     w - k + 1 members, so the closed-form number of chains is checked
     against the size cap before the walk.  The reported candidate count
     is the closed-form number of rank-n subspaces.
@@ -469,11 +497,14 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
             raise SizeCapError(f"{count_text(chains)} member chains, "
                                f"cap {POINT_CAP}")
         members_inside = member_lookup(host_members, w)
-        for d in _member_spans(host_members, w):
-            inside = members_inside(d)
-            if (isomorphism_images(shape, d, inside.values(), bud) is not None
+        points_of = cache(lambda i: frozenset(host_members[i].points()))
+        for d, hits in _chunked(members_inside,
+                                _member_spans(host_members, w)):
+            inside = frozenset(hits)
+            if (isomorphism_images(shape, d, map(points_of, hits), bud)
+                    is not None
                     and _free_space(host_space, n, d, host_members, inside)):
-                good.append(frozenset(inside))
+                good.append(inside)
     coloring = find_proper_coloring(len(host_members), num_colors, good,
                                     budget=bud, symmetry=symmetry)
     witness = None

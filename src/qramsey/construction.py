@@ -630,11 +630,13 @@ def extract_monochromatic_copy(host: ProductHost, coloring):
                        base.target_spans[base.targets.index(target)])
     # take the copy's members to be the host members inside it: the copy
     # is then induced and a copy of F exactly when it is isomorphic to F
-    inside = member_lookup(host.members, spec.target_rank)(copy_space)
+    [inside] = member_lookup(host.members, spec.target_rank)([copy_space])
     members = tuple(sorted((host.members[i] for i in inside), key=Subspace.key))
     if any(coloring[m.key()] != color for m in members):
         raise ConstructionCheckError("copy member has the wrong color")
-    if isomorphism_images(spec.family, copy_space, inside.values(), None) is None:
+    if isomorphism_images(spec.family, copy_space,
+                          (frozenset(m.points()) for m in members),
+                          None) is None:
         raise ConstructionCheckError("copy is not an induced copy of the "
                                      "family: its members are not F's image")
     return MonochromaticCopy(target, copy_space, members, color, line, pattern)

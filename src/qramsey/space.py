@@ -835,19 +835,46 @@ def enumerate_subspaces(ambient: Subspace, k: int) -> list[Subspace]:
     return sorted(iter_subspaces(ambient, k), key=Subspace.key)
 
 
-def subspace_templates(f: Field, mode: str, rank: int, k: int):
+def subspace_templates(f: Field, mode: str, rank: int, k: int) -> list[Subspace]:
     """The rank-k subspaces of the rank-`rank` coordinate space, in key order.
 
-    Each is given as the positions of its points in that space's
-    points() order.  Any rank-`rank` space U walks its points() over
-    coefficient vectors in the same order, so U's position j is the
-    image of coordinate point j under U's basis map, a linear (vector
-    mode) or affine (affine mode) bijection onto U; it carries the
+    A rank-`rank` space U is the image of that coordinate space under its
+    basis map x -> b + x R (`stacked_images`), which carries the
     templates exactly onto U's rank-k subspaces.
     """
-    coord = full_space(f, mode, rank)
-    pos = {p: j for j, p in enumerate(coord.points())}
-    return [[pos[p] for p in t.points()] for t in enumerate_subspaces(coord, k)]
+    return enumerate_subspaces(full_space(f, mode, rank), k)
+
+
+def stacked_images(f: Field, template: Subspace, rows: list[Vec],
+                   origin: Vec) -> list[Vec]:
+    """The canonical direction rows and (affine mode) basepoint of the
+    template's image in each of a batch of spaces, one buffer apiece.
+
+    Each space U has RREF rows R, pivots P and basepoint b (the origin
+    in vector mode), zero on P; rows[j] is row j of every U's R laid end
+    to end, and origin every U's b.  The template T, canonical in the
+    coordinate space of U's rank, has rows C, pivots Q and basepoint c.
+    Its image under x -> b + x R is already canonical: row i of C R
+    leads at P[Q_i] with a 1, column P[Q_j] of C R is column Q_j of C,
+    which is e_j, and b + c R is zero on P[Q].  So no `rref` runs: row i
+    of the image is rows[Q_i] plus C[i][j] rows[j] over C's other
+    nonzero entries, for the whole batch at once, one `_add_multiple`
+    per entry.
+    """
+    # `mat_vec`'s loop, written out: `mat_vec` is kept to the columns a
+    # `LinearMap` stores, and these rows are built per batch
+    out = []
+    for p, c in template.pivots().items():
+        image = rows[p]
+        for j in _support(c)[1:]:  # c leads at p with a 1
+            image = _add_multiple(f, image, c[j], rows[j])
+        out.append(image)
+    if template.mode == AFFINE:
+        c, image = template.basepoint, origin
+        for j in _support(c):
+            image = _add_multiple(f, image, c[j], rows[j])
+        out.append(image)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, BasisSet,
                      find_proper_coloring, full_space, induced_host_verify,
                      is_independent, linear_extension, make_field,
                      min_arrow_N, span, structure_generators)
+from qramsey import construction
 from qramsey import space as qspace
 from qramsey.arrow import ISO_RANK_CAP
 
@@ -825,27 +826,179 @@ def test_member_spans_skip_coplanar_members():
         assert got.nodes < want.nodes
 
 
-# -- candidate members by point-set lookup ---------------------------------------
+# -- candidate members by canonical image -----------------------------------------
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_member_lookup_matches_the_scan_on_the_grid(q):
-    # U ∩ H looked up by point set equals the scan with contains_subspace
-    # on every rank-n subspace of each grid host, both modes
+    # U ∩ H looked up by canonical image, every rank-n subspace of a grid
+    # host in one batch, equals the scan with contains_subspace, both modes
     hosts = grid_hosts(q, (1, 2)) if q == 2 else grid_hosts(q, (1,), cap=2000)
     assert len(hosts) == (14 if q == 2 else 8)
     for spec, host in hosts:
         members = host.members
-        inside = arrow.member_lookup(members, spec.target_rank)
-        for u in enumerate_subspaces(host.space, spec.target_rank):
+        n_spaces = enumerate_subspaces(host.space, spec.target_rank)
+        got = arrow.member_lookup(members, spec.target_rank)(n_spaces)
+        assert len(got) == len(n_spaces)
+        for u, hits in zip(n_spaces, got):
             want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
-            assert inside(u) == {i: frozenset(members[i].points())
-                                 for i in want}
+            assert sorted(hits) == want
+
+
+def random_flat(rng, f, mode, rank, points):
+    """A random rank-`rank` subspace spanned by points drawn from `points`."""
+    width = len(points[0])
+    while True:
+        s = span(f, mode, [rng.choice(points) for _ in range(rank)], width)
+        if s.rank == rank:
+            return s
+
+
+def lookup_cases():
+    """(q, mode, n, spaces, members): random rank-n spaces in one ambient,
+    and members of mixed ranks, some inside a space and some in none."""
+    rng = random.Random(25)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = make_field(q)
+        for mode in (VECTOR, AFFINE):
+            lo = 0 if mode == VECTOR else 1
+            for width in range(0, 4):
+                ambient = full_space(f, mode, width + lo)
+                every = ambient.sorted_points()
+                for n in range(lo, min(width + lo, 3) + 1):
+                    spaces = [random_flat(rng, f, mode, n, every)
+                              for _ in range(rng.randint(1, 5))]
+                    members = {}
+                    for _ in range(8):
+                        r = rng.randint(lo, n)
+                        pool = (rng.choice(spaces).sorted_points()
+                                if rng.random() < 0.7 else every)
+                        m = random_flat(rng, f, mode, r, pool)
+                        members[m.key()] = m
+                    yield q, mode, n, spaces, list(members.values())
+
+
+def test_batched_member_lookup_matches_the_scan():
+    # one batch answers as the contains_subspace scan, and as the same
+    # spaces passed one at a time; an empty batch answers nothing
+    seen, qs = set(), set()
+    for q, mode, n, spaces, members in lookup_cases():
+        inside = arrow.member_lookup(members, n)
+        got = inside(spaces)
+        assert len(got) == len(spaces)
+        for u, hits in zip(spaces, got):
+            want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
+            assert sorted(hits) == want, (q, mode, n)
+        assert [inside([u])[0] for u in spaces] == got
+        assert inside([]) == []
+        hit = set().union(*got)
+        seen.add(("width", spaces[0].ambient_len))
+        seen.update(("rank", mode, m.rank) for m in members)
+        seen.update(("missed", mode) for i in range(len(members))
+                    if i not in hit)
+        qs.add(q)
+    assert {("width", 0), ("rank", VECTOR, 0), ("rank", AFFINE, 1),
+            ("missed", VECTOR), ("missed", AFFINE)} <= seen
+    assert qs == {2, 3, 4, 5, 7, 8, 9}
+
+
+def test_member_lookup_of_no_members():
+    f = make_field(3)
+    spaces = enumerate_subspaces(full_space(f, VECTOR, 2), 1)
+    assert arrow.member_lookup([], 1)(spaces) == [()] * len(spaces)
+    assert arrow.member_lookup([], 1)([]) == []
+
+
+def test_member_lookup_refuses_a_member_rank_above_n():
+    f = make_field(2)
+    members = enumerate_subspaces(full_space(f, VECTOR, 3), 2)
+    with pytest.raises(ValueError, match="k=2 out of range for rank 1"):
+        arrow.member_lookup(members, 1)
+
+
+def point_set_lookup(members, n):
+    """The lookup by point set that `member_lookup` replaced, kept as the
+    reference: each member indexed by its point set, and each template
+    of rank n read off U's points() at its positions."""
+    index = {frozenset(m.points()): i for i, m in enumerate(members)}
+    coord = full_space(members[0].field, members[0].mode, n)
+    pos = {p: j for j, p in enumerate(coord.points())}
+    templates = [[pos[p] for p in t.points()]
+                 for r in sorted({m.rank for m in members})
+                 for t in enumerate_subspaces(coord, r)]
+
+    def inside(u):
+        at = list(u.points())
+        found = (index.get(frozenset(at[j] for j in t)) for t in templates)
+        return {i for i in found if i is not None}
+
+    return inside
+
+
+def refuse_points(monkeypatch):
+    """Make listing the points of any space raise."""
+    def refused(*args):
+        raise AssertionError("points listed")
+
+    for module in (qspace, arrow, construction):
+        if hasattr(module, "combination_points"):
+            monkeypatch.setattr(module, "combination_points", refused)
+    monkeypatch.setattr(Subspace, "points", refused)
+
+
+def small_arrow_instances():
+    for q in (2, 3):
+        for mode in (VECTOR, AFFINE):
+            lo = 0 if mode == VECTOR else 1
+            for big_n in range(lo, 5):
+                for n in range(lo, big_n + 1):
+                    for k in range(lo, n + 1):
+                        yield q, mode, big_n, n, k
+
+
+def first_monochromatic(n_spaces, lookup, colors):
+    """The first space, in list order, whose members share one color."""
+    for u in n_spaces:
+        found = {colors[i] for i in lookup(u)}
+        if len(found) == 1:
+            return u, found.pop()
+    return None
+
+
+def test_families_and_the_monochromatic_scan_list_no_points(monkeypatch):
+    # regression gate without a timer: the families and the monochromatic
+    # scan come out as the point-set lookup gives them, while listing
+    # any point raises
+    rng = random.Random(24)
+    cases = []
+    for q, mode, big_n, n, k in small_arrow_instances():
+        host = full_space(make_field(q), mode, big_n)
+        k_spaces = enumerate_subspaces(host, k)
+        n_spaces = enumerate_subspaces(host, n)
+        ref = point_set_lookup(k_spaces, n)
+        families = tuple(frozenset(ref(u)) for u in n_spaces)
+        colorings = [{s.key(): rng.randrange(2) for s in k_spaces}
+                     for _ in range(3)] + [{s.key(): 1 for s in k_spaces}]
+        scans = []
+        for coloring in colorings:
+            colors = [coloring[s.key()] for s in k_spaces]
+            scans.append((coloring, first_monochromatic(n_spaces, ref, colors)))
+        cases.append(((q, mode, big_n, n, k), host, families, scans))
+    refuse_points(monkeypatch)
+    found = 0
+    for (q, mode, big_n, n, k), host, families, scans in cases:
+        struct = arrow_structure(ArrowInstance(q, mode, big_n, n, k, 2))
+        assert struct.families == families, (q, mode, big_n, n, k)
+        for coloring, first in scans:
+            got = find_monochromatic_subspace(host, k, n, coloring)
+            assert got == first, (q, mode, big_n, n, k)
+            found += got is not None
+    assert len(cases) == 110 and found > 2 * len(cases)
 
 
 def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):
     # regression gate without a timer: a candidate span's members come
-    # from the point-set index, so no candidate ever receives
+    # from the member index, so no candidate ever receives
     # contains_subspace, and X's rank-n subspaces are never listed
     candidates = []
 

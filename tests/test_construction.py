@@ -946,7 +946,7 @@ def test_extract_above_the_target_rank_follows_the_base(base_rank):
 def test_extract_tests_no_member_against_the_copy(make_spec, base_rank,
                                                   monkeypatch):
     # regression gate without a timer: the copy's members come from the
-    # point-set index of H, so the copy never receives contains_subspace
+    # canonical-form index of H, so the copy never receives contains_subspace
     host = build_product_host(build_base_host(
         make_spec(2, num_colors=2, base_rank=base_rank)), 1)
     coloring = {m.key(): 0 for m in host.members}

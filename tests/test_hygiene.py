@@ -317,7 +317,7 @@ def test_detects_a_second_walk():
 #
 # arrow.member_lookup answers "which listed subspaces lie inside U" for the
 # arrow families, the monochromatic scan, verify and extract, by carrying
-# `space.subspace_templates` through U's points.  A second walk of the
+# `space.subspace_templates` through U's basis map.  A second walk of the
 # templates, or the point-index lookup it replaced, would be a second
 # answer to the same question, free to drift from the first.
 
