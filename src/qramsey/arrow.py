@@ -4,27 +4,25 @@ The arrow relation here: a rank-N host space "arrows" (n, k, r) when
 every r-coloring of its rank-k subspaces contains a rank-n subspace all
 of whose rank-k subspaces share one color.  Deciding it at desk scale is
 a backtracking search over colorings; everything below fixes canonical
-orderings so witnesses are reproducible.
+orderings so witnesses are reproducible.  A configuration's copies are
+found by one lookup in the orbit of its coordinate templates
+(`copy_orbit`), with no search over bases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from struct import Struct
 
 from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
 from .field import make_field
-from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
-                    SizeCapError, Subspace, combination_points,
-                    count_subspaces, count_text, enumerate_subspaces,
-                    full_space, gaussian_binomial, json_expect,
-                    linear_extension, span, stacked_images,
-                    subspace_templates, vec_sub)
-
-ISO_RANK_CAP = 4
+from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
+                    Subspace, apply, coordinate_map, count_subspaces,
+                    count_text, enumerate_subspaces, full_space,
+                    gaussian_binomial, json_expect, linear_extension, span,
+                    stacked_images, subspace_templates)
 
 # member spans per `member_lookup` batch in induced_host_verify (`_chunked`)
 SPAN_CHUNK = 1024
@@ -89,43 +87,54 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
     n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
     inside = member_lookup(k_spaces, instance.target_rank)
+    # every rank-k subspace of an n-space is a k-space: no row holds None
     families = tuple(map(frozenset, inside(n_spaces)))
     return ArrowStructure(host, k_spaces, n_spaces, families)
 
 
-def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
-    """Permutations of the k-spaces induced by elementary maps of the host.
-
-    The maps are the adjacent coordinate swaps, the adjacent
-    transvections x_i += x_{i+1} and, in affine mode, the unit
-    translation x_0 += 1.  Each is invertible, so it carries k-spaces
-    onto k-spaces and n-spaces onto n-spaces.  It is applied to the
-    host's points, and each k-space goes to the k-space covering the
-    image of its point set.  Identity permutations are left out.
-    """
-    host = struct.host
-    add = host.field.add
-    d = host.ambient_len
-    points = list(host.points())
-    where = {p: i for i, p in enumerate(points)}
-    covers = [[where[p] for p in s.points()] for s in struct.k_spaces]
-    item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
-    images = []
+def _elementary_maps(f, mode: str, d: int) -> list:
+    """Point maps of GF(q)^d, each invertible: the adjacent coordinate
+    swaps and transvections x_i += x_{i+1} and, in affine mode, x_0 += 1."""
+    add = f.add
+    maps = []
     for i in range(d - 1):
-        images.append([p[:i] + bytes((p[i + 1], p[i])) + p[i + 2:] for p in points])
-        images.append([p[:i] + bytes((add(p[i], p[i + 1]),)) + p[i + 1:]
-                       for p in points])
-    if host.mode == AFFINE and d:
-        images.append([bytes((add(p[0], 1),)) + p[1:] for p in points])
-    out = []
-    identity = tuple(range(len(covers)))
-    for image in images:
-        to = [where[p] for p in image]
-        perm = tuple(item_of[frozenset([to[j] for j in cov])]
-                     for cov in covers)
-        if perm != identity:
-            out.append(perm)
-    return out
+        maps += [lambda p, i=i: p[:i] + bytes((p[i + 1], p[i])) + p[i + 2:],
+                 lambda p, i=i: p[:i] + bytes((add(p[i], p[i + 1]),)) + p[i + 1:]]
+    if mode == AFFINE and d:
+        maps.append(lambda p: bytes((add(p[0], 1),)) + p[1:])
+    return maps
+
+
+def orbit_maps(f, mode: str, d: int) -> list:
+    """`_elementary_maps` and the scalings x_0 -> a x_0, a not 0 or 1:
+    generators of GL(d, q), or AGL(d, q) in affine mode.  The other maps
+    have determinant +-1, and the scalings give every other unit."""
+    return _elementary_maps(f, mode, d) + [
+        lambda p, a=a: bytes((f.mul(a, p[0]),)) + p[1:]
+        for a in range(2, f.order) if d]
+
+
+def _permutations(space: Subspace, subspaces, maps) -> list[tuple[int, ...]]:
+    """The permutation of `subspaces` each point map of `space` induces:
+    subspace i goes to the one covering the image of its point set."""
+    points = list(space.points())
+    where = {p: i for i, p in enumerate(points)}
+    covers = [[where[p] for p in s.points()] for s in subspaces]
+    item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
+    tos = ([where[g(p)] for p in points] for g in maps)
+    return [tuple(item_of[frozenset([to[j] for j in cov])] for cov in covers)
+            for to in tos]
+
+
+def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
+    """The permutations of the k-spaces that the host's `_elementary_maps`
+    induce, identities left out.  An invertible map carries k-spaces onto
+    k-spaces and n-spaces onto n-spaces."""
+    host = struct.host
+    identity = tuple(range(len(struct.k_spaces)))
+    maps = _elementary_maps(host.field, host.mode, host.ambient_len)
+    return [perm for perm in _permutations(host, struct.k_spaces, maps)
+            if perm != identity]
 
 
 @dataclass
@@ -189,6 +198,7 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
             raise KeyError(f"coloring not total: missing {s.key()}")
     colors = [coloring[s.key()] for s in k_spaces]
     n_spaces = enumerate_subspaces(ambient, n)
+    # every rank-k subspace of an n-space is listed: no row holds None
     for u, hits in zip(n_spaces, member_lookup(k_spaces, n)(n_spaces)):
         found = {colors[i] for i in hits}
         if len(found) == 1:
@@ -239,77 +249,63 @@ def family_isomorphic(fam1: ConfigFamily,
                       fam2: ConfigFamily) -> LinearMap | None:
     """An isomorphism of ambients carrying fam1's members onto fam2's.
 
-    The first one `isomorphism_images` finds, solved from its basis
-    images, so the result is deterministic.
+    fam2's template set looked up in fam1's `copy_orbit`: fam1's basis
+    map inverted, the group element found, then fam2's basis map, solved
+    from the basis images, so the result is deterministic.
     """
-    images = isomorphism_images(fam1, fam2.ambient,
-                                (frozenset(m.points()) for m in fam2.members),
-                                None)
+    amb1, amb2 = fam1.ambient, fam2.ambient
+    if amb1.rank != amb2.rank or fam1.member_rank != fam2.member_rank:
+        return None
+    [row] = member_lookup(fam2.members, amb2.rank)([amb2])
+    images = copy_orbit(fam1).get(hit_templates(row))
     if images is None:
         return None
-    amb = fam1.ambient
-    return linear_extension(BasisSet(amb.mode, amb.field, amb.basis_points()),
-                            images, codomain_len=fam2.ambient.ambient_len)
+    to2 = coordinate_map(amb2.field, amb2.mode, amb2.basis_points(), amb2.ambient_len)
+    return linear_extension(BasisSet(amb1.mode, amb1.field, amb1.basis_points()),
+                            [apply(to2, p) for p in images],
+                            codomain_len=amb2.ambient_len)
 
 
-def isomorphism_images(config: ConfigFamily, ambient: Subspace, point_sets,
-                       budget: Budget | None) -> list | None:
-    """The images of config.ambient's canonical basis under an isomorphism
-    onto `ambient` that carries config's members onto the subspaces with
-    the given point sets, or None.
+def copy_orbit(config: ConfigFamily) -> dict[frozenset[int], tuple]:
+    """The orbit of config's template set T, each set with the images of
+    the coordinate basis under one group element reaching it.
 
-    Brute force over ordered bases of `ambient`, each image tried in
-    lexicographic point order at one budget node, so the first success
-    is deterministic.  The combinations of the images chosen so far,
-    listed like config.ambient.points(), are the images of its points
-    in order: a point outside them extends the chosen images
-    independently, and at a full basis each member's image is read off
-    them at the member's point positions and compared as a point set.
+    config's members are the images of the templates in T under its
+    ambient's basis map (`member_lookup`).  An isomorphism onto a space
+    D is that map inverted, an element of GL (AGL in affine mode), then
+    D's basis map, so D with the members inside it is a copy of config
+    exactly when its template set is in the orbit.  Breadth first over
+    the permutations of `orbit_maps`, refused by SizeCapError before it
+    holds more than POINT_CAP sets.
     """
-    if config.ambient.rank != ambient.rank:
-        return None
-    if config.ambient.rank > ISO_RANK_CAP:
-        raise ValueError(f"ambient rank above the isomorphism cap {ISO_RANK_CAP}")
-    targets = frozenset(point_sets)
-    if len(config.members) != len(targets):
-        return None
-    if config.members and config.members[0].num_points != len(next(iter(targets))):
-        return None
-    bud = ensure_budget(budget)
-    f = ambient.field
-    candidates = ambient.sorted_points()
-    where = {p: i for i, p in enumerate(config.ambient.points())}
-    positions = [[where[p] for p in m.points()] for m in config.members]
-    origin = bytes(ambient.ambient_len)
-    chosen: list = []
+    amb = config.ambient
+    lookup = member_lookup(config.members, amb.rank)
+    coord = full_space(amb.field, amb.mode, amb.rank)
+    maps = orbit_maps(amb.field, amb.mode, coord.ambient_len)
+    moves = list(zip(maps, _permutations(coord, lookup.templates, maps)))
+    start = hit_templates(lookup([amb])[0])
+    orbit, queue = {start: coord.basis_points()}, [start]
+    for s in queue:
+        for g, perm in moves:
+            t = frozenset(map(perm.__getitem__, s))
+            if t not in orbit:
+                if len(orbit) == POINT_CAP:
+                    raise SizeCapError(f"an orbit of more than {POINT_CAP} "
+                                       "template sets")
+                orbit[t] = tuple(map(g, orbit[s]))
+                queue.append(t)
+    return orbit
 
-    def search() -> bool:
-        if ambient.mode == VECTOR:
-            img = combination_points(f, origin, chosen)
-        elif chosen:
-            img = combination_points(
-                f, chosen[0], [vec_sub(f, p, chosen[0]) for p in chosen[1:]])
-        else:
-            img = []  # any one point is affinely independent
-        if len(chosen) == ambient.rank:
-            return {frozenset([img[j] for j in pos])
-                    for pos in positions} == targets
-        spanned = set(img)
-        for cand in candidates:
-            bud.spend()
-            if cand not in spanned:
-                chosen.append(cand)
-                if search():
-                    return True
-                chosen.pop()
-        return False
 
-    return chosen if search() else None
+def hit_templates(row) -> frozenset[int]:
+    """The template indices of a `member_lookup` row: where it holds a member."""
+    return frozenset(t for t, i in enumerate(row) if i is not None)
 
 
 def member_lookup(members, n: int):
     """A function taking a list of rank-n spaces, all in one ambient, to
-    the indices of the members inside each, one tuple per space.
+    one row per space: for each template, the index of the member its
+    image is, or None.
 
     Each member is indexed once by its canonical bytes: its direction
     rows joined, then its basepoint in affine mode.  The
@@ -318,7 +314,8 @@ def member_lookup(members, n: int):
     U are the templates' images found in the index, and no member is
     tested against U.  The images are canonical as built
     (`stacked_images`), for the whole batch of spaces at once, and each
-    buffer is cut into one slice per space; no point of U is listed.
+    buffer is cut into one slice per space; no point of U is listed.  The
+    function keeps the templates as `templates`.
     """
     index = {b"".join(m.direction) + (m.basepoint or b""): i
              for i, m in enumerate(members)}
@@ -327,7 +324,7 @@ def member_lookup(members, n: int):
                                              n, r)]
     get = index.get
 
-    def inside(spaces) -> list[tuple[int, ...]]:
+    def inside(spaces) -> list[tuple[int | None, ...]]:
         if not templates or not spaces:
             return [()] * len(spaces)
         f, d = templates[0].field, spaces[0].ambient_len
@@ -341,9 +338,9 @@ def member_lookup(members, n: int):
             keys = (map(b"".join, zip(*parts)) if parts  # else the origin
                     else [b""] * len(spaces))
             found.append(list(map(get, keys)))
-        return [tuple(i for i in hits if i is not None)
-                for hits in zip(*found)]
+        return list(zip(*found))
 
+    inside.templates = templates
     return inside
 
 
@@ -365,14 +362,15 @@ class VerifyResult:
         }
 
 
-def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
+def _member_spans(members: list[Subspace], n: int, budget: Budget) -> list[Subspace]:
     """The distinct rank-n spans of chains of `members`.
 
     A chain takes members in index order and adds one only when it
     raises the span's rank.  Every subspace spanned by the members it
     contains is found: those members, taken in index order, form such a
     chain.  A member already inside the current span is skipped by
-    point membership before any span is built.
+    point membership before any span is built, and each span built
+    spends one budget node.
     """
     found: dict[str, Subspace] = {}
 
@@ -384,6 +382,7 @@ def _member_spans(members: list[Subspace], n: int) -> list[Subspace]:
             elif cur.contains_subspace(m):
                 continue
             else:
+                budget.spend()
                 s = span(m.field, m.mode, cur.basis_points() + m.basis_points(),
                          m.ambient_len)
             if s.rank == n:
@@ -458,10 +457,12 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
     (`member_lookup`, SPAN_CHUNK spans per batch), for a rank-w span D
     of members (`_member_spans`), with (D, S) isomorphic to
     (W, config.members) and some rank-n U over D holding no other
-    member (`_free_space`).  A chain adds at most
+    member (`_free_space`): D's template set, from the same lookup row,
+    is in the `copy_orbit` of (W, config.members).  A chain adds at most
     w - k + 1 members, so the closed-form number of chains is checked
     against the size cap before the walk.  The reported candidate count
-    is the closed-form number of rank-n subspaces.
+    is the closed-form number of rank-n subspaces; the nodes are the
+    spans the walk builds and the coloring search's.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
@@ -496,13 +497,11 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
         if chains > POINT_CAP:
             raise SizeCapError(f"{count_text(chains)} member chains, "
                                f"cap {POINT_CAP}")
+        orbit = copy_orbit(shape)
         members_inside = member_lookup(host_members, w)
-        points_of = cache(lambda i: frozenset(host_members[i].points()))
-        for d, hits in _chunked(members_inside,
-                                _member_spans(host_members, w)):
-            inside = frozenset(hits)
-            if (isomorphism_images(shape, d, map(points_of, hits), bud)
-                    is not None
+        for d, row in _chunked(members_inside, _member_spans(host_members, w, bud)):
+            inside = frozenset(row) - {None}
+            if (hit_templates(row) in orbit
                     and _free_space(host_space, n, d, host_members, inside)):
                 good.append(inside)
     coloring = find_proper_coloring(len(host_members), num_colors, good,

@@ -20,8 +20,8 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from .arrow import (ConfigFamily, find_monochromatic_subspace,
-                    isomorphism_images, member_lookup)
+from .arrow import (ConfigFamily, copy_orbit, find_monochromatic_subspace,
+                    hit_templates, member_lookup)
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
@@ -630,13 +630,12 @@ def extract_monochromatic_copy(host: ProductHost, coloring):
                        base.target_spans[base.targets.index(target)])
     # take the copy's members to be the host members inside it: the copy
     # is then induced and a copy of F exactly when it is isomorphic to F
-    [inside] = member_lookup(host.members, spec.target_rank)([copy_space])
-    members = tuple(sorted((host.members[i] for i in inside), key=Subspace.key))
+    [row] = member_lookup(host.members, spec.target_rank)([copy_space])
+    members = tuple(sorted((host.members[i] for i in row if i is not None),
+                           key=Subspace.key))
     if any(coloring[m.key()] != color for m in members):
         raise ConstructionCheckError("copy member has the wrong color")
-    if isomorphism_images(spec.family, copy_space,
-                          (frozenset(m.points()) for m in members),
-                          None) is None:
+    if hit_templates(row) not in copy_orbit(spec.family):
         raise ConstructionCheckError("copy is not an induced copy of the "
                                      "family: its members are not F's image")
     return MonochromaticCopy(target, copy_space, members, color, line, pattern)

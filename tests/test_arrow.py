@@ -7,22 +7,23 @@ arrow_holds is tested against something with no shared search code.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
 from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, BasisSet,
                      Budget, BudgetExceededError, ColoringTable, ConfigFamily,
-                     HostSpec, LinearMap, Subspace, VerifyResult, apply,
-                     arrow, arrow_holds, arrow_structure, build_base_host,
-                     build_product_host, count_subspaces, enumerate_subspaces,
-                     family_isomorphic, find_monochromatic_subspace,
-                     find_proper_coloring, full_space, induced_host_verify,
-                     is_independent, linear_extension, make_field,
-                     min_arrow_N, span, structure_generators)
+                     HostSpec, LinearMap, SizeCapError, Subspace,
+                     VerifyResult, apply, arrow, arrow_holds, arrow_structure,
+                     build_base_host, build_product_host, count_subspaces,
+                     enumerate_subspaces, family_isomorphic,
+                     find_monochromatic_subspace, find_proper_coloring,
+                     full_space, induced_host_verify, is_independent,
+                     linear_extension, make_field, min_arrow_N, span,
+                     structure_generators)
 from qramsey import construction
 from qramsey import space as qspace
-from qramsey.arrow import ISO_RANK_CAP
 
 
 def oracle_families(host, n, k):
@@ -405,13 +406,12 @@ def fano_family(collinear):
 
 
 def reference_isomorphic(fam1, fam2, bud):
-    """family_isomorphic as it was before point sets: the same search,
-    but each full basis is solved with `linear_extension` and the
+    """family_isomorphic by backtracking, the oracle for the orbit lookup:
+    ordered bases of fam2's ambient are tried in lexicographic point
+    order, each full basis is solved with `linear_extension`, and the
     members' images are compared with fam2's by canonical key."""
     if fam1.ambient.rank != fam2.ambient.rank:
         return None
-    if fam1.ambient.rank > ISO_RANK_CAP:
-        raise ValueError("ambient rank above the isomorphism cap")
     if len(fam1.members) != len(fam2.members):
         return None
     if fam1.members and fam1.members[0].rank != fam2.members[0].rank:
@@ -443,13 +443,13 @@ def reference_isomorphic(fam1, fam2, bud):
 
 
 def random_family_pair(rng, f, mode):
-    """(fam1, fam2): fam1 in a coordinate space of at most 9 points (rank
-    3, or 2 for vector q = 3), fam2 in a random subspace of a longer
-    coordinate space, and half the time fam1's image under a random
-    isomorphism."""
+    """(fam1, fam2): fam1 in a coordinate space of at most 16 points (rank
+    3, or 2 for vector q = 3 and for q = 4), fam2 in a random subspace of
+    a longer coordinate space, and half the time fam1's image under a
+    random isomorphism."""
     q = f.order
     rank = rng.randint(1 if mode == VECTOR else 2,
-                       2 if (q, mode) == (3, VECTOR) else 3)
+                       2 if (q, mode) == (3, VECTOR) or q == 4 else 3)
     amb1 = full_space(f, mode, rank)
     k = rng.randint(1, rank - 1) if rank > 1 else 1
     pool = enumerate_subspaces(amb1, k)
@@ -492,28 +492,38 @@ def flat_and_spread_families(f, mode):
                                     for p in pts)) for pts in (flat, spread)]
 
 
+def carries(m, fam1, fam2):
+    """Whether the map carries fam1's ambient onto fam2's and its members
+    onto fam2's, compared by canonical key."""
+    return (apply(m, fam1.ambient) == fam2.ambient
+            and {apply(m, s).key() for s in fam1.members}
+            == {s.key() for s in fam2.members})
+
+
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_point_set_isomorphism_matches_key_reference(q, mode):
-    # same map and same nodes as the key-based leaf: the point-set leaf
-    # changes only how a full basis is tested
+    # the orbit lookup answers as the backtracking reference does, and a
+    # map it returns carries fam1 onto fam2.  At q = 4 the ranks are at
+    # most 2, where equal counts and ranks always match, so a pair with
+    # one member dropped gives the negative answers.
     rng = random.Random(31 * q + len(mode))
     f = make_field(q)
-    flat, spread = flat_and_spread_families(f, mode)
-    pairs = [(flat, spread), (flat, flat)]
+    pairs = []
+    if q < 4:
+        flat, spread = flat_and_spread_families(f, mode)
+        pairs += [(flat, spread), (flat, flat)]
     pairs += [random_family_pair(rng, f, mode) for _ in range(40)]
+    if q == 4:
+        pairs += [(fam1, ConfigFamily(fam2.ambient, fam2.members[1:]))
+                  for fam1, fam2 in pairs[:10] if fam2.members]
     found = set()
     for fam1, fam2 in pairs:
-        want_bud, got_bud = Budget(), Budget()
-        want = reference_isomorphic(fam1, fam2, want_bud)
-        got = arrow.isomorphism_images(
-            fam1, fam2.ambient, [frozenset(m.points()) for m in fam2.members],
-            got_bud)
-        assert got_bud.nodes == want_bud.nodes
+        want = reference_isomorphic(fam1, fam2, Budget())
+        got = family_isomorphic(fam1, fam2)
         assert (got is None) == (want is None)
-        if want is not None:
-            assert got == [apply(want, p) for p in fam1.ambient.basis_points()]
-            assert family_isomorphic(fam1, fam2) == want
+        if got is not None:
+            assert carries(got, fam1, fam2)
         found.add(want is not None)
     assert found == {True, False}
 
@@ -571,12 +581,68 @@ def test_family_isomorphic_affine():
     assert apply(m, pts[0]).key() == pts[1].key()
 
 
-def test_family_isomorphic_rank_cap():
+def test_family_isomorphic_answers_rank_5():
+    # no cap on the rank: two crossing planes of GF(2)^5 go onto two
+    # others by a map that carries them, and onto no pair meeting in a
+    # point, or in nothing but the origin
     f = make_field(2)
-    amb = full_space(f, VECTOR, ISO_RANK_CAP + 1)
-    fam = ConfigFamily(amb, (span(f, VECTOR, [(1, 0, 0, 0, 0)], 5),))
-    with pytest.raises(ValueError):
-        family_isomorphic(fam, fam)
+    amb = full_space(f, VECTOR, 5)
+
+    def planes(*pairs):
+        return ConfigFamily(amb, tuple(span(f, VECTOR, p, 5) for p in pairs))
+
+    fam1 = planes([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
+                  [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)])
+    fam2 = planes([(0, 0, 0, 1, 1), (1, 1, 0, 0, 0)],
+                  [(0, 0, 0, 1, 1), (0, 1, 1, 1, 0)])
+    m = family_isomorphic(fam1, fam2)
+    assert m is not None and carries(m, fam1, fam2)
+    apart = planes([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
+                   [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+    assert family_isomorphic(fam1, apart) is None
+
+
+def test_copy_orbit_stops_at_the_size_cap(monkeypatch):
+    # one point of GF(2)^3 has an orbit of all 7 points: a cap of 7 holds
+    # it, and a cap of 6 stops the search as it would take a 7th set
+    f = make_field(2)
+    fam = ConfigFamily(full_space(f, VECTOR, 3),
+                       (span(f, VECTOR, [(1, 0, 0)], 3),))
+    monkeypatch.setattr(arrow, "POINT_CAP", 7)
+    assert len(arrow.copy_orbit(fam)) == 7
+    monkeypatch.setattr(arrow, "POINT_CAP", 6)
+    with pytest.raises(SizeCapError, match="more than 6 template sets"):
+        arrow.copy_orbit(fam)
+
+
+def group_order(q, d, affine):
+    """|GL(d, q)|, times q^d for |AGL(d, q)|."""
+    order = math.prod(q ** d - q ** i for i in range(d))
+    return order * q ** d if affine else order
+
+
+@pytest.mark.parametrize("q,mode,w", [
+    (q, mode, w) for q, top in ((2, 3), (3, 3), (4, 2))
+    for mode in (VECTOR, AFFINE) for w in range(1, top + 1)])
+def test_orbit_maps_generate_the_group(q, mode, w):
+    # the closure of the coordinate basis under the orbit's maps is one
+    # basis per group element: every ordered basis of GF(q)^w in vector
+    # mode, every affine frame of GF(q)^(w-1) in affine mode.  Without
+    # the scalings q = 4 and q = 3 at one coordinate fall short; without
+    # the translation every affine case with a coordinate does.
+    f = make_field(q)
+    coord = full_space(f, mode, w)
+    maps = arrow.orbit_maps(f, mode, coord.ambient_len)
+    start = coord.basis_points()
+    seen, queue = {start}, [start]
+    for basis in queue:
+        for g in maps:
+            image = tuple(map(g, basis))
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    d = coord.ambient_len
+    assert len(seen) == group_order(q, d, mode == AFFINE)
 
 
 def test_family_isomorphic_empty_families():
@@ -656,9 +722,11 @@ def reference_verify(host_space, members, config, num_colors):
     set: U ∩ H by testing every member with `contains_subspace`, and the
     isomorphism by `reference_isomorphic`.  It stays here as the oracle.
     Its induced count is the number of distinct member sets U ∩ H, all
-    the coloring search sees; a spanning F has one U per set.
+    the coloring search sees; a spanning F has one U per set.  Its nodes
+    are the coloring search's alone: the isomorphism search spends a
+    budget of its own.
     """
-    bud = Budget()
+    iso_bud, bud = Budget(), Budget()
     fam = {m.key(): m for m in members}
     keys = sorted(fam)
     index = {k: i for i, k in enumerate(keys)}
@@ -668,7 +736,7 @@ def reference_verify(host_space, members, config, num_colors):
     for u in candidates:
         inter = tuple(m for m in host_members if u.contains_subspace(m))
         if reference_isomorphic(config, ConfigFamily(u, inter),
-                                bud) is not None:
+                                iso_bud) is not None:
             good.append(frozenset(index[m.key()] for m in inter))
     coloring = find_proper_coloring(len(host_members), num_colors, good,
                                     budget=bud)
@@ -691,9 +759,23 @@ def answers(res):
     return res.holds, res.witness, res.num_candidates, res.num_induced
 
 
-def assert_same_answers(got, want):
+def assert_same_answers(want, *args):
+    """Run induced_host_verify on args: its answers, and the nodes its
+    coloring search spends (its own count adds the spans the walk
+    builds), equal the reference's."""
+    spent = []
+
+    def counted(*fargs, budget, plain=arrow.find_proper_coloring, **kwargs):
+        before = budget.nodes
+        out = plain(*fargs, budget=budget, **kwargs)
+        spent.append(budget.nodes - before)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrow, "find_proper_coloring", counted)
+        got = induced_host_verify(*args)
     assert answers(got) == answers(want)
-    assert got.nodes <= want.nodes
+    assert spent == [want.nodes]
 
 
 def grid_hosts(q, n1_values, cap=POINT_CAP):
@@ -740,12 +822,7 @@ def forbid_listing(monkeypatch, spaces):
 def test_member_spans_match_enumeration_on_the_grid(q2_grid):
     assert len(q2_grid) == 20  # the 21 grid hosts less vector |F| = 3, N1 = 3
     for spec, host, want in q2_grid:
-        got = induced_host_verify(host.space, host.members, spec.family, 2)
-        assert_same_answers(got, want)
-        # at n <= 2 any U holding a spanning F's members is spanned by
-        # them, so the enumeration runs no isomorphism search the spans skip
-        if spans_ambient(spec.family):
-            assert got.nodes == want.nodes
+        assert_same_answers(want, host.space, host.members, spec.family, 2)
 
 
 def test_member_spans_never_enumerate_the_host(q2_grid, monkeypatch):
@@ -756,19 +833,15 @@ def test_member_spans_never_enumerate_the_host(q2_grid, monkeypatch):
     assert sum(not spans_ambient(spec.family) for spec, _, _ in q2_grid) == 6
     for spec, host, want in q2_grid:
         assert spec.family.members
-        got = induced_host_verify(host.space, host.members, spec.family, 2)
-        assert_same_answers(got, want)
+        assert_same_answers(want, host.space, host.members, spec.family, 2)
 
 
 def test_member_spans_match_enumeration_at_q3():
     hosts = grid_hosts(3, (1,), cap=2000)
     assert len(hosts) == 8  # every N1 = 1 host but vector |F| = 4
     for spec, host in hosts:
-        got = induced_host_verify(host.space, host.members, spec.family, 2)
         want = reference_verify(host.space, host.members, spec.family, 2)
-        assert_same_answers(got, want)
-        if spans_ambient(spec.family):
-            assert got.nodes == want.nodes
+        assert_same_answers(want, host.space, host.members, spec.family, 2)
 
 
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
@@ -798,19 +871,88 @@ def test_member_spans_match_enumeration_on_random_families(mode):
         h_pool = enumerate_subspaces(host, k)
         members = rng.sample(h_pool, rng.randint(3, min(10, len(h_pool))))
         r = rng.randint(1, 2)
-        got = induced_host_verify(host, members, fam, r)
         want = reference_verify(host, members, fam, r)
-        assert_same_answers(got, want)
-        outcomes.add((got.holds, got.num_induced > 0))
+        assert_same_answers(want, host, members, fam, r)
+        outcomes.add((want.holds, want.num_induced > 0))
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def walk_reference_verify(host_space, members, config, num_colors):
+    """induced_host_verify as it ran before the orbit lookup: the same
+    walk over member spans and the same free-space test, with each
+    span's members found by `contains_subspace` and its copy decided by
+    the backtracking `reference_isomorphic`.  Its nodes are the
+    coloring search's alone.  It answers where the host's rank-n
+    subspaces are too many for `reference_verify` to list."""
+    fam = {m.key(): m for m in members}
+    keys = sorted(fam)
+    host_members = [fam[k] for k in keys]
+    amb = config.ambient
+    shape = ConfigFamily(span(amb.field, amb.mode,
+                              [p for m in config.members
+                               for p in m.basis_points()], amb.ambient_len),
+                         config.members)
+    good = []
+    for d in arrow._member_spans(host_members, shape.ambient.rank, Budget()):
+        inside = [i for i, m in enumerate(host_members)
+                  if d.contains_subspace(m)]
+        copy = ConfigFamily(d, tuple(host_members[i] for i in inside))
+        if (reference_isomorphic(shape, copy, Budget()) is not None
+                and arrow._free_space(host_space, amb.rank, d, host_members,
+                                      frozenset(inside))):
+            good.append(frozenset(inside))
+    bud = Budget()
+    coloring = find_proper_coloring(len(host_members), num_colors, good,
+                                    budget=bud)
+    witness = None
+    if coloring is not None:
+        witness = ColoringTable(host_space.key(), dict(zip(keys, coloring)))
+    return VerifyResult(coloring is None, witness,
+                        count_subspaces(host_space.rank, amb.rank,
+                                        amb.field.order, amb.mode),
+                        len(good), bud.nodes)
+
+
+def ag22_lines(*pairs):
+    """F: lines of the affine plane AG(2, 2), each through two points."""
+    f = make_field(2)
+    return ConfigFamily(full_space(f, AFFINE, 3),
+                        tuple(span(f, AFFINE, p, 2) for p in pairs))
+
+
+AG22_FAMILIES = {
+    "one_line": [((0, 0), (1, 0))],
+    "parallel": [((0, 0), (1, 0)), ((0, 1), (1, 1))],
+    "crossing": [((0, 0), (1, 0)), ((0, 0), (0, 1))],
+    "three_lines": [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))],
+}
+
+
+@pytest.mark.parametrize("n1", [1, 2])
+@pytest.mark.parametrize("name", list(AG22_FAMILIES))
+def test_orbit_lookup_matches_the_oracles_on_ag22_families(name, n1):
+    # k = 2, n = 3, N0 = 3: the orbit lookup answers as the scan with
+    # backtracking where the host's rank-3 subspaces number at most
+    # 10,416, and as the walk with backtracking at three lines, N1 = 2,
+    # where they number 690,880
+    fam = ag22_lines(*AG22_FAMILIES[name])
+    host = build_product_host(
+        build_base_host(HostSpec(2, AFFINE, 2, 3, 2, fam, 3, n1)), n1)
+    args = (host.space, host.members, fam, 2)
+    listed = count_subspaces(host.space.rank, 3, 2, AFFINE) <= 10_416
+    want = walk_reference_verify(*args)
+    assert_same_answers(want, *args)
+    if listed:
+        assert answers(reference_verify(*args)) == answers(want)
+    assert listed == ((name, n1) != ("three_lines", 2))
 
 
 def test_member_spans_skip_coplanar_members():
     # F = three independent lines of GF(2)^3.  In the host GF(2)^4 the
-    # rank-3 U = <e1, e2, e4> holds three members e1, e2, e1+e2, the
+    # rank-3 U = <e1, e2, e3 + e4> holds three members e1, e2, e1+e2, the
     # count F asks for, but they are coplanar and do not span U.  The
     # enumeration tests U with the isomorphism search; member spans never
-    # build it.  The answers agree and fewer nodes are spent.
+    # build it.  The answers and the coloring nodes agree.
     f = make_field(2)
     amb = full_space(f, VECTOR, 3)
     config = ConfigFamily(amb, tuple(span(f, VECTOR, [e], 3) for e in
@@ -820,10 +962,10 @@ def test_member_spans_skip_coplanar_members():
                ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0),
                 (0, 0, 0, 1))]
     for r in (1, 2):
-        got = induced_host_verify(host, members, config, r)
         want = reference_verify(host, members, config, r)
-        assert_same_answers(got, want)
-        assert got.nodes < want.nodes
+        assert_same_answers(want, host, members, config, r)
+    u = span(f, VECTOR, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)], 4)
+    assert u not in arrow._member_spans(members, 3, Budget())
 
 
 # -- candidate members by canonical image -----------------------------------------
@@ -840,9 +982,14 @@ def test_member_lookup_matches_the_scan_on_the_grid(q):
         n_spaces = enumerate_subspaces(host.space, spec.target_rank)
         got = arrow.member_lookup(members, spec.target_rank)(n_spaces)
         assert len(got) == len(n_spaces)
-        for u, hits in zip(n_spaces, got):
+        for u, row in zip(n_spaces, got):
             want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
-            assert sorted(hits) == want
+            assert sorted(member_hits(row)) == want
+
+
+def member_hits(row):
+    """The member indices of a `member_lookup` row."""
+    return [i for i in row if i is not None]
 
 
 def random_flat(rng, f, mode, rank, points):
@@ -880,18 +1027,25 @@ def lookup_cases():
 
 def test_batched_member_lookup_matches_the_scan():
     # one batch answers as the contains_subspace scan, and as the same
-    # spaces passed one at a time; an empty batch answers nothing
+    # spaces passed one at a time; an empty batch answers nothing.  A
+    # row's entry t is the member that template t's image is, under the
+    # space's basis map, or None when that image is no member
     seen, qs = set(), set()
     for q, mode, n, spaces, members in lookup_cases():
         inside = arrow.member_lookup(members, n)
         got = inside(spaces)
         assert len(got) == len(spaces)
-        for u, hits in zip(spaces, got):
+        index = {m.key(): i for i, m in enumerate(members)}
+        for u, row in zip(spaces, got):
             want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
-            assert sorted(hits) == want, (q, mode, n)
+            assert sorted(member_hits(row)) == want, (q, mode, n)
+            to_u = qspace.coordinate_map(u.field, mode, u.basis_points(),
+                                         u.ambient_len)
+            assert list(row) == [index.get(apply(to_u, t).key())
+                                 for t in inside.templates]
         assert [inside([u])[0] for u in spaces] == got
         assert inside([]) == []
-        hit = set().union(*got)
+        hit = set(member_hits(itertools.chain(*got)))
         seen.add(("width", spaces[0].ambient_len))
         seen.update(("rank", mode, m.rank) for m in members)
         seen.update(("missed", mode) for i in range(len(members))
@@ -1018,8 +1172,7 @@ def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):
 
     monkeypatch.setattr(Subspace, "contains_subspace", guarded)
     for spec, host, want in q2_grid:
-        got = induced_host_verify(host.space, host.members, spec.family, 2)
-        assert_same_answers(got, want)
+        assert_same_answers(want, host.space, host.members, spec.family, 2)
     assert len(candidates) > len(q2_grid)
 
 

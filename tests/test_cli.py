@@ -634,63 +634,67 @@ def test_verify_witness_file_on_failure(tmp_path, capsys):
 # came to count its copies as distinct member sets, and its nodes as
 # isomorphism nodes at the rank of F's span: 6 -> 3, 18 -> 3 (vector),
 # 4 -> 2, 12 -> 2 (affine) copies, the oracle scan's distinct sets.
+# Every verify digest was restated when copies came to be decided by
+# orbit lookup and nodes_explored to count the member spans the walk
+# builds plus the coloring nodes, not isomorphism nodes; verdicts,
+# witnesses and copy counts are unchanged.
 # (mode, n, |F|, N1) -> verify (exit code, verdict, digest), then extract
 # (exit code, status or step, digest) for the constant and random colorings
 PINNED_GRID = {
     (VECTOR, 1, 1, 1): (
-        (0, "holds", "662331d398c8cbfb8cf88bc65e2ce447cbd18659d802646c98469e4501cec362"),
+        (0, "holds", "7cd7310bb418f6e4c227c11133b2ba0b2bbf766fa4fed603730e572fff8f2c3a"),
         (0, "success", "8556126215c20540387b7d33a33c56b42c38c332b2b976ba66203e519ed7f618"),
         (0, "success", "8556126215c20540387b7d33a33c56b42c38c332b2b976ba66203e519ed7f618")),
     (VECTOR, 1, 1, 2): (
-        (0, "holds", "662331d398c8cbfb8cf88bc65e2ce447cbd18659d802646c98469e4501cec362"),
+        (0, "holds", "7cd7310bb418f6e4c227c11133b2ba0b2bbf766fa4fed603730e572fff8f2c3a"),
         (0, "success", "21e13d6cc6a27db6b838d2f27c9726c44f3f45d220cd0dbae0f13a3c569186f4"),
         (0, "success", "21e13d6cc6a27db6b838d2f27c9726c44f3f45d220cd0dbae0f13a3c569186f4")),
     (VECTOR, 2, 1, 1): (
-        (0, "holds", "1457cd2de26c696b35e0baa1c7aeba8518c4b3a4d211a7d42803883077776417"),
+        (0, "holds", "84be73f7963ddd5a2cd65ada6011150c5ba934a9bb66d0c903ce4bc043b1b03d"),
         (0, "success", "10c89d1dac5a7d5c1941d4e0552bc41d277750bdc6bbebff164fb5cbe9b96770"),
         (2, "subspace_search", "96cadf60f07ebdfa779354e1d54167e591e866fe6f31625eaa88259d3e5f3485")),
     (VECTOR, 2, 1, 2): (
-        (0, "holds", "9bba2e75c0af34c56918266fdaa2270b58b00352c4c92cfcf8bd083fc7f4f0a8"),
+        (0, "holds", "a7b3e5b9572f6f97a8931a65e2419610048b24d7b1ac34e81bbf424faf964e77"),
         (0, "success", "31dc9763eb7e85da6bc7a6f676cd19b10a2db41f74e75a95720bc167059b9c7f"),
         (2, "subspace_search", "b61d10fc7b308103fb0c27fd2b1b92cadbf85459ab0c59aae30e0b5977732132")),
     (VECTOR, 2, 2, 1): (
-        (2, "fails", "f21b6dd263ddb96fc6dbb4b1cbff8b0896838e17ed0550050fd5198eb6c5826e"),
+        (2, "fails", "cb5c861bd0e2cf8c61e7c6dadf4e6206673f8c3f42941e09ae52d43809b9f083"),
         (0, "success", "ac69b05bf7c92ca3bfb4b5f1d9bd5e88ac5f7e1aa5e5e58287ce2ab24b20709d"),
         (2, "subspace_search", "bc26bef4cb9c29a51c4aaae4155111db94970a1113cf736fffa6099da39185a1")),
     (VECTOR, 2, 2, 2): (
-        (0, "holds", "e1d5250696ef6e7ae61320395099c50720ad65f3a34413b0a6647ae1c541e1a6"),
+        (0, "holds", "6b09f3a17afbb7e40f0033164e4d24a59ecba7e91f3f333d5e891e04be85cd53"),
         (0, "success", "2d3755f7e097cbf9b500693e489a7337b964c5bf6d379d9b83d2f7dd5d4e7470"),
         (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
     (VECTOR, 2, 3, 1): (
-        (2, "fails", "e9604d802cfb0a09e9652677ae15a579a61fac6e740007c96109c41e90b70bef"),
+        (2, "fails", "748a6a4e5d94f703149b36889445030f8a707250e66f05191c10a2fa7ab012f7"),
         (0, "success", "cc4d993005cee12d14e3ef06feead7fa164f2cd900f8c4f0ba9ca5464360b522"),
         (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
     (VECTOR, 2, 3, 2): (
-        (2, "fails", "07daca76464792d9823ac4183f51a26474e76e4caed496aa7ed5b814189b0d7d"),
+        (2, "fails", "733b0c27e455213f16f75e16909f83adcecb86ccfd5328bb0616ff9875f5188b"),
         (0, "success", "3a8a7adbec1ed8a871e35762de58af99582c10d55c6cf9505f8ee51e25d9e10d"),
         (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
     (AFFINE, 1, 1, 1): (
-        (0, "holds", "6cc288b2ae5e994a4e8b0aaaa0003e252488c92488ea853e1f7884af98b02bdb"),
+        (0, "holds", "7cd7310bb418f6e4c227c11133b2ba0b2bbf766fa4fed603730e572fff8f2c3a"),
         (0, "success", "ce713307bb767e6e04009375a42a882f3542d41a1dbeba6c483501ee934e8e34"),
         (0, "success", "ce713307bb767e6e04009375a42a882f3542d41a1dbeba6c483501ee934e8e34")),
     (AFFINE, 1, 1, 2): (
-        (0, "holds", "6cc288b2ae5e994a4e8b0aaaa0003e252488c92488ea853e1f7884af98b02bdb"),
+        (0, "holds", "7cd7310bb418f6e4c227c11133b2ba0b2bbf766fa4fed603730e572fff8f2c3a"),
         (0, "success", "61ef13028140bf7827a9e44e71997a72394c5afa204ea946b31929e40aff4f8e"),
         (0, "success", "61ef13028140bf7827a9e44e71997a72394c5afa204ea946b31929e40aff4f8e")),
     (AFFINE, 2, 1, 1): (
-        (0, "holds", "7b2e9b3e53a9d440f2a6eaf8dd42e5914f0293f98ea0a0475512dd5d7d2eb782"),
+        (0, "holds", "82520982a077fe78291f0f743f80804696eef90b025173d44f6e58437383e3db"),
         (0, "success", "eff174c1fc119ca418a9df35f7a9db2d76561fdbbcd4a88706c6d5b83bbcc7a8"),
         (2, "subspace_search", "051d83639e0397eceb65a8c02141fa30ec13303a821f05f2d561950efb1fedc7")),
     (AFFINE, 2, 1, 2): (
-        (0, "holds", "8b94c71ec17c3e16e0d35854468fb00724c50d47e81fb3cb2c387739c8c474aa"),
+        (0, "holds", "dcd55b9eb75f1a1a6ae8481ebc583ce28b4fc8887f1315331837f4a00aae94f5"),
         (0, "success", "c76ed1360c0ddc455433f98d6e88f3002427a272d0b792b4c5379d57659437ab"),
         (2, "subspace_search", "2cec93537add9ac3be17bea4f1d8ad25d667b31508a734f94e5d5d023276c191")),
     (AFFINE, 2, 2, 1): (
-        (0, "holds", "6b63b58bfbcbf2e3c546121e6998be1461c5a322a9694fb760289275e154f5c2"),
+        (0, "holds", "8b4ee517099b532bc9d15a0d24bb4dd0fe675daf10d99cf1c9d2c472072e910c"),
         (0, "success", "2a85b96ea7663c04d052a54254212eb1a21e6cf6f034be00d6a0142e0572362c"),
         (2, "line_search", "ef12ce9a148741858e24a1a7383c1e9ff5b162484fa7131759d02ada760be8c8")),
     (AFFINE, 2, 2, 2): (
-        (0, "holds", "4f74c5b623f5ce15a1320451aa64bb9986ed9e43e77d570af38266fb171ffbfc"),
+        (0, "holds", "31ab5c3a70663fd272b11665f6b472aa1308754bb77ab8587468851c0a253156"),
         (0, "success", "96d80c239bd278a890e5e2e63eb9626a0328633aa718dd550142ecbbaa142f6b"),
         (0, "success", "7ff7ae59d6d1d7829b51e2ef3f5900d3d8ded8494c9398b88e194406941aa46a")),
 }
@@ -791,7 +795,8 @@ def test_verify_holds_above_the_base_rank(tmp_path, capsys):
     # N0 = 3 > n: X has rank 56, so its rank-2 subspaces cannot be listed,
     # but the 147 members give 147 + C(147, 2) = 10,878 member chains.
     # Every cover is a copy of the base plane holding all of its lines,
-    # and GF(2)^3 arrows (2, 1, 2), so the host holds.
+    # and GF(2)^3 arrows (2, 1, 2), so the host holds.  The nodes are the
+    # 10,731 spans the walk builds and 978 coloring nodes.
     bundle = plane_lines_bundle(capsys, tmp_path, 3, 1)
     code, _, out = run_cli(capsys, "verify", "--bundle", str(bundle),
                            "--r", "2")
@@ -799,7 +804,7 @@ def test_verify_holds_above_the_base_rank(tmp_path, capsys):
     assert out == ('{"command": "verify", "r": 2, "verdict": "holds", '
                    '"witness": null, '
                    '"candidates": 865382809755804568726285702572715, '
-                   '"induced_copies": 154, "nodes_explored": 1748}\n')
+                   '"induced_copies": 154, "nodes_explored": 11709}\n')
 
 
 def test_verify_fails_at_word_length_3_and_extract_agrees(tmp_path, capsys):
@@ -816,6 +821,29 @@ def test_verify_fails_at_word_length_3_and_extract_agrees(tmp_path, capsys):
     code, lines, _ = run_cli(capsys, "extract", "--bundle", str(bundle),
                              "--coloring", str(witness))
     assert code == 2 and lines[0]["status"] == "diagnostic"
+
+
+@pytest.mark.parametrize("budget,code,line", [
+    ((), 0, {"verdict": "holds", "induced_copies": 54925,
+             "nodes_explored": 56961}),
+    (("--budget-nodes", "1000"), 3, {"verdict": "unknown",
+                                     "nodes_explored": 1001}),
+    (("--budget-ms", "1"), 3, {"verdict": "unknown"}),
+], ids=["unbounded", "nodes", "wall"])
+def test_verify_walk_spends_the_budget(budget, code, line, tmp_path, capsys):
+    # q = 3, F = two lines of a plane, N0 = 3, N1 = 1: 338 members, whose
+    # walk builds 56,953 member spans at one node each before the
+    # coloring search spends 8.  A node budget below the spans, or a
+    # wall budget, stops the walk itself: the wall clock is read every
+    # 4,096 nodes.
+    amb = full_space(make_field(3), VECTOR, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:2]))
+    bundle = construct_bundle(capsys, tmp_path,
+                              HostSpec(3, VECTOR, 1, 2, 2, fam, 3, 1))
+    got, lines, _ = run_cli(capsys, "verify", "--bundle", str(bundle),
+                            "--r", "2", *budget)
+    assert got == code
+    assert {key: lines[0][key] for key in line} == line
 
 
 @pytest.mark.parametrize("nf,word_len,message", [
@@ -844,12 +872,14 @@ def test_verify_size_cap_before_building_candidates(tmp_path, capsys,
 # F = one line of a plane, N0 = 3 > n: X's rank-2 subspaces cannot be
 # listed, and before the walk over member spans this F exited size_cap.
 # Each copy is one member line with a plane over it in X that holds no
-# other member.  (q, mode, N1) -> (induced_copies, nodes_explored)
+# other member.  A one-member chain builds no span, and the coloring
+# search meets only one-member families, so no node is spent.
+# (q, mode, N1) -> (induced_copies, nodes_explored)
 ONE_LINE_ABOVE_THE_BASE_RANK = {
-    (2, VECTOR, 1): (49, 98),
-    (2, VECTOR, 2): (343, 686),
-    (2, AFFINE, 1): (24, 24),
-    (3, VECTOR, 1): (169, 338),
+    (2, VECTOR, 1): (49, 0),
+    (2, VECTOR, 2): (343, 0),
+    (2, AFFINE, 1): (24, 0),
+    (3, VECTOR, 1): (169, 0),
 }
 
 

@@ -367,6 +367,66 @@ def test_detects_a_second_lookup():
     assert second_lookups(tree) == ["point_index", "_families"]
 
 
+# -- copies by one orbit lookup -------------------------------------------
+#
+# Whether a space with the members inside it is a copy of a configuration
+# is one lookup of its template set in arrow.copy_orbit: verify's walk,
+# extract's final check and family_isomorphic all ask it.  The
+# backtracking over ordered bases that it replaced, `isomorphism_images`
+# under `ISO_RANK_CAP`, lives on only as the tests' oracle; back in the
+# library it would be a second answer, free to drift from the first.
+
+ORBIT = "copy_orbit"
+ORBIT_CALLERS = ["arrow.py:family_isomorphic", "arrow.py:induced_host_verify",
+                 "construction.py:extract_monochromatic_copy"]
+RETIRED_SEARCH = ("isomorphism_images", "ISO_RANK_CAP")
+
+
+def orbit_callers(tree: ast.Module) -> list[str | None]:
+    """The top-level definition (None for module code) around each call
+    of `copy_orbit`."""
+    out = []
+    for node in tree.body:
+        name = getattr(node, "name", None)
+        out += [name for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and ORBIT in (getattr(call.func, "id", None),
+                              getattr(call.func, "attr", None))]
+    return out
+
+
+def retired_search(tree: ast.Module) -> list[int]:
+    """Lines that define or reference the retired isomorphism search."""
+    defined = [line for name, line in definitions(tree).items()
+               if name in RETIRED_SEARCH]
+    return sorted(defined + [n.lineno for name in RETIRED_SEARCH
+                             for n in references(tree, name)])
+
+
+def test_copies_are_decided_by_one_orbit_lookup():
+    callers, retired = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.name}:{name}" for name in orbit_callers(tree)]
+        retired += [f"{path.name}:{line}" for line in retired_search(tree)]
+    assert sorted(callers) == ORBIT_CALLERS
+    assert not retired, ("the backtracking isomorphism search is back in "
+                         f"src/qramsey: {', '.join(retired)}")
+
+
+def test_detects_a_second_copy_test():
+    tree = ast.parse("ISO_RANK_CAP = 4\n"
+                     "def family_isomorphic(a, b):\n"
+                     "    return copy_orbit(a).get(b)\n"
+                     "def isomorphism_images(config, ambient):\n"
+                     "    return None\n"
+                     "def verify(host):\n"
+                     "    return arrow.copy_orbit(host) and isomorphism_images(host, 1)\n"
+                     "ORBIT = copy_orbit(None)\n")
+    assert orbit_callers(tree) == ["family_isomorphic", "verify", None]
+    assert retired_search(tree) == [1, 4, 7]
+
+
 # -- defaulted parameters that no call passes -----------------------------
 #
 # A parameter whose default every caller keeps is a knob no one turns; the
