@@ -21,8 +21,8 @@ from .field import make_field
 from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
                     Subspace, apply, coordinate_map, count_subspaces,
                     count_text, enumerate_subspaces, full_space,
-                    gaussian_binomial, json_expect, linear_extension, span,
-                    stacked_images, subspace_templates)
+                    gaussian_binomial, json_expect, json_field,
+                    linear_extension, span, stacked_images, subspace_templates)
 
 # member spans per `member_lookup` batch in induced_host_verify (`_chunked`)
 SPAN_CHUNK = 1024
@@ -238,9 +238,10 @@ class ConfigFamily:
 
     @staticmethod
     def from_json(data: dict) -> "ConfigFamily":
-        json_expect(data, dict, "a configuration family")
-        amb = Subspace.from_json(data["ambient"])
-        members = json_expect(data["members"], list, "members")
+        what = "a configuration family"
+        json_expect(data, dict, what)
+        amb = Subspace.from_json(json_field(data, "ambient", what))
+        members = json_expect(json_field(data, "members", what), list, "members")
         return ConfigFamily(amb, tuple(Subspace.from_json(m, amb.field)
                                        for m in members))
 

@@ -199,6 +199,10 @@ def _load_coloring(path: str, host) -> dict:
     json_expect(data, dict, "a coloring file")
     if "constant" in data:
         color = json_int(data["constant"], "constant")
+        # checked here, as the members' colors are checked by extraction,
+        # which an empty family never reaches
+        if not 0 <= color < host.spec.num_colors:
+            raise ValueError("coloring uses a color outside the spec range")
         return {m.key(): color for m in host.members}
     if "entries" in data:
         entries = json_expect(data["entries"], dict, "a coloring's 'entries'")

@@ -29,9 +29,10 @@ from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
                     SizeCapError, Subspace, Vec, apply, combination_points,
                     complement, compose, coordinate_map, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    identity_map, image_space, json_expect, json_int, json_text,
-                    linear_extension, mat_vec, nullspace_rows, span,
-                    transpose, vec_scale, vec_sub)
+                    identity_map, image_space, json_expect, json_field,
+                    json_int, json_text, key_order, linear_extension, mat_vec,
+                    nullspace_rows, span, span_form, transpose, vec_scale,
+                    vec_sub)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -97,14 +98,18 @@ class HostSpec:
     def from_json(data: dict) -> "HostSpec":
         json_expect(data, dict, "a host spec")
         n1 = data.get("N1", "auto")
+
+        def get(key):
+            return json_field(data, key, "a host spec")
+
         return HostSpec(
-            q=json_int(data["q"], "q"),
-            mode=data["mode"],
-            colored_rank=json_int(data["k"], "k"),
-            target_rank=json_int(data["n"], "n"),
-            num_colors=json_int(data["r"], "r"),
-            family=ConfigFamily.from_json(data["F"]),
-            base_rank=json_int(data["N0"], "N0"),
+            q=json_int(get("q"), "q"),
+            mode=get("mode"),
+            colored_rank=json_int(get("k"), "k"),
+            target_rank=json_int(get("n"), "n"),
+            num_colors=json_int(get("r"), "r"),
+            family=ConfigFamily.from_json(get("F")),
+            base_rank=json_int(get("N0"), "N0"),
             word_len=None if n1 == "auto" else json_int(n1, "N1"),
         )
 
@@ -206,15 +211,18 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     # projection is affine, so the images of a cover's points, in
     # points() order, are the combinations of the images of its
     # basepoint and direction rows: only those are projected.  The cover
-    # k-space over base k-space j is the span of the section at the
-    # positions of j's basis points.  Collect the k-spaces with a cover
-    # holding each and the base points under its basis points.
+    # k-space over base k-space j is spanned by the section at the
+    # positions of j's basis points, and one `span_form` of those k
+    # points gives its canonical rows and basepoint, which key it; a
+    # Subspace is built, and checked, for a new one only.  Collect the
+    # k-spaces with a cover holding each and the base points under its
+    # basis points.  They share one shape, so `key_order` sorts them.
     base_k = tuple(enumerate_subspaces(base, k))
     where = {p: i for i, p in enumerate(base.points())}
     basis_at = [[where[p] for p in s.basis_points()] for s in base_k]
-    frames: dict[Subspace, tuple[int, tuple[int, ...]]] = {}
+    frames: dict[tuple, tuple[Subspace, int, tuple[int, ...]]] = {}
     sections: list[tuple[Vec, ...]] = []
-    slot_rows: list[list[Subspace]] = []
+    slot_rows: list[list[tuple]] = []
     zero = origin = bytes(e_amb)
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
@@ -231,17 +239,19 @@ def build_base_host(spec: HostSpec) -> BaseHost:
         over = dict(zip(pts, at))
         row = []
         for basis_pos in basis_at:
-            s = span(f, mode, [section[i] for i in basis_pos], v_amb)
-            if s not in frames:
-                frames[s] = (ci, tuple(map(over.__getitem__, s.basis_points())))
-            row.append(s)
+            form = span_form(f, mode, [section[i] for i in basis_pos])
+            if form not in frames:
+                s = Subspace(mode, f, v_amb, *form)
+                frames[form] = (s, ci, tuple(map(over.__getitem__, s.basis_points())))
+            row.append(form)
         slot_rows.append(row)
-    cover_k = tuple(sorted(frames, key=Subspace.key))
-    g_index = {s: i for i, s in enumerate(cover_k)}
+    forms = sorted(frames, key=lambda form: key_order(frames[form][0]))
+    g_index = {form: i for i, form in enumerate(forms)}
     cover_slot = tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows)
     return BaseHost(spec, base, base_k, room, tuple(targets), tuple(target_spans),
-                    tuple(covers), cover_k, projection, cover_slot,
-                    tuple(sections), tuple(map(frames.__getitem__, cover_k)))
+                    tuple(covers), tuple(frames[form][0] for form in forms),
+                    projection, cover_slot, tuple(sections),
+                    tuple(frames[form][1:] for form in forms))
 
 
 def _equalizer_columns(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
@@ -370,7 +380,7 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
         parts for fiber in fibers
         for parts in itertools.product(fiber, repeat=word_len)))
     members = tuple(_write_member(base, parts) for parts in member_parts)
-    if len(set(members)) != len(members):
+    if len({(m.direction, m.basepoint) for m in members}) != len(members):
         raise ConstructionCheckError("member tuples collided")
     # a point meets the constraint matrix when all its blocks share one
     # projection value (M b_0 - M b_i = 0); the members' basis points
@@ -703,7 +713,7 @@ def host_from_text(text: str) -> ProductHost:
         spec_data = json.JSONDecoder().raw_decode(text, len(_HEAD))[0]
     else:
         data = json_expect(json.loads(text), dict, "a host bundle")
-        spec_data = data["spec"]
+        spec_data = json_field(data, "spec", "a host bundle")
     spec = HostSpec.from_json(spec_data)
     if spec.word_len is None:
         raise ValueError("bundle spec must carry a resolved word length")

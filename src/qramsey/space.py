@@ -437,17 +437,19 @@ class Subspace:
     @staticmethod
     def from_json(data: dict, f: Field | None = None) -> "Subspace":
         """Load a subspace, accepting any generating set (re-canonicalized)."""
-        json_expect(data, dict, "a serialized subspace")
-        q = json_int(data["q"], "q")
+        what = "a serialized subspace"
+        json_expect(data, dict, what)
+        q = json_int(json_field(data, "q", what), "q")
         if f is None:
             f = make_field(q)
         elif f.order != q:
             raise ValueError("field order mismatch in serialized subspace")
-        mode = data["mode"]
+        mode = json_field(data, "mode", what)
         _check_mode(mode)
-        amb = json_int(data["ambient_len"], "ambient_len")
+        amb = json_int(json_field(data, "ambient_len", what), "ambient_len")
         rows = [_json_point(f, r, "a direction row")
-                for r in json_expect(data["direction"], list, "direction")]
+                for r in json_expect(json_field(data, "direction", what), list,
+                                     "direction")]
         bp = data.get("basepoint")
         if mode == AFFINE:
             if bp is None:
@@ -474,6 +476,34 @@ def _json_list(v: Vec) -> str:
     """The compact JSON text of v as a list of ints."""
     text = v.translate(_ENTRY_HEX).hex().replace("c", ",").replace("d", ",1")
     return "[" + text[1:] + "]"
+
+
+def _text_ranks(end: str) -> bytes:
+    """The translate table taking entry x to the rank of the text
+    str(x) + end among those of the 16 entries."""
+    texts = sorted(f"{x}{end}" for x in range(16))
+    return bytes(texts.index(f"{x}{end}") for x in range(16)) + bytes(240)
+
+
+# An entry ranked by its key text inside a row ("10," sorts before "2,")
+# and as a row's last entry ("10]" sorts before "1]")
+_INNER_RANK = _text_ranks(",")
+_LAST_RANK = _text_ranks("]")
+
+
+def key_order(s: Subspace) -> bytes:
+    """Bytes that sort as `key()` does among subspaces of one shape.
+
+    Subspaces of one mode, q, ambient_len and rank have keys that differ
+    only in the entries' texts, each an entry's digits closed by "," or,
+    as a row's last, by "]".  No such text is a prefix of another, so
+    the first entry that differs orders two keys by its text.  Plain
+    byte order agrees with that only below q = 11, where every entry is
+    one digit; this ranks each entry by its text instead.
+    """
+    rows = s.direction if s.mode == VECTOR else s.direction + (s.basepoint,)
+    return b"".join([r[:-1].translate(_INNER_RANK) + r[-1:].translate(_LAST_RANK)
+                     for r in rows])
 
 
 def _spaced_list(v: Vec) -> str:
@@ -505,6 +535,14 @@ def json_expect(value, kind: type, what: str):
     return value
 
 
+def json_field(data: dict, key: str, what: str):
+    """data[key], or a ValueError naming the key and the object, `what`,
+    that lacks it."""
+    if key not in data:
+        raise ValueError(f"{what} is missing the key {key!r}")
+    return data[key]
+
+
 def json_int(value, what: str) -> int:
     """`value` if it is a JSON integer, else ValueError (1.5, "2", true too)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -524,6 +562,21 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
         raise ValueError("subspaces live in different ambients or modes")
 
 
+def span_form(f: Field, mode: str, pts: list[Vec]) -> tuple[tuple[Vec, ...], Vec | None]:
+    """The canonical direction rows and basepoint of the points' span.
+
+    One `rref`: of the points in vector mode, where the basepoint is
+    None; of their differences from the first point in affine mode,
+    whose basepoint is that point reduced by the rows.  The points are
+    bytes of one length, at least one in affine mode; nothing is checked.
+    """
+    if mode == VECTOR:
+        return rref(f, pts)[0], None
+    base = pts[0]
+    rows, piv = rref(f, [vec_sub(f, p, base) for p in pts[1:]])
+    return rows, _reduce_by(f, rows, piv, base)
+
+
 def span(f: Field, mode: str, points, ambient_len: int | None = None) -> Subspace:
     """Canonical span of the given points (mode-appropriate combinations)."""
     _check_mode(mode)
@@ -534,15 +587,9 @@ def span(f: Field, mode: str, points, ambient_len: int | None = None) -> Subspac
         ambient_len = len(pts[0])
     if any(len(p) != ambient_len for p in pts):
         raise ValueError("points of differing length")
-    if mode == VECTOR:
-        rows, _ = rref(f, pts)
-        return Subspace(VECTOR, f, ambient_len, rows, None)
-    if not pts:
+    if mode == AFFINE and not pts:
         raise ValueError("affine span needs at least one point")
-    base = pts[0]
-    diffs = [vec_sub(f, p, base) for p in pts[1:]]
-    rows, piv = rref(f, diffs)
-    return Subspace(AFFINE, f, ambient_len, rows, _reduce_by(f, rows, piv, base))
+    return Subspace(mode, f, ambient_len, *span_form(f, mode, pts))
 
 
 def full_space(f: Field, mode: str, rank: int) -> Subspace:
@@ -1006,7 +1053,11 @@ def complement(inner: Subspace, outer: Subspace) -> Subspace:
 
 
 def direct_sum(parts) -> Subspace:
-    """Span of the parts' bases; requires the joint basis to be independent."""
+    """Span of the parts' bases; requires the joint basis to be independent.
+
+    One reduction: the joint basis is independent exactly when its span
+    has a rank of one per basis point.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("direct sum of no parts")
@@ -1016,11 +1067,10 @@ def direct_sum(parts) -> Subspace:
     pts: list[Vec] = []
     for p in parts:
         pts.extend(p.basis_points())
-    if not is_independent(first.field, first.mode, pts):
+    total = span(first.field, first.mode, pts, first.ambient_len)
+    if total.rank < len(pts):
         raise ValueError("parts overlap: joint basis is dependent")
-    if first.mode == VECTOR and not pts:
-        return zero_space(first.field, first.ambient_len)
-    return span(first.field, first.mode, pts, first.ambient_len)
+    return total
 
 
 # ---------------------------------------------------------------------------

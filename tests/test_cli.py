@@ -1159,6 +1159,60 @@ def test_malformed_coloring_value_exits_4(bundle_path, tmp_path, capsys,
     assert code == 4 and out == ""
 
 
+@pytest.mark.parametrize("family", ["empty", "nonempty"])
+@pytest.mark.parametrize("shift", [0, -1], ids=["r", "minus_1"])
+def test_constant_coloring_outside_the_spec_range_exits_4(tmp_path, capsys,
+                                                          family, shift):
+    # c = r and c = -1; an empty family has no member to check it against
+    spec = json.loads(json.dumps(DEGENERATE_SPEC))
+    if family == "empty":
+        spec["F"]["members"] = []
+    spec_path, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run_cli(capsys, "construct", "--spec", str(spec_path),
+                   "--out", str(bundle))[0] == 0
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"constant": -1 if shift else spec["r"]}))
+    code = main(["extract", "--bundle", str(bundle), "--coloring", str(col)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "coloring uses a color outside the spec range" in err
+
+
+# (path into DEGENERATE_SPEC of the key taken out, the object named)
+MISSING_KEYS = [
+    (("q",), "a host spec"),
+    (("F", "members"), "a configuration family"),
+    (("F", "ambient", "ambient_len"), "a serialized subspace"),
+    (("F", "members", 0, "direction"), "a serialized subspace"),
+]
+
+
+@pytest.mark.parametrize("path,owner", MISSING_KEYS,
+                         ids=["/".join(map(str, p)) for p, _ in MISSING_KEYS])
+def test_missing_spec_key_is_named(tmp_path, capsys, path, owner):
+    spec = json.loads(json.dumps(DEGENERATE_SPEC))
+    node = spec
+    for step in path[:-1]:
+        node = node[step]
+    del node[path[-1]]
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    code = main(["construct", "--spec", str(p), "--out", str(tmp_path / "b.json")])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert f"qramsey construct: {owner} is missing the key '{path[-1]}'\n" in err
+
+
+def test_bundle_without_a_spec_is_named(tmp_path, capsys):
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps({"X": {}, "H": []}))
+    code = main(["verify", "--bundle", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "qramsey verify: a host bundle is missing the key 'spec'\n" in err
+
+
 @pytest.mark.parametrize("obj", [
     [], {}, [[]], [{}], {"a": []}, [1, [2, {"b": [3, 4]}]], [[1, 2], 3],
     {"x": {"y": [[0, 1], [1, 0]], "z": None}, "\u00e9": "\u2603", "n": 1.5},

@@ -9,6 +9,7 @@ split of the extraction walk.
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -441,6 +442,94 @@ def test_cover_pass_enumerates_no_cover(make_spec, monkeypatch):
     base = build_base_host(spec)
     assert sorted(calls) == sorted([spec.colored_rank, spec.target_rank])
     assert len(base.cover_k_spaces) == len(set(base.cover_k_spaces))
+
+
+def reference_base_cover_pass(base):
+    """sections, cover_k_spaces, cover_slot and cover_k_frames as the cover
+    pass built them with `span` per cover k-space and sorted by
+    `Subspace.key`, the projection applied point by point."""
+    f, mode, pi = base.field, base.mode, base.projection
+    where = {p: i for i, p in enumerate(base.base_space.points())}
+    basis_at = [[where[p] for p in s.basis_points()] for s in base.base_k_spaces]
+    frames, sections, slot_rows = {}, [], []
+    for ci, cover in enumerate(base.covers):
+        pts = list(cover.points())
+        at = [where[apply(pi, p)] for p in pts]
+        section = tuple(p for _, p in sorted(zip(at, pts)))
+        over = dict(zip(pts, at))
+        row = []
+        for basis_pos in basis_at:
+            s = span(f, mode, [section[i] for i in basis_pos], pi.domain_len)
+            frames.setdefault(s, (ci, tuple(over[p] for p in s.basis_points())))
+            row.append(s)
+        sections.append(section)
+        slot_rows.append(row)
+    cover_k = sorted(frames, key=lambda s: s.key())
+    g_index = {s: i for i, s in enumerate(cover_k)}
+    return (tuple(sections), tuple(cover_k),
+            tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows),
+            tuple(map(frames.__getitem__, cover_k)))
+
+
+# (mode, q, k, N0) with n = k + 1: q in {2, 3, 4, 11}, both modes, k in
+# {1, 2}, N0 = n, and N0 = n + 1 where q^k <= 9; past that one build
+# holds tens of thousands of cover k-spaces
+BASE_ORACLE_CASES = [(mode, q, k, k + 1 + up) for mode in (VECTOR, AFFINE)
+                     for q in (2, 3, 4, 11) for k in (1, 2) for up in (0, 1)
+                     if not up or q ** k <= 9]
+
+
+@pytest.mark.parametrize("case", BASE_ORACLE_CASES,
+                         ids=["{}_q{}_k{}_N0_{}".format(*c)
+                              for c in BASE_ORACLE_CASES])
+def test_cover_pass_matches_span_and_key_reference(case):
+    mode, q, k, base_rank = case
+    base = build_base_host(section_spec(q, mode, 2, base_rank, k, k + 1))
+    assert len(base.covers) > 1
+    assert (base.sections, base.cover_k_spaces, base.cover_slot,
+            base.cover_k_frames) == reference_base_cover_pass(base)
+
+
+# (q, mode, first and last + 1 of F among the rank-2 space's lines, N0, N1)
+# -> the `construct` bundle digest tests/test_cli.py pins for that spec
+GATE_BUNDLES = {
+    (2, VECTOR, 0, 3, 3, 1): "af99e9b2f685ad261cb07fa1178ade14f1af9ce18ec3598729183f35a90fa371",
+    (11, VECTOR, 2, 4, 2, 2): "0099323f9ecf1ff3478cf33c25844067d8a1cd626aecb27d959cc7f11a1e9fa3",
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_BUNDLES),
+                         ids=["q{}_{}_F{}_{}_N0_{}_N1_{}".format(*c)
+                              for c in GATE_BUNDLES])
+def test_host_build_formats_no_key_and_spans_no_cover_k_space(case,
+                                                              monkeypatch):
+    # the build reads the keys the keyed walk of `enumerate_subspaces`
+    # presets on the base space's subspaces, and formats none; it spans
+    # each target's slots and each cover's complement slots, and writes
+    # the cover k-spaces from their section points without `span`
+    q, mode, lo, hi, base_rank, word_len = case
+    amb = full_space(make_field(q), mode, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[lo:hi]))
+    spec = HostSpec(q, mode, 1, 2, 2, fam, base_rank, word_len)
+
+    def preset_only(s):
+        if s._key is None:
+            raise AssertionError("formatted a key")
+        return s._key
+
+    real, spans = construction.span, []
+
+    def counted(*args, **kwargs):
+        spans.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(space.Subspace, "key", preset_only)
+    monkeypatch.setattr(construction, "span", counted)
+    base = build_base_host(spec)
+    assert len(spans) <= len(base.targets) + len(base.covers) + 2
+    assert len(base.cover_k_spaces) > len(base.targets) + len(base.covers)
+    text = "".join(construction.bundle_text(build_product_host(base, word_len)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE_BUNDLES[case]
 
 
 def test_duplicate_member_is_caught(monkeypatch):

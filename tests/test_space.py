@@ -343,6 +343,43 @@ def test_enumeration_order_is_json_order(q, mode):
             assert [json_key(s) for s in subs] == sorted(map(json_key, subs))
 
 
+def same_shape_group(f, mode, width, rank, rng, size=12):
+    """`size` random subspaces of GF(q)^width of one mode and rank, each
+    the span of rank random points redrawn until independent."""
+    out = []
+    while len(out) < size:
+        pts = [tuple(rng.randrange(f.order) for _ in range(width))
+               for _ in range(rank)]
+        s = span(f, mode, pts, width)
+        if s.rank == rank:
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_key_order_sorts_like_the_key(q, mode):
+    f = make_field(q)
+    rng = random.Random(31 * q + (mode == AFFINE))
+    for width in range(1, 6):
+        for rank in range(1 if mode == AFFINE else 0, min(3, width) + 1):
+            group = same_shape_group(f, mode, width, rank, rng)
+            keys = sorted(s.key() for s in group)
+            assert [s.key() for s in sorted(group, key=space.key_order)] == keys
+            images = {space.key_order(s) for s in group}
+            assert len(images) == len(set(keys))
+
+
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_plain_byte_order_is_not_key_order_for_two_digit_entries(q):
+    # "[1,10]" sorts before "[1,2]" and "[1,1]", and "[1,10," before "[1,2,"
+    f = make_field(q)
+    for a, b in [((1, 2), (1, 10)), ((1, 1), (1, 10)), ((1, 2, 0), (1, 10, 0))]:
+        low, high = span(f, VECTOR, [a]), span(f, VECTOR, [b])
+        assert low.direction < high.direction and high.key() < low.key()
+        assert space.key_order(high) < space.key_order(low)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
 def test_points_run_in_coefficient_product_order(q, mode):
@@ -532,6 +569,36 @@ def test_direct_sum_single_part_is_that_part():
     f = make_field(3)
     u = span(f, VECTOR, [(1, 2, 0)], 3)
     assert direct_sum([u]) == u
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_direct_sum_is_one_reduction_and_rejects_as_independence_does(
+        mode, monkeypatch):
+    # random parts of GF(3)^4; the sum spans the joint basis once and
+    # rejects exactly the joint bases `is_independent` rejects
+    f = make_field(3)
+    rng = random.Random(11 + (mode == AFFINE))
+    real, calls = space.rref, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(space, "rref", counted)
+    for _ in range(60):
+        parts = [span(f, mode, [tuple(rng.randrange(3) for _ in range(4))
+                                for _ in range(rng.randint(1, 2))], 4)
+                 for _ in range(rng.randint(1, 3))]
+        joint = [p for part in parts for p in part.basis_points()]
+        calls.clear()
+        if is_independent(f, mode, joint):
+            total = direct_sum(parts)
+            assert len(calls) == 1 and total == span(f, mode, joint, 4)
+        else:
+            with pytest.raises(ValueError, match="parts overlap"):
+                direct_sum(parts)
+            assert len(calls) == 1
+    assert direct_sum([zero_space(f, 4)]) == zero_space(f, 4)
 
 
 # -- linear and affine maps ----------------------------------------------
