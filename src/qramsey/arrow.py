@@ -24,7 +24,7 @@ from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
                     gaussian_binomial, json_expect, json_field,
                     linear_extension, span, stacked_images, subspace_templates)
 
-# member spans per `member_lookup` batch in induced_host_verify (`_chunked`)
+# spaces per batch of `member_lookup`, whose image buffers a batch holds at once
 SPAN_CHUNK = 1024
 
 
@@ -314,9 +314,10 @@ def member_lookup(members, n: int):
     map, are U's subspaces of the members' ranks, so the members inside
     U are the templates' images found in the index, and no member is
     tested against U.  The images are canonical as built
-    (`stacked_images`), for the whole batch of spaces at once, and each
-    buffer is cut into one slice per space; no point of U is listed.  The
-    function keeps the templates as `templates`.
+    (`stacked_images`), for SPAN_CHUNK spaces at once, so a batch's
+    buffers are bounded whatever the caller passes, and each buffer is
+    cut into one slice per space; no point of U is listed.  The function
+    keeps the templates as `templates`.
     """
     index = {b"".join(m.direction) + (m.basepoint or b""): i
              for i, m in enumerate(members)}
@@ -325,9 +326,7 @@ def member_lookup(members, n: int):
                                              n, r)]
     get = index.get
 
-    def inside(spaces) -> list[tuple[int | None, ...]]:
-        if not templates or not spaces:
-            return [()] * len(spaces)
+    def batch(spaces) -> list[tuple[int | None, ...]]:
         f, d = templates[0].field, spaces[0].ambient_len
         rows = list(map(b"".join, zip(*[u.direction for u in spaces])))
         origin = (b"".join([u.basepoint for u in spaces])
@@ -340,6 +339,14 @@ def member_lookup(members, n: int):
                     else [b""] * len(spaces))
             found.append(list(map(get, keys)))
         return list(zip(*found))
+
+    def inside(spaces) -> list[tuple[int | None, ...]]:
+        if not templates:
+            return [()] * len(spaces)
+        out = []
+        for start in range(0, len(spaces), SPAN_CHUNK):
+            out += batch(spaces[start:start + SPAN_CHUNK])
+        return out
 
     inside.templates = templates
     return inside
@@ -371,9 +378,10 @@ def _member_spans(members: list[Subspace], n: int, budget: Budget) -> list[Subsp
     contains is found: those members, taken in index order, form such a
     chain.  A member already inside the current span is skipped by
     point membership before any span is built, and each span built
-    spends one budget node.
+    spends one budget node.  Spans are told apart by their canonical
+    rows and basepoint, so no key is formatted.
     """
-    found: dict[str, Subspace] = {}
+    found: dict[tuple, Subspace] = {}  # by (direction, basepoint)
 
     def grow(cur: Subspace | None, start: int) -> None:
         for j in range(start, len(members)):
@@ -387,24 +395,12 @@ def _member_spans(members: list[Subspace], n: int, budget: Budget) -> list[Subsp
                 s = span(m.field, m.mode, cur.basis_points() + m.basis_points(),
                          m.ambient_len)
             if s.rank == n:
-                found.setdefault(s.key(), s)
+                found.setdefault((s.direction, s.basepoint), s)
             elif s.rank < n:
                 grow(s, j + 1)
 
     grow(None, 0)
     return list(found.values())
-
-
-def _chunked(inside, spaces):
-    """(space, hits) for each space, looked up SPAN_CHUNK spaces at a time.
-
-    A lookup holds its batch's image buffers at once, so a batch of
-    every span would hold them for all the spans.  The spaces are
-    released when the walk ends.
-    """
-    for start in range(0, len(spaces), SPAN_CHUNK):
-        chunk = spaces[start:start + SPAN_CHUNK]
-        yield from zip(chunk, inside(chunk))
 
 
 def _free_space(host: Subspace, n: int, base: Subspace | None,
@@ -455,8 +451,8 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
 
     An isomorphism carries the span W of config's members, of rank w,
     onto span S.  So S is D cap members, looked up by canonical image
-    (`member_lookup`, SPAN_CHUNK spans per batch), for a rank-w span D
-    of members (`_member_spans`), with (D, S) isomorphic to
+    (`member_lookup`), for a rank-w span D of members
+    (`_member_spans`), with (D, S) isomorphic to
     (W, config.members) and some rank-n U over D holding no other
     member (`_free_space`): D's template set, from the same lookup row,
     is in the `copy_orbit` of (W, config.members).  A chain adds at most
@@ -499,8 +495,8 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
             raise SizeCapError(f"{count_text(chains)} member chains, "
                                f"cap {POINT_CAP}")
         orbit = copy_orbit(shape)
-        members_inside = member_lookup(host_members, w)
-        for d, row in _chunked(members_inside, _member_spans(host_members, w, bud)):
+        spans = _member_spans(host_members, w, bud)
+        for d, row in zip(spans, member_lookup(host_members, w)(spans)):
             inside = frozenset(row) - {None}
             if (hit_templates(row) in orbit
                     and _free_space(host_space, n, d, host_members, inside)):

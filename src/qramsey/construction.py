@@ -25,14 +25,13 @@ from .arrow import (ConfigFamily, copy_orbit, find_monochromatic_subspace,
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
-from .space import (AFFINE, POINT_CAP, VECTOR, BasisSet, LinearMap,
-                    SizeCapError, Subspace, Vec, apply, combination_points,
-                    complement, compose, coordinate_map, count_text,
+from .space import (AFFINE, POINT_CAP, VECTOR, LinearMap, SizeCapError,
+                    Subspace, Vec, apply, combination_points, complement,
+                    compose, coordinate_map, count_subspaces, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    identity_map, image_space, json_expect, json_field,
-                    json_int, json_text, key_order, linear_extension, mat_vec,
-                    nullspace_rows, span, span_form, transpose, vec_scale,
-                    vec_sub)
+                    identity_map, identity_rows, image_space, json_expect,
+                    json_field, json_int, json_text, key_order, mat_vec,
+                    nullspace_rows, span, span_form, transpose, vec_sub)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -146,8 +145,13 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     k, n, big_n = spec.colored_rank, spec.target_rank, spec.base_rank
     base = full_space(f, mode, big_n)
     e_amb = base.ambient_len
-    targets = enumerate_subspaces(base, n)
     nfam = len(spec.family.members)
+    # the cover pass holds one section point per cover and base point
+    held = count_subspaces(big_n, n, f.order, mode) * nfam * base.num_points
+    if held > POINT_CAP:
+        raise SizeCapError(f"{count_text(held)} cover section points, "
+                           f"cap {POINT_CAP}")
+    targets = enumerate_subspaces(base, n)
     comp_size = big_n - k
     block_rank = n + comp_size * nfam
     total_rank = len(targets) * block_rank
@@ -157,13 +161,13 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     v_amb = room.ambient_len
     v_basis = room.basis_points()
 
-    # pull F back onto the rank-n coordinate space once; the coordinate
-    # maps of a target's basis points and of its slots then push each
-    # member into the target and into the slots
-    coord = full_space(f, mode, n)
-    pull = linear_extension(BasisSet(mode, f, spec.family.ambient.basis_points()),
-                            coord.basis_points(), codomain_len=coord.ambient_len)
-    members = [apply(pull, m) for m in spec.family.members]
+    # pull F back onto the rank-n coordinate space once: a point of F's
+    # canonical ambient has its entries on the ambient's pivot columns as
+    # its coordinates.  The coordinate maps of a target's basis points and
+    # of its slots then push each member into the target and into the slots
+    pivots = list(spec.family.ambient.pivots())
+    members = [span(f, mode, [bytes(p[j] for j in pivots) for p in m.basis_points()],
+                    len(pivots)) for m in spec.family.members]
     target_spans: list[Subspace] = []
     parts: list[Subspace] = []    # the slot spans, whose direct sum is the room
     covers: list[Subspace] = []
@@ -254,45 +258,48 @@ def build_base_host(spec: HostSpec) -> BaseHost:
                     tuple(frames[form][1:] for form in forms))
 
 
-def _equalizer_columns(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
-    """The columns of the equalizer's constraint matrix, which maps a
-    tuple (b_0, ..., b_{w-1}) to its parts M b_0 - M b_i, i = 1 .. w - 1.
-
-    A tuple of word_len points shares one projection value exactly when
-    the matrix maps it to zero; affine translations cancel in the
-    differences, so the matrix is the same in both modes.  Column j of
-    block 0 is M's column j in every part, and column j of block i is
-    minus M's column j in part i alone.
-    """
-    f, e, parts = projection.field, projection.codomain_len, word_len - 1
-    cols = [c * parts for c in projection.columns]
-    minus = [vec_scale(f, f.neg(1), c) for c in projection.columns]
-    for i in range(parts):
-        cols += [bytes(i * e) + c + bytes((parts - 1 - i) * e) for c in minus]
-    return tuple(cols)
-
-
-def _equalizer_rows(projection: LinearMap, word_len: int) -> tuple[Vec, ...]:
-    """The constraint matrix's rows, one per part and row of M."""
-    return transpose(_equalizer_columns(projection, word_len),
-                     (word_len - 1) * projection.codomain_len)
-
-
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
     """Tuples of word_len points sharing one projection value, canonically.
 
     The result lives on word_len concatenated copies of the projection's
-    domain coordinates.  Both modes reduce to one nullspace computation
-    of the constraint rows.
+    domain coordinates.  A tuple is on it exactly when each later block
+    differs from the first by a vector of ker M, M the projection's
+    matrix, so it is the span of the diagonal points (e_j in every
+    block) and of a kernel basis placed in each later block; in affine
+    mode, the flat of those directions through the zero tuple.  At word
+    length 1 it is the domain's full space.
     """
     if word_len < 1:
         raise ValueError("word_len must be at least 1")
-    f = projection.field
-    total = word_len * projection.domain_len
-    directions = nullspace_rows(f, _equalizer_rows(projection, word_len), total)
-    if projection.mode == VECTOR:
-        return span(f, VECTOR, directions, total)
-    return span(f, AFFINE, [bytes(total), *directions], total)
+    f, mode, d = projection.field, projection.mode, projection.domain_len
+    if word_len == 1:
+        return full_space(f, mode, d + (1 if mode == AFFINE else 0))
+    total = word_len * d
+    kernel = nullspace_rows(f, transpose(projection.columns, projection.codomain_len), d)
+    points = [e * word_len for e in identity_rows(d)]
+    for i in range(1, word_len):
+        points += [bytes(i * d) + v + bytes((word_len - 1 - i) * d) for v in kernel]
+    if mode == AFFINE:
+        points.insert(0, bytes(total))
+    return span(f, mode, points, total)
+
+
+def _blocks_agree(pi: LinearMap, word_len: int, points) -> bool:
+    """Whether each point's word_len blocks share one value under pi.
+
+    An affine map's translation cancels between blocks, so only pi's
+    stored columns are read.  The points share few distinct blocks, so
+    each distinct block is projected once and the images compared.  At
+    word length 1 there is nothing to compare.
+    """
+    if word_len == 1:
+        return True
+    d, zero = pi.domain_len, bytes(pi.codomain_len)
+    blocks = [[p[i * d:(i + 1) * d] for p in points] for i in range(word_len)]
+    images = {b: mat_vec(pi.field, pi.columns, b, zero) for b in set().union(*blocks)}
+    first = list(map(images.__getitem__, blocks[0]))
+    return all(list(map(images.__getitem__, column)) == first
+               for column in blocks[1:])
 
 
 def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
@@ -361,18 +368,11 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
             f"equalizer rank {big_x.rank} differs from the rank law {expect}")
     # the tuples whose blocks share one projection value form a space of
     # the law's rank, so X, of that rank, is that space exactly when its
-    # basis lies in it; members are then checked against the definition.
-    # A point meets it when the constraint matrix maps it to zero, and at
-    # word length 1, where the matrix has no rows, every point does
+    # basis lies in it; members are then checked against the definition
+    if not _blocks_agree(pi, word_len, big_x.basis_points()):
+        raise ConstructionCheckError("the equalizer leaves its definition")
     d, e = pi.domain_len, pi.codomain_len
     total = word_len * d
-    if word_len > 1:
-        constraint = LinearMap(VECTOR, f, total, (word_len - 1) * e,
-                               _equalizer_columns(pi, word_len))
-        zero = bytes(constraint.codomain_len)
-        if any(any(mat_vec(f, constraint.columns, p, zero))
-               for p in big_x.basis_points()):
-            raise ConstructionCheckError("the equalizer leaves its definition")
     pi_tilde = LinearMap(mode, f, total, e,
                          pi.columns + (bytes(e),) * (total - d), pi.translation)
 
@@ -382,18 +382,8 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
     members = tuple(_write_member(base, parts) for parts in member_parts)
     if len({(m.direction, m.basepoint) for m in members}) != len(members):
         raise ConstructionCheckError("member tuples collided")
-    # a point meets the constraint matrix when all its blocks share one
-    # projection value (M b_0 - M b_i = 0); the members' basis points
-    # share few distinct blocks, so each block is projected once
-    if word_len > 1:
-        points = [p for m in members for p in m.basis_points()]
-        blocks = [[p[i * d:(i + 1) * d] for p in points] for i in range(word_len)]
-        zero = bytes(e)
-        images = {b: mat_vec(f, pi.columns, b, zero) for b in set().union(*blocks)}
-        first = list(map(images.__getitem__, blocks[0]))
-        if any(list(map(images.__getitem__, column)) != first
-               for column in blocks[1:]):
-            raise ConstructionCheckError("a member leaves the equalizer")
+    if not _blocks_agree(pi, word_len, [p for m in members for p in m.basis_points()]):
+        raise ConstructionCheckError("a member leaves the equalizer")
     return ProductHost(base, word_len, big_x, pi_tilde, members, member_parts,
                        fibers)
 
@@ -501,9 +491,9 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
     # (a) mutually inverse isomorphism staying inside the equalizer
     if compose(flatten, section) != ident:
         raise ConstructionCheckError("flatten is not a left inverse of section")
+    if not _blocks_agree(pi, host.word_len, copy.basis_points()):
+        raise ConstructionCheckError("the copy leaves the equalizer")
     for p in copy.basis_points():
-        if not host.space.is_member(p):
-            raise ConstructionCheckError("the copy leaves the equalizer")
         if apply(section, apply(flatten, p)) != p:
             raise ConstructionCheckError("section is not inverse on the copy")
         if apply(host.projection, p) != apply(pi, apply(flatten, p)):

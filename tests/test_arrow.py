@@ -968,6 +968,51 @@ def test_member_spans_skip_coplanar_members():
     assert u not in arrow._member_spans(members, 3, Budget())
 
 
+def keyed_member_spans(members, n):
+    """`_member_spans` with its spans kept by `Subspace.key`, unbudgeted:
+    the spans, in the order the coloring search's families take."""
+    found = {}
+
+    def grow(cur, start):
+        for j in range(start, len(members)):
+            m = members[j]
+            if cur is None:
+                s = m
+            elif cur.contains_subspace(m):
+                continue
+            else:
+                s = span(m.field, m.mode, cur.basis_points() + m.basis_points(),
+                         m.ambient_len)
+            if s.rank == n:
+                found.setdefault(s.key(), s)
+            elif s.rank < n:
+                grow(s, j + 1)
+
+    grow(None, 0)
+    return list(found.values())
+
+
+def test_member_spans_format_no_key(monkeypatch):
+    # the walk keeps its spans by canonical form: the spans and their
+    # order are the keyed walk's, and no key is formatted
+    cases = []
+    for spec, host in grid_hosts(2, (1, 2)) + grid_hosts(3, (1,), cap=2000):
+        members = sorted(host.members, key=Subspace.key)
+        amb = spec.family.ambient
+        w = span(amb.field, amb.mode, [p for m in spec.family.members
+                                       for p in m.basis_points()],
+                 amb.ambient_len).rank
+        cases.append((members, w, keyed_member_spans(members, w)))
+
+    def formatted(s):
+        raise AssertionError("formatted a key")
+
+    monkeypatch.setattr(Subspace, "key", formatted)
+    assert sum(len(want) > 1 for _, _, want in cases) > 10
+    for members, w, want in cases:
+        assert arrow._member_spans(members, w, Budget()) == want
+
+
 # -- candidate members by canonical image -----------------------------------------
 
 
@@ -1054,6 +1099,28 @@ def test_batched_member_lookup_matches_the_scan():
     assert {("width", 0), ("rank", VECTOR, 0), ("rank", AFFINE, 1),
             ("missed", VECTOR), ("missed", AFFINE)} <= seen
     assert qs == {2, 3, 4, 5, 7, 8, 9}
+
+
+def test_member_lookup_batches_its_input(monkeypatch):
+    # `inside` builds the images of at most SPAN_CHUNK spaces at once,
+    # whatever it is passed, and answers as one batch does
+    cases = [(members, n, spaces) for _, _, n, spaces, members in lookup_cases()
+             if len(spaces) > 3]
+    want = [arrow.member_lookup(members, n)(spaces)
+            for members, n, spaces in cases]
+    widths = []
+
+    def recorded(f, template, rows, origin, plain=arrow.stacked_images):
+        widths.append(len(rows[0]) if rows else len(origin or b""))
+        return plain(f, template, rows, origin)
+
+    monkeypatch.setattr(arrow, "SPAN_CHUNK", 3)
+    monkeypatch.setattr(arrow, "stacked_images", recorded)
+    for (members, n, spaces), rows in zip(cases, want):
+        widths.clear()
+        assert arrow.member_lookup(members, n)(spaces) == rows
+        d = spaces[0].ambient_len
+        assert widths and max(widths) <= 3 * d
 
 
 def test_member_lookup_of_no_members():

@@ -846,6 +846,31 @@ def test_verify_walk_spends_the_budget(budget, code, line, tmp_path, capsys):
     assert {key: lines[0][key] for key in line} == line
 
 
+def test_construct_refuses_the_cover_sections_from_a_closed_form(
+        tmp_path, capsys, monkeypatch):
+    # q = 11, vector, n = 3, k = 2, N0 = 4, |F| = 2: 1,464 targets give
+    # 2,928 covers, each with a section point over each of the 14,641
+    # base points.  Refused before any target is listed or file written
+    f = make_field(11)
+    amb = full_space(f, VECTOR, 3)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 2)[:2]))
+    spec_path, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec_path.write_text(json.dumps(HostSpec(11, VECTOR, 2, 3, 2, fam, 4, 1)
+                                    .to_json()))
+
+    def listed(*args):
+        raise AssertionError("targets listed before the size check")
+
+    monkeypatch.setattr(construction, "enumerate_subspaces", listed)
+    start = time.perf_counter()
+    code, _, out = run_cli(capsys, "construct", "--spec", str(spec_path),
+                           "--out", str(bundle))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not bundle.exists()
+    assert out == ('{"command": "construct", "error": "size_cap", "message": '
+                   '"42868848 cover section points, cap 65536"}\n')
+
+
 @pytest.mark.parametrize("nf,word_len,message", [
     (3, 2, "4766328 member chains, cap 65536"),
 ], ids=["member_chains"])

@@ -8,7 +8,6 @@ split of the extraction walk.
 """
 
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -28,7 +27,7 @@ from qramsey import (AFFINE, VECTOR, BasisSet, Budget, ConfigFamily,
                      host_from_json, host_to_json, identity_map, image_space,
                      induced_host_verify, line_embedding, linear_extension,
                      make_field, span, zero_space)
-from qramsey import construction, space
+from qramsey import arrow, construction, space
 
 
 def vector_spec(nf, word_len=1, num_colors=1, base_rank=2):
@@ -203,9 +202,13 @@ def test_equalizer_word_one_is_identity(two_cover_base):
 
 @pytest.mark.parametrize("w", [2, 3])
 def test_equalizer_matches_oracle(w):
-    base = build_base_host(vector_spec(1))  # rank-3 block space: 8 points
-    X = equalizer_subspace(base.projection, w)
-    assert set(map(tuple, X.points())) == equalizer_oracle(base.projection, w)
+    # rank-3 block spaces: 8 and 27 points in vector mode, 4 and 9 in
+    # affine mode
+    for spec in (vector_spec(1), section_spec(3, VECTOR, 1, 2),
+                 affine_spec(1), section_spec(3, AFFINE, 1, 2)):
+        base = build_base_host(spec)
+        X = equalizer_subspace(base.projection, w)
+        assert set(map(tuple, X.points())) == equalizer_oracle(base.projection, w)
 
 
 def test_equalizer_affine_matches_oracle():
@@ -239,11 +242,11 @@ def blocks_share_one_value(pi, point, w):
 
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("w", [1, 2, 3])
 def test_equalizer_rows_match_per_block_reference(mode, q, w):
-    # a point is on the equalizer exactly when the constraint matrix maps
-    # it to zero, read by its columns (the build's check) or its rows
-    # (the nullspace's input); in affine mode the translation cancels
+    # `_blocks_agree`, the build's one equalizer test, answers as each
+    # block projected with `apply`, point by point and for a batch of
+    # points; in affine mode the translation cancels
     rng = random.Random(f"rows:{mode}:{q}:{w}")
     f = make_field(q)
     seen = set()
@@ -254,21 +257,16 @@ def test_equalizer_rows_match_per_block_reference(mode, q, w):
         shift = bytes(rng.randrange(q) for _ in range(cod))
         pi = LinearMap(mode, f, dom, cod, space.transpose(rows, dom),
                        shift if mode == AFFINE else None)
-        columns = construction._equalizer_columns(pi, w)
-        constraint = construction._equalizer_rows(pi, w)
-        assert len(columns) == w * dom and len(constraint) == (w - 1) * cod
-        zero = bytes(len(constraint))
         on = list(equalizer_subspace(pi, w).points())
         off = [bytes(rng.randrange(q) for _ in range(w * dom))
                for _ in range(8)]
-        for p in rng.sample(on, min(8, len(on))) + off:
-            expect = blocks_share_one_value(pi, p, w)
-            assert (space.mat_vec(f, columns, p, zero) == zero) == expect
-            dots = [functools.reduce(f.add, map(f.mul, row, p), 0)
-                    for row in constraint]
-            assert (not any(dots)) == expect
-            seen.add(expect)
-    assert seen == {True, False}
+        batch = rng.sample(on, min(8, len(on))) + off
+        expect = [blocks_share_one_value(pi, p, w) for p in batch]
+        assert [construction._blocks_agree(pi, w, [p]) for p in batch] == expect
+        assert construction._blocks_agree(pi, w, batch) == all(expect)
+        assert construction._blocks_agree(pi, w, on)
+        seen.update(expect)
+    assert seen == ({True} if w == 1 else {True, False})
 
 
 # -- tuple spaces --------------------------------------------------------------
@@ -505,8 +503,9 @@ def test_host_build_formats_no_key_and_spans_no_cover_k_space(case,
                                                               monkeypatch):
     # the build reads the keys the keyed walk of `enumerate_subspaces`
     # presets on the base space's subspaces, and formats none; it spans
-    # each target's slots and each cover's complement slots, and writes
-    # the cover k-spaces from their section points without `span`
+    # each member of F pulled back, each target's slots and each cover's
+    # complement slots, and writes the cover k-spaces from their section
+    # points without `span`
     q, mode, lo, hi, base_rank, word_len = case
     amb = full_space(make_field(q), mode, 2)
     fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[lo:hi]))
@@ -526,10 +525,26 @@ def test_host_build_formats_no_key_and_spans_no_cover_k_space(case,
     monkeypatch.setattr(space.Subspace, "key", preset_only)
     monkeypatch.setattr(construction, "span", counted)
     base = build_base_host(spec)
-    assert len(spans) <= len(base.targets) + len(base.covers) + 2
+    assert len(spans) <= (len(fam.members) + len(base.targets)
+                          + len(base.covers) + 2)
     assert len(base.cover_k_spaces) > len(base.targets) + len(base.covers)
     text = "".join(construction.bundle_text(build_product_host(base, word_len)))
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_BUNDLES[case]
+
+
+def test_cover_section_cap_admits_the_base_rank_5_host():
+    # vector q = 2, n = 2, k = 1, F = the plane's three lines, N0 = 5:
+    # 155 targets give 465 covers of 32 section points each, 14,880 under
+    # the cap; the 109 MB bundle is hashed piece by piece
+    amb = full_space(make_field(2), VECTOR, 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)))
+    host = build_product_host(build_base_host(
+        HostSpec(2, VECTOR, 1, 2, 2, fam, 5, 1)), 1)
+    digest = hashlib.sha256()
+    for piece in construction.bundle_text(host):
+        digest.update(piece.encode())
+    assert digest.hexdigest() == ("d8d9f6cd5e8ea2b01f8f70eb3d9e737e"
+                                  "10823a3b7fc033c21949bbc39bdc3641")
 
 
 def test_duplicate_member_is_caught(monkeypatch):
@@ -626,18 +641,21 @@ def test_section_must_be_a_bijection(make_spec, monkeypatch):
                          + [lambda: proper_ambient_spec(3, AFFINE, 3)],
                          ids=list(ORACLE_SPECS) + ["proper_affine"])
 def test_base_host_solves_one_linear_extension(make_spec, monkeypatch):
-    # F is pulled back to the coordinate space once; targets and slots
-    # take it by coordinate maps of their basis points
-    real = construction.linear_extension
-    calls = []
+    # no map is solved: F is pulled back to the coordinate space by
+    # reading its members' basis points on the pivot columns of F's
+    # ambient, and targets and slots take it by coordinate maps of their
+    # basis points
+    real, calls = space.linear_extension, []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(construction, "linear_extension", counted)
+    for module in (space, arrow):
+        monkeypatch.setattr(module, "linear_extension", counted)
     base = build_base_host(make_spec())
-    assert len(base.targets) > 1 and len(calls) == 1
+    assert len(base.targets) > 1 and len(calls) == 0
+    assert not hasattr(construction, "linear_extension")
 
 
 @pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
@@ -707,8 +725,9 @@ def test_equalizer_is_checked_against_its_definition(monkeypatch):
 
 
 def test_product_host_runs_no_row_reduction_per_member(monkeypatch):
-    # X's nullspace and span and the projection's image are the only row
-    # reductions, whatever the member count
+    # the projection's image is the only row reduction at word length 1,
+    # where X is the domain's full space; above it, X's kernel basis and
+    # span add two.  None depends on the member count
     rref_calls = []
     real_rref = space.rref
 
@@ -724,7 +743,7 @@ def test_product_host_runs_no_row_reduction_per_member(monkeypatch):
             rref_calls.clear()
             host = build_product_host(base, word_len)
             assert len(host.members) > 3
-            assert len(rref_calls) == 3
+            assert len(rref_calls) == (1 if word_len == 1 else 3)
     assert len(host.members) == 3087
 
 
