@@ -41,11 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict, path: str | None = None) -> None:
-    line = json.dumps(obj)
-    print(line)
+    print(json.dumps(obj))
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        _write_json(path, obj)
 
 
 def _write_json(path: str, obj) -> None:
@@ -238,7 +236,8 @@ def _arrow_args(p: argparse.ArgumentParser) -> None:
                    help="largest host rank for --min-n (default 6)")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable color and structural symmetry pruning")
-    _add_common(p, "write the witness coloring here on failure")
+    _add_common(p, "write the witness coloring here on failure "
+                   "(with --min-n, the result line)")
 
 
 def _hj_args(p: argparse.ArgumentParser) -> None:
@@ -332,7 +331,9 @@ def main(argv=None) -> int:
                "message": str(exc)})
         code = EXIT_NEGATIVE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"qramsey {args.command}: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"qramsey {args.command}: {message}", file=sys.stderr)
         code = EXIT_USAGE
     wall_ms = int((time.monotonic() - start) * 1000)
     print(f"qramsey {args.command}: exit {code} in {wall_ms} ms "

@@ -203,10 +203,12 @@ def check_embedding(host, emb):
     # (a) section and flatten invert each other over the block space
     ident = identity_map(f, base.spec.mode, base.space.ambient_len)
     assert compose(emb.flatten, emb.section) == ident
+    d = base.space.ambient_len
     for p in emb.space.points():
         assert host.space.is_member(p)
+        # the equalizer's common-value map reads block 0
         assert apply(base.projection, apply(emb.flatten, p)) == \
-            apply(host.projection, p)
+            apply(base.projection, p[:d])
     # (b) the copy's word spaces biject onto the covers
     t = len(base.covers)
     assert len(emb.word_spaces) == t

@@ -570,12 +570,19 @@ def test_extract_stdout_digests_pinned(case, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_extract_bad_coloring_file(bundle_path, tmp_path, capsys):
+@pytest.mark.parametrize("content, stderr", [
+    ({"nope": 1}, "qramsey extract: coloring file needs an 'entries' map"),
+    ({"entries": {}}, 'qramsey extract: coloring not total: missing {"mode"'),
+], ids=["no-map", "not-total"])
+def test_extract_bad_coloring_file(bundle_path, tmp_path, capsys, content,
+                                   stderr):
     col = tmp_path / "col.json"
-    col.write_text(json.dumps({"nope": 1}))
-    code, lines, _ = run_cli(capsys, "extract", "--bundle", str(bundle_path),
-                             "--coloring", str(col))
+    col.write_text(json.dumps(content))
+    code = main(["extract", "--bundle", str(bundle_path), "--coloring", str(col)])
+    captured = capsys.readouterr()
     assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(stderr)
 
 
 def test_verify_holds(bundle_path, capsys):

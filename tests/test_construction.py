@@ -340,9 +340,14 @@ def base_fibers(base):
 
 
 def test_product_host_projection(tiny_host):
+    # the common-value map: the base projection on block 0, zero on the rest
     host = tiny_host
-    pi_t = host.projection
     base_pi = host.base.projection
+    d, e = base_pi.domain_len, base_pi.codomain_len
+    total = host.word_len * d
+    pi_t = LinearMap(base_pi.mode, base_pi.field, total, e,
+                     base_pi.columns + (bytes(e),) * (total - d),
+                     base_pi.translation)
     assert pi_t.domain_len == host.word_len * host.base.space.ambient_len
     for m, parts in zip(host.members, host.member_parts):
         img = apply(base_pi, host.base.cover_k_spaces[parts[0]])
@@ -856,6 +861,26 @@ def test_line_embedding_checks_format_no_key(make_spec, monkeypatch):
     assert [line_embedding(host, line) for line in lines] == expected
 
 
+@pytest.mark.parametrize("word_len", [1, 2])
+@pytest.mark.parametrize("make_spec", [vector_spec, affine_spec])
+def test_line_embedding_applies_no_flatten(make_spec, word_len, monkeypatch):
+    # flatten o section = id and the block test imply every fact that
+    # flatten's images would show, so no check computes one
+    host = build_product_host(build_base_host(make_spec(2)), word_len)
+    maps = []
+    real = construction.apply
+
+    def recording(fn, x):
+        maps.append(fn)
+        return real(fn, x)
+
+    monkeypatch.setattr(construction, "apply", recording)
+    for line in iter_lines(host):
+        maps.clear()
+        emb = line_embedding(host, line)
+        assert maps and all(fn is not emb.flatten for fn in maps)
+
+
 @pytest.mark.parametrize("case", ["extra", "missing", "replaced"])
 def test_check_c_fires_when_the_members_inside_the_copy_differ(case):
     host = build_product_host(build_base_host(vector_spec(2)), 2)
@@ -1160,7 +1185,7 @@ def test_bundle_roundtrip(tiny_host):
     assert rt.space == host.space
     assert rt.word_len == host.word_len
     assert [m.key() for m in rt.members] == [m.key() for m in host.members]
-    assert rt.projection == host.projection
+    assert rt.base.projection == host.base.projection
     assert rt.member_parts == host.member_parts
     assert rt.base.cover_slot == host.base.cover_slot
     assert json.dumps(host_to_json(rt)) == json.dumps(data)
