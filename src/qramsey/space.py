@@ -380,9 +380,6 @@ class Subspace:
         origin = self.basepoint if self.mode == AFFINE else bytes(self.ambient_len)
         yield from combination_points(self.field, origin, self.direction)
 
-    def sorted_points(self) -> list[Vec]:
-        return sorted(self.points())
-
     def is_member(self, v: Vec) -> bool:
         """Whether v reduces to zero by the direction rows.
 
@@ -927,46 +924,20 @@ def stacked_images(f: Field, template: Subspace, rows: list[Vec],
 # ---------------------------------------------------------------------------
 # independence, bases, sums
 
-class _RankTracker:
-    """Incremental independence bookkeeping for one mode."""
-
-    def __init__(self, f: Field, mode: str):
-        self.f = f
-        self.mode = mode
-        self.origin: Vec | None = None  # affine mode: first point seen
-        self.rows: dict[int, Vec] = {}  # pivot -> row echelon row, led by 1
-
-    def try_add(self, point: Vec) -> bool:
-        """Add the point if it keeps the set independent; report success.
-
-        The point is reduced by `_reduce_at_lead`; a lead no row pivots
-        on makes the residual a new row.
-        """
-        f = self.f
-        if self.mode == AFFINE:
-            if self.origin is None:
-                self.origin = point
-                return True
-            v = vec_sub(f, point, self.origin)
-        else:
-            v = point
-        p, v = _reduce_at_lead(f, self.rows, v)
-        if p == len(v):
-            return False
-        self.rows[p] = v if v[p] == 1 else vec_scale(f, f.inv(v[p]), v)
-        return True
-
-    @property
-    def rank(self) -> int:
-        base = 1 if (self.mode == AFFINE and self.origin is not None) else 0
-        return base + len(self.rows)
-
-
 def is_independent(f: Field, mode: str, points) -> bool:
-    """True when the points form an independent set in the given mode."""
+    """True when the points form an independent set in the given mode.
+
+    One `rref`, of the points in vector mode and of their differences
+    from the first point in affine mode: the set is independent when
+    each of those rows gives a pivot.
+    """
     _check_mode(mode)
-    tracker = _RankTracker(f, mode)
-    return all(tracker.try_add(bytes(p)) for p in points)
+    pts = [bytes(p) for p in points]
+    if len(set(map(len, pts))) > 1:
+        raise ValueError("points of differing length")
+    if mode == AFFINE:
+        pts = [vec_sub(f, p, pts[0]) for p in pts[1:]]
+    return len(rref(f, pts)[1]) == len(pts)
 
 
 @dataclass(frozen=True)
@@ -990,15 +961,17 @@ class BasisSet:
 def extend_to_basis(basis: BasisSet, target: Subspace) -> BasisSet:
     """Grow an independent subset of `target` into a basis of it.
 
-    Candidates are scanned in lexicographic point order, so the result is
-    deterministic.  An input that is already a basis comes back unchanged.
-
-    A target that fills its ambient is not listed.  The scan meets every
-    point led by a column right of j before e_j, and by then they all
-    lie in the span; the points led by column j follow e_j, and lie in
-    the span once e_j has been scanned.  So the scan takes the origin
-    (affine mode) and then e_j, from the last column to the first,
-    exactly when each is independent of what it has.
+    It adds what a scan of the target's points in lexicographic order
+    would take, without listing them; a basis comes back unchanged.  A
+    point of the target has its pivot entries as its coordinates, and
+    the basis map x -> b + x R keeps byte order (two images first differ
+    on a pivot column), so the scan is that of the coordinate space.
+    There every point led by a column right of j comes before e_j and is
+    in the span by then.  So the scan takes the origin (affine mode)
+    exactly when the points miss it, and then e_j, from the last column
+    to the first, for each j that is no pivot of the coordinates' `rref`
+    (in affine mode: of their differences from the first point, and that
+    point).  Coordinate point i is the target's basis point i.
     """
     if basis.mode != target.mode or basis.field != target.field:
         raise ValueError("basis and target disagree on mode or field")
@@ -1007,27 +980,18 @@ def extend_to_basis(basis: BasisSet, target: Subspace) -> BasisSet:
             raise ValueError("basis point outside the target space")
     if len(basis.points) == target.rank:
         return basis
-    tracker = _RankTracker(target.field, target.mode)
-    for p in basis.points:
-        if not tracker.try_add(p):
-            raise ValueError("basis points are not independent")
-    chosen = list(basis.points)
-    width = target.ambient_len
-    if len(target.direction) == width:
-        zero = bytes(width)
-        candidates = itertools.chain(
-            [zero] if target.mode == AFFINE else [],
-            (zero[:j] + b"\1" + zero[j + 1:] for j in reversed(range(width))))
-    else:
-        candidates = target.sorted_points()
-    for cand in candidates:
-        if tracker.rank == target.rank:
-            break
-        if tracker.try_add(cand):
-            chosen.append(cand)
-    if tracker.rank != target.rank:
-        raise RuntimeError("failed to complete a basis (inconsistent target?)")
-    return BasisSet(target.mode, target.field, tuple(chosen))
+    f, cols = target.field, tuple(target.pivots())
+    coords = [bytes(map(p.__getitem__, cols)) for p in basis.points]
+    affine = target.mode == AFFINE
+    if affine:
+        coords = [vec_sub(f, c, coords[0]) for c in coords[1:]] + coords[:1]
+    pivots = set(rref(f, coords)[1])
+    points = target.basis_points()
+    units = points[1:] if affine else points  # the images of the e_j
+    # the points miss the origin when each coordinate row gives a pivot
+    added = [points[0]] if affine and len(pivots) == len(coords) else []
+    added += [units[j] for j in reversed(range(len(units))) if j not in pivots]
+    return BasisSet(target.mode, f, basis.points + tuple(added))
 
 
 def complement(inner: Subspace, outer: Subspace) -> Subspace:

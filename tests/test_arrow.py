@@ -429,7 +429,7 @@ def reference_isomorphic(fam1, fam2, bud):
             if {apply(iso, m).key() for m in fam1.members} == target_keys:
                 return iso
             return None
-        for cand in fam2.ambient.sorted_points():
+        for cand in sorted(fam2.ambient.points()):
             bud.spend()
             chosen.append(cand)
             if is_independent(f, mode, chosen):
@@ -1056,14 +1056,14 @@ def lookup_cases():
             lo = 0 if mode == VECTOR else 1
             for width in range(0, 4):
                 ambient = full_space(f, mode, width + lo)
-                every = ambient.sorted_points()
+                every = sorted(ambient.points())
                 for n in range(lo, min(width + lo, 3) + 1):
                     spaces = [random_flat(rng, f, mode, n, every)
                               for _ in range(rng.randint(1, 5))]
                     members = {}
                     for _ in range(8):
                         r = rng.randint(lo, n)
-                        pool = (rng.choice(spaces).sorted_points()
+                        pool = (sorted(rng.choice(spaces).points())
                                 if rng.random() < 0.7 else every)
                         m = random_flat(rng, f, mode, r, pool)
                         members[m.key()] = m

@@ -313,6 +313,58 @@ def test_detects_a_second_walk():
     assert choice_products(tree) == ["_full_walk", "count", None]
 
 
+# -- one elimination engine -----------------------------------------------
+#
+# space._reduce_at_lead reduces a vector by echelon rows filed under their
+# pivots.  `rref`'s forward pass files rows with it and `is_member` tests
+# a point with it; independence and basis completion read one `rref`.  A
+# third user would be a second elimination, free to drift from `rref`.
+
+REDUCE = "_reduce_at_lead"
+REDUCE_USERS = ["rref", "Subspace.is_member"]
+
+
+def reduction_users(tree: ast.Module) -> list[str | None]:
+    """The definition around each reference to `_reduce_at_lead`: a
+    top-level function's name, Class.method for a method, the class's
+    name for its other statements, and None for module code."""
+    out = []
+    for node in tree.body:
+        scopes = node.body if isinstance(node, ast.ClassDef) else [node]
+        for stmt in scopes:
+            name = getattr(stmt, "name", None)
+            if isinstance(node, ast.ClassDef):
+                name = f"{node.name}.{name}" if name else node.name
+            out += [name for _ in references(stmt, REDUCE)]
+    return out
+
+
+def test_one_elimination_engine():
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        users += [f"{path.name}:{name}" for name in reduction_users(tree)]
+    assert users == [f"space.py:{name}" for name in REDUCE_USERS]
+
+
+def test_detects_a_second_elimination():
+    tree = ast.parse("def rref(f, rows):\n"
+                     "    return _reduce_at_lead(f, {}, rows[0])\n"
+                     "class Subspace:\n"
+                     "    def is_member(self, v):\n"
+                     "        return _reduce_at_lead(self.field, {}, v)\n"
+                     "class _RankTracker:\n"
+                     "    def try_add(self, v):\n"
+                     "        return space._reduce_at_lead(self.f, self.rows, v)\n"
+                     "    reduce = _reduce_at_lead\n"
+                     "def is_independent(f, mode, points):\n"
+                     "    return all(map(_reduce_at_lead, points))\n"
+                     "STEP = _reduce_at_lead\n")
+    assert reduction_users(tree) == ["rref", "Subspace.is_member",
+                                     "_RankTracker.try_add", "_RankTracker",
+                                     "is_independent", None]
+
+
 # -- one lookup of listed subspaces inside a space ------------------------
 #
 # arrow.member_lookup answers "which listed subspaces lie inside U" for the

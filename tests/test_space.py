@@ -424,7 +424,7 @@ def test_point_cap_enforced():
     with pytest.raises(SizeCapError):
         next(s.points())  # refused before the first point
     with pytest.raises(SizeCapError):
-        s.sorted_points()
+        sorted(s.points())
     with pytest.raises(SizeCapError):
         enumerate_subspaces(s, 1)
     with pytest.raises(SizeCapError):
@@ -480,13 +480,57 @@ def test_extend_to_basis_rejects_outsiders():
         extend_to_basis(BasisSet(VECTOR, f, vecs((0, 1, 0))), target)
 
 
+class ReferenceTracker:
+    """Independence by forward elimination, one point at a time: the
+    oracle for `is_independent` and `extend_to_basis`.
+
+    Each point (in affine mode, its difference from the first) is
+    reduced at its leading column by the rows kept so far; a nonzero
+    residual is kept, scaled to lead with 1, and the point is
+    independent of the earlier ones.
+    """
+
+    def __init__(self, f, mode):
+        self.f = f
+        self.mode = mode
+        self.origin = None  # affine mode: the first point
+        self.rows = {}  # pivot -> echelon row, led by 1
+
+    def try_add(self, point):
+        """Add the point if it keeps the set independent; report success."""
+        f = self.f
+        v = bytes(point)
+        if self.mode == AFFINE:
+            if self.origin is None:
+                self.origin = v
+                return True
+            v = vec_sub(f, v, self.origin)
+        while any(v):
+            p = next(j for j, x in enumerate(v) if x)
+            row = self.rows.get(p)
+            if row is None:
+                self.rows[p] = vec_scale(f, f.inv(v[p]), v)
+                return True
+            v = vec_sub(f, v, vec_scale(f, v[p], row))
+        return False
+
+    @property
+    def rank(self):
+        return len(self.rows) + (self.origin is not None)
+
+
+def reference_independent(f, mode, points):
+    tracker = ReferenceTracker(f, mode)
+    return all(tracker.try_add(p) for p in points)
+
+
 def listing_completion(basis, target):
     """The lexicographic greedy over every listed point of the target."""
-    tracker = space._RankTracker(basis.field, basis.mode)
+    tracker = ReferenceTracker(basis.field, basis.mode)
     for p in basis.points:
         assert tracker.try_add(p)
     chosen = list(basis.points)
-    for cand in target.sorted_points():
+    for cand in sorted(target.points()):
         if tracker.rank == target.rank:
             break
         if tracker.try_add(cand):
@@ -509,6 +553,92 @@ def test_full_target_completion_matches_listing(q, mode):
         pts = random_independent(rng, f, mode, length, size, rng.choice(DENSITIES))
         basis = BasisSet(mode, f, tuple(pts))
         assert extend_to_basis(basis, target).points == listing_completion(basis, target)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_proper_target_completion_matches_listing(q, mode):
+    # a target inside a longer ambient is completed from its pivot
+    # coordinates, never listed; the lexicographic scan agrees
+    f = make_field(q)
+    rng = random.Random(f"proper:{q}:{mode}")
+    max_dim = max(d for d in range(8) if q ** d <= 1024)
+    for trial in range(40):
+        width = rng.randint(1, max_dim + 2)
+        gens = [random_vec(rng, q, width, rng.choice(DENSITIES))
+                for _ in range(rng.randint(1, min(width, max_dim + 1)))]
+        target = span(f, mode, gens, width)
+        if len(target.direction) == width or target.num_points > 1024:
+            continue
+        listed = sorted(target.points())
+        rng.shuffle(listed)
+        tracker, pts = ReferenceTracker(f, mode), []
+        size = rng.randint(0, target.rank)
+        for p in listed:
+            if len(pts) == size:
+                break
+            if tracker.try_add(p):
+                pts.append(p)
+        basis = BasisSet(mode, f, tuple(pts))
+        assert extend_to_basis(basis, target).points == listing_completion(basis, target)
+
+
+def target_point(rng, target):
+    """A random point of the target: its basepoint (the origin in vector
+    mode) plus a random combination of its direction rows."""
+    f = target.field
+    p = target.basepoint if target.mode == AFFINE else bytes(target.ambient_len)
+    for row in target.direction:
+        p = vec_add(f, p, vec_scale(f, rng.randrange(f.order), row))
+    return p
+
+
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_proper_target_past_the_point_cap_completes(mode):
+    # a target of 17 directions in GF(2)^18 has 131,072 points, too many
+    # to list; a partial basis of it completes all the same, and so does
+    # a complement inside it
+    f = make_field(2)
+    rng = random.Random(f"past-cap:{mode}")
+    rank = 17 + (mode == AFFINE)
+    while True:
+        target = span(f, mode, [random_vec(rng, 2, 18, 0.5) for _ in range(rank)], 18)
+        if target.rank == rank:
+            break
+    assert target.num_points > space.POINT_CAP
+    with pytest.raises(SizeCapError):
+        next(target.points())
+    inner = span(f, mode, [target_point(rng, target) for _ in range(5)], 18)
+    basis = BasisSet(mode, f, inner.basis_points())
+    got = extend_to_basis(basis, target)
+    assert got.points[:len(basis)] == basis.points
+    assert len(got) == target.rank and span(f, mode, got.points, 18) == target
+    comp = complement(inner, target)
+    assert inner.rank + comp.rank == target.rank
+    assert direct_sum([inner, comp]) == target
+
+
+def test_points_of_differing_length_are_refused():
+    # a reduction of rows of differing lengths need not end, so a child
+    # process with a timeout runs the checks: a regression fails here
+    # rather than hanging the suite
+    code = (
+        "from qramsey import BasisSet, is_independent, make_field\n"
+        "f = make_field(2)\n"
+        "for mode in ('vector', 'affine'):\n"
+        "    for pts in ([(1,), (1, 0)], [(1, 0), (1,)]):\n"
+        "        for check in (lambda: is_independent(f, mode, pts),\n"
+        "                      lambda: BasisSet(mode, f, tuple(map(bytes, pts)))):\n"
+        "            try:\n"
+        "                check()\n"
+        "            except ValueError as e:\n"
+        "                print(e)\n")
+    src = pathlib.Path(space.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "PYTHONDONTWRITEBYTECODE": "1"})
+    assert out.stdout == "points of differing length\n" * 8
 
 
 def test_linear_extension_past_the_point_cap():
@@ -575,7 +705,7 @@ def test_direct_sum_single_part_is_that_part():
 def test_direct_sum_is_one_reduction_and_rejects_as_independence_does(
         mode, monkeypatch):
     # random parts of GF(3)^4; the sum spans the joint basis once and
-    # rejects exactly the joint bases `is_independent` rejects
+    # rejects exactly the joint bases the reference tracker rejects
     f = make_field(3)
     rng = random.Random(11 + (mode == AFFINE))
     real, calls = space.rref, []
@@ -591,7 +721,7 @@ def test_direct_sum_is_one_reduction_and_rejects_as_independence_does(
                  for _ in range(rng.randint(1, 3))]
         joint = [p for part in parts for p in part.basis_points()]
         calls.clear()
-        if is_independent(f, mode, joint):
+        if reference_independent(f, mode, joint):
             total = direct_sum(parts)
             assert len(calls) == 1 and total == span(f, mode, joint, 4)
         else:
