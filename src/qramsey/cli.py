@@ -23,8 +23,8 @@ from .construction import (ExtractionFailure, HostSpec, auto_word_length,
                            host_from_text)
 from .field import make_field
 from .hales_jewett import hj_number
-from .space import (SizeCapError, count_walk, enumerate_subspaces,
-                    full_space, guard_subspace_count, json_expect, json_int)
+from .space import (SizeCapError, count_walk, guard_subspace_count,
+                    json_expect, json_int, walk_texts)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -98,11 +98,7 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     f, _ = _guarded_field(args)
-    ambient = full_space(f, args.mode, args.N)
-    # the keyed walk has formatted every key; at these widths spacing a
-    # key's separators is cheaper than writing the text anew (`json_text`)
-    lines = [s.key().replace(",", ", ").replace(":", ": ")
-             for s in enumerate_subspaces(ambient, args.k)]
+    lines = walk_texts(f, args.mode, args.N, args.k)
     if lines:
         print(*lines, sep="\n")
     if args.out:

@@ -421,7 +421,7 @@ class Subspace:
 
         The compact JSON of `to_json()`, formatted directly from the
         vectors' bytes (`_json_list`) on first use, unless the keyed
-        full-space walk of `iter_subspaces` preset it (`_walk_keys`).
+        full-space walk of `iter_subspaces` preset it (`_pattern_texts`).
         """
         if self._key is None:
             key = _KEY_HEAD % (self.mode, self.field.order, self.ambient_len,
@@ -447,11 +447,17 @@ class Subspace:
         rows = [_json_point(f, r, "a direction row")
                 for r in json_expect(json_field(data, "direction", what), list,
                                      "direction")]
+        # before the rows are added to the basepoint, which would pad a
+        # short row and overflow on a long one
+        if any(len(r) != amb for r in rows):
+            raise ValueError("direction row length differs from ambient_len")
         bp = data.get("basepoint")
         if mode == AFFINE:
             if bp is None:
                 raise ValueError("affine subspace needs a basepoint")
             base = _json_point(f, bp, "the basepoint")
+            if len(base) != amb:
+                raise ValueError("basepoint length differs from ambient_len")
             pts = [base] + [vec_add(f, base, r) for r in rows]
             return span(f, AFFINE, pts, amb)
         if bp is not None:
@@ -548,7 +554,8 @@ def json_int(value, what: str) -> int:
 
 
 def _json_point(f: Field, value, what: str) -> Vec:
-    entries = [json_int(x, what) for x in json_expect(value, list, what)]
+    entries = [json_int(x, f"an entry of {what}")
+               for x in json_expect(value, list, what)]
     if not all(0 <= x < f.order for x in entries):
         raise ValueError(f"{what} has an entry outside GF({f.order})")
     return bytes(entries)
@@ -767,7 +774,7 @@ def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
     `__post_init__`, and presets the key (None leaves it to `key()`).
     Only the full-space walks of `iter_subspaces` call it: their rows
     and basepoints come from `_rref_patterns` and `_coset_bases`, which
-    check them once per pattern, and their keys from `_walk_keys`.
+    check them once per pattern, and their keys from `_pattern_texts`.
     """
     s = object.__new__(Subspace)
     _set_mode(s, mode)
@@ -780,22 +787,27 @@ def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
     return s
 
 
-def _walk_keys(f: Field, mode: str, d: int, choices, bases):
-    """The keys of one pivot pattern's subspaces, in walk order.
+def _pattern_texts(f: Field, mode: str, d: int, choices, bases, as_text):
+    """The texts of one pivot pattern's subspaces, in walk order.
 
-    Each row option and basepoint is formatted once (`_json_list`), and
-    each key is one `%` of the pattern's format string by a product of
+    `as_text` is `_json_list`, for the compact keys of `key()`, or
+    `_spaced_list`, for `json_text`'s lines; the format string gets the
+    matching separators.  Each row option and basepoint is formatted
+    once, and each text is one `%` of the format string by a product of
     those texts, in the order `iter_subspaces` builds the subspaces: the
     rows' options in itertools.product order, then (affine mode) the
     basepoints fastest.
     """
-    texts = [list(map(_json_list, options)) for options in choices]
+    texts = [list(map(as_text, options)) for options in choices]
     # one "%s" per row where `key()` writes the rows' lists
     fmt = _KEY_HEAD % (mode, f.order, d, ",".join(["%s"] * len(choices)))
     if mode == AFFINE:
-        texts.append(list(map(_json_list, bases)))
+        texts.append(list(map(as_text, bases)))
         fmt += ',"basepoint":%s'
-    return map((fmt + "}").__mod__, itertools.product(*texts))
+    fmt += "}"
+    if as_text is _spaced_list:  # json.dumps's blank after "," and ":"
+        fmt = fmt.replace(",", ", ").replace(":", ": ")
+    return map(fmt.__mod__, itertools.product(*texts))
 
 
 def _full_walk(f: Field, mode: str, k: int, d: int):
@@ -832,6 +844,28 @@ def count_walk(f: Field, mode: str, rank: int, k: int) -> int:
     return sum(sum(1 for _ in flats) for _, _, flats in walk)
 
 
+def walk_texts(f: Field, mode: str, rank: int, k: int) -> list[str]:
+    """`json_text` of each rank-k subspace of the rank-`rank` coordinate
+    space (`full_space`), sorted as `enumerate_subspaces` sorts them.
+
+    The lines come from the checked walk `iter_subspaces` takes
+    (`_pattern_texts` with `_spaced_list`); no Subspace and no compact
+    key is built.  A plain string sort is key order at every q: a line
+    is its key with a blank after each "," and ":", so two lines first
+    differ at the character where their keys first differ, and no key
+    is a prefix of another, since "}" ends a key and occurs nowhere
+    else in it.  (Sorting the rows' bytes instead is wrong from q = 11
+    on; see `key_order`.)  Checks neither the mode nor any cap: callers
+    run `guard_subspace_count` first.
+    """
+    d = rank - (mode == AFFINE)
+    lines = []
+    for choices, bases, _ in _full_walk(f, mode, k, d):
+        lines += _pattern_texts(f, mode, d, choices, bases, _spaced_list)
+    lines.sort()
+    return lines
+
+
 def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
     """The rank-k subspaces of `ambient`, unsorted.
 
@@ -840,19 +874,22 @@ def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
     canonical, and each pattern's row choices and basepoints are checked
     once, so its subspaces skip the per-object check.  When `keyed`, the
     walk also presets each subspace's key from its pattern's formatted
-    rows (`_walk_keys`), for callers that sort; an unkeyed walk formats
-    no key.  A proper ambient's subspaces are the unkeyed walk over the
-    coordinate space of its rank, carried through its basis map by
-    `apply`, which re-canonicalizes and checks each and keys none.
-    Checks no cap: callers run `guard_subspace_count` first.
+    rows (`_pattern_texts`), for callers that sort; an unkeyed walk
+    formats no key.  `walk_texts` lists the same walk as `json_text`
+    lines and builds none of its subspaces.  A proper ambient's
+    subspaces are the unkeyed walk over the coordinate space of its
+    rank, carried through its basis map by `apply`, which
+    re-canonicalizes and checks each and keys none.  Checks no cap:
+    callers run `guard_subspace_count` first.
     """
     f = ambient.field
     d = len(ambient.direction)
     is_full = d == ambient.ambient_len
     if is_full:
         for choices, bases, flats in _full_walk(f, ambient.mode, k, d):
-            keys = (_walk_keys(f, ambient.mode, d, choices, bases) if keyed
-                    else itertools.repeat(None))
+            keys = (_pattern_texts(f, ambient.mode, d, choices, bases,
+                                   _json_list)
+                    if keyed else itertools.repeat(None))
             if bases is None:
                 for rows, key in zip(flats, keys):
                     yield _unchecked_subspace(VECTOR, f, d, rows, None, key)

@@ -98,9 +98,9 @@ def test_count_formats_no_key(capsys, monkeypatch, mode):
                              "--N", "4", "--k", "2")
     assert code == 0 and lines[0]["match"] is True
     assert lines[0]["count_enumerated"] > 100
-    # the same walk keyed, as enumerate sorts it, does format keys
+    # the same walk keyed, as enumerate_subspaces sorts it, does format keys
     with pytest.raises(AssertionError, match="a key was formatted"):
-        main(["enumerate", "--q", "3", "--mode", mode, "--N", "4", "--k", "2"])
+        enumerate_subspaces(full_space(make_field(3), mode, 4), 2)
 
 
 def test_enumerate_lists_subspaces(capsys):
@@ -133,11 +133,12 @@ def test_size_guard_runs_before_the_space_is_built(command, q, mode, big_n,
                                                    k, message, capsys,
                                                    monkeypatch):
     # the guard reads the space's shape only, so a refused count builds
-    # no N x N identity
+    # no N x N identity and starts no walk
     def built(*args):
-        raise AssertionError("the coordinate space was built")
+        raise AssertionError("the coordinate space was built or walked")
 
-    monkeypatch.setattr("qramsey.cli.full_space", built)
+    monkeypatch.setattr(space, "full_space", built)
+    monkeypatch.setattr(space, "_full_walk", built)
     code, _, out = run_cli(capsys, command, "--q", str(q), "--mode", mode,
                            "--N", str(big_n), "--k", str(k))
     assert code == 2
@@ -145,13 +146,18 @@ def test_size_guard_runs_before_the_space_is_built(command, q, mode, big_n,
                    '"%s, cap 65536"}\n' % (command, message))
 
 
-# enumerate prints each line from the subspace's key; the bytes must stay
-# those of json.dumps(s.to_json()).  q = 11 and 16 give two-digit entries;
-# vector k = 0 gives an empty direction.
+# enumerate prints each line from the walk's formatted row options and
+# sorts the lines as strings; the bytes and their order must stay those of
+# json.dumps(s.to_json()) over enumerate_subspaces.  q = 11, 13 and 16 give
+# two-digit entries; vector k = 0 gives an empty direction, and so do
+# affine points (k = 1); N = 0 and affine N = 1 have an empty ambient.
 ENUMERATE_CASES = [
     (VECTOR, 2, 4, 2), (AFFINE, 2, 4, 2), (VECTOR, 3, 3, 1), (AFFINE, 3, 3, 2),
     (VECTOR, 11, 3, 2), (AFFINE, 11, 3, 2), (VECTOR, 16, 2, 1),
     (AFFINE, 16, 3, 2), (VECTOR, 3, 2, 0), (VECTOR, 16, 3, 0),
+    (VECTOR, 13, 3, 2), (AFFINE, 13, 3, 2), (AFFINE, 13, 2, 1),
+    (AFFINE, 3, 3, 1), (VECTOR, 3, 3, 3), (AFFINE, 3, 3, 3),
+    (VECTOR, 2, 0, 0), (AFFINE, 2, 1, 1),
 ]
 
 
@@ -234,7 +240,22 @@ def test_count_builds_no_subspace(capsys, monkeypatch, mode):
         assert code == 0 and lines[0]["match"] is True
         assert lines[0]["count_enumerated"] == lines[0]["count_formula"] > 1
     with pytest.raises(AssertionError, match="a subspace was built"):
-        main(["enumerate", "--q", "3", "--mode", mode, "--N", "4", "--k", "2"])
+        enumerate_subspaces(full_space(make_field(3), mode, 4), 2)
+
+
+def test_enumerate_builds_no_subspace(capsys, monkeypatch):
+    # enumerate prints the walk's texts; it neither builds the subspaces
+    # nor formats their compact keys
+    def build(*args):
+        raise AssertionError("a subspace was built or keyed")
+
+    monkeypatch.setattr(space, "_unchecked_subspace", build)
+    monkeypatch.setattr(qramsey.Subspace, "key", build)
+    code, _, out = run_cli(capsys, "enumerate", "--q", "2", "--mode", "vector",
+                           "--N", "5", "--k", "2")
+    assert code == 0 and out.count("\n") == 155
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "dc92a538896823916eeaf1d6fb0eaaa2dbc9334c3284b0b85514f007b9a0bb5a"
 
 
 @pytest.mark.parametrize("mode,check", [(VECTOR, "_check_pattern"),
@@ -1176,6 +1197,73 @@ def test_malformed_nested_spec_exits_4(tmp_path, capsys, path, value):
     code, _, out = run_cli(capsys, "construct", "--spec", str(p),
                            "--out", str(tmp_path / "b.json"))
     assert code == 4 and out == ""
+
+
+AFFINE_SPEC = {
+    "q": 2, "mode": "affine", "k": 1, "n": 2, "r": 1,
+    "F": {
+        "ambient": {"mode": "affine", "q": 2, "ambient_len": 2,
+                    "direction": [[0, 1]], "basepoint": [0, 0]},
+        "members": [{"mode": "affine", "q": 2, "ambient_len": 2,
+                     "direction": [], "basepoint": [0, 1]}],
+    },
+    "N0": 2, "N1": 1,
+}
+
+# (spec, path into it, value put there, the part the message names): a
+# short row was padded and a long one overflowed before every length was
+# checked first
+WRONG_LENGTHS = [
+    (DEGENERATE_SPEC, ("F", "ambient", "direction"), [[1]], "direction row"),
+    (DEGENERATE_SPEC, ("F", "members", 0, "direction"), [[0, 1, 0]],
+     "direction row"),
+    (AFFINE_SPEC, ("F", "ambient", "direction"), [[1]], "direction row"),
+    (AFFINE_SPEC, ("F", "members", 0, "direction"), [[1, 0, 0]],
+     "direction row"),
+    (AFFINE_SPEC, ("F", "members", 0, "basepoint"), [1], "basepoint"),
+    (AFFINE_SPEC, ("F", "ambient", "basepoint"), [0, 0, 0], "basepoint"),
+]
+
+
+def _write_spec(tmp_path, spec, path, value):
+    spec = json.loads(json.dumps(spec))
+    node = spec
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    return p
+
+
+@pytest.mark.parametrize("spec,path,value,what", WRONG_LENGTHS,
+                         ids=["vector_short_row", "vector_long_row",
+                              "affine_short_row", "affine_long_row",
+                              "short_basepoint", "long_basepoint"])
+def test_subspace_of_the_wrong_length_exits_4(tmp_path, capsys, spec, path,
+                                             value, what):
+    p = _write_spec(tmp_path, spec, path, value)
+    code = main(["construct", "--spec", str(p), "--out", str(tmp_path / "b.json")])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith(f"qramsey construct: {what} length differs from "
+                          "ambient_len\n")
+    assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.parametrize("entry", [1.0, True, "1"], ids=json.dumps)
+@pytest.mark.parametrize("spec,path,what", [
+    (DEGENERATE_SPEC, ("F", "members", 0, "direction", 0, 0), "a direction row"),
+    (AFFINE_SPEC, ("F", "ambient", "direction", 0, 1), "a direction row"),
+    (AFFINE_SPEC, ("F", "members", 0, "basepoint", 1), "the basepoint"),
+], ids=["vector_row", "affine_row", "basepoint"])
+def test_non_integer_entry_is_named(tmp_path, capsys, spec, path, what, entry):
+    p = _write_spec(tmp_path, spec, path, entry)
+    code = main(["construct", "--spec", str(p), "--out", str(tmp_path / "b.json")])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith(f"qramsey construct: an entry of {what} must be a "
+                          "JSON integer\n")
 
 
 @pytest.mark.parametrize("coloring", [

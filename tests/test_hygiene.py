@@ -277,30 +277,33 @@ def test_detects_stray_unchecked_reference():
 # -- one walk over a pattern's row choices --------------------------------
 #
 # `count` counts the walk that `enumerate` lists: both take the product of
-# each pivot pattern's row choices in space._full_walk.  A second product
-# over the choices would be a second walk, free to drift from the first.
+# each pivot pattern's row choices in space._full_walk, and the texts of
+# keys and of `enumerate`'s lines are the product of the pattern's
+# formatted options in space._pattern_texts.  A second product over the
+# choices would be a second walk, and a second one over the texts a second
+# formatter, each free to drift from the first.
 
 
-def choice_products(tree: ast.Module) -> list[str | None]:
+def starred_products(tree: ast.Module, name: str) -> list[str | None]:
     """The top-level definition (None for module code) around each
-    `product(*choices)` call."""
+    `product(*name)` call."""
     out = []
     for node in tree.body:
-        name = getattr(node, "name", None)
+        where = getattr(node, "name", None)
         for call in ast.walk(node):
             if (isinstance(call, ast.Call)
                     and (getattr(call.func, "attr", None) == "product"
                          or getattr(call.func, "id", None) == "product")
                     and any(isinstance(a, ast.Starred)
                             and isinstance(a.value, ast.Name)
-                            and a.value.id == "choices" for a in call.args)):
-                out.append(name)
+                            and a.value.id == name for a in call.args)):
+                out.append(where)
     return out
 
 
 def test_row_choices_are_walked_once():
     tree = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
-    assert choice_products(tree) == ["_full_walk"]
+    assert starred_products(tree, "choices") == ["_full_walk"]
 
 
 def test_detects_a_second_walk():
@@ -310,7 +313,24 @@ def test_detects_a_second_walk():
                      "    product(*texts)\n"
                      "    return sum(1 for _ in product(*choices))\n"
                      "ROWS = itertools.product(*choices)\n")
-    assert choice_products(tree) == ["_full_walk", "count", None]
+    assert starred_products(tree, "choices") == ["_full_walk", "count", None]
+
+
+def test_walk_texts_are_formatted_once():
+    tree = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
+    assert starred_products(tree, "texts") == ["_pattern_texts"]
+
+
+def test_detects_a_second_formatter():
+    tree = ast.parse("def _pattern_texts(choices, texts):\n"
+                     "    return map(fmt.__mod__, itertools.product(*texts))\n"
+                     "def walk_texts(choices):\n"
+                     "    texts = [list(map(_spaced_list, c)) for c in choices]\n"
+                     "    lines = [fmt % t for t in product(*texts)]\n"
+                     "    return sorted(itertools.product(*choices))\n"
+                     "LINES = list(itertools.product(*texts))\n")
+    assert starred_products(tree, "texts") == ["_pattern_texts", "walk_texts",
+                                               None]
 
 
 # -- one elimination engine -----------------------------------------------

@@ -215,6 +215,36 @@ def test_from_json_recanonicalizes():
     assert rt == s and rt.key() == s.key()
 
 
+# (mode, keys replaced in a subspace of GF(2)^2, the part named): every
+# length is checked before a row meets the basepoint, which padded a
+# short row and overflowed on a long one
+FROM_JSON_LENGTHS = [
+    (VECTOR, {"direction": [[1]]}, "direction row"),
+    (VECTOR, {"direction": [[1, 0, 0]]}, "direction row"),
+    (VECTOR, {"direction": [[1, 0], [1]]}, "direction row"),
+    (AFFINE, {"direction": [[1]]}, "direction row"),
+    (AFFINE, {"direction": [[1, 0, 1]]}, "direction row"),
+    (AFFINE, {"basepoint": [1]}, "basepoint"),
+    (AFFINE, {"basepoint": [0, 1, 0]}, "basepoint"),
+    (AFFINE, {"direction": [], "basepoint": []}, "basepoint"),
+]
+
+
+@pytest.mark.parametrize("mode,change,what", FROM_JSON_LENGTHS,
+                         ids=["vector_short_row", "vector_long_row",
+                              "vector_second_row", "affine_short_row",
+                              "affine_long_row", "short_basepoint",
+                              "long_basepoint", "empty_basepoint"])
+def test_from_json_checks_lengths_first(mode, change, what):
+    data = {"mode": mode, "q": 2, "ambient_len": 2, "direction": [[0, 1]]}
+    if mode == AFFINE:
+        data["basepoint"] = [0, 0]
+    Subspace.from_json(data)
+    with pytest.raises(ValueError,
+                       match=f"^{what} length differs from ambient_len$"):
+        Subspace.from_json({**data, **change})
+
+
 def test_mode_mismatch_rejected():
     f = make_field(2)
     u = span(f, VECTOR, [(1, 0)], 2)
