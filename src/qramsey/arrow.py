@@ -12,7 +12,7 @@ found by one lookup in the orbit of its coordinate templates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from struct import Struct
 
 from .budget import Budget, ensure_budget
@@ -28,36 +28,33 @@ from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
 SPAN_CHUNK = 1024
 
 
-@dataclass
-class ColoringTable:
-    """A color assignment on a family of subspaces, keyed by canonical form."""
+class ColoringTable(namedtuple("ColoringTable", "host entries")):
+    """A color assignment on a family of subspaces, keyed by canonical form:
+    the host's key, and a dict of subspace key -> color."""
 
-    host: str
-    entries: dict[str, int]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"host": self.host, "entries": dict(self.entries)}
 
 
-@dataclass(frozen=True)
-class ArrowInstance:
+class ArrowInstance(namedtuple("ArrowInstance", "q mode host_rank target_rank "
+                                               "colored_rank num_colors")):
     """Parameters of one arrow question."""
 
-    q: int
-    mode: str
-    host_rank: int
-    target_rank: int
-    colored_rank: int
-    num_colors: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        make_field(self.q)
-        lo = 1 if self.mode == AFFINE else 0
-        if not lo <= self.colored_rank <= self.target_rank <= self.host_rank:
+    def __new__(cls, q: int, mode: str, host_rank: int, target_rank: int,
+                colored_rank: int, num_colors: int):
+        make_field(q)
+        lo = 1 if mode == AFFINE else 0
+        if not lo <= colored_rank <= target_rank <= host_rank:
             raise ValueError("need colored_rank <= target_rank <= host_rank "
-                             f"(at least {lo} in {self.mode} mode)")
-        if self.num_colors < 1:
+                             f"(at least {lo} in {mode} mode)")
+        if num_colors < 1:
             raise ValueError("need at least one color")
+        return super().__new__(cls, q, mode, host_rank, target_rank,
+                               colored_rank, num_colors)
 
     def to_json(self) -> dict:
         return {"q": self.q, "mode": self.mode, "N": self.host_rank,
@@ -65,20 +62,18 @@ class ArrowInstance:
                 "r": self.num_colors}
 
 
-@dataclass(frozen=True)
-class ArrowStructure:
+class ArrowStructure(namedtuple("ArrowStructure",
+                                "host k_spaces n_spaces families")):
     """The incidence data an arrow search colors: items and families.
 
     The items are the host's rank-k subspaces and the families, one per
-    rank-n subspace U in key order, are the indices of the k-spaces
-    inside U.  `member_lookup` finds them for every U in one batch, by
-    the canonical images of the coordinate templates, listing no point.
+    rank-n subspace U in key order, are the frozen sets of the indices of
+    the k-spaces inside U.  `member_lookup` finds them for every U in one
+    batch, by the canonical images of the coordinate templates, listing
+    no point.
     """
 
-    host: Subspace
-    k_spaces: tuple[Subspace, ...]
-    n_spaces: tuple[Subspace, ...]
-    families: tuple[frozenset[int], ...]  # k-space indices, per n-space
+    __slots__ = ()
 
 
 def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
@@ -137,12 +132,11 @@ def structure_generators(struct: ArrowStructure) -> list[tuple[int, ...]]:
             if perm != identity]
 
 
-@dataclass
-class ArrowResult:
-    instance: ArrowInstance
-    holds: bool
-    witness: ColoringTable | None
-    nodes: int
+class ArrowResult(namedtuple("ArrowResult", "instance holds witness nodes")):
+    """An arrow verdict: the lex-least bad coloring when it fails, else
+    None, and the search nodes spent."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -206,27 +200,26 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
     return None
 
 
-@dataclass(frozen=True)
-class ConfigFamily:
-    """A space together with a distinguished family of its subspaces."""
+class ConfigFamily(namedtuple("ConfigFamily", "ambient members")):
+    """A space together with a distinguished family of its subspaces,
+    kept deduplicated in key order."""
 
-    ambient: Subspace
-    members: tuple[Subspace, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        dedup = {m.key(): m for m in self.members}
+    def __new__(cls, ambient: Subspace, members: tuple[Subspace, ...]):
+        dedup = {m.key(): m for m in members}
         members = tuple(dedup[k] for k in sorted(dedup))
-        object.__setattr__(self, "members", members)
         ranks = set()
         for m in members:
-            if (m.mode != self.ambient.mode or m.field != self.ambient.field
-                    or m.ambient_len != self.ambient.ambient_len):
+            if (m.mode != ambient.mode or m.field != ambient.field
+                    or m.ambient_len != ambient.ambient_len):
                 raise ValueError("member lives in a different ambient")
-            if not self.ambient.contains_subspace(m):
+            if not ambient.contains_subspace(m):
                 raise ValueError("member not contained in the ambient space")
             ranks.add(m.rank)
         if len(ranks) > 1:
             raise ValueError("members must all have the same rank")
+        return super().__new__(cls, ambient, members)
 
     @property
     def member_rank(self) -> int | None:
@@ -352,13 +345,12 @@ def member_lookup(members, n: int):
     return inside
 
 
-@dataclass
-class VerifyResult:
-    holds: bool
-    witness: ColoringTable | None
-    num_candidates: int
-    num_induced: int
-    nodes: int
+class VerifyResult(namedtuple("VerifyResult", "holds witness num_candidates "
+                                             "num_induced nodes")):
+    """An induced-host verdict: the bad coloring when it fails, the
+    candidate and copy counts, and the search nodes spent."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

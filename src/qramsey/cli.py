@@ -191,6 +191,9 @@ def _load_coloring(path: str, host) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     json_expect(data, dict, "a coloring file")
+    if "constant" in data and "entries" in data:
+        raise ValueError("coloring file holds both a 'constant' and an "
+                         "'entries' map; give one")
     if "constant" in data:
         color = json_int(data["constant"], "constant")
         # checked here, as the members' colors are checked by extraction,

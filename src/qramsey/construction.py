@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .arrow import (ConfigFamily, copy_orbit, find_monochromatic_subspace,
                     hit_templates, member_lookup)
@@ -38,8 +38,8 @@ class ConstructionCheckError(RuntimeError):
     """An internal re-verification of the construction failed."""
 
 
-@dataclass(frozen=True)
-class HostSpec:
+class HostSpec(namedtuple("HostSpec", "q mode colored_rank target_rank "
+                                     "num_colors family base_rank word_len")):
     """Parameters of one host construction.
 
     base_rank is the rank of the projection target (it should arrow the
@@ -48,34 +48,31 @@ class HostSpec:
     word length; None means "derive it from a Hales-Jewett search".
     """
 
-    q: int
-    mode: str
-    colored_rank: int
-    target_rank: int
-    num_colors: int
-    family: ConfigFamily
-    base_rank: int
-    word_len: int | None = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        make_field(self.q)
-        lo = 1 if self.mode == AFFINE else 0
-        if not lo <= self.colored_rank <= self.target_rank:
+    def __new__(cls, q: int, mode: str, colored_rank: int, target_rank: int,
+                num_colors: int, family: ConfigFamily, base_rank: int,
+                word_len: int | None = 1):
+        make_field(q)
+        lo = 1 if mode == AFFINE else 0
+        if not lo <= colored_rank <= target_rank:
             raise ValueError("need colored_rank <= target_rank "
-                             f"(at least {lo} in {self.mode} mode)")
-        if self.num_colors < 1:
+                             f"(at least {lo} in {mode} mode)")
+        if num_colors < 1:
             raise ValueError("need at least one color")
-        amb = self.family.ambient
-        if amb.mode != self.mode or amb.field.order != self.q:
+        amb = family.ambient
+        if amb.mode != mode or amb.field.order != q:
             raise ValueError("family mode or field differs from the spec")
-        if amb.rank != self.target_rank:
+        if amb.rank != target_rank:
             raise ValueError("family ambient rank differs from target_rank")
-        if self.family.member_rank not in (None, self.colored_rank):
+        if family.member_rank not in (None, colored_rank):
             raise ValueError("family member rank differs from colored_rank")
-        if self.base_rank < self.target_rank:
+        if base_rank < target_rank:
             raise ValueError("base_rank must be at least target_rank")
-        if self.word_len is not None and self.word_len < 1:
+        if word_len is not None and word_len < 1:
             raise ValueError("word_len must be at least 1")
+        return super().__new__(cls, q, mode, colored_rank, target_rank,
+                               num_colors, family, base_rank, word_len)
 
     @property
     def field(self) -> Field:
@@ -113,21 +110,24 @@ class HostSpec:
         )
 
 
-@dataclass(frozen=True)
-class BaseHost:
-    spec: HostSpec
-    base_space: Subspace                    # rank-N0 projection target
-    base_k_spaces: tuple[Subspace, ...]     # its rank-k subspaces, canonical order
-    space: Subspace                         # the block space carrying all covers
-    targets: tuple[Subspace, ...]           # base rank-n subspaces, canonical order
-    target_spans: tuple[Subspace, ...]      # [target] -> span of the slots holding its copy
-    covers: tuple[Subspace, ...]            # all covers, (target, member) order
-    cover_k_spaces: tuple[Subspace, ...]    # union of the covers' rank-k subspaces
-    projection: LinearMap                   # block space -> base space
-    cover_slot: tuple[tuple[int, ...], ...]  # [cover][base k-space] -> cover_k index
-    sections: tuple[tuple[Vec, ...], ...]   # [cover][base point] -> cover point over it
-    cover_k_frames: tuple[tuple[int, tuple[int, ...]], ...]
-    # [cover_k] -> (a cover holding it, the base point under each basis point)
+class BaseHost(namedtuple("BaseHost", (
+        "spec",
+        "base_space",      # rank-N0 projection target
+        "base_k_spaces",   # its rank-k subspaces, canonical order
+        "space",           # the block space carrying all covers
+        "targets",         # base rank-n subspaces, canonical order
+        "target_spans",    # [target] -> span of the slots holding its copy
+        "covers",          # all covers, (target, member) order
+        "cover_k_spaces",  # union of the covers' rank-k subspaces
+        "projection",      # block space -> base space
+        "cover_slot",      # [cover][base k-space] -> cover_k index
+        "sections",        # [cover][base point] -> cover point over it
+        "cover_k_frames",  # [cover_k] -> (a cover holding it,
+                           #   the base point under each basis point)
+        ))):
+    """The block space with its covers and its projection onto the base."""
+
+    __slots__ = ()
 
     @property
     def field(self) -> Field:
@@ -328,16 +328,15 @@ def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
     return Subspace(AFFINE, f, total, rows, first.basepoint + origin)
 
 
-@dataclass(frozen=True)
-class ProductHost:
+class ProductHost(namedtuple("ProductHost", (
+        "base", "word_len",
+        "space",         # equalizer of word_len projections
+        "members",       # the colored family, part-index order
+        "member_parts",  # cover_k_spaces indices per member
+        "fibers"))):     # cover_k_spaces indices per base k-space
     """The equalizer space with its family of compatible member tuples."""
 
-    base: BaseHost
-    word_len: int
-    space: Subspace                          # equalizer of word_len projections
-    members: tuple[Subspace, ...]            # the colored family, part-index order
-    member_parts: tuple[tuple[int, ...], ...]  # cover_k_spaces indices per member
-    fibers: tuple[tuple[int, ...], ...]      # cover_k_spaces indices per base k-space
+    __slots__ = ()
 
     @property
     def spec(self) -> HostSpec:
@@ -408,8 +407,13 @@ def _pattern(host: ProductHost, word, entries, parts_index) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LineEmbedding:
+class LineEmbedding(namedtuple("LineEmbedding", (
+        "line",
+        "space",          # the copy inside the equalizer
+        "flatten",        # equalizer coords -> block coords
+        "section",        # block coords -> equalizer coords
+        "word_spaces",    # tuple spaces of the line's words
+        "host_members"))):  # family members inside the copy
     """A flattened copy of the block space inside the equalizer.
 
     `flatten` projects the copy isomorphically back onto the block space
@@ -417,12 +421,7 @@ class LineEmbedding:
     covers and the copy's family members map onto the cover k-spaces.
     """
 
-    line: Line
-    space: Subspace                       # the copy inside the equalizer
-    flatten: LinearMap                    # equalizer coords -> block coords
-    section: LinearMap                    # block coords -> equalizer coords
-    word_spaces: tuple[Subspace, ...]     # tuple spaces of the line's words
-    host_members: tuple[Subspace, ...]    # family members inside the copy
+    __slots__ = ()
 
 
 def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
@@ -516,16 +515,14 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
                          tuple(inside))
 
 
-@dataclass(frozen=True)
-class MonochromaticCopy:
+class MonochromaticCopy(namedtuple("MonochromaticCopy", (
+        "target",   # the rank-n subspace of the base space used, or None
+        "space",    # the rank-n subspace of the equalizer
+        "members",  # the copy of the family inside it
+        "color", "line", "pattern"))):
     """A monochromatic induced copy of the configuration, fully verified."""
 
-    target: Subspace | None        # the rank-n subspace of the base space used
-    space: Subspace                # the rank-n subspace of the equalizer
-    members: tuple[Subspace, ...]  # the copy of the family inside it
-    color: int
-    line: Line | None
-    pattern: tuple[int, ...] | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -539,14 +536,12 @@ class MonochromaticCopy:
         }
 
 
-@dataclass(frozen=True)
-class ExtractionFailure:
+class ExtractionFailure(namedtuple("ExtractionFailure", (
+        "step",  # "line_search" or "subspace_search"
+        "message", "line", "pattern"), defaults=(None, None))):
     """A structured miss: which search came up empty, and with what input."""
 
-    step: str                      # "line_search" or "subspace_search"
-    message: str
-    line: Line | None = None
-    pattern: tuple[int, ...] | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -660,7 +655,7 @@ def bundle_text(host: ProductHost):
     whole text is never held at once.  This is the format's one writer:
     `host_to_json` parses it, and `host_from_text` compares files with it.
     """
-    resolved = replace(host.spec, word_len=host.word_len)
+    resolved = HostSpec(*host.spec[:-1], word_len=host.word_len)
     yield (_HEAD + json.dumps(resolved.to_json()) + ', "X": '
            + json_text(host.space) + ', "H": [')
     for i, m in enumerate(host.members):

@@ -10,32 +10,31 @@ words; at least one position must move.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .budget import Budget
 from .coloring_search import find_proper_coloring
 from .space import POINT_CAP, SizeCapError
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(namedtuple("Line", "length moving fixed")):
     """A combinatorial line in {0..t-1}^length."""
 
-    length: int
-    moving: tuple[int, ...]
-    fixed: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.moving:
+    def __new__(cls, length: int, moving: tuple[int, ...],
+                fixed: tuple[tuple[int, int], ...]):
+        if not moving:
             raise ValueError("a line needs at least one moving position")
-        seen = set(self.moving)
-        if len(seen) != len(self.moving) or tuple(sorted(seen)) != self.moving:
+        seen = set(moving)
+        if len(seen) != len(moving) or tuple(sorted(seen)) != moving:
             raise ValueError("moving positions must be sorted and distinct")
-        fixed_pos = [p for p, _ in self.fixed]
+        fixed_pos = [p for p, _ in fixed]
         if tuple(sorted(fixed_pos)) != tuple(fixed_pos):
             raise ValueError("fixed positions must be sorted")
-        if seen | set(fixed_pos) != set(range(self.length)) or seen & set(fixed_pos):
+        if seen | set(fixed_pos) != set(range(length)) or seen & set(fixed_pos):
             raise ValueError("moving and fixed must partition the positions")
+        return super().__new__(cls, length, moving, fixed)
 
     def word(self, s: int) -> tuple[int, ...]:
         """The line's word at parameter value s."""

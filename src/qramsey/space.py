@@ -15,7 +15,7 @@ the same point set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field, fields
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
@@ -273,24 +273,21 @@ def _unit(width: int, p: int) -> int:
     return 1 << 8 * (width - 1 - p)
 
 
-@dataclass(frozen=True, slots=True)
 class Subspace:
     """A canonical vector subspace or affine flat of GF(q)^ambient_len.
 
-    Slotted, because hosts and enumerations hold many thousands of them.
+    Slotted, because hosts and enumerations hold many thousands of them,
+    and immutable.  Equality and the hash read the five fields, never the
+    `_key` and `_pivot_rows` caches that `key()` and `pivots()` fill.
     """
 
-    mode: str
-    field: Field
-    ambient_len: int
-    direction: tuple[Vec, ...]
-    basepoint: Vec | None = None
-    _key: str | None = dc_field(default=None, init=False, compare=False, repr=False)
-    _pivot_rows: dict[int, Vec] | None = dc_field(default=None, init=False,
-                                                 compare=False, repr=False)
+    __slots__ = ("mode", "field", "ambient_len", "direction", "basepoint",
+                 "_key", "_pivot_rows")
 
-    def __post_init__(self):
-        """Check the canonical form in one pass over the direction rows.
+    def __init__(self, mode: str, field: Field, ambient_len: int,
+                 direction: tuple[Vec, ...], basepoint: Vec | None = None):
+        """Write the slots, then check the canonical form in one pass over
+        the direction rows.
 
         A row leads with its pivot, so it is zero on every earlier pivot;
         it is reduced when every earlier row is zero on its own pivot,
@@ -298,12 +295,19 @@ class Subspace:
         every row's own checks, and a row that is not bytes raises before
         any of them (`_direction_error`).
         """
-        _check_mode(self.mode)
-        elements = _elements(self.field.order)
-        width = self.ambient_len
+        _set_mode(self, mode)
+        _set_field(self, field)
+        _set_ambient_len(self, ambient_len)
+        _set_direction(self, direction)
+        _set_basepoint(self, basepoint)
+        _set_key(self, None)
+        _set_pivot_rows(self, None)
+        _check_mode(mode)
+        elements = _elements(field.order)
+        width = ambient_len
         if width < 0:
             raise ValueError("ambient_len must be nonnegative")
-        rows = self.direction
+        rows = direction
         many = len(rows) > 1  # a single row is reduced: its pivot entry is 1
         earlier = 0    # the OR of the earlier rows' ints
         on_pivots = 0  # 0xFF on each pivot column so far
@@ -331,21 +335,43 @@ class Subspace:
             piv_prev = p
         if not reduced:
             raise ValueError("non-reduced entry above/below a pivot")
-        if self.mode == VECTOR:
-            if self.basepoint is not None:
+        if mode == VECTOR:
+            if basepoint is not None:
                 raise ValueError("vector-mode subspaces carry no basepoint")
         else:
-            base = self.basepoint
-            if base is None:
+            if basepoint is None:
                 raise ValueError("affine-mode subspaces need a basepoint")
-            if type(base) is not bytes:
-                _check_bytes([base], "the basepoint")
-            if len(base) != width:
+            if type(basepoint) is not bytes:
+                _check_bytes([basepoint], "the basepoint")
+            if len(basepoint) != width:
                 raise ValueError("basepoint length differs from ambient_len")
-            if base.translate(None, elements):
+            if basepoint.translate(None, elements):
                 raise ValueError("basepoint entries out of field range")
-            if int.from_bytes(base) & on_pivots:
+            if int.from_bytes(basepoint) & on_pivots:
                 raise ValueError("basepoint must be zero on pivot columns")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.direction == other.direction
+                and self.basepoint == other.basepoint
+                and self.ambient_len == other.ambient_len
+                and self.mode == other.mode and self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.mode, self.field, self.ambient_len, self.direction,
+                     self.basepoint))
+
+    def __repr__(self):
+        return (f"Subspace(mode={self.mode!r}, q={self.field.order}, "
+                f"ambient_len={self.ambient_len}, direction={self.direction!r}, "
+                f"basepoint={self.basepoint!r})")
 
     # -- conventions ---------------------------------------------------
 
@@ -361,8 +387,7 @@ class Subspace:
     def pivots(self) -> dict[int, Vec]:
         """Pivot column -> its direction row, in row order; built on first use."""
         if self._pivot_rows is None:
-            object.__setattr__(self, "_pivot_rows", {
-                _lead(row): row for row in self.direction})
+            _set_pivot_rows(self, {_lead(row): row for row in self.direction})
         return self._pivot_rows
 
     # -- point set -----------------------------------------------------
@@ -428,7 +453,7 @@ class Subspace:
                                ",".join(map(_json_list, self.direction)))
             if self.mode == AFFINE:
                 key += ',"basepoint":' + _json_list(self.basepoint)
-            object.__setattr__(self, "_key", key + "}")
+            _set_key(self, key + "}")
         return self._key
 
     @staticmethod
@@ -671,12 +696,12 @@ def _rref_patterns(f: Field, k: int, d: int):
 def _check_pattern(f: Field, d: int, piv: tuple[int, ...], choices) -> None:
     """Raise ValueError unless each row choice is canonical for `piv`.
 
-    These are the direction checks of `Subspace.__post_init__`, with its
+    These are the direction checks of `Subspace.__init__`, with its
     messages, made once per row choice instead of once per matrix.  If
     the pivots strictly increase and each choice for row i is a length-d
     row over the field that leads with a 1 at piv[i] and is zero on the
     other pivots, then every matrix built from the choices is a
-    direction `__post_init__` accepts.
+    direction `Subspace.__init__` accepts.
     """
     if any(a >= b for a, b in zip(piv, piv[1:])):
         raise ValueError("pivots must be strictly increasing")
@@ -719,7 +744,7 @@ def _coset_bases(f: Field, d: int, piv: tuple[int, ...]) -> list[Vec]:
 def _check_bases(f: Field, d: int, piv: tuple[int, ...], bases) -> None:
     """Raise ValueError unless each basepoint is canonical for pivots `piv`.
 
-    The basepoint checks of `Subspace.__post_init__`, with its messages.
+    The basepoint checks of `Subspace.__init__`, with its messages.
     """
     elements = _elements(f.order)
     _check_bytes(bases, "the basepoint")
@@ -757,12 +782,12 @@ def guard_subspace_count(f: Field, mode: str, rank: int, k: int) -> int:
     return count
 
 
-# The slot descriptors of Subspace's fields, in field order.  The frozen
-# dataclass's __init__ writes each slot through its descriptor as well
-# (by object.__setattr__); calling the descriptors directly is cheaper.
+# The setters of Subspace's slots, in `__slots__` order.  Its __setattr__
+# refuses every write, so `__init__`, `_unchecked_subspace` and the caches
+# of `key()` and `pivots()` write through the slot descriptors.
 (_set_mode, _set_field, _set_ambient_len, _set_direction, _set_basepoint,
- _set_key, _set_pivot_rows) = (Subspace.__dict__[fl.name].__set__
-                               for fl in fields(Subspace))
+ _set_key, _set_pivot_rows) = (Subspace.__dict__[name].__set__
+                               for name in Subspace.__slots__)
 
 
 def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
@@ -770,11 +795,11 @@ def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
                         key: str | None) -> Subspace:
     """A Subspace whose canonical form was checked before it was built.
 
-    Writes the slots as the dataclass's __init__ does, without running
-    `__post_init__`, and presets the key (None leaves it to `key()`).
-    Only the full-space walks of `iter_subspaces` call it: their rows
-    and basepoints come from `_rref_patterns` and `_coset_bases`, which
-    check them once per pattern, and their keys from `_pattern_texts`.
+    Writes the slots as `Subspace.__init__` does, without its check, and
+    presets the key (None leaves it to `key()`).  Only the full-space
+    walks of `iter_subspaces` call it: their rows and basepoints come
+    from `_rref_patterns` and `_coset_bases`, which check them once per
+    pattern, and their keys from `_pattern_texts`.
     """
     s = object.__new__(Subspace)
     _set_mode(s, mode)
@@ -977,19 +1002,17 @@ def is_independent(f: Field, mode: str, points) -> bool:
     return len(rref(f, pts)[1]) == len(pts)
 
 
-@dataclass(frozen=True)
-class BasisSet:
+class BasisSet(namedtuple("BasisSet", "mode field points")):
     """An ordered independent set of points."""
 
-    mode: str
-    field: Field
-    points: tuple[Vec, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_mode(self.mode)
-        _check_bytes(self.points, "basis points")
-        if not is_independent(self.field, self.mode, self.points):
+    def __new__(cls, mode: str, field: Field, points: tuple[Vec, ...]):
+        _check_mode(mode)
+        _check_bytes(points, "basis points")
+        if not is_independent(field, mode, points):
             raise ValueError("basis points are not independent")
+        return super().__new__(cls, mode, field, points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -1077,8 +1100,10 @@ def direct_sum(parts) -> Subspace:
 # ---------------------------------------------------------------------------
 # combination-preserving maps
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(namedtuple("LinearMap", (
+        "mode", "field", "domain_len", "codomain_len",
+        "columns",       # domain_len columns of length codomain_len
+        "translation"))):
     """A total map GF(q)^domain_len -> GF(q)^codomain_len.
 
     Vector mode: x -> M x.  Affine mode: x -> M x + t.  Either way the
@@ -1087,32 +1112,31 @@ class LinearMap:
     M e_j, so products and compositions read the columns as stored.
     """
 
-    mode: str
-    field: Field
-    domain_len: int
-    codomain_len: int
-    columns: tuple[Vec, ...]     # domain_len columns of length codomain_len
-    translation: Vec | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_mode(self.mode)
-        if len(self.columns) != self.domain_len:
+    def __new__(cls, mode: str, field: Field, domain_len: int,
+                codomain_len: int, columns: tuple[Vec, ...],
+                translation: Vec | None = None):
+        _check_mode(mode)
+        if len(columns) != domain_len:
             raise ValueError("matrix column count differs from domain_len")
-        _check_bytes(self.columns, "matrix columns")
-        if set(map(len, self.columns)) - {self.codomain_len}:
+        _check_bytes(columns, "matrix columns")
+        if set(map(len, columns)) - {codomain_len}:
             raise ValueError("matrix column length differs from codomain_len")
-        elements = _elements(self.field.order)
-        if b"".join(self.columns).translate(None, elements):
+        elements = _elements(field.order)
+        if b"".join(columns).translate(None, elements):
             raise ValueError("matrix entries out of field range")
-        if self.mode == VECTOR:
-            if self.translation is not None:
+        if mode == VECTOR:
+            if translation is not None:
                 raise ValueError("vector-mode maps carry no translation")
         else:
-            if self.translation is None or len(self.translation) != self.codomain_len:
+            if translation is None or len(translation) != codomain_len:
                 raise ValueError("affine-mode maps need a codomain-length translation")
-            _check_bytes([self.translation], "the translation")
-            if self.translation.translate(None, elements):
+            _check_bytes([translation], "the translation")
+            if translation.translate(None, elements):
                 raise ValueError("translation entries out of field range")
+        return super().__new__(cls, mode, field, domain_len, codomain_len,
+                               columns, translation)
 
 
 def coordinate_map(f: Field, mode: str, images, codomain_len: int) -> LinearMap:

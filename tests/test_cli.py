@@ -594,7 +594,10 @@ def test_extract_stdout_digests_pinned(case, tmp_path, capsys):
 @pytest.mark.parametrize("content, stderr", [
     ({"nope": 1}, "qramsey extract: coloring file needs an 'entries' map"),
     ({"entries": {}}, 'qramsey extract: coloring not total: missing {"mode"'),
-], ids=["no-map", "not-total"])
+    ({"constant": 0, "entries": {}},
+     "qramsey extract: coloring file holds both a 'constant' and an "
+     "'entries' map"),
+], ids=["no-map", "not-total", "both-forms"])
 def test_extract_bad_coloring_file(bundle_path, tmp_path, capsys, content,
                                    stderr):
     col = tmp_path / "col.json"
@@ -798,18 +801,19 @@ def test_every_product_reads_a_maps_stored_columns(tmp_path, capsys,
     # the very columns some LinearMap stores: no caller builds a matrix
     # for one product
     stored, received = [], []
-    real_check = space.LinearMap.__post_init__
+    real_new = space.LinearMap.__new__
     real_mat_vec = space.mat_vec
 
-    def check(m):
-        real_check(m)
+    def new(cls, *args, **kwargs):
+        m = real_new(cls, *args, **kwargs)
         stored.append(m.columns)
+        return m
 
     def product(f, columns, v, base):
         received.append(columns)
         return real_mat_vec(f, columns, v, base)
 
-    monkeypatch.setattr(space.LinearMap, "__post_init__", check)
+    monkeypatch.setattr(space.LinearMap, "__new__", new)
     for module in (space, construction):
         monkeypatch.setattr(module, "mat_vec", product)
     first, _ = extract_constant(capsys, tmp_path, 3, 2)

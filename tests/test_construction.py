@@ -7,7 +7,6 @@ block, frozen sizes for the smallest host, and the success/diagnostic
 split of the extraction walk.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -671,7 +670,7 @@ def test_corrupted_section_leaves_the_equalizer(make_spec):
     # blocks from its section; swap its points over two base points
     section = list(base.sections[0])
     section[-1], section[-2] = section[-2], section[-1]
-    bad = dataclasses.replace(base, sections=(tuple(section),) + base.sections[1:])
+    bad = base._replace(sections=(tuple(section),) + base.sections[1:])
     with pytest.raises(construction.ConstructionCheckError,
                        match="a member leaves the equalizer"):
         build_product_host(bad, 2)
@@ -896,7 +895,7 @@ def test_check_c_fires_when_the_members_inside_the_copy_differ(case):
                "replaced": kept + (extra,)}[case]
     with pytest.raises(construction.ConstructionCheckError,
                        match="copy members do not biject"):
-        line_embedding(dataclasses.replace(host, members=members), line)
+        line_embedding(host._replace(members=members), line)
 
 
 # -- extraction -----------------------------------------------------------------
@@ -1111,7 +1110,7 @@ def test_extract_rejects_a_copy_that_is_not_induced(make_spec, monkeypatch):
                  if s not in out.members)
     assert extra not in host.members
     coloring[extra.key()] = 0
-    bad = dataclasses.replace(host, members=host.members + (extra,))
+    bad = host._replace(members=host.members + (extra,))
     real = construction.line_embedding
     monkeypatch.setattr(construction, "line_embedding",
                         lambda _, line: real(host, line))

@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports, unreferenced definitions or unused
-defaults.
+"""Source hygiene: no unused imports, unreferenced definitions, unused
+defaults or start-up weight.
 
 Every name a library module imports is used in it, every function,
 class and method it defines is referenced somewhere in the library or
@@ -11,7 +11,10 @@ package's public re-exports, and a re-export alone is not a use.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -206,7 +209,7 @@ def test_detects_unresolved_trace_name():
 # -- the unchecked Subspace constructor -----------------------------------
 #
 # space._unchecked_subspace builds a Subspace without running its
-# __post_init__ check.  That is sound only for the rows and basepoints of
+# __init__ check.  That is sound only for the rows and basepoints of
 # _rref_patterns and _coset_bases, which are checked once per pivot
 # pattern, and only the full-space branches of iter_subspaces build from
 # those.  Any other reference could let an unchecked subspace out.
@@ -599,3 +602,63 @@ def test_detects_unpassed_default():
                      "h(**opts)\n")
     assert unpassed(defaulted_parameters(tree), passed_arguments(tree)) == \
         ["A(y)", "g(a)", "m(b)", "m(d)"]
+
+
+# -- start-up imports ------------------------------------------------------
+#
+# Every qramsey command starts a fresh process, so every run pays
+# `import qramsey`.  `dataclasses` pulls in inspect, ast, dis and tokenize,
+# and a dataclass compiles its generated methods with exec when its class
+# is made: together about a third of the import.  The records are
+# namedtuples and hand-written classes instead, and no library module
+# imports these modules.
+
+HEAVY_IMPORTS = ("dataclasses", "typing", "inspect")
+
+
+def heavy_imports(tree: ast.Module) -> list[str]:
+    """`module (line n)` for every absolute import of a module in
+    HEAVY_IMPORTS or of one of its submodules."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names
+                if name.partition(".")[0] in HEAVY_IMPORTS]
+    return out
+
+
+def test_no_heavy_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}: {name}" for name in heavy_imports(tree)]
+    assert not found, f"src/qramsey imports start-up weight: {', '.join(found)}"
+
+
+def test_detects_heavy_import():
+    tree = ast.parse("import json, typing\n"
+                     "from dataclasses import dataclass\n"
+                     "from . import inspect\n"
+                     "from collections import namedtuple\n"
+                     "def f():\n"
+                     "    import inspect as ins\n"
+                     "    from typing.io import IO\n")
+    assert heavy_imports(tree) == ["typing (line 1)", "dataclasses (line 2)",
+                                   "inspect (line 6)", "typing.io (line 7)"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # in a child process, since pytest itself imports both; typing is not
+    # asserted on, because site-packages may preload it
+    code = ("import sys, qramsey, qramsey.cli\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent),
+                              "PYTHONDONTWRITEBYTECODE": "1"})
+    assert out.stdout == "[]\n"

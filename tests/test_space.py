@@ -1502,7 +1502,7 @@ def test_proper_ambient_subspaces_match_containment_filter(q, mode):
 # -- the checked pattern walk ------------------------------------------------
 #
 # Over a full coordinate space, iter_subspaces builds its subspaces without
-# Subspace.__post_init__, from row choices and basepoints checked once per
+# Subspace.__init__, from row choices and basepoints checked once per
 # pivot pattern.  Every subspace it yields must still pass the full check.
 
 ORACLE_Q_POWER_CAP = 4096
@@ -1590,7 +1590,7 @@ def reverse_pivots(piv, choices):
     return piv[::-1], choices[::-1]
 
 
-# (q, mode, rank, k, corruption, the message __post_init__ gives that fault);
+# (q, mode, rank, k, corruption, the message Subspace.__init__ gives that fault);
 # the first pattern of rank-k rows in 4 columns has pivots (0, 1, ...)
 PATTERN_FAULTS = [
     (2, VECTOR, 4, 2, corrupt_row(1, 1),
