@@ -21,8 +21,9 @@ from .field import make_field
 from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
                     Subspace, apply, coordinate_map, count_subspaces,
                     count_text, enumerate_subspaces, full_space,
-                    gaussian_binomial, json_expect, json_field,
-                    linear_extension, span, stacked_images, subspace_templates)
+                    gaussian_binomial, guard_subspace_count, join, json_expect,
+                    json_field, linear_extension, span, stacked_images,
+                    subspace_templates)
 
 # spaces per batch of `member_lookup`, whose image buffers a batch holds at once
 SPAN_CHUNK = 1024
@@ -78,6 +79,9 @@ class ArrowStructure(namedtuple("ArrowStructure",
 
 def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     f = make_field(instance.q)
+    # both listings' size guards, on the shape alone, before the host
+    for rank in (instance.colored_rank, instance.target_rank):
+        guard_subspace_count(f, instance.mode, instance.host_rank, rank)
     host = full_space(f, instance.mode, instance.host_rank)
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
     n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
@@ -301,9 +305,8 @@ def member_lookup(members, n: int):
     one row per space: for each template, the index of the member its
     image is, or None.
 
-    Each member is indexed once by its canonical bytes: its direction
-    rows joined, then its basepoint in affine mode.  The
-    `subspace_templates` of rank n, carried through a space U's basis
+    Each member is indexed once by its canonical bytes, its rows joined.
+    The `subspace_templates` of rank n, carried through a space U's basis
     map, are U's subspaces of the members' ranks, so the members inside
     U are the templates' images found in the index, and no member is
     tested against U.  The images are canonical as built
@@ -312,23 +315,21 @@ def member_lookup(members, n: int):
     cut into one slice per space; no point of U is listed.  The function
     keeps the templates as `templates`.
     """
-    index = {b"".join(m.direction) + (m.basepoint or b""): i
-             for i, m in enumerate(members)}
+    index = {b"".join(m.rows): i for i, m in enumerate(members)}
     templates = [t for r in sorted({m.rank for m in members})
                  for t in subspace_templates(members[0].field, members[0].mode,
                                              n, r)]
     get = index.get
 
     def batch(spaces) -> list[tuple[int | None, ...]]:
-        f, d = templates[0].field, spaces[0].ambient_len
-        rows = list(map(b"".join, zip(*[u.direction for u in spaces])))
-        origin = (b"".join([u.basepoint for u in spaces])
-                  if spaces[0].mode == AFFINE else None)
-        cut = Struct(f"{d}s" * len(spaces)).unpack
+        f = templates[0].field
+        rows = list(map(b"".join, zip(*[u.rows for u in spaces])))
+        width = len(rows[0]) // len(spaces) if rows else 0
+        cut = Struct(f"{width}s" * len(spaces)).unpack
         found = []  # per template, its image's member index (or None) per space
         for t in templates:
-            parts = [cut(buf) for buf in stacked_images(f, t, rows, origin)]
-            keys = (map(b"".join, zip(*parts)) if parts  # else the origin
+            parts = [cut(buf) for buf in stacked_images(f, t, rows)]
+            keys = (map(b"".join, zip(*parts)) if parts  # else the zero space
                     else [b""] * len(spaces))
             found.append(list(map(get, keys)))
         return list(zip(*found))
@@ -369,11 +370,11 @@ def _member_spans(members: list[Subspace], n: int, budget: Budget) -> list[Subsp
     raises the span's rank.  Every subspace spanned by the members it
     contains is found: those members, taken in index order, form such a
     chain.  A member already inside the current span is skipped by
-    point membership before any span is built, and each span built
+    containment before any span is built, and each span built (`join`)
     spends one budget node.  Spans are told apart by their canonical
-    rows and basepoint, so no key is formatted.
+    rows, so no key is formatted.
     """
-    found: dict[tuple, Subspace] = {}  # by (direction, basepoint)
+    found: dict[tuple, Subspace] = {}  # by rows
 
     def grow(cur: Subspace | None, start: int) -> None:
         for j in range(start, len(members)):
@@ -384,10 +385,9 @@ def _member_spans(members: list[Subspace], n: int, budget: Budget) -> list[Subsp
                 continue
             else:
                 budget.spend()
-                s = span(m.field, m.mode, cur.basis_points() + m.basis_points(),
-                         m.ambient_len)
+                s = join(cur, m)
             if s.rank == n:
-                found.setdefault((s.direction, s.basepoint), s)
+                found.setdefault(s.rows, s)
             elif s.rank < n:
                 grow(s, j + 1)
 
@@ -418,8 +418,7 @@ def _free_space(host: Subspace, n: int, base: Subspace | None,
         total = through(base.rank)
         if (len(members) - len(inside)) * through(base.rank + 1) < total:
             return True
-        spans = {span(f, mode, base.basis_points() + m.basis_points(),
-                      host.ambient_len) for m in others}
+        spans = {join(base, m) for m in others}
     if sum(through(d.rank) for d in spans) < total:
         return True
     if all(d.rank >= n for d in spans):

@@ -29,9 +29,10 @@ from .space import (AFFINE, POINT_CAP, VECTOR, LinearMap, SizeCapError,
                     Subspace, Vec, apply, combination_points, complement,
                     compose, coordinate_map, count_subspaces, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    identity_map, identity_rows, image_space, json_expect,
-                    json_field, json_int, json_text, key_order, mat_vec,
-                    nullspace_rows, span, span_form, transpose, vec_sub)
+                    guard_subspace_count, identity_map, identity_rows,
+                    image_space, json_expect, json_field, json_int, json_text,
+                    key_order, mat_vec, nullspace_rows, rref, span, transpose,
+                    vec_sub)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -143,14 +144,17 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     f = spec.field
     mode = spec.mode
     k, n, big_n = spec.colored_rank, spec.target_rank, spec.base_rank
-    base = full_space(f, mode, big_n)
-    e_amb = base.ambient_len
     nfam = len(spec.family.members)
-    # the cover pass holds one section point per cover and base point
-    held = count_subspaces(big_n, n, f.order, mode) * nfam * base.num_points
+    # the cover pass holds one section point per cover and base point;
+    # the guards read closed forms, before the base is built
+    held = (count_subspaces(big_n, n, f.order, mode) * nfam
+            * f.order ** (big_n - (mode == AFFINE)))
     if held > POINT_CAP:
         raise SizeCapError(f"{count_text(held)} cover section points, "
                            f"cap {POINT_CAP}")
+    guard_subspace_count(f, mode, big_n, n)
+    base = full_space(f, mode, big_n)
+    e_amb = base.ambient_len
     targets = enumerate_subspaces(base, n)
     comp_size = big_n - k
     block_rank = n + comp_size * nfam
@@ -163,11 +167,14 @@ def build_base_host(spec: HostSpec) -> BaseHost:
 
     # pull F back onto the rank-n coordinate space once: a point of F's
     # canonical ambient has its entries on the ambient's pivot columns as
-    # its coordinates.  The coordinate maps of a target's basis points and
+    # its coordinates, and a member's rows cut to those columns are its
+    # pull-back's rows.  The coordinate maps of a target's basis points and
     # of its slots then push each member into the target and into the slots
-    pivots = list(spec.family.ambient.pivots())
-    members = [span(f, mode, [bytes(p[j] for j in pivots) for p in m.basis_points()],
-                    len(pivots)) for m in spec.family.members]
+    amb = spec.family.ambient
+    cols = list(amb.pivots())
+    members = [Subspace.from_rows(mode, f, len(amb.direction),
+                                  tuple(bytes(map(r.__getitem__, cols)) for r in m.rows))
+               for m in spec.family.members]
     target_spans: list[Subspace] = []
     parts: list[Subspace] = []    # the slot spans, whose direct sum is the room
     covers: list[Subspace] = []
@@ -216,9 +223,9 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     # points() order, are the combinations of the images of its
     # basepoint and direction rows: only those are projected.  The cover
     # k-space over base k-space j is spanned by the section at the
-    # positions of j's basis points, and one `span_form` of those k
-    # points gives its canonical rows and basepoint, which key it; a
-    # Subspace is built, and checked, for a new one only.  Collect the
+    # positions of j's basis points, and one `rref` of those k points,
+    # lifted as `span` lifts them, gives its canonical rows, which key it;
+    # a Subspace is built, and checked, for a new one only.  Collect the
     # k-spaces with a cover holding each and the base points under its
     # basis points.  They share one shape, so `key_order` sorts them.
     base_k = tuple(enumerate_subspaces(base, k))
@@ -228,6 +235,7 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     sections: list[tuple[Vec, ...]] = []
     slot_rows: list[list[tuple]] = []
     zero = origin = bytes(e_amb)
+    lift = b"\1" if mode == AFFINE else b""
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
         if mode == AFFINE:
@@ -243,9 +251,9 @@ def build_base_host(spec: HostSpec) -> BaseHost:
         over = dict(zip(pts, at))
         row = []
         for basis_pos in basis_at:
-            form = span_form(f, mode, [section[i] for i in basis_pos])
+            form = rref(f, [lift + section[i] for i in basis_pos])[0]
             if form not in frames:
-                s = Subspace(mode, f, v_amb, *form)
+                s = Subspace.from_rows(mode, f, v_amb, form)
                 frames[form] = (s, ci, tuple(map(over.__getitem__, s.basis_points())))
             row.append(form)
         slot_rows.append(row)
@@ -372,7 +380,7 @@ def build_product_host(base: BaseHost, word_len: int) -> ProductHost:
         parts for fiber in fibers
         for parts in itertools.product(fiber, repeat=word_len)))
     members = tuple(_write_member(base, parts) for parts in member_parts)
-    if len({(m.direction, m.basepoint) for m in members}) != len(members):
+    if len({m.rows for m in members}) != len(members):
         raise ConstructionCheckError("member tuples collided")
     if not _blocks_agree(pi, word_len, [p for m in members for p in m.basis_points()]):
         raise ConstructionCheckError("a member leaves the equalizer")

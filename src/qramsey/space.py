@@ -6,10 +6,12 @@ the span of the direction rows.  Rank counts basis points, so an affine
 flat of geometric dimension d has rank d + 1 (its basis is d + 1 points)
 while a vector space of dimension d has rank d.
 
-Canonical form: direction rows in reduced row echelon form with strictly
-increasing pivots, and (affine mode) the unique basepoint that is zero on
-every pivot column.  Two Subspace values are equal exactly when they have
-the same point set.
+Canonical form: rows in reduced row echelon form with strictly
+increasing pivots.  A flat is stored as its homogenized subspace, the
+span of its points lifted to [1 | p]: rows [1 | b], for the unique
+basepoint b zero on the direction's pivot columns, then [0 | r] for each
+direction row r, so one vector code path serves both modes.  Two
+Subspace values are equal exactly when they have the same point set.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress
 
 from .field import Field, make_field
 
@@ -29,6 +30,9 @@ Vec = bytes
 
 VECTOR = "vector"
 AFFINE = "affine"
+# what a point takes in front as a row of the mode's stored form: a flat's
+# points are lifted to [1 | p]
+_LIFT = {VECTOR: b"", AFFINE: b"\1"}
 
 POINT_CAP = 1 << 16
 
@@ -207,18 +211,6 @@ def rref(f: Field, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     return tuple(mat), tuple(pivots)
 
 
-def _reduce_by(f: Field, rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> Vec:
-    """Subtract multiples of RREF rows from v to zero its pivot columns.
-
-    An RREF row is zero on every other row's pivot, so the multiple of
-    each row is v's own entry at that row's pivot.
-    """
-    coeffs = list(map(v.__getitem__, pivots))
-    for row, c in compress(zip(rows, coeffs), coeffs):
-        v = _add_multiple(f, v, f.neg(c), row)
-    return v
-
-
 def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ...]:
     """A basis of {x : rows . x = 0}, one vector per free column."""
     red, piv = rref(f, rows)
@@ -274,20 +266,20 @@ def _unit(width: int, p: int) -> int:
 
 
 class Subspace:
-    """A canonical vector subspace or affine flat of GF(q)^ambient_len.
+    """A canonical vector subspace or affine flat of GF(q)^ambient_len,
+    stored as its `rows`, which `direction` and `basepoint` read back.
 
     Slotted, because hosts and enumerations hold many thousands of them,
-    and immutable.  Equality and the hash read the five fields, never the
+    and immutable.  Equality and the hash read the fields, never the
     `_key` and `_pivot_rows` caches that `key()` and `pivots()` fill.
     """
 
-    __slots__ = ("mode", "field", "ambient_len", "direction", "basepoint",
-                 "_key", "_pivot_rows")
+    __slots__ = ("mode", "field", "ambient_len", "rows", "_key", "_pivot_rows")
 
     def __init__(self, mode: str, field: Field, ambient_len: int,
                  direction: tuple[Vec, ...], basepoint: Vec | None = None):
-        """Write the slots, then check the canonical form in one pass over
-        the direction rows.
+        """Check the canonical form in one pass over the direction rows,
+        then write the slots.
 
         A row leads with its pivot, so it is zero on every earlier pivot;
         it is reduced when every earlier row is zero on its own pivot,
@@ -295,19 +287,12 @@ class Subspace:
         every row's own checks, and a row that is not bytes raises before
         any of them (`_direction_error`).
         """
-        _set_mode(self, mode)
-        _set_field(self, field)
-        _set_ambient_len(self, ambient_len)
-        _set_direction(self, direction)
-        _set_basepoint(self, basepoint)
-        _set_key(self, None)
-        _set_pivot_rows(self, None)
         _check_mode(mode)
         elements = _elements(field.order)
         width = ambient_len
         if width < 0:
             raise ValueError("ambient_len must be nonnegative")
-        rows = direction
+        rows = tuple(direction)
         many = len(rows) > 1  # a single row is reduced: its pivot entry is 1
         earlier = 0    # the OR of the earlier rows' ints
         on_pivots = 0  # 0xFF on each pivot column so far
@@ -349,6 +334,26 @@ class Subspace:
                 raise ValueError("basepoint entries out of field range")
             if int.from_bytes(basepoint) & on_pivots:
                 raise ValueError("basepoint must be zero on pivot columns")
+            rows = (b"\1" + basepoint,) + tuple([b"\0" + r for r in rows])
+        _set_mode(self, mode)
+        _set_field(self, field)
+        _set_ambient_len(self, ambient_len)
+        _set_rows(self, rows)
+        _set_key(self, None)
+        _set_pivot_rows(self, None)
+
+    @staticmethod
+    def from_rows(mode: str, field: Field, ambient_len: int,
+                  rows: tuple[Vec, ...]) -> "Subspace":
+        """The Subspace with these canonical rows, through the checks."""
+        if mode == VECTOR:
+            return Subspace(VECTOR, field, ambient_len, rows)
+        if not rows or rows[0][0] != 1:
+            raise ValueError("affine-mode subspaces need a basepoint")
+        if any(r[0] for r in rows[1:]):  # the constructor sees no column 0
+            raise ValueError("non-reduced entry above/below a pivot")
+        return Subspace(AFFINE, field, ambient_len,
+                        tuple([r[1:] for r in rows[1:]]), rows[0][1:])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -359,14 +364,11 @@ class Subspace:
     def __eq__(self, other):
         if other.__class__ is not Subspace:
             return NotImplemented
-        return (self.direction == other.direction
-                and self.basepoint == other.basepoint
-                and self.ambient_len == other.ambient_len
+        return (self.rows == other.rows and self.ambient_len == other.ambient_len
                 and self.mode == other.mode and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.mode, self.field, self.ambient_len, self.direction,
-                     self.basepoint))
+        return hash((self.mode, self.field, self.ambient_len, self.rows))
 
     def __repr__(self):
         return (f"Subspace(mode={self.mode!r}, q={self.field.order}, "
@@ -376,18 +378,27 @@ class Subspace:
     # -- conventions ---------------------------------------------------
 
     @property
+    def direction(self) -> tuple[Vec, ...]:
+        return (self.rows if self.mode == VECTOR
+                else tuple([r[1:] for r in self.rows[1:]]))
+
+    @property
+    def basepoint(self) -> Vec | None:
+        return self.rows[0][1:] if self.mode == AFFINE else None
+
+    @property
     def rank(self) -> int:
         """Basis size: dimension in vector mode, dimension + 1 in affine."""
-        return len(self.direction) + (1 if self.mode == AFFINE else 0)
+        return len(self.rows)
 
     @property
     def num_points(self) -> int:
-        return self.field.order ** len(self.direction)
+        return self.field.order ** (len(self.rows) - (self.mode == AFFINE))
 
     def pivots(self) -> dict[int, Vec]:
-        """Pivot column -> its direction row, in row order; built on first use."""
+        """Pivot column -> its row, in row order; built on first use."""
         if self._pivot_rows is None:
-            _set_pivot_rows(self, {_lead(row): row for row in self.direction})
+            _set_pivot_rows(self, {_lead(row): row for row in self.rows})
         return self._pivot_rows
 
     # -- point set -----------------------------------------------------
@@ -405,28 +416,30 @@ class Subspace:
         origin = self.basepoint if self.mode == AFFINE else bytes(self.ambient_len)
         yield from combination_points(self.field, origin, self.direction)
 
-    def is_member(self, v: Vec) -> bool:
-        """Whether v reduces to zero by the direction rows.
+    def _holds_row(self, v: Vec) -> bool:
+        """Whether v reduces to zero by the rows: `_reduce_at_lead` stops
+        at the first leading column that is no pivot, outside the span."""
+        return _reduce_at_lead(self.field, self.pivots(), v)[0] == len(v)
 
-        `_reduce_at_lead` stops at the first leading column that is no
-        pivot: v is then outside.
-        """
+    def is_member(self, v: Vec) -> bool:
+        """Whether v, lifted to [1 | v] for a flat, is in the rows' span."""
         if len(v) != self.ambient_len:
             raise ValueError("point length differs from ambient_len")
-        f = self.field
-        w = v if self.mode == VECTOR else vec_sub(f, v, self.basepoint)
-        return _reduce_at_lead(f, self.pivots(), w)[0] == len(w)
+        return self._holds_row(_LIFT[self.mode] + v)
 
     def basis_points(self) -> tuple[Vec, ...]:
-        """The canonical basis: direction rows, or basepoint plus offsets."""
+        """The canonical basis: the rows, or a flat's first row [1 | b] and
+        its sums with the others, without the leading 1."""
         if self.mode == VECTOR:
-            return self.direction
-        b = self.basepoint
-        return (b,) + tuple(vec_add(self.field, b, row) for row in self.direction)
+            return self.rows
+        first = self.rows[0]
+        return (first[1:],) + tuple([vec_add(self.field, first, row)[1:]
+                                     for row in self.rows[1:]])
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """Whether each of the other space's rows is in these rows' span."""
         _check_same_space(self, other)
-        return all(self.is_member(p) for p in other.basis_points())
+        return all(map(self._holds_row, other.rows))
 
     # -- serialization -------------------------------------------------
 
@@ -591,23 +604,9 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
         raise ValueError("subspaces live in different ambients or modes")
 
 
-def span_form(f: Field, mode: str, pts: list[Vec]) -> tuple[tuple[Vec, ...], Vec | None]:
-    """The canonical direction rows and basepoint of the points' span.
-
-    One `rref`: of the points in vector mode, where the basepoint is
-    None; of their differences from the first point in affine mode,
-    whose basepoint is that point reduced by the rows.  The points are
-    bytes of one length, at least one in affine mode; nothing is checked.
-    """
-    if mode == VECTOR:
-        return rref(f, pts)[0], None
-    base = pts[0]
-    rows, piv = rref(f, [vec_sub(f, p, base) for p in pts[1:]])
-    return rows, _reduce_by(f, rows, piv, base)
-
-
 def span(f: Field, mode: str, points, ambient_len: int | None = None) -> Subspace:
-    """Canonical span of the given points (mode-appropriate combinations)."""
+    """Canonical span of the given points: one `rref` of the points,
+    lifted to [1 | p] in affine mode."""
     _check_mode(mode)
     pts = [bytes(p) for p in points]
     if ambient_len is None:
@@ -618,20 +617,25 @@ def span(f: Field, mode: str, points, ambient_len: int | None = None) -> Subspac
         raise ValueError("points of differing length")
     if mode == AFFINE and not pts:
         raise ValueError("affine span needs at least one point")
-    return Subspace(mode, f, ambient_len, *span_form(f, mode, pts))
+    return Subspace.from_rows(mode, f, ambient_len,
+                              rref(f, [_LIFT[mode] + p for p in pts])[0])
+
+
+def join(a: Subspace, b: Subspace) -> Subspace:
+    """The least subspace holding both: one `rref` of their rows."""
+    _check_same_space(a, b)
+    return Subspace.from_rows(a.mode, a.field, a.ambient_len,
+                              rref(a.field, a.rows + b.rows)[0])
 
 
 def full_space(f: Field, mode: str, rank: int) -> Subspace:
     """The rank-`rank` space that fills its own coordinate ambient."""
     _check_mode(mode)
-    if mode == VECTOR:
-        if rank < 0:
-            raise ValueError("vector rank must be nonnegative")
-        return Subspace(VECTOR, f, rank, identity_rows(rank), None)
-    if rank < 1:
+    if mode == VECTOR and rank < 0:
+        raise ValueError("vector rank must be nonnegative")
+    if mode == AFFINE and rank < 1:
         raise ValueError("affine rank must be at least 1")
-    d = rank - 1
-    return Subspace(AFFINE, f, d, identity_rows(d), bytes(d))
+    return Subspace.from_rows(mode, f, rank - (mode == AFFINE), identity_rows(rank))
 
 
 def zero_space(f: Field, ambient_len: int) -> Subspace:
@@ -660,28 +664,31 @@ def count_subspaces(n_rank: int, k: int, q: int, mode: str) -> int:
         return gaussian_binomial(n_rank, k, q)
     if n_rank < 1:
         raise ValueError("affine spaces have rank at least 1")
-    if k < 1 or k > n_rank:
-        return 0
-    d = n_rank - 1
-    return q ** (d - (k - 1)) * gaussian_binomial(d, k - 1, q)
+    # the rank-k subspaces of the homogenized space not inside x_0 = 0
+    return gaussian_binomial(n_rank, k, q) - gaussian_binomial(n_rank - 1, k, q)
 
 
-def _rref_patterns(f: Field, k: int, d: int):
-    """The pivot patterns of the k x d full-rank RREF matrices, checked.
+def _rref_patterns(f: Field, k: int, width: int, affine: bool):
+    """The pivot patterns of the k x width full-rank RREF matrices, checked.
 
-    Yields (pivots, choices), where choices[i] lists every value of row
-    i: a 1 at its pivot, zeros before it and on the other pivots, and its
-    free entries running over the field, the last fastest.  The
-    pattern's matrices are the products of its rows' choices.  Every
-    choice has passed `_check_pattern`, so every product is canonical.
+    When `affine`, only those with a pivot at column 0, the rows of the
+    rank-k flats.  Yields (pivots, choices), where choices[i] lists every
+    value of row i: a 1 at its pivot, zeros before it and on the other
+    pivots, and its free entries running over the field, the last
+    fastest.  The pattern's matrices are the products of its rows'
+    choices.  Every choice has passed `_check_pattern`, so every product
+    is canonical.
     """
     elems = f.elements()
-    for piv in itertools.combinations(range(d), k):
+    if k < affine:
+        return  # no empty flats; mirrors count_subspaces
+    for rest in itertools.combinations(range(affine, width), k - affine):
+        piv = (0,) * affine + rest
         pivset = set(piv)
         choices = []
         for p in piv:
-            free = [j for j in range(p + 1, d) if j not in pivset]
-            row = bytearray(d)
+            free = [j for j in range(p + 1, width) if j not in pivset]
+            row = bytearray(width)
             row[p] = 1
             options = []
             for vals in itertools.product(elems, repeat=len(free)):
@@ -689,72 +696,39 @@ def _rref_patterns(f: Field, k: int, d: int):
                     row[j] = v
                 options.append(bytes(row))
             choices.append(options)
-        _check_pattern(f, d, piv, choices)
+        _check_pattern(f, width, piv, choices)
         yield piv, choices
 
 
-def _check_pattern(f: Field, d: int, piv: tuple[int, ...], choices) -> None:
+def _check_pattern(f: Field, width: int, piv: tuple[int, ...], choices) -> None:
     """Raise ValueError unless each row choice is canonical for `piv`.
 
     These are the direction checks of `Subspace.__init__`, with its
-    messages, made once per row choice instead of once per matrix.  If
-    the pivots strictly increase and each choice for row i is a length-d
-    row over the field that leads with a 1 at piv[i] and is zero on the
-    other pivots, then every matrix built from the choices is a
-    direction `Subspace.__init__` accepts.
+    messages, made once per row choice instead of once per matrix, and
+    made of a flat's first row [1 | b] too, so its basepoint options are
+    checked as rows.  If the pivots strictly increase and each choice for
+    row i is a length-width row over the field that leads with a 1 at
+    piv[i] and is zero on the other pivots, then every matrix built from
+    the choices is in reduced row echelon form.
     """
     if any(a >= b for a, b in zip(piv, piv[1:])):
         raise ValueError("pivots must be strictly increasing")
     elements = _elements(f.order)
-    on_pivots = _pivot_mask(d, piv)
+    on_pivots = _pivot_mask(width, piv)
     for p, options in zip(piv, choices):
         _check_bytes(options, "direction rows")
         for row in options:
-            if len(row) != d:
+            if len(row) != width:
                 raise ValueError("direction row length differs from ambient_len")
             if row.translate(None, elements):
                 raise ValueError("direction entries out of field range")
             if row[p] != 1:
                 raise ValueError("pivot entries must be 1")
             # the row's own pivot is its only nonzero pivot column
-            if int.from_bytes(row) & on_pivots != _unit(d, p):
+            if int.from_bytes(row) & on_pivots != _unit(width, p):
                 raise ValueError("non-reduced entry above/below a pivot")
             if _lead(row) != p:
                 raise ValueError("nonzero direction entry before its pivot")
-
-
-def _coset_bases(f: Field, d: int, piv: tuple[int, ...]) -> list[Vec]:
-    """The canonical basepoints of the flats whose direction has pivots `piv`.
-
-    They are the points that are zero on the pivots, their free entries
-    in itertools.product order, checked by `_check_bases`.
-    """
-    pivset = set(piv)
-    free = [c for c in range(d) if c not in pivset]
-    point = bytearray(d)
-    bases = []
-    for vals in itertools.product(f.elements(), repeat=len(free)):
-        for c, v in zip(free, vals):
-            point[c] = v
-        bases.append(bytes(point))
-    _check_bases(f, d, piv, bases)
-    return bases
-
-
-def _check_bases(f: Field, d: int, piv: tuple[int, ...], bases) -> None:
-    """Raise ValueError unless each basepoint is canonical for pivots `piv`.
-
-    The basepoint checks of `Subspace.__init__`, with its messages.
-    """
-    elements = _elements(f.order)
-    _check_bytes(bases, "the basepoint")
-    for b in bases:
-        if len(b) != d:
-            raise ValueError("basepoint length differs from ambient_len")
-        if b.translate(None, elements):
-            raise ValueError("basepoint entries out of field range")
-        if any(b[p] for p in piv):
-            raise ValueError("basepoint must be zero on pivot columns")
 
 
 def guard_subspace_count(f: Field, mode: str, rank: int, k: int) -> int:
@@ -785,49 +759,49 @@ def guard_subspace_count(f: Field, mode: str, rank: int, k: int) -> int:
 # The setters of Subspace's slots, in `__slots__` order.  Its __setattr__
 # refuses every write, so `__init__`, `_unchecked_subspace` and the caches
 # of `key()` and `pivots()` write through the slot descriptors.
-(_set_mode, _set_field, _set_ambient_len, _set_direction, _set_basepoint,
- _set_key, _set_pivot_rows) = (Subspace.__dict__[name].__set__
-                               for name in Subspace.__slots__)
+(_set_mode, _set_field, _set_ambient_len, _set_rows, _set_key,
+ _set_pivot_rows) = (Subspace.__dict__[name].__set__
+                     for name in Subspace.__slots__)
 
 
 def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
-                        direction: tuple[Vec, ...], basepoint: Vec | None,
-                        key: str | None) -> Subspace:
-    """A Subspace whose canonical form was checked before it was built.
+                        rows: tuple[Vec, ...], key: str | None) -> Subspace:
+    """A Subspace whose canonical rows were checked before it was built.
 
     Writes the slots as `Subspace.__init__` does, without its check, and
     presets the key (None leaves it to `key()`).  Only the full-space
-    walks of `iter_subspaces` call it: their rows and basepoints come
-    from `_rref_patterns` and `_coset_bases`, which check them once per
-    pattern, and their keys from `_pattern_texts`.
+    walk of `iter_subspaces` calls it: its rows come from
+    `_rref_patterns`, which checks them once per pattern, and its keys
+    from `_pattern_texts`.
     """
     s = object.__new__(Subspace)
     _set_mode(s, mode)
     _set_field(s, f)
     _set_ambient_len(s, ambient_len)
-    _set_direction(s, direction)
-    _set_basepoint(s, basepoint)
+    _set_rows(s, rows)
     _set_key(s, key)
     _set_pivot_rows(s, None)
     return s
 
 
-def _pattern_texts(f: Field, mode: str, d: int, choices, bases, as_text):
+def _pattern_texts(f: Field, mode: str, width: int, choices, as_text):
     """The texts of one pivot pattern's subspaces, in walk order.
 
-    `as_text` is `_json_list`, for the compact keys of `key()`, or
-    `_spaced_list`, for `json_text`'s lines; the format string gets the
-    matching separators.  Each row option and basepoint is formatted
-    once, and each text is one `%` of the format string by a product of
-    those texts, in the order `iter_subspaces` builds the subspaces: the
-    rows' options in itertools.product order, then (affine mode) the
-    basepoints fastest.
+    `choices` are the pattern's row options in `_full_walk`'s product
+    order, a flat's basepoint row last, as its key writes it.  `as_text`
+    is `_json_list`, for the compact keys of `key()`, or `_spaced_list`,
+    for `json_text`'s lines; the format string gets the matching
+    separators.  Each row option is formatted once, a flat's without its
+    leading entry, and each text is one `%` of the format string by a
+    product of those texts, in the order `iter_subspaces` builds the
+    subspaces.
     """
-    texts = [list(map(as_text, options)) for options in choices]
-    # one "%s" per row where `key()` writes the rows' lists
-    fmt = _KEY_HEAD % (mode, f.order, d, ",".join(["%s"] * len(choices)))
-    if mode == AFFINE:
-        texts.append(list(map(as_text, bases)))
+    affine = mode == AFFINE
+    texts = [[as_text(row[affine:]) for row in options] for options in choices]
+    # one "%s" per direction row where `key()` writes the rows' lists
+    fmt = _KEY_HEAD % (mode, f.order, width - affine,
+                       ",".join(["%s"] * (len(choices) - affine)))
+    if affine:
         fmt += ',"basepoint":%s'
     fmt += "}"
     if as_text is _spaced_list:  # json.dumps's blank after "," and ":"
@@ -835,25 +809,25 @@ def _pattern_texts(f: Field, mode: str, d: int, choices, bases, as_text):
     return map(fmt.__mod__, itertools.product(*texts))
 
 
-def _full_walk(f: Field, mode: str, k: int, d: int):
-    """The rank-k subspaces of the full coordinate space on d columns.
+def _full_walk(f: Field, mode: str, k: int, width: int):
+    """The rank-k subspaces of the rank-`width` coordinate space, whose
+    rows have `width` columns in either mode.
 
-    Yields (choices, bases, flats) for each checked pivot pattern of
-    `_rref_patterns`: the rows' options, the pattern's `_coset_bases`
-    (None in vector mode), and an iterator over its subspaces in walk
-    order, as row tuples (vector mode) or (rows, basepoint) pairs with
-    the basepoints fastest.  Nothing is built but those tuples.
+    Yields (choices, rows) for each checked pivot pattern of
+    `_rref_patterns`: the rows' options in product order, and an
+    iterator over the pattern's row tuples in walk order.  A flat's
+    product takes its first row, [1 | b], last, so the basepoints run
+    fastest, and each tuple is turned back to row order.  Nothing is
+    built but those tuples.
     """
     affine = mode == AFFINE
-    if affine and k == 0:
-        return  # no empty flats; mirrors count_subspaces
-    for piv, choices in _rref_patterns(f, k - 1 if affine else k, d):
-        matrices = itertools.product(*choices)
+    for _, choices in _rref_patterns(f, k, width, affine):
         if affine:
-            bases = _coset_bases(f, d, piv)
-            yield choices, bases, itertools.product(matrices, bases)
-        else:
-            yield choices, None, matrices
+            choices = choices[1:] + choices[:1]
+        rows = itertools.product(*choices)
+        if affine:
+            rows = (t[-1:] + t[:-1] for t in rows)
+        yield choices, rows
 
 
 def count_walk(f: Field, mode: str, rank: int, k: int) -> int:
@@ -865,8 +839,7 @@ def count_walk(f: Field, mode: str, rank: int, k: int) -> int:
     closed form (`count_subspaces`).  Checks neither the mode nor any
     cap: callers run `guard_subspace_count` first.
     """
-    walk = _full_walk(f, mode, k, rank - (mode == AFFINE))
-    return sum(sum(1 for _ in flats) for _, _, flats in walk)
+    return sum(sum(1 for _ in rows) for _, rows in _full_walk(f, mode, k, rank))
 
 
 def walk_texts(f: Field, mode: str, rank: int, k: int) -> list[str]:
@@ -883,10 +856,9 @@ def walk_texts(f: Field, mode: str, rank: int, k: int) -> list[str]:
     on; see `key_order`.)  Checks neither the mode nor any cap: callers
     run `guard_subspace_count` first.
     """
-    d = rank - (mode == AFFINE)
     lines = []
-    for choices, bases, _ in _full_walk(f, mode, k, d):
-        lines += _pattern_texts(f, mode, d, choices, bases, _spaced_list)
+    for choices, _ in _full_walk(f, mode, k, rank):
+        lines += _pattern_texts(f, mode, rank, choices, _spaced_list)
     lines.sort()
     return lines
 
@@ -894,38 +866,30 @@ def walk_texts(f: Field, mode: str, rank: int, k: int) -> list[str]:
 def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
     """The rank-k subspaces of `ambient`, unsorted.
 
-    Over a full coordinate space, walks RREF matrices (and coset
-    representatives in affine mode) by `_full_walk`.  These are already
-    canonical, and each pattern's row choices and basepoints are checked
-    once, so its subspaces skip the per-object check.  When `keyed`, the
-    walk also presets each subspace's key from its pattern's formatted
-    rows (`_pattern_texts`), for callers that sort; an unkeyed walk
-    formats no key.  `walk_texts` lists the same walk as `json_text`
-    lines and builds none of its subspaces.  A proper ambient's
-    subspaces are the unkeyed walk over the coordinate space of its
-    rank, carried through its basis map by `apply`, which
-    re-canonicalizes and checks each and keys none.  Checks no cap:
-    callers run `guard_subspace_count` first.
+    Over a full coordinate space, whose rows are the identity, walks
+    RREF matrices by `_full_walk`: a flat's are those of the homogenized
+    space that pivot at column 0.  These are already canonical, and each
+    pattern's row choices are checked once, so its subspaces skip the
+    per-object check.  When `keyed`, the walk also presets each
+    subspace's key from its pattern's formatted rows (`_pattern_texts`),
+    for callers that sort; an unkeyed walk formats no key.  `walk_texts`
+    lists the same walk as `json_text` lines and builds none of its
+    subspaces.  A proper ambient's subspaces are the unkeyed walk over
+    the coordinate space of its rank, carried through its basis map by
+    `apply`, which re-canonicalizes and checks each and keys none.
+    Checks no cap: callers run `guard_subspace_count` first.
     """
-    f = ambient.field
-    d = len(ambient.direction)
-    is_full = d == ambient.ambient_len
+    f, mode, rank = ambient.field, ambient.mode, ambient.rank
+    is_full = rank == ambient.ambient_len + (mode == AFFINE)
     if is_full:
-        for choices, bases, flats in _full_walk(f, ambient.mode, k, d):
-            keys = (_pattern_texts(f, ambient.mode, d, choices, bases,
-                                   _json_list)
+        for choices, flats in _full_walk(f, mode, k, rank):
+            keys = (_pattern_texts(f, mode, rank, choices, _json_list)
                     if keyed else itertools.repeat(None))
-            if bases is None:
-                for rows, key in zip(flats, keys):
-                    yield _unchecked_subspace(VECTOR, f, d, rows, None, key)
-            else:
-                for (rows, b), key in zip(flats, keys):
-                    yield _unchecked_subspace(AFFINE, f, d, rows, b, key)
+            for rows, key in zip(flats, keys):
+                yield _unchecked_subspace(mode, f, ambient.ambient_len, rows, key)
     else:
-        m = coordinate_map(f, ambient.mode, ambient.basis_points(),
-                           ambient.ambient_len)
-        for s in iter_subspaces(full_space(f, ambient.mode, ambient.rank), k,
-                                keyed=False):
+        m = coordinate_map(f, mode, ambient.basis_points(), ambient.ambient_len)
+        for s in iter_subspaces(full_space(f, mode, rank), k, keyed=False):
             yield apply(m, s)
 
 
@@ -944,28 +908,26 @@ def enumerate_subspaces(ambient: Subspace, k: int) -> list[Subspace]:
 def subspace_templates(f: Field, mode: str, rank: int, k: int) -> list[Subspace]:
     """The rank-k subspaces of the rank-`rank` coordinate space, in key order.
 
-    A rank-`rank` space U is the image of that coordinate space under its
-    basis map x -> b + x R (`stacked_images`), which carries the
-    templates exactly onto U's rank-k subspaces.
+    A rank-`rank` space U with rows R is the image of that coordinate
+    space under x -> x R (`stacked_images`), which carries the templates'
+    rows exactly onto those of U's rank-k subspaces.
     """
     return enumerate_subspaces(full_space(f, mode, rank), k)
 
 
-def stacked_images(f: Field, template: Subspace, rows: list[Vec],
-                   origin: Vec) -> list[Vec]:
-    """The canonical direction rows and (affine mode) basepoint of the
-    template's image in each of a batch of spaces, one buffer apiece.
+def stacked_images(f: Field, template: Subspace, rows: list[Vec]) -> list[Vec]:
+    """The canonical rows of the template's image in each of a batch of
+    spaces, one buffer apiece.
 
-    Each space U has RREF rows R, pivots P and basepoint b (the origin
-    in vector mode), zero on P; rows[j] is row j of every U's R laid end
-    to end, and origin every U's b.  The template T, canonical in the
-    coordinate space of U's rank, has rows C, pivots Q and basepoint c.
-    Its image under x -> b + x R is already canonical: row i of C R
-    leads at P[Q_i] with a 1, column P[Q_j] of C R is column Q_j of C,
-    which is e_j, and b + c R is zero on P[Q].  So no `rref` runs: row i
-    of the image is rows[Q_i] plus C[i][j] rows[j] over C's other
-    nonzero entries, for the whole batch at once, one `_add_multiple`
-    per entry.
+    Each space U has RREF rows R with pivots P; rows[j] is row j of
+    every U's R laid end to end.  The template T, canonical in the
+    coordinate space of U's rank, has rows C with pivots Q.  Its image,
+    the span of C R, is already canonical: row i of C R leads at P[Q_i]
+    with a 1, and column P[Q_j] of C R is column Q_j of C, which is e_j.
+    A flat's rows are those of its homogenized space, so this holds in
+    both modes.  So no `rref` runs: row i of the image is rows[Q_i] plus
+    C[i][j] rows[j] over C's other nonzero entries, for the whole batch
+    at once, one `_add_multiple` per entry.
     """
     # `mat_vec`'s loop, written out: `mat_vec` is kept to the columns a
     # `LinearMap` stores, and these rows are built per batch
@@ -973,11 +935,6 @@ def stacked_images(f: Field, template: Subspace, rows: list[Vec],
     for p, c in template.pivots().items():
         image = rows[p]
         for j in _support(c)[1:]:  # c leads at p with a 1
-            image = _add_multiple(f, image, c[j], rows[j])
-        out.append(image)
-    if template.mode == AFFINE:
-        c, image = template.basepoint, origin
-        for j in _support(c):
             image = _add_multiple(f, image, c[j], rows[j])
         out.append(image)
     return out
@@ -989,17 +946,14 @@ def stacked_images(f: Field, template: Subspace, rows: list[Vec],
 def is_independent(f: Field, mode: str, points) -> bool:
     """True when the points form an independent set in the given mode.
 
-    One `rref`, of the points in vector mode and of their differences
-    from the first point in affine mode: the set is independent when
-    each of those rows gives a pivot.
+    One `rref` of the points, lifted to [1 | p] in affine mode: the set
+    is independent when each of those rows gives a pivot.
     """
     _check_mode(mode)
     pts = [bytes(p) for p in points]
     if len(set(map(len, pts))) > 1:
         raise ValueError("points of differing length")
-    if mode == AFFINE:
-        pts = [vec_sub(f, p, pts[0]) for p in pts[1:]]
-    return len(rref(f, pts)[1]) == len(pts)
+    return len(rref(f, [_LIFT[mode] + p for p in pts])[1]) == len(pts)
 
 
 class BasisSet(namedtuple("BasisSet", "mode field points")):
@@ -1009,6 +963,7 @@ class BasisSet(namedtuple("BasisSet", "mode field points")):
 
     def __new__(cls, mode: str, field: Field, points: tuple[Vec, ...]):
         _check_mode(mode)
+        points = tuple(points)
         _check_bytes(points, "basis points")
         if not is_independent(field, mode, points):
             raise ValueError("basis points are not independent")
@@ -1040,7 +995,7 @@ def extend_to_basis(basis: BasisSet, target: Subspace) -> BasisSet:
             raise ValueError("basis point outside the target space")
     if len(basis.points) == target.rank:
         return basis
-    f, cols = target.field, tuple(target.pivots())
+    f, cols = target.field, tuple(map(_lead, target.direction))
     coords = [bytes(map(p.__getitem__, cols)) for p in basis.points]
     affine = target.mode == AFFINE
     if affine:
@@ -1079,8 +1034,8 @@ def complement(inner: Subspace, outer: Subspace) -> Subspace:
 def direct_sum(parts) -> Subspace:
     """Span of the parts' bases; requires the joint basis to be independent.
 
-    One reduction: the joint basis is independent exactly when its span
-    has a rank of one per basis point.
+    One `rref` of the parts' rows: the joint basis is independent exactly
+    when its span has a rank of one per row.
     """
     parts = list(parts)
     if not parts:
@@ -1088,11 +1043,10 @@ def direct_sum(parts) -> Subspace:
     first = parts[0]
     for p in parts[1:]:
         _check_same_space(first, p)
-    pts: list[Vec] = []
-    for p in parts:
-        pts.extend(p.basis_points())
-    total = span(first.field, first.mode, pts, first.ambient_len)
-    if total.rank < len(pts):
+    rows = [r for p in parts for r in p.rows]
+    total = Subspace.from_rows(first.mode, first.field, first.ambient_len,
+                               rref(first.field, rows)[0])
+    if total.rank < len(rows):
         raise ValueError("parts overlap: joint basis is dependent")
     return total
 
@@ -1118,6 +1072,7 @@ class LinearMap(namedtuple("LinearMap", (
                 codomain_len: int, columns: tuple[Vec, ...],
                 translation: Vec | None = None):
         _check_mode(mode)
+        columns = tuple(columns)
         if len(columns) != domain_len:
             raise ValueError("matrix column count differs from domain_len")
         _check_bytes(columns, "matrix columns")
@@ -1167,11 +1122,8 @@ def apply(m: LinearMap, x):
             raise ValueError("map and subspace disagree on mode or field")
         if x.ambient_len != m.domain_len:
             raise ValueError("subspace ambient differs from map domain")
-        if m.mode == VECTOR:
-            imgs = [apply(m, p) for p in x.direction]
-            return span(m.field, VECTOR, imgs, m.codomain_len)
         imgs = [apply(m, p) for p in x.basis_points()]
-        return span(m.field, AFFINE, imgs, m.codomain_len)
+        return span(m.field, m.mode, imgs, m.codomain_len)
     v = bytes(x)
     if len(v) != m.domain_len:
         raise ValueError("point length differs from map domain")

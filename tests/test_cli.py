@@ -228,8 +228,8 @@ def test_count_builds_no_keys(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
 def test_count_builds_no_subspace(capsys, monkeypatch, mode):
-    # count iterates the walk's row tuples (and basepoints); it never
-    # builds the subspaces that enumerate lists
+    # count iterates the walk's row tuples; it never builds the subspaces
+    # that enumerate lists
     def build(*args):
         raise AssertionError("a subspace was built")
 
@@ -259,11 +259,10 @@ def test_enumerate_builds_no_subspace(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("mode,check", [(VECTOR, "_check_pattern"),
-                                        (AFFINE, "_check_pattern"),
-                                        (AFFINE, "_check_bases")])
+                                        (AFFINE, "_check_pattern")])
 def test_count_runs_the_walk_checks(capsys, monkeypatch, mode, check):
-    # the count is taken over checked row options and basepoints, so a
-    # failing check fails count as it fails enumerate
+    # the count is taken over checked row options, a flat's basepoint row
+    # among them, so a failing check fails count as it fails enumerate
     def refuse(*args):
         raise ValueError(f"{check} ran")
 
@@ -901,6 +900,43 @@ def test_construct_refuses_the_cover_sections_from_a_closed_form(
     assert code == 2 and not bundle.exists()
     assert out == ('{"command": "construct", "error": "size_cap", "message": '
                    '"42868848 cover section points, cap 65536"}\n')
+
+
+def test_oversized_hosts_are_refused_before_they_are_built(tmp_path, capsys,
+                                                         monkeypatch):
+    # arrow and construct check their size guards from closed forms, so a
+    # rank-100,000 host, 10^10 bytes of identity rows, is never built
+    def full_space(f, mode, rank, plain=space.full_space):
+        if rank > 10 ** 4:
+            raise AssertionError(f"a rank-{rank} space was built")
+        return plain(f, mode, rank)
+
+    for module in (space, arrow, construction):
+        monkeypatch.setattr(module, "full_space", full_space)
+    code, _, out = run_cli(capsys, "arrow", "--q", "2", "--mode", "vector",
+                           "--N", "100000", "--n", "1", "--k", "0", "--r", "1")
+    assert code == 2
+    assert out == ('{"command": "arrow", "error": "size_cap", "message": '
+                   '"ambient has at least 2^100000 points, cap 65536"}\n')
+    amb = span(make_field(2), VECTOR, [(1, 0), (0, 1)], 2)
+    fam = ConfigFamily(amb, tuple(enumerate_subspaces(amb, 1)[:1]))
+    spec_path, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec_path.write_text(json.dumps(HostSpec(2, VECTOR, 1, 2, 2, fam, 100000, 1)
+                                    .to_json()))
+    code, _, out = run_cli(capsys, "construct", "--spec", str(spec_path),
+                           "--out", str(bundle))
+    assert code == 2 and not bundle.exists()
+    assert out == ('{"command": "construct", "error": "size_cap", "message": '
+                   '"at least 2^299997 cover section points, cap 65536"}\n')
+    # with no members nothing is held, and the targets' guard refuses
+    spec_path.write_text(json.dumps(HostSpec(2, VECTOR, 1, 2, 2,
+                                             ConfigFamily(amb, ()), 100000, 1)
+                                    .to_json()))
+    code, _, out = run_cli(capsys, "construct", "--spec", str(spec_path),
+                           "--out", str(bundle))
+    assert code == 2 and not bundle.exists()
+    assert out == ('{"command": "construct", "error": "size_cap", "message": '
+                   '"ambient has at least 2^100000 points, cap 65536"}\n')
 
 
 @pytest.mark.parametrize("nf,word_len,message", [

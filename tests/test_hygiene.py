@@ -209,9 +209,9 @@ def test_detects_unresolved_trace_name():
 # -- the unchecked Subspace constructor -----------------------------------
 #
 # space._unchecked_subspace builds a Subspace without running its
-# __init__ check.  That is sound only for the rows and basepoints of
-# _rref_patterns and _coset_bases, which are checked once per pivot
-# pattern, and only the full-space branches of iter_subspaces build from
+# __init__ check.  That is sound only for the rows of _rref_patterns,
+# which are checked once per pivot pattern (a flat's basepoint row among
+# them), and only the full-space branch of iter_subspaces builds from
 # those.  Any other reference could let an unchecked subspace out.
 
 UNCHECKED = "_unchecked_subspace"
@@ -258,9 +258,9 @@ def test_unchecked_constructor_only_in_full_space_walks():
     assert not stray, (f"{UNCHECKED} skips Subspace's check; referenced "
                        f"outside iter_subspaces' full-space branches: "
                        f"{', '.join(stray)}")
-    # the vector and the affine branch, so a rename cannot empty the check
+    # the one call, for both modes, so a rename cannot empty the check
     space_tree = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
-    assert len(full_space_references(space_tree)) == 2
+    assert len(full_space_references(space_tree)) == 1
 
 
 def test_detects_stray_unchecked_reference():
@@ -339,12 +339,13 @@ def test_detects_a_second_formatter():
 # -- one elimination engine -----------------------------------------------
 #
 # space._reduce_at_lead reduces a vector by echelon rows filed under their
-# pivots.  `rref`'s forward pass files rows with it and `is_member` tests
-# a point with it; independence and basis completion read one `rref`.  A
-# third user would be a second elimination, free to drift from `rref`.
+# pivots.  `rref`'s forward pass files rows with it, and
+# `Subspace._holds_row` tests a row with it, for `is_member` and
+# `contains_subspace`; independence and basis completion read one `rref`.
+# A third user would be a second elimination, free to drift from `rref`.
 
 REDUCE = "_reduce_at_lead"
-REDUCE_USERS = ["rref", "Subspace.is_member"]
+REDUCE_USERS = ["rref", "Subspace._holds_row"]
 
 
 def reduction_users(tree: ast.Module) -> list[str | None]:
@@ -386,6 +387,75 @@ def test_detects_a_second_elimination():
     assert reduction_users(tree) == ["rref", "Subspace.is_member",
                                      "_RankTracker.try_add", "_RankTracker",
                                      "is_independent", None]
+
+
+# -- one code path for both modes ------------------------------------------
+#
+# A flat is stored as the rows of its homogenized subspace, so spanning,
+# containment, the walk's count and the image lookup read rows alone, in
+# either mode.  A mode constant, a basepoint or an origin in one of these
+# would be a second, affine path beside the vector one, free to drift
+# from it.
+
+MODE_FREE = {"space.py": ["stacked_images", "join", "Subspace.contains_subspace",
+                          "count_walk"],
+             "arrow.py": ["member_lookup", "_member_spans", "_free_space"]}
+MODE_NAMES = ("AFFINE", "VECTOR", "basepoint", "origin")
+
+
+def definition(tree: ast.Module, qualname: str):
+    """The top-level function, or Class.method, named `qualname`, or None."""
+    owner, _, name = qualname.rpartition(".")
+    body = tree.body
+    if owner:
+        classes = [n for n in body if isinstance(n, ast.ClassDef) and n.name == owner]
+        body = classes[0].body if classes else []
+    found = [n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and n.name == name]
+    return found[0] if found else None
+
+
+def mode_names(node: ast.AST) -> list[str]:
+    """`name (line n)` for every name read or bound, attribute accessed or
+    parameter inside `node` that is one of MODE_NAMES, in line order."""
+    out = []
+    for n in ast.walk(node):
+        name = (n.id if isinstance(n, ast.Name)
+                else n.attr if isinstance(n, ast.Attribute)
+                else n.arg if isinstance(n, ast.arg) else None)
+        if name in MODE_NAMES:
+            out.append((n.lineno, f"{name} (line {n.lineno})"))
+    return [text for _, text in sorted(out)]
+
+
+def test_rows_code_path_names_no_mode():
+    found = []
+    for filename, qualnames in MODE_FREE.items():
+        tree = ast.parse((SRC / filename).read_text(encoding="utf-8"))
+        for qualname in qualnames:
+            node = definition(tree, qualname)
+            # a rename cannot empty the check
+            assert node is not None, f"{filename} no longer defines {qualname}"
+            found += [f"{filename}:{qualname} {name}" for name in mode_names(node)]
+    assert not found, ("a mode branch in the rows code path: "
+                       f"{', '.join(found)}")
+
+
+def test_detects_a_mode_branch():
+    tree = ast.parse("def join(a, b):\n"
+                     "    return rref(a.rows + b.rows)\n"
+                     "class Subspace:\n"
+                     "    def contains_subspace(self, other):\n"
+                     "        if self.mode == AFFINE:\n"
+                     "            return other.basepoint\n"
+                     "def stacked_images(f, template, rows, origin):\n"
+                     "    return 'origin'\n")
+    assert mode_names(definition(tree, "join")) == []
+    assert mode_names(definition(tree, "Subspace.contains_subspace")) == \
+        ["AFFINE (line 5)", "basepoint (line 6)"]
+    assert mode_names(definition(tree, "stacked_images")) == ["origin (line 7)"]
+    assert definition(tree, "count_walk") is None
+    assert definition(tree, "Subspace.join") is None
 
 
 # -- one lookup of listed subspaces inside a space ------------------------

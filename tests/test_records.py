@@ -9,12 +9,12 @@ alike and refuse assignment.  `ColoringTable`, `ArrowResult` and
 
 import pytest
 
-from qramsey import (VECTOR, ArrowInstance, BasisSet, ColoringTable,
-                     ConfigFamily, ExtractionFailure, HostSpec, Line, Subspace,
-                     arrow_holds, arrow_structure, build_base_host,
-                     build_product_host, enumerate_subspaces,
+from qramsey import (AFFINE, VECTOR, ArrowInstance, BasisSet, ColoringTable,
+                     ConfigFamily, ExtractionFailure, HostSpec, LinearMap,
+                     Line, Subspace, arrow_holds, arrow_structure,
+                     build_base_host, build_product_host, enumerate_subspaces,
                      extract_monochromatic_copy, full_space,
-                     induced_host_verify, line_embedding, make_field)
+                     induced_host_verify, line_embedding, make_field, span)
 from qramsey.construction import bundle_text
 from qramsey.space import _unchecked_subspace
 
@@ -82,7 +82,8 @@ def test_subspace_caches_stay_out_of_equality():
     filled.pivots()
     assert filled._key is not None and filled._pivot_rows is not None
     assert fresh._key is None and fresh._pivot_rows is None
-    preset = _unchecked_subspace(*fields_of(filled), "a preset key")
+    preset = _unchecked_subspace(filled.mode, filled.field, filled.ambient_len,
+                                 filled.rows, "a preset key")
     for other in (fresh, preset):
         assert other == filled and hash(other) == hash(filled)
     assert Subspace(VECTOR, f, 3, (b"\x01\x00\x01",)) != filled
@@ -100,3 +101,27 @@ def test_host_spec_word_len_zero_is_refused():
     # copy that the spec's constructor checks
     with pytest.raises(ValueError, match="word_len must be at least 1"):
         "".join(bundle_text(host._replace(word_len=0)))
+
+
+def test_records_store_tuples_whatever_sequence_they_get():
+    # a list of rows, points or columns is stored as a tuple, so the record
+    # equals, and hashes as, the one built from the tuple
+    f = make_field(3)
+    rows = [b"\x01\x00\x02", b"\x00\x01\x01"]
+    pairs = [
+        (Subspace(VECTOR, f, 3, rows), Subspace(VECTOR, f, 3, tuple(rows))),
+        (Subspace(AFFINE, f, 3, rows[1:], b"\x02\x00\x00"),
+         Subspace(AFFINE, f, 3, tuple(rows[1:]), b"\x02\x00\x00")),
+        (BasisSet(VECTOR, f, rows), BasisSet(VECTOR, f, tuple(rows))),
+        (LinearMap(VECTOR, f, 2, 3, rows), LinearMap(VECTOR, f, 2, 3, tuple(rows))),
+        (LinearMap(AFFINE, f, 2, 3, rows, b"\x01\x01\x01"),
+         LinearMap(AFFINE, f, 2, 3, tuple(rows), b"\x01\x01\x01")),
+    ]
+    for from_list, from_tuple in pairs:
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    stored = [pairs[0][0].rows, pairs[1][0].rows, pairs[2][0].points,
+              pairs[3][0].columns, pairs[4][0].columns]
+    assert all(type(v) is tuple for v in stored)
+    line = Subspace(VECTOR, f, 2, [b"\x01\x00"])
+    assert line == span(f, VECTOR, [b"\x01\x00"])
+    assert hash(line) == hash(span(f, VECTOR, [b"\x01\x00"]))

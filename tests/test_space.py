@@ -149,7 +149,7 @@ def test_affine_basepoint_normalized():
     b = span(f, AFFINE, [(1, 1), (1, 0)], 2)
     assert a == b and a.key() == b.key()
     # basepoint is zeroed on pivot columns of the direction
-    for p in a.pivots():
+    for p in first_nonzero_scan(a.direction):
         assert a.basepoint[p] == 0
 
 
@@ -308,6 +308,86 @@ SUPPORTED_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 def json_key(s):
     return json.dumps(s.to_json(), separators=(",", ":"))
+
+
+# -- the stored rows against the direction-and-basepoint form ---------------
+#
+# The reference computes a flat's direction rows and basepoint without
+# homogenizing: the RREF of the points' differences from the first point,
+# and that point reduced by those rows.  The stored rows must give back
+# exactly that form, and its key; the affine count, a difference of
+# Gaussian binomials, must match the closed form q^(d - k + 1) [d; k - 1]_q
+# of the rank-k flats in AG(d, q).
+
+
+def ref_span_form(f, mode, pts):
+    """The canonical direction rows and basepoint of the points' span,
+    from their differences."""
+    if mode == VECTOR:
+        return rref(f, pts)[0], None
+    base = pts[0]
+    rows, piv = rref(f, [vec_sub(f, p, base) for p in pts[1:]])
+    for row, p in zip(rows, piv):  # rows are zero on each other's pivots
+        base = vec_sub(f, base, vec_scale(f, base[p], row))
+    return rows, base
+
+
+def ref_affine_count(rank, k, q):
+    if not 1 <= k <= rank:
+        return 0
+    d = rank - 1
+    return q ** (d - k + 1) * gaussian_binomial(d, k - 1, q)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_stored_rows_match_the_direction_and_basepoint_form(q):
+    f = make_field(q)
+    rng = random.Random(f"homogenized:{q}")
+    for trial in range(240):
+        mode = (VECTOR, AFFINE)[trial % 2]
+        length = rng.randint(0, 6)
+        density = rng.choice(DENSITIES)
+        pts = [random_vec(rng, q, length, density)
+               for _ in range(rng.randint(1 if mode == AFFINE else 0, 5))]
+        s = span(f, mode, pts, length)
+        direction, basepoint = ref_span_form(f, mode, pts)
+        assert (s.direction, s.basepoint) == (direction, basepoint)
+        assert s.rows == (direction if mode == VECTOR else
+                          (b"\1" + basepoint,) + tuple(b"\0" + r for r in direction))
+        assert s.rank == len(direction) + (mode == AFFINE)
+        want = {"mode": mode, "q": q, "ambient_len": length,
+                "direction": [list(r) for r in direction]}
+        if mode == AFFINE:
+            want["basepoint"] = list(basepoint)
+        assert s.key() == json.dumps(want, separators=(",", ":"))
+        # the join of two spans is the span of both point sets
+        more = [random_vec(rng, q, length, density) for _ in range(2)]
+        t = span(f, mode, more, length)
+        assert space.join(s, t) == span(f, mode, pts + more, length)
+        assert s.contains_subspace(t) == all(map(s.is_member, more))
+
+
+def test_from_rows_round_trips_and_refuses_a_flat_without_its_first_row():
+    f = make_field(3)
+    for mode in (VECTOR, AFFINE):
+        s = span(f, mode, [(1, 2, 0), (0, 1, 1)], 3)
+        assert Subspace.from_rows(mode, f, 3, s.rows) == s
+    for rows, message in [((), "affine-mode subspaces need a basepoint"),
+                          (vecs((0, 1, 0)), "affine-mode subspaces need a basepoint"),
+                          (vecs((1, 0, 0), (1, 1, 0)),
+                           "non-reduced entry above/below a pivot"),
+                          (vecs((1, 1, 0), (0, 1, 0)),
+                           "basepoint must be zero on pivot columns")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Subspace.from_rows(AFFINE, f, 2, rows)
+
+
+def test_affine_count_matches_the_closed_form():
+    for q in SUPPORTED_QS:
+        for rank in range(1, 9):
+            for k in range(rank + 2):
+                assert count_subspaces(rank, k, q, AFFINE) == \
+                    ref_affine_count(rank, k, q)
 
 
 def key_cases(f, rng):
@@ -1123,7 +1203,8 @@ def test_is_member_matches_point_set(q, density, mode):
 @pytest.mark.parametrize("q", KERNEL_QS)
 @pytest.mark.parametrize("density", DENSITIES)
 def test_pivots_cache_matches_first_nonzero_scan(q, density):
-    """The pivot map: built lazily, equal to a scan of the direction rows."""
+    """The pivot map: built lazily, equal to a scan of the stored rows (a
+    flat's homogenized rows, pivoting at column 0 first)."""
     f = make_field(q)
     rng = random.Random(f"pivots:{q}:{density}")
     for _ in range(20):
@@ -1132,12 +1213,19 @@ def test_pivots_cache_matches_first_nonzero_scan(q, density):
         gens = [random_vec(rng, q, length, density)
                 for _ in range(rng.randint(1, 5))]
         s = span(f, mode, gens, length)
-        expect = dict(zip(first_nonzero_scan(s.direction), s.direction))
+        expect = dict(zip(first_nonzero_scan(s.rows), s.rows))
+        if mode == AFFINE:
+            assert s.rows == ((b"\1" + s.basepoint,)
+                              + tuple(b"\0" + r for r in s.direction))
+            assert list(expect) == [0] + [p + 1 for p in
+                                          first_nonzero_scan(s.direction)]
+        else:
+            assert s.rows == s.direction
         assert s._pivot_rows is None  # computed lazily, not at construction
         s.key()
         assert s._pivot_rows is None  # keying does not build it
         assert s.pivots() == expect
-        assert tuple(s.pivots()) == first_nonzero_scan(s.direction)
+        assert tuple(s.pivots()) == first_nonzero_scan(s.rows)
         assert s.pivots() is s.pivots()  # cached
         t = Subspace.from_json(s.to_json(), f)
         assert t._pivot_rows is None
@@ -1449,7 +1537,8 @@ def test_rref_matrices_order_matches_reference(q):
     f = make_field(q)
     for d in range(6 if q == 2 else 5):
         for k in range(d + 2):
-            walk = [(tup(rows), piv) for piv, choices in space._rref_patterns(f, k, d)
+            walk = [(tup(rows), piv)
+                    for piv, choices in space._rref_patterns(f, k, d, False)
                     for rows in itertools.product(*choices)]
             assert walk == list(ref_rref_matrices(f, k, d))
 
@@ -1576,31 +1665,35 @@ def test_count_walk_counts_the_walk(q, mode):
             assert walked == count_subspaces(rank, k, q, mode)
 
 
-def corrupt_row(col, value):
-    """A corruption of the first row choice of the first row: entry `col`
-    set to `value`."""
+def corrupt_row(col, value, row=0):
+    """A corruption of the first choice of row `row`: entry `col` set to
+    `value`."""
     def corrupt(piv, choices):
-        row = list(choices[0][0])
-        row[col] = value
-        return piv, [[bytes(row)] + choices[0][1:]] + choices[1:]
+        options = choices[row]
+        bad = bytearray(options[0])
+        bad[col] = value
+        return piv, choices[:row] + [[bytes(bad)] + options[1:]] + choices[row + 1:]
     return corrupt
 
 
 def reverse_pivots(piv, choices):
-    return piv[::-1], choices[::-1]
+    """The last two rows swapped; a flat's basepoint row stays first."""
+    return piv[:-2] + piv[:-3:-1], choices[:-2] + choices[:-3:-1]
 
 
-# (q, mode, rank, k, corruption, the message Subspace.__init__ gives that fault);
-# the first pattern of rank-k rows in 4 columns has pivots (0, 1, ...)
+# (q, mode, rank, k, corruption, the message Subspace.__init__ gives that
+# fault); the first pattern of rank-k rows in `rank` columns has pivots
+# (0, 1, ...), and a flat's row 0 is its basepoint row, so a flat's
+# direction faults are made in row 1
 PATTERN_FAULTS = [
     (2, VECTOR, 4, 2, corrupt_row(1, 1),
      "non-reduced entry above/below a pivot"),
-    (3, AFFINE, 5, 3, corrupt_row(1, 1),
+    (3, AFFINE, 5, 3, corrupt_row(2, 1, 1),
      "non-reduced entry above/below a pivot"),
     (3, VECTOR, 4, 2, corrupt_row(0, 2), "pivot entries must be 1"),
-    (3, AFFINE, 4, 2, corrupt_row(0, 2), "pivot entries must be 1"),
+    (3, AFFINE, 4, 2, corrupt_row(1, 2, 1), "pivot entries must be 1"),
     (3, VECTOR, 4, 2, corrupt_row(3, 3), "direction entries out of field range"),
-    (3, AFFINE, 5, 3, corrupt_row(3, 3), "direction entries out of field range"),
+    (3, AFFINE, 5, 3, corrupt_row(4, 3, 1), "direction entries out of field range"),
     (2, VECTOR, 4, 2, reverse_pivots, "pivots must be strictly increasing"),
     (3, AFFINE, 5, 3, reverse_pivots, "pivots must be strictly increasing"),
 ]
@@ -1611,12 +1704,11 @@ def test_pattern_check_catches_a_corrupted_row(q, mode, rank, k, corrupt,
                                                message, monkeypatch):
     f = make_field(q)
     ambient = full_space(f, mode, rank)
-    d, rows_k = ambient.ambient_len, k - (mode == AFFINE)
-    piv, choices = corrupt(*next(space._rref_patterns(f, rows_k, d)))
+    piv, choices = corrupt(*next(space._rref_patterns(f, k, rank, mode == AFFINE)))
     # the validating constructor names the fault so
-    base = bytes(d) if mode == AFFINE else None
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Subspace(mode, f, d, tuple(options[0] for options in choices), base)
+        Subspace.from_rows(mode, f, ambient.ambient_len,
+                           tuple(options[0] for options in choices))
     # and the walk's pattern check, corrupted inside the walk, names it alike
     check = space._check_pattern
     monkeypatch.setattr(space, "_check_pattern",
@@ -1637,8 +1729,14 @@ def test_pattern_check_rejects_a_malformed_row(row, message):
     space._check_pattern(f, 3, (1,), [vecs((0, 1, 0), (0, 1, 1))])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         space._check_pattern(f, 3, (1,), [vecs((0, 1, 0), row)])
-    with pytest.raises(ValueError, match="^basepoint length differs from ambient_len$"):
-        space._check_bases(f, 3, (1,), vecs((0, 0, 0), (1, 0)))
+
+
+# the row fault the pattern check finds where the constructor names a
+# basepoint fault: a flat's basepoints are its first row [1 | b]
+BASEPOINT_ROW_FAULTS = {
+    "basepoint must be zero on pivot columns": "non-reduced entry above/below a pivot",
+    "basepoint entries out of field range": "direction entries out of field range",
+}
 
 
 @pytest.mark.parametrize("index,value,message", [
@@ -1648,18 +1746,19 @@ def test_pattern_check_rejects_a_malformed_row(row, message):
 def test_basepoint_check_catches_a_corrupted_basepoint(index, value, message,
                                                        monkeypatch):
     f = make_field(5)
-    ambient = full_space(f, AFFINE, 4)  # rank-2 flats: one row, pivot 0 first
-    check = space._check_bases
+    ambient = full_space(f, AFFINE, 4)  # rank-2 flats: pivots 0 and 1 first
+    check = space._check_pattern
 
-    def corrupted(f, d, piv, bases):
-        b = list(bases[-1])
-        b[index] = value
-        check(f, d, piv, bases[:-1] + [bytes(b)])
+    def corrupted(f, width, piv, choices):
+        bad = bytearray(choices[0][-1])
+        bad[1 + index] = value  # entry `index` of the basepoint
+        check(f, width, piv, [choices[0][:-1] + [bytes(bad)]] + choices[1:])
 
-    monkeypatch.setattr(space, "_check_bases", corrupted)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    monkeypatch.setattr(space, "_check_pattern", corrupted)
+    row_message = BASEPOINT_ROW_FAULTS[message]
+    with pytest.raises(ValueError, match=f"^{re.escape(row_message)}$"):
         list(space.iter_subspaces(ambient, 2))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(row_message)}$"):
         space.count_walk(f, AFFINE, 4, 2)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Subspace(AFFINE, f, 3, vecs((1, 0, 0)), bytes((value, 0, 0) if index == 0
