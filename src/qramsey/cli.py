@@ -99,11 +99,12 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     f, _ = _guarded_field(args)
     lines = walk_texts(f, args.mode, args.N, args.k)
+    text = "\n".join(lines)
     if lines:
-        print(*lines, sep="\n")
+        print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write(text + "\n" if lines else "")
     return EXIT_OK
 
 

@@ -25,18 +25,21 @@ the families onto themselves, c* o g is proper too, so c* <=lex c* o g
 and the search may demand c <=lex c o g (the lex-leader constraints of
 Crawford, Ginsberg, Luks & Roy 1996).  Before the search, each g is
 checked to permute the items and to map the families onto themselves:
-g passes when the key of every family's image is a family's key.  The
-keys are bitmasks, a family's mask the OR of `1 << item` over its
-members, unless a table of one bit per item would outweigh the family
-masks (many items, few families); then they are frozensets.  Each
-generator keeps a pointer to its first position p whose pair (p, g(p))
-is not settled equal, and waits on the item whose coloring next changes
-that pair.  Once p is
-colored, the colors below c[p] are forbidden at g(p), in the same masks
-and trail as the forward check; once both are colored, a smaller c[p]
-satisfies the constraint for good and an equal one moves the pointer
-on, where a settled pair with c[p] > c[g(p)] rejects the color.
-Pointers are restored from their own trail.
+g passes when the key of every family's image is a family's key.  A key
+is a family's bitmask, the OR of `1 << item` over its members, as bytes.
+The generators are checked m at a time in one pass over the families:
+each item carries one int whose m byte-aligned slices hold its images'
+bits, so a family's OR holds its image masks under all m at once.  m is
+max(1, families // items), so this packed table never outweighs the
+family masks; where one bit per item would outweigh them even at m = 1
+(many items, few families), the keys are frozensets.  Each generator
+keeps a pointer to its first position p whose pair (p, g(p)) is not
+settled equal, and waits on the item whose coloring next changes that
+pair.  Once p is colored, the colors below c[p] are forbidden at g(p),
+in the same masks and trail as the forward check; once both are
+colored, a smaller c[p] satisfies the constraint for good and an equal
+one moves the pointer on, where a settled pair with c[p] > c[g(p)]
+rejects the color.  Pointers are restored from their own trail.
 
 A node is one color tried at an item where it was not already
 forbidden.  Nodes are counted locally and settled through
@@ -47,8 +50,9 @@ the node cap, so the cap trips at exactly `max_nodes + 1` and
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from operator import or_
+from struct import Struct
 
 from .budget import Budget, ensure_budget
 
@@ -63,43 +67,57 @@ def _chunk(bud: Budget) -> int:
     return max(room, 1)
 
 
-def _masks(columns, image):
-    """The bitmask of each family of one size, read through `image`.
-
-    `columns[j]` holds the j-th member of every family; a family's mask
-    is the OR of `image[member]` over its members.
-    """
-    masks = [0] * len(columns[0])
-    for column in columns:
-        masks = list(map(or_, masks, map(image.__getitem__, column)))
+def _ored(columns, image):
+    """Lazily, the OR of `image[member]` over each family of one size;
+    `columns[j]` holds the j-th member of every family."""
+    masks = map(image.__getitem__, columns[0])
+    for column in columns[1:]:
+        masks = map(or_, masks, map(image.__getitem__, column))
     return masks
 
 
-def _image_keys(item_count: int, fams):
-    """A function giving, for a permutation of the items, a key for the
-    image of each nonempty family; keys are equal exactly when member
-    sets are.
+def _closed_under(item_count: int, fams, perms) -> bool:
+    """Whether each permutation of the items maps every nonempty family
+    onto a family.
 
-    The keys are bitmasks when a table of one mask per item (about
-    item_count**2 / 16 bytes) costs no more than the family masks
-    (item_count / 8 bytes per family): the families are grouped by size
-    and transposed into columns once, and a family's mask is the OR of
-    its members' masks.  Otherwise they are frozensets.
+    A family's key is its bitmask, the OR of `1 << member`, as a w-byte
+    string, w = ceil(item_count / 8).  The permutations are packed m at a
+    time: item i carries one int whose w-byte slice j holds the bit of
+    g_j(i), so one lazy OR over a family's members gives its image masks
+    under all m at once, and `to_bytes` and one `unpack` cut them apart.
+    m is max(1, the number of family keys // item_count), so the packed
+    table (item_count ints of m*w bytes) never outweighs the keys.  When
+    a table of one bit per item would outweigh them even at m = 1 (many
+    items, few families), the keys are frozensets instead.
     """
     fams = [members for members in fams if members]
     if item_count > 2 * len(fams):
-        return lambda perm: (frozenset(map(perm.__getitem__, members))
-                             for members in fams)
+        family_set = set(map(frozenset, fams))
+        return all(family_set.issuperset(frozenset(map(perm.__getitem__, members))
+                                         for members in fams)
+                   for perm in perms)
     by_size = {}
     for members in fams:
         by_size.setdefault(len(members), []).append(members)
     groups = [list(zip(*group)) for group in by_size.values()]
+    w = (item_count + 7) // 8
 
-    def keys(perm):
-        image = [1 << p for p in perm]
-        return chain.from_iterable(_masks(columns, image)
-                                   for columns in groups)
-    return keys
+    def images(batch):
+        """Every family's image keys under the permutations of `batch`."""
+        packed = [0] * item_count
+        for j, perm in enumerate(batch):
+            packed = list(map(or_, packed, map((1).__lshift__,
+                                               map((8 * w * j).__add__, perm))))
+        cut = Struct(f"{w}s" * len(batch)).unpack
+        masks = chain.from_iterable(_ored(columns, packed) for columns in groups)
+        return chain.from_iterable(map(cut, map(int.to_bytes, masks,
+                                                repeat(w * len(batch)),
+                                                repeat("little"))))
+
+    family_keys = set(images([range(item_count)]))
+    per = max(1, len(family_keys) // max(item_count, 1))
+    return all(family_keys.issuperset(images(perms[i:i + per]))
+               for i in range(0, len(perms), per))
 
 
 def _lex_leader_generators(item_count: int, fams, generators
@@ -108,20 +126,28 @@ def _lex_leader_generators(item_count: int, fams, generators
 
     ValueError unless every generator permutes the items and maps the
     families onto themselves: that is what makes its constraint sound.
-    A bijection maps distinct families to distinct keys (`_image_keys`),
-    so the image keys lie in the family keys exactly when the image
-    families lie in the families; the empty family is its own image.
+    A bijection maps distinct families to distinct images, so the image
+    keys lie in the family keys exactly when the image families lie in
+    the families (`_closed_under`); the empty family is its own image.
+    The permutations are checked up to the first that is not one, and
+    the generators before it against the families, so the first bad
+    generator in list order names the fault.
     """
-    image_keys = _image_keys(item_count, fams)
-    family_keys = set(image_keys(range(item_count)))
-    out = []
     items = list(range(item_count))
+    perms = []
+    fault = None
     for gen in generators:
         perm = tuple(gen)
         if sorted(perm) != items:
-            raise ValueError("generator is not a permutation of the items")
-        if not family_keys.issuperset(image_keys(perm)):
-            raise ValueError("generator maps a family outside the families")
+            fault = "generator is not a permutation of the items"
+            break
+        perms.append(perm)
+    if not _closed_under(item_count, fams, perms):
+        raise ValueError("generator maps a family outside the families")
+    if fault:
+        raise ValueError(fault)
+    out = []
+    for perm in perms:
         moved = [p for p in items if perm[p] != p]
         if moved:
             out.append((perm, moved))

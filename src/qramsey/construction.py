@@ -25,7 +25,7 @@ from .arrow import (ConfigFamily, copy_orbit, find_monochromatic_subspace,
 from .budget import Budget, BudgetExceededError
 from .field import Field, make_field
 from .hales_jewett import Line, all_words, find_monochromatic_line, hj_number, word_index
-from .space import (AFFINE, POINT_CAP, VECTOR, LinearMap, SizeCapError,
+from .space import (AFFINE, POINT_CAP, LinearMap, SizeCapError,
                     Subspace, Vec, apply, combination_points, complement,
                     compose, coordinate_map, count_subspaces, count_text,
                     direct_sum, enumerate_subspaces, full_space,
@@ -314,10 +314,11 @@ def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
     """The member through the cover k-spaces `parts`, in canonical form.
 
     Its pivots all lie in the first block, where it is the first part.
-    So its RREF rows are the first part's, each extended by the other
-    parts' sections at the base point under that row's basis point; in
-    affine mode the rows extend by differences from the basepoint's
-    extension, and the basepoint extends by its own.
+    So its RREF rows are the first part's rows, each extended by the
+    other parts' sections at the base point under that row's basis
+    point.  A vector section is linear, so each row takes its tail as
+    is; a flat's rows [1 | b], [0 | d] take the tail at b, then the
+    differences from it.
     """
     first = base.cover_k_spaces[parts[0]]
     if len(parts) == 1:
@@ -326,14 +327,10 @@ def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
     secs = [base.sections[base.cover_k_frames[g][0]] for g in parts[1:]]
     tails = [b"".join([s[a] for s in secs]) for a in anchors]
     f = base.field
-    total = len(parts) * base.projection.domain_len
-    if base.mode == VECTOR:
-        return Subspace(VECTOR, f, total,
-                        tuple(r + t for r, t in zip(first.direction, tails)))
-    origin = tails[0]
-    rows = tuple(r + vec_sub(f, t, origin)
-                 for r, t in zip(first.direction, tails[1:]))
-    return Subspace(AFFINE, f, total, rows, first.basepoint + origin)
+    if base.mode == AFFINE:
+        tails[1:] = [vec_sub(f, t, tails[0]) for t in tails[1:]]
+    return Subspace.from_rows(base.mode, f, len(parts) * base.projection.domain_len,
+                              tuple(map(bytes.__add__, first.rows, tails)))
 
 
 class ProductHost(namedtuple("ProductHost", (

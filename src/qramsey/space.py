@@ -265,6 +265,60 @@ def _unit(width: int, p: int) -> int:
     return 1 << 8 * (width - 1 - p)
 
 
+def _check_rows(rows: tuple[Vec, ...], width: int, elements: bytes) -> int:
+    """Check direction rows in canonical form in one pass; return the
+    int that is 0xFF on each pivot column.
+
+    A row leads with its pivot, so it is zero on every earlier pivot; it
+    is reduced when every earlier row is zero on its own pivot, which one
+    OR of the earlier rows shows.  That miss is raised after every row's
+    own checks, and a row that is not bytes raises before any of them
+    (`_direction_error`).
+    """
+    many = len(rows) > 1  # a single row is reduced: its pivot entry is 1
+    earlier = 0    # the OR of the earlier rows' ints
+    on_pivots = 0  # 0xFF on each pivot column so far
+    reduced = True
+    piv_prev = -1
+    for row in rows:
+        if type(row) is not bytes or len(row) != width:
+            raise _direction_error(rows, "direction row length differs "
+                                         "from ambient_len")
+        if row.translate(None, elements):
+            raise _direction_error(rows, "direction entries out of field range")
+        p = width - len(row.lstrip(b"\0"))
+        if p == width:
+            raise _direction_error(rows, "zero row in direction")
+        if p <= piv_prev:
+            raise _direction_error(rows, "pivots must be strictly increasing")
+        if row[p] != 1:
+            raise _direction_error(rows, "pivot entries must be 1")
+        column = 0xFF << 8 * (width - 1 - p)
+        if many:
+            if earlier & column:
+                reduced = False
+            earlier |= int.from_bytes(row)
+        on_pivots |= column
+        piv_prev = p
+    if not reduced:
+        raise ValueError("non-reduced entry above/below a pivot")
+    return on_pivots
+
+
+def _check_basepoint(point: Vec, width: int, elements: bytes,
+                     on_pivots: int) -> None:
+    """Check a flat's basepoint, `width` entries zero on the pivot
+    columns `on_pivots` (`_check_rows`)."""
+    if type(point) is not bytes:
+        _check_bytes([point], "the basepoint")
+    if len(point) != width:
+        raise ValueError("basepoint length differs from ambient_len")
+    if point.translate(None, elements):
+        raise ValueError("basepoint entries out of field range")
+    if int.from_bytes(point) & on_pivots:
+        raise ValueError("basepoint must be zero on pivot columns")
+
+
 class Subspace:
     """A canonical vector subspace or affine flat of GF(q)^ambient_len,
     stored as its `rows`, which `direction` and `basepoint` read back.
@@ -278,82 +332,50 @@ class Subspace:
 
     def __init__(self, mode: str, field: Field, ambient_len: int,
                  direction: tuple[Vec, ...], basepoint: Vec | None = None):
-        """Check the canonical form in one pass over the direction rows,
-        then write the slots.
-
-        A row leads with its pivot, so it is zero on every earlier pivot;
-        it is reduced when every earlier row is zero on its own pivot,
-        which one OR of the earlier rows shows.  That miss is raised after
-        every row's own checks, and a row that is not bytes raises before
-        any of them (`_direction_error`).
-        """
+        """Check the canonical form (`_check_rows`, then a flat's
+        basepoint), then write the slots."""
         _check_mode(mode)
         elements = _elements(field.order)
-        width = ambient_len
-        if width < 0:
+        if ambient_len < 0:
             raise ValueError("ambient_len must be nonnegative")
         rows = tuple(direction)
-        many = len(rows) > 1  # a single row is reduced: its pivot entry is 1
-        earlier = 0    # the OR of the earlier rows' ints
-        on_pivots = 0  # 0xFF on each pivot column so far
-        reduced = True
-        piv_prev = -1
-        for row in rows:
-            if type(row) is not bytes or len(row) != width:
-                raise _direction_error(rows, "direction row length differs "
-                                             "from ambient_len")
-            if row.translate(None, elements):
-                raise _direction_error(rows, "direction entries out of field range")
-            p = width - len(row.lstrip(b"\0"))
-            if p == width:
-                raise _direction_error(rows, "zero row in direction")
-            if p <= piv_prev:
-                raise _direction_error(rows, "pivots must be strictly increasing")
-            if row[p] != 1:
-                raise _direction_error(rows, "pivot entries must be 1")
-            column = 0xFF << 8 * (width - 1 - p)
-            if many:
-                if earlier & column:
-                    reduced = False
-                earlier |= int.from_bytes(row)
-            on_pivots |= column
-            piv_prev = p
-        if not reduced:
-            raise ValueError("non-reduced entry above/below a pivot")
+        on_pivots = _check_rows(rows, ambient_len, elements)
         if mode == VECTOR:
             if basepoint is not None:
                 raise ValueError("vector-mode subspaces carry no basepoint")
         else:
             if basepoint is None:
                 raise ValueError("affine-mode subspaces need a basepoint")
-            if type(basepoint) is not bytes:
-                _check_bytes([basepoint], "the basepoint")
-            if len(basepoint) != width:
-                raise ValueError("basepoint length differs from ambient_len")
-            if basepoint.translate(None, elements):
-                raise ValueError("basepoint entries out of field range")
-            if int.from_bytes(basepoint) & on_pivots:
-                raise ValueError("basepoint must be zero on pivot columns")
+            _check_basepoint(basepoint, ambient_len, elements, on_pivots)
             rows = (b"\1" + basepoint,) + tuple([b"\0" + r for r in rows])
-        _set_mode(self, mode)
-        _set_field(self, field)
-        _set_ambient_len(self, ambient_len)
-        _set_rows(self, rows)
-        _set_key(self, None)
-        _set_pivot_rows(self, None)
+        _write_slots(self, mode, field, ambient_len, rows, None)
 
     @staticmethod
     def from_rows(mode: str, field: Field, ambient_len: int,
                   rows: tuple[Vec, ...]) -> "Subspace":
-        """The Subspace with these canonical rows, through the checks."""
+        """The Subspace with these canonical rows, through the checks.
+
+        A flat's rows are checked in place, one column wider than its
+        ambient: rows 1.. as direction rows [0 | d], then row 0 as its
+        basepoint [1 | b].  Column 0 is zero below row 0, so each fault
+        gets the message the constructor gives it on (d, b).
+        """
         if mode == VECTOR:
             return Subspace(VECTOR, field, ambient_len, rows)
+        rows = tuple(rows)
         if not rows or rows[0][0] != 1:
             raise ValueError("affine-mode subspaces need a basepoint")
         if any(r[0] for r in rows[1:]):  # the constructor sees no column 0
             raise ValueError("non-reduced entry above/below a pivot")
-        return Subspace(AFFINE, field, ambient_len,
-                        tuple([r[1:] for r in rows[1:]]), rows[0][1:])
+        if ambient_len < 0:
+            raise ValueError("ambient_len must be nonnegative")
+        elements = _elements(field.order)
+        width = ambient_len + 1
+        _check_basepoint(rows[0], width, elements,
+                         _check_rows(rows[1:], width, elements))
+        s = object.__new__(Subspace)
+        _write_slots(s, AFFINE, field, ambient_len, rows, None)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -703,7 +725,7 @@ def _rref_patterns(f: Field, k: int, width: int, affine: bool):
 def _check_pattern(f: Field, width: int, piv: tuple[int, ...], choices) -> None:
     """Raise ValueError unless each row choice is canonical for `piv`.
 
-    These are the direction checks of `Subspace.__init__`, with its
+    These are the direction checks of `_check_rows`, with its
     messages, made once per row choice instead of once per matrix, and
     made of a flat's first row [1 | b] too, so its basepoint options are
     checked as rows.  If the pivots strictly increase and each choice for
@@ -757,11 +779,22 @@ def guard_subspace_count(f: Field, mode: str, rank: int, k: int) -> int:
 
 
 # The setters of Subspace's slots, in `__slots__` order.  Its __setattr__
-# refuses every write, so `__init__`, `_unchecked_subspace` and the caches
-# of `key()` and `pivots()` write through the slot descriptors.
+# refuses every write, so `_write_slots` and the caches of `key()` and
+# `pivots()` write through the slot descriptors.
 (_set_mode, _set_field, _set_ambient_len, _set_rows, _set_key,
  _set_pivot_rows) = (Subspace.__dict__[name].__set__
                      for name in Subspace.__slots__)
+
+
+def _write_slots(s: Subspace, mode: str, f: Field, ambient_len: int,
+                 rows: tuple[Vec, ...], key: str | None) -> None:
+    """Write a new Subspace's slots, its `pivots()` cache empty."""
+    _set_mode(s, mode)
+    _set_field(s, f)
+    _set_ambient_len(s, ambient_len)
+    _set_rows(s, rows)
+    _set_key(s, key)
+    _set_pivot_rows(s, None)
 
 
 def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
@@ -775,12 +808,7 @@ def _unchecked_subspace(mode: str, f: Field, ambient_len: int,
     from `_pattern_texts`.
     """
     s = object.__new__(Subspace)
-    _set_mode(s, mode)
-    _set_field(s, f)
-    _set_ambient_len(s, ambient_len)
-    _set_rows(s, rows)
-    _set_key(s, key)
-    _set_pivot_rows(s, None)
+    _write_slots(s, mode, f, ambient_len, rows, key)
     return s
 
 

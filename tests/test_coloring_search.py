@@ -20,7 +20,7 @@ import tracemalloc
 
 import pytest
 
-from qramsey import (POINT_CAP, VECTOR, ArrowInstance, Budget,
+from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, Budget,
                      BudgetExceededError, arrow_holds, coloring_search,
                      enumerate_lines, find_proper_coloring, hj_number,
                      line_free_coloring, min_arrow_N, word_generators,
@@ -344,10 +344,19 @@ def short_cycle_hypergraph(rng, max_items):
     return n, [sorted(f) for f in fams], perm
 
 
+def pass_size(item_count, fams):
+    """How many generators one packed pass of the engine's check holds:
+    the distinct nonempty families per item, at least one."""
+    return max(1, len({tuple(f) for f in fams if f}) // max(item_count, 1))
+
+
 def test_bitmask_generator_check_matches_the_frozenset_check():
     rng = random.Random(23)
     verdicts = {True: 0, False: 0}
-    key_kinds = {int: 0, frozenset: 0}
+    # which check ran: the engine packs bitmasks unless the items
+    # outnumber twice the nonempty families, where it takes frozensets
+    key_kinds = {"packed": 0, "frozenset": 0}
+    multi_pass = 0  # packed cases with more than one generator per pass
     for trial in range(400):
         if trial % 2:
             n, fams, gens = random_symmetric_hypergraph(rng, max_items=12)
@@ -360,26 +369,77 @@ def test_bitmask_generator_check_matches_the_frozenset_check():
         if rng.random() < 0.1:
             fams.append([])
         fams = [sorted(set(f)) for f in fams]
-        keys = coloring_search._image_keys(n, fams)(range(n))
-        key_kinds[type(next(iter(keys)))] += 1
+        packed = n <= 2 * sum(map(bool, fams))
+        key_kinds["packed" if packed else "frozenset"] += 1
+        per = pass_size(n, fams)
+        multi_pass += packed and per > 1
         shuffled = list(range(n))
         rng.shuffle(shuffled)
         candidates = [*gens, shuffled, list(range(n)), list(range(n + 1))]
+        # three passes of generators that pass, the last holding one
+        passes = [gens[i % len(gens)] for i in range(2 * per + 1)]
+        spoiled_passes = []
         if n >= 2:
             spoiled = list(rng.choice(gens))
             i, j = rng.sample(range(n), 2)
             spoiled[i], spoiled[j] = spoiled[j], spoiled[i]
             candidates.append(spoiled)
-        for generators in [[g] for g in candidates] + [gens, candidates]:
+            # the spoiled generator in the last slice of the first, the
+            # second and the third pass
+            spoiled_passes = [passes[:at] + [spoiled] + passes[at + 1:]
+                              for at in (per - 1, 2 * per - 1, 2 * per)]
+        for generators in ([[g] for g in candidates]
+                           + [gens, candidates, passes, *spoiled_passes]):
             got = generator_outcome(coloring_search._lex_leader_generators,
                                     n, fams, generators)
             want = generator_outcome(frozenset_generators, n, fams, generators)
             assert got == want, (n, fams, generators)
             verdicts[isinstance(got, list)] += 1
-    # both verdicts and both kinds of key are common, so neither side of
-    # the check goes untested
+    # both verdicts and both kinds of check are common, and passes of
+    # several generators are, so no side of the check goes untested
     assert min(verdicts.values()) > 500, verdicts
     assert min(key_kinds.values()) > 100, key_kinds
+    assert multi_pass > 50, multi_pass
+
+
+OK, NOT_PERM, OUTSIDE = [2, 1, 0], [0, 0, 2], [1, 0, 2]
+
+
+@pytest.mark.parametrize("fams", [
+    [[0, 1], [1, 2]],                                  # one generator a pass
+    [[0, 1], [1, 2], [0], [2], [0, 1, 2], [0, 2]],     # two a pass
+])
+@pytest.mark.parametrize("generators,message", [
+    ([OK, NOT_PERM, OUTSIDE], "not a permutation"),
+    ([OUTSIDE, NOT_PERM], "outside the families"),
+    ([OK, OK, OUTSIDE, NOT_PERM], "outside the families"),
+    ([NOT_PERM, OUTSIDE], "not a permutation"),
+])
+def test_first_bad_generator_names_the_fault(fams, generators, message):
+    assert coloring_search._lex_leader_generators(3, fams, [OK]) == \
+        [(tuple(OK), [0, 2])]
+    assert generator_outcome(frozenset_generators, 3, fams, [OUTSIDE]) == \
+        "generator maps a family outside the families"
+    for check in (coloring_search._lex_leader_generators, frozenset_generators):
+        with pytest.raises(ValueError, match=message):
+            check(3, fams, generators)
+
+
+def test_packed_check_holds_one_pass_at_a_time():
+    # the translates {i, i+1, i+3} of Z_2048 under 64 shifts: 2048 families
+    # of 2048 items, so a pass holds one generator.  Packed all at once,
+    # the table would hold 2048 ints of 64 * 256 bytes, about 33 MB.
+    n = 2048
+    families = [sorted({i, (i + 1) % n, (i + 3) % n}) for i in range(n)]
+    generators = [[(i + s) % n for i in range(n)] for s in range(1, 65)]
+    tracemalloc.start()
+    try:
+        got = coloring_search._lex_leader_generators(n, families, generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert [perm for perm, _ in got] == list(map(tuple, generators))
 
 
 @pytest.mark.parametrize("length,t", [(1, POINT_CAP), (2, 256)])
@@ -529,3 +589,37 @@ def test_shared_budget_across_min_arrow_ranks_sums_per_call_counts():
     bud = Budget()
     assert min_arrow_N(2, VECTOR, 2, 1, 2, 5, budget=bud) == 3
     assert bud.nodes == sum(per_call)
+
+
+def arrow_nodes(q, mode, big_n, n, k, r):
+    return arrow_holds(ArrowInstance(q, mode, big_n, n, k, r)).nodes
+
+
+def min_n_nodes(q, mode, n, k, r, n_max):
+    bud = Budget()
+    min_arrow_N(q, mode, n, k, r, n_max, budget=bud)
+    return bud.nodes
+
+
+def hj_nodes(t, length, n_max):
+    bud = Budget()
+    hj_number(t, length, n_max, budget=bud)
+    return bud.nodes
+
+
+# the nodes_explored that the arrow and hj jobs of perfbench/workloads.py
+# print (arrow_v5_2_1_3's 2440 is pinned in test_arrow.py): the generator
+# check decides which generators prune, so a change to it that kept the
+# verdicts could still move these
+@pytest.mark.parametrize("count,args,nodes", [
+    (arrow_nodes, (2, VECTOR, 7, 2, 1, 2), 13),      # arrow_v7_2_1_2
+    (arrow_nodes, (2, VECTOR, 6, 3, 1, 3), 63),      # arrow_v6_3_1_3
+    (arrow_nodes, (2, AFFINE, 6, 3, 1, 2), 36),      # arrow_a6_3_1_2
+    (arrow_nodes, (2, AFFINE, 6, 3, 1, 3), 5553),    # arrow_a6_3_1_3
+    (arrow_nodes, (3, VECTOR, 3, 2, 1, 2), 13),      # arrow_v3_q3
+    (min_n_nodes, (2, VECTOR, 2, 1, 2, 6), 16),      # minn_v_2_1_2
+    (hj_nodes, (3, 2, 4), 43997),                    # hj_3_2
+    (hj_nodes, (4, 2, 3), 88),                       # hj_4_2
+])
+def test_benchmark_search_jobs_keep_their_node_counts(count, args, nodes):
+    assert count(*args) == nodes
