@@ -9,10 +9,10 @@ nothing, 3 indeterminate (budget exhausted), 4 usage or input error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
+from collections import namedtuple
 
 from .arrow import (ArrowInstance, arrow_holds, induced_host_verify,
                     min_arrow_N)
@@ -53,24 +53,6 @@ def _write_json(path: str, obj) -> None:
 
 def _budget(args) -> Budget:
     return Budget(max_nodes=args.budget_nodes, max_ms=args.budget_ms)
-
-
-def _add_common(p: argparse.ArgumentParser, out_help: str,
-                out_required: bool = False) -> None:
-    p.add_argument("--out", required=out_required, help=out_help)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed echoed into the summary (reserved for sweeps)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker hint; results are deterministic regardless")
-    p.add_argument("--budget-nodes", type=int, default=10 ** 7,
-                   help="search node cap (default 10^7)")
-    p.add_argument("--budget-ms", type=int, default=60000,
-                   help="wall-clock safety cap in ms (default 60000)")
-
-
-def _space_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, required=True, help="field order")
-    p.add_argument("--mode", choices=["vector", "affine"], required=True)
 
 
 def _guarded_field(args):
@@ -217,89 +199,102 @@ def cmd_extract(args) -> int:
     return EXIT_NEGATIVE if isinstance(result, ExtractionFailure) else EXIT_OK
 
 
-def _rank_args(p: argparse.ArgumentParser, out_help: str) -> None:
-    _space_args(p)
-    p.add_argument("--N", type=int, required=True, help="ambient rank")
-    p.add_argument("--k", type=int, required=True, help="subspace rank")
-    _add_common(p, out_help)
+# One command-line flag.  `build_parser` hands each field to argparse's
+# add_argument; `read_argv` reads the same fields without argparse.
+Option = namedtuple("Option", "flag type default required choices help "
+                              "store_true",
+                    defaults=(str, None, False, None, None, False))
 
+_SPACE = (Option("--q", int, required=True, help="field order"),
+          Option("--mode", choices=("vector", "affine"), required=True))
+_RANKS = (Option("--N", int, required=True, help="ambient rank"),
+          Option("--k", int, required=True, help="subspace rank"))
+# every command's options after its --out
+_COMMON = (
+    Option("--seed", int, 0,
+           help="seed echoed into the summary (reserved for sweeps)"),
+    Option("--workers", int, 1,
+           help="worker hint; results are deterministic regardless"),
+    Option("--budget-nodes", int, 10 ** 7,
+           help="search node cap (default 10^7)"),
+    Option("--budget-ms", int, 60000,
+           help="wall-clock safety cap in ms (default 60000)"),
+)
+_BUNDLE = Option("--bundle", required=True, help="host bundle JSON file")
 
-def _arrow_args(p: argparse.ArgumentParser) -> None:
-    _space_args(p)
-    p.add_argument("--N", type=int, help="host rank (omit with --min-n)")
-    p.add_argument("--n", type=int, required=True, help="target rank")
-    p.add_argument("--k", type=int, required=True, help="colored rank")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
-    p.add_argument("--min-n", action="store_true",
-                   help="scan host ranks up to --nmax for the least that holds")
-    p.add_argument("--nmax", type=int, default=6,
-                   help="largest host rank for --min-n (default 6)")
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="disable color and structural symmetry pruning")
-    _add_common(p, "write the witness coloring here on failure "
-                   "(with --min-n, the result line)")
-
-
-def _hj_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t", type=int, required=True, help="alphabet size")
-    p.add_argument("--l", type=int, required=True, help="number of colors")
-    p.add_argument("--nmax", type=int, required=True,
-                   help="largest word length to try")
-    _add_common(p, "write the last line-free coloring here")
-
-
-def _construct_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", required=True, help="host spec JSON file")
-    _add_common(p, "bundle output file", out_required=True)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bundle", required=True, help="host bundle JSON file")
-    p.add_argument("--r", type=int, help="number of colors "
-                                         "(default: the bundle spec's)")
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="disable color-symmetry pruning")
-    _add_common(p, "write the witness coloring here on failure")
-
-
-def _extract_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bundle", required=True, help="host bundle JSON file")
-    p.add_argument("--coloring", required=True,
-                   help="coloring JSON file ('entries' map or 'constant')")
-    _add_common(p, "also write the result to this file")
-
-
-# name -> (help line, argument adder, handler), in the order usage lists them
+# name -> (help line, options, handler), in the order usage lists them
 COMMANDS = {
     "count": ("compare the counting formula with exhaustive enumeration",
-              functools.partial(_rank_args,
-                                out_help="also write the result line to this file"),
+              (*_SPACE, *_RANKS,
+               Option("--out", help="also write the result line to this file"),
+               *_COMMON),
               cmd_count),
     "enumerate": ("list rank-k subspaces, one JSON object per line",
-                  functools.partial(_rank_args,
-                                    out_help="also write the listing to this file"),
+                  (*_SPACE, *_RANKS,
+                   Option("--out", help="also write the listing to this file"),
+                   *_COMMON),
                   cmd_enumerate),
     "arrow": ("decide an arrow relation or scan for the minimal host rank",
-              _arrow_args, cmd_arrow),
+              (*_SPACE,
+               Option("--N", int, help="host rank (omit with --min-n)"),
+               Option("--n", int, required=True, help="target rank"),
+               Option("--k", int, required=True, help="colored rank"),
+               Option("--r", int, required=True, help="number of colors"),
+               Option("--min-n", default=False, store_true=True,
+                      help="scan host ranks up to --nmax for the least "
+                           "that holds"),
+               Option("--nmax", int, 6,
+                      help="largest host rank for --min-n (default 6)"),
+               Option("--no-symmetry", default=False, store_true=True,
+                      help="disable color and structural symmetry pruning"),
+               Option("--out", help="write the witness coloring here on "
+                                    "failure (with --min-n, the result line)"),
+               *_COMMON),
+              cmd_arrow),
     "hj": ("least word length forcing a monochromatic combinatorial line",
-           _hj_args, cmd_hj),
+           (Option("--t", int, required=True, help="alphabet size"),
+            Option("--l", int, required=True, help="number of colors"),
+            Option("--nmax", int, required=True,
+                   help="largest word length to try"),
+            Option("--out", help="write the last line-free coloring here"),
+            *_COMMON),
+           cmd_hj),
     "construct": ("build a host bundle from a spec file",
-                  _construct_args, cmd_construct),
+                  (Option("--spec", required=True, help="host spec JSON file"),
+                   Option("--out", required=True, help="bundle output file"),
+                   *_COMMON),
+                  cmd_construct),
     "verify": ("check the induced host property of a bundle",
-               _verify_args, cmd_verify),
+               (_BUNDLE,
+                Option("--r", int, help="number of colors "
+                                        "(default: the bundle spec's)"),
+                Option("--no-symmetry", default=False, store_true=True,
+                       help="disable color-symmetry pruning"),
+                Option("--out",
+                       help="write the witness coloring here on failure"),
+                *_COMMON),
+               cmd_verify),
     "extract": ("extract a monochromatic copy from a bundle under a coloring",
-                _extract_args, cmd_extract),
+                (_BUNDLE,
+                 Option("--coloring", required=True,
+                        help="coloring JSON file ('entries' map or "
+                             "'constant')"),
+                 Option("--out", help="also write the result to this file"),
+                 *_COMMON),
+                cmd_extract),
 }
 
 
 def build_parser(argv: list[str]) -> _Parser:
-    """The parser for argv.
+    """The argparse parser for argv, built from the option table.
 
-    When argv[0] names a command, only that command's subparser is built:
-    each argument costs a help formatter, and a call reads one command.
-    The usage line still lists every command through the metavar.  Any
-    other argv (-h, none, an unknown word) builds every subparser, for
-    the full help and the invalid-choice error.
+    `main` builds it only for the command lines `read_argv` leaves to
+    argparse: help, usage errors and the spellings the table reader does
+    not take.  When argv[0] names a command, only that command's
+    subparser is built, and the usage line still lists every command
+    through the metavar.  Any other argv (-h, none, an unknown word)
+    builds every subparser, for the full help and the invalid-choice
+    error.
     """
     parser = _Parser(prog="qramsey",
                      description="Coloring searches and host constructions "
@@ -309,16 +304,71 @@ def build_parser(argv: list[str]) -> _Parser:
         dest="command", required=True, parser_class=_Parser,
         metavar="{" + ",".join(COMMANDS) + "}" if named else None)
     for name in [named] if named else COMMANDS:
-        help_line, add_args, handler = COMMANDS[name]
+        help_line, options, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        add_args(p)
+        for o in options:
+            if o.store_true:
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            else:
+                p.add_argument(o.flag, type=o.type, default=o.default,
+                               required=o.required, choices=o.choices,
+                               help=o.help)
         p.set_defaults(func=handler)
     return parser
 
 
+def read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse would return for argv, read off the table.
+
+    It reads argv only when argv[0] names a command and the rest is that
+    command's exact long flags, each at most once; each valued flag is
+    followed by a token that does not start with "-", converts with the
+    flag's type and lies in its choices; and every required flag is
+    present.  Any other argv gives None, for argparse to read.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, handler = COMMANDS[argv[0]]
+    flags = {o.flag: o for o in options}
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        o = flags.get(flag)
+        if o is None or flag in values:
+            return None
+        if o.store_true:
+            values[flag] = True
+            continue
+        token = next(tokens, None)
+        if token is None or token.startswith("-"):
+            return None
+        try:
+            value = o.type(token)
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[flag] = value
+    if any(o.required and o.flag not in values for o in options):
+        return None
+    # argparse stores "--budget-nodes" as budget_nodes
+    return argparse.Namespace(
+        command=argv[0], func=handler,
+        **{o.flag[2:].replace("-", "_"): values.get(o.flag, o.default)
+           for o in options})
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    A command line `read_argv` takes builds no argparse parser; any
+    other goes to `build_parser(argv).parse_args(argv)`, which prints
+    help or a usage error and exits as argparse does.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

@@ -21,7 +21,8 @@ from qramsey import (AFFINE, POINT_CAP, VECTOR, ConfigFamily, HostSpec,
                      arrow, construction, enumerate_subspaces, full_space,
                      host_from_json, induced_host_verify, make_field, space,
                      span)
-from qramsey.cli import COMMANDS, _write_json, build_parser, main
+from qramsey.cli import (COMMANDS, _write_json, build_parser, main,
+                         read_argv)
 
 DEGENERATE_SPEC = {
     "q": 2, "mode": "vector", "k": 1, "n": 2, "r": 1,
@@ -1514,6 +1515,145 @@ def test_main_reads_sys_argv_when_given_none(case, columns, capsys,
         main(None)
     assert exc.value.code == 4
     assert capsys.readouterr().err == stderr
+
+
+# sha256 of the stdout of `qramsey -h` and `qramsey <command> -h` at 80
+# columns, as the argparse declarations wrote them before the subparsers
+# were derived from the option table; any drift in the derivation shows.
+HELP_SHA256 = {
+    "": "f1a11a21d8521bdeb8cae0b04e3775054e25c131f1113db77cd381cad09fa6e7",
+    "count": "feae299c9315d8cba1bb349482a8718f11a9229cb1b6d948d05d6bbdc783f303",
+    "enumerate":
+        "a39bacd889ce41921cf415324b7af32007cee54ae4811203fe102c36ccc0dd26",
+    "arrow": "cbebdb87a427f080ea67d6fecbc949cca7d6942a903d1dd0fe6d82fafc65dd36",
+    "hj": "545e95a20c34c224df1172c27be2c965c613170406c4bc296aca7ab7313e1e24",
+    "construct":
+        "eb32d5108c5b08bdbf9ce9aecae18aba87610b683d77f676164dd2910cbc09e0",
+    "verify": "5cafa126b0565f2a07d58056afa5f0a34917fbd83226ae73c541da822a7b6a6d",
+    "extract":
+        "6074c8acd4793a82adf118c0b155a8573b3ac9291f31e123692172862bb8d3f3",
+}
+
+
+@pytest.mark.parametrize("name", list(HELP_SHA256))
+def test_help_text_pinned(name, columns, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"] if name else ["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[name]
+
+
+# -- reading command lines off the option table ------------------------------------
+#
+# main reads a command line with read_argv and builds argparse only when it
+# returns None; on every line read_argv takes, its Namespace is argparse's.
+
+INT_VALUES = ["0", "1", "3", "17", "+2", "0012", "10000000"]
+STR_VALUES = ["spec.json", "out/b.json", "a b.json", "count", ""]
+
+
+def valid_argv(rng, name):
+    """A valid command line for `name`: every required flag, each other
+    flag at random, valid values, the flags in shuffled order."""
+    groups = []
+    for o in COMMANDS[name][1]:
+        if o.store_true:
+            if rng.random() < 0.5:
+                groups.append([o.flag])
+        elif o.required or rng.random() < 0.5:
+            values = (o.choices or (INT_VALUES if o.type is int
+                                    else STR_VALUES))
+            groups.append([o.flag, rng.choice(values)])
+    rng.shuffle(groups)
+    return [name] + [token for group in groups for token in group]
+
+
+def test_read_argv_matches_argparse():
+    rng = random.Random(0)
+    start = time.perf_counter()
+    for name in COMMANDS:
+        for _ in range(40):
+            argv = valid_argv(rng, name)
+            ours = read_argv(argv)
+            assert ours is not None, argv
+            assert vars(ours) == vars(build_parser(argv).parse_args(argv)), \
+                argv
+    assert time.perf_counter() - start < 1.0
+
+
+COUNT_ARGV = ["count", "--q", "2", "--mode", "vector", "--N", "2", "--k", "1"]
+FALLBACKS = {
+    "abbreviated": ["count", "--q", "2", "--mo", "vector", "--N", "2",
+                    "--k", "1"],
+    "equals": ["count", "--q=2", "--mode", "vector", "--N", "2", "--k", "1"],
+    "repeated": COUNT_ARGV + ["--q", "3"],
+    "negative": ["count", "--q", "2", "--mode", "vector", "--N", "-2",
+                 "--k", "1"],
+    "help": COUNT_ARGV + ["-h"],
+    "double_dash": COUNT_ARGV + ["--"],
+    "unknown_flag": COUNT_ARGV + ["--bogus", "1"],
+    "value_missing_at_end": COUNT_ARGV[:-1],
+    "not_an_int": ["count", "--q", "two", "--mode", "vector", "--N", "2",
+                   "--k", "1"],
+    "bad_mode": ["count", "--q", "2", "--mode", "projective", "--N", "2",
+                 "--k", "1"],
+    "missing_required": COUNT_ARGV[:-2],
+    "unknown_command": ["frobnicate"] + COUNT_ARGV[1:],
+    "empty_argv": [],
+}
+
+
+def test_read_argv_takes_the_plain_spelling():
+    assert vars(read_argv(COUNT_ARGV)) == \
+        vars(build_parser(COUNT_ARGV).parse_args(COUNT_ARGV))
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_read_argv_leaves_other_spellings_to_argparse(case):
+    assert read_argv(FALLBACKS[case]) is None
+
+
+def test_benchmark_command_shapes_build_no_parser(tmp_path, capsys,
+                                                  monkeypatch):
+    spec, bundle = tmp_path / "spec.json", tmp_path / "bundle.json"
+    spec.write_text(json.dumps(DEGENERATE_SPEC))
+    coloring = tmp_path / "constant.json"
+    coloring.write_text(json.dumps({"constant": 0}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv, code in [
+        ("hj --t 2 --l 2 --nmax 3 --budget-nodes 100000", 0),
+        ("arrow --q 2 --mode vector --N 2 --n 1 --k 1 --r 2", 0),
+        ("arrow --min-n --q 2 --mode vector --n 1 --k 1 --r 2 --nmax 2", 0),
+        ("count --q 2 --mode vector --N 2 --k 1", 0),
+        ("enumerate --q 2 --mode affine --N 2 --k 1", 0),
+        (f"construct --spec {spec} --out {bundle}", 0),
+        (f"verify --bundle {bundle} --r 2", 0),
+        (f"extract --bundle {bundle} --coloring {coloring}", 0),
+    ]:
+        assert main(argv.split()) == code, argv
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", [*USAGE_ERRORS, "help"])
+def test_help_and_usage_errors_build_argparse(case, columns, capsys,
+                                              monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["-h"] if case == "help" else USAGE_ERRORS[case][0]
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built
 
 
 # -- determinism ---------------------------------------------------------------------

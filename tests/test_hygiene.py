@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, unreferenced definitions, unused
-defaults or start-up weight.
+defaults or start-up weight, and a declared Python floor the source runs on.
 
 Every name a library module imports is used in it, every function,
 class and method it defines is referenced somewhere in the library or
@@ -13,6 +13,7 @@ package's public re-exports, and a re-export alone is not a use.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -732,3 +733,60 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                          env={**os.environ, "PYTHONPATH": str(SRC.parent),
                               "PYTHONDONTWRITEBYTECODE": "1"})
     assert out.stdout == "[]\n"
+
+
+# -- the declared Python floor ---------------------------------------------
+#
+# `int.from_bytes(b)` and `n.to_bytes(w)` default to big-endian only from
+# Python 3.11 on; on 3.10 they raise TypeError.  The space kernels leave the
+# byteorder out, so pyproject.toml must not declare an older floor.
+
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
+BYTE_METHODS = ("from_bytes", "to_bytes")
+
+
+def python_floor(text: str) -> tuple[int, int]:
+    """The (major, minor) of pyproject's `requires-python = ">=X.Y"`."""
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text,
+                      re.MULTILINE)
+    return int(match[1]), int(match[2])
+
+
+def byteorder_defaults(tree: ast.Module) -> list[int]:
+    """Lines of `from_bytes`/`to_bytes` calls that pass no byteorder, and
+    of references to either that are not called in place (as in
+    `map(int.to_bytes, ...)`), whose calls cannot be read."""
+    called, out = set(), []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in BYTE_METHODS):
+            called.add(node.func)
+            if len(node.args) < 2 and not any(
+                    k.arg in ("byteorder", None) for k in node.keywords):
+                out.append(node.lineno)
+    out += [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in BYTE_METHODS
+            and node not in called]
+    return sorted(out)
+
+
+def test_python_floor_covers_default_byteorder():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in byteorder_defaults(tree)]
+    floor = python_floor(PYPROJECT.read_text(encoding="utf-8"))
+    assert floor >= (3, 11) or not found, (
+        f"pyproject.toml declares Python >={floor[0]}.{floor[1]}, but these "
+        f"calls need 3.11's default byteorder: {', '.join(found)}")
+
+
+def test_detects_default_byteorder():
+    tree = ast.parse("int.from_bytes(b)\n"
+                     "n.to_bytes(2, 'big')\n"
+                     "n.to_bytes(2, byteorder='little')\n"
+                     "x = list(map(int.to_bytes, ns, ws))\n"
+                     "n.to_bytes()\n"
+                     "int.from_bytes(b, **opts)\n")
+    assert byteorder_defaults(tree) == [1, 4, 5]
+    assert python_floor('[project]\nrequires-python = ">=3.10"\n') == (3, 10)
