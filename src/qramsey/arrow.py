@@ -23,7 +23,7 @@ from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
                     count_text, enumerate_subspaces, full_space,
                     gaussian_binomial, guard_subspace_count, join, json_expect,
                     json_field, linear_extension, span, stacked_images,
-                    subspace_templates)
+                    subspace_templates, walk_rows)
 
 # spaces per batch of `member_lookup`, whose image buffers a batch holds at once
 SPAN_CHUNK = 1024
@@ -64,14 +64,16 @@ class ArrowInstance(namedtuple("ArrowInstance", "q mode host_rank target_rank "
 
 
 class ArrowStructure(namedtuple("ArrowStructure",
-                                "host k_spaces n_spaces families")):
+                                "host k_spaces n_rows families")):
     """The incidence data an arrow search colors: items and families.
 
-    The items are the host's rank-k subspaces and the families, one per
-    rank-n subspace U in key order, are the frozen sets of the indices of
-    the k-spaces inside U.  `member_lookup` finds them for every U in one
-    batch, by the canonical images of the coordinate templates, listing
-    no point.
+    The items are the host's rank-k subspaces, in key order.  `n_rows`
+    holds the canonical rows of each rank-n subspace U, in key order,
+    from the checked walk (`walk_rows`), with no Subspace built.  The
+    families, one per U, are the tuples of the indices of the k-spaces
+    inside U, in increasing order, the form `find_proper_coloring` takes
+    as it is.  `member_lookup` finds them for every U in one batch, by
+    the canonical images of the coordinate templates, listing no point.
     """
 
     __slots__ = ()
@@ -84,11 +86,15 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
         guard_subspace_count(f, instance.mode, instance.host_rank, rank)
     host = full_space(f, instance.mode, instance.host_rank)
     k_spaces = tuple(enumerate_subspaces(host, instance.colored_rank))
-    n_spaces = tuple(enumerate_subspaces(host, instance.target_rank))
-    inside = member_lookup(k_spaces, instance.target_rank)
+    n_rows = tuple(walk_rows(f, instance.mode, instance.host_rank,
+                             instance.target_rank))
     # every rank-k subspace of an n-space is a k-space: no row holds None
-    families = tuple(map(frozenset, inside(n_spaces)))
-    return ArrowStructure(host, k_spaces, n_spaces, families)
+    rows = member_lookup(k_spaces, instance.target_rank)(n_rows)
+    # A basis map keeps the byte order of rows, so below q = 11, where
+    # byte order is key order, the k-spaces inside U come in increasing
+    # index along the templates; from q = 11 on they need not.
+    families = tuple(rows if f.order < 11 else map(tuple, map(sorted, rows)))
+    return ArrowStructure(host, k_spaces, n_rows, families)
 
 
 def _elementary_maps(f, mode: str, d: int) -> list:
@@ -197,7 +203,8 @@ def find_monochromatic_subspace(ambient: Subspace, k: int, n: int,
     colors = [coloring[s.key()] for s in k_spaces]
     n_spaces = enumerate_subspaces(ambient, n)
     # every rank-k subspace of an n-space is listed: no row holds None
-    for u, hits in zip(n_spaces, member_lookup(k_spaces, n)(n_spaces)):
+    rows = member_lookup(k_spaces, n)([u.rows for u in n_spaces])
+    for u, hits in zip(n_spaces, rows):
         found = {colors[i] for i in hits}
         if len(found) == 1:
             return u, found.pop()
@@ -254,7 +261,7 @@ def family_isomorphic(fam1: ConfigFamily,
     amb1, amb2 = fam1.ambient, fam2.ambient
     if amb1.rank != amb2.rank or fam1.member_rank != fam2.member_rank:
         return None
-    [row] = member_lookup(fam2.members, amb2.rank)([amb2])
+    [row] = member_lookup(fam2.members, amb2.rank)([amb2.rows])
     images = copy_orbit(fam1).get(hit_templates(row))
     if images is None:
         return None
@@ -281,7 +288,7 @@ def copy_orbit(config: ConfigFamily) -> dict[frozenset[int], tuple]:
     coord = full_space(amb.field, amb.mode, amb.rank)
     maps = orbit_maps(amb.field, amb.mode, coord.ambient_len)
     moves = list(zip(maps, _permutations(coord, lookup.templates, maps)))
-    start = hit_templates(lookup([amb])[0])
+    start = hit_templates(lookup([amb.rows])[0])
     orbit, queue = {start: coord.basis_points()}, [start]
     for s in queue:
         for g, perm in moves:
@@ -301,9 +308,9 @@ def hit_templates(row) -> frozenset[int]:
 
 
 def member_lookup(members, n: int):
-    """A function taking a list of rank-n spaces, all in one ambient, to
-    one row per space: for each template, the index of the member its
-    image is, or None.
+    """A function taking a list of the canonical rows of rank-n spaces,
+    all in one ambient (a Subspace's `rows`), to one row per space: for
+    each template, the index of the member its image is, or None.
 
     Each member is indexed once by its canonical bytes, its rows joined.
     The `subspace_templates` of rank n, carried through a space U's basis
@@ -323,7 +330,7 @@ def member_lookup(members, n: int):
 
     def batch(spaces) -> list[tuple[int | None, ...]]:
         f = templates[0].field
-        rows = list(map(b"".join, zip(*[u.rows for u in spaces])))
+        rows = list(map(b"".join, zip(*spaces)))
         width = len(rows[0]) // len(spaces) if rows else 0
         cut = Struct(f"{width}s" * len(spaces)).unpack
         found = []  # per template, its image's member index (or None) per space
@@ -471,10 +478,10 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
         fam[m.key()] = m
     keys = sorted(fam)
     host_members = [fam[k] for k in keys]
-    good: list[frozenset[int]] = []
+    good: list[tuple[int, ...]] = []
     if not config.members:
         if _free_space(host_space, n, None, host_members):
-            good.append(frozenset())
+            good.append(())
     else:
         pts = [p for m in config.members for p in m.basis_points()]
         shape = ConfigFamily(span(amb.field, amb.mode, pts, amb.ambient_len),
@@ -487,12 +494,13 @@ def induced_host_verify(host_space: Subspace, members, config: ConfigFamily,
                                f"cap {POINT_CAP}")
         orbit = copy_orbit(shape)
         spans = _member_spans(host_members, w, bud)
-        for d, row in zip(spans, member_lookup(host_members, w)(spans)):
-            inside = frozenset(row) - {None}
+        rows = member_lookup(host_members, w)([d.rows for d in spans])
+        for d, row in zip(spans, rows):
+            inside = tuple(sorted(i for i in row if i is not None))
             if (hit_templates(row) in orbit
                     and _free_space(host_space, n, d, host_members, inside)):
                 good.append(inside)
-    coloring = find_proper_coloring(len(host_members), num_colors, good,
+    coloring = find_proper_coloring(len(host_members), num_colors, tuple(good),
                                     budget=bud, symmetry=symmetry)
     witness = None
     if coloring is not None:

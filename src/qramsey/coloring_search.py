@@ -4,6 +4,12 @@ One engine serves both the combinatorial-line searches and the subspace
 arrow checks: given `item_count` items and a list of families (each a
 set of item indices), find a coloring of the items in `num_colors`
 colors under which no family is monochromatic, or prove none exists.
+The families' own form is a tuple of tuples, each strictly increasing,
+as `arrow_structure`, `line_free_coloring` and `induced_host_verify`
+build them: it is taken as it is after one check per size class over
+the member columns, and the triggers below are built from those
+columns.  Any other collection is sorted and deduplicated family by
+family first.
 
 The search assigns colors to items 0, 1, 2, ... in order and tries
 colors in increasing order, so the first witness found is the
@@ -51,7 +57,7 @@ the node cap, so the cap trips at exactly `max_nodes + 1` and
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import or_
+from operator import lt, or_
 from struct import Struct
 
 from .budget import Budget, ensure_budget
@@ -96,10 +102,7 @@ def _closed_under(item_count: int, fams, perms) -> bool:
         return all(family_set.issuperset(frozenset(map(perm.__getitem__, members))
                                          for members in fams)
                    for perm in perms)
-    by_size = {}
-    for members in fams:
-        by_size.setdefault(len(members), []).append(members)
-    groups = [list(zip(*group)) for group in by_size.values()]
+    groups = _size_classes(fams)
     w = (item_count + 7) // 8
 
     def images(batch):
@@ -118,6 +121,42 @@ def _closed_under(item_count: int, fams, perms) -> bool:
     per = max(1, len(family_keys) // max(item_count, 1))
     return all(family_keys.issuperset(images(perms[i:i + per]))
                for i in range(0, len(perms), per))
+
+
+def _size_classes(fams) -> list[list[tuple[int, ...]]]:
+    """The member columns of each size class of the families: column j
+    of a class holds the j-th member of each of its families."""
+    sizes = {*map(len, fams)}
+    groups = ([fams] if len(sizes) == 1 else
+              [[members for members in fams if len(members) == size]
+               for size in sizes])
+    return [list(zip(*group)) for group in groups]
+
+
+def _family_form(item_count: int, families):
+    """The families, each its distinct members in increasing order, and
+    the member columns of each size class (`_size_classes`).
+
+    A tuple of tuples is taken as it is when, in every size class, each
+    column lies below the next, member by member.  Any other input, and
+    a tuple holding a family whose members do not increase, is sorted
+    and deduplicated family by family.  Then the first column of each
+    class is checked to be at least 0 and the last below `item_count`:
+    ValueError otherwise.
+    """
+    classes = None
+    if type(families) is tuple and {*map(type, families)} <= {tuple}:
+        classes = _size_classes(families)
+        if not all(all(map(lt, a, b))
+                   for columns in classes for a, b in zip(columns, columns[1:])):
+            classes = None
+    if classes is None:
+        families = [sorted(set(fam)) for fam in families]
+        classes = _size_classes(families)
+    if any(columns and (min(columns[0]) < 0 or max(columns[-1]) >= item_count)
+           for columns in classes):
+        raise ValueError("family member out of range")
+    return families, classes
 
 
 def _lex_leader_generators(item_count: int, fams, generators
@@ -223,12 +262,7 @@ def find_proper_coloring(item_count: int,
         raise ValueError("need at least one color")
     bud = ensure_budget(budget)
     full = (1 << num_colors) - 1
-    fams = []
-    for fam in families:
-        members = sorted(set(fam))
-        if members and (members[-1] >= item_count or members[0] < 0):
-            raise ValueError("family member out of range")
-        fams.append(members)
+    fams, classes = _family_form(item_count, families)
     gens = []
     if generators:
         gens = _lex_leader_generators(item_count, fams, generators)
@@ -236,16 +270,21 @@ def find_proper_coloring(item_count: int,
     # triggers[s]: (bitmask of the members below s, highest member) of each
     # family whose second-highest member is s
     triggers: list[list[tuple[int, int]]] = [[] for _ in range(item_count)]
-    for members in fams:
-        if not members:
+    for columns in classes:
+        if not columns:
             return None  # an empty family is monochromatic under any coloring
-        if len(members) == 1:
-            forbidden[members[0]] = full
+        if len(columns) == 1:
+            for i in columns[0]:
+                forbidden[i] = full
             continue
-        below = 0
-        for i in members[:-2]:
-            below |= 1 << i
-        triggers[members[-2]].append((below, members[-1]))
+        # one list per column, not `_ored`'s lazy chain, whose depth is the
+        # family size: `hj` at the word cap has a line of 65,536 words
+        bit = (1).__lshift__
+        belows = map(bit, columns[0]) if len(columns) > 2 else repeat(0)
+        for column in columns[1:-2]:
+            belows = list(map(or_, belows, map(bit, column)))
+        for below, second, high in zip(belows, columns[-2], columns[-1]):
+            triggers[second].append((below, high))
     if item_count == 0:
         return []
     if full in forbidden:

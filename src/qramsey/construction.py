@@ -614,7 +614,7 @@ def extract_monochromatic_copy(host: ProductHost, coloring):
                        base.target_spans[base.targets.index(target)])
     # take the copy's members to be the host members inside it: the copy
     # is then induced and a copy of F exactly when it is isomorphic to F
-    [row] = member_lookup(host.members, spec.target_rank)([copy_space])
+    [row] = member_lookup(host.members, spec.target_rank)([copy_space.rows])
     members = tuple(sorted((host.members[i] for i in row if i is not None),
                            key=Subspace.key))
     if any(coloring[m.key()] != color for m in members):

@@ -136,8 +136,10 @@ def line_free_coloring(length: int, t: int, num_colors: int,
     lines = (t + 1) ** length - words
     if lines > POINT_CAP:
         raise SizeCapError(f"{lines} lines of length {length}, cap {POINT_CAP}")
-    families = [frozenset(word_index(w, t) for w in line.words(t))
-                for line in enumerate_lines(length, t)]
+    # a line's word indices increase with its parameter: the form the
+    # search takes as it is
+    families = tuple(tuple([word_index(w, t) for w in line.words(t)])
+                     for line in enumerate_lines(length, t))
     return find_proper_coloring(words, min(num_colors, words), families,
                                 budget=budget,
                                 generators=word_generators(length, t))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .field import Field, make_field
 
@@ -554,6 +555,13 @@ _INNER_RANK = _text_ranks(",")
 _LAST_RANK = _text_ranks("]")
 
 
+def _ranked(rows) -> bytes:
+    """The rows' entries as bytes, each the rank of its key text: an
+    entry's digits closed by "," or, as a row's last, by "]"."""
+    return b"".join([r[:-1].translate(_INNER_RANK) + r[-1:].translate(_LAST_RANK)
+                     for r in rows])
+
+
 def key_order(s: Subspace) -> bytes:
     """Bytes that sort as `key()` does among subspaces of one shape.
 
@@ -562,11 +570,31 @@ def key_order(s: Subspace) -> bytes:
     as a row's last, by "]".  No such text is a prefix of another, so
     the first entry that differs orders two keys by its text.  Plain
     byte order agrees with that only below q = 11, where every entry is
-    one digit; this ranks each entry by its text instead.
+    one digit; this ranks each entry by its text instead (`_ranked`).  A
+    flat's rows are ranked in the order its key writes them, its first
+    row [1 | b] last; their leading entries are alike in every flat of
+    one shape.
     """
-    rows = s.direction if s.mode == VECTOR else s.direction + (s.basepoint,)
-    return b"".join([r[:-1].translate(_INNER_RANK) + r[-1:].translate(_LAST_RANK)
-                     for r in rows])
+    return _ranked(s.rows[1:] + s.rows[:1] if s.mode == AFFINE else s.rows)
+
+
+def _rows_order(q: int, mode: str, rank: int):
+    """The sort key that puts the canonical rows of rank-`rank` subspaces
+    of one shape into key order, or None where the rows' own tuple order
+    is key order.
+
+    A key writes a flat's first row [1 | b] last, so a flat's rows are
+    taken in that order.  Below q = 11 that is all: every entry is one
+    digit, and byte order is key order.  From q = 11 on, the entries are
+    ranked by their texts, as `key_order` ranks them.
+    """
+    turn = (itemgetter(*range(1, rank), 0) if mode == AFFINE and rank > 1
+            else None)
+    if q < 11:
+        return turn
+    if turn is None:
+        return _ranked
+    return lambda rows: _ranked(turn(rows))
 
 
 def _spaced_list(v: Vec) -> str:
@@ -870,6 +898,21 @@ def count_walk(f: Field, mode: str, rank: int, k: int) -> int:
     return sum(sum(1 for _ in rows) for _, rows in _full_walk(f, mode, k, rank))
 
 
+def walk_rows(f: Field, mode: str, rank: int, k: int) -> list[tuple[Vec, ...]]:
+    """The canonical rows of each rank-k subspace of the rank-`rank`
+    coordinate space (`full_space`), sorted as `enumerate_subspaces`
+    sorts them (`_rows_order`).
+
+    The row tuples of the checked walk `iter_subspaces` takes; no
+    Subspace and no key is built.  Checks neither the mode nor any cap:
+    callers run `guard_subspace_count` first.
+    """
+    rows = list(itertools.chain.from_iterable(
+        flats for _, flats in _full_walk(f, mode, k, rank)))
+    rows.sort(key=_rows_order(f.order, mode, k))
+    return rows
+
+
 def walk_texts(f: Field, mode: str, rank: int, k: int) -> list[str]:
     """`json_text` of each rank-k subspace of the rank-`rank` coordinate
     space (`full_space`), sorted as `enumerate_subspaces` sorts them.
@@ -901,10 +944,11 @@ def iter_subspaces(ambient: Subspace, k: int, keyed: bool = True):
     per-object check.  When `keyed`, the walk also presets each
     subspace's key from its pattern's formatted rows (`_pattern_texts`),
     for callers that sort; an unkeyed walk formats no key.  `walk_texts`
-    lists the same walk as `json_text` lines and builds none of its
-    subspaces.  A proper ambient's subspaces are the unkeyed walk over
-    the coordinate space of its rank, carried through its basis map by
-    `apply`, which re-canonicalizes and checks each and keys none.
+    and `walk_rows` list the same walk as `json_text` lines and as row
+    tuples, and build none of its subspaces.  A proper ambient's
+    subspaces are the unkeyed walk over the coordinate space of its
+    rank, carried through its basis map by `apply`, which
+    re-canonicalizes and checks each and keys none.
     Checks no cap: callers run `guard_subspace_count` first.
     """
     f, mode, rank = ambient.field, ambient.mode, ambient.rank

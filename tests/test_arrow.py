@@ -86,9 +86,9 @@ def test_arrow_structure_families():
     struct = arrow_structure(inst)
     k_spaces, fams = oracle_families(struct.host, 2, 1)
     assert [s.key() for s in struct.k_spaces] == [s.key() for s in k_spaces]
-    assert list(struct.families) == fams
+    assert list(struct.families) == [tuple(sorted(fam)) for fam in fams]
     # Fano: 7 points, 7 lines, 3 points per line
-    assert len(struct.k_spaces) == 7 and len(struct.n_spaces) == 7
+    assert len(struct.k_spaces) == 7 and len(struct.n_rows) == 7
     assert all(len(fam) == 3 for fam in struct.families)
 
 
@@ -111,9 +111,26 @@ def test_arrow_structure_families_grid(q, mode, N):
             k_spaces, fams = oracle_families(host, n, k)
             assert struct.host == host
             assert list(struct.k_spaces) == k_spaces
-            assert list(struct.n_spaces) == enumerate_subspaces(host, n)
-            assert list(struct.families) == fams, (n, k)
+            assert list(struct.n_rows) == [s.rows for s in
+                                           enumerate_subspaces(host, n)]
+            assert list(struct.families) == [tuple(sorted(fam))
+                                             for fam in fams], (n, k)
             assert structure_generators(struct) == oracle_generators(struct)
+
+
+@pytest.mark.parametrize("q", [11, 13, 16])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_arrow_structure_families_increase_from_q_11(q, mode):
+    # from q = 11 on, byte order is not key order, and a basis map need
+    # not keep key order: the lookup's rows are sorted into increasing
+    # tuples, here checked against the point-set reference
+    host = full_space(make_field(q), mode, 3)
+    for n in range(0 if mode == VECTOR else 1, 4):
+        for k in range(0 if mode == VECTOR else 1, n + 1):
+            struct = arrow_structure(ArrowInstance(q, mode, 3, n, k, 2))
+            ref = point_set_lookup(list(struct.k_spaces), n)
+            assert list(struct.families) == [
+                tuple(sorted(ref(u))) for u in enumerate_subspaces(host, n)]
 
 
 def coordinate_only(monkeypatch, *allowed):
@@ -233,7 +250,8 @@ def test_structure_generators_are_family_automorphisms(q, mode, N, n, k):
     items = list(range(len(struct.k_spaces)))
     for perm in gens:
         assert sorted(perm) == items and list(perm) != items
-        assert {frozenset(perm[i] for i in fam) for fam in families} == families
+        assert {tuple(sorted(perm[i] for i in fam))
+                for fam in families} == families
     assert gens == oracle_generators(struct)
 
 
@@ -1025,7 +1043,8 @@ def test_member_lookup_matches_the_scan_on_the_grid(q):
     for spec, host in hosts:
         members = host.members
         n_spaces = enumerate_subspaces(host.space, spec.target_rank)
-        got = arrow.member_lookup(members, spec.target_rank)(n_spaces)
+        got = arrow.member_lookup(members, spec.target_rank)(
+            [u.rows for u in n_spaces])
         assert len(got) == len(n_spaces)
         for u, row in zip(n_spaces, got):
             want = [i for i, m in enumerate(members) if u.contains_subspace(m)]
@@ -1078,7 +1097,7 @@ def test_batched_member_lookup_matches_the_scan():
     seen, qs = set(), set()
     for q, mode, n, spaces, members in lookup_cases():
         inside = arrow.member_lookup(members, n)
-        got = inside(spaces)
+        got = inside([u.rows for u in spaces])
         assert len(got) == len(spaces)
         index = {m.key(): i for i, m in enumerate(members)}
         for u, row in zip(spaces, got):
@@ -1088,7 +1107,7 @@ def test_batched_member_lookup_matches_the_scan():
                                          u.ambient_len)
             assert list(row) == [index.get(apply(to_u, t).key())
                                  for t in inside.templates]
-        assert [inside([u])[0] for u in spaces] == got
+        assert [inside([u.rows])[0] for u in spaces] == got
         assert inside([]) == []
         hit = set(member_hits(itertools.chain(*got)))
         seen.add(("width", spaces[0].ambient_len))
@@ -1106,7 +1125,7 @@ def test_member_lookup_batches_its_input(monkeypatch):
     # whatever it is passed, and answers as one batch does
     cases = [(members, n, spaces) for _, _, n, spaces, members in lookup_cases()
              if len(spaces) > 3]
-    want = [arrow.member_lookup(members, n)(spaces)
+    want = [arrow.member_lookup(members, n)([u.rows for u in spaces])
             for members, n, spaces in cases]
     widths = []
 
@@ -1118,7 +1137,7 @@ def test_member_lookup_batches_its_input(monkeypatch):
     monkeypatch.setattr(arrow, "stacked_images", recorded)
     for (members, n, spaces), rows in zip(cases, want):
         widths.clear()
-        assert arrow.member_lookup(members, n)(spaces) == rows
+        assert arrow.member_lookup(members, n)([u.rows for u in spaces]) == rows
         # a flat's rows are one entry longer than its points
         d = spaces[0].ambient_len + (spaces[0].mode == AFFINE)
         assert widths and max(widths) <= 3 * d
@@ -1126,7 +1145,7 @@ def test_member_lookup_batches_its_input(monkeypatch):
 
 def test_member_lookup_of_no_members():
     f = make_field(3)
-    spaces = enumerate_subspaces(full_space(f, VECTOR, 2), 1)
+    spaces = [s.rows for s in enumerate_subspaces(full_space(f, VECTOR, 2), 1)]
     assert arrow.member_lookup([], 1)(spaces) == [()] * len(spaces)
     assert arrow.member_lookup([], 1)([]) == []
 
@@ -1198,7 +1217,7 @@ def test_families_and_the_monochromatic_scan_list_no_points(monkeypatch):
         k_spaces = enumerate_subspaces(host, k)
         n_spaces = enumerate_subspaces(host, n)
         ref = point_set_lookup(k_spaces, n)
-        families = tuple(frozenset(ref(u)) for u in n_spaces)
+        families = tuple(tuple(sorted(ref(u))) for u in n_spaces)
         colorings = [{s.key(): rng.randrange(2) for s in k_spaces}
                      for _ in range(3)] + [{s.key(): 1 for s in k_spaces}]
         scans = []
@@ -1216,6 +1235,35 @@ def test_families_and_the_monochromatic_scan_list_no_points(monkeypatch):
             assert got == first, (q, mode, big_n, n, k)
             found += got is not None
     assert len(cases) == 110 and found > 2 * len(cases)
+
+
+def test_arrow_structure_builds_no_subspace_per_n_space(monkeypatch):
+    # regression gate without a timer: on the instance of the benchmark's
+    # arrow_v7_2_1_2 job, the structure lists only the k-spaces through
+    # enumerate_subspaces, and its 2,667 n-spaces are rows of the walk.
+    # Every Subspace is built through space._write_slots, so counting
+    # its calls counts them all
+    inst = ArrowInstance(2, VECTOR, 7, 2, 1, 2)
+    want = arrow_structure(inst)
+    listed, built = [], []
+    enumerate_real, write_real = arrow.enumerate_subspaces, qspace._write_slots
+
+    def enumerated(ambient, k):
+        listed.append(k)
+        return enumerate_real(ambient, k)
+
+    def written(s, *args):
+        built.append(s)
+        return write_real(s, *args)
+
+    monkeypatch.setattr(arrow, "enumerate_subspaces", enumerated)
+    monkeypatch.setattr(qspace, "_write_slots", written)
+    got = arrow_structure(inst)
+    assert got == want and len(got.n_rows) == 2667
+    assert listed == [1]
+    # the host, the 127 points, and the rank-2 coordinate space and its
+    # three lines, the lookup's templates
+    assert len(built) == 1 + len(got.k_spaces) + 1 + 3
 
 
 def test_verify_tests_no_member_against_a_candidate(q2_grid, monkeypatch):

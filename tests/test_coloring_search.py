@@ -492,6 +492,52 @@ def test_accepts_a_generator_of_families():
             == find_proper_coloring(3, 3, fams) == [0, 1, 2])
 
 
+def shuffled_with_repeats(rng, fams):
+    """Each family as a list of its members, some repeated, shuffled."""
+    out = []
+    for fam in fams:
+        members = list(fam) + rng.sample(list(fam), min(len(fam), 2))
+        rng.shuffle(members)
+        out.append(members)
+    return out
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_the_tuple_form_searches_as_every_other_form(symmetry):
+    # the producers' form, a tuple of strictly increasing tuples, is taken
+    # as it is; the same families as shuffled lists with repeats or as
+    # sets, or with a tuple that does not increase, are normalized, and
+    # every form gives the same answer in the same nodes
+    rng = random.Random(36 + symmetry)
+    for trial in range(300):
+        if trial % 2:
+            n, fams, gens = random_symmetric_hypergraph(rng, max_items=10)
+        else:
+            (n, fams), gens = random_hypergraph(rng, max_items=10), []
+        r = rng.randint(2, 3)
+        form = tuple(tuple(sorted(set(fam))) for fam in fams)
+        assert coloring_search._family_form(n, form)[0] is form
+        want = run(find_proper_coloring, n, r, form, symmetry, generators=gens)
+        others = [shuffled_with_repeats(rng, fams), [set(fam) for fam in fams]]
+        wide = [i for i, fam in enumerate(form) if len(fam) > 1]
+        if wide:
+            i = rng.choice(wide)
+            others.append(form[:i] + (form[i][::-1],) + form[i + 1:])
+        for other in others:
+            got = run(find_proper_coloring, n, r, other, symmetry,
+                      generators=gens)
+            assert got == want, (n, fams, other)
+
+
+@pytest.mark.parametrize("fams", [
+    ((0, 1), (-1, 2)), ((0, 1), (1, 3)), ((3,),), ((2, 1), (0, 3)),
+    ((0, 1, 2), (0, 1), (1, -1))])
+def test_the_tuple_form_refuses_a_member_out_of_range(fams):
+    for form in (fams, list(map(list, fams))):
+        with pytest.raises(ValueError, match="family member out of range"):
+            find_proper_coloring(3, 2, form)
+
+
 # -- budget accounting ---------------------------------------------------------
 
 # no 7-coloring of K_8 is proper; without the first-use cap the search

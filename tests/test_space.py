@@ -490,6 +490,25 @@ def test_plain_byte_order_is_not_key_order_for_two_digit_entries(q):
         assert space.key_order(high) < space.key_order(low)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_walk_rows_sort_as_enumerate_subspaces(q, mode):
+    # every rank N <= 3 and every k: the walk's rows in the order of the
+    # subspaces enumerate_subspaces lists.  From q = 11 on, plain byte
+    # order (a flat's basepoint row last, as its key writes it) is not key
+    # order, so there the rank tables must do the sorting
+    f = make_field(q)
+    misordered = 0
+    for rank in range(1 if mode == AFFINE else 0, 4):
+        for k in range(1 if mode == AFFINE else 0, rank + 1):
+            want = [s.rows for s in enumerate_subspaces(full_space(f, mode, rank), k)]
+            rows = space.walk_rows(f, mode, rank, k)
+            assert rows == want, (rank, k)
+            plain = sorted(rows, key=lambda r: r[1:] + r[:1] if mode == AFFINE else r)
+            misordered += plain != want
+    assert (misordered > 0) == (q >= 11)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
 def test_points_run_in_coefficient_product_order(q, mode):
