@@ -82,9 +82,10 @@ def _ored(columns, image):
     return masks
 
 
-def _closed_under(item_count: int, fams, perms) -> bool:
+def _closed_under(item_count: int, classes, perms) -> bool:
     """Whether each permutation of the items maps every nonempty family
-    onto a family.
+    onto a family; `classes` holds the families' member columns by size
+    class (`_size_classes`).
 
     A family's key is its bitmask, the OR of `1 << member`, as a w-byte
     string, w = ceil(item_count / 8).  The permutations are packed m at a
@@ -96,13 +97,13 @@ def _closed_under(item_count: int, fams, perms) -> bool:
     a table of one bit per item would outweigh them even at m = 1 (many
     items, few families), the keys are frozensets instead.
     """
-    fams = [members for members in fams if members]
-    if item_count > 2 * len(fams):
+    groups = [columns for columns in classes if columns]  # nonempty families
+    if item_count > 2 * sum(len(columns[0]) for columns in groups):
+        fams = [members for columns in groups for members in zip(*columns)]
         family_set = set(map(frozenset, fams))
         return all(family_set.issuperset(frozenset(map(perm.__getitem__, members))
                                          for members in fams)
                    for perm in perms)
-    groups = _size_classes(fams)
     w = (item_count + 7) // 8
 
     def images(batch):
@@ -159,9 +160,11 @@ def _family_form(item_count: int, families):
     return families, classes
 
 
-def _lex_leader_generators(item_count: int, fams, generators
+def _lex_leader_generators(item_count: int, fams, generators, classes=None
                            ) -> list[tuple[tuple[int, ...], list[int]]]:
-    """(permutation, positions it moves) of each non-identity generator.
+    """(permutation, positions it moves) of each non-identity generator;
+    `classes`, the member columns `_family_form` returns with `fams`, is
+    built from them when not given.
 
     ValueError unless every generator permutes the items and maps the
     families onto themselves: that is what makes its constraint sound.
@@ -181,7 +184,7 @@ def _lex_leader_generators(item_count: int, fams, generators
             fault = "generator is not a permutation of the items"
             break
         perms.append(perm)
-    if not _closed_under(item_count, fams, perms):
+    if not _closed_under(item_count, classes or _size_classes(fams), perms):
         raise ValueError("generator maps a family outside the families")
     if fault:
         raise ValueError(fault)
@@ -265,7 +268,7 @@ def find_proper_coloring(item_count: int,
     fams, classes = _family_form(item_count, families)
     gens = []
     if generators:
-        gens = _lex_leader_generators(item_count, fams, generators)
+        gens = _lex_leader_generators(item_count, fams, generators, classes)
     forbidden = [0] * item_count  # bitmask of the colors ruled out per item
     # triggers[s]: (bitmask of the members below s, highest member) of each
     # family whose second-highest member is s

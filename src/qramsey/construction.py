@@ -29,7 +29,7 @@ from .space import (AFFINE, POINT_CAP, LinearMap, SizeCapError,
                     Subspace, Vec, apply, combination_points, complement,
                     compose, coordinate_map, count_subspaces, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    guard_subspace_count, identity_map, identity_rows,
+                    guard_subspace_count, identity_map,
                     image_space, json_expect, json_field, json_int, json_text,
                     key_order, mat_vec, nullspace_rows, rref, span, transpose,
                     vec_sub)
@@ -234,14 +234,17 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     frames: dict[tuple, tuple[Subspace, int, tuple[int, ...]]] = {}
     sections: list[tuple[Vec, ...]] = []
     slot_rows: list[list[tuple]] = []
-    zero = origin = bytes(e_amb)
     lift = b"\1" if mode == AFFINE else b""
+    zero, origin = bytes(len(lift) + e_amb), bytes(e_amb)
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
+        # the cover's rows projected, lift dropped: a flat's [1 | b] goes
+        # to its basepoint's image, the images' origin, and [0 | r] to M r
+        moved = [mat_vec(f, projection.columns, r, zero)[len(lift):]
+                 for r in cover.rows]
         if mode == AFFINE:
-            origin = apply(projection, cover.basepoint)
-        images = combination_points(f, origin, [
-            mat_vec(f, projection.columns, r, zero) for r in cover.direction])
+            origin, moved = moved[0], moved[1:]
+        images = combination_points(f, origin, moved)
         at = [where[x] for x in images]
         if len(at) != len(where) or len(set(at)) != len(at):
             raise ConstructionCheckError("projection is not a bijection from "
@@ -272,39 +275,39 @@ def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
     The result lives on word_len concatenated copies of the projection's
     domain coordinates.  A tuple is on it exactly when each later block
     differs from the first by a vector of ker M, M the projection's
-    matrix, so it is the span of the diagonal points (e_j in every
-    block) and of a kernel basis placed in each later block; in affine
-    mode, the flat of those directions through the zero tuple.  At word
-    length 1 it is the domain's full space.
+    linear part, so it is the span of the domain's basis points repeated
+    in every block and of a kernel basis placed in each later block: that
+    of the stored matrix, [0 | k] for k in ker M, as a map fixes the
+    lifted coordinate.  At word length 1 it is the domain's full space.
     """
     if word_len < 1:
         raise ValueError("word_len must be at least 1")
-    f, mode, d = projection.field, projection.mode, projection.domain_len
+    f, d, rank = projection.field, projection.domain_len, len(projection.columns)
+    domain = full_space(f, projection.mode, rank)
     if word_len == 1:
-        return full_space(f, mode, d + (1 if mode == AFFINE else 0))
-    total = word_len * d
-    kernel = nullspace_rows(f, transpose(projection.columns, projection.codomain_len), d)
-    points = [e * word_len for e in identity_rows(d)]
+        return domain
+    total, lift = word_len * d, rank - d
+    kernel = nullspace_rows(f, transpose(projection.columns,
+                                         lift + projection.codomain_len), rank)
+    points = [p * word_len for p in domain.basis_points()]
     for i in range(1, word_len):
-        points += [bytes(i * d) + v + bytes((word_len - 1 - i) * d) for v in kernel]
-    if mode == AFFINE:
-        points.insert(0, bytes(total))
-    return span(f, mode, points, total)
+        points += [bytes(i * d) + v[lift:] + bytes((word_len - 1 - i) * d)
+                   for v in kernel]
+    return span(f, projection.mode, points, total)
 
 
 def _blocks_agree(pi: LinearMap, word_len: int, points) -> bool:
     """Whether each point's word_len blocks share one value under pi.
 
-    An affine map's translation cancels between blocks, so only pi's
-    stored columns are read.  The points share few distinct blocks, so
-    each distinct block is projected once and the images compared.  At
-    word length 1 there is nothing to compare.
+    The points share few distinct blocks, so each distinct block is
+    mapped once with `apply` and the images compared.  At word length 1
+    there is nothing to compare.
     """
     if word_len == 1:
         return True
-    d, zero = pi.domain_len, bytes(pi.codomain_len)
+    d = pi.domain_len
     blocks = [[p[i * d:(i + 1) * d] for p in points] for i in range(word_len)]
-    images = {b: mat_vec(pi.field, pi.columns, b, zero) for b in set().union(*blocks)}
+    images = {b: apply(pi, b) for b in set().union(*blocks)}
     first = list(map(images.__getitem__, blocks[0]))
     return all(list(map(images.__getitem__, column)) == first
                for column in blocks[1:])
@@ -470,23 +473,25 @@ def line_embedding(host: ProductHost, line: Line) -> LineEmbedding:
         block_maps[pos] = compose(back, pi)
 
     ident = identity_map(f, mode, v_amb)
+    lift = len(ident.columns) - v_amb  # 1 for a lifted coordinate, else 0
     blocks = [block_maps.get(pos, ident) for pos in range(host.word_len)]
-    # column j of the section stacks the blocks' columns j
-    section = LinearMap(mode, f, v_amb, total,
-                        tuple(map(b"".join, zip(*(b.columns for b in blocks)))),
-                        b"".join([b.translation for b in blocks])
-                        if mode == AFFINE else None)
+    # column j of the section stacks the blocks' columns j, each past
+    # the lifted entry, which all blocks share
+    section = LinearMap(mode, f, v_amb, total, tuple(
+        cols[0][:lift] + b"".join([c[lift:] for c in cols])
+        for cols in zip(*(b.columns for b in blocks))))
     # the moving block's coordinates: the identity's columns, between
     # zero columns for the other blocks
-    i0, zero = line.moving[0], bytes(v_amb)
+    i0, zero = line.moving[0], bytes(lift + v_amb)
     flatten = LinearMap(mode, f, total, v_amb,
-                        (zero,) * (i0 * v_amb) + ident.columns
-                        + (zero,) * (total - (i0 + 1) * v_amb), ident.translation)
+                        ident.columns[:lift] + (zero,) * (i0 * v_amb)
+                        + ident.columns[lift:]
+                        + (zero,) * (total - (i0 + 1) * v_amb))
     copy = apply(section, base.space)
 
     # (a) the copy is section(V), V the block space, and flatten o section
     # = id: so section o flatten is the identity on the copy, flatten(copy)
-    # = V, and, as a copy point's blocks share one image under pi's matrix,
+    # = V, and, as a copy point's blocks share one image under pi,
     # the equalizer's common-value map (pi on block 0) is pi o flatten there
     if compose(flatten, section) != ident:
         raise ConstructionCheckError("flatten is not a left inverse of section")

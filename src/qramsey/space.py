@@ -10,8 +10,9 @@ Canonical form: rows in reduced row echelon form with strictly
 increasing pivots.  A flat is stored as its homogenized subspace, the
 span of its points lifted to [1 | p]: rows [1 | b], for the unique
 basepoint b zero on the direction's pivot columns, then [0 | r] for each
-direction row r, so one vector code path serves both modes.  Two
-Subspace values are equal exactly when they have the same point set.
+direction row r; an affine map is its homogenized matrix (`LinearMap`).
+So one vector code path serves both modes.  Two Subspace values are
+equal exactly when they have the same point set.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ def mat_vec(f: Field, columns: tuple[Vec, ...], v: Vec, base: Vec) -> Vec:
     times columns[j], over v's nonzero entries.
 
     A map stores its columns, so each step reads one stored vector
-    whole.  base is the zero vector of the codomain, or an affine map's
-    translation; it also gives the length when there are no columns.
+    whole.  base is the zero vector of the columns' length (an affine
+    map's columns carry the lifted coordinate); it also gives the length
+    when there are no columns.
     """
     for j in _support(v):
         base = _add_multiple(f, base, v[j], columns[j])
@@ -1128,97 +1130,96 @@ def direct_sum(parts) -> Subspace:
 
 class LinearMap(namedtuple("LinearMap", (
         "mode", "field", "domain_len", "codomain_len",
-        "columns",       # domain_len columns of length codomain_len
-        "translation"))):
+        "columns"))):    # the homogenized matrix, column by column
     """A total map GF(q)^domain_len -> GF(q)^codomain_len.
 
-    Vector mode: x -> M x.  Affine mode: x -> M x + t.  Either way the
-    map preserves the mode's combinations, so images of subspaces are
-    subspaces.  M is kept as its columns, its only form: column j is
-    M e_j, so products and compositions read the columns as stored.
+    Vector mode: x -> M x.  Affine mode: x -> M x + t, kept as the linear
+    map on lifted points [1 | x], as a flat is kept as its homogenized
+    subspace: domain_len + 1 columns of length codomain_len + 1, column 0
+    [1 | t] and column j + 1 [0 | M e_j].  Either way the map preserves
+    the mode's combinations, so images of subspaces are subspaces, and
+    its columns are its only form, read as stored by products and
+    compositions.
     """
 
     __slots__ = ()
 
     def __new__(cls, mode: str, field: Field, domain_len: int,
-                codomain_len: int, columns: tuple[Vec, ...],
-                translation: Vec | None = None):
+                codomain_len: int, columns: tuple[Vec, ...]):
         _check_mode(mode)
+        lift = _LIFT[mode]
         columns = tuple(columns)
-        if len(columns) != domain_len:
+        if len(columns) != domain_len + len(lift):
             raise ValueError("matrix column count differs from domain_len")
         _check_bytes(columns, "matrix columns")
-        if set(map(len, columns)) - {codomain_len}:
+        if set(map(len, columns)) - {codomain_len + len(lift)}:
             raise ValueError("matrix column length differs from codomain_len")
-        elements = _elements(field.order)
-        if b"".join(columns).translate(None, elements):
+        if b"".join(columns).translate(None, _elements(field.order)):
             raise ValueError("matrix entries out of field range")
-        if mode == VECTOR:
-            if translation is not None:
-                raise ValueError("vector-mode maps carry no translation")
-        else:
-            if translation is None or len(translation) != codomain_len:
-                raise ValueError("affine-mode maps need a codomain-length translation")
-            _check_bytes([translation], "the translation")
-            if translation.translate(None, elements):
-                raise ValueError("translation entries out of field range")
+        if lift and b"".join([c[:1] for c in columns]) != lift + bytes(domain_len):
+            raise ValueError("affine-mode maps must fix the lifted coordinate")
         return super().__new__(cls, mode, field, domain_len, codomain_len,
-                               columns, translation)
+                               columns)
+
+
+def _lifted_rows(f: Field, mode: str, points) -> list[Vec]:
+    """Points as homogenized rows: each lifted as `span` lifts it, then in
+    affine mode each after the first less the first, [0 | p - p0].  A map
+    sending the points to their images sends these rows to the images'."""
+    rows = [_LIFT[mode] + p for p in points]
+    if mode == AFFINE:
+        rows[1:] = [vec_sub(f, r, rows[0]) for r in rows[1:]]
+    return rows
 
 
 def coordinate_map(f: Field, mode: str, images, codomain_len: int) -> LinearMap:
     """The map sending canonical basis point i of a full coordinate space
     to images[i].
 
-    In vector mode that basis is the unit vectors, so the images are the
-    map's columns as they stand; in affine mode the first basis point is
-    the origin, so its image is the translation and the columns are the
-    others' offsets from it.
+    The basis points' homogenized rows are the unit vectors, so the
+    images' rows (`_lifted_rows`) are the map's columns as they stand.
     """
-    t = images[0] if mode == AFFINE else None
-    cols = (tuple(images) if t is None
-            else tuple(vec_sub(f, p, t) for p in images[1:]))
-    return LinearMap(mode, f, len(cols), codomain_len, cols, t)
+    cols = _lifted_rows(f, mode, images)
+    return LinearMap(mode, f, len(cols) - len(_LIFT[mode]), codomain_len, cols)
 
 
 def identity_map(f: Field, mode: str, n: int) -> LinearMap:
-    t = bytes(n) if mode == AFFINE else None
-    return LinearMap(mode, f, n, n, identity_rows(n), t)
+    return LinearMap(mode, f, n, n, identity_rows(n + len(_LIFT[mode])))
 
 
 def apply(m: LinearMap, x):
     """Apply a map to a point (a sequence of elements) or to a Subspace
-    (image, canonical)."""
+    (image, canonical): the lifted point's product with the columns, lift
+    dropped, or one `rref` of the products of the Subspace's stored rows.
+    """
+    f, lift = m.field, _LIFT[m.mode]
+    zero = bytes(len(lift) + m.codomain_len)
     if isinstance(x, Subspace):
-        if x.mode != m.mode or x.field != m.field:
+        if x.mode != m.mode or x.field != f:
             raise ValueError("map and subspace disagree on mode or field")
         if x.ambient_len != m.domain_len:
             raise ValueError("subspace ambient differs from map domain")
-        imgs = [apply(m, p) for p in x.basis_points()]
-        return span(m.field, m.mode, imgs, m.codomain_len)
+        return Subspace.from_rows(m.mode, f, m.codomain_len, rref(
+            f, [mat_vec(f, m.columns, r, zero) for r in x.rows])[0])
     v = bytes(x)
     if len(v) != m.domain_len:
         raise ValueError("point length differs from map domain")
-    base = m.translation if m.mode == AFFINE else bytes(m.codomain_len)
-    return mat_vec(m.field, m.columns, v, base)
+    if v.translate(None, _elements(f.order)):
+        raise ValueError("point entries out of field range")
+    return mat_vec(f, m.columns, lift + v, zero)[len(lift):]
 
 
 def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """The map x -> outer(inner(x)).
-
-    Its columns are inner's columns sent through outer's matrix, one
-    product each; in affine mode its translation is outer's image of
-    inner's.
-    """
+    """The map x -> outer(inner(x)): inner's columns sent through outer's,
+    one product each."""
     if outer.mode != inner.mode or outer.field != inner.field:
         raise ValueError("maps disagree on mode or field")
     if inner.codomain_len != outer.domain_len:
         raise ValueError("inner codomain differs from outer domain")
-    f, zero = outer.field, bytes(outer.codomain_len)
+    f = outer.field
+    zero = bytes(len(_LIFT[outer.mode]) + outer.codomain_len)
     cols = tuple(mat_vec(f, outer.columns, c, zero) for c in inner.columns)
-    t = None if outer.mode == VECTOR else mat_vec(
-        f, outer.columns, inner.translation, outer.translation)
-    return LinearMap(outer.mode, f, inner.domain_len, outer.codomain_len, cols, t)
+    return LinearMap(outer.mode, f, inner.domain_len, outer.codomain_len, cols)
 
 
 def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -> LinearMap:
@@ -1226,8 +1227,9 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
 
     Defined on the whole domain ambient: the basis is deterministically
     extended to an ambient basis, and the extension points map to zero
-    (vector mode) or to the first image (affine mode).  Applying the map
-    to each basis point reproduces its image exactly.
+    (vector mode) or to the first image (affine mode); either way their
+    homogenized rows map to the zero row.  Applying the map to each
+    basis point reproduces its image exactly.
     """
     f = basis.field
     mode = basis.mode
@@ -1240,31 +1242,20 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
         codomain_len = len(imgs[0])
     if any(len(p) != codomain_len for p in imgs):
         raise ValueError("images of differing length")
-    if basis.points:
-        domain_len = len(basis.points[0])
-    else:
-        if mode == AFFINE:
-            raise ValueError("affine extension needs at least one basis point")
-        domain_len = 0
-    ambient = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
-    pts_all = extend_to_basis(basis, ambient).points
-    extras = len(pts_all) - len(imgs)
-    if mode == VECTOR:
-        pairs = zip(pts_all, imgs + [bytes(codomain_len)] * extras)
-    else:
-        p0, y0 = pts_all[0], imgs[0]
-        pairs = [(vec_sub(f, p, p0), vec_sub(f, y, y0))
-                 for p, y in zip(pts_all[1:], imgs[1:] + [y0] * extras)]
-    # M b = y for each pair.  Row-reducing the rows [b | y] turns the b
-    # block into the identity, so the row with pivot j reads [e_j | M e_j]:
-    # its tail is M's column j, as the map stores it
-    red, piv = rref(f, [b + y for b, y in pairs])
-    if piv != tuple(range(domain_len)):
+    targets, lift = _lifted_rows(f, mode, imgs), len(_LIFT[mode])
+    domain_len = len(basis.points[0]) if basis.points else 0
+    width = domain_len + lift
+    pts_all = extend_to_basis(basis, full_space(f, mode, width)).points
+    targets += [bytes(lift + codomain_len)] * (len(pts_all) - len(imgs))
+    # H b = y for each pair of rows.  Row-reducing the rows [b | y] turns
+    # the b block into the identity, so the row with pivot j reads
+    # [e_j | H e_j]: its tail is H's column j, as the map stores it
+    red, piv = rref(f, list(map(bytes.__add__, _lifted_rows(f, mode, pts_all),
+                                targets)))
+    if piv != tuple(range(width)):
         raise RuntimeError("extended basis does not span the domain")
-    cols = tuple(row[domain_len:] for row in red)
-    t = None if mode == VECTOR else vec_sub(
-        f, y0, mat_vec(f, cols, p0, bytes(codomain_len)))
-    m = LinearMap(mode, f, domain_len, codomain_len, cols, t)
+    m = LinearMap(mode, f, domain_len, codomain_len,
+                  tuple(row[width:] for row in red))
     for p, y in zip(basis.points, imgs):
         if apply(m, p) != y:
             raise RuntimeError("extension failed to reproduce a basis image")
@@ -1272,13 +1263,8 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
 
 
 def image_space(m: LinearMap) -> Subspace:
-    """Image of the whole domain ambient under the map.
-
-    The span of the map's columns; in affine mode the flat through the
-    translation, which the columns move along.
-    """
-    f = m.field
-    if m.mode == VECTOR:
-        return span(f, VECTOR, m.columns, m.codomain_len)
-    t = m.translation
-    return span(f, AFFINE, [t, *(vec_add(f, t, c) for c in m.columns)], m.codomain_len)
+    """Image of the whole domain ambient under the map: the span of its
+    columns, one `rref`, read as the mode's rows ([1 | t] and [0 | M e_j]
+    span the homogenized image of an affine map)."""
+    return Subspace.from_rows(m.mode, m.field, m.codomain_len,
+                              rref(m.field, m.columns)[0])

@@ -25,6 +25,8 @@ from qramsey import (AFFINE, POINT_CAP, VECTOR, ArrowInstance, BasisSet,
 from qramsey import construction
 from qramsey import space as qspace
 
+from affine_maps import affine_map
+
 
 def oracle_families(host, n, k):
     """(k_spaces, families) rebuilt by brute containment."""
@@ -217,7 +219,12 @@ def test_instance_validation():
 def elementary_maps(f, mode, d):
     """The maps structure_generators uses, as LinearMaps, in its order."""
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    zero = bytes(d) if mode == AFFINE else None
+
+    def linear(cols, t=bytes(d)):
+        if mode == VECTOR:
+            return LinearMap(VECTOR, f, d, d, cols)
+        return affine_map(f, d, d, cols, t)
+
     maps = []
     for i in range(d - 1):
         swap = [row[:] for row in identity]
@@ -225,11 +232,9 @@ def elementary_maps(f, mode, d):
         shear = [row[:] for row in identity]
         shear[i][i + 1] = 1  # x_i += x_{i+1}
         for m in (swap, shear):
-            maps.append(LinearMap(mode, f, d, d, qspace.transpose(
-                tuple(map(bytes, m)), d), zero))
+            maps.append(linear(qspace.transpose(tuple(map(bytes, m)), d)))
     if mode == AFFINE and d:
-        maps.append(LinearMap(mode, f, d, d, tuple(map(bytes, identity)),
-                              b"\1" + zero[1:]))
+        maps.append(linear(tuple(map(bytes, identity)), b"\1" + bytes(d - 1)))
     return maps
 
 

@@ -28,6 +28,8 @@ from qramsey import (AFFINE, VECTOR, BasisSet, Budget, ConfigFamily,
                      make_field, span, zero_space)
 from qramsey import arrow, construction, space
 
+from affine_maps import affine_map
+
 
 def vector_spec(nf, word_len=1, num_colors=1, base_rank=2):
     """q=2 vector spec: n=2, k=1, first nf of the three rank-1 members."""
@@ -254,8 +256,9 @@ def test_equalizer_rows_match_per_block_reference(mode, q, w):
         rows = tuple(bytes(rng.randrange(q) for _ in range(dom))
                      for _ in range(cod))
         shift = bytes(rng.randrange(q) for _ in range(cod))
-        pi = LinearMap(mode, f, dom, cod, space.transpose(rows, dom),
-                       shift if mode == AFFINE else None)
+        cols = space.transpose(rows, dom)
+        pi = (LinearMap(VECTOR, f, dom, cod, cols) if mode == VECTOR
+              else affine_map(f, dom, cod, cols, shift))
         on = list(equalizer_subspace(pi, w).points())
         off = [bytes(rng.randrange(q) for _ in range(w * dom))
                for _ in range(8)]
@@ -339,14 +342,15 @@ def base_fibers(base):
 
 
 def test_product_host_projection(tiny_host):
-    # the common-value map: the base projection on block 0, zero on the rest
+    # the common-value map: the base projection on block 0, zero on the
+    # rest; its stored columns are the projection's, then zero columns
     host = tiny_host
     base_pi = host.base.projection
     d, e = base_pi.domain_len, base_pi.codomain_len
     total = host.word_len * d
+    width = len(base_pi.columns[0])
     pi_t = LinearMap(base_pi.mode, base_pi.field, total, e,
-                     base_pi.columns + (bytes(e),) * (total - d),
-                     base_pi.translation)
+                     base_pi.columns + (bytes(width),) * (total - d))
     assert pi_t.domain_len == host.word_len * host.base.space.ambient_len
     for m, parts in zip(host.members, host.member_parts):
         img = apply(base_pi, host.base.cover_k_spaces[parts[0]])

@@ -392,16 +392,20 @@ def test_detects_a_second_elimination():
 
 # -- one code path for both modes ------------------------------------------
 #
-# A flat is stored as the rows of its homogenized subspace, so spanning,
-# containment, the walk's count and the image lookup read rows alone, in
-# either mode.  A mode constant, a basepoint or an origin in one of these
-# would be a second, affine path beside the vector one, free to drift
-# from it.
+# A flat is stored as the rows of its homogenized subspace, and an affine
+# map as its homogenized matrix, so spanning, containment, the walk's
+# count, the image lookup, the maps and the equalizer read rows and
+# columns alone, in either mode.  A mode constant, a basepoint, an origin
+# or a translation in one of these would be a second, affine path beside
+# the vector one, free to drift from it.
 
 MODE_FREE = {"space.py": ["stacked_images", "join", "Subspace.contains_subspace",
-                          "count_walk"],
-             "arrow.py": ["member_lookup", "_member_spans", "_free_space"]}
-MODE_NAMES = ("AFFINE", "VECTOR", "basepoint", "origin")
+                          "count_walk", "apply", "compose", "image_space",
+                          "identity_map", "linear_extension"],
+             "arrow.py": ["member_lookup", "_member_spans", "_free_space"],
+             "construction.py": ["_blocks_agree", "equalizer_subspace",
+                                 "line_embedding"]}
+MODE_NAMES = ("AFFINE", "VECTOR", "basepoint", "origin", "translation")
 
 
 def definition(tree: ast.Module, qualname: str):
@@ -450,11 +454,14 @@ def test_detects_a_mode_branch():
                      "        if self.mode == AFFINE:\n"
                      "            return other.basepoint\n"
                      "def stacked_images(f, template, rows, origin):\n"
-                     "    return 'origin'\n")
+                     "    return 'origin'\n"
+                     "def compose(outer, inner):\n"
+                     "    return apply(outer, inner.translation)\n")
     assert mode_names(definition(tree, "join")) == []
     assert mode_names(definition(tree, "Subspace.contains_subspace")) == \
         ["AFFINE (line 5)", "basepoint (line 6)"]
     assert mode_names(definition(tree, "stacked_images")) == ["origin (line 7)"]
+    assert mode_names(definition(tree, "compose")) == ["translation (line 10)"]
     assert definition(tree, "count_walk") is None
     assert definition(tree, "Subspace.join") is None
 

@@ -18,6 +18,8 @@ from qramsey import (AFFINE, VECTOR, ArrowInstance, BasisSet, ColoringTable,
 from qramsey.construction import bundle_text
 from qramsey.space import _unchecked_subspace
 
+from affine_maps import affine_map
+
 
 def build_records() -> dict:
     """One record of each type, by type name."""
@@ -108,14 +110,15 @@ def test_records_store_tuples_whatever_sequence_they_get():
     # equals, and hashes as, the one built from the tuple
     f = make_field(3)
     rows = [b"\x01\x00\x02", b"\x00\x01\x01"]
+    # an affine map's columns as it stores them, in a list
+    lifted = list(affine_map(f, 2, 3, rows, b"\x01\x01\x01").columns)
     pairs = [
         (Subspace(VECTOR, f, 3, rows), Subspace(VECTOR, f, 3, tuple(rows))),
         (Subspace(AFFINE, f, 3, rows[1:], b"\x02\x00\x00"),
          Subspace(AFFINE, f, 3, tuple(rows[1:]), b"\x02\x00\x00")),
         (BasisSet(VECTOR, f, rows), BasisSet(VECTOR, f, tuple(rows))),
         (LinearMap(VECTOR, f, 2, 3, rows), LinearMap(VECTOR, f, 2, 3, tuple(rows))),
-        (LinearMap(AFFINE, f, 2, 3, rows, b"\x01\x01\x01"),
-         LinearMap(AFFINE, f, 2, 3, tuple(rows), b"\x01\x01\x01")),
+        (LinearMap(AFFINE, f, 2, 3, lifted), LinearMap(AFFINE, f, 2, 3, tuple(lifted))),
     ]
     for from_list, from_tuple in pairs:
         assert from_list == from_tuple and hash(from_list) == hash(from_tuple)

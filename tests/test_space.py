@@ -30,6 +30,8 @@ from qramsey import space
 from qramsey.space import (mat_vec, nullspace_rows, rref, transpose, vec_add,
                            vec_scale, vec_sub)
 
+from affine_maps import affine_map
+
 
 def all_points(f, length):
     return list(itertools.product(range(f.order), repeat=length))
@@ -919,8 +921,7 @@ def test_affine_extension_translation_golden():
     # one column, (0,1) - (1,1)
     f = make_field(2)
     m = linear_extension(BasisSet(AFFINE, f, vecs((0,), (1,))), [(1, 1), (0, 1)])
-    assert tuple(m.translation) == (1, 1)
-    assert tup(m.columns) == ((1, 0),)
+    assert m == affine_map(f, 1, 2, vecs((1, 0)), bytes((1, 1)))
 
 
 def test_extension_determined_by_any_basis():
@@ -960,6 +961,19 @@ def test_apply_preserves_combinations(mode):
         assert tuple(apply(m, x)) == combine(f, cs, [apply(m, p) for p in ps])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_apply_refuses_a_point_entry_outside_the_field(q, mode):
+    # q is the least byte that is no element of GF(q), and 255 lies past
+    # every field's tables
+    f = make_field(q)
+    m = identity_map(f, mode, 2)
+    assert apply(m, [q - 1, 0]) == bytes((q - 1, 0))
+    for point in ([q, 0], [0, q], [5, 0], [255, 255]):
+        with pytest.raises(ValueError, match="^point entries out of field range$"):
+            apply(m, point)
+
+
 def test_apply_to_subspace_is_pointwise_image():
     f = make_field(2)
     basis = BasisSet(VECTOR, f, vecs((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -990,7 +1004,7 @@ def test_image_space_modes():
     # both columns are (1, 0)
     m = LinearMap(VECTOR, f, 2, 2, vecs((1, 0), (1, 0)))
     assert image_space(m) == span(f, VECTOR, [(1, 0)], 2)
-    ma = LinearMap(AFFINE, f, 2, 2, vecs((1, 0), (1, 0)), bytes((0, 1)))
+    ma = affine_map(f, 2, 2, vecs((1, 0), (1, 0)), bytes((0, 1)))
     img = image_space(ma)
     assert img.mode == AFFINE
     assert set(img.points()) == {apply(ma, p) for p in all_points(f, 2)}
@@ -1374,7 +1388,7 @@ def ref_linear_extension(basis, imgs, codomain_len):
     if mode == VECTOR:
         return LinearMap(VECTOR, f, domain_len, codomain_len, cols)
     t = vec_sub(f, imgs_all[0], bytes(ref_mat_vec(f, mtx, pts_all[0])))
-    return LinearMap(AFFINE, f, domain_len, codomain_len, cols, t)
+    return affine_map(f, domain_len, codomain_len, cols, t)
 
 
 def random_independent(rng, f, mode, length, size, density):
@@ -1415,7 +1429,7 @@ def test_linear_extension_domain_len_zero():
     vec = linear_extension(BasisSet(VECTOR, f, ()), [], codomain_len=2)
     assert vec.columns == () and vec.codomain_len == 2
     aff = linear_extension(BasisSet(AFFINE, f, vecs(())), [(1, 2)])
-    assert aff.columns == () and tuple(aff.translation) == (1, 2)
+    assert aff == affine_map(f, 0, 2, (), bytes((1, 2)))
     assert tuple(apply(aff, ())) == (1, 2)
 
 
@@ -1470,8 +1484,10 @@ def test_mat_vec_matches_per_entry_reference_on_columns(q):
 def random_map(rng, f, mode, domain_len, codomain_len):
     cols = tuple(random_vec(rng, f.order, codomain_len, rng.choice(DENSITIES))
                  for _ in range(domain_len))
-    t = random_vec(rng, f.order, codomain_len, 0.5) if mode == AFFINE else None
-    return LinearMap(mode, f, domain_len, codomain_len, cols, t)
+    if mode == VECTOR:
+        return LinearMap(VECTOR, f, domain_len, codomain_len, cols)
+    t = random_vec(rng, f.order, codomain_len, 0.5)
+    return affine_map(f, domain_len, codomain_len, cols, t)
 
 
 @pytest.mark.parametrize("q", COLUMN_QS)
@@ -1503,11 +1519,16 @@ def test_coordinate_map_keeps_the_images_as_columns(q, mode):
             imgs = [random_vec(rng, q, codomain_len, 0.5) for _ in range(rank)]
             m = coordinate_map(f, mode, imgs, codomain_len)
             if mode == VECTOR:
-                assert m.columns == tuple(imgs) and m.translation is None
+                assert m.columns == tuple(imgs)
             else:
-                assert m.translation == imgs[0]
-                assert tup(m.columns) == tuple(ref_sub(f, y, imgs[0])
-                                               for y in imgs[1:])
+                assert m == affine_map(f, rank - 1, codomain_len,
+                                       [bytes(ref_sub(f, y, imgs[0]))
+                                        for y in imgs[1:]], imgs[0])
+
+
+# an affine map's columns as stored, [1 | t] then [0 | M e_j], but with
+# M e_0's lifted entry 1: read as a vector map, one column too many
+STORED_LIFT_WRONG = vecs((1, 0, 0), (1, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize("columns, error, message", [
@@ -1518,14 +1539,26 @@ def test_coordinate_map_keeps_the_images_as_columns(q, mode):
      "matrix column length differs from codomain_len"),
     ((bytes((1, 0)), (0, 1)), TypeError, "matrix columns must be bytes, not tuple"),
     (vecs((1, 0), (0, 2)), ValueError, "matrix entries out of field range"),
-], ids=["too_few", "too_many", "length", "type", "range"])
+    (STORED_LIFT_WRONG, ValueError,
+     {VECTOR: "matrix column count differs from domain_len",
+      AFFINE: "affine-mode maps must fix the lifted coordinate"}),
+], ids=["too_few", "too_many", "length", "type", "range", "lift"])
 @pytest.mark.parametrize("mode", [VECTOR, AFFINE])
 def test_linear_map_rejects_malformed_columns(columns, error, message, mode):
+    # an affine map is built from (M, t) with these as M's columns, but
+    # for the "lift" case, whose columns are given as stored
     f = make_field(2)
-    t = bytes(2) if mode == AFFINE else None
-    LinearMap(mode, f, 2, 2, vecs((1, 0), (0, 1)), t)
+
+    def build(cols):
+        if mode == VECTOR or cols is STORED_LIFT_WRONG:
+            return LinearMap(mode, f, 2, 2, cols)
+        return affine_map(f, 2, 2, cols, bytes(2))
+
+    build(vecs((1, 0), (0, 1)))
+    if isinstance(message, dict):
+        message = message[mode]
     with pytest.raises(error, match=f"^{message}$"):
-        LinearMap(mode, f, 2, 2, columns, t)
+        build(columns)
 
 
 # -- the RREF matrix walk against the generator it replaced ----------------
@@ -1818,9 +1851,10 @@ def test_image_space_matches_image_of_full_space(q, mode):
         density = rng.choice(DENSITIES)
         mtx = tuple(random_vec(rng, q, domain_len, density)
                     for _ in range(codomain_len))
-        t = random_vec(rng, q, codomain_len, 0.5) if mode == AFFINE else None
-        m = LinearMap(mode, f, domain_len, codomain_len,
-                      ref_columns(mtx, domain_len), t)
+        cols = ref_columns(mtx, domain_len)
+        m = (LinearMap(VECTOR, f, domain_len, codomain_len, cols) if mode == VECTOR
+             else affine_map(f, domain_len, codomain_len, cols,
+                             random_vec(rng, q, codomain_len, 0.5)))
         domain = full_space(f, mode, domain_len + (1 if mode == AFFINE else 0))
         assert image_space(m) == apply(m, domain)
 
@@ -1932,7 +1966,7 @@ def test_byte_membership_and_keys_match_tuple_references(q):
     lambda f: Subspace(VECTOR, f, 2, (bytearray((1, 0)),)),
     lambda f: Subspace(AFFINE, f, 2, vecs((1, 0)), (0, 1)),
     lambda f: LinearMap(VECTOR, f, 2, 1, ((1,), (0,))),
-    lambda f: LinearMap(AFFINE, f, 2, 1, vecs((1,), (0,)), (1,)),
+    lambda f: affine_map(f, 2, 1, vecs((1,), (0,)), (1,)),
     lambda f: BasisSet(VECTOR, f, ((1, 0),)),
 ], ids=["subspace_row", "subspace_bytearray_row", "subspace_basepoint",
         "map_column", "map_translation", "basis_point"])
