@@ -19,11 +19,12 @@ from .budget import Budget, ensure_budget
 from .coloring_search import find_proper_coloring
 from .field import make_field
 from .space import (AFFINE, POINT_CAP, BasisSet, LinearMap, SizeCapError,
-                    Subspace, apply, coordinate_map, count_subspaces,
-                    count_text, enumerate_subspaces, full_space,
-                    gaussian_binomial, guard_subspace_count, join, json_expect,
-                    json_field, linear_extension, span, stacked_images,
-                    subspace_templates, walk_rows)
+                    Subspace, apply, combination_points, coordinate_map,
+                    count_subspaces, count_text, enumerate_subspaces,
+                    full_space, gaussian_binomial, guard_subspace_count,
+                    identity_map, image_rows, join, json_expect, json_field,
+                    linear_extension, span, stacked_images, subspace_templates,
+                    vec_add, vec_scale, walk_rows)
 
 # spaces per batch of `member_lookup`, whose image buffers a batch holds at once
 SPAN_CHUNK = 1024
@@ -97,36 +98,44 @@ def arrow_structure(instance: ArrowInstance) -> ArrowStructure:
     return ArrowStructure(host, k_spaces, n_rows, families)
 
 
-def _elementary_maps(f, mode: str, d: int) -> list:
-    """Point maps of GF(q)^d, each invertible: the adjacent coordinate
-    swaps and transvections x_i += x_{i+1} and, in affine mode, x_0 += 1."""
-    add = f.add
-    maps = []
-    for i in range(d - 1):
-        maps += [lambda p, i=i: p[:i] + bytes((p[i + 1], p[i])) + p[i + 2:],
-                 lambda p, i=i: p[:i] + bytes((add(p[i], p[i + 1]),)) + p[i + 1:]]
-    if mode == AFFINE and d:
-        maps.append(lambda p: bytes((add(p[0], 1),)) + p[1:])
-    return maps
+def _elementary_maps(f, mode: str, d: int) -> list[LinearMap]:
+    """Invertible maps of GF(q)^d, homogenized (`identity_map`'s columns,
+    moved): the adjacent coordinate swaps and transvections x_i += x_{i+1}
+    and, after a lifted coordinate e_0, the shift x_0 += 1 as the
+    transvection e_0 -> e_0 + e_1."""
+    cols = identity_map(f, mode, d).columns
+    lift = len(cols) - d  # 1 for a lifted coordinate, else 0
+    moved = []
+    for j in range(lift, len(cols) - 1):
+        moved += [cols[:j] + (cols[j + 1], cols[j]) + cols[j + 2:],
+                  cols[:j + 1] + (vec_add(f, cols[j + 1], cols[j]),) + cols[j + 2:]]
+    if lift and d:
+        moved.append((vec_add(f, cols[0], cols[1]),) + cols[1:])
+    return [LinearMap(mode, f, d, d, c) for c in moved]
 
 
-def orbit_maps(f, mode: str, d: int) -> list:
+def orbit_maps(f, mode: str, d: int) -> list[LinearMap]:
     """`_elementary_maps` and the scalings x_0 -> a x_0, a not 0 or 1:
     generators of GL(d, q), or AGL(d, q) in affine mode.  The other maps
     have determinant +-1, and the scalings give every other unit."""
+    cols = identity_map(f, mode, d).columns
+    j = len(cols) - d  # x_0's column
     return _elementary_maps(f, mode, d) + [
-        lambda p, a=a: bytes((f.mul(a, p[0]),)) + p[1:]
+        LinearMap(mode, f, d, d, cols[:j] + (vec_scale(f, a, cols[j]),) + cols[j + 1:])
         for a in range(2, f.order) if d]
 
 
 def _permutations(space: Subspace, subspaces, maps) -> list[tuple[int, ...]]:
-    """The permutation of `subspaces` each point map of `space` induces:
-    subspace i goes to the one covering the image of its point set."""
-    points = list(space.points())
-    where = {p: i for i, p in enumerate(points)}
+    """The permutation of `subspaces` each map of `space` induces:
+    subspace i goes to the one covering the image of its point set.  The
+    images of the points, in `points()` order, are the
+    `combination_points` of the stored rows' `image_rows`."""
+    f, width = space.field, space.ambient_len
+    where = {p: i for i, p in enumerate(space.points())}
     covers = [[where[p] for p in s.points()] for s in subspaces]
     item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
-    tos = ([where[g(p)] for p in points] for g in maps)
+    tos = ([where[p] for p in combination_points(f, image_rows(g, space.rows), width)]
+           for g in maps)
     return [tuple(item_of[frozenset([to[j] for j in cov])] for cov in covers)
             for to in tos]
 
@@ -297,7 +306,7 @@ def copy_orbit(config: ConfigFamily) -> dict[frozenset[int], tuple]:
                 if len(orbit) == POINT_CAP:
                     raise SizeCapError(f"an orbit of more than {POINT_CAP} "
                                        "template sets")
-                orbit[t] = tuple(map(g, orbit[s]))
+                orbit[t] = tuple([apply(g, p) for p in orbit[s]])
                 queue.append(t)
     return orbit
 

@@ -29,10 +29,10 @@ from .space import (AFFINE, POINT_CAP, LinearMap, SizeCapError,
                     Subspace, Vec, apply, combination_points, complement,
                     compose, coordinate_map, count_subspaces, count_text,
                     direct_sum, enumerate_subspaces, full_space,
-                    guard_subspace_count, identity_map,
+                    guard_subspace_count, identity_map, image_rows,
                     image_space, json_expect, json_field, json_int, json_text,
-                    key_order, mat_vec, nullspace_rows, rref, span, transpose,
-                    vec_sub)
+                    lifted_rows, nullspace_rows, rows_order, rref, span,
+                    transpose)
 
 
 class ConstructionCheckError(RuntimeError):
@@ -157,11 +157,7 @@ def build_base_host(spec: HostSpec) -> BaseHost:
     e_amb = base.ambient_len
     targets = enumerate_subspaces(base, n)
     comp_size = big_n - k
-    block_rank = n + comp_size * nfam
-    total_rank = len(targets) * block_rank
-    if mode == AFFINE and total_rank < 1:
-        raise ValueError("affine block space would be empty")
-    room = full_space(f, mode, total_rank)
+    room = full_space(f, mode, len(targets) * (n + comp_size * nfam))
     v_amb = room.ambient_len
     v_basis = room.basis_points()
 
@@ -217,34 +213,33 @@ def build_base_host(spec: HostSpec) -> BaseHost:
         if apply(projection, t_span) != target:
             raise ConstructionCheckError("projection misses a target block")
 
-    # one pass over the covers: list each cover's points once, and keep
-    # the inverse of the projection on them as the cover's section.  The
-    # projection is affine, so the images of a cover's points, in
-    # points() order, are the combinations of the images of its
-    # basepoint and direction rows: only those are projected.  The cover
-    # k-space over base k-space j is spanned by the section at the
-    # positions of j's basis points, and one `rref` of those k points,
-    # lifted as `span` lifts them, gives its canonical rows, which key it;
-    # a Subspace is built, and checked, for a new one only.  Collect the
-    # k-spaces with a cover holding each and the base points under its
-    # basis points.  They share one shape, so `key_order` sorts them.
+    base_k, cover_k, cover_slot, sections, frames = _cover_pass(base, k, covers,
+                                                                projection)
+    return BaseHost(spec, base, base_k, room, tuple(targets), tuple(target_spans),
+                    tuple(covers), cover_k, projection, cover_slot, sections, frames)
+
+
+def _cover_pass(base: Subspace, k: int, covers, projection: LinearMap):
+    """The base's rank-k subspaces, then the `BaseHost` fields from
+    `cover_k_spaces` to `cover_k_frames` in one pass over the covers.
+
+    A cover's section is the projection's inverse on its points, whose
+    images, in `points()` order, are the `combination_points` of its
+    rows' `image_rows`.  The cover k-space over base k-space j is spanned
+    by the section at j's basis points: one `rref` of their `lifted_rows`
+    gives its canonical rows, which key it and sort it (`rows_order`),
+    and a Subspace is built, and checked, for a new one only.
+    """
+    f, mode, width = base.field, base.mode, base.ambient_len
     base_k = tuple(enumerate_subspaces(base, k))
     where = {p: i for i, p in enumerate(base.points())}
     basis_at = [[where[p] for p in s.basis_points()] for s in base_k]
     frames: dict[tuple, tuple[Subspace, int, tuple[int, ...]]] = {}
     sections: list[tuple[Vec, ...]] = []
     slot_rows: list[list[tuple]] = []
-    lift = b"\1" if mode == AFFINE else b""
-    zero, origin = bytes(len(lift) + e_amb), bytes(e_amb)
     for ci, cover in enumerate(covers):
         pts = list(cover.points())
-        # the cover's rows projected, lift dropped: a flat's [1 | b] goes
-        # to its basepoint's image, the images' origin, and [0 | r] to M r
-        moved = [mat_vec(f, projection.columns, r, zero)[len(lift):]
-                 for r in cover.rows]
-        if mode == AFFINE:
-            origin, moved = moved[0], moved[1:]
-        images = combination_points(f, origin, moved)
+        images = combination_points(f, image_rows(projection, cover.rows), width)
         at = [where[x] for x in images]
         if len(at) != len(where) or len(set(at)) != len(at):
             raise ConstructionCheckError("projection is not a bijection from "
@@ -254,19 +249,17 @@ def build_base_host(spec: HostSpec) -> BaseHost:
         over = dict(zip(pts, at))
         row = []
         for basis_pos in basis_at:
-            form = rref(f, [lift + section[i] for i in basis_pos])[0]
+            form = rref(f, lifted_rows(f, mode, [section[i] for i in basis_pos]))[0]
             if form not in frames:
-                s = Subspace.from_rows(mode, f, v_amb, form)
+                s = Subspace.from_rows(mode, f, projection.domain_len, form)
                 frames[form] = (s, ci, tuple(map(over.__getitem__, s.basis_points())))
             row.append(form)
         slot_rows.append(row)
-    forms = sorted(frames, key=lambda form: key_order(frames[form][0]))
+    forms = sorted(frames, key=rows_order(f.order, mode, k))
     g_index = {form: i for i, form in enumerate(forms)}
-    cover_slot = tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows)
-    return BaseHost(spec, base, base_k, room, tuple(targets), tuple(target_spans),
-                    tuple(covers), tuple(frames[form][0] for form in forms),
-                    projection, cover_slot, tuple(sections),
-                    tuple(frames[form][1:] for form in forms))
+    return (base_k, tuple(frames[form][0] for form in forms),
+            tuple(tuple(map(g_index.__getitem__, row)) for row in slot_rows),
+            tuple(sections), tuple(frames[form][1:] for form in forms))
 
 
 def equalizer_subspace(projection: LinearMap, word_len: int) -> Subspace:
@@ -317,23 +310,20 @@ def _write_member(base: BaseHost, parts: tuple[int, ...]) -> Subspace:
     """The member through the cover k-spaces `parts`, in canonical form.
 
     Its pivots all lie in the first block, where it is the first part.
-    So its RREF rows are the first part's rows, each extended by the
-    other parts' sections at the base point under that row's basis
-    point.  A vector section is linear, so each row takes its tail as
-    is; a flat's rows [1 | b], [0 | d] take the tail at b, then the
-    differences from it.
+    So its RREF rows are the `lifted_rows` of the first part's basis
+    points, each extended by the other parts' sections at the base point
+    under it: the first part's rows, extended.
     """
     first = base.cover_k_spaces[parts[0]]
     if len(parts) == 1:
         return first
     anchors = base.cover_k_frames[parts[0]][1]
     secs = [base.sections[base.cover_k_frames[g][0]] for g in parts[1:]]
-    tails = [b"".join([s[a] for s in secs]) for a in anchors]
-    f = base.field
-    if base.mode == AFFINE:
-        tails[1:] = [vec_sub(f, t, tails[0]) for t in tails[1:]]
-    return Subspace.from_rows(base.mode, f, len(parts) * base.projection.domain_len,
-                              tuple(map(bytes.__add__, first.rows, tails)))
+    points = [p + b"".join([s[a] for s in secs])
+              for p, a in zip(first.basis_points(), anchors)]
+    return Subspace.from_rows(base.mode, base.field,
+                              len(parts) * base.projection.domain_len,
+                              tuple(lifted_rows(base.field, base.mode, points)))
 
 
 class ProductHost(namedtuple("ProductHost", (

@@ -230,16 +230,21 @@ def nullspace_rows(f: Field, rows: tuple[Vec, ...], ncols: int) -> tuple[Vec, ..
     return tuple(out)
 
 
-def combination_points(f: Field, origin: Vec, rows) -> list[Vec]:
-    """origin + sum of c_i * rows[i] over every coefficient vector c.
+def combination_points(f: Field, rows, width: int) -> list[Vec]:
+    """The points, `width` entries each, whose homogenized rows are the
+    combinations of `rows` with lifted entry 1: rows wider than `width`
+    lead with it, 1 in the first and 0 in the others, as a flat's rows
+    and their `image_rows` do.
 
     In itertools.product order, the last coefficient running fastest:
     each row multiplies the list built so far, each point followed by
     its sums with the row's nonzero multiples.
     """
-    add, width = f.add_pairs, len(origin)
-    pts = [origin]
-    for row in rows:
+    add = f.add_pairs
+    lift = len(rows[0]) - width if rows else 0
+    pts = [rows[0][lift:] if lift else bytes(width)]
+    for row in rows[lift:]:
+        row = row[lift:]
         steps = [int.from_bytes(row.translate(m)) for m in f.scale[1:]]
         grown = []
         for p in pts:
@@ -418,7 +423,7 @@ class Subspace:
 
     @property
     def num_points(self) -> int:
-        return self.field.order ** (len(self.rows) - (self.mode == AFFINE))
+        return self.field.order ** (len(self.rows) - len(_LIFT[self.mode]))
 
     def pivots(self) -> dict[int, Vec]:
         """Pivot column -> its row, in row order; built on first use."""
@@ -429,17 +434,13 @@ class Subspace:
     # -- point set -----------------------------------------------------
 
     def points(self):
-        """All points, in a deterministic (not lexicographic) order.
-
-        The `combination_points` of the direction rows over the
-        basepoint (the origin in vector mode): base + sum of c_i * row_i,
-        with the coefficient vectors in itertools.product order.
-        """
+        """All points, in a deterministic (not lexicographic) order: the
+        `combination_points` of the stored rows, with the coefficient
+        vectors in itertools.product order."""
         if self.num_points > POINT_CAP:
             raise SizeCapError(f"{count_text(self.num_points)} points exceeds cap "
                                f"{POINT_CAP}")
-        origin = self.basepoint if self.mode == AFFINE else bytes(self.ambient_len)
-        yield from combination_points(self.field, origin, self.direction)
+        yield from combination_points(self.field, self.rows, self.ambient_len)
 
     def _holds_row(self, v: Vec) -> bool:
         """Whether v reduces to zero by the rows: `_reduce_at_lead` stops
@@ -564,31 +565,20 @@ def _ranked(rows) -> bytes:
                      for r in rows])
 
 
-def key_order(s: Subspace) -> bytes:
-    """Bytes that sort as `key()` does among subspaces of one shape.
+def rows_order(q: int, mode: str, rank: int):
+    """The sort key that puts the canonical rows of rank-`rank` subspaces
+    of one shape into `key()` order, or None where the rows' own tuple
+    order is key order.
 
     Subspaces of one mode, q, ambient_len and rank have keys that differ
     only in the entries' texts, each an entry's digits closed by "," or,
     as a row's last, by "]".  No such text is a prefix of another, so
-    the first entry that differs orders two keys by its text.  Plain
-    byte order agrees with that only below q = 11, where every entry is
-    one digit; this ranks each entry by its text instead (`_ranked`).  A
-    flat's rows are ranked in the order its key writes them, its first
-    row [1 | b] last; their leading entries are alike in every flat of
-    one shape.
-    """
-    return _ranked(s.rows[1:] + s.rows[:1] if s.mode == AFFINE else s.rows)
-
-
-def _rows_order(q: int, mode: str, rank: int):
-    """The sort key that puts the canonical rows of rank-`rank` subspaces
-    of one shape into key order, or None where the rows' own tuple order
-    is key order.
-
-    A key writes a flat's first row [1 | b] last, so a flat's rows are
-    taken in that order.  Below q = 11 that is all: every entry is one
-    digit, and byte order is key order.  From q = 11 on, the entries are
-    ranked by their texts, as `key_order` ranks them.
+    the first entry that differs orders two keys by its text.  A key
+    writes a flat's first row [1 | b] last, so a flat's rows are taken
+    in that order; their leading entries are alike in every flat of one
+    shape.  Below q = 11 that is all: every entry is one digit, and byte
+    order is key order.  From q = 11 on, each entry is ranked by its
+    text instead (`_ranked`).
     """
     turn = (itemgetter(*range(1, rank), 0) if mode == AFFINE and rank > 1
             else None)
@@ -903,7 +893,7 @@ def count_walk(f: Field, mode: str, rank: int, k: int) -> int:
 def walk_rows(f: Field, mode: str, rank: int, k: int) -> list[tuple[Vec, ...]]:
     """The canonical rows of each rank-k subspace of the rank-`rank`
     coordinate space (`full_space`), sorted as `enumerate_subspaces`
-    sorts them (`_rows_order`).
+    sorts them (`rows_order`).
 
     The row tuples of the checked walk `iter_subspaces` takes; no
     Subspace and no key is built.  Checks neither the mode nor any cap:
@@ -911,7 +901,7 @@ def walk_rows(f: Field, mode: str, rank: int, k: int) -> list[tuple[Vec, ...]]:
     """
     rows = list(itertools.chain.from_iterable(
         flats for _, flats in _full_walk(f, mode, k, rank)))
-    rows.sort(key=_rows_order(f.order, mode, k))
+    rows.sort(key=rows_order(f.order, mode, k))
     return rows
 
 
@@ -926,7 +916,7 @@ def walk_texts(f: Field, mode: str, rank: int, k: int) -> list[str]:
     differ at the character where their keys first differ, and no key
     is a prefix of another, since "}" ends a key and occurs nowhere
     else in it.  (Sorting the rows' bytes instead is wrong from q = 11
-    on; see `key_order`.)  Checks neither the mode nor any cap: callers
+    on; see `rows_order`.)  Checks neither the mode nor any cap: callers
     run `guard_subspace_count` first.
     """
     lines = []
@@ -1162,7 +1152,7 @@ class LinearMap(namedtuple("LinearMap", (
                                columns)
 
 
-def _lifted_rows(f: Field, mode: str, points) -> list[Vec]:
+def lifted_rows(f: Field, mode: str, points) -> list[Vec]:
     """Points as homogenized rows: each lifted as `span` lifts it, then in
     affine mode each after the first less the first, [0 | p - p0].  A map
     sending the points to their images sends these rows to the images'."""
@@ -1177,9 +1167,12 @@ def coordinate_map(f: Field, mode: str, images, codomain_len: int) -> LinearMap:
     to images[i].
 
     The basis points' homogenized rows are the unit vectors, so the
-    images' rows (`_lifted_rows`) are the map's columns as they stand.
+    images' rows (`lifted_rows`) are the map's columns as they stand.
     """
-    cols = _lifted_rows(f, mode, images)
+    cols = lifted_rows(f, mode, images)
+    if len(cols) < len(_LIFT[mode]):
+        raise ValueError("an affine coordinate map needs at least the image "
+                         "of the origin")
     return LinearMap(mode, f, len(cols) - len(_LIFT[mode]), codomain_len, cols)
 
 
@@ -1187,25 +1180,33 @@ def identity_map(f: Field, mode: str, n: int) -> LinearMap:
     return LinearMap(mode, f, n, n, identity_rows(n + len(_LIFT[mode])))
 
 
+def image_rows(m: LinearMap, rows) -> list[Vec]:
+    """The products of homogenized rows with the map's columns, lift kept:
+    a point's lifted image, or a Subspace's rows carried over unreduced."""
+    zero = bytes(len(m.columns) - m.domain_len + m.codomain_len)
+    return [mat_vec(m.field, m.columns, r, zero) for r in rows]
+
+
 def apply(m: LinearMap, x):
     """Apply a map to a point (a sequence of elements) or to a Subspace
     (image, canonical): the lifted point's product with the columns, lift
-    dropped, or one `rref` of the products of the Subspace's stored rows.
+    dropped, or one `rref` of the `image_rows` of the Subspace's stored
+    rows.
     """
     f, lift = m.field, _LIFT[m.mode]
-    zero = bytes(len(lift) + m.codomain_len)
     if isinstance(x, Subspace):
         if x.mode != m.mode or x.field != f:
             raise ValueError("map and subspace disagree on mode or field")
         if x.ambient_len != m.domain_len:
             raise ValueError("subspace ambient differs from map domain")
-        return Subspace.from_rows(m.mode, f, m.codomain_len, rref(
-            f, [mat_vec(f, m.columns, r, zero) for r in x.rows])[0])
+        return Subspace.from_rows(m.mode, f, m.codomain_len,
+                                  rref(f, image_rows(m, x.rows))[0])
     v = bytes(x)
     if len(v) != m.domain_len:
         raise ValueError("point length differs from map domain")
     if v.translate(None, _elements(f.order)):
         raise ValueError("point entries out of field range")
+    zero = bytes(len(lift) + m.codomain_len)
     return mat_vec(f, m.columns, lift + v, zero)[len(lift):]
 
 
@@ -1216,10 +1217,8 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
         raise ValueError("maps disagree on mode or field")
     if inner.codomain_len != outer.domain_len:
         raise ValueError("inner codomain differs from outer domain")
-    f = outer.field
-    zero = bytes(len(_LIFT[outer.mode]) + outer.codomain_len)
-    cols = tuple(mat_vec(f, outer.columns, c, zero) for c in inner.columns)
-    return LinearMap(outer.mode, f, inner.domain_len, outer.codomain_len, cols)
+    return LinearMap(outer.mode, outer.field, inner.domain_len,
+                     outer.codomain_len, image_rows(outer, inner.columns))
 
 
 def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -> LinearMap:
@@ -1242,7 +1241,7 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
         codomain_len = len(imgs[0])
     if any(len(p) != codomain_len for p in imgs):
         raise ValueError("images of differing length")
-    targets, lift = _lifted_rows(f, mode, imgs), len(_LIFT[mode])
+    targets, lift = lifted_rows(f, mode, imgs), len(_LIFT[mode])
     domain_len = len(basis.points[0]) if basis.points else 0
     width = domain_len + lift
     pts_all = extend_to_basis(basis, full_space(f, mode, width)).points
@@ -1250,7 +1249,7 @@ def linear_extension(basis: BasisSet, images, codomain_len: int | None = None) -
     # H b = y for each pair of rows.  Row-reducing the rows [b | y] turns
     # the b block into the identity, so the row with pivot j reads
     # [e_j | H e_j]: its tail is H's column j, as the map stores it
-    red, piv = rref(f, list(map(bytes.__add__, _lifted_rows(f, mode, pts_all),
+    red, piv = rref(f, list(map(bytes.__add__, lifted_rows(f, mode, pts_all),
                                 targets)))
     if piv != tuple(range(width)):
         raise RuntimeError("extended basis does not span the domain")

@@ -273,6 +273,68 @@ def oracle_generators(struct):
     return want
 
 
+def point_elementary_maps(f, mode, d):
+    """`_elementary_maps` as point maps of GF(q)^d, kept as the reference
+    for its homogenized LinearMaps, in its order: the adjacent coordinate
+    swaps and transvections x_i += x_{i+1} and, in affine mode, x_0 += 1."""
+    add = f.add
+    maps = []
+    for i in range(d - 1):
+        maps += [lambda p, i=i: p[:i] + bytes((p[i + 1], p[i])) + p[i + 2:],
+                 lambda p, i=i: p[:i] + bytes((add(p[i], p[i + 1]),)) + p[i + 1:]]
+    if mode == AFFINE and d:
+        maps.append(lambda p: bytes((add(p[0], 1),)) + p[1:])
+    return maps
+
+
+def point_orbit_maps(f, mode, d):
+    """`orbit_maps` as point maps: `point_elementary_maps` and the
+    scalings x_0 -> a x_0, a not 0 or 1."""
+    return point_elementary_maps(f, mode, d) + [
+        lambda p, a=a: bytes((f.mul(a, p[0]),)) + p[1:]
+        for a in range(2, f.order) if d]
+
+
+def point_permutations(space, subspaces, maps):
+    """The permutation of `subspaces` each point map induces, each point
+    of `space` mapped one at a time: subspace i goes to the one covering
+    the image of its point set."""
+    points = list(space.points())
+    where = {p: i for i, p in enumerate(points)}
+    covers = [[where[p] for p in s.points()] for s in subspaces]
+    item_of = {frozenset(cov): i for i, cov in enumerate(covers)}
+    tos = ([where[g(p)] for p in points] for g in maps)
+    return [tuple(item_of[frozenset([to[j] for j in cov])] for cov in covers)
+            for to in tos]
+
+
+@pytest.mark.parametrize("q,mode,rank", [
+    (q, mode, rank) for q in (2, 3, 4) for mode in (VECTOR, AFFINE)
+    for rank in range(0 if mode == VECTOR else 1, 5)])
+def test_generators_match_the_point_map_reference(q, mode, rank):
+    # the homogenized generators move every point as the point maps do,
+    # and the permutations they induce, of the k-spaces in
+    # structure_generators and of the templates in copy_orbit, are the
+    # reference's
+    f = make_field(q)
+    coord = full_space(f, mode, rank)
+    d, points = coord.ambient_len, list(coord.points())
+    maps, ref = arrow.orbit_maps(f, mode, d), point_orbit_maps(f, mode, d)
+    assert len(maps) == len(ref)
+    for g, h in zip(maps, ref):
+        assert [apply(g, p) for p in points] == list(map(h, points))
+    for k in range(0 if mode == VECTOR else 1, rank + 1):
+        templates = qspace.subspace_templates(f, mode, rank, k)
+        assert (arrow._permutations(coord, templates, maps)
+                == point_permutations(coord, templates, ref))
+        struct = arrow_structure(ArrowInstance(q, mode, rank, rank, k, 2))
+        identity = tuple(range(len(struct.k_spaces)))
+        assert structure_generators(struct) == [
+            perm for perm in point_permutations(
+                struct.host, struct.k_spaces, point_elementary_maps(f, mode, d))
+            if perm != identity]
+
+
 def test_structure_generators_edge_cases():
     # affine rank 1 (ambient length 0), vector rank 0, and k = 0: nothing
     # moves, and the searches still answer
@@ -660,7 +722,7 @@ def test_orbit_maps_generate_the_group(q, mode, w):
     seen, queue = {start}, [start]
     for basis in queue:
         for g in maps:
-            image = tuple(map(g, basis))
+            image = tuple(apply(g, p) for p in basis)
             if image not in seen:
                 seen.add(image)
                 queue.append(image)

@@ -814,8 +814,9 @@ def test_every_product_reads_a_maps_stored_columns(tmp_path, capsys,
         return real_mat_vec(f, columns, v, base)
 
     monkeypatch.setattr(space.LinearMap, "__new__", new)
-    for module in (space, construction):
-        monkeypatch.setattr(module, "mat_vec", product)
+    for module in (space, arrow, construction):  # each that imports it
+        if hasattr(module, "mat_vec"):
+            monkeypatch.setattr(module, "mat_vec", product)
     first, _ = extract_constant(capsys, tmp_path, 3, 2)
     assert [0, 0] in first["line"]["fixed"]
     # both lists hold their objects, so no id is reused while they live

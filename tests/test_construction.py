@@ -496,6 +496,18 @@ def test_cover_pass_matches_span_and_key_reference(case):
             base.cover_k_frames) == reference_base_cover_pass(base)
 
 
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("mode", [VECTOR, AFFINE])
+def test_cover_k_spaces_sort_in_key_order_from_q_11(q, mode):
+    # the cover pass sorts the cover k-spaces by their rows (rows_order);
+    # from q = 11 on, plain byte order of the rows is not key order
+    base = build_base_host(section_spec(q, mode, 2, 2))
+    cover_k = base.cover_k_spaces
+    keys = [g.key() for g in cover_k]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert sorted(g.rows for g in cover_k) != [g.rows for g in cover_k]
+
+
 # (q, mode, first and last + 1 of F among the rank-2 space's lines, N0, N1)
 # -> the `construct` bundle digest tests/test_cli.py pins for that spec
 GATE_BUNDLES = {
@@ -686,7 +698,8 @@ def off_its_fiber(base, member):
     another base point than the first block does."""
     f, pi = base.field, base.projection
     d = pi.domain_len
-    j = next(j for j in range(d) if any(pi.columns[j]))
+    lift = len(pi.columns) - d  # column lift + j is the image of e_j
+    j = next(j for j in range(d) if any(pi.columns[lift + j]))
     pts = list(member.basis_points())
     p = pts[0]
     unit = bytes(j) + b"\1" + bytes(d - j - 1)

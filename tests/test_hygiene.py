@@ -394,17 +394,19 @@ def test_detects_a_second_elimination():
 #
 # A flat is stored as the rows of its homogenized subspace, and an affine
 # map as its homogenized matrix, so spanning, containment, the walk's
-# count, the image lookup, the maps and the equalizer read rows and
-# columns alone, in either mode.  A mode constant, a basepoint, an origin
-# or a translation in one of these would be a second, affine path beside
-# the vector one, free to drift from it.
+# count, the point listing, the image lookup, the maps, the group
+# generators, the cover pass, the member writer and the equalizer read
+# rows and columns alone, in either mode.  A mode constant, a basepoint,
+# an origin or a translation in one of these would be a second, affine
+# path beside the vector one, free to drift from it.
 
 MODE_FREE = {"space.py": ["stacked_images", "join", "Subspace.contains_subspace",
                           "count_walk", "apply", "compose", "image_space",
-                          "identity_map", "linear_extension"],
-             "arrow.py": ["member_lookup", "_member_spans", "_free_space"],
+                          "identity_map", "linear_extension", "Subspace.points"],
+             "arrow.py": ["member_lookup", "_member_spans", "_free_space",
+                          "_permutations", "structure_generators", "copy_orbit"],
              "construction.py": ["_blocks_agree", "equalizer_subspace",
-                                 "line_embedding"]}
+                                 "line_embedding", "_write_member", "_cover_pass"]}
 MODE_NAMES = ("AFFINE", "VECTOR", "basepoint", "origin", "translation")
 
 

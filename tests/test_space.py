@@ -477,9 +477,10 @@ def test_key_order_sorts_like_the_key(q, mode):
         for rank in range(1 if mode == AFFINE else 0, min(3, width) + 1):
             group = same_shape_group(f, mode, width, rank, rng)
             keys = sorted(s.key() for s in group)
-            assert [s.key() for s in sorted(group, key=space.key_order)] == keys
-            images = {space.key_order(s) for s in group}
-            assert len(images) == len(set(keys))
+            order = space.rows_order(q, mode, rank) or tuple
+            by_rows = sorted(group, key=lambda s: order(s.rows))
+            assert [s.key() for s in by_rows] == keys
+            assert len({order(s.rows) for s in group}) == len(set(keys))
 
 
 @pytest.mark.parametrize("q", [11, 13, 16])
@@ -489,7 +490,8 @@ def test_plain_byte_order_is_not_key_order_for_two_digit_entries(q):
     for a, b in [((1, 2), (1, 10)), ((1, 1), (1, 10)), ((1, 2, 0), (1, 10, 0))]:
         low, high = span(f, VECTOR, [a]), span(f, VECTOR, [b])
         assert low.direction < high.direction and high.key() < low.key()
-        assert space.key_order(high) < space.key_order(low)
+        order = space.rows_order(q, VECTOR, 1)
+        assert order(high.rows) < order(low.rows)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -1524,6 +1526,22 @@ def test_coordinate_map_keeps_the_images_as_columns(q, mode):
                 assert m == affine_map(f, rank - 1, codomain_len,
                                        [bytes(ref_sub(f, y, imgs[0]))
                                         for y in imgs[1:]], imgs[0])
+
+
+@pytest.mark.parametrize("codomain_len", [0, 2])
+def test_affine_coordinate_map_needs_the_image_of_the_origin(codomain_len,
+                                                              monkeypatch):
+    # a vector map of no images is the map of the zero space; an affine
+    # one is refused by its own message before any map is built, not by
+    # a negative count in the lift check
+    f = make_field(3)
+    assert coordinate_map(f, VECTOR, [], codomain_len).columns == ()
+    built = []
+    monkeypatch.setattr(space, "LinearMap", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="^an affine coordinate map needs at "
+                                         "least the image of the origin$"):
+        coordinate_map(f, AFFINE, [], codomain_len)
+    assert built == []
 
 
 # an affine map's columns as stored, [1 | t] then [0 | M e_j], but with
